@@ -24,8 +24,9 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import (CaseShapeViolation, CorrectionFailed, KDataMismatch,
-                     LiftFailed, PackingInfeasible, PairCheckFailed,
-                     ReindexFailed, UnitaryNotFoundInField, AfzpError)
+                     LiftFailed, NotOrderP, PackingInfeasible,
+                     PairCheckFailed, ReindexFailed, UnitaryNotFoundInField,
+                     AfzpError)
 from .kinv import (KPair, check_pair, compose_pairs, imat_mul, induced_map,
                    invariant_of, ivec_mul)
 from .matrix import Mat, blockdiag, diag_root_exponents, match_diagonals
@@ -349,7 +350,7 @@ def _unitary_conjugator_search(L1, L2, p):
     try:
         s1 = spectral(L1, p)
         s2 = spectral(L2, p)
-    except Exception:
+    except NotOrderP:
         s1 = s2 = None
     if s1 is not None:
         z0 = Mat.zero(ctx, f, f)
@@ -570,9 +571,14 @@ def _entry_orbits(permB, permA):
 
 
 def _enumerate_equivariant(permB, permA, bound, row_check):
-    """All nonnegative matrices with entries <= bound, constant on
-    simultaneous-permutation orbits, accepted by row_check (a predicate
-    on complete candidate matrices). Deterministic lexicographic order."""
+    """All nonnegative matrices constant on simultaneous-permutation
+    orbits and accepted by row_check, with entries <= bound unless bound
+    is None. Deterministic lexicographic order.
+
+    row_check(mat, partial=True) must be monotone: raising any orbit's
+    value never turns a rejection into an acceptance. Each orbit's value
+    loop therefore stops at the first rejected value, which also makes
+    the search finite when bound is None."""
     nB, nA = len(permB), len(permA)
     orbits = _entry_orbits(permB, permA)
     results = []
@@ -582,12 +588,12 @@ def _enumerate_equivariant(permB, permA, bound, row_check):
             if row_check(mat):
                 results.append([row[:] for row in mat])
             return
-        for v in range(bound + 1):
+        for v in (itertools.count() if bound is None else range(bound + 1)):
             for (r, c) in orbits[idx]:
                 mat[r][c] = v
-            # prune: completed rows must not overshoot the unit budget
-            if row_check(mat, partial=True):
-                rec(idx + 1, mat)
+            if not row_check(mat, partial=True):
+                break
+            rec(idx + 1, mat)
         for (r, c) in orbits[idx]:
             mat[r][c] = 0
 
@@ -595,19 +601,21 @@ def _enumerate_equivariant(permB, permA, bound, row_check):
     return results
 
 
-def ksearch(invA, invB, bound, unital=True):
-    """Exhaustive list of pairs with entries <= bound passing every
-    check, in deterministic order."""
+def ksearch(invA, invB, bound=None):
+    """Every unital pair passing every check, in deterministic order;
+    with an integer bound, only those with all entries <= bound.
+
+    The search is finite without a bound: F * unitA = unitB with every
+    unitA entry >= 1 caps each F entry, and phi * iotaA = iotaB * F with
+    no zero row in iotaA caps each phi entry."""
     permB = _perm_of(invB.act)
     permA = _perm_of(invA.act)
 
     def f_check(mat, partial=False):
         img = ivec_mul(mat, invA.unit)
-        if unital:
-            if partial:
-                return all(img[r] <= invB.unit[r] for r in range(invB.m))
-            return img == invB.unit
-        return True
+        if partial:
+            return all(img[r] <= invB.unit[r] for r in range(invB.m))
+        return img == invB.unit
 
     fs = _enumerate_equivariant(permB, permA, bound, f_check)
     dualB = _perm_of(invB.dualAct)
@@ -622,14 +630,14 @@ def ksearch(invA, invB, bound, unital=True):
                 if any(simg[r] > invB.special[r] for r in range(invB.mC)):
                     return False
                 comm = imat_mul(mat, invA.iota)
-                return all(comm[r][c] <= _ti[r][c] or mat[r] == [0] * invA.mC
+                return all(comm[r][c] <= _ti[r][c]
                            for r in range(invB.mC) for c in range(invA.m))
             if simg != invB.special:
                 return False
             return imat_mul(mat, invA.iota) == _ti
 
         for phi in _enumerate_equivariant(dualB, dualA, bound, phi_check):
-            kp = KPair(F, phi, unital=unital)
+            kp = KPair(F, phi)
             if check_pair(kp, invA, invB).ok:
                 out.append(kp)
     return out
@@ -691,14 +699,15 @@ class IntertwiningCertificate:
     pairs: list              # invariant morphisms of the forward maps
 
 
-def intertwine(tA, tB, pairs=None, depth=3, bound=3):
+def intertwine(tA, tB, pairs=None, depth=3):
     """Finite-depth intertwining with exact triangle identities.
 
     pairs may be a list of invariant morphisms A_i -> B_i (one per used
-    stage) or None for exhaustive search with the given entry bound. The
-    construction walks forward and backward alternately, lifting each
-    invariant morphism and correcting the newest hom by an inner
-    equivariant unitary so every triangle commutes exactly.
+    stage) or None for exhaustive search over the invariant morphisms
+    the unit classes allow. The construction walks forward and backward
+    alternately, lifting each invariant morphism and correcting the
+    newest hom by an inner equivariant unitary so every triangle commutes
+    exactly.
     """
     for name, tower in (("A", tA), ("B", tB)):
         rep = validate_tower(tower)
@@ -739,7 +748,7 @@ def intertwine(tA, tB, pairs=None, depth=3, bound=3):
             fkp = kp
         else:
             fkp = None
-            for cand in ksearch(invsA[ai], invsB[bi], bound):
+            for cand in ksearch(invsA[ai], invsB[bi]):
                 if step == 0:
                     fkp = cand
                     break
@@ -749,9 +758,8 @@ def intertwine(tA, tB, pairs=None, depth=3, bound=3):
                     break
             if fkp is None:
                 raise ReindexFailed(
-                    "no invariant morphism with entries <= %d found from "
-                    "A%d to B%d closing the previous triangle" % (bound, ai,
-                                                                  bi))
+                    "no invariant morphism from A%d to B%d closes the "
+                    "previous triangle" % (ai, bi))
         try:
             psi = lift(fkp, tA.systems[ai], tB.systems[bi])
         except AfzpError as exc:
@@ -776,14 +784,14 @@ def intertwine(tA, tB, pairs=None, depth=3, bound=3):
         next_ai = ai + 1
         want = _compose_range(connA, ai, next_ai)
         backward_kp = None
-        for cand in ksearch(invsB[bi], invsA[next_ai], bound):
+        for cand in ksearch(invsB[bi], invsA[next_ai]):
             if compose_pairs(cand, fkp) == want:
                 backward_kp = cand
                 break
         if backward_kp is None:
             raise ReindexFailed(
-                "no invariant morphism with entries <= %d found from B%d "
-                "to A%d closing the forward triangle" % (bound, bi, next_ai))
+                "no invariant morphism from B%d to A%d closes the forward "
+                "triangle" % (bi, next_ai))
         try:
             chi = lift(backward_kp, tB.systems[bi], tA.systems[next_ai])
         except AfzpError as exc:

@@ -10,7 +10,6 @@ obstruction error), 2 on input or format errors.
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .classify import intertwine, lift, equiv_unitary, \
     verify_certificate
@@ -73,11 +72,7 @@ def cmd_validate(args):
             return validate(obj)
         raise FormatError("%s: expected a system or hom file" % path)
 
-    if len(args.files) > 1 and args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(one, args.files))
-    else:
-        reports = [one(p) for p in args.files]
+    reports = [one(p) for p in args.files]
     code = EXIT_OK
     for path, rep in zip(args.files, reports):
         if len(args.files) > 1:
@@ -154,8 +149,7 @@ def cmd_intertwine(args):
     pairs = None
     if args.pairs:
         pairs = [load_json(p) for p in args.pairs.split(",")]
-    cert = intertwine(tA, tB, pairs=pairs, depth=args.depth,
-                      bound=args.bound)
+    cert = intertwine(tA, tB, pairs=pairs, depth=args.depth)
     _emit(args, cert)
     return EXIT_OK
 
@@ -188,7 +182,7 @@ def _demo_product(args, p, depth):
 def _demo_resorted(args, depth):
     tA = product_tower(2, depth, order=args.order)
     tB = product_tower(2, depth, resorted=True, order=args.order)
-    cert = intertwine(tA, tB, depth=depth, bound=args.bound)
+    cert = intertwine(tA, tB, depth=depth)
     rep = verify_certificate(cert)
     print("triangles corrected: %d" % len(cert.triangles))
     print("PASS" if rep.ok else "FAIL")
@@ -209,7 +203,7 @@ def _demo_naive_doubling(args, depth=3):
                  % fail[0].detail))
     for n, (found, obs) in enumerate(zip(data["searches"],
                                          data["obstructions"])):
-        print("stage %d -> %d invariant morphisms with entries <= 3: %d"
+        print("stage %d -> %d invariant morphisms: %d"
               % (n + 1, n + 2, len(found)))
         for item in obs.failures():
             print("  obstruction: %s: %s" % (item.name, item.detail))
@@ -246,8 +240,6 @@ def build_parser():
     common.add_argument("--order", type=int, default=_default_order(),
                         help="root-of-unity order for newly built contexts "
                              "(default 4p^2; also via AFZP_ORDER)")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="process independent input files concurrently")
     ap = argparse.ArgumentParser(
         prog="afzp",
         parents=[common],
@@ -305,7 +297,6 @@ def build_parser():
     sp.add_argument("pairs", nargs="?", default=None,
                     help="comma-separated invariant-pair files")
     sp.add_argument("--depth", type=int, default=3)
-    sp.add_argument("--bound", type=int, default=3)
     sp.set_defaults(fn=cmd_intertwine)
 
     sp = sub_parser("verify", help="replay a certificate from scratch")
@@ -315,7 +306,6 @@ def build_parser():
     sp = sub_parser("demo", help="run a built-in scenario")
     sp.add_argument("name")
     sp.add_argument("--depth", type=int, default=None)
-    sp.add_argument("--bound", type=int, default=3)
     sp.set_defaults(fn=cmd_demo)
 
     return ap

@@ -310,29 +310,6 @@ class ExtendedHom:
         ce = self.cpA.unidentify(mats)
         return self.cpB.identify(self.apply_coeffs(ce))
 
-    def matrix(self):
-        """Dense matrix of the extension over the identified bases (basis
-        order: crossed block major, then row-major entries)."""
-        ctx = self.cpA.ctx
-        in_dim = sum(n * n for n in self.cpA.block_sizes)
-        out_dim = sum(n * n for n in self.cpB.block_sizes)
-        out = Mat.zero(ctx, out_dim, in_dim)
-        col = 0
-        for b, n in enumerate(self.cpA.block_sizes):
-            for i in range(n):
-                for j in range(n):
-                    mats = [Mat.zero(ctx, k, k) for k in self.cpA.block_sizes]
-                    mats[b].entries[i][j] = ctx.one
-                    image = self.apply(mats)
-                    r = 0
-                    for mtx in image:
-                        for row in mtx.entries:
-                            for val in row:
-                                out.entries[r][col] = val
-                                r += 1
-                    col += 1
-        return out
-
 
 def extend_hom(h, cpA, cpB, check=True):
     """Natural extension of a validated equivariant hom to the crossed

@@ -124,7 +124,7 @@ def naive_doubling_tower(depth, order=16):
         hom_reports.append(hom_validate(h))
         invA = invariant_of(canon[n])
         invB = invariant_of(canon[n + 1])
-        searches.append(ksearch(invA, invB, 3))
+        searches.append(ksearch(invA, invB))
         # the unit-class-forced candidate, shown with its failing check
         forced = KPair([[2]], [[1, 1], [1, 1]])
         obstructions.append(check_pair(forced, invA, invB))

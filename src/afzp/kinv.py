@@ -90,7 +90,7 @@ def invariant_of(c):
                       [row[:] for row in cp.iota_matrix])
 
 
-def induced_map(h, cpA=None, cpB=None):
+def induced_map(h):
     """Invariant morphism of a validated hom, by trace bookkeeping.
 
     F counts each source block's copies inside each target block; phi is
@@ -109,10 +109,8 @@ def induced_map(h, cpA=None, cpB=None):
                 raise NonIntegralMultiplicity(
                     "trace of block %d -> %d is %r" % (s, t, tr))
             F[t][s] = int(tr)
-    if cpA is None:
-        cpA = crossed_product(src)
-    if cpB is None:
-        cpB = crossed_product(tgt)
+    cpA = crossed_product(src)
+    cpB = crossed_product(tgt)
     ext = extend_hom(h, cpA, cpB, check=False)
     phi = [[0] * cpA.m for _ in range(cpB.m)]
     ctx = src.ctx

@@ -17,7 +17,7 @@ from . import FORMAT_VERSION
 from .classify import (IntertwiningCertificate, Tower, TriangleRecord)
 from .crossed import CrossedPresentation
 from .cyclo import FieldContext
-from .errors import FormatError
+from .errors import ContextMismatch, FormatError, ShapeMismatch
 from .kinv import KInvariant, KPair
 from .matrix import Mat
 from .report import Report
@@ -34,7 +34,8 @@ def _mat_json(m):
 def _mat_load(obj, ctx):
     try:
         return Mat.from_json(obj, ctx)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError, ZeroDivisionError,
+            ContextMismatch, ShapeMismatch) as exc:
         raise FormatError("bad matrix object: %s" % exc)
 
 
@@ -153,6 +154,10 @@ def load(doc, ctx=None):
             ctx = ctx or FieldContext(doc["p"], doc["order"])
             pieces = []
             for pc in doc["pieces"]:
+                # an empty piece would leave the pair search unbounded
+                if not isinstance(pc["n"], int) or pc["n"] < 1:
+                    raise FormatError("piece size %r is not a positive "
+                                      "integer" % (pc["n"],))
                 if pc["kind"] == "fixed":
                     pieces.append(IrredPiece("fixed", pc["n"],
                                              _mat_load(pc["v"], ctx)))

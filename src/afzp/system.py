@@ -309,7 +309,7 @@ def _diagonalize_order_p_monomial(u, p):
     return z, Mat.diag(ctx, diag)
 
 
-def decompose(s, check=True):
+def decompose(s):
     """Canonical form of a validated system, with the explicit rewriting.
 
     Fixed blocks are scalar-normalized to order p and diagonalized
@@ -388,10 +388,9 @@ def decompose(s, check=True):
             conjugators[orig] = z
             pos += 1
     c = CanonicalForm(ctx, p, pieces, BlockIso(block_map, conjugators))
-    if check:
-        bad = _iso_defect(s, c)
-        if bad is not None:
-            raise AfzpError("internal: recorded rewriting fails on %s" % (bad,))
+    bad = _iso_defect(s, c)
+    if bad is not None:
+        raise AfzpError("internal: recorded rewriting fails on %s" % (bad,))
     return c
 
 
@@ -414,14 +413,6 @@ def transport(s, c, a):
     for i in range(s.m):
         z = c.iso.conjugators[i]
         out[c.iso.block_map[i]] = z * a[i] * z.dagger()
-    return out
-
-
-def transport_back(s, c, b):
-    out = s.zero_tuple()
-    for i in range(s.m):
-        z = c.iso.conjugators[i]
-        out[i] = z.dagger() * b[c.iso.block_map[i]] * z
     return out
 
 

@@ -300,6 +300,18 @@ def test_criterion_7_intertwining_towers():
             "(order 2: %.2fs, order 3: %.2fs)" % (elapsed_p2, elapsed_p3))
 
 
+def test_p5_tower_intertwines_with_exhaustive_search():
+    """The order-5 towers intertwine with no pairs given: the map from
+    B0 to A1 has F = [[5]], which the pair search reaches because only
+    the unit classes bound it. The certificate replays after a
+    JSON round trip."""
+    tA = product_tower(5, 2, order=5)
+    tB = product_tower(5, 2, resorted=True, order=5)
+    cert = intertwine(tA, tB, depth=2)
+    assert induced_map(cert.backward[0]).F == [[5]]
+    assert verify_certificate(loads(dumps(cert))).ok
+
+
 def test_criterion_8_negative_control():
     """The doubling tower with inner diag(1,...,1,-1) actions, read
     literally: the connecting maps fail equivariance with an explicit

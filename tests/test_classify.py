@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from afzp.classify import (IntertwiningCertificate, Tower, conjugate_hom,
@@ -6,7 +8,8 @@ from afzp.classify import (IntertwiningCertificate, Tower, conjugate_hom,
 from afzp.demos import identity_pairs, naive_doubling_tower, product_tower
 from afzp.errors import (CaseShapeViolation, KDataMismatch, PairCheckFailed,
                          ReindexFailed)
-from afzp.kinv import KPair, induced_map, invariant_of
+from afzp.kinv import (KPair, check_pair, imat_mul, induced_map, invariant_of,
+                       ivec_mul)
 from afzp.matrix import Mat, solve, vec_row_major
 from afzp.serialize import dumps, loads
 from afzp.system import (Arrangement, EqHom, Slot, equal_as_maps,
@@ -114,6 +117,75 @@ def test_ksearch_contains_identity():
     ctx = ctx_for(2)
     inv = invariant_of(fixed_form(ctx, [0, 1]))
     assert KPair([[1]], [[1, 0], [0, 1]]) in ksearch(inv, inv, 1)
+
+
+def _ksearch_oracle(invA, invB):
+    """Every pair passing check_pair among all matrices with F entries <=
+    max(unitB) and phi entries <= max(iotaB * unitB), in no particular
+    order. Rows are drawn from all vectors under the cap, indexed by the
+    row-wise equalities check_pair imposes (unit class, special element,
+    embedding square), so only rows that can pass are combined."""
+    def rows_by_image(width, cap, cols):
+        index = {}
+        for v in itertools.product(range(cap + 1), repeat=width):
+            key = tuple(sum(x * y for x, y in zip(v, col)) for col in cols)
+            index.setdefault(key, []).append(list(v))
+        return index
+
+    f_rows = rows_by_image(invA.m, max(invB.unit), [invA.unit])
+    phi_rows = rows_by_image(invA.mC, max(ivec_mul(invB.iota, invB.unit)),
+                             [invA.special] + list(zip(*invA.iota)))
+    out = []
+    for F in itertools.product(*[f_rows.get((u,), []) for u in invB.unit]):
+        F = list(F)
+        target_iota = imat_mul(invB.iota, F)
+        choices = [phi_rows.get((invB.special[r],) + tuple(target_iota[r]), [])
+                   for r in range(invB.mC)]
+        for phi in itertools.product(*choices):
+            kp = KPair(F, list(phi))
+            if check_pair(kp, invA, invB).ok:
+                out.append(kp)
+    return out
+
+
+def _oracle_grid(p):
+    ctx = ctx_for(p)
+    forms = {
+        "f0": fixed_form(ctx, [0]), "f01": fixed_form(ctx, [0, 1]),
+        "f00": fixed_form(ctx, [0, 0]), "f001": fixed_form(ctx, [0, 0, 1]),
+        "f0000": fixed_form(ctx, [0, 0, 0, 0]),
+        "c1": cycle_form(ctx, 1), "c2": cycle_form(ctx, 2),
+        "f0+c1": mixed_form(ctx, [("fixed", [0]), ("cycle", 1)]),
+        "f0+f1": mixed_form(ctx, [("fixed", [0]), ("fixed", [1])]),
+        "f01+c1": mixed_form(ctx, [("fixed", [0, 1]), ("cycle", 1)]),
+    }
+    if p == 5:
+        # the oracle's candidate count grows like cap^(p * pieces)
+        sources, targets = ["f0", "c1", "f0+c1"], ["f0", "c1"]
+    else:
+        sources, targets = ["f0", "c1", "f0+c1", "f0+f1"], list(forms)
+    return [(forms[a], forms[b]) for a in sources for b in targets]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_ksearch_matches_brute_force_oracle(p):
+    def key(kp):
+        return kp.F, kp.phi
+
+    def max_entry(kp):
+        return max(max(row) for row in kp.F + kp.phi)
+
+    found = 0
+    for src, tgt in _oracle_grid(p):
+        invA, invB = invariant_of(src), invariant_of(tgt)
+        full = ksearch(invA, invB)
+        assert sorted(map(key, full)) == \
+            sorted(map(key, _ksearch_oracle(invA, invB)))
+        for bound in (1, 2):
+            assert ksearch(invA, invB, bound) == \
+                [kp for kp in full if max_entry(kp) <= bound]
+        found += len(full)
+    assert found > 0
 
 
 # -- equiv_unitary -----------------------------------------------------------
@@ -371,7 +443,7 @@ def test_intertwine_reports_reindex_failure():
     assert hom_validate(h).ok
     tB = Tower([triv1, triv2], [h])
     with pytest.raises(ReindexFailed):
-        intertwine(tA, tB, depth=2, bound=3)
+        intertwine(tA, tB, depth=2)
 
 
 def test_case_shape_violation_reported():

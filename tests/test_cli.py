@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import afzp
 from afzp.cli import main
+from afzp.classify import Tower
 from afzp.cyclo import FieldContext
 from afzp.demos import product_tower
 from afzp.kinv import KPair
@@ -118,13 +122,56 @@ def test_demo_unknown_exit_two(workdir):
     assert main(["demo", "no-such-demo"]) == 2
 
 
-def test_jobs_flag_parallel_validate(workdir, capsys):
-    assert main(["validate", "m1.json", "m2.json", "--jobs", "2"]) == 0
+def test_validate_multiple_files(workdir, capsys):
+    assert main(["validate", "m1.json", "m2.json"]) == 0
     out = capsys.readouterr().out
     assert out.count("== ") == 2
+    assert "== m1.json" in out and "== m2.json" in out
+
+
+def _zero_denominator(unit):
+    unit["entries"][0][0]["coeffs"][0] = "1/0"
+
+
+def _long_coefficients(unit):
+    unit["entries"][0][0]["coeffs"].append("0")
+
+
+def _wrong_rows(unit):
+    unit["rows"] = 3
+
+
+def _bare_scalar(unit):
+    unit["entries"][0][0] = "1"
+
+
+@pytest.mark.parametrize("corrupt", [_zero_denominator, _long_coefficients,
+                                     _wrong_rows, _bare_scalar])
+def test_corrupted_system_exit_two_without_traceback(workdir, corrupt):
+    doc = json.load(open("m2.json"))
+    corrupt(doc["impl"][0])
+    json.dump(doc, open("bad.json", "w"))
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(afzp.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "afzp.cli", "validate", "bad.json"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("input error:")
 
 
 def test_text_format_report(workdir, capsys):
     assert main(["validate", "m2.json", "--format", "text"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out
+
+
+def test_empty_piece_in_tower_exit_two(workdir):
+    assert main(["canon", "m2.json", "--out", "c2.json"]) == 0
+    save_json("tower.json", Tower([load_json("c2.json")], []))
+    doc = json.load(open("tower.json"))
+    doc["systems"][0]["pieces"].append({"kind": "cycle", "n": 0})
+    json.dump(doc, open("tower.json", "w"))
+    assert main(["intertwine", "tower.json", "tower.json",
+                 "--depth", "1"]) == 2
