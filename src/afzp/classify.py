@@ -29,7 +29,7 @@ from .errors import (CaseShapeViolation, CorrectionFailed, KDataMismatch,
                      AfzpError)
 from .kinv import (KPair, check_pair, compose_pairs, imat_mul, induced_map,
                    invariant_of, ivec_mul)
-from .matrix import Mat, blockdiag, diag_root_exponents, match_diagonals
+from .matrix import Mat, blockdiag, match_diagonals
 from .report import Report
 from .system import (Arrangement, EqHom, Slot, equal_as_maps, hom_compose,
                      hom_validate)
@@ -160,18 +160,16 @@ def lift(kp, srcC, tgtC):
 
 def _pack_fixed_target(ctx, p, plans, srcC, ti, tp):
     n = tp.n
-    exps = diag_root_exponents(tp.v, p)
-    pools = {m: [i for i, e in enumerate(exps) if e == m] for m in range(p)}
-    ptr = {m: 0 for m in range(p)}
+    exps = tp.exponents(p)
+    pools = {m: iter([i for i, e in enumerate(exps) if e == m])
+             for m in range(p)}
 
     def take(m):
-        pool = pools[m]
-        if ptr[m] >= len(pool):
+        pos = next(pools[m], None)
+        if pos is None:
             raise PackingInfeasible(
                 "eigenvalue budget exhausted at exponent %d of target piece %d"
                 % (m, ti))
-        pos = pool[ptr[m]]
-        ptr[m] += 1
         return pos
 
     slots = []
@@ -182,7 +180,7 @@ def _pack_fixed_target(ctx, p, plans, srcC, ti, tp):
         sb = srcC.piece_offsets[si]
         k = sp.n
         if tag == "FF":
-            uexps = diag_root_exponents(sp.v, p)
+            uexps = sp.exponents(p)
             for d in range(p):
                 for _ in range(data[d]):
                     slots.append(Slot(sb, k, phase=d))
@@ -202,7 +200,7 @@ def _pack_fixed_target(ctx, p, plans, srcC, ti, tp):
                         for j in range(p):
                             X.entries[pos][base + j * k + w] = \
                                 ctx.zeta_p(j * m) * ginv
-    if col != n or any(ptr[m] != len(pools[m]) for m in range(p)):
+    if col != n:    # each column took one distinct pool entry
         raise PackingInfeasible("target piece %d not exactly filled" % ti)
     return Arrangement(slots, X)
 

@@ -21,8 +21,8 @@ conjugation with diag(1, zeta_p, ..., zeta_p^(p-1)) x I_n.
 from dataclasses import dataclass
 
 from .errors import NonIntegralMultiplicity, NotEquivariant, ShapeMismatch
-from .matrix import Mat, spectral
-from .system import FdSystem, hom_validate
+from .matrix import Mat
+from .system import FdSystem, hom_validate, zero_tuple
 from ._rat import is_integer
 
 __all__ = ["CrossedElement", "CrossedPresentation", "crossed_product",
@@ -52,8 +52,8 @@ class CrossedPresentation:
             self.piece_first_block.append(len(self.block_sizes))
             if piece.kind == "fixed":
                 self.block_sizes.extend([piece.n] * p)
-                counts = spectral(piece.v, p).multiplicities
-                self.special.extend(counts)
+                exps = piece.exponents(p)
+                self.special.extend(exps.count(d) for d in range(p))
             else:
                 self.block_sizes.append(p * piece.n)
                 self.special.append(piece.n)
@@ -90,7 +90,8 @@ class CrossedPresentation:
     # -- element-level algebra (for property checks) ----------------------
 
     def zero_element(self):
-        return CrossedElement([self.source.zero_tuple() for _ in range(self.p)])
+        return CrossedElement([zero_tuple(self.ctx, self.source.block_sizes)
+                               for _ in range(self.p)])
 
     def embed(self, x):
         """iota(x): coefficient 0 is x, the rest vanish."""

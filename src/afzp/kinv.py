@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from .errors import NonIntegralMultiplicity, ShapeMismatch
 from .matrix import Mat
+from .system import unit_tuple
 from .report import Report
 from .crossed import crossed_product, extend_hom
 from ._rat import is_integer
@@ -101,7 +102,7 @@ def induced_map(h):
     src, tgt = h.source, h.target
     F = [[0] * src.m for _ in range(tgt.m)]
     for s in range(src.m):
-        a = src.unit_tuple(s, 0, 0)
+        a = unit_tuple(src.ctx, src.block_sizes, s, 0, 0)
         img = h.apply(a)
         for t in range(tgt.m):
             tr = img[t].trace().rational_part()

@@ -39,6 +39,11 @@ def _mat_load(obj, ctx):
         raise FormatError("bad matrix object: %s" % exc)
 
 
+def _is_int(x):
+    """A JSON integer: true and false are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def dump(obj):
     """Dispatch an in-memory value to its JSON document (a dict)."""
     if isinstance(obj, FdSystem):
@@ -155,12 +160,18 @@ def load(doc, ctx=None):
             pieces = []
             for pc in doc["pieces"]:
                 # an empty piece would leave the pair search unbounded
-                if not isinstance(pc["n"], int) or pc["n"] < 1:
+                if not _is_int(pc["n"]) or pc["n"] < 1:
                     raise FormatError("piece size %r is not a positive "
                                       "integer" % (pc["n"],))
                 if pc["kind"] == "fixed":
-                    pieces.append(IrredPiece("fixed", pc["n"],
-                                             _mat_load(pc["v"], ctx)))
+                    piece = IrredPiece("fixed", pc["n"],
+                                       _mat_load(pc["v"], ctx))
+                    if piece.exponents(doc["p"]) is None:
+                        raise FormatError(
+                            "fixed piece v is not the %dx%d diagonal of "
+                            "p-th roots of unity with ascending exponents"
+                            % (pc["n"], pc["n"]))
+                    pieces.append(piece)
                 elif pc["kind"] == "cycle":
                     pieces.append(IrredPiece("cycle", pc["n"]))
                 else:
@@ -178,6 +189,13 @@ def load(doc, ctx=None):
             for blk in doc["blocks"]:
                 slots = [Slot(s["src"], s["size"], s.get("phase", 0))
                          for s in blk["slots"]]
+                for s in slots:
+                    if not (s.src is None or _is_int(s.src)):
+                        raise FormatError("slot src %r is neither null nor "
+                                          "an integer" % (s.src,))
+                    if not _is_int(s.size) or s.size < 0:
+                        raise FormatError("slot size %r is not a "
+                                          "non-negative integer" % (s.size,))
                 arrs.append(Arrangement(slots, _mat_load(blk["conj"], src.ctx)))
             return EqHom(src, tgt, arrs, unital=doc["unital"])
         if kind == "kinvariant":

@@ -17,16 +17,16 @@ ordered list of source-block slots plus one conjugating unitary, so that
 
     psi(a)_t = conj_t * blockdiag(slot contents) * conj_t^dagger.
 
-Multiplicativity and *-preservation are then automatic; only
-equivariance needs checking, and hom_validate does that exactly on every
-matrix unit.
+With unitary conj_t, psi is a *-homomorphism, so only equivariance needs
+checking; hom_validate does that exactly on the generators E_{i,i+1} of
+each block, and E_00 of 1x1 blocks (_star_generators).
 """
 
 from dataclasses import dataclass, field
 
 from .cyclo import root_exponent
 from .errors import (NonDiagonalizableWithinField, NonScalarHolonomy,
-                     NormalizationOutsideField, SystemMismatch,
+                     NormalizationOutsideField, NotOrderP, SystemMismatch,
                      TwistNotRootOfUnity, TwistRootOutsideField, AfzpError)
 from .matrix import Mat, blockdiag, diag_root_exponents, solve
 from .report import Report
@@ -58,15 +58,27 @@ class FdSystem:
             out.append(u * a[self.sigma[i]] * u.dagger())
         return out
 
-    def zero_tuple(self):
-        return [Mat.zero(self.ctx, n, n) for n in self.block_sizes]
 
-    def unit_tuple(self, s, i, j):
-        """Tuple that is the (i, j) matrix unit in block s, zero elsewhere."""
-        a = self.zero_tuple()
-        a[s] = Mat.zero(self.ctx, self.block_sizes[s], self.block_sizes[s])
-        a[s].entries[i][j] = self.ctx.one
-        return a
+def zero_tuple(ctx, block_sizes):
+    return [Mat.zero(ctx, n, n) for n in block_sizes]
+
+
+def unit_tuple(ctx, block_sizes, s, i, j):
+    """Tuple that is the (i, j) matrix unit in block s, zero elsewhere."""
+    a = zero_tuple(ctx, block_sizes)
+    a[s].entries[i][j] = ctx.one
+    return a
+
+
+def _star_generators(block_sizes):
+    """(s, i, i+1) per block s, (s, 0, 0) per 1x1 block. *-homs equal on
+    these are equal: E_ij = E_{i,i+1}...E_{j-1,j} (i < j), E_ji = E_ij^*,
+    and E_ii = E_ij E_ji for any j != i."""
+    for s, n in enumerate(block_sizes):
+        if n == 1:
+            yield s, 0, 0
+        for i in range(n - 1):
+            yield s, i, i + 1
 
 
 def _orbits(sigma):
@@ -140,7 +152,14 @@ class IrredPiece:
         return 1 if self.kind == "fixed" else p
 
     def exponents(self, p):
-        return tuple(diag_root_exponents(self.v, p)) if self.kind == "fixed" else ()
+        """Ascending e with v = diag(zeta_p^e) n x n, else None; () if cycle."""
+        if self.kind != "fixed":
+            return ()
+        if self.v.rows == self.v.cols == self.n and self.v.is_diagonal():
+            exps = diag_root_exponents(self.v, p)
+            if exps is not None and exps == sorted(exps):
+                return tuple(exps)
+        return None
 
 
 @dataclass
@@ -161,13 +180,13 @@ class CanonicalForm:
 
     def __post_init__(self):
         self.block_sizes = []
-        self.piece_of_block = []
         self.piece_offsets = []
         for idx, piece in enumerate(self.pieces):
+            if piece.exponents(self.p) is None:
+                raise NotOrderP("fixed piece %d is not a sorted diagonal of "
+                                "p-th roots of unity" % idx)
             self.piece_offsets.append(len(self.block_sizes))
-            for _ in range(piece.block_count(self.p)):
-                self.block_sizes.append(piece.n)
-                self.piece_of_block.append(idx)
+            self.block_sizes.extend([piece.n] * piece.block_count(self.p))
 
     @property
     def m(self):
@@ -175,16 +194,12 @@ class CanonicalForm:
 
     def system(self):
         """The canonical form as an explicit FdSystem."""
-        sigma = []
-        impl = []
+        sigma, impl = [], []
         for piece, off in zip(self.pieces, self.piece_offsets):
-            if piece.kind == "fixed":
-                sigma.append(off)
-                impl.append(piece.v)
-            else:
-                for t in range(self.p):
-                    sigma.append(off + (t - 1) % self.p)
-                    impl.append(Mat.identity(self.ctx, piece.n))
+            k = piece.block_count(self.p)
+            sigma.extend(off + (t - 1) % k for t in range(k))
+            impl.extend([piece.v] if piece.kind == "fixed" else
+                        [Mat.identity(self.ctx, piece.n) for _ in range(k)])
         return FdSystem(self.ctx, self.p, list(self.block_sizes),
                         tuple(sigma), impl)
 
@@ -192,8 +207,7 @@ class CanonicalForm:
         out = list(a)
         for piece, off in zip(self.pieces, self.piece_offsets):
             if piece.kind == "fixed":
-                v = piece.v
-                out[off] = _diag_conj(v, a[off])
+                out[off] = _diag_conj(piece.v, a[off])
             else:
                 for t in range(self.p):
                     out[off + t] = a[off + (t - 1) % self.p]
@@ -205,15 +219,6 @@ class CanonicalForm:
                 and all(a.kind == b.kind and a.n == b.n
                         and (a.kind == "cycle" or a.v == b.v)
                         for a, b in zip(self.pieces, other.pieces)))
-
-    def zero_tuple(self):
-        return [Mat.zero(self.ctx, n, n) for n in self.block_sizes]
-
-    def unit_tuple(self, s, i, j):
-        a = self.zero_tuple()
-        a[s] = Mat.zero(self.ctx, self.block_sizes[s], self.block_sizes[s])
-        a[s].entries[i][j] = self.ctx.one
-        return a
 
 
 def _diag_conj(v, a):
@@ -346,8 +351,8 @@ def decompose(s):
                     "diagonal of block %d is not made of p-th roots" % i)
             zs, sorted_exps = _sort_conjugator(ctx, exps)
             z = zs * z0
-            vcan = Mat.diag(ctx, [ctx.zeta_p(e) for e in sorted_exps])
-            piece = IrredPiece("fixed", n, vcan)
+            piece = IrredPiece("fixed", n, Mat.diag(
+                ctx, [ctx.zeta_p(e) for e in sorted_exps]))
             raw_pieces.append(((0, n, tuple(sorted_exps), i), piece,
                                [(i, z)]))
         else:
@@ -409,7 +414,7 @@ def _p_th_root_of_inverse(ctx, lam, p):
 
 def transport(s, c, a):
     """Push a tuple on s through the recorded rewriting onto c."""
-    out = c.zero_tuple()
+    out = zero_tuple(c.ctx, c.block_sizes)
     for i in range(s.m):
         z = c.iso.conjugators[i]
         out[c.iso.block_map[i]] = z * a[i] * z.dagger()
@@ -417,17 +422,16 @@ def transport(s, c, a):
 
 
 def _iso_defect(s, c):
-    """First matrix unit where transported action differs from canonical,
-    or None when the rewriting is exact."""
-    for i in range(s.m):
-        n = s.block_sizes[i]
-        for r in range(n):
-            for q in range(n):
-                a = s.unit_tuple(i, r, q)
-                lhs = transport(s, c, s.apply_action(a))
-                rhs = c.apply_action(transport(s, c, a))
-                if any(x != y for x, y in zip(lhs, rhs)):
-                    return (i, r, q)
+    """First non-unitary conjugator or failing generator; None if exact."""
+    for i, z in enumerate(c.iso.conjugators):
+        if not z.is_unitary():
+            return "conjugator %d, which is not unitary" % i
+    for i, r, q in _star_generators(s.block_sizes):
+        a = unit_tuple(s.ctx, s.block_sizes, i, r, q)
+        lhs = transport(s, c, s.apply_action(a))
+        rhs = c.apply_action(transport(s, c, a))
+        if lhs != rhs:
+            return "unit (%d,%d) of block %d" % (r, q, i)
     return None
 
 
@@ -560,7 +564,7 @@ def identity_hom(c):
 
 
 def hom_validate(h):
-    """Well-formedness plus exact equivariance on every matrix unit."""
+    """Well-formedness plus exact equivariance on the *-generators."""
     rep = Report()
     src, tgt = h.source, h.target
     rep.add("block count", len(h.arrangements) == tgt.m)
@@ -588,21 +592,18 @@ def hom_validate(h):
             "flag %r with %d zero gaps" % (h.unital, gaps))
     if not rep.ok:
         return rep
-    for s in range(src.m):
-        k = src.block_sizes[s]
-        for i in range(k):
-            for j in range(k):
-                a = src.unit_tuple(s, i, j)
-                lhs = h.apply(src.apply_action(a))
-                rhs = tgt.apply_action(h.apply(a))
-                for t in range(tgt.m):
-                    if lhs[t] != rhs[t]:
-                        rep.add("equivariance", False,
-                                "fails on unit (%d,%d) of source block %d "
-                                "at target block %d" % (i, j, s, t))
-                        return rep
-    rep.add("equivariance", True,
-            "psi(alpha(a)) = beta(psi(a)) on all matrix units")
+    for s, i, j in _star_generators(src.block_sizes):
+        a = unit_tuple(src.ctx, src.block_sizes, s, i, j)
+        lhs = h.apply(src.apply_action(a))
+        rhs = tgt.apply_action(h.apply(a))
+        for t in range(tgt.m):
+            if lhs[t] != rhs[t]:
+                rep.add("equivariance", False,
+                        "fails on unit (%d,%d) of source block %d "
+                        "at target block %d" % (i, j, s, t))
+                return rep
+    rep.add("equivariance", True, "psi(alpha(a)) = beta(psi(a)) on the "
+            "generators E_{i,i+1}, and E_00 of 1x1 blocks")
     return rep
 
 
@@ -631,16 +632,15 @@ def hom_compose(g, h):
 
 
 def equal_as_maps(h1, h2):
-    """Exact equality as linear maps (checked on all matrix units)."""
+    """Exact equality as maps; False unless every conj is unitary."""
     if not (h1.source.same_shape(h2.source)
-            and h1.target.same_shape(h2.target)):
+            and h1.target.same_shape(h2.target)
+            and all(arr.conj.is_unitary()
+                    for h in (h1, h2) for arr in h.arrangements)):
         return False
     src = h1.source
-    for s in range(src.m):
-        k = src.block_sizes[s]
-        for i in range(k):
-            for j in range(k):
-                a = src.unit_tuple(s, i, j)
-                if any(x != y for x, y in zip(h1.apply(a), h2.apply(a))):
-                    return False
+    for s, i, j in _star_generators(src.block_sizes):
+        a = unit_tuple(src.ctx, src.block_sizes, s, i, j)
+        if h1.apply(a) != h2.apply(a):
+            return False
     return True

@@ -13,7 +13,7 @@ from afzp.kinv import (KPair, check_pair, imat_mul, induced_map, invariant_of,
 from afzp.matrix import Mat, solve, vec_row_major
 from afzp.serialize import dumps, loads
 from afzp.system import (Arrangement, EqHom, Slot, equal_as_maps,
-                         hom_compose, hom_validate)
+                         hom_compose, hom_validate, unit_tuple)
 
 from conftest import ctx_for, cycle_form, fixed_form, mixed_form
 
@@ -206,7 +206,7 @@ def intertwiner_space_membership(h1, h2, W):
             k = src.block_sizes[s]
             for i in range(k):
                 for j in range(k):
-                    a = src.unit_tuple(s, i, j)
+                    a = unit_tuple(ctx, src.block_sizes, s, i, j)
                     p1 = h1.apply(a)[toff]
                     p2 = h2.apply(a)[toff]
                     sysm = ident.kron(_transpose(p2)) - \

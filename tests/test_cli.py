@@ -145,20 +145,83 @@ def _bare_scalar(unit):
     unit["entries"][0][0] = "1"
 
 
+def _assert_input_error(*argv):
+    """Run the CLI in a fresh interpreter; it must exit 2 without a
+    traceback."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(afzp.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "afzp.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("input error:")
+
+
 @pytest.mark.parametrize("corrupt", [_zero_denominator, _long_coefficients,
                                      _wrong_rows, _bare_scalar])
 def test_corrupted_system_exit_two_without_traceback(workdir, corrupt):
     doc = json.load(open("m2.json"))
     corrupt(doc["impl"][0])
     json.dump(doc, open("bad.json", "w"))
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(afzp.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "afzp.cli", "validate", "bad.json"],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("input error:")
+    _assert_input_error("validate", "bad.json")
+
+
+# corruptions of the fixed piece v = diag(1, -1) of an n=2 canonical form
+def _v_non_diagonal(v):
+    v["entries"][0][1] = v["entries"][0][0]
+
+
+def _v_non_unitary(v):       # diag(2, 1)
+    v["entries"][1][1] = v["entries"][0][0]
+    v["entries"][0][0] = dict(v["entries"][0][0])
+    v["entries"][0][0]["coeffs"] = ["2"] + v["entries"][0][0]["coeffs"][1:]
+
+
+def _v_unsorted(v):          # diag(-1, 1)
+    e = v["entries"]
+    e[0][0], e[1][1] = e[1][1], e[0][0]
+
+
+def _v_wrong_size(v):        # 1x1 in an n=2 piece
+    v.update(rows=1, cols=1, entries=[[v["entries"][0][0]]])
+
+
+def _slot_src_string(doc):
+    doc["blocks"][0]["slots"][0]["src"] = "0"
+
+
+def _slot_size_string(doc):
+    doc["blocks"][0]["slots"][0]["size"] = "2"
+
+
+def _slot_src_boolean(doc):
+    doc["blocks"][0]["slots"][0]["src"] = True
+
+
+_V_CORRUPTIONS = [_v_non_diagonal, _v_non_unitary, _v_unsorted,
+                  _v_wrong_size]
+
+
+@pytest.mark.parametrize("command,corrupt", [
+    *[(cmd, c) for cmd in ("kinv", "crossed", "validate")
+      for c in _V_CORRUPTIONS],
+    ("validate", _slot_src_string), ("validate", _slot_size_string),
+    ("validate", _slot_src_boolean)])
+def test_corrupted_canonical_or_hom_exit_two(workdir, command, corrupt):
+    assert main(["canon", "m2.json", "--out", "c2.json"]) == 0
+    assert main(["lift", "pair.json", "m1.json", "m2.json",
+                 "--out", "hom.json"]) == 0
+    if command == "validate":
+        doc = json.load(open("hom.json"))
+        if corrupt in _V_CORRUPTIONS:
+            corrupt(doc["target"]["pieces"][0]["v"])
+        else:
+            corrupt(doc)
+    else:
+        doc = json.load(open("c2.json"))
+        corrupt(doc["pieces"][0]["v"])
+    json.dump(doc, open("bad.json", "w"))
+    _assert_input_error(command, "bad.json")
 
 
 def test_text_format_report(workdir, capsys):

@@ -1,17 +1,22 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from afzp.classify import ksearch, lift
 from afzp.cyclo import make_root
 from afzp.errors import (AfzpError, NonDiagonalizableWithinField,
                          SystemMismatch)
 from afzp.matrix import Mat
-from afzp.system import (Arrangement, EqHom, FdSystem, Slot, decompose,
-                         equal_as_maps, hom_compose, hom_validate,
+from afzp.kinv import invariant_of
+from afzp.system import (Arrangement, EqHom, FdSystem, Slot, _iso_defect,
+                         decompose, equal_as_maps, hom_compose, hom_validate,
                          identity_hom, recover_inner_unitary, transport,
-                         validate)
+                         unit_tuple, validate)
 
-from conftest import ctx_for, fixed_form
+from conftest import (all_units_equal, all_units_equivariant, ctx_for,
+                      cycle_form, fixed_form, mixed_form)
 
 
 def diag_system(ctx, values, p=None):
@@ -54,7 +59,7 @@ def test_decompose_sorts_unsorted_diagonal():
     # the rewriting transports the action exactly (checked inside), and
     # transports elements consistently
     s = diag_system(ctx, [-1, 1, -1, 1])
-    a = s.unit_tuple(0, 0, 0)
+    a = unit_tuple(ctx, s.block_sizes, 0, 0, 0)
     moved = transport(s, c, a)
     assert moved[0].trace() == ctx.one
 
@@ -81,7 +86,7 @@ def test_decompose_absorbs_holonomy_twist():
     assert zs[1] ** 4 == ctx.one and zs[1] ** 2 != ctx.one
     # direct multiplication: transported action is the exact swap
     for (i, j) in ((0, 0), (1, 1)):
-        a = s.unit_tuple(i, 0, 0)
+        a = unit_tuple(ctx, s.block_sizes, i, 0, 0)
         lhs = transport(s, c, s.apply_action(a))
         rhs = c.apply_action(transport(s, c, a))
         assert lhs == rhs
@@ -296,3 +301,84 @@ def test_transport_roundtrip_random(rng):
         lhs = transport(s, c, s.apply_action(a))
         rhs = c.apply_action(transport(s, c, a))
         assert lhs == rhs
+
+
+def test_hom_validate_checks_e00_of_1x1_blocks():
+    # the shift on C^2 against Ad diag(1,-1) on M_2: 1x1 blocks have no
+    # E_{i,i+1}, so only E_00 can witness the failure
+    ctx = ctx_for(2)
+    h = EqHom(cycle_form(ctx, 1), fixed_form(ctx, [0, 1]),
+              [Arrangement([Slot(0, 1), Slot(1, 1)], Mat.identity(ctx, 2))],
+              unital=True)
+    rep = hom_validate(h)
+    assert not rep.ok
+    bad = [item for item in rep.failures() if item.name == "equivariance"]
+    assert bad and "unit (0,0)" in bad[0].detail
+
+
+def test_iso_defect_flags_non_unitary_conjugator():
+    # 2*I conjugates both sides by the same scalar 4, so only the
+    # unitarity check can see it
+    ctx = ctx_for(2)
+    s = diag_system(ctx, [1, -1])
+    c = decompose(s)
+    assert _iso_defect(s, c) is None
+    c.iso.conjugators[0] = c.iso.conjugators[0] * ctx.scalar(2)
+    assert _iso_defect(s, c) is not None
+
+
+def test_equal_as_maps_requires_unitary_conjugators():
+    # Ad diag(2, 1/2) fixes E_01 but not E_00: without the unitarity
+    # check the generator comparison would call it the identity
+    ctx = ctx_for(2)
+    c = fixed_form(ctx, [0, 1])
+    two = ctx.scalar(2)
+    skewed = identity_hom(c)
+    skewed.arrangements[0].conj = Mat.diag(ctx, [two, two.inv()])
+    assert equal_as_maps(identity_hom(c), identity_hom(c))
+    assert not all_units_equal(skewed, identity_hom(c))
+    assert not equal_as_maps(skewed, identity_hom(c))
+
+
+def _piece_specs(p, max_n):
+    return [("fixed", list(e)) for n in range(1, max_n + 1)
+            for e in itertools.combinations_with_replacement(range(p), n)] \
+        + [("cycle", n) for n in range(1, max_n + 1)]
+
+
+@st.composite
+def _lift_and_corruption(draw):
+    """A valid lift between forms of at most two pieces, and a copy with
+    one target block's conj right-multiplied by a root-of-unity monomial
+    unitary, or its slots permuted."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    ctx = ctx_for(p, None if p == 2 else p)
+    src = mixed_form(ctx, draw(st.lists(st.sampled_from(_piece_specs(p, 3)),
+                                        min_size=1, max_size=2)))
+    tgt = mixed_form(ctx, draw(st.lists(st.sampled_from(_piece_specs(p, 3)),
+                                        min_size=1, max_size=2)))
+    pairs = ksearch(invariant_of(src), invariant_of(tgt), 3)
+    h = lift(draw(st.sampled_from(pairs)), src, tgt) if pairs \
+        else identity_hom(src)
+    t = draw(st.integers(0, h.target.m - 1))
+    arrs = [Arrangement(list(a.slots), a.conj) for a in h.arrangements]
+    if draw(st.booleans()):
+        n = h.target.block_sizes[t]
+        perm = draw(st.permutations(range(n)))
+        roots = draw(st.lists(st.integers(0, ctx.order - 1),
+                              min_size=n, max_size=n))
+        arrs[t].conj = arrs[t].conj * Mat.permutation(ctx, perm) * \
+            Mat.diag(ctx, [ctx.root(e) for e in roots])
+    else:
+        arrs[t].slots = draw(st.permutations(arrs[t].slots))
+    return h, EqHom(h.source, h.target, arrs, h.unital)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_lift_and_corruption())
+def test_generator_checks_match_all_units_oracle(case):
+    h, bad = case
+    assert hom_validate(h).ok and all_units_equivariant(h)
+    assert hom_validate(bad).ok == all_units_equivariant(bad)
+    assert equal_as_maps(bad, h) == all_units_equal(bad, h)
+    assert equal_as_maps(h, h) and all_units_equal(h, h)
