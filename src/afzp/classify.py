@@ -27,6 +27,7 @@ from .errors import (CaseShapeViolation, CorrectionFailed, KDataMismatch,
                      LiftFailed, NotOrderP, PackingInfeasible,
                      PairCheckFailed, ReindexFailed, UnitaryNotFoundInField,
                      AfzpError)
+from .crossed import crossed_offsets
 from .kinv import (KPair, check_pair, compose_pairs, imat_mul, induced_map,
                    invariant_of, ivec_mul)
 from .matrix import Mat, blockdiag, match_diagonals
@@ -44,16 +45,6 @@ __all__ = ["lift", "equiv_unitary", "ksearch", "Tower", "intertwine",
 # ---------------------------------------------------------------------------
 
 
-def _crossed_offsets(c):
-    """First crossed-block index of each piece (p per fixed, 1 per cycle)."""
-    out = []
-    pos = 0
-    for piece in c.pieces:
-        out.append(pos)
-        pos += c.p if piece.kind == "fixed" else 1
-    return out
-
-
 def _slice(mat, rows, cols):
     return [[mat[r][c] for c in cols] for r in rows]
 
@@ -65,8 +56,8 @@ def _case_params(kp, srcC, tgtC):
     have the shape forced by equivariance.
     """
     p = srcC.p
-    srcK = _crossed_offsets(srcC)
-    tgtK = _crossed_offsets(tgtC)
+    srcK = crossed_offsets(srcC)
+    tgtK = crossed_offsets(tgtC)
     plans = {}
     for ti, tp in enumerate(tgtC.pieces):
         for si, sp in enumerate(srcC.pieces):
@@ -74,8 +65,8 @@ def _case_params(kp, srcC, tgtC):
                           tgtC.piece_offsets[ti] + tp.block_count(p))
             fcols = range(srcC.piece_offsets[si],
                           srcC.piece_offsets[si] + sp.block_count(p))
-            prows = range(tgtK[ti], tgtK[ti] + (p if tp.kind == "fixed" else 1))
-            pcols = range(srcK[si], srcK[si] + (p if sp.kind == "fixed" else 1))
+            prows = range(tgtK[ti], tgtK[ti + 1])
+            pcols = range(srcK[si], srcK[si + 1])
             fsub = _slice(kp.F, frows, fcols)
             psub = _slice(kp.phi, prows, pcols)
             tag = ("F" if sp.kind == "fixed" else "C") + \
@@ -820,30 +811,40 @@ def _compose_range(conns, i, j):
 
 
 def verify_certificate(cert):
-    """Replay every identity in the certificate from scratch."""
+    """Replay every identity in the certificate from scratch. An identity
+    involving a hom or tower that fails validation is reported as failed
+    without being evaluated."""
     rep = Report()
-    repA = validate_tower(cert.towerA)
-    rep.add("tower A valid", repA.ok)
-    repB = validate_tower(cert.towerB)
-    rep.add("tower B valid", repB.ok)
+    valid = {}
+    for name, tower in (("tower A", cert.towerA), ("tower B", cert.towerB)):
+        valid[name] = rep.add(name + " valid", validate_tower(tower).ok)
+
+    def replay(name, involved, identity):
+        bad = [h for h in involved if not valid.get(h)]
+        rep.add(name, not bad and identity(),
+                "not checked: %s is invalid" % bad[0] if bad else "")
+
     for i, psi in enumerate(cert.forward):
-        sub = hom_validate(psi)
-        rep.add("forward hom %d valid" % i, sub.ok)
-        got = induced_map(psi)
-        rep.add("forward hom %d induces its pair" % i,
-                got == cert.pairs[i])
+        valid["forward hom %d" % i] = rep.add("forward hom %d valid" % i,
+                                              hom_validate(psi).ok)
+        replay("forward hom %d induces its pair" % i, ["forward hom %d" % i],
+               lambda: induced_map(psi) == cert.pairs[i])
     for i, chi in enumerate(cert.backward):
-        sub = hom_validate(chi)
-        rep.add("backward hom %d valid" % i, sub.ok)
+        valid["backward hom %d" % i] = rep.add("backward hom %d valid" % i,
+                                               hom_validate(chi).ok)
     for i, chi in enumerate(cert.backward):
         ai, a_next = cert.a_stages[i], cert.a_stages[i + 1]
-        conn = cert.towerA.connecting(ai, a_next)
-        rep.add("triangle over A%d -> A%d commutes" % (ai, a_next),
-                equal_as_maps(hom_compose(chi, cert.forward[i]), conn))
+        replay("triangle over A%d -> A%d commutes" % (ai, a_next),
+               ["tower A", "forward hom %d" % i, "backward hom %d" % i],
+               lambda: equal_as_maps(
+                   hom_compose(chi, cert.forward[i]),
+                   cert.towerA.connecting(ai, a_next)))
         bi, b_next = cert.b_stages[i], cert.b_stages[i + 1]
-        connb = cert.towerB.connecting(bi, b_next)
-        rep.add("triangle over B%d -> B%d commutes" % (bi, b_next),
-                equal_as_maps(hom_compose(cert.forward[i + 1], chi), connb))
+        replay("triangle over B%d -> B%d commutes" % (bi, b_next),
+               ["tower B", "backward hom %d" % i, "forward hom %d" % (i + 1)],
+               lambda: equal_as_maps(
+                   hom_compose(cert.forward[i + 1], chi),
+                   cert.towerB.connecting(bi, b_next)))
     for rec in cert.triangles:
         ok = all(w.is_unitary() for w in rec.correction)
         rep.add("correction on triangle %s%d->%d is unitary"

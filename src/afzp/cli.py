@@ -11,15 +11,16 @@ import argparse
 import os
 import sys
 
-from .classify import intertwine, lift, equiv_unitary, \
-    verify_certificate
+from .classify import (IntertwiningCertificate, Tower, equiv_unitary,
+                       intertwine, lift, verify_certificate)
 from .crossed import crossed_product
 from .demos import identity_pairs, naive_doubling_tower, product_tower
 from .errors import AfzpError, FormatError
 from .kinv import check_pair, induced_map, invariant_of
 from .report import Report
 from .serialize import dump, dumps, load_json, save_json
-from .system import decompose, hom_validate, validate
+from .system import (CanonicalForm, EqHom, FdSystem, decompose, hom_validate,
+                     validate)
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -54,7 +55,6 @@ def _emit(args, obj):
 
 def _load_canonical(path):
     obj = load_json(path)
-    from .system import CanonicalForm, FdSystem
     if isinstance(obj, CanonicalForm):
         return obj
     if isinstance(obj, FdSystem):
@@ -65,7 +65,6 @@ def _load_canonical(path):
 def cmd_validate(args):
     def one(path):
         obj = load_json(path)
-        from .system import FdSystem, EqHom
         if isinstance(obj, EqHom):
             return hom_validate(obj)
         if isinstance(obj, FdSystem):
@@ -85,7 +84,6 @@ def cmd_validate(args):
 
 def cmd_canon(args):
     sys_in = load_json(args.file)
-    from .system import FdSystem
     if not isinstance(sys_in, FdSystem):
         raise FormatError("expected a system file")
     _emit(args, decompose(sys_in))
@@ -102,11 +100,15 @@ def cmd_kinv(args):
     return EXIT_OK
 
 
-def cmd_induced(args):
-    hom = load_json(args.homfile)
-    from .system import EqHom
+def _load_hom(path):
+    hom = load_json(path)
     if not isinstance(hom, EqHom):
         raise FormatError("expected a hom file")
+    return hom
+
+
+def cmd_induced(args):
+    hom = _load_hom(args.homfile)
     rep = hom_validate(hom)
     if not rep.ok:
         _emit(args, rep)
@@ -133,15 +135,17 @@ def cmd_lift(args):
 
 
 def cmd_equiv(args):
-    h1 = load_json(args.hom1)
-    h2 = load_json(args.hom2)
+    h1, h2 = _load_hom(args.hom1), _load_hom(args.hom2)
+    for rep in (hom_validate(h1), hom_validate(h2)):
+        if not rep.ok:
+            _emit(args, rep)
+            return EXIT_MATH
     W, _witness = equiv_unitary(h1, h2)
     _emit(args, W)
     return EXIT_OK
 
 
 def cmd_intertwine(args):
-    from .classify import Tower
     tA = load_json(args.towera)
     tB = load_json(args.towerb)
     if not isinstance(tA, Tower) or not isinstance(tB, Tower):
@@ -156,7 +160,6 @@ def cmd_intertwine(args):
 
 def cmd_verify(args):
     cert = load_json(args.certfile)
-    from .classify import IntertwiningCertificate
     if not isinstance(cert, IntertwiningCertificate):
         raise FormatError("expected a certificate file")
     rep = verify_certificate(cert)

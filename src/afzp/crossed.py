@@ -26,7 +26,7 @@ from .system import FdSystem, hom_validate, zero_tuple
 from ._rat import is_integer
 
 __all__ = ["CrossedElement", "CrossedPresentation", "crossed_product",
-           "extend_hom", "ExtendedHom"]
+           "crossed_offsets", "extend_hom", "ExtendedHom"]
 
 
 @dataclass
@@ -35,8 +35,15 @@ class CrossedElement:
     each a_j is a tuple of per-block matrices of the source algebra."""
     coeffs: list
 
-    def __eq__(self, other):
-        return isinstance(other, CrossedElement) and self.coeffs == other.coeffs
+
+def crossed_offsets(c):
+    """Crossed blocks of each piece of c: piece i owns blocks
+    offs[i] <= b < offs[i + 1] (p per fixed piece, one per cycle piece),
+    and offs[-1] is the crossed block count."""
+    offs = [0]
+    for piece in c.pieces:
+        offs.append(offs[-1] + (c.p if piece.kind == "fixed" else 1))
+    return offs
 
 
 class CrossedPresentation:
@@ -45,20 +52,24 @@ class CrossedPresentation:
         self.ctx = source.ctx
         self.p = source.p
         self.block_sizes = []
-        self.piece_first_block = []
+        self.piece_first_block = crossed_offsets(source)[:-1]
         self.special = []
+        self.iota_matrix = []
         p = self.p
-        for piece in source.pieces:
-            self.piece_first_block.append(len(self.block_sizes))
+        for piece, sb in zip(source.pieces, source.piece_offsets):
             if piece.kind == "fixed":
                 self.block_sizes.extend([piece.n] * p)
                 exps = piece.exponents(p)
                 self.special.extend(exps.count(d) for d in range(p))
+                embedded = [range(sb, sb + 1)] * p
             else:
                 self.block_sizes.append(p * piece.n)
                 self.special.append(piece.n)
+                embedded = [range(sb, sb + p)]
+            # iota: each crossed block holds one copy of its embedded blocks
+            self.iota_matrix.extend([int(s in blocks) for s in range(source.m)]
+                                    for blocks in embedded)
         self._v_powers = {}
-        self.iota_matrix = self._build_iota()
 
     @property
     def m(self):
@@ -71,21 +82,6 @@ class CrossedPresentation:
             got = v.power(j % self.p)
             self._v_powers[(piece_idx, j)] = got
         return got
-
-    def _build_iota(self):
-        rows = self.m
-        cols = self.source.m
-        out = [[0] * cols for _ in range(rows)]
-        for idx, piece in enumerate(self.source.pieces):
-            cb = self.piece_first_block[idx]
-            sb = self.source.piece_offsets[idx]
-            if piece.kind == "fixed":
-                for r in range(self.p):
-                    out[cb + r][sb] = 1
-            else:
-                for t in range(self.p):
-                    out[cb][sb + t] = 1
-        return out
 
     # -- element-level algebra (for property checks) ----------------------
 
@@ -312,14 +308,12 @@ class ExtendedHom:
         return self.cpB.identify(self.apply_coeffs(ce))
 
 
-def extend_hom(h, cpA, cpB, check=True):
-    """Natural extension of a validated equivariant hom to the crossed
-    products. check=False skips re-validation for homs already known to
-    be equivariant."""
+def extend_hom(h, cpA, cpB):
+    """Natural extension of an equivariant hom to the crossed products;
+    the hom is validated first."""
     if not (cpA.source.same_shape(h.source) and cpB.source.same_shape(h.target)):
         raise ShapeMismatch("crossed presentations do not match the hom")
-    if check:
-        rep = hom_validate(h)
-        if not rep.ok:
-            raise NotEquivariant("hom fails validation:\n" + rep.summary())
+    rep = hom_validate(h)
+    if not rep.ok:
+        raise NotEquivariant("hom fails validation:\n" + rep.summary())
     return ExtendedHom(h, cpA, cpB)

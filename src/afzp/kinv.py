@@ -10,11 +10,10 @@ of invariants are pairs (F, phi) of nonnegative integer matrices.
 from dataclasses import dataclass
 
 from .errors import NonIntegralMultiplicity, ShapeMismatch
-from .matrix import Mat
 from .system import unit_tuple
 from .report import Report
-from .crossed import crossed_product, extend_hom
-from ._rat import is_integer
+from .crossed import crossed_offsets, crossed_product
+from ._rat import RAT, is_integer
 
 __all__ = ["KInvariant", "KPair", "invariant_of", "induced_map",
            "check_pair", "compose_pairs"]
@@ -45,13 +44,6 @@ class KInvariant:
     special: list
     iota: list           # mC x m embedding matrix
 
-    def __eq__(self, other):
-        return (isinstance(other, KInvariant)
-                and (self.m, self.unit, self.act, self.mC, self.dualAct,
-                     self.special, self.iota)
-                == (other.m, other.unit, other.act, other.mC, other.dualAct,
-                    other.special, other.iota))
-
 
 @dataclass
 class KPair:
@@ -59,72 +51,85 @@ class KPair:
     phi: list
     unital: bool = True
 
-    def __eq__(self, other):
-        return (isinstance(other, KPair) and self.F == other.F
-                and self.phi == other.phi and self.unital == other.unital)
-
 
 def invariant_of(c):
     """Assemble the invariant of a canonical form, piece by piece."""
     p = c.p
-    m = c.m
-    unit = list(c.block_sizes)
+    cp = crossed_product(c)
     # action permutation on classes: block t receives block sigma(t)
-    act = [[0] * m for _ in range(m)]
-    for piece, off in zip(c.pieces, c.piece_offsets):
+    act = [[0] * c.m for _ in range(c.m)]
+    dual = [[0] * cp.m for _ in range(cp.m)]
+    for piece, off, cb in zip(c.pieces, c.piece_offsets,
+                              cp.piece_first_block):
         if piece.kind == "fixed":
             act[off][off] = 1
-        else:
-            for t in range(p):
-                act[off + t][off + (t - 1) % p] = 1
-    cp = crossed_product(c)
-    mC = cp.m
-    dual = [[0] * mC for _ in range(mC)]
-    for idx, piece in enumerate(c.pieces):
-        cb = cp.piece_first_block[idx]
-        if piece.kind == "fixed":
             for r in range(p):
                 dual[cb + r][cb + (r + 1) % p] = 1
         else:
+            for t in range(p):
+                act[off + t][off + (t - 1) % p] = 1
             dual[cb][cb] = 1
-    return KInvariant(m, unit, act, mC, dual, list(cp.special),
-                      [row[:] for row in cp.iota_matrix])
+    return KInvariant(c.m, list(c.block_sizes), act, cp.m, dual,
+                      list(cp.special), [row[:] for row in cp.iota_matrix])
+
+
+def _multiplicity(q, what):
+    """The rational q (None when not rational) as a nonnegative int."""
+    if q is None or not is_integer(q) or q < 0:
+        raise NonIntegralMultiplicity("%s is %r" % (what, q))
+    return int(q)
 
 
 def induced_map(h):
-    """Invariant morphism of a validated hom, by trace bookkeeping.
+    """Invariant morphism (F, phi) of a validated hom psi, read from the
+    projections P_s = psi(E_00 of source block s).
 
-    F counts each source block's copies inside each target block; phi is
-    read off the extension through the identifications by tracing the
-    images of one minimal projection per crossed block. All traces must
-    come out as nonnegative integers.
+    F[t][s] is the trace of P_s in target block t. phi is the K0 map of
+    the extension of psi to the crossed products (identified as in
+    crossed). For a source piece with first block s and crossed blocks
+    a + r, and a target piece with first block t and crossed blocks
+    b + r' (0 <= r, r' < p):
+
+    * fixed -> fixed: phi[b + r'][a + r] is the sum of the diagonal of
+      P_s in block t over the positions where the target's V has
+      exponent (r' - r + e0) mod p, e0 the first exponent of the source's V;
+    * cycle -> any: each crossed block of the target piece gets the sum
+      of F[t'][s] over the blocks t' of the target piece;
+    * fixed -> cycle: phi[b][a + r] is that sum divided by p.
+
+    Every entry must be a nonnegative integer.
     """
     src, tgt = h.source, h.target
-    F = [[0] * src.m for _ in range(tgt.m)]
-    for s in range(src.m):
-        a = unit_tuple(src.ctx, src.block_sizes, s, 0, 0)
-        img = h.apply(a)
-        for t in range(tgt.m):
-            tr = img[t].trace().rational_part()
-            if tr is None or not is_integer(tr) or tr < 0:
-                raise NonIntegralMultiplicity(
-                    "trace of block %d -> %d is %r" % (s, t, tr))
-            F[t][s] = int(tr)
-    cpA = crossed_product(src)
-    cpB = crossed_product(tgt)
-    ext = extend_hom(h, cpA, cpB, check=False)
-    phi = [[0] * cpA.m for _ in range(cpB.m)]
-    ctx = src.ctx
-    for b, n in enumerate(cpA.block_sizes):
-        mats = [Mat.zero(ctx, k, k) for k in cpA.block_sizes]
-        mats[b].entries[0][0] = ctx.one
-        image = ext.apply(mats)
-        for r in range(cpB.m):
-            tr = image[r].trace().rational_part()
-            if tr is None or not is_integer(tr) or tr < 0:
-                raise NonIntegralMultiplicity(
-                    "crossed trace of block %d -> %d is %r" % (b, r, tr))
-            phi[r][b] = int(tr)
+    p = src.p
+    images = [h.apply(unit_tuple(src.ctx, src.block_sizes, s, 0, 0))
+              for s in range(src.m)]
+    F = [[_multiplicity(images[s][t].trace().rational_part(),
+                        "trace of block %d -> %d" % (s, t))
+          for s in range(src.m)] for t in range(tgt.m)]
+    offA, offB = crossed_offsets(src), crossed_offsets(tgt)
+    phi = [[0] * offA[-1] for _ in range(offB[-1])]
+    for sp, s, a in zip(src.pieces, src.piece_offsets, offA):
+        for tp, t, b, b_end in zip(tgt.pieces, tgt.piece_offsets, offB,
+                                   offB[1:]):
+            total = sum(F[t + k][s] for k in range(tp.block_count(p)))
+            if sp.kind == "cycle":
+                for row in range(b, b_end):
+                    phi[row][a] = total
+            elif tp.kind == "cycle":
+                q = _multiplicity(RAT(total, p), "crossed trace of block "
+                                  "%d -> %d" % (a, b))
+                phi[b][a:a + p] = [q] * p
+            else:
+                by_exp = [src.ctx.zero] * p
+                for k, e in enumerate(tp.exponents(p)):
+                    by_exp[e] = by_exp[e] + images[s][t].entries[k][k]
+                lam = [_multiplicity(x.rational_part(),
+                                     "trace of block %d -> %d at exponent %d"
+                                     % (s, t, d)) for d, x in enumerate(by_exp)]
+                e0 = sp.exponents(p)[0]
+                for rr in range(p):
+                    phi[b + rr][a:a + p] = [lam[(rr - r + e0) % p]
+                                            for r in range(p)]
     return KPair(F, phi, unital=h.unital)
 
 

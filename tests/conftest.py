@@ -1,10 +1,14 @@
+import itertools
 import random
 
 import pytest
 
-from afzp._rat import RAT
+from afzp._rat import RAT, is_integer
+from afzp.crossed import ExtendedHom, crossed_product
 from afzp.cyclo import FieldContext
-from afzp.matrix import Mat
+from afzp.errors import NonIntegralMultiplicity
+from afzp.kinv import KPair
+from afzp.matrix import Mat, diag_root_exponents
 from afzp.system import CanonicalForm, IrredPiece, unit_tuple
 
 
@@ -39,6 +43,46 @@ def mixed_form(ctx, pieces):
         else:
             built.append(IrredPiece("cycle", data))
     return CanonicalForm(ctx, ctx.p, built)
+
+
+def piece_specs(p, max_n):
+    """mixed_form piece specs: every fixed exponent multiset and every
+    cycle piece of size at most max_n."""
+    return [("fixed", list(e)) for n in range(1, max_n + 1)
+            for e in itertools.combinations_with_replacement(range(p), n)] \
+        + [("cycle", n) for n in range(1, max_n + 1)]
+
+
+def fixed_point_unitary(tgt, rng):
+    """Deterministic random unitary in the fixed-point algebra of the
+    target canonical system (permutations within equal-eigenvalue groups
+    times root-of-unity diagonals; constant tuples on cycle pieces)."""
+    ctx = tgt.ctx
+    p = tgt.p
+    out = [None] * tgt.m
+    for ti, piece in enumerate(tgt.pieces):
+        off = tgt.piece_offsets[ti]
+        if piece.kind == "fixed":
+            exps = diag_root_exponents(piece.v, p)
+            images = list(range(piece.n))
+            for val in set(exps):
+                grp = [i for i, e in enumerate(exps) if e == val]
+                shuffled = grp[:]
+                rng.shuffle(shuffled)
+                for a, b in zip(grp, shuffled):
+                    images[a] = b
+            out[off] = Mat.permutation(ctx, images) * Mat.diag(
+                ctx, [ctx.root(rng.randrange(ctx.order))
+                      for _ in range(piece.n)])
+        else:
+            images = list(range(piece.n))
+            rng.shuffle(images)
+            w = Mat.permutation(ctx, images) * Mat.diag(
+                ctx, [ctx.root(rng.randrange(ctx.order))
+                      for _ in range(piece.n)])
+            for r in range(p):
+                out[off + r] = w
+    return out
 
 
 def rand_rat(rng, span=2):
@@ -76,6 +120,33 @@ def all_units_equal(h1, h2):
     return (h1.source.same_shape(h2.source)
             and h1.target.same_shape(h2.target)
             and all(h1.apply(a) == h2.apply(a) for a in _all_units(h1.source)))
+
+
+def _multiplicity(x, what):
+    tr = x.trace().rational_part()
+    if tr is None or not is_integer(tr) or tr < 0:
+        raise NonIntegralMultiplicity("%s is %r" % (what, tr))
+    return int(tr)
+
+
+def roundtrip_induced(h):
+    """Oracle for induced_map, without validating h: F from the traces of
+    psi(E_00) per source block, phi from the traces of the extension of h
+    to the crossed products, applied to a minimal projection of every
+    crossed block through unidentify, h coefficient-wise and identify."""
+    src, tgt = h.source, h.target
+    images = [h.apply(unit_tuple(src.ctx, src.block_sizes, s, 0, 0))
+              for s in range(src.m)]
+    F = [[_multiplicity(images[s][t], "trace of block %d -> %d" % (s, t))
+          for s in range(src.m)] for t in range(tgt.m)]
+    cpA, cpB = crossed_product(src), crossed_product(tgt)
+    ext = ExtendedHom(h, cpA, cpB)
+    columns = [ext.apply(unit_tuple(src.ctx, cpA.block_sizes, b, 0, 0))
+               for b in range(cpA.m)]
+    phi = [[_multiplicity(col[r], "crossed trace of block %d -> %d"
+                          % (b, r)) for b, col in enumerate(columns)]
+           for r in range(cpB.m)]
+    return KPair(F, phi, unital=h.unital)
 
 
 @pytest.fixture

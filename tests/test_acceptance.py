@@ -16,11 +16,12 @@ from afzp.classify import (conjugate_hom, equiv_unitary, intertwine, ksearch,
 from afzp.crossed import CrossedElement, crossed_product
 from afzp.demos import identity_pairs, naive_doubling_tower, product_tower
 from afzp.kinv import (KPair, compose_pairs, induced_map, invariant_of)
-from afzp.matrix import Mat, diag_root_exponents
+from afzp.matrix import Mat
 from afzp.serialize import dumps, loads
 from afzp.system import decompose, equal_as_maps, hom_compose
 
-from conftest import ctx_for, cycle_form, fixed_form, mixed_form, rand_tuple
+from conftest import (ctx_for, cycle_form, fixed_form, fixed_point_unitary,
+                      mixed_form, rand_tuple)
 from test_classify import intertwiner_space_membership
 
 
@@ -199,38 +200,6 @@ def test_criterion_5_existence_exhaustive_grid():
             "(%d instances)" % instances)
 
 
-def _fixed_point_unitary(tgt, rng):
-    """Deterministic random unitary in the fixed-point algebra of the
-    target canonical system (permutations within equal-eigenvalue groups
-    times root-of-unity diagonals; constant tuples on cycle pieces)."""
-    ctx = tgt.ctx
-    p = tgt.p
-    out = [None] * tgt.m
-    for ti, piece in enumerate(tgt.pieces):
-        off = tgt.piece_offsets[ti]
-        if piece.kind == "fixed":
-            exps = diag_root_exponents(piece.v, p)
-            images = list(range(piece.n))
-            for val in set(exps):
-                grp = [i for i, e in enumerate(exps) if e == val]
-                shuffled = grp[:]
-                rng.shuffle(shuffled)
-                for a, b in zip(grp, shuffled):
-                    images[a] = b
-            out[off] = Mat.permutation(ctx, images) * Mat.diag(
-                ctx, [ctx.root(rng.randrange(ctx.order))
-                      for _ in range(piece.n)])
-        else:
-            images = list(range(piece.n))
-            rng.shuffle(images)
-            w = Mat.permutation(ctx, images) * Mat.diag(
-                ctx, [ctx.root(rng.randrange(ctx.order))
-                      for _ in range(piece.n)])
-            for r in range(p):
-                out[off + r] = w
-    return out
-
-
 def test_criterion_6_uniqueness_with_oracle():
     """>= 200 pairs of distinct homs with identical induced pairs: the
     correction W is unitary, commutes with the implementing unitaries,
@@ -252,7 +221,7 @@ def test_criterion_6_uniqueness_with_oracle():
                 for kp in ksearch(inv_s, invariant_of(t), 3):
                     h1 = lift(kp, s, t)
                     for _ in range(3):
-                        h2 = conjugate_hom(_fixed_point_unitary(t, rng), h1)
+                        h2 = conjugate_hom(fixed_point_unitary(t, rng), h1)
                         if equal_as_maps(h1, h2):
                             continue
                         assert induced_map(h2) == kp

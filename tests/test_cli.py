@@ -145,16 +145,20 @@ def _bare_scalar(unit):
     unit["entries"][0][0] = "1"
 
 
-def _assert_input_error(*argv):
-    """Run the CLI in a fresh interpreter; it must exit 2 without a
-    traceback."""
+def _run_cli(code, *argv):
+    """Run the CLI in a fresh interpreter; it must exit with `code`
+    without a traceback. Returns the process."""
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(afzp.__file__)))
     proc = subprocess.run([sys.executable, "-m", "afzp.cli", *argv],
                           capture_output=True, text=True, env=env)
-    assert proc.returncode == 2, proc.stderr
+    assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("input error:")
+    return proc
+
+
+def _assert_input_error(*argv):
+    assert _run_cli(2, *argv).stderr.startswith("input error:")
 
 
 @pytest.mark.parametrize("corrupt", [_zero_denominator, _long_coefficients,
@@ -238,3 +242,49 @@ def test_empty_piece_in_tower_exit_two(workdir):
     json.dump(doc, open("tower.json", "w"))
     assert main(["intertwine", "tower.json", "tower.json",
                  "--depth", "1"]) == 2
+
+
+def _slot_src_out_of_range(hom):
+    hom["blocks"][0]["slots"][0]["src"] = 7
+
+
+def _slot_src_negative(hom):
+    hom["blocks"][0]["slots"][0]["src"] = -1
+
+
+def _slot_size_overflow(hom):
+    hom["blocks"][0]["slots"][0]["size"] = 5
+
+
+_SLOT_CORRUPTIONS = [_slot_src_out_of_range, _slot_src_negative,
+                     _slot_size_overflow]
+
+
+@pytest.mark.parametrize("corrupt", _SLOT_CORRUPTIONS)
+def test_equiv_rejects_invalid_hom(workdir, corrupt):
+    assert main(["lift", "pair.json", "m1.json", "m2.json",
+                 "--out", "hom.json"]) == 0
+    doc = json.load(open("hom.json"))
+    corrupt(doc)
+    json.dump(doc, open("bad.json", "w"))
+    for argv in (("bad.json", "hom.json"), ("hom.json", "bad.json")):
+        out = _run_cli(1, "equiv", *argv, "--format", "text").stdout
+        assert "[FAIL] slot into target block 0" in out
+
+
+@pytest.mark.parametrize("path,line", [
+    (("forward", 1), "[FAIL] forward hom 1 valid"),
+    (("backward", 0), "[FAIL] backward hom 0 valid"),
+    (("towerA", "maps", 0), "[FAIL] tower A valid")])
+def test_verify_reports_invalid_hom_without_traceback(workdir, path, line):
+    assert main(["demo", "product-tower-p2", "--depth", "2",
+                 "--out", "cert.json"]) == 0
+    doc = json.load(open("cert.json"))
+    hom = doc
+    for key in path:
+        hom = hom[key]
+    _slot_src_out_of_range(hom)
+    json.dump(doc, open("bad.json", "w"))
+    out = _run_cli(1, "verify", "bad.json", "--format", "text").stdout
+    assert line + "\n" in out
+    assert ": not checked: " in out

@@ -1,0 +1,116 @@
+"""Mutation fuzzing of hom and certificate documents through the CLI.
+
+Valid documents get one to three mutations (a slot's src or size, one
+coefficient of a conj entry, a dropped key) and go through
+afzp.cli.main; every run must end in an exit code of the README's
+contract (0 pass, 1 mathematical failure, 2 input error), never in an
+uncaught exception.
+"""
+
+import contextlib
+import copy
+import functools
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from afzp.classify import intertwine, ksearch, lift
+from afzp.cli import main
+from afzp.demos import identity_pairs, product_tower
+from afzp.kinv import invariant_of
+from afzp.serialize import dump
+
+from conftest import ctx_for, mixed_form
+
+
+@functools.lru_cache(maxsize=None)
+def _base_docs():
+    """A lifted hom between forms with fixed and cycle pieces, and the
+    certificate of the depth-2 order-2 product tower against itself."""
+    ctx = ctx_for(2)
+    src = mixed_form(ctx, [("fixed", [0]), ("cycle", 1)])
+    tgt = mixed_form(ctx, [("fixed", [0, 1]), ("cycle", 2)])
+    kp = ksearch(invariant_of(src), invariant_of(tgt), 3)[0]
+    tower = product_tower(2, 2)
+    cert = intertwine(tower, tower, pairs=identity_pairs(tower, 2), depth=2)
+    return {"hom": dump(lift(kp, src, tgt)), "certificate": dump(cert)}
+
+
+def _dicts(doc):
+    if isinstance(doc, dict):
+        yield doc
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        for item in doc:
+            yield from _dicts(item)
+
+
+@st.composite
+def _mutated(draw, kind):
+    doc = copy.deepcopy(_base_docs()[kind])
+    for _ in range(draw(st.integers(1, 3))):
+        dicts = list(_dicts(doc))
+        slots = [d for d in dicts if "src" in d and "size" in d]
+        coeffs = [d["coeffs"] for d in dicts
+                  if isinstance(d.get("coeffs"), list) and d["coeffs"]]
+        what = draw(st.sampled_from(["src", "size", "conj", "drop"]))
+        if what == "src" and slots:
+            draw(st.sampled_from(slots))["src"] = draw(
+                st.one_of(st.none(), st.integers(-2, 8)))
+        elif what == "size" and slots:
+            draw(st.sampled_from(slots))["size"] = draw(st.integers(0, 6))
+        elif what == "conj":
+            vec = draw(st.sampled_from(coeffs))
+            vec[draw(st.integers(0, len(vec) - 1))] = draw(
+                st.sampled_from(["0", "1", "-1", "1/2", "3"]))
+        elif what == "drop":
+            target = draw(st.sampled_from([d for d in dicts if d]))
+            del target[draw(st.sampled_from(sorted(target)))]
+    return doc
+
+
+def _exit_code(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+
+@pytest.fixture(scope="module")
+def fuzzdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    for kind, doc in _base_docs().items():
+        json.dump(doc, open(path / ("%s.json" % kind), "w"))
+    return path
+
+
+_SETTINGS = settings(max_examples=25, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+@_SETTINGS
+@given(doc=_mutated("hom"))
+def test_mutated_hom_exit_codes(fuzzdir, doc):
+    good, bad = str(fuzzdir / "hom.json"), str(fuzzdir / "bad_hom.json")
+    json.dump(doc, open(bad, "w"))
+    for argv in (("validate", bad), ("induced", bad),
+                 ("equiv", bad, good), ("equiv", good, bad)):
+        assert _exit_code(*argv) in (0, 1, 2), argv
+
+
+@_SETTINGS
+@given(doc=_mutated("certificate"))
+def test_mutated_certificate_exit_codes(fuzzdir, doc):
+    bad = str(fuzzdir / "bad_certificate.json")
+    json.dump(doc, open(bad, "w"))
+    assert _exit_code("verify", bad) in (0, 1, 2)
+    assert _exit_code("validate", bad) == 2
+
+
+def test_unmutated_documents_pass(fuzzdir):
+    hom, cert = str(fuzzdir / "hom.json"), str(fuzzdir / "certificate.json")
+    assert _exit_code("validate", hom) == 0
+    assert _exit_code("induced", hom) == 0
+    assert _exit_code("equiv", hom, hom) == 0
+    assert _exit_code("verify", cert) == 0

@@ -1,16 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from afzp.errors import ShapeMismatch
+from afzp.errors import NonIntegralMultiplicity, ShapeMismatch
 from afzp.kinv import (KPair, check_pair, compose_pairs, induced_map,
                        invariant_of)
 from afzp.matrix import Mat
 from afzp.system import (Arrangement, EqHom, Slot, hom_compose, hom_validate,
                          identity_hom)
-from afzp.classify import ksearch, lift
+from afzp.classify import conjugate_hom, ksearch, lift
 
-from conftest import ctx_for, cycle_form, fixed_form, mixed_form
+from conftest import (ctx_for, cycle_form, fixed_form, fixed_point_unitary,
+                      mixed_form, piece_specs, roundtrip_induced)
 
 
 def test_invariant_of_fixed_piece():
@@ -164,3 +166,68 @@ def test_functoriality_random_chains(rng):
                                                           induced_map(h1))
                 checked += 1
         assert checked >= 1
+
+
+def _searched_lift(draw, src, tgt):
+    pairs = ksearch(invariant_of(src), invariant_of(tgt), 3)
+    return lift(draw(st.sampled_from(pairs)), src, tgt) if pairs else None
+
+
+@st.composite
+def _hom_and_kind(draw):
+    """A lift between forms of at most two pieces, possibly conjugated by
+    a unitary or composed with a second lift. "moved" homs are
+    conjugated by a fixed-point unitary with one block right-multiplied
+    by a permutation, so they may fail to be equivariant."""
+    kind = draw(st.sampled_from(["lift", "fixed point", "moved",
+                                 "composite"]))
+    p = draw(st.sampled_from([2, 3, 5]))
+    ctx = ctx_for(p, None if p == 2 else p)
+    forms = [mixed_form(ctx, draw(st.lists(
+        st.sampled_from(piece_specs(p, 3)), min_size=1, max_size=2)))
+        for _ in range(3)]
+    h = _searched_lift(draw, forms[0], forms[1]) or identity_hom(forms[0])
+    if kind == "composite":
+        g = _searched_lift(draw, h.target, forms[2])
+        return (hom_compose(g, h) if g else h), kind
+    if kind == "lift":
+        return h, kind
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    U = fixed_point_unitary(h.target, rng)
+    if kind == "moved":
+        t = draw(st.integers(0, h.target.m - 1))
+        perm = draw(st.permutations(range(h.target.block_sizes[t])))
+        U[t] = U[t] * Mat.permutation(ctx, perm)
+    return conjugate_hom(U, h), kind
+
+
+def _outcome(induced, h):
+    try:
+        return induced(h)
+    except NonIntegralMultiplicity:
+        return "non-integral"
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hom_and_kind())
+def test_induced_map_matches_crossed_round_trip(case):
+    h, kind = case
+    got = _outcome(induced_map, h)
+    if kind != "moved":
+        assert hom_validate(h).ok
+        assert got == roundtrip_induced(h)
+        assert check_pair(got, invariant_of(h.source),
+                          invariant_of(h.target)).ok
+    else:
+        assert got == _outcome(roundtrip_induced, h) \
+            or not hom_validate(h).ok
+
+
+def test_induced_map_reads_first_exponent_of_source():
+    # (M_2, diag(w, w^2)) at p = 3 into itself: E_00 sits at exponent 1,
+    # so phi is the identity only when the source's e0 = 1 is used
+    ctx = ctx_for(3, 3)
+    c = fixed_form(ctx, [1, 2])
+    kp = induced_map(identity_hom(c))
+    assert kp.phi == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert kp == roundtrip_induced(identity_hom(c))

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -16,7 +15,7 @@ from afzp.system import (Arrangement, EqHom, FdSystem, Slot, _iso_defect,
                          unit_tuple, validate)
 
 from conftest import (all_units_equal, all_units_equivariant, ctx_for,
-                      cycle_form, fixed_form, mixed_form)
+                      cycle_form, fixed_form, mixed_form, piece_specs)
 
 
 def diag_system(ctx, values, p=None):
@@ -340,12 +339,6 @@ def test_equal_as_maps_requires_unitary_conjugators():
     assert not equal_as_maps(skewed, identity_hom(c))
 
 
-def _piece_specs(p, max_n):
-    return [("fixed", list(e)) for n in range(1, max_n + 1)
-            for e in itertools.combinations_with_replacement(range(p), n)] \
-        + [("cycle", n) for n in range(1, max_n + 1)]
-
-
 @st.composite
 def _lift_and_corruption(draw):
     """A valid lift between forms of at most two pieces, and a copy with
@@ -353,9 +346,9 @@ def _lift_and_corruption(draw):
     unitary, or its slots permuted."""
     p = draw(st.sampled_from([2, 3, 5]))
     ctx = ctx_for(p, None if p == 2 else p)
-    src = mixed_form(ctx, draw(st.lists(st.sampled_from(_piece_specs(p, 3)),
+    src = mixed_form(ctx, draw(st.lists(st.sampled_from(piece_specs(p, 3)),
                                         min_size=1, max_size=2)))
-    tgt = mixed_form(ctx, draw(st.lists(st.sampled_from(_piece_specs(p, 3)),
+    tgt = mixed_form(ctx, draw(st.lists(st.sampled_from(piece_specs(p, 3)),
                                         min_size=1, max_size=2)))
     pairs = ksearch(invariant_of(src), invariant_of(tgt), 3)
     h = lift(draw(st.sampled_from(pairs)), src, tgt) if pairs \
