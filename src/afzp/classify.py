@@ -692,8 +692,8 @@ def intertwine(tA, tB, pairs=None, depth=3):
     """Finite-depth intertwining with exact triangle identities.
 
     pairs may be a list of invariant morphisms A_i -> B_i (one per used
-    stage) or None for exhaustive search over the invariant morphisms
-    the unit classes allow. The construction walks forward and backward
+    stage, so at most len(pairs) stages are used) or None for exhaustive
+    search over the invariant morphisms the unit classes allow. The construction walks forward and backward
     alternately, lifting each invariant morphism and correcting the
     newest hom by an inner equivariant unitary so every triangle commutes
     exactly.
@@ -702,11 +702,16 @@ def intertwine(tA, tB, pairs=None, depth=3):
         rep = validate_tower(tower)
         if not rep.ok:
             raise AfzpError("tower %s invalid:\n%s" % (name, rep.summary()))
+    steps = min(depth, len(tA.systems), len(tB.systems))
+    if pairs is not None:
+        steps = min(steps, len(pairs))
+    if steps < 1:
+        raise ReindexFailed("nothing to intertwine: the depth, the towers "
+                            "and the pairs leave no stage")
     invsA = [invariant_of(s) for s in tA.systems]
     invsB = [invariant_of(s) for s in tB.systems]
     connA = [induced_map(h) for h in tA.maps]
     connB = [induced_map(h) for h in tB.maps]
-    steps = min(depth, len(tA.systems), len(tB.systems))
     a_stages = []
     b_stages = []
     forward = []
@@ -719,8 +724,6 @@ def intertwine(tA, tB, pairs=None, depth=3):
         b_stages.append(bi)
         # choose forward pair
         if pairs is not None:
-            if step >= len(pairs):
-                break
             kp = pairs[step]
             if not check_pair(kp, invsA[ai], invsB[bi]).ok:
                 raise ReindexFailed(

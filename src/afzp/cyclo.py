@@ -358,15 +358,24 @@ class Scalar:
                 "coeffs": [rat_to_str(c) for c in self.coeffs]}
 
     @staticmethod
-    def from_json(obj, ctx):
+    def from_json(obj, ctx, memo=None):
+        """Decode a scalar object. `memo`, a dict the caller owns for
+        this ctx, maps each coefficient-string vector already decoded to
+        its Scalar, so every repeat returns the same object."""
         if obj.get("order") != ctx.order:
             raise ContextMismatch(
                 "scalar of order %r loaded into field of order %d"
                 % (obj.get("order"), ctx.order))
-        coeffs = tuple(rat_from_str(c) for c in obj["coeffs"])
+        key = tuple(obj["coeffs"])
+        if memo is not None and key in memo:
+            return memo[key]
+        coeffs = tuple(rat_from_str(c) for c in key)
         if len(coeffs) != ctx.degree:
             raise ContextMismatch("coefficient vector has wrong length")
-        return Scalar(ctx, coeffs)
+        got = Scalar(ctx, coeffs)
+        if memo is not None:
+            memo[key] = got
+        return got
 
 
 def _poly_trim(a):

@@ -221,8 +221,8 @@ class Mat:
                             for row in self.entries]}
 
     @staticmethod
-    def from_json(obj, ctx):
-        ents = [[Scalar.from_json(e, ctx) for e in row]
+    def from_json(obj, ctx, memo=None):
+        ents = [[Scalar.from_json(e, ctx, memo) for e in row]
                 for row in obj["entries"]]
         return Mat(ctx, obj["rows"], obj["cols"], ents)
 

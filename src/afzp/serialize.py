@@ -6,6 +6,14 @@ Single format for every artifact: UTF-8 JSON with a top-level
 bit-exact; every loader rebuilds the exact in-memory value. Writes are
 atomic (temp file in the target directory, then rename).
 
+The text is exactly json.dumps(doc, indent=2, sort_keys=True). Documents
+repeat a handful of scalars (0, 1, a few roots of unity) thousands of
+times, so one dumps or load call renders, and decodes, each distinct
+scalar once: dumps keeps the text of each scalar object per indentation
+level, and load shares one FieldContext per field across the document
+and one Scalar per distinct coefficient vector. Neither memo outlives
+the call.
+
 The full schema reference lives in docs/format.md.
 """
 
@@ -15,7 +23,7 @@ import tempfile
 
 from . import FORMAT_VERSION
 from .classify import (IntertwiningCertificate, Tower, TriangleRecord)
-from .crossed import CrossedPresentation
+from .crossed import CrossedPresentation, crossed_product
 from .cyclo import FieldContext
 from .errors import ContextMismatch, FormatError, ShapeMismatch
 from .kinv import KInvariant, KPair
@@ -27,13 +35,9 @@ from .system import (Arrangement, BlockIso, CanonicalForm, EqHom, FdSystem,
 __all__ = ["dump", "load", "save_json", "load_json", "dumps", "loads"]
 
 
-def _mat_json(m):
-    return m.to_json()
-
-
-def _mat_load(obj, ctx):
+def _mat_load(obj, ctx, fields):
     try:
-        return Mat.from_json(obj, ctx)
+        return Mat.from_json(obj, ctx, fields[ctx][1])
     except (KeyError, TypeError, AttributeError, ZeroDivisionError,
             ContextMismatch, ShapeMismatch) as exc:
         raise FormatError("bad matrix object: %s" % exc)
@@ -52,7 +56,7 @@ def dump(obj):
             "p": obj.p, "order": obj.ctx.order,
             "blocks": list(obj.block_sizes),
             "sigma": [i + 1 for i in obj.sigma],
-            "impl": [_mat_json(u) for u in obj.impl],
+            "impl": [u.to_json() for u in obj.impl],
         }
     if isinstance(obj, CanonicalForm):
         doc = {
@@ -60,14 +64,14 @@ def dump(obj):
             "p": obj.p, "order": obj.ctx.order,
             "pieces": [
                 {"kind": pc.kind, "n": pc.n,
-                 **({"v": _mat_json(pc.v)} if pc.kind == "fixed" else {})}
+                 **({"v": pc.v.to_json()} if pc.kind == "fixed" else {})}
                 for pc in obj.pieces
             ],
         }
         if obj.iso is not None:
             doc["iso"] = {
                 "block_map": list(obj.iso.block_map),
-                "conjugators": [_mat_json(z) for z in obj.iso.conjugators],
+                "conjugators": [z.to_json() for z in obj.iso.conjugators],
             }
         return doc
     if isinstance(obj, EqHom):
@@ -79,7 +83,7 @@ def dump(obj):
                 {"slots": [{"src": (None if s.src is None else s.src),
                             "size": s.size, "phase": s.phase}
                            for s in arr.slots],
-                 "conj": _mat_json(arr.conj)}
+                 "conj": arr.conj.to_json()}
                 for arr in obj.arrangements
             ],
         }
@@ -93,7 +97,7 @@ def dump(obj):
             "special": list(obj.special),
             "iota": [row[:] for row in obj.iota_matrix],
             "dual": dump(dual),
-            "identify": _mat_json(obj.identify_matrix()),
+            "identify": obj.identify_matrix().to_json(),
         }
     if isinstance(obj, KInvariant):
         return {
@@ -123,7 +127,7 @@ def dump(obj):
             "backward": [dump(h) for h in obj.backward],
             "triangles": [
                 {"kind": t.kind, "left": t.left_stage, "right": t.right_stage,
-                 "correction": [_mat_json(w) for w in t.correction]}
+                 "correction": [w.to_json() for w in t.correction]}
                 for t in obj.triangles
             ],
         }
@@ -136,13 +140,34 @@ def dump(obj):
         return {
             "afzp_format": FORMAT_VERSION, "kind": "unitaries",
             "order": obj[0].ctx.order, "p": obj[0].ctx.p,
-            "W": [_mat_json(w) for w in obj],
+            "W": [w.to_json() for w in obj],
         }
     raise FormatError("cannot serialize %r" % type(obj))
 
 
 def load(doc, ctx=None):
     """Rebuild the in-memory value of a JSON document."""
+    return _load(doc, ctx, {})
+
+
+def _field(ctx, fields):
+    """The context of this load equal to ctx; `fields` maps it to itself
+    and to its memo of decoded scalars."""
+    return fields.setdefault(ctx, (ctx, {}))[0]
+
+
+def _stages(stages, tower, name):
+    """A certificate's stage list, checked to index the tower strictly
+    increasingly."""
+    if not all(_is_int(s) and 0 <= s < len(tower.systems) for s in stages) \
+            or any(a >= b for a, b in zip(stages, stages[1:])):
+        raise FormatError("%s %r is not a strictly increasing list of "
+                          "stages 0..%d" % (name, stages,
+                                            len(tower.systems) - 1))
+    return list(stages)
+
+
+def _load(doc, ctx, fields):
     if not isinstance(doc, dict):
         raise FormatError("document is not a JSON object")
     if doc.get("afzp_format") != FORMAT_VERSION:
@@ -151,12 +176,12 @@ def load(doc, ctx=None):
     kind = doc.get("kind")
     try:
         if kind == "system":
-            ctx = ctx or FieldContext(doc["p"], doc["order"])
+            ctx = _field(ctx or FieldContext(doc["p"], doc["order"]), fields)
             sigma = tuple(i - 1 for i in doc["sigma"])
-            impl = [_mat_load(u, ctx) for u in doc["impl"]]
+            impl = [_mat_load(u, ctx, fields) for u in doc["impl"]]
             return FdSystem(ctx, doc["p"], list(doc["blocks"]), sigma, impl)
         if kind == "canonical":
-            ctx = ctx or FieldContext(doc["p"], doc["order"])
+            ctx = _field(ctx or FieldContext(doc["p"], doc["order"]), fields)
             pieces = []
             for pc in doc["pieces"]:
                 # an empty piece would leave the pair search unbounded
@@ -165,7 +190,7 @@ def load(doc, ctx=None):
                                       "integer" % (pc["n"],))
                 if pc["kind"] == "fixed":
                     piece = IrredPiece("fixed", pc["n"],
-                                       _mat_load(pc["v"], ctx))
+                                       _mat_load(pc["v"], ctx, fields))
                     if piece.exponents(doc["p"]) is None:
                         raise FormatError(
                             "fixed piece v is not the %dx%d diagonal of "
@@ -179,12 +204,12 @@ def load(doc, ctx=None):
             iso = None
             if "iso" in doc:
                 iso = BlockIso(list(doc["iso"]["block_map"]),
-                               [_mat_load(z, ctx)
+                               [_mat_load(z, ctx, fields)
                                 for z in doc["iso"]["conjugators"]])
             return CanonicalForm(ctx, doc["p"], pieces, iso)
         if kind == "hom":
-            src = load(doc["source"])
-            tgt = load(doc["target"], ctx=src.ctx)
+            src = _load(doc["source"], None, fields)
+            tgt = _load(doc["target"], src.ctx, fields)
             arrs = []
             for blk in doc["blocks"]:
                 slots = [Slot(s["src"], s["size"], s.get("phase", 0))
@@ -196,7 +221,8 @@ def load(doc, ctx=None):
                     if not _is_int(s.size) or s.size < 0:
                         raise FormatError("slot size %r is not a "
                                           "non-negative integer" % (s.size,))
-                arrs.append(Arrangement(slots, _mat_load(blk["conj"], src.ctx)))
+                arrs.append(Arrangement(
+                    slots, _mat_load(blk["conj"], src.ctx, fields)))
             return EqHom(src, tgt, arrs, unital=doc["unital"])
         if kind == "kinvariant":
             return KInvariant(doc["m"], list(doc["unit"]), doc["act"],
@@ -205,31 +231,42 @@ def load(doc, ctx=None):
         if kind == "kpair":
             return KPair(doc["F"], doc["phi"], unital=doc["unital"])
         if kind == "tower":
-            systems = [load(s) for s in doc["systems"]]
-            maps = [load(h) for h in doc["maps"]]
+            systems = [_load(s, None, fields) for s in doc["systems"]]
+            maps = [_load(h, None, fields) for h in doc["maps"]]
             return Tower(systems, maps)
         if kind == "certificate":
-            towerA = load(doc["towerA"])
-            towerB = load(doc["towerB"])
-            pairs = [load(kp) for kp in doc["pairs"]]
-            forward = [load(h) for h in doc["forward"]]
-            backward = [load(h) for h in doc["backward"]]
+            towerA = _load(doc["towerA"], None, fields)
+            towerB = _load(doc["towerB"], None, fields)
+            pairs = [_load(kp, None, fields) for kp in doc["pairs"]]
+            forward = [_load(h, None, fields) for h in doc["forward"]]
+            backward = [_load(h, None, fields) for h in doc["backward"]]
+            a_stages = _stages(doc["a_stages"], towerA, "a_stages")
+            b_stages = _stages(doc["b_stages"], towerB, "b_stages")
+            n = len(forward)
+            if not (len(pairs) == len(a_stages) == len(b_stages) == n
+                    and len(backward) == n - 1):
+                raise FormatError(
+                    "a certificate of n >= 1 stages has n pairs, forward "
+                    "homs, a_stages and b_stages and n - 1 backward homs; "
+                    "got %d, %d, %d, %d and %d"
+                    % (len(pairs), n, len(a_stages), len(b_stages),
+                       len(backward)))
             ctx = towerA.systems[0].ctx
             triangles = [
                 TriangleRecord(t["kind"], t["left"], t["right"],
-                               [_mat_load(w, ctx) for w in t["correction"]])
+                               [_mat_load(w, ctx, fields)
+                                for w in t["correction"]])
                 for t in doc["triangles"]
             ]
-            return IntertwiningCertificate(
-                towerA, towerB, list(doc["a_stages"]), list(doc["b_stages"]),
-                forward, backward, triangles, pairs)
+            return IntertwiningCertificate(towerA, towerB, a_stages, b_stages,
+                                           forward, backward, triangles,
+                                           pairs)
         if kind == "unitaries":
-            ctx = ctx or FieldContext(doc["p"], doc["order"])
-            return [_mat_load(w, ctx) for w in doc["W"]]
+            ctx = _field(ctx or FieldContext(doc["p"], doc["order"]), fields)
+            return [_mat_load(w, ctx, fields) for w in doc["W"]]
         if kind == "crossed":
             # derived data: rebuild the presentation from its source form
-            from .crossed import crossed_product
-            return crossed_product(load(doc["source"]))
+            return crossed_product(_load(doc["source"], None, fields))
         if kind == "report":
             rep = Report()
             for item in doc["checks"]:
@@ -240,8 +277,51 @@ def load(doc, ctx=None):
     raise FormatError("unknown document kind %r" % kind)
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
 def dumps(obj):
-    return json.dumps(dump(obj), indent=2, sort_keys=True)
+    """json.dumps(dump(obj), indent=2, sort_keys=True), byte for byte."""
+    out = []
+    _write(dump(obj), "\n", out, {})
+    return "".join(out)
+
+
+def _write(x, nl, out, scalars):
+    """Append the indent=2, sort_keys=True JSON text of x to out; nl is
+    a newline plus the indentation of x's line. `scalars` keeps the text
+    of each scalar object by (nl, order, coefficient strings)."""
+    if isinstance(x, str):
+        out.append(_quote(x))
+    elif isinstance(x, dict) and x.keys() == {"coeffs", "order"}:
+        key = (nl, x["order"], tuple(x["coeffs"]))
+        text = scalars.get(key)
+        if text is None:
+            part = []
+            _write_object(x, nl, part, scalars)
+            text = scalars[key] = "".join(part)
+        out.append(text)
+    elif isinstance(x, dict) and x:
+        _write_object(x, nl, out, scalars)
+    elif isinstance(x, (list, tuple)) and x:
+        inner = nl + "  "
+        out.append("[")
+        for i, item in enumerate(x):
+            out.append("," + inner if i else inner)
+            _write(item, inner, out, scalars)
+        out.append(nl + "]")
+    else:
+        # a number, boolean or null, or [] or {}
+        out.append(json.dumps(x))
+
+
+def _write_object(x, nl, out, scalars):
+    inner = nl + "  "
+    out.append("{")
+    for i, k in enumerate(sorted(x)):
+        out.append("%s%s%s: " % ("," if i else "", inner, _quote(k)))
+        _write(x[k], inner, out, scalars)
+    out.append(nl + "}")
 
 
 def loads(text):

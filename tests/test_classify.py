@@ -399,6 +399,18 @@ def test_intertwine_z3_tower():
     assert verify_certificate(cert).ok
 
 
+def test_intertwine_stops_at_the_last_given_pair():
+    tower = product_tower(2, 2)
+    cert = intertwine(tower, tower, pairs=identity_pairs(tower, 2)[:1],
+                      depth=2)
+    assert (cert.a_stages, cert.b_stages) == ([0], [0])
+    assert (len(cert.forward), len(cert.backward)) == (1, 0)
+    assert verify_certificate(loads(dumps(cert))).ok
+    for depth, pairs in ((0, None), (2, [])):
+        with pytest.raises(ReindexFailed):
+            intertwine(tower, tower, pairs=pairs, depth=depth)
+
+
 def test_certificate_serialization_roundtrip_and_replay():
     tower = product_tower(2, 3)
     cert = intertwine(tower, tower, pairs=identity_pairs(tower, 3), depth=3)

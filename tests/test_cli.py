@@ -288,3 +288,77 @@ def test_verify_reports_invalid_hom_without_traceback(workdir, path, line):
     out = _run_cli(1, "verify", "bad.json", "--format", "text").stdout
     assert line + "\n" in out
     assert ": not checked: " in out
+
+
+def _cut_pairs(doc):
+    del doc["pairs"][1:]
+
+
+def _cut_forward(doc):
+    del doc["forward"][1:]
+
+
+def _extra_backward(doc):
+    doc["backward"].append(doc["backward"][0])
+
+
+def _a_stage_out_of_range(doc):
+    doc["a_stages"] = [0, 5]
+
+
+def _b_stage_negative(doc):
+    doc["b_stages"] = [-1, 1]
+
+
+def _a_stages_not_increasing(doc):
+    doc["a_stages"] = [1, 1]
+
+
+def _b_stage_not_integer(doc):
+    doc["b_stages"] = [0, "1"]
+
+
+@pytest.mark.parametrize("corrupt", [
+    _cut_pairs, _cut_forward, _extra_backward, _a_stage_out_of_range,
+    _b_stage_negative, _a_stages_not_increasing, _b_stage_not_integer])
+def test_certificate_lengths_and_stages_exit_two(workdir, corrupt):
+    assert main(["demo", "product-tower-p2", "--depth", "2",
+                 "--out", "cert.json"]) == 0
+    doc = json.load(open("cert.json"))
+    corrupt(doc)
+    json.dump(doc, open("bad.json", "w"))
+    _assert_input_error("verify", "bad.json")
+
+
+def _scalar_objects(doc):
+    """Every scalar object of a document, in file order."""
+    if isinstance(doc, dict):
+        if "coeffs" in doc:
+            yield doc
+        for key in sorted(doc):
+            yield from _scalar_objects(doc[key])
+    elif isinstance(doc, list):
+        for item in doc:
+            yield from _scalar_objects(item)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda s: s["coeffs"].__setitem__(0, "1/0"),
+    lambda s: s["coeffs"].append("0"),
+    lambda s: s.__setitem__("order", s["order"] * 2)],
+    ids=["zero_denominator", "long_coefficients", "wrong_order"])
+def test_corrupted_repeat_of_a_scalar_exit_two(workdir, corrupt):
+    """The loader decodes each distinct scalar once; a corruption in the
+    second occurrence of a scalar must still be caught."""
+    assert main(["demo", "product-tower-p2", "--depth", "2",
+                 "--out", "cert.json"]) == 0
+    doc = json.load(open("cert.json"))
+    seen = set()
+    for s in _scalar_objects(doc):
+        key = (s["order"], tuple(s["coeffs"]))
+        if key in seen:
+            corrupt(s)
+            break
+        seen.add(key)
+    json.dump(doc, open("bad.json", "w"))
+    _assert_input_error("verify", "bad.json")

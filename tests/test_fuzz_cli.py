@@ -4,7 +4,8 @@ Valid documents get one to three mutations (a slot's src or size, one
 coefficient of a conj entry, a dropped key) and go through
 afzp.cli.main; every run must end in an exit code of the README's
 contract (0 pass, 1 mathematical failure, 2 input error), never in an
-uncaught exception.
+uncaught exception. Structural mutations of a certificate (list lengths,
+stage values) are input errors and must exit 2.
 """
 
 import contextlib
@@ -71,6 +72,32 @@ def _mutated(draw, kind):
     return doc
 
 
+_CERT_LISTS = ["a_stages", "b_stages", "pairs", "forward", "backward"]
+
+
+@st.composite
+def _broken_structure(draw):
+    """The certificate with one to three of its lists changed once each:
+    an item dropped or repeated, or a stage set out of range or to a
+    non-integer. A list changed once cannot be changed back, and five
+    changes would be needed to give all lists a consistent length."""
+    doc = copy.deepcopy(_base_docs()["certificate"])
+    for name in draw(st.lists(st.sampled_from(_CERT_LISTS), min_size=1,
+                              max_size=3, unique=True)):
+        items = doc[name]
+        what = draw(st.sampled_from(["drop", "repeat", "stage"][
+            :3 if name.endswith("_stages") else 2]))
+        if what == "drop":
+            del items[draw(st.integers(0, len(items) - 1))]
+        elif what == "repeat":
+            items.insert(draw(st.integers(0, len(items))),
+                         copy.deepcopy(draw(st.sampled_from(items))))
+        else:
+            items[draw(st.integers(0, len(items) - 1))] = draw(
+                st.sampled_from([-1, 2, 9, True, "1", 0.5, None]))
+    return doc
+
+
 def _exit_code(*argv):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -114,3 +141,11 @@ def test_unmutated_documents_pass(fuzzdir):
     assert _exit_code("induced", hom) == 0
     assert _exit_code("equiv", hom, hom) == 0
     assert _exit_code("verify", cert) == 0
+
+
+@_SETTINGS
+@given(doc=_broken_structure())
+def test_broken_certificate_structure_exits_two(fuzzdir, doc):
+    bad = str(fuzzdir / "broken_certificate.json")
+    json.dump(doc, open(bad, "w"))
+    assert _exit_code("verify", bad) == 2

@@ -1,0 +1,138 @@
+"""The scalar codec of serialize against its slow paths.
+
+dumps renders each distinct scalar object once per indentation level and
+load decodes each distinct coefficient vector once; the oracles are
+json.dumps(dump(x), indent=2, sort_keys=True) for the writer and
+Scalar.from_json without a memo, entry by entry, for the reader.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from afzp._rat import RAT
+from afzp.classify import IntertwiningCertificate, Tower, TriangleRecord
+from afzp.crossed import crossed_product
+from afzp.cyclo import Scalar
+from afzp.errors import ContextMismatch
+from afzp.kinv import KPair, invariant_of
+from afzp.matrix import Mat
+from afzp.report import Report
+from afzp.serialize import dump, dumps, loads
+from afzp.system import (Arrangement, EqHom, Slot, decompose, identity_hom)
+
+from conftest import ctx_for, mixed_form, piece_specs
+
+KINDS = ["system", "canonical", "canonical-iso", "hom", "hom-null-src",
+         "crossed", "kinvariant", "kpair", "tower", "certificate",
+         "unitaries", "report"]
+
+
+def _field(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    return ctx_for(p, draw(st.sampled_from([p, p * p, None])))
+
+
+def _scalar_pool(ctx):
+    """Repeated values, as in real documents, and a few rare ones."""
+    return [ctx.zero, ctx.one, -ctx.one, ctx.zeta_p(1), ctx.root(1),
+            ctx.root(3) * RAT(-2, 3) + ctx.one]
+
+
+def _value(draw, kind):
+    ctx = _field(draw)
+    pool = _scalar_pool(ctx)
+
+    def mat(n):
+        return Mat(ctx, n, n, [[draw(st.sampled_from(pool))
+                                for _ in range(n)] for _ in range(n)])
+
+    form = mixed_form(ctx, draw(st.lists(
+        st.sampled_from(piece_specs(ctx.p, 2)), min_size=1, max_size=2)))
+    kpair = KPair(draw(st.lists(st.lists(st.integers(0, 3), max_size=2),
+                                max_size=2)),
+                  draw(st.lists(st.lists(st.integers(0, 3)), max_size=2)),
+                  unital=draw(st.booleans()))
+    if kind == "system":
+        return form.system()
+    if kind == "canonical":
+        return form
+    if kind == "canonical-iso":
+        return decompose(form.system())
+    if kind == "hom":
+        return identity_hom(form)
+    if kind == "hom-null-src":
+        src = mixed_form(ctx, [("fixed", [0])])
+        tgt = mixed_form(ctx, [("fixed", [0, 0])])
+        return EqHom(src, tgt, [Arrangement([Slot(0, 1), Slot(None, 1)],
+                                            mat(2))], unital=False)
+    if kind == "crossed":
+        return crossed_product(form)
+    if kind == "kinvariant":
+        return invariant_of(form)
+    if kind == "kpair":
+        return kpair
+    if kind == "tower":
+        if draw(st.booleans()):
+            return Tower([form], [])
+        return Tower([form, form], [identity_hom(form)])
+    if kind == "certificate":
+        tower = Tower([form], [])
+        triangles = draw(st.sampled_from([[], [TriangleRecord(
+            "A", 0, 0, [mat(n) for n in form.block_sizes])]]))
+        return IntertwiningCertificate(tower, tower, [0], [0],
+                                       [identity_hom(form)], [], triangles,
+                                       [kpair])
+    if kind == "unitaries":
+        return [mat(n) for n in form.block_sizes]
+    rep = Report()
+    for _ in range(draw(st.integers(0, 3))):
+        rep.add(draw(st.text('a"\\/\x01\né✓ζ', max_size=8)),
+                draw(st.booleans()),
+                draw(st.sampled_from(["", 'a "quoted" \\ path',
+                                      "ζ_p ≠ 1\n\tok"])))
+    return rep
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_dumps_matches_json_dumps_and_reloads(kind, data):
+    value = _value(data.draw, kind)
+    text = dumps(value)
+    assert text == json.dumps(dump(value), indent=2, sort_keys=True)
+    # every loaded scalar renders to the coefficient strings it was read
+    # from, so it equals the one a fresh per-entry decode builds
+    assert dumps(loads(text)) == text
+
+
+def _decoded(obj, ctx, memo):
+    try:
+        got = Scalar.from_json(obj, ctx, memo)
+    except (ContextMismatch, ZeroDivisionError, TypeError, ValueError) as exc:
+        return type(exc)
+    assert got.ctx is ctx
+    return got.coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_memoized_decoding_matches_per_entry_decoding(data):
+    ctx = _field(data.draw)
+    good = [s.to_json() for s in _scalar_pool(ctx)]
+    zeros = ["0"] * ctx.degree
+    bad = [{"order": ctx.order, "coeffs": ["1/0"] + zeros[1:]},
+           {"order": ctx.order, "coeffs": zeros + ["0"]},
+           {"order": ctx.order * 2, "coeffs": zeros},
+           {"order": ctx.order, "coeffs": ["x"] + zeros[1:]},
+           {"order": ctx.order, "coeffs": [0] + zeros[1:]}]
+    objs = data.draw(st.lists(st.sampled_from(good + bad), max_size=24))
+    memo = {}
+    first = {}
+    for obj in objs:
+        assert _decoded(obj, ctx, memo) == _decoded(obj, ctx, None)
+        if obj in good:
+            got = Scalar.from_json(obj, ctx, memo)
+            assert first.setdefault(tuple(obj["coeffs"]), got) is got
+    assert set(memo) == set(first)
