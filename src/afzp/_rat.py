@@ -1,24 +1,15 @@
-"""Exact rational scalars.
+"""Exact rational numbers: fractions.Fraction.
 
-gmpy2.mpq is used when available (much faster on the exhaustive test
-grids); fractions.Fraction is a drop-in fallback with the same API
-surface we rely on (numerator/denominator, arithmetic, ordering, str).
+Scalars of Q(zeta_N) keep their own integer numerators over one
+denominator (see cyclo); RAT serves the rational values around them:
+multiplicities and traces, the inverse's extended Euclid and decoding
+coefficient strings.
 """
 
-try:
-    from gmpy2 import mpq as RAT
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as RAT
+from fractions import Fraction as RAT
 
 R0 = RAT(0)
 R1 = RAT(1)
-
-
-def rat_to_str(q):
-    """Render as "a/b", omitting the denominator when it is 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
 
 
 def rat_from_str(s):

@@ -1,14 +1,20 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_N).
 
-Scalars are represented in the power basis 1, z, ..., z^(d-1) reduced
-modulo the N-th cyclotomic polynomial, with arbitrary-precision rational
-coefficients. Equality is coefficient-wise; no floating point enters any
-decision path. approx() gives a floating embedding for reporting only.
+A scalar is (num[0] + num[1] z + ... + num[d-1] z^(d-1)) / den in the
+power basis reduced modulo the N-th cyclotomic polynomial Phi_N, with d
+integer numerators over one positive integer denominator in lowest
+terms, gcd(den, *num) == 1: the layout of Antic's nf_elem and FLINT's
+fmpq_poly. Every value has exactly one such form, so equality and
+hashing compare (num, den). Phi_N is monic, so z^e reduces to an integer
+row and products need integer arithmetic and one gcd only. No floating
+point enters any decision path; approx() gives a floating embedding for
+reporting only.
 """
 
 import math
+from operator import add, sub
 
-from ._rat import RAT, R0, R1, rat_from_str, rat_to_str
+from ._rat import RAT, R0, R1, rat_from_str
 from .errors import ContextMismatch, DivisionByZero, TwistRootOutsideField
 
 __all__ = [
@@ -69,9 +75,6 @@ def _poly_divexact(num, den):
     return out
 
 
-_SUPPORTED_SHAPES = ("p", "p^2", "4p^2")
-
-
 class FieldContext:
     """Field data for Q(zeta_N) tied to a prime group order p.
 
@@ -80,8 +83,8 @@ class FieldContext:
     Fourier-type conjugators).
     """
 
-    __slots__ = ("p", "order", "degree", "_xpow", "_root_cache",
-                 "_zcoeffs", "zero", "one", "_gauss")
+    __slots__ = ("p", "order", "degree", "_xpow", "_fold", "_conj",
+                 "_zeros", "_root_cache", "zero", "one", "_gauss")
 
     def __init__(self, p, order=None):
         if not _is_prime(p):
@@ -95,28 +98,31 @@ class FieldContext:
         self.p = p
         self.order = order
         phi = cyclotomic_poly(order)
-        self.degree = len(phi) - 1
-        d = self.degree
+        self.degree = d = len(phi) - 1
         assert phi[d] == 1
-        # xpow[e] = coefficients of x^e reduced mod Phi_N, e in [0, 2d-2];
-        # built by shifting and folding the leading term (Phi is monic)
-        neg_phi = tuple(RAT(-c) for c in phi[:d])
-        xpow = []
-        cur = [R1] + [R0] * (d - 1)
-        xpow.append(tuple(cur))
+        # xpow[e] = integer coefficients of x^e reduced mod Phi_N, e in
+        # [0, max(2d-2, N-1)]; built by shifting and folding the leading
+        # term, which stays integral because Phi_N is monic
+        xpow = [(1,) + (0,) * (d - 1)]
+        cur = list(xpow[0])
         for _ in range(max(2 * d - 2, order - 1)):
-            top = cur[d - 1]
-            cur = [R0] + cur[:d - 1]
-            if top != 0:
-                for j in range(d):
-                    if neg_phi[j] != 0:
-                        cur[j] += top * neg_phi[j]
+            top = cur.pop()
+            cur.insert(0, 0)
+            if top:
+                cur = [c - top * f for c, f in zip(cur, phi)]
             xpow.append(tuple(cur))
         self._xpow = xpow
+
+        def nonzero(row):
+            return [(j, c) for j, c in enumerate(row) if c]
+        # _fold[e - d]: the nonzero (j, c) of x^e for e in [d, 2d-2];
+        # _conj[j]: those of conj(x^j) = x^(N-j)
+        self._fold = [nonzero(xpow[e]) for e in range(d, 2 * d - 1)]
+        self._conj = [nonzero(xpow[(order - j) % order]) for j in range(d)]
+        self._zeros = (0,) * d
         self._root_cache = {}
-        self._zcoeffs = tuple([R0] * d)
-        self.zero = Scalar(self, self._zcoeffs)
-        self.one = Scalar(self, tuple([R1] + [R0] * (d - 1)))
+        self.zero = _scalar(self, self._zeros, 1)
+        self.one = _scalar(self, xpow[0], 1)
         self._gauss = None
 
     def __eq__(self, other):
@@ -136,14 +142,14 @@ class FieldContext:
                 raise ContextMismatch("scalar from %r used in %r" % (value.ctx, self))
             return value
         q = RAT(value)
-        return Scalar(self, tuple([q] + [R0] * (self.degree - 1)))
+        return _scalar(self, (q.numerator,) + self._zeros[1:], q.denominator)
 
     def root(self, k):
         """zeta_N^k, k taken modulo N."""
         k %= self.order
         got = self._root_cache.get(k)
         if got is None:
-            got = Scalar(self, self._xpow[k])
+            got = _scalar(self, self._xpow[k], 1)
             self._root_cache[k] = got
         return got
 
@@ -174,42 +180,63 @@ class FieldContext:
         self._gauss = g
         return g
 
-    def _reduce(self, dense):
-        """Reduce raw coefficients with exponents up to 2d-2."""
-        d = self.degree
-        out = list(dense[:d]) + [R0] * (d - len(dense[:d]))
-        for e in range(d, len(dense)):
-            c = dense[e]
-            if c == 0:
-                continue
-            row = self._xpow[e]
-            for j in range(d):
-                rj = row[j]
-                if rj != 0:
-                    out[j] += c * rj
-        return tuple(out)
+
+def _scalar(ctx, num, den):
+    """The Scalar num/den; num is a tuple of d ints, den > 0 and
+    gcd(den, *num) == 1."""
+    s = object.__new__(Scalar)
+    s.ctx = ctx
+    s.num = num
+    s.den = den
+    s._nonzero = num != ctx._zeros
+    return s
+
+
+def _reduced(ctx, num, den):
+    """The Scalar num/den for any den > 0, brought to lowest terms."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = tuple([x // g for x in num])
+        den //= g
+    return _scalar(ctx, num, den)
 
 
 class Scalar:
-    """An element of Q(zeta_N); immutable, exact."""
+    """An element of Q(zeta_N); immutable, exact.
 
-    __slots__ = ("ctx", "coeffs", "_nonzero")
+    Scalar(ctx, coeffs) builds sum_j coeffs[j] z^j from d rationals
+    (ints or RAT); `num` and `den` hold the lowest-terms form."""
+
+    __slots__ = ("ctx", "num", "den", "_nonzero")
 
     def __init__(self, ctx, coeffs):
+        coeffs = [RAT(c) for c in coeffs]
+        if len(coeffs) != ctx.degree:
+            raise ContextMismatch("coefficient vector has wrong length")
+        # over the lcm of reduced denominators the vector is in lowest terms
+        den = math.lcm(*[c.denominator for c in coeffs])
         self.ctx = ctx
-        self.coeffs = coeffs
-        self._nonzero = coeffs != ctx._zcoeffs
+        self.num = tuple([c.numerator * (den // c.denominator)
+                          for c in coeffs])
+        self.den = den
+        self._nonzero = self.num != ctx._zeros
+
+    @property
+    def coeffs(self):
+        """The d rational power-basis coefficients."""
+        den = self.den
+        return tuple(RAT(x, den) for x in self.num)
 
     def is_zero(self):
         return not self._nonzero
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ContextMismatch(
                     "mixing %r and %r" % (self.ctx, other.ctx))
             return other
-        if isinstance(other, int) or type(other) is type(R0):
+        if isinstance(other, int) or type(other) is RAT:
             return self.ctx.scalar(other)
         return NotImplemented
 
@@ -221,8 +248,7 @@ class Scalar:
             return other
         if not other._nonzero:
             return self
-        return Scalar(self.ctx, tuple(a + b for a, b in
-                                      zip(self.coeffs, other.coeffs)))
+        return _combine(self, other, add)
 
     __radd__ = __add__
 
@@ -230,43 +256,52 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Scalar(self.ctx, tuple(a - b for a, b in
-                                      zip(self.coeffs, other.coeffs)))
+        if not other._nonzero:
+            return self
+        if not self._nonzero:
+            return -other
+        return _combine(self, other, sub)
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
 
     def __neg__(self):
-        return Scalar(self.ctx, tuple(-a for a in self.coeffs))
+        return _scalar(self.ctx, tuple([-x for x in self.num]), self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        ctx = self.ctx
         if not self._nonzero or not other._nonzero:
-            return self.ctx.zero
-        d = self.ctx.degree
-        a, b = self.coeffs, other.coeffs
+            return ctx.zero
+        a, b = self.num, other.num
+        den = self.den * other.den
         # rational factors scale coefficientwise, no convolution needed
         if not any(a[1:]):
-            q = a[0]
-            if q == 1:
+            if a[0] == 1 and self.den == 1:
                 return other
-            return Scalar(self.ctx, tuple(q * x for x in b))
-        if not any(b[1:]):
-            q = b[0]
-            if q == 1:
+            out = [a[0] * x for x in b]
+        elif not any(b[1:]):
+            if b[0] == 1 and other.den == 1:
                 return self
-            return Scalar(self.ctx, tuple(q * x for x in a))
-        raw = [R0] * (2 * d - 1)
-        nz_b = [j for j in range(d) if b[j]]
-        for i in range(d):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in nz_b:
-                raw[i + j] += ai * b[j]
-        return Scalar(self.ctx, self.ctx._reduce(raw))
+            out = [b[0] * x for x in a]
+        else:
+            d = ctx.degree
+            nz_b = [(j, x) for j, x in enumerate(b) if x]
+            raw = [0] * (2 * d - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in nz_b:
+                        raw[i + j] += x * y
+            out = raw[:d]
+            for c, row in zip(raw[d:], ctx._fold):
+                if c:
+                    for j, r in row:
+                        out[j] += c * r
+        if den == 1:
+            return _scalar(ctx, tuple(out), 1)
+        return _reduced(ctx, tuple(out), den)
 
     __rmul__ = __mul__
 
@@ -292,70 +327,80 @@ class Scalar:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int,)) or type(other) is type(R0):
+        if isinstance(other, int) or type(other) is RAT:
             other = self.ctx.scalar(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.ctx == other.ctx and self.coeffs == other.coeffs
+        return (self.num == other.num and self.den == other.den
+                and (self.ctx is other.ctx or self.ctx == other.ctx))
 
     def __hash__(self):
-        return hash((self.ctx.order, self.coeffs))
+        return hash((self.ctx.order, self.num, self.den))
 
     def __repr__(self):
-        d = self.ctx.degree
         terms = []
-        for j in range(d):
-            c = self.coeffs[j]
+        for j, c in enumerate(self.coeffs):
             if c == 0:
                 continue
             if j == 0:
-                terms.append(rat_to_str(c))
+                terms.append(str(c))
             elif c == 1:
                 terms.append("z^%d" % j)
             else:
-                terms.append("%s*z^%d" % (rat_to_str(c), j))
+                terms.append("%s*z^%d" % (c, j))
         return " + ".join(terms) if terms else "0"
 
     def conj(self):
-        """Complex conjugation: zeta_N -> zeta_N^(N-1)."""
-        if not self._nonzero:
-            return self
-        ctx = self.ctx
-        if not any(self.coeffs[1:]):
+        """Complex conjugation: zeta_N -> zeta_N^(N-1). It maps the
+        numerators by an integer matrix that is its own inverse, so the
+        result stays in lowest terms over the same denominator."""
+        a = self.num
+        if not any(a[1:]):
             return self          # rational, hence real
-        N = ctx.order
-        d = ctx.degree
-        out = [R0] * d
-        for j in range(d):
-            c = self.coeffs[j]
-            if c == 0:
-                continue
-            row = ctx.root((N - j) % N).coeffs
-            for k in range(d):
-                rk = row[k]
-                if rk != 0:
-                    out[k] += c * rk
-        return Scalar(ctx, tuple(out))
+        out = [0] * self.ctx.degree
+        for x, row in zip(a, self.ctx._conj):
+            if x:
+                for k, r in row:
+                    out[k] += x * r
+        return _scalar(self.ctx, tuple(out), self.den)
 
     def inv(self):
-        """Field inverse via the extended Euclidean algorithm mod Phi_N."""
+        """Field inverse via the extended Euclidean algorithm mod Phi_N:
+        (num/den)^-1 = den * num^-1."""
         if not self._nonzero:
             raise DivisionByZero("inverse of zero")
-        d = self.ctx.degree
         phi = [RAT(c) for c in cyclotomic_poly(self.ctx.order)]
-        a = list(self.coeffs)
-        inv_poly = _poly_ext_inverse(a, phi)
-        return Scalar(self.ctx, self.ctx._reduce(inv_poly))
+        inv_poly = _poly_ext_inverse([RAT(x) for x in self.num], phi)
+        inv_poly += [R0] * (self.ctx.degree - len(inv_poly))
+        return Scalar(self.ctx, [self.den * c for c in inv_poly])
 
     def rational_part(self):
         """The rational number this scalar equals, or None."""
-        if any(c != 0 for c in self.coeffs[1:]):
+        if any(self.num[1:]):
             return None
-        return self.coeffs[0]
+        return RAT(self.num[0], self.den)
 
-    def to_json(self):
-        return {"order": self.ctx.order,
-                "coeffs": [rat_to_str(c) for c in self.coeffs]}
+    def to_json(self, memo=None):
+        """{"order": N, "coeffs": d strings "a/b"}, each coefficient in
+        lowest terms and "/b" omitted when b is 1. `memo`, a dict the
+        caller owns, maps (order, num, den) of each scalar already
+        rendered to its object, so every repeat returns the same one."""
+        key = (self.ctx.order, self.num, self.den)
+        if memo is not None and key in memo:
+            return memo[key]
+        den = self.den
+        if den == 1:
+            coeffs = [str(x) for x in self.num]
+        else:
+            coeffs = []
+            for x in self.num:
+                g = math.gcd(x, den)
+                coeffs.append(str(x // g) if g == den
+                              else "%d/%d" % (x // g, den // g))
+        got = {"order": self.ctx.order, "coeffs": coeffs}
+        if memo is not None:
+            memo[key] = got
+        return got
 
     @staticmethod
     def from_json(obj, ctx, memo=None):
@@ -369,13 +414,25 @@ class Scalar:
         key = tuple(obj["coeffs"])
         if memo is not None and key in memo:
             return memo[key]
-        coeffs = tuple(rat_from_str(c) for c in key)
-        if len(coeffs) != ctx.degree:
-            raise ContextMismatch("coefficient vector has wrong length")
-        got = Scalar(ctx, coeffs)
+        got = Scalar(ctx, [rat_from_str(c) for c in key])
         if memo is not None:
             memo[key] = got
         return got
+
+
+def _combine(a, b, op):
+    """a op b for op in (add, sub), both nonzero: the numerators over
+    a common denominator, then lowest terms."""
+    da, db = a.den, b.den
+    if da == db:
+        num = tuple(map(op, a.num, b.num))
+        if da == 1:
+            return _scalar(a.ctx, num, 1)
+        return _reduced(a.ctx, num, da)
+    g = math.gcd(da, db)
+    sa, sb = db // g, da // g
+    return _reduced(a.ctx, tuple([op(x * sa, y * sb)
+                                  for x, y in zip(a.num, b.num)]), da * sa)
 
 
 def _poly_trim(a):

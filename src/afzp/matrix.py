@@ -215,9 +215,9 @@ class Mat:
             n >>= 1
         return result
 
-    def to_json(self):
+    def to_json(self, memo=None):
         return {"rows": self.rows, "cols": self.cols,
-                "entries": [[e.to_json() for e in row]
+                "entries": [[e.to_json(memo) for e in row]
                             for row in self.entries]}
 
     @staticmethod

@@ -8,11 +8,11 @@ atomic (temp file in the target directory, then rename).
 
 The text is exactly json.dumps(doc, indent=2, sort_keys=True). Documents
 repeat a handful of scalars (0, 1, a few roots of unity) thousands of
-times, so one dumps or load call renders, and decodes, each distinct
-scalar once: dumps keeps the text of each scalar object per indentation
-level, and load shares one FieldContext per field across the document
-and one Scalar per distinct coefficient vector. Neither memo outlives
-the call.
+times, so one dump, dumps or load call renders, and decodes, each
+distinct scalar once: dump builds one scalar object per distinct value,
+dumps keeps the text of each such object per indentation level, and
+load shares one FieldContext per field across the document and one
+Scalar per distinct coefficient vector. No memo outlives the call.
 
 The full schema reference lives in docs/format.md.
 """
@@ -49,14 +49,21 @@ def _is_int(x):
 
 
 def dump(obj):
-    """Dispatch an in-memory value to its JSON document (a dict)."""
+    """Dispatch an in-memory value to its JSON document (a dict).
+
+    Equal scalars share one scalar object in the document, rendered
+    once; copy the document before editing it in place."""
+    return _dump(obj, {})
+
+
+def _dump(obj, scalars):
     if isinstance(obj, FdSystem):
         return {
             "afzp_format": FORMAT_VERSION, "kind": "system",
             "p": obj.p, "order": obj.ctx.order,
             "blocks": list(obj.block_sizes),
             "sigma": [i + 1 for i in obj.sigma],
-            "impl": [u.to_json() for u in obj.impl],
+            "impl": [u.to_json(scalars) for u in obj.impl],
         }
     if isinstance(obj, CanonicalForm):
         doc = {
@@ -64,26 +71,29 @@ def dump(obj):
             "p": obj.p, "order": obj.ctx.order,
             "pieces": [
                 {"kind": pc.kind, "n": pc.n,
-                 **({"v": pc.v.to_json()} if pc.kind == "fixed" else {})}
+                 **({"v": pc.v.to_json(scalars)} if pc.kind == "fixed"
+                    else {})}
                 for pc in obj.pieces
             ],
         }
         if obj.iso is not None:
             doc["iso"] = {
                 "block_map": list(obj.iso.block_map),
-                "conjugators": [z.to_json() for z in obj.iso.conjugators],
+                "conjugators": [z.to_json(scalars)
+                                for z in obj.iso.conjugators],
             }
         return doc
     if isinstance(obj, EqHom):
         return {
             "afzp_format": FORMAT_VERSION, "kind": "hom",
-            "source": dump(obj.source), "target": dump(obj.target),
+            "source": _dump(obj.source, scalars),
+            "target": _dump(obj.target, scalars),
             "unital": obj.unital,
             "blocks": [
                 {"slots": [{"src": (None if s.src is None else s.src),
                             "size": s.size, "phase": s.phase}
                            for s in arr.slots],
-                 "conj": arr.conj.to_json()}
+                 "conj": arr.conj.to_json(scalars)}
                 for arr in obj.arrangements
             ],
         }
@@ -92,12 +102,12 @@ def dump(obj):
         return {
             "afzp_format": FORMAT_VERSION, "kind": "crossed",
             "p": obj.p, "order": obj.ctx.order,
-            "source": dump(obj.source),
+            "source": _dump(obj.source, scalars),
             "blocks": list(obj.block_sizes),
             "special": list(obj.special),
             "iota": [row[:] for row in obj.iota_matrix],
-            "dual": dump(dual),
-            "identify": obj.identify_matrix().to_json(),
+            "dual": _dump(dual, scalars),
+            "identify": obj.identify_matrix().to_json(scalars),
         }
     if isinstance(obj, KInvariant):
         return {
@@ -114,20 +124,21 @@ def dump(obj):
     if isinstance(obj, Tower):
         return {
             "afzp_format": FORMAT_VERSION, "kind": "tower",
-            "systems": [dump(s) for s in obj.systems],
-            "maps": [dump(h) for h in obj.maps],
+            "systems": [_dump(s, scalars) for s in obj.systems],
+            "maps": [_dump(h, scalars) for h in obj.maps],
         }
     if isinstance(obj, IntertwiningCertificate):
         return {
             "afzp_format": FORMAT_VERSION, "kind": "certificate",
-            "towerA": dump(obj.towerA), "towerB": dump(obj.towerB),
+            "towerA": _dump(obj.towerA, scalars),
+            "towerB": _dump(obj.towerB, scalars),
             "a_stages": list(obj.a_stages), "b_stages": list(obj.b_stages),
-            "pairs": [dump(kp) for kp in obj.pairs],
-            "forward": [dump(h) for h in obj.forward],
-            "backward": [dump(h) for h in obj.backward],
+            "pairs": [_dump(kp, scalars) for kp in obj.pairs],
+            "forward": [_dump(h, scalars) for h in obj.forward],
+            "backward": [_dump(h, scalars) for h in obj.backward],
             "triangles": [
                 {"kind": t.kind, "left": t.left_stage, "right": t.right_stage,
-                 "correction": [w.to_json() for w in t.correction]}
+                 "correction": [w.to_json(scalars) for w in t.correction]}
                 for t in obj.triangles
             ],
         }
@@ -140,7 +151,7 @@ def dump(obj):
         return {
             "afzp_format": FORMAT_VERSION, "kind": "unitaries",
             "order": obj[0].ctx.order, "p": obj[0].ctx.p,
-            "W": [w.to_json() for w in obj],
+            "W": [w.to_json(scalars) for w in obj],
         }
     raise FormatError("cannot serialize %r" % type(obj))
 
@@ -167,13 +178,17 @@ def _stages(stages, tower, name):
     return list(stages)
 
 
-def _load(doc, ctx, fields):
+def _load(doc, ctx, fields, expect=None):
+    """The value of doc; a nested document must be of kind `expect`."""
     if not isinstance(doc, dict):
         raise FormatError("document is not a JSON object")
     if doc.get("afzp_format") != FORMAT_VERSION:
         raise FormatError("missing or unsupported afzp_format "
                           "(expected %d)" % FORMAT_VERSION)
     kind = doc.get("kind")
+    if expect is not None and kind != expect:
+        raise FormatError("expected a nested %r document, got %r"
+                          % (expect, kind))
     try:
         if kind == "system":
             ctx = _field(ctx or FieldContext(doc["p"], doc["order"]), fields)
@@ -208,8 +223,8 @@ def _load(doc, ctx, fields):
                                 for z in doc["iso"]["conjugators"]])
             return CanonicalForm(ctx, doc["p"], pieces, iso)
         if kind == "hom":
-            src = _load(doc["source"], None, fields)
-            tgt = _load(doc["target"], src.ctx, fields)
+            src = _load(doc["source"], None, fields, "canonical")
+            tgt = _load(doc["target"], src.ctx, fields, "canonical")
             arrs = []
             for blk in doc["blocks"]:
                 slots = [Slot(s["src"], s["size"], s.get("phase", 0))
@@ -231,15 +246,17 @@ def _load(doc, ctx, fields):
         if kind == "kpair":
             return KPair(doc["F"], doc["phi"], unital=doc["unital"])
         if kind == "tower":
-            systems = [_load(s, None, fields) for s in doc["systems"]]
-            maps = [_load(h, None, fields) for h in doc["maps"]]
+            systems = [_load(s, None, fields, "canonical")
+                       for s in doc["systems"]]
+            maps = [_load(h, None, fields, "hom") for h in doc["maps"]]
             return Tower(systems, maps)
         if kind == "certificate":
-            towerA = _load(doc["towerA"], None, fields)
-            towerB = _load(doc["towerB"], None, fields)
-            pairs = [_load(kp, None, fields) for kp in doc["pairs"]]
-            forward = [_load(h, None, fields) for h in doc["forward"]]
-            backward = [_load(h, None, fields) for h in doc["backward"]]
+            towerA = _load(doc["towerA"], None, fields, "tower")
+            towerB = _load(doc["towerB"], None, fields, "tower")
+            pairs = [_load(kp, None, fields, "kpair") for kp in doc["pairs"]]
+            forward = [_load(h, None, fields, "hom") for h in doc["forward"]]
+            backward = [_load(h, None, fields, "hom")
+                        for h in doc["backward"]]
             a_stages = _stages(doc["a_stages"], towerA, "a_stages")
             b_stages = _stages(doc["b_stages"], towerB, "b_stages")
             n = len(forward)
@@ -266,7 +283,8 @@ def _load(doc, ctx, fields):
             return [_mat_load(w, ctx, fields) for w in doc["W"]]
         if kind == "crossed":
             # derived data: rebuild the presentation from its source form
-            return crossed_product(_load(doc["source"], None, fields))
+            return crossed_product(_load(doc["source"], None, fields,
+                                         "canonical"))
         if kind == "report":
             rep = Report()
             for item in doc["checks"]:
@@ -290,11 +308,12 @@ def dumps(obj):
 def _write(x, nl, out, scalars):
     """Append the indent=2, sort_keys=True JSON text of x to out; nl is
     a newline plus the indentation of x's line. `scalars` keeps the text
-    of each scalar object by (nl, order, coefficient strings)."""
+    of each scalar object by (nl, id): dump shares one object per
+    distinct scalar, and x outlives the call, so no id is reused."""
     if isinstance(x, str):
         out.append(_quote(x))
     elif isinstance(x, dict) and x.keys() == {"coeffs", "order"}:
-        key = (nl, x["order"], tuple(x["coeffs"]))
+        key = (nl, id(x))
         text = scalars.get(key)
         if text is None:
             part = []

@@ -8,6 +8,7 @@ from afzp.cyclo import (FieldContext, Scalar, approx, make_root, root_order)
 from afzp.errors import ContextMismatch, DivisionByZero
 
 from conftest import ctx_for
+from fraction_scalar import FracField, FracScalar
 
 
 def test_make_root_full_turn_is_one():
@@ -162,3 +163,98 @@ def test_serialization_bit_exact(rng):
         assert Scalar.from_json(a.to_json(), ctx) == a
     doc = ctx.one.to_json()
     assert doc["coeffs"][0] == "1"     # denominator-1 rendering
+
+
+# -- the Fraction reference ---------------------------------------------------
+
+_FIELDS = [(p, order) for p in (2, 3, 5) for order in (p, p * p, 4 * p * p)]
+_REF = {key: FracField(*key) for key in _FIELDS}
+
+
+@st.composite
+def _vectors(draw, degree, dense=True):
+    """Rational coefficient vectors: dense, sparse, rational, zero."""
+    q = st.builds(RAT, st.integers(-6, 6), st.integers(1, 6))
+    shape = draw(st.sampled_from(["dense"] * dense
+                                 + ["sparse", "rational", "zero"]))
+    if shape == "dense":
+        return draw(st.lists(q, min_size=degree, max_size=degree))
+    out = [RAT(0)] * degree
+    if shape == "sparse":
+        for j in draw(st.lists(st.integers(0, degree - 1), max_size=3)):
+            out[j] = draw(q)
+    elif shape == "rational":
+        out[0] = draw(q)
+    return out
+
+
+def _agree(new, ref):
+    assert isinstance(new, Scalar) and new.coeffs == ref.coeffs
+    assert math.gcd(new.den, *new.num) == 1 and new.den > 0
+    assert new.is_zero() == ref.is_zero()
+    assert new.rational_part() == ref.rational_part()
+    assert new.to_json() == ref.to_json()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_integer_vector_scalars_match_fraction_reference(data):
+    p, order = data.draw(st.sampled_from(_FIELDS))
+    ctx, ref = ctx_for(p, order), _REF[p, order]
+    # a dense inverse at degree 40 takes half a second by extended Euclid
+    va = data.draw(_vectors(ctx.degree))
+    vb = data.draw(_vectors(ctx.degree, dense=ctx.degree <= 20))
+    a, b = Scalar(ctx, va), Scalar(ctx, vb)
+    ra, rb = FracScalar(ref, tuple(va)), FracScalar(ref, tuple(vb))
+    _agree(a, ra)
+    _agree(a + b, ra + rb)
+    _agree(a - b, ra - rb)
+    _agree(-a, -ra)
+    _agree(a * b, ra * rb)
+    # a rational factor whose numerator is 1 is not the unit
+    half = [RAT(1, 2)] + [RAT(0)] * (ctx.degree - 1)
+    rhalf = FracScalar(ref, tuple(half))
+    _agree(Scalar(ctx, half) * b, rhalf * rb)
+    _agree(b * Scalar(ctx, half), rb * rhalf)
+    _agree(a.conj(), ra.conj())
+    if rb.is_zero():
+        with pytest.raises(DivisionByZero):
+            b.inv()
+    else:
+        _agree(b.inv(), rb.inv())
+        _agree(a / b, ra / rb)
+    assert (a == b) == (ra == rb)
+    again = Scalar(ctx, a.coeffs)
+    assert again == a and hash(again) == hash(a)
+    _agree(Scalar.from_json(ra.to_json(), ctx), ra)
+
+
+_CORRUPT = ["1/0", "x", "", "1/2/3", "1.5", 0, None, "2/-4", " 7 "]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_scalar_decoding_errors_match_fraction_reference(data):
+    p, order = data.draw(st.sampled_from(_FIELDS))
+    ctx, ref = ctx_for(p, order), _REF[p, order]
+    coeffs = FracScalar(ref, tuple(data.draw(_vectors(ctx.degree)))) \
+        .to_json()["coeffs"]
+    change = data.draw(st.sampled_from(["entry", "long", "short", "order"]))
+    obj = {"order": ctx.order, "coeffs": coeffs}
+    if change == "entry":
+        coeffs[data.draw(st.integers(0, len(coeffs) - 1))] = \
+            data.draw(st.sampled_from(_CORRUPT))
+    elif change == "long":
+        coeffs.append("0")
+    elif change == "short":
+        coeffs.pop()
+    else:
+        obj["order"] = data.draw(st.sampled_from([ctx.order * 2, None, "x"]))
+
+    def outcome(decode, field):
+        try:
+            return decode(obj, field).coeffs
+        except Exception as exc:   # the class is what must agree
+            return type(exc)
+    assert outcome(Scalar.from_json, ctx) == \
+        outcome(FracScalar.from_json, ref)

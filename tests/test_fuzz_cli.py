@@ -5,7 +5,8 @@ coefficient of a conj entry, a dropped key) and go through
 afzp.cli.main; every run must end in an exit code of the README's
 contract (0 pass, 1 mathematical failure, 2 input error), never in an
 uncaught exception. Structural mutations of a certificate (list lengths,
-stage values) are input errors and must exit 2.
+stage values) and nested documents of the wrong kind are input errors
+and must exit 2.
 """
 
 import contextlib
@@ -17,26 +18,68 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from afzp.classify import intertwine, ksearch, lift
+from afzp.classify import Tower, intertwine, ksearch, lift
 from afzp.cli import main
+from afzp.crossed import crossed_product
 from afzp.demos import identity_pairs, product_tower
-from afzp.kinv import invariant_of
-from afzp.serialize import dump
+from afzp.kinv import KPair, invariant_of
+from afzp.matrix import Mat
+from afzp.report import Report
+from afzp.serialize import dumps
+from afzp.system import identity_hom
 
 from conftest import ctx_for, mixed_form
 
 
+def _doc(value):
+    """The document of value as read from a file: dump shares one object
+    among equal scalars, and a mutation must reach one place only."""
+    return json.loads(dumps(value))
+
+
 @functools.lru_cache(maxsize=None)
 def _base_docs():
-    """A lifted hom between forms with fixed and cycle pieces, and the
-    certificate of the depth-2 order-2 product tower against itself."""
+    """A lifted hom between forms with fixed and cycle pieces, the
+    certificate of the depth-2 order-2 product tower against itself and
+    the crossed product of the hom's source."""
     ctx = ctx_for(2)
     src = mixed_form(ctx, [("fixed", [0]), ("cycle", 1)])
     tgt = mixed_form(ctx, [("fixed", [0, 1]), ("cycle", 2)])
     kp = ksearch(invariant_of(src), invariant_of(tgt), 3)[0]
     tower = product_tower(2, 2)
     cert = intertwine(tower, tower, pairs=identity_pairs(tower, 2), depth=2)
-    return {"hom": dump(lift(kp, src, tgt)), "certificate": dump(cert)}
+    return {"hom": _doc(lift(kp, src, tgt)), "certificate": _doc(cert),
+            "crossed": _doc(crossed_product(src))}
+
+
+@functools.lru_cache(maxsize=None)
+def _kind_docs():
+    """One valid document of every kind."""
+    ctx = ctx_for(2)
+    form = mixed_form(ctx, [("fixed", [0, 1])])
+    values = [form, form.system(), identity_hom(form), invariant_of(form),
+              KPair([[1]], [[1, 0], [0, 1]]), Tower([form], []),
+              crossed_product(form), Report(), [Mat.identity(ctx, 2)]]
+    docs = {doc["kind"]: doc for doc in map(_doc, values)}
+    docs["certificate"] = _base_docs()["certificate"]
+    return docs
+
+
+# where each base document nests another, and the kind it must have
+_NESTED = {
+    "hom": [(("source",), "canonical"), (("target",), "canonical")],
+    "crossed": [(("source",), "canonical")],
+    "certificate": [
+        (("towerA",), "tower"), (("towerB",), "tower"),
+        (("towerA", "systems", 1), "canonical"),
+        (("towerB", "maps", 0), "hom"),
+        (("pairs", 1), "kpair"),
+        (("forward", 0), "hom"), (("backward", 0), "hom"),
+        (("forward", 1, "target"), "canonical")],
+}
+# the commands that load each base document, with their file count
+_COMMANDS = {"hom": [("validate", 1), ("induced", 1), ("equiv", 2)],
+             "crossed": [("validate", 1)], "certificate": [("verify", 1)]}
 
 
 def _dicts(doc):
@@ -149,3 +192,18 @@ def test_broken_certificate_structure_exits_two(fuzzdir, doc):
     bad = str(fuzzdir / "broken_certificate.json")
     json.dump(doc, open(bad, "w"))
     assert _exit_code("verify", bad) == 2
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_nested_document_of_wrong_kind_exits_two(fuzzdir, data):
+    base = data.draw(st.sampled_from(sorted(_NESTED)))
+    path, want = data.draw(st.sampled_from(_NESTED[base]))
+    other = data.draw(st.sampled_from(sorted(set(_kind_docs()) - {want})))
+    doc = copy.deepcopy(_base_docs()[base])
+    parent = functools.reduce(lambda d, k: d[k], path[:-1], doc)
+    parent[path[-1]] = _kind_docs()[other]
+    bad = str(fuzzdir / "nested.json")
+    json.dump(doc, open(bad, "w"))
+    for cmd, files in _COMMANDS[base]:
+        assert _exit_code(cmd, *[bad] * files) == 2, (cmd, path, other)

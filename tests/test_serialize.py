@@ -1,25 +1,29 @@
 """The scalar codec of serialize against its slow paths.
 
-dumps renders each distinct scalar object once per indentation level and
-load decodes each distinct coefficient vector once; the oracles are
-json.dumps(dump(x), indent=2, sort_keys=True) for the writer and
+dump renders each distinct scalar once, dumps writes the text of each
+scalar object once per indentation level and load decodes each distinct
+coefficient vector once; the oracles are the document rendered entry by
+entry, json.dumps(dump(x), indent=2, sort_keys=True) for the writer and
 Scalar.from_json without a memo, entry by entry, for the reader.
 """
 
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from afzp._rat import RAT
-from afzp.classify import IntertwiningCertificate, Tower, TriangleRecord
+from afzp.classify import (IntertwiningCertificate, Tower, TriangleRecord,
+                           intertwine)
 from afzp.crossed import crossed_product
 from afzp.cyclo import Scalar
+from afzp.demos import identity_pairs, product_tower
 from afzp.errors import ContextMismatch
 from afzp.kinv import KPair, invariant_of
 from afzp.matrix import Mat
 from afzp.report import Report
-from afzp.serialize import dump, dumps, loads
+from afzp.serialize import _dump, dump, dumps, loads
 from afzp.system import (Arrangement, EqHom, Slot, decompose, identity_hom)
 
 from conftest import ctx_for, mixed_form, piece_specs
@@ -37,7 +41,7 @@ def _field(draw):
 def _scalar_pool(ctx):
     """Repeated values, as in real documents, and a few rare ones."""
     return [ctx.zero, ctx.one, -ctx.one, ctx.zeta_p(1), ctx.root(1),
-            ctx.root(3) * RAT(-2, 3) + ctx.one]
+            ctx.root(3) * RAT(-2, 3) + ctx.one, ctx.scalar(RAT(1, 2))]
 
 
 def _value(draw, kind):
@@ -100,6 +104,7 @@ def _value(draw, kind):
 @given(data=st.data())
 def test_dumps_matches_json_dumps_and_reloads(kind, data):
     value = _value(data.draw, kind)
+    assert dump(value) == _dump(value, None)
     text = dumps(value)
     assert text == json.dumps(dump(value), indent=2, sort_keys=True)
     # every loaded scalar renders to the coefficient strings it was read
@@ -136,3 +141,16 @@ def test_memoized_decoding_matches_per_entry_decoding(data):
             got = Scalar.from_json(obj, ctx, memo)
             assert first.setdefault(tuple(obj["coeffs"]), got) is got
     assert set(memo) == set(first)
+
+
+@pytest.mark.parametrize("p,depth,digest", [
+    (2, 3, "92ea0b51a6deda5a32bea9e94715b327df2a1b4c97597b674299b3962dadf3d3"),
+    (3, 2, "ba9f5352b3e1ce130fcd771632adfd33e6e8989f35b55711ff938e030e009015"),
+], ids=["p2-depth3", "p3-depth2"])
+def test_self_intertwined_product_tower_bytes_are_pinned(p, depth, digest):
+    """The certificate bytes stay those of the Fraction-coefficient
+    scalar layer, where these digests were taken."""
+    tower = product_tower(p, depth)
+    cert = intertwine(tower, tower, pairs=identity_pairs(tower, depth),
+                      depth=depth)
+    assert hashlib.sha256(dumps(cert).encode()).hexdigest() == digest
