@@ -32,8 +32,8 @@ from .kinv import (KPair, check_pair, compose_pairs, imat_mul, induced_map,
                    invariant_of, ivec_mul)
 from .matrix import Mat, blockdiag, match_diagonals
 from .report import Report
-from .system import (Arrangement, EqHom, Slot, equal_as_maps, hom_compose,
-                     hom_validate)
+from .system import (Arrangement, EqHom, Slot, _pattern_defect, equal_as_maps,
+                     hom_compose, hom_validate)
 
 __all__ = ["lift", "equiv_unitary", "ksearch", "Tower", "intertwine",
            "IntertwiningCertificate", "verify_certificate",
@@ -296,18 +296,12 @@ def _pattern_extract(mat, copies, k):
     """Interpret a (copies*k) square matrix as Bhat  x  I_k in copy-major
     layout (entry ((c,i),(c',i')) = Bhat[c][c'] delta_{ii'}). Returns Bhat
     or None if the pattern fails."""
-    ctx = mat.ctx
-    out = Mat.zero(ctx, copies, copies)
-    for c in range(copies):
-        for cc in range(copies):
-            val = mat.entries[c * k][cc * k]
-            for i in range(k):
-                for j in range(k):
-                    want = val if i == j else ctx.zero
-                    if mat.entries[c * k + i][cc * k + j] != want:
-                        return None
-            out.entries[c][cc] = val
-    return out
+    slots = [(0, k)] * copies
+    if _pattern_defect(mat, slots, slots) is not None:
+        return None
+    return Mat(mat.ctx, copies, copies,
+               [[mat.entries[c * k][cc * k] for cc in range(copies)]
+                for c in range(copies)])
 
 
 def _expand_pattern(bhat, k):

@@ -16,7 +16,7 @@ from .classify import (IntertwiningCertificate, Tower, equiv_unitary,
 from .crossed import crossed_product
 from .demos import identity_pairs, naive_doubling_tower, product_tower
 from .errors import AfzpError, FormatError
-from .kinv import check_pair, induced_map, invariant_of
+from .kinv import KInvariant, KPair, check_pair, induced_map, invariant_of
 from .report import Report
 from .serialize import dump, dumps, load_json, save_json
 from .system import (CanonicalForm, EqHom, FdSystem, decompose, hom_validate,
@@ -100,11 +100,15 @@ def cmd_kinv(args):
     return EXIT_OK
 
 
+def _load_kind(path, cls, what):
+    obj = load_json(path)
+    if not isinstance(obj, cls):
+        raise FormatError("%s: expected a %s file" % (path, what))
+    return obj
+
+
 def _load_hom(path):
-    hom = load_json(path)
-    if not isinstance(hom, EqHom):
-        raise FormatError("expected a hom file")
-    return hom
+    return _load_kind(path, EqHom, "hom")
 
 
 def cmd_induced(args):
@@ -118,16 +122,16 @@ def cmd_induced(args):
 
 
 def cmd_checkpair(args):
-    kp = load_json(args.pairfile)
-    invA = load_json(args.inva)
-    invB = load_json(args.invb)
+    kp = _load_kind(args.pairfile, KPair, "kpair")
+    invA = _load_kind(args.inva, KInvariant, "kinvariant")
+    invB = _load_kind(args.invb, KInvariant, "kinvariant")
     rep = check_pair(kp, invA, invB)
     _emit(args, rep)
     return EXIT_OK if rep.ok else EXIT_MATH
 
 
 def cmd_lift(args):
-    kp = load_json(args.pairfile)
+    kp = _load_kind(args.pairfile, KPair, "kpair")
     src = _load_canonical(args.srcfile)
     tgt = _load_canonical(args.tgtfile)
     _emit(args, lift(kp, src, tgt))
@@ -152,7 +156,8 @@ def cmd_intertwine(args):
         raise FormatError("expected tower files")
     pairs = None
     if args.pairs:
-        pairs = [load_json(p) for p in args.pairs.split(",")]
+        pairs = [_load_kind(p, KPair, "kpair")
+                 for p in args.pairs.split(",")]
     cert = intertwine(tA, tB, pairs=pairs, depth=args.depth)
     _emit(args, cert)
     return EXIT_OK

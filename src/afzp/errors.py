@@ -35,10 +35,6 @@ class MultisetMismatch(AfzpError):
         self.counts2 = counts2
 
 
-class Inconsistent(AfzpError):
-    """Linear system has no solution."""
-
-
 class NonScalarHolonomy(AfzpError):
     """Product of implementing unitaries around an orbit is not scalar."""
 
@@ -59,10 +55,6 @@ class NonDiagonalizableWithinField(AfzpError):
     """Fixed-block implementing unitary is not monomial; cannot be
     diagonalized without leaving the field. Re-present the input with a
     diagonal (or monomial) implementing unitary."""
-
-
-class NormalizationOutsideField(AfzpError):
-    """Recovered inner unitary cannot be scaled to order p in the field."""
 
 
 class SystemMismatch(AfzpError):

@@ -10,7 +10,6 @@ of invariants are pairs (F, phi) of nonnegative integer matrices.
 from dataclasses import dataclass
 
 from .errors import NonIntegralMultiplicity, ShapeMismatch
-from .system import unit_tuple
 from .report import Report
 from .crossed import crossed_offsets, crossed_product
 from ._rat import RAT, is_integer
@@ -81,18 +80,21 @@ def _multiplicity(q, what):
 
 
 def induced_map(h):
-    """Invariant morphism (F, phi) of a validated hom psi, read from the
-    projections P_s = psi(E_00 of source block s).
+    """Invariant morphism (F, phi) of a validated hom psi, read from its
+    slots and conjugators: psi(E_00 of source block s) in target block t
+    is P = sum over the slots of s in t of X_t e_c e_c^dagger X_t^dagger,
+    c the slot's first position.
 
-    F[t][s] is the trace of P_s in target block t. phi is the K0 map of
-    the extension of psi to the crossed products (identified as in
-    crossed). For a source piece with first block s and crossed blocks
-    a + r, and a target piece with first block t and crossed blocks
-    b + r' (0 <= r, r' < p):
+    F[t][s] is the trace of P, the number of slots of s in block t. phi
+    is the K0 map of the extension of psi to the crossed products
+    (identified as in crossed). For a source piece with first block s
+    and crossed blocks a + r, and a target piece with first block t and
+    crossed blocks b + r' (0 <= r, r' < p):
 
-    * fixed -> fixed: phi[b + r'][a + r] is the sum of the diagonal of
-      P_s in block t over the positions where the target's V has
-      exponent (r' - r + e0) mod p, e0 the first exponent of the source's V;
+    * fixed -> fixed: phi[b + r'][a + r] is the sum of P's diagonal,
+      |X_t[k, c]|^2 summed over the slots, over the positions k where
+      the target's V has exponent (r' - r + e0) mod p, e0 the first
+      exponent of the source's V;
     * cycle -> any: each crossed block of the target piece gets the sum
       of F[t'][s] over the blocks t' of the target piece;
     * fixed -> cycle: phi[b][a + r] is that sum divided by p.
@@ -101,11 +103,16 @@ def induced_map(h):
     """
     src, tgt = h.source, h.target
     p = src.p
-    images = [h.apply(unit_tuple(src.ctx, src.block_sizes, s, 0, 0))
-              for s in range(src.m)]
-    F = [[_multiplicity(images[s][t].trace().rational_part(),
-                        "trace of block %d -> %d" % (s, t))
-          for s in range(src.m)] for t in range(tgt.m)]
+    F = [[0] * src.m for _ in range(tgt.m)]
+    firsts = []               # per target block: (source block, position)
+    for t, arr in enumerate(h.arrangements):
+        pos, here = 0, []
+        for slot in arr.slots:
+            if slot.src is not None:
+                F[t][slot.src] += 1
+                here.append((slot.src, pos))
+            pos += slot.size
+        firsts.append(here)
     offA, offB = crossed_offsets(src), crossed_offsets(tgt)
     phi = [[0] * offA[-1] for _ in range(offB[-1])]
     for sp, s, a in zip(src.pieces, src.piece_offsets, offA):
@@ -121,8 +128,13 @@ def induced_map(h):
                 phi[b][a:a + p] = [q] * p
             else:
                 by_exp = [src.ctx.zero] * p
+                X = h.arrangements[t].conj.entries
+                cols = [c for q, c in firsts[t] if q == s]
                 for k, e in enumerate(tp.exponents(p)):
-                    by_exp[e] = by_exp[e] + images[s][t].entries[k][k]
+                    for c in cols:
+                        x = X[k][c]
+                        if x._nonzero:
+                            by_exp[e] = by_exp[e] + x.conj() * x
                 lam = [_multiplicity(x.rational_part(),
                                      "trace of block %d -> %d at exponent %d"
                                      % (s, t, d)) for d, x in enumerate(by_exp)]

@@ -2,19 +2,16 @@
 
 Everything here is plain row-major dense algebra with Scalar entries.
 The only eigen-analysis offered is character averaging of finite-order
-unitaries, which stays inside the field; there is no general eigensolver.
-The linear solver is deterministic Gaussian elimination with the pivot
-chosen as the first nonzero entry in row-major scan order, so solution
-bases are reproducible byte-for-byte.
+unitaries, which stays inside the field; there is no general eigensolver
+and no linear solver: every identity the engine checks is a matrix
+product compared against a pattern.
 """
 
 from .cyclo import Scalar
-from .errors import (Inconsistent, MultisetMismatch, NotOrderP,
-                     ShapeMismatch)
+from .errors import MultisetMismatch, NotOrderP, ShapeMismatch
 from ._rat import is_integer
 
-__all__ = ["Mat", "SpectralData", "spectral", "match_diagonals", "solve",
-           "intertwiner_basis"]
+__all__ = ["Mat", "SpectralData", "spectral", "match_diagonals"]
 
 
 class Mat:
@@ -323,109 +320,3 @@ def match_diagonals(D1, D2, p):
         images[j] = pos
     # Q e_j = e_{images[j]}  =>  (Q^dagger D1 Q)_{jj} = D1_{images[j]}
     return Mat.permutation(ctx, images)
-
-
-def _rref(rows, width):
-    """In-place reduced row echelon form; returns pivot column list.
-
-    Pivot selection is the first nonzero entry scanning columns left to
-    right and rows top to bottom, fractions cleared pairwise, so the
-    output is deterministic.
-    """
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(width):
-        pr = None
-        for i in range(r, nrows):
-            if not rows[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        pinv = piv.inv()
-        rows[r] = [e * pinv for e in rows[r]]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f.is_zero():
-                continue
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
-def solve(system, rhs):
-    """Solve system * x = rhs exactly.
-
-    Returns (particular, null_basis) where particular is a cols x k Mat
-    (k = rhs.cols) and null_basis is a list of cols x 1 Mats spanning the
-    kernel. Raises Inconsistent when no solution exists.
-    """
-    ctx = system.ctx
-    if system.rows != rhs.rows:
-        raise ShapeMismatch("rhs has %d rows, system has %d"
-                            % (rhs.rows, system.rows))
-    n = system.cols
-    k = rhs.cols
-    aug = [system.entries[i][:] + rhs.entries[i][:]
-           for i in range(system.rows)]
-    pivots = _rref(aug, n)
-    rank = len(pivots)
-    for i in range(rank, len(aug)):
-        if any(not aug[i][n + j].is_zero() for j in range(k)):
-            raise Inconsistent("system has no solution")
-    zero = ctx.zero
-    part = Mat.zero(ctx, n, k)
-    for r, c in enumerate(pivots):
-        for j in range(k):
-            part.entries[c][j] = aug[r][n + j]
-    pivset = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivset:
-            continue
-        vec = Mat.zero(ctx, n, 1)
-        vec.entries[free][0] = ctx.one
-        for r, c in enumerate(pivots):
-            vec.entries[c][0] = zero - aug[r][free]
-        basis.append(vec)
-    return part, basis
-
-
-def vec_row_major(M):
-    """Flatten to an (rows*cols) x 1 column, row-major."""
-    out = Mat.zero(M.ctx, M.rows * M.cols, 1)
-    for i in range(M.rows):
-        for j in range(M.cols):
-            out.entries[i * M.cols + j][0] = M.entries[i][j]
-    return out
-
-
-def unvec_row_major(v, rows, cols):
-    out = Mat.zero(v.ctx, rows, cols)
-    for i in range(rows):
-        for j in range(cols):
-            out.entries[i][j] = v.entries[i * cols + j][0]
-    return out
-
-
-def intertwiner_basis(A, B):
-    """Basis of {X : A X = X B}, exact.
-
-    Uses vec(A X) = (A kron I) vec(X) and vec(X B) = (I kron B^T) vec(X)
-    for row-major vec.
-    """
-    ctx = A.ctx
-    n, m = A.rows, B.rows
-    Bt = Mat(ctx, m, m, [[B.entries[j][i] for j in range(m)]
-                         for i in range(m)])
-    sysmat = A.kron(Mat.identity(ctx, m)) - Mat.identity(ctx, n).kron(Bt)
-    _, basis = solve(sysmat, Mat.zero(ctx, n * m, 1))
-    return [unvec_row_major(v, n, m) for v in basis]

@@ -48,6 +48,17 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _int_matrix(x, name, rows=None, cols=None):
+    """x, checked to be a list of `rows` lists of `cols` JSON integers;
+    without a shape, lists of any lengths."""
+    if not (isinstance(x, list) and rows in (None, len(x))
+            and all(isinstance(r, list) and cols in (None, len(r))
+                    and all(map(_is_int, r)) for r in x)):
+        raise FormatError("%s is not a list of integer rows%s" % (
+            name, "" if rows is None else " of shape %dx%d" % (rows, cols)))
+    return x
+
+
 def dump(obj):
     """Dispatch an in-memory value to its JSON document (a dict).
 
@@ -240,11 +251,23 @@ def _load(doc, ctx, fields, expect=None):
                     slots, _mat_load(blk["conj"], src.ctx, fields)))
             return EqHom(src, tgt, arrs, unital=doc["unital"])
         if kind == "kinvariant":
-            return KInvariant(doc["m"], list(doc["unit"]), doc["act"],
-                              doc["mC"], doc["dualAct"], list(doc["special"]),
-                              doc["iota"])
+            m, mC = doc["m"], doc["mC"]
+            if not (_is_int(m) and _is_int(mC) and m >= 0 and mC >= 0):
+                raise FormatError("m %r and mC %r are not class counts"
+                                  % (m, mC))
+            return KInvariant(
+                m, _int_matrix([doc["unit"]], "unit", 1, m)[0],
+                _int_matrix(doc["act"], "act", m, m), mC,
+                _int_matrix(doc["dualAct"], "dualAct", mC, mC),
+                _int_matrix([doc["special"]], "special", 1, mC)[0],
+                _int_matrix(doc["iota"], "iota", mC, m))
         if kind == "kpair":
-            return KPair(doc["F"], doc["phi"], unital=doc["unital"])
+            if not isinstance(doc["unital"], bool):
+                raise FormatError("unital %r is not a boolean"
+                                  % (doc["unital"],))
+            return KPair(_int_matrix(doc["F"], "F"),
+                         _int_matrix(doc["phi"], "phi"),
+                         unital=doc["unital"])
         if kind == "tower":
             systems = [_load(s, None, fields, "canonical")
                        for s in doc["systems"]]

