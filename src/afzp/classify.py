@@ -10,7 +10,7 @@ increasing exponent, positions in increasing index.
 
 equiv_unitary() produces, for two homs with the same induced invariant
 morphism, a unitary W in the fixed-point algebra of the target with
-Ad W o h2 = h1, built per target piece and per source piece from
+Ad W o h2 = h1, built per target block in slot coordinates from
 commutant elements of finite order; everything is re-verified exactly
 before returning.
 
@@ -30,10 +30,11 @@ from .errors import (CaseShapeViolation, CorrectionFailed, KDataMismatch,
 from .crossed import crossed_offsets
 from .kinv import (KPair, check_pair, compose_pairs, imat_mul, induced_map,
                    invariant_of, ivec_mul)
-from .matrix import Mat, blockdiag, match_diagonals
+from .matrix import Mat, blockdiag, match_diagonals, spectral
 from .report import Report
-from .system import (Arrangement, EqHom, Slot, _pattern_defect, equal_as_maps,
-                     hom_compose, hom_validate)
+from .system import (Arrangement, EqHom, Slot, _block_product, _labels,
+                     _pattern_defect, equal_as_maps, hom_compose,
+                     hom_validate)
 
 __all__ = ["lift", "equiv_unitary", "ksearch", "Tower", "intertwine",
            "IntertwiningCertificate", "verify_certificate",
@@ -133,7 +134,7 @@ def lift(kp, srcC, tgtC):
     for ti, tp in enumerate(tgtC.pieces):
         if tp.kind == "fixed":
             arrangements[tgtC.piece_offsets[ti]] = \
-                _pack_fixed_target(ctx, p, plans, srcC, ti, tp)
+                _pack_fixed_target(ctx, p, plans, srcC, tgtC, ti)
         else:
             packed = _pack_cycle_target(ctx, p, plans, srcC, ti, tp)
             for r in range(p):
@@ -149,9 +150,9 @@ def lift(kp, srcC, tgtC):
     return h
 
 
-def _pack_fixed_target(ctx, p, plans, srcC, ti, tp):
-    n = tp.n
-    exps = tp.exponents(p)
+def _pack_fixed_target(ctx, p, plans, srcC, tgtC, ti):
+    n = tgtC.pieces[ti].n
+    exps = tgtC.piece_exponents[ti]
     pools = {m: iter([i for i, e in enumerate(exps) if e == m])
              for m in range(p)}
 
@@ -171,7 +172,7 @@ def _pack_fixed_target(ctx, p, plans, srcC, ti, tp):
         sb = srcC.piece_offsets[si]
         k = sp.n
         if tag == "FF":
-            uexps = sp.exponents(p)
+            uexps = srcC.piece_exponents[si]
             for d in range(p):
                 for _ in range(data[d]):
                     slots.append(Slot(sb, k, phase=d))
@@ -246,76 +247,33 @@ class UniquenessWitness:
     W: list = field(default_factory=list)    # per target block
 
 
-def _slot_positions(h, t):
-    """Offsets of each slot inside target block t's content coordinates."""
-    offs = []
+def _slot_starts(h, t):
+    """Start of each slot of target block t, listed per source block in
+    occurrence order."""
+    starts = [[] for _ in range(h.source.m)]
     pos = 0
     for slot in h.arrangements[t].slots:
-        offs.append(pos)
+        if slot.src is not None:
+            starts[slot.src].append(pos)
         pos += slot.size
-    return offs
+    return starts
 
 
-def _corner_isometry(h, t, blocks, interleave=False):
-    """Columns of the block-t conjugator at the slots whose source block
-    lies in `blocks`, in a canonical order: ascending source block, then
-    occurrence order. With interleave=True the order is occurrence-major
-    (occurrence 0 of every block, then occurrence 1, ...), the bundle
-    layout the packer uses for cycle pieces."""
-    ctx = h.source.ctx
-    arr = h.arrangements[t]
-    offs = _slot_positions(h, t)
-    per_block = {b: [] for b in blocks}
-    for idx, slot in enumerate(arr.slots):
-        if slot.src in per_block:
-            per_block[slot.src].append((offs[idx], slot.size))
-    ordered = sorted(per_block)
-    chosen = []
-    if interleave:
-        depth = max((len(v) for v in per_block.values()), default=0)
-        for b_idx in range(depth):
-            for b in ordered:
-                if b_idx < len(per_block[b]):
-                    chosen.append(per_block[b][b_idx])
-    else:
-        for b in ordered:
-            chosen.extend(per_block[b])
-    width = sum(size for _, size in chosen)
-    n = h.target.block_sizes[t]
-    X = Mat.zero(ctx, n, width)
-    col = 0
-    for off, size in chosen:
-        for j in range(size):
-            for i in range(n):
-                X.entries[i][col] = arr.conj.entries[i][off + j]
-            col += 1
-    return X
+def _slot_adjoint(P, rows, cols):
+    """Scalars of P^dagger between slots: L[c][c'] = conj(P[cols[c']][rows[c]])
+    for the slots starting at rows (c) and at cols (c')."""
+    return Mat(P.ctx, len(rows), len(cols),
+               [[P.entries[c][r].conj() for c in cols] for r in rows])
 
 
-def _pattern_extract(mat, copies, k):
-    """Interpret a (copies*k) square matrix as Bhat  x  I_k in copy-major
-    layout (entry ((c,i),(c',i')) = Bhat[c][c'] delta_{ii'}). Returns Bhat
-    or None if the pattern fails."""
-    slots = [(0, k)] * copies
-    if _pattern_defect(mat, slots, slots) is not None:
-        return None
-    return Mat(mat.ctx, copies, copies,
-               [[mat.entries[c * k][cc * k] for cc in range(copies)]
-                for c in range(copies)])
-
-
-def _expand_pattern(bhat, k):
-    ctx = bhat.ctx
-    copies = bhat.rows
-    out = Mat.zero(ctx, copies * k, copies * k)
-    for c in range(copies):
-        for cc in range(copies):
-            v = bhat.entries[c][cc]
-            if v.is_zero():
-                continue
-            for i in range(k):
-                out.entries[c * k + i][cc * k + i] = v
-    return out
+def _place(K, Z, rows, cols, k):
+    """Write Z (x) I_k into K: Z[c][c'] I_k between the k-slots starting
+    at rows[c] and at cols[c']."""
+    for r, zrow in zip(rows, Z.entries):
+        for c, z in zip(cols, zrow):
+            if z._nonzero:
+                for w in range(k):
+                    K.entries[r + w][c + w] = z
 
 
 def _unitary_conjugator_search(L1, L2, p):
@@ -329,7 +287,6 @@ def _unitary_conjugator_search(L1, L2, p):
     if L1.is_diagonal() and L2.is_diagonal():
         return match_diagonals(L1, L2, p)
     f = L1.rows
-    from .matrix import spectral
     try:
         s1 = spectral(L1, p)
         s2 = spectral(L2, p)
@@ -369,9 +326,26 @@ def _unitary_conjugator_search(L1, L2, p):
 
 def equiv_unitary(h1, h2):
     """Unitary W in the fixed-point algebra of the target with
-    Ad W o h2 = h1, for validated homs with equal induced pairs.
+    Ad W o h2 = h1, for validated unital homs with equal induced pairs.
 
-    Returns (W, witness) where W is a tuple of per-target-block unitaries.
+    Per target block W_t = X1_t K X2_t^dagger, with K in the slot pattern
+    between h1's slots (rows) and h2's (columns): Z (x) I_k between the
+    slots of each source block. On a cycle target piece K pairs the c-th
+    slot of each source block in h1 with the c-th in h2, and the p
+    blocks share W_t. On a fixed target block W_t commutes with V_t iff
+    K M2 = M1 K for M_i = X_i^dagger V_t X_i. Between the slots of a
+    source block b (rows) and of sigma(b) (columns) M_i holds the
+    scalars A_b of P_i^dagger (times V_b on a fixed piece), where P_i is
+    the product hom_validate checks (system._block_product), which must
+    lie in its slot pattern. A fixed source piece needs A1_b Z = Z A2_b
+    (_unitary_conjugator_search); a cycle source piece telescopes
+    G_0 = I, G_j = A1_j G_{j-1} A2_j^dagger. Everything is re-verified
+    exactly before returning.
+
+    Returns (W, witness): W per target block; witness.entries hold, per
+    target piece, the L, N and Z of each fixed source piece ("FF"), the
+    A1_j, A2_j and G_j of each cycle source piece ("CF"), or the shared
+    W_t of a cycle target ("cycle-target").
     """
     if not (h1.source.same_shape(h2.source)
             and h1.target.same_shape(h2.target)):
@@ -390,79 +364,56 @@ def equiv_unitary(h1, h2):
     witness = UniquenessWitness()
     W = [None] * tgt.m
     for ti, tp in enumerate(tgt.pieces):
-        toff = tgt.piece_offsets[ti]
-        if tp.kind == "fixed":
-            n = tp.n
-            V = tp.v
-            wt = Mat.zero(ctx, n, n)
-            for si, sp in enumerate(src.pieces):
-                soff = src.piece_offsets[si]
-                blocks = range(soff, soff + sp.block_count(p))
-                bundles = sp.kind == "cycle"
-                X1 = _corner_isometry(h1, toff, blocks, interleave=bundles)
-                X2 = _corner_isometry(h2, toff, blocks, interleave=bundles)
-                if X1.cols == 0:
-                    continue
-                K1 = X1.dagger() * V * X1
-                K2 = X2.dagger() * V * X2
-                if sp.kind == "fixed":
-                    k = sp.n
-                    copies = X1.cols // k
-                    ubig = blockdiag(ctx, [sp.v] * copies)
-                    L1 = K1 * ubig.dagger()
-                    L2 = K2 * ubig.dagger()
-                    L1h = _pattern_extract(L1, copies, k)
-                    L2h = _pattern_extract(L2, copies, k)
-                    if L1h is None or L2h is None:
-                        raise UnitaryNotFoundInField(
-                            "commutant element leaves the copy pattern; "
-                            "hom is not of product type")
-                    Z = _unitary_conjugator_search(L1h, L2h, p)
-                    G = _expand_pattern(Z, k)
-                    wt = wt + X1 * G * X2.dagger()
-                    witness.entries.append(
-                        WitnessEntry(ti, si, "FF", L=L1h, N=L2h, Z=Z))
-                else:
-                    k = sp.n
-                    c = X1.cols // (p * k)
-                    A1 = _cycle_corner_blocks(K1, p, c, k)
-                    A2 = _cycle_corner_blocks(K2, p, c, k)
-                    if A1 is None or A2 is None:
-                        raise UnitaryNotFoundInField(
-                            "crossing blocks leave the bundle pattern")
-                    # telescoping: G_0 = I, G_j = A1_j G_{j-1} A2_j^dagger
-                    Gj = [Mat.identity(ctx, c)]
-                    for j in range(1, p):
-                        Gj.append(A1[j] * Gj[j - 1] * A2[j].dagger())
-                    closure = A1[0] * Gj[p - 1] * A2[0].dagger()
-                    if closure != Gj[0]:
-                        raise CorrectionFailed(
-                            (ti, si), "cycle telescoping does not close")
-                    G = Mat.zero(ctx, p * c * k, p * c * k)
-                    for j in range(p):
-                        for b in range(c):
-                            for bb in range(c):
-                                v = Gj[j].entries[b][bb]
-                                if v.is_zero():
-                                    continue
-                                for w in range(k):
-                                    G.entries[_bjw(b, j, w, p, k)][
-                                        _bjw(bb, j, w, p, k)] = v
-                    wt = wt + X1 * G * X2.dagger()
-                    witness.entries.append(
-                        WitnessEntry(ti, si, "CF", L=A1, N=A2, Z=Gj))
-            W[toff] = wt
+        t = tgt.piece_offsets[ti]
+        s1, s2 = _slot_starts(h1, t), _slot_starts(h2, t)
+        K = Mat.zero(ctx, tp.n, tp.n)
+        if tp.kind == "cycle":
+            for b, (rows, cols) in enumerate(zip(s1, s2)):
+                _place(K, Mat.identity(ctx, len(rows)), rows, cols,
+                       src.block_sizes[b])
         else:
-            X1 = _corner_isometry(h1, toff, range(src.m))
-            X2 = _corner_isometry(h2, toff, range(src.m))
-            w0 = X1 * X2.dagger()
-            for r in range(p):
-                W[toff + r] = w0
-            witness.entries.append(WitnessEntry(ti, -1, "cycle-target", Z=w0))
+            A = []
+            for h, starts in ((h1, s1), (h2, s2)):
+                arr = h.arrangements[t]
+                P, cols = _block_product(h, t, arr.conj.dagger())
+                if _pattern_defect(P, _labels(arr.slots), cols) is not None:
+                    raise UnitaryNotFoundInField(
+                        "conjugator product at target block %d leaves the "
+                        "slot pattern; hom is not equivariant" % t)
+                A.append([_slot_adjoint(P, starts[b], starts[src.sigma[b]])
+                          for b in range(src.m)])
+            A1, A2 = A
+            for si, sp in enumerate(src.pieces):
+                b0 = src.piece_offsets[si]
+                if not s1[b0]:
+                    continue
+                if sp.kind == "fixed":
+                    Z = _unitary_conjugator_search(A1[b0], A2[b0], p)
+                    _place(K, Z, s1[b0], s2[b0], sp.n)
+                    witness.entries.append(
+                        WitnessEntry(ti, si, "FF", L=A1[b0], N=A2[b0], Z=Z))
+                    continue
+                L1, L2 = A1[b0:b0 + p], A2[b0:b0 + p]
+                # telescoping: G_0 = I, G_j = A1_j G_{j-1} A2_j^dagger
+                Gj = [Mat.identity(ctx, len(s1[b0]))]
+                for j in range(1, p):
+                    Gj.append(L1[j] * Gj[j - 1] * L2[j].dagger())
+                if L1[0] * Gj[p - 1] * L2[0].dagger() != Gj[0]:
+                    raise CorrectionFailed(
+                        (ti, si), "cycle telescoping does not close")
+                for j in range(p):
+                    _place(K, Gj[j], s1[b0 + j], s2[b0 + j], sp.n)
+                witness.entries.append(
+                    WitnessEntry(ti, si, "CF", L=L1, N=L2, Z=Gj))
+        w = h1.arrangements[t].conj * K * h2.arrangements[t].conj.dagger()
+        for r in range(tp.block_count(p)):
+            W[t + r] = w
+        if tp.kind == "cycle":
+            witness.entries.append(WitnessEntry(ti, -1, "cycle-target", Z=w))
     # exact re-verification before anything is returned
     for t in range(tgt.m):
         if not W[t].is_unitary():
-            raise CorrectionFailed(t, "corner sum is not unitary")
+            raise CorrectionFailed(t, "W is not unitary")
     for ti, tp in enumerate(tgt.pieces):
         toff = tgt.piece_offsets[ti]
         if tp.kind == "fixed":
@@ -474,40 +425,6 @@ def equiv_unitary(h1, h2):
         raise CorrectionFailed("*", "Ad W o h2 differs from h1")
     witness.W = W
     return W, witness
-
-
-def _bjw(b, j, w, p, k):
-    """Position of (bundle b, cycle component j, inner index w) in the
-    bundle-major content layout used by the packer."""
-    return b * p * k + j * k + w
-
-
-def _cycle_corner_blocks(K, p, c, k):
-    """Extract the c x c bundle matrices A_j (scalar x I_k pattern) from
-    K, where K maps the (j-1)-component group into the j-component group;
-    None if K has support outside those corners or breaks the pattern."""
-    ctx = K.ctx
-    A = []
-    for j in range(p):
-        blk = Mat.zero(ctx, c, c)
-        A.append(blk)
-    for b in range(c):
-        for j in range(p):
-            for w in range(k):
-                row = _bjw(b, j, w, p, k)
-                for bb in range(c):
-                    for jj in range(p):
-                        for ww in range(k):
-                            col = _bjw(bb, jj, ww, p, k)
-                            e = K.entries[row][col]
-                            if jj == (j - 1) % p and ww == w:
-                                if w == 0:
-                                    A[j].entries[b][bb] = e
-                                elif A[j].entries[b][bb] != e:
-                                    return None
-                            elif not e.is_zero():
-                                return None
-    return A
 
 
 def conjugate_hom(W, h):
@@ -692,7 +609,8 @@ def intertwine(tA, tB, pairs=None, depth=3):
     newest hom by an inner equivariant unitary so every triangle commutes
     exactly.
     """
-    for name, tower in (("A", tA), ("B", tB)):
+    # a tower intertwined with itself is validated once
+    for name, tower in (("A", tA), ("B", tB))[:2 - (tB is tA)]:
         rep = validate_tower(tower)
         if not rep.ok:
             raise AfzpError("tower %s invalid:\n%s" % (name, rep.summary()))

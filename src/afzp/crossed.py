@@ -56,10 +56,10 @@ class CrossedPresentation:
         self.special = []
         self.iota_matrix = []
         p = self.p
-        for piece, sb in zip(source.pieces, source.piece_offsets):
+        for piece, sb, exps in zip(source.pieces, source.piece_offsets,
+                                   source.piece_exponents):
             if piece.kind == "fixed":
                 self.block_sizes.extend([piece.n] * p)
-                exps = piece.exponents(p)
                 self.special.extend(exps.count(d) for d in range(p))
                 embedded = [range(sb, sb + 1)] * p
             else:

@@ -115,9 +115,11 @@ def induced_map(h):
         firsts.append(here)
     offA, offB = crossed_offsets(src), crossed_offsets(tgt)
     phi = [[0] * offA[-1] for _ in range(offB[-1])]
-    for sp, s, a in zip(src.pieces, src.piece_offsets, offA):
-        for tp, t, b, b_end in zip(tgt.pieces, tgt.piece_offsets, offB,
-                                   offB[1:]):
+    for sp, s, a, s_exps in zip(src.pieces, src.piece_offsets, offA,
+                                src.piece_exponents):
+        for tp, t, b, b_end, t_exps in zip(tgt.pieces, tgt.piece_offsets,
+                                           offB, offB[1:],
+                                           tgt.piece_exponents):
             total = sum(F[t + k][s] for k in range(tp.block_count(p)))
             if sp.kind == "cycle":
                 for row in range(b, b_end):
@@ -130,7 +132,7 @@ def induced_map(h):
                 by_exp = [src.ctx.zero] * p
                 X = h.arrangements[t].conj.entries
                 cols = [c for q, c in firsts[t] if q == s]
-                for k, e in enumerate(tp.exponents(p)):
+                for k, e in enumerate(t_exps):
                     for c in cols:
                         x = X[k][c]
                         if x._nonzero:
@@ -138,7 +140,7 @@ def induced_map(h):
                 lam = [_multiplicity(x.rational_part(),
                                      "trace of block %d -> %d at exponent %d"
                                      % (s, t, d)) for d, x in enumerate(by_exp)]
-                e0 = sp.exponents(p)[0]
+                e0 = s_exps[0]
                 for rr in range(p):
                     phi[b + rr][a:a + p] = [lam[(rr - r + e0) % p]
                                             for r in range(p)]

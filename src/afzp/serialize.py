@@ -25,7 +25,7 @@ from . import FORMAT_VERSION
 from .classify import (IntertwiningCertificate, Tower, TriangleRecord)
 from .crossed import CrossedPresentation, crossed_product
 from .cyclo import FieldContext
-from .errors import ContextMismatch, FormatError, ShapeMismatch
+from .errors import ContextMismatch, FormatError, NotOrderP, ShapeMismatch
 from .kinv import KInvariant, KPair
 from .matrix import Mat
 from .report import Report
@@ -215,14 +215,8 @@ def _load(doc, ctx, fields, expect=None):
                     raise FormatError("piece size %r is not a positive "
                                       "integer" % (pc["n"],))
                 if pc["kind"] == "fixed":
-                    piece = IrredPiece("fixed", pc["n"],
-                                       _mat_load(pc["v"], ctx, fields))
-                    if piece.exponents(doc["p"]) is None:
-                        raise FormatError(
-                            "fixed piece v is not the %dx%d diagonal of "
-                            "p-th roots of unity with ascending exponents"
-                            % (pc["n"], pc["n"]))
-                    pieces.append(piece)
+                    pieces.append(IrredPiece("fixed", pc["n"],
+                                             _mat_load(pc["v"], ctx, fields)))
                 elif pc["kind"] == "cycle":
                     pieces.append(IrredPiece("cycle", pc["n"]))
                 else:
@@ -232,7 +226,14 @@ def _load(doc, ctx, fields, expect=None):
                 iso = BlockIso(list(doc["iso"]["block_map"]),
                                [_mat_load(z, ctx, fields)
                                 for z in doc["iso"]["conjugators"]])
-            return CanonicalForm(ctx, doc["p"], pieces, iso)
+            try:
+                return CanonicalForm(ctx, doc["p"], pieces, iso)
+            except NotOrderP:
+                n = next(pc.n for pc in pieces
+                         if pc.exponents(doc["p"]) is None)
+                raise FormatError(
+                    "fixed piece v is not the %dx%d diagonal of p-th roots "
+                    "of unity with ascending exponents" % (n, n)) from None
         if kind == "hom":
             src = _load(doc["source"], None, fields, "canonical")
             tgt = _load(doc["target"], src.ctx, fields, "canonical")

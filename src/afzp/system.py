@@ -32,6 +32,10 @@ two gaps.
   over the slots of fixed source blocks s, and a slot of a cycle block s
   is relabelled sigma(s), the block alpha reads from.
 * equal_as_maps: psi_1 = psi_2 iff X_1^dagger X_2 fits per target block.
+* classify.equiv_unitary: W_t = X_1 K X_2^dagger with K in the slot
+  pattern between h1's and h2's slots, and K M_2 = M_1 K on fixed
+  pieces for M_i = X_i^dagger V_t X_i, read from each hom's product
+  X_t^dagger V_t^dagger X_t U_t (_block_product).
 * decompose's rewriting a_i -> Z_i a_i Z_i^dagger (block i to canonical
   block b) is equivariant iff Z_j^dagger V_b^dagger Z_i impl[i] is scalar
   for j = sigma(i), whose canonical block must be the one b reads from.
@@ -180,10 +184,13 @@ class CanonicalForm:
         self.piece_offsets = []
         self.sigma = []       # block t reads from block sigma[t]
         self.block_v = []     # the fixed piece's V per block; None on cycles
+        self.piece_exponents = []   # IrredPiece.exponents per piece
         for idx, piece in enumerate(self.pieces):
-            if piece.exponents(self.p) is None:
+            exps = piece.exponents(self.p)
+            if exps is None:
                 raise NotOrderP("fixed piece %d is not a sorted diagonal of "
                                 "p-th roots of unity" % idx)
+            self.piece_exponents.append(exps)
             off = len(self.block_sizes)
             k = piece.block_count(self.p)
             self.piece_offsets.append(off)
@@ -583,17 +590,8 @@ def hom_validate(h):
             "flag %r with %d zero gaps" % (h.unital, gaps))
     if not rep.ok:
         return rep
-    for t, arr in enumerate(h.arrangements):
-        u, cols = [], []
-        for slot in arr.slots:
-            if slot.src is None:
-                u.extend([src.ctx.one] * slot.size)
-                cols.append((None, slot.size))
-            else:
-                u.extend(_v_diagonal(src, slot.src))
-                cols.append((src.sigma[slot.src], slot.size))
-        K = daggers[tgt.sigma[t]] * _diag_scaled(
-            _v_diagonal(tgt, t, conj=True), arr.conj, u)
+    for t in range(tgt.m):
+        K, cols = _block_product(h, t, daggers[tgt.sigma[t]])
         bad = _pattern_defect(K, _labels(h.arrangements[tgt.sigma[t]].slots),
                               cols)
         if bad is not None:
@@ -604,6 +602,25 @@ def hom_validate(h):
     rep.add("equivariance", True, "X_{sigma(t)}^dagger V_t^dagger X_t U_t "
             "lies in the slot commutant pattern at every target block t")
     return rep
+
+
+def _block_product(h, t, first):
+    """(first * V_t^dagger X_t U_t, column labels) at target block t of h:
+    V_t is the target's V (I on cycle blocks), U_t the source's V over
+    each slot (I on gaps and cycle blocks), and each slot's column is
+    labelled by the block alpha reads it from (None on a gap)."""
+    src = h.source
+    arr = h.arrangements[t]
+    u, cols = [], []
+    for slot in arr.slots:
+        if slot.src is None:
+            u.extend([src.ctx.one] * slot.size)
+            cols.append((None, slot.size))
+        else:
+            u.extend(_v_diagonal(src, slot.src))
+            cols.append((src.sigma[slot.src], slot.size))
+    return first * _diag_scaled(_v_diagonal(h.target, t, conj=True),
+                                arr.conj, u), cols
 
 
 def hom_compose(g, h):

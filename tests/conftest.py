@@ -4,12 +4,17 @@ import random
 import pytest
 
 from afzp._rat import RAT, is_integer
+from afzp.classify import (UniquenessWitness, WitnessEntry,
+                           _unitary_conjugator_search, conjugate_hom)
 from afzp.crossed import ExtendedHom, crossed_product
 from afzp.cyclo import FieldContext
-from afzp.errors import NonIntegralMultiplicity, ShapeMismatch
-from afzp.kinv import KPair
-from afzp.matrix import Mat, diag_root_exponents
-from afzp.system import CanonicalForm, IrredPiece, zero_tuple
+from afzp.errors import (CorrectionFailed, KDataMismatch,
+                         NonIntegralMultiplicity, ShapeMismatch,
+                         UnitaryNotFoundInField)
+from afzp.kinv import KPair, induced_map
+from afzp.matrix import Mat, blockdiag, diag_root_exponents
+from afzp.system import (CanonicalForm, IrredPiece, _pattern_defect,
+                         equal_as_maps, zero_tuple)
 
 
 _CTX_CACHE = {}
@@ -308,3 +313,216 @@ def vec_row_major(M):
         for j in range(M.cols):
             out.entries[i * M.cols + j][0] = M.entries[i][j]
     return out
+
+
+def _slot_positions(h, t):
+    """Offsets of each slot inside target block t's content coordinates."""
+    offs = []
+    pos = 0
+    for slot in h.arrangements[t].slots:
+        offs.append(pos)
+        pos += slot.size
+    return offs
+
+
+def _corner_isometry(h, t, blocks, interleave=False):
+    """Columns of the block-t conjugator at the slots whose source block
+    lies in `blocks`, in a canonical order: ascending source block, then
+    occurrence order. With interleave=True the order is occurrence-major
+    (occurrence 0 of every block, then occurrence 1, ...), the bundle
+    layout the packer uses for cycle pieces."""
+    ctx = h.source.ctx
+    arr = h.arrangements[t]
+    offs = _slot_positions(h, t)
+    per_block = {b: [] for b in blocks}
+    for idx, slot in enumerate(arr.slots):
+        if slot.src in per_block:
+            per_block[slot.src].append((offs[idx], slot.size))
+    ordered = sorted(per_block)
+    chosen = []
+    if interleave:
+        depth = max((len(v) for v in per_block.values()), default=0)
+        for b_idx in range(depth):
+            for b in ordered:
+                if b_idx < len(per_block[b]):
+                    chosen.append(per_block[b][b_idx])
+    else:
+        for b in ordered:
+            chosen.extend(per_block[b])
+    width = sum(size for _, size in chosen)
+    n = h.target.block_sizes[t]
+    X = Mat.zero(ctx, n, width)
+    col = 0
+    for off, size in chosen:
+        for j in range(size):
+            for i in range(n):
+                X.entries[i][col] = arr.conj.entries[i][off + j]
+            col += 1
+    return X
+
+
+def _pattern_extract(mat, copies, k):
+    """Interpret a (copies*k) square matrix as Bhat  x  I_k in copy-major
+    layout (entry ((c,i),(c',i')) = Bhat[c][c'] delta_{ii'}). Returns Bhat
+    or None if the pattern fails."""
+    slots = [(0, k)] * copies
+    if _pattern_defect(mat, slots, slots) is not None:
+        return None
+    return Mat(mat.ctx, copies, copies,
+               [[mat.entries[c * k][cc * k] for cc in range(copies)]
+                for c in range(copies)])
+
+
+def _expand_pattern(bhat, k):
+    ctx = bhat.ctx
+    copies = bhat.rows
+    out = Mat.zero(ctx, copies * k, copies * k)
+    for c in range(copies):
+        for cc in range(copies):
+            v = bhat.entries[c][cc]
+            if v.is_zero():
+                continue
+            for i in range(k):
+                out.entries[c * k + i][cc * k + i] = v
+    return out
+
+
+def corner_equiv_unitary(h1, h2):
+    """Oracle for classify.equiv_unitary: the same W and witness, built
+    from corner isometries (the columns of each conjugator at the slots
+    of one source piece) instead of slot coordinates."""
+    if not (h1.source.same_shape(h2.source)
+            and h1.target.same_shape(h2.target)):
+        raise KDataMismatch("homs do not share source and target")
+    kp1 = induced_map(h1)
+    kp2 = induced_map(h2)
+    if kp1.F != kp2.F or kp1.phi != kp2.phi:
+        raise KDataMismatch("induced invariant morphisms differ",
+                            left=(kp1.F, kp1.phi), right=(kp2.F, kp2.phi))
+    if not (h1.unital and h2.unital):
+        raise KDataMismatch("equivariant correction implemented for unital "
+                            "homs only")
+    src, tgt = h1.source, h1.target
+    ctx = src.ctx
+    p = src.p
+    witness = UniquenessWitness()
+    W = [None] * tgt.m
+    for ti, tp in enumerate(tgt.pieces):
+        toff = tgt.piece_offsets[ti]
+        if tp.kind == "fixed":
+            n = tp.n
+            V = tp.v
+            wt = Mat.zero(ctx, n, n)
+            for si, sp in enumerate(src.pieces):
+                soff = src.piece_offsets[si]
+                blocks = range(soff, soff + sp.block_count(p))
+                bundles = sp.kind == "cycle"
+                X1 = _corner_isometry(h1, toff, blocks, interleave=bundles)
+                X2 = _corner_isometry(h2, toff, blocks, interleave=bundles)
+                if X1.cols == 0:
+                    continue
+                K1 = X1.dagger() * V * X1
+                K2 = X2.dagger() * V * X2
+                if sp.kind == "fixed":
+                    k = sp.n
+                    copies = X1.cols // k
+                    ubig = blockdiag(ctx, [sp.v] * copies)
+                    L1 = K1 * ubig.dagger()
+                    L2 = K2 * ubig.dagger()
+                    L1h = _pattern_extract(L1, copies, k)
+                    L2h = _pattern_extract(L2, copies, k)
+                    if L1h is None or L2h is None:
+                        raise UnitaryNotFoundInField(
+                            "commutant element leaves the copy pattern; "
+                            "hom is not of product type")
+                    Z = _unitary_conjugator_search(L1h, L2h, p)
+                    G = _expand_pattern(Z, k)
+                    wt = wt + X1 * G * X2.dagger()
+                    witness.entries.append(
+                        WitnessEntry(ti, si, "FF", L=L1h, N=L2h, Z=Z))
+                else:
+                    k = sp.n
+                    c = X1.cols // (p * k)
+                    A1 = _cycle_corner_blocks(K1, p, c, k)
+                    A2 = _cycle_corner_blocks(K2, p, c, k)
+                    if A1 is None or A2 is None:
+                        raise UnitaryNotFoundInField(
+                            "crossing blocks leave the bundle pattern")
+                    # telescoping: G_0 = I, G_j = A1_j G_{j-1} A2_j^dagger
+                    Gj = [Mat.identity(ctx, c)]
+                    for j in range(1, p):
+                        Gj.append(A1[j] * Gj[j - 1] * A2[j].dagger())
+                    closure = A1[0] * Gj[p - 1] * A2[0].dagger()
+                    if closure != Gj[0]:
+                        raise CorrectionFailed(
+                            (ti, si), "cycle telescoping does not close")
+                    G = Mat.zero(ctx, p * c * k, p * c * k)
+                    for j in range(p):
+                        for b in range(c):
+                            for bb in range(c):
+                                v = Gj[j].entries[b][bb]
+                                if v.is_zero():
+                                    continue
+                                for w in range(k):
+                                    G.entries[_bjw(b, j, w, p, k)][
+                                        _bjw(bb, j, w, p, k)] = v
+                    wt = wt + X1 * G * X2.dagger()
+                    witness.entries.append(
+                        WitnessEntry(ti, si, "CF", L=A1, N=A2, Z=Gj))
+            W[toff] = wt
+        else:
+            X1 = _corner_isometry(h1, toff, range(src.m))
+            X2 = _corner_isometry(h2, toff, range(src.m))
+            w0 = X1 * X2.dagger()
+            for r in range(p):
+                W[toff + r] = w0
+            witness.entries.append(WitnessEntry(ti, -1, "cycle-target", Z=w0))
+    # exact re-verification before anything is returned
+    for t in range(tgt.m):
+        if not W[t].is_unitary():
+            raise CorrectionFailed(t, "corner sum is not unitary")
+    for ti, tp in enumerate(tgt.pieces):
+        toff = tgt.piece_offsets[ti]
+        if tp.kind == "fixed":
+            if W[toff] * tp.v != tp.v * W[toff]:
+                raise CorrectionFailed(ti, "W does not commute with the "
+                                           "implementing unitary")
+    corrected = conjugate_hom(W, h2)
+    if not equal_as_maps(corrected, h1):
+        raise CorrectionFailed("*", "Ad W o h2 differs from h1")
+    witness.W = W
+    return W, witness
+
+
+def _bjw(b, j, w, p, k):
+    """Position of (bundle b, cycle component j, inner index w) in the
+    bundle-major content layout used by the packer."""
+    return b * p * k + j * k + w
+
+
+def _cycle_corner_blocks(K, p, c, k):
+    """Extract the c x c bundle matrices A_j (scalar x I_k pattern) from
+    K, where K maps the (j-1)-component group into the j-component group;
+    None if K has support outside those corners or breaks the pattern."""
+    ctx = K.ctx
+    A = []
+    for j in range(p):
+        blk = Mat.zero(ctx, c, c)
+        A.append(blk)
+    for b in range(c):
+        for j in range(p):
+            for w in range(k):
+                row = _bjw(b, j, w, p, k)
+                for bb in range(c):
+                    for jj in range(p):
+                        for ww in range(k):
+                            col = _bjw(bb, jj, ww, p, k)
+                            e = K.entries[row][col]
+                            if jj == (j - 1) % p and ww == w:
+                                if w == 0:
+                                    A[j].entries[b][bb] = e
+                                elif A[j].entries[b][bb] != e:
+                                    return None
+                            elif not e.is_zero():
+                                return None
+    return A

@@ -1,22 +1,26 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from afzp._rat import RAT
 from afzp.classify import (IntertwiningCertificate, Tower, conjugate_hom,
                            equiv_unitary, intertwine, ksearch, lift,
-                           verify_certificate)
+                           validate_tower, verify_certificate)
+from afzp.cli import main
 from afzp.demos import identity_pairs, naive_doubling_tower, product_tower
-from afzp.errors import (CaseShapeViolation, KDataMismatch, PairCheckFailed,
-                         ReindexFailed)
+from afzp.errors import (AfzpError, CaseShapeViolation, KDataMismatch,
+                         PairCheckFailed, ReindexFailed)
 from afzp.kinv import (KPair, check_pair, imat_mul, induced_map, invariant_of,
                        ivec_mul)
-from afzp.matrix import Mat
-from afzp.serialize import dumps, loads
+from afzp.matrix import Mat, spectral
+from afzp.serialize import dumps, load_json, loads, save_json
 from afzp.system import (Arrangement, EqHom, Slot, equal_as_maps,
                          hom_compose, hom_validate)
 
-from conftest import (ctx_for, cycle_form, fixed_form, mixed_form, solve,
+from conftest import (corner_equiv_unitary, ctx_for, cycle_form, fixed_form,
+                      fixed_point_unitary, mixed_form, piece_specs, solve,
                       unit_tuple, vec_row_major)
 
 
@@ -334,9 +338,10 @@ def test_equiv_unitary_fourier_twisted_commutant():
                [Arrangement(list(h1.arrangements[0].slots),
                             h1.arrangements[0].conj * G)], unital=True)
     assert hom_validate(h2).ok and induced_map(h2) == kp
-    W, _ = equiv_unitary(h1, h2)
+    W, wit = equiv_unitary(h1, h2)
     assert equal_as_maps(conjugate_hom(W, h2), h1)
     assert intertwiner_space_membership(h1, h2, W)
+    assert _outcome(corner_equiv_unitary, h1, h2) == (W, wit.entries)
 
 
 def test_compose_cycle_case_embeddings_validates():
@@ -384,6 +389,217 @@ def test_equiv_unitary_cycle_to_fixed_variants():
     assert intertwiner_space_membership(h1, h2, W)
 
 
+def test_equiv_unitary_generalized_permutation_fallback(tmp_path):
+    """p = 3, three 1x1 slots: X1 is the Fourier matrix and X2 = X1 Q for
+    the transposition Q of slots 1 and 2, so the commutant elements are
+    L1 = S and L2 = S^2 for the cyclic shift S. Their eigenprojections
+    pair up only at eigenvalue 1, so the projection average is rank one
+    and only the generalized-permutation search finds Z."""
+    ctx = ctx_for(3)
+    src = fixed_form(ctx, [0])
+    tgt = fixed_form(ctx, [0, 1, 2])
+    ginv = ctx.sqrt_group_order().inv()
+    dft = Mat.from_rows(ctx, [[ctx.zeta_p(j * k) * ginv for k in range(3)]
+                              for j in range(3)])
+    h1, h2 = (EqHom(src, tgt, [Arrangement([Slot(0, 1) for _ in range(3)],
+                                           x)], unital=True)
+              for x in (dft, dft * Mat.permutation(ctx, [0, 2, 1])))
+    assert hom_validate(h1).ok and hom_validate(h2).ok
+    assert induced_map(h1) == induced_map(h2)
+    W, wit = equiv_unitary(h1, h2)
+    (entry,) = wit.entries
+    s1, s2 = spectral(entry.L, 3), spectral(entry.N, 3)
+    z0 = s1.projections[0] * s2.projections[0] + \
+        s1.projections[1] * s2.projections[1] + \
+        s1.projections[2] * s2.projections[2]
+    assert z0 * z0 == z0 and z0.trace() == ctx.one      # rank one
+    assert _outcome(corner_equiv_unitary, h1, h2) == (W, wit.entries)
+    V = tgt.pieces[0].v
+    assert W[0] * V == V * W[0]
+    assert equal_as_maps(conjugate_hom(W, h2), h1)
+    paths = [str(tmp_path / name) for name in ("h1.json", "h2.json", "w.json")]
+    save_json(paths[0], h1)
+    save_json(paths[1], h2)
+    assert main(["equiv", paths[0], paths[1], "--out", paths[2]]) == 0
+    assert load_json(paths[2]) == W
+
+
+def _commutant_twist(draw, h, t):
+    """A unitary commuting with target block t's slot embedding:
+    Z (x) I_k at the slots of one source block with c >= 2 slots there,
+    Z the p x p Fourier matrix on the first p of them (when c >= p) or a
+    cyclic shift of them times root-of-unity phases; the identity when no
+    source block repeats."""
+    ctx, p = h.source.ctx, h.source.p
+    starts, pos = {}, 0
+    for slot in h.arrangements[t].slots:
+        starts.setdefault(slot.src, []).append(pos)
+        pos += slot.size
+    twist = Mat.identity(ctx, h.target.block_sizes[t])
+    repeated = sorted(s for s, at in starts.items() if len(at) >= 2)
+    if not repeated:
+        return twist
+    s = draw(st.sampled_from(repeated))
+    at, k = starts[s], h.source.block_sizes[s]
+    c = len(at)
+    if c >= p and draw(st.booleans()):
+        ginv = ctx.sqrt_group_order().inv()
+        Z = Mat.identity(ctx, c)
+        for j in range(p):
+            for q in range(p):
+                Z.entries[j][q] = ctx.zeta_p(j * q) * ginv
+    else:
+        r = draw(st.integers(1, c - 1))
+        Z = Mat.permutation(ctx, [(j + r) % c for j in range(c)]) * Mat.diag(
+            ctx, [ctx.root(e) for e in draw(st.lists(
+                st.integers(0, ctx.order - 1), min_size=c, max_size=c))])
+    for a, ra in enumerate(at):
+        for b, rb in enumerate(at):
+            for w in range(k):
+                twist.entries[ra + w][rb + w] = Z.entries[a][b]
+    return twist
+
+
+def _receiving_form(draw, a, most):
+    """A form of one or two pieces that receives a unital hom from a:
+    each target piece takes, from each source piece, up to `most` copies
+    (a fixed piece at drawn phases, a cycle piece as whole bundles), or
+    up to 3 copies of a 1x1 fixed piece, enough for a Fourier twist at
+    p <= 3 (at p = 5 the permutation search could take 5! 5^5 steps)."""
+    ctx, p = a.ctx, a.p
+    specs = []
+    # two target pieces at p = 5 can make the pair search take a minute
+    for cycle in draw(st.lists(st.booleans(), min_size=1,
+                               max_size=1 if p == 5 else 2)):
+        exps, n = [], 0
+        for piece, e in zip(a.pieces, a.piece_exponents):
+            ds = draw(st.lists(st.integers(0, p - 1), max_size=3
+                               if piece.n == 1 and e else most))
+            if cycle:
+                n += len(ds) * piece.n
+            elif piece.kind == "fixed":
+                exps += [(x + d) % p for d in ds for x in e]
+            else:
+                exps += list(range(p)) * piece.n * len(ds)
+        if not (n or exps):
+            piece = a.pieces[0]
+            n = piece.n
+            exps = list(a.piece_exponents[0]) if piece.kind == "fixed" \
+                else list(range(p)) * piece.n
+        specs.append(("cycle", n) if cycle else ("fixed", sorted(exps)))
+    return mixed_form(ctx, specs)
+
+
+@st.composite
+def _equivalent_homs(draw):
+    """(h1, h2, other): h1 a lift from a form of at most two pieces into a
+    form built to receive it, and h2 with the same induced pair: Ad u o h1
+    for a fixed-point unitary u, or h1 with every conj right-multiplied by
+    a unitary in the commutant of its slots (then maybe moved by Ad u),
+    or, for h1 followed by a lift g, the composite g o h1 against the
+    lift of its pair, in either order. other is a lift of a different
+    pair over h1's forms, or None."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    ctx = ctx_for(p, None if p == 2 else p)
+    a = mixed_form(ctx, draw(st.lists(st.sampled_from(piece_specs(p, 2)),
+                                      min_size=1, max_size=2)))
+    b = _receiving_form(draw, a, 2)
+    pairs = ksearch(invariant_of(a), invariant_of(b), 3)
+    kp = draw(st.sampled_from(pairs))
+    h1 = lift(kp, a, b)
+    others = [q for q in pairs if q != kp]
+    other = lift(draw(st.sampled_from(others)), a, b) if others else None
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    how = draw(st.sampled_from(["moved", "commutant", "composite"]))
+    if how == "composite" and sum(b.block_sizes) <= 6:
+        c = _receiving_form(draw, b, 1)
+        later = ksearch(invariant_of(b), invariant_of(c), 3)
+        comp = hom_compose(lift(draw(st.sampled_from(later)), b, c), h1)
+        direct = lift(induced_map(comp), a, c)
+        return (comp, direct, None) if draw(st.booleans()) \
+            else (direct, comp, None)
+    h2 = h1
+    if how == "commutant":
+        h2 = EqHom(a, b, [Arrangement(list(arr.slots),
+                                      arr.conj * _commutant_twist(draw, h1, t))
+                          for t, arr in enumerate(h1.arrangements)],
+                   unital=True)
+    if how != "commutant" or draw(st.booleans()):
+        h2 = conjugate_hom(fixed_point_unitary(b, rng), h2)
+    return h1, h2, other
+
+
+def _outcome(equiv, h1, h2):
+    try:
+        W, wit = equiv(h1, h2)
+    except AfzpError as exc:
+        return type(exc)
+    return W, wit.entries
+
+
+def _shifted_copies():
+    """Three copies of a 1x1 fixed piece at phases 0, 1, 2 (p = 3), and
+    the same hom with its slots cyclically shifted: Z is a 3-cycle, so
+    placing it transposed would show."""
+    ctx = ctx_for(3)
+    h1 = lift(KPair([[3]], [[1] * 3] * 3), fixed_form(ctx, [0]),
+              fixed_form(ctx, [0, 1, 2]))
+    shift = Mat.permutation(ctx, [1, 2, 0])
+    h2 = EqHom(h1.source, h1.target,
+               [Arrangement(list(h1.arrangements[0].slots),
+                            h1.arrangements[0].conj * shift)], unital=True)
+    return h1, h2, None
+
+
+def _swapped_bundles():
+    """Two bundles of a cycle piece in one fixed block (p = 2), and the
+    same hom with the two slots of the cycle's block 0 swapped with a
+    phase: the G_j are monomials that are not symmetric."""
+    ctx = ctx_for(2)
+    h1 = lift(KPair([[2, 2]], [[2], [2]]), cycle_form(ctx, 1),
+              fixed_form(ctx, [0, 0, 1, 1]))
+    twist = Mat.permutation(ctx, [2, 1, 0, 3])
+    twist.entries[0][2] = ctx.root(1)
+    h2 = EqHom(h1.source, h1.target,
+               [Arrangement(list(h1.arrangements[0].slots),
+                            h1.arrangements[0].conj * twist)], unital=True)
+    return h1, h2, None
+
+
+@settings(max_examples=60, deadline=None)
+@example(_shifted_copies(), (0, 0, 0))
+@example(_swapped_bundles(), (0, 0, 0))
+@given(_equivalent_homs(), st.tuples(*[st.integers(0, 2 ** 16)] * 3))
+def test_equiv_unitary_matches_corner_oracle(homs, corruption):
+    """equiv_unitary and its corner-isometry oracle return identical W and
+    witness on homs with equal pairs. Against a hom of another pair, or
+    one with a conj column scaled by a root of unity so it is no longer
+    equivariant, both raise."""
+    h1, h2, other = homs
+    assert hom_validate(h1).ok and hom_validate(h2).ok
+    assert _outcome(equiv_unitary, h1, h2) == \
+        _outcome(corner_equiv_unitary, h1, h2)
+    ctx = h2.source.ctx
+    t = corruption[0] % h2.target.m
+    scale = [ctx.one] * h2.target.block_sizes[t]
+    scale[corruption[1] % len(scale)] = ctx.root(
+        1 + corruption[2] % (ctx.order - 1))
+    arrs = [Arrangement(list(arr.slots), arr.conj) for arr in h2.arrangements]
+    arrs[t].conj = arrs[t].conj * Mat.diag(ctx, scale)
+    bad = EqHom(h2.source, h2.target, arrs, unital=True)
+    for x, y in ((h1, other), (h1, bad), (bad, h1)):
+        if y is None:
+            continue
+        if hom_validate(x).ok and hom_validate(y).ok \
+                and induced_map(x) == induced_map(y):
+            assert _outcome(equiv_unitary, x, y) == \
+                _outcome(corner_equiv_unitary, x, y)
+            continue
+        for equiv in (equiv_unitary, corner_equiv_unitary):
+            with pytest.raises(AfzpError):
+                equiv(x, y)
+
+
 # -- towers and certificates --------------------------------------------------
 
 def test_self_intertwine_with_identity_pairs():
@@ -392,6 +608,22 @@ def test_self_intertwine_with_identity_pairs():
     rep = verify_certificate(cert)
     assert rep.ok, rep.summary()
     assert cert.a_stages == [0, 1, 2]
+
+
+def test_intertwine_validates_each_tower_once(monkeypatch):
+    seen = []
+
+    def counted(tower):
+        seen.append(tower)
+        return validate_tower(tower)
+
+    monkeypatch.setattr("afzp.classify.validate_tower", counted)
+    tA, tB = product_tower(2, 2), product_tower(2, 2, resorted=True)
+    intertwine(tA, tA, depth=2)
+    assert seen == [tA]
+    seen.clear()
+    intertwine(tA, tB, depth=2)
+    assert seen == [tA, tB]
 
 
 def test_intertwine_against_resorted_variant():
