@@ -2,14 +2,11 @@
 
 Scalars of Q(zeta_N) keep their own integer numerators over one
 denominator (see cyclo); RAT serves the rational values around them:
-multiplicities and traces, the inverse's extended Euclid and decoding
-coefficient strings.
+multiplicities and traces, rational inverses and decoding coefficient
+strings.
 """
 
 from fractions import Fraction as RAT
-
-R0 = RAT(0)
-R1 = RAT(1)
 
 
 def rat_from_str(s):

@@ -1,12 +1,12 @@
 """Existence, uniqueness and intertwining.
 
 lift() turns an invariant morphism that passes every pair check into an
-explicit unital equivariant hom, by slicing the pair along piece
-boundaries, checking the four forced sub-block shapes
-(fixed->fixed circulant, fixed->cycle constant row, cycle->fixed
-constant column, cycle->cycle circulant) and packing eigenvalue budgets
-deterministically: source pieces in canonical order, phases in
-increasing exponent, positions in increasing index.
+explicit unital equivariant hom. The checks force each (source piece,
+target piece) sub-block of the pair into one of four shapes (fixed->fixed
+circulant, fixed->cycle constant row, cycle->fixed constant column,
+cycle->cycle circulant), so its first column is the plan; eigenvalue
+budgets are packed deterministically: source pieces in canonical order,
+phases in increasing exponent, positions in increasing index.
 
 equiv_unitary() produces, for two homs with the same induced invariant
 morphism, a unitary W in the fixed-point algebra of the target with
@@ -14,19 +14,20 @@ Ad W o h2 = h1, built per target block in slot coordinates from
 commutant elements of finite order; everything is re-verified exactly
 before returning.
 
-intertwine() runs the finite-depth intertwining argument: lift the
-invariant morphisms stage by stage, correct each triangle by an inner
-equivariant unitary, and record a certificate whose re-verification
-recomputes every identity from scratch.
+intertwine() runs the finite-depth intertwining argument on consecutive
+stages 0 .. n-1 of both towers, as one zigzag step taken twice per
+stage (A_i -> B_i, then B_i -> A_{i+1}): pick the invariant morphism,
+lift it, and correct the lift by an inner equivariant unitary so the
+triangle with the previous hom commutes exactly. The certificate's
+re-verification recomputes every identity from scratch.
 """
 
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import (CaseShapeViolation, CorrectionFailed, KDataMismatch,
-                     LiftFailed, NotOrderP, PackingInfeasible,
-                     PairCheckFailed, ReindexFailed, UnitaryNotFoundInField,
-                     AfzpError)
+from .errors import (CorrectionFailed, KDataMismatch, LiftFailed, NotOrderP,
+                     PackingInfeasible, PairCheckFailed, ReindexFailed,
+                     UnitaryNotFoundInField, AfzpError)
 from .crossed import crossed_offsets
 from .kinv import (KPair, check_pair, compose_pairs, imat_mul, induced_map,
                    invariant_of, ivec_mul)
@@ -46,75 +47,30 @@ __all__ = ["lift", "equiv_unitary", "ksearch", "Tower", "intertwine",
 # ---------------------------------------------------------------------------
 
 
-def _slice(mat, rows, cols):
-    return [[mat[r][c] for c in cols] for r in rows]
-
-
 def _case_params(kp, srcC, tgtC):
-    """Per (source piece, target piece) case tag and multiplicity data.
-
-    Raises CaseShapeViolation naming the sub-block when a slice does not
-    have the shape forced by equivariance.
-    """
+    """Per (source piece, target piece) case tag and multiplicity data,
+    read from the first column of each sub-block. check_pair has already
+    forced every sub-block into the shape equivariance demands:
+    F act_A = act_B F makes FC columns and CF rows constant and CC
+    slices circulant, phi dualAct_A = dualAct_B phi makes FF slices
+    circulant, and the embedding square ties their sums together."""
     p = srcC.p
     srcK = crossed_offsets(srcC)
     tgtK = crossed_offsets(tgtC)
     plans = {}
     for ti, tp in enumerate(tgtC.pieces):
+        t = tgtC.piece_offsets[ti]
         for si, sp in enumerate(srcC.pieces):
-            frows = range(tgtC.piece_offsets[ti],
-                          tgtC.piece_offsets[ti] + tp.block_count(p))
-            fcols = range(srcC.piece_offsets[si],
-                          srcC.piece_offsets[si] + sp.block_count(p))
-            prows = range(tgtK[ti], tgtK[ti + 1])
-            pcols = range(srcK[si], srcK[si + 1])
-            fsub = _slice(kp.F, frows, fcols)
-            psub = _slice(kp.phi, prows, pcols)
+            s = srcC.piece_offsets[si]
             tag = ("F" if sp.kind == "fixed" else "C") + \
                   ("F" if tp.kind == "fixed" else "C")
-            where = "source piece %d -> target piece %d" % (si, ti)
             if tag == "FF":
-                lam = [psub[d][0] for d in range(p)]
-                for r in range(p):
-                    for c in range(p):
-                        if psub[r][c] != lam[(r - c) % p]:
-                            raise CaseShapeViolation(
-                                "phi sub-block not circulant at %s" % where)
-                if sum(lam) != fsub[0][0]:
-                    raise CaseShapeViolation(
-                        "phi row sum differs from F entry at %s" % where)
-                plans[(si, ti)] = ("FF", lam)
-            elif tag == "FC":
-                cval = fsub[0][0]
-                if any(fsub[r][0] != cval for r in range(p)):
-                    raise CaseShapeViolation(
-                        "F sub-block not a constant column at %s" % where)
-                if any(psub[0][c] != cval for c in range(p)):
-                    raise CaseShapeViolation(
-                        "phi sub-block not the matching constant row at %s"
-                        % where)
-                plans[(si, ti)] = ("FC", cval)
-            elif tag == "CF":
-                cval = fsub[0][0]
-                if any(fsub[0][c] != cval for c in range(p)):
-                    raise CaseShapeViolation(
-                        "F sub-block not a constant row at %s" % where)
-                if any(psub[r][0] != cval for r in range(p)):
-                    raise CaseShapeViolation(
-                        "phi sub-block not the matching constant column at %s"
-                        % where)
-                plans[(si, ti)] = ("CF", cval)
+                data = [kp.phi[tgtK[ti] + d][srcK[si]] for d in range(p)]
+            elif tag == "CC":
+                data = [kp.F[t + d][s] for d in range(p)]
             else:
-                fvec = [fsub[d][0] for d in range(p)]
-                for r in range(p):
-                    for c in range(p):
-                        if fsub[r][c] != fvec[(r - c) % p]:
-                            raise CaseShapeViolation(
-                                "F sub-block not circulant at %s" % where)
-                if psub[0][0] != sum(fvec):
-                    raise CaseShapeViolation(
-                        "phi entry differs from F row sum at %s" % where)
-                plans[(si, ti)] = ("CC", fvec)
+                data = kp.F[t][s]
+            plans[(si, ti)] = (tag, data)
     return plans
 
 
@@ -602,12 +558,12 @@ class IntertwiningCertificate:
 def intertwine(tA, tB, pairs=None, depth=3):
     """Finite-depth intertwining with exact triangle identities.
 
-    pairs may be a list of invariant morphisms A_i -> B_i (one per used
-    stage, so at most len(pairs) stages are used) or None for exhaustive
-    search over the invariant morphisms the unit classes allow. The construction walks forward and backward
-    alternately, lifting each invariant morphism and correcting the
-    newest hom by an inner equivariant unitary so every triangle commutes
-    exactly.
+    Stage i of each tower is used for i < steps, steps the least of
+    depth, the two tower lengths and len(pairs). Each stage takes two
+    zigzag steps: psi_i: A_i -> B_i, then (unless it is the last)
+    chi_i: B_i -> A_{i+1}. pairs may give the invariant morphism of
+    every psi_i; otherwise, and for every chi_i, the first ksearch
+    candidate closing the invariant triangle is taken.
     """
     # a tower intertwined with itself is validated once
     for name, tower in (("A", tA), ("B", tB))[:2 - (tB is tA)]:
@@ -620,109 +576,69 @@ def intertwine(tA, tB, pairs=None, depth=3):
     if steps < 1:
         raise ReindexFailed("nothing to intertwine: the depth, the towers "
                             "and the pairs leave no stage")
-    invsA = [invariant_of(s) for s in tA.systems]
-    invsB = [invariant_of(s) for s in tB.systems]
-    connA = [induced_map(h) for h in tA.maps]
-    connB = [induced_map(h) for h in tB.maps]
-    a_stages = []
-    b_stages = []
-    forward = []
-    backward = []
-    used_pairs = []
-    triangles = []
-    ai = bi = 0
-    for step in range(steps):
-        a_stages.append(ai)
-        b_stages.append(bi)
-        # choose forward pair
-        if pairs is not None:
-            kp = pairs[step]
-            if not check_pair(kp, invsA[ai], invsB[bi]).ok:
-                raise ReindexFailed(
-                    "given pair %d fails the invariant checks at stages "
-                    "A%d -> B%d" % (step, ai, bi))
-            if step > 0:
-                want = compose_pairs(kp, backward_kp)
-                have = _compose_range(connB, b_stages[step - 1], bi)
-                if want != have:
-                    raise ReindexFailed(
-                        "given pair %d does not close the invariant "
-                        "triangle at B%d -> B%d" % (step, b_stages[step - 1],
-                                                    bi))
-            fkp = kp
-        else:
-            fkp = None
-            for cand in ksearch(invsA[ai], invsB[bi]):
-                if step == 0:
-                    fkp = cand
-                    break
-                want = _compose_range(connB, b_stages[step - 1], bi)
-                if compose_pairs(cand, backward_kp) == want:
-                    fkp = cand
-                    break
-            if fkp is None:
-                raise ReindexFailed(
-                    "no invariant morphism from A%d to B%d closes the "
-                    "previous triangle" % (ai, bi))
-        try:
-            psi = lift(fkp, tA.systems[ai], tB.systems[bi])
-        except AfzpError as exc:
-            raise LiftFailed(("A%d->B%d" % (ai, bi)), exc)
-        if step > 0:
-            # close triangle: psi o chi_prev = conn B
-            conn = tB.connecting(b_stages[step - 1], bi)
-            composite = hom_compose(psi, backward[-1])
-            try:
-                w, _ = equiv_unitary(conn, composite)
-            except AfzpError as exc:
-                raise CorrectionFailed(("B%d->B%d" % (b_stages[step - 1], bi)),
-                                       exc)
-            psi = conjugate_hom(w, psi)
-            triangles.append(TriangleRecord("B", b_stages[step - 1], bi, w))
-        forward.append(psi)
-        used_pairs.append(fkp)
-        if step == steps - 1 or ai + 1 >= len(tA.systems) \
-                or bi + 1 >= len(tB.systems):
-            break
-        # backward pair: B_bi -> A_{ai+1} closing the A triangle
-        next_ai = ai + 1
-        want = _compose_range(connA, ai, next_ai)
-        backward_kp = None
-        for cand in ksearch(invsB[bi], invsA[next_ai]):
-            if compose_pairs(cand, fkp) == want:
-                backward_kp = cand
-                break
-        if backward_kp is None:
+    cert = IntertwiningCertificate(tA, tB, list(range(steps)),
+                                   list(range(steps)), [], [], [], [])
+    prev = None
+    for i in range(steps):
+        prev = _zigzag(cert, ("A", tA, i), ("B", tB, i), prev,
+                       None if pairs is None else pairs[i])
+        cert.forward.append(prev[0])
+        cert.pairs.append(prev[1])
+        if i + 1 < steps:
+            prev = _zigzag(cert, ("B", tB, i), ("A", tA, i + 1), prev, None)
+            cert.backward.append(prev[0])
+    return cert
+
+
+def _zigzag(cert, source, target, prev, given):
+    """One zigzag step X_i -> Y_j; returns (hom, pair).
+
+    prev is None at the first step, else the (hom, pair) of the previous
+    step Y_{j-1} -> X_i. The pair is `given`, checked by check_pair and,
+    with prev, by closing the invariant triangle (pair o prev's pair is
+    the pair of Y's map j-1 -> j), or else the first ksearch candidate
+    that closes it. With prev, the lift is corrected by an inner
+    equivariant unitary so that hom o prev is that map exactly, and the
+    triangle is recorded in cert.
+    """
+    X, tX, i = source
+    Y, tY, j = target
+    invX = invariant_of(tX.systems[i])
+    invY = invariant_of(tY.systems[j])
+    if prev is not None:
+        conn = tY.maps[j - 1]
+        want = induced_map(conn)
+        triangle = "%s%d -> %s%d" % (Y, j - 1, Y, j)
+    if given is not None:
+        if not check_pair(given, invX, invY).ok:
             raise ReindexFailed(
-                "no invariant morphism from B%d to A%d closes the forward "
-                "triangle" % (bi, next_ai))
+                "given pair %d fails the invariant checks at stages "
+                "%s%d -> %s%d" % (i, X, i, Y, j))
+        if prev is not None and compose_pairs(given, prev[1]) != want:
+            raise ReindexFailed("given pair %d does not close the invariant "
+                                "triangle at %s" % (i, triangle))
+        kp = given
+    else:
+        kp = next((c for c in ksearch(invX, invY)
+                   if prev is None or compose_pairs(c, prev[1]) == want),
+                  None)
+        if kp is None:
+            raise ReindexFailed(
+                "no invariant morphism from %s%d to %s%d%s"
+                % (X, i, Y, j, "" if prev is None
+                   else " closes the triangle at " + triangle))
+    try:
+        h = lift(kp, tX.systems[i], tY.systems[j])
+    except AfzpError as exc:
+        raise LiftFailed("%s%d->%s%d" % (X, i, Y, j), exc)
+    if prev is not None:
         try:
-            chi = lift(backward_kp, tB.systems[bi], tA.systems[next_ai])
+            w, _ = equiv_unitary(conn, hom_compose(h, prev[0]))
         except AfzpError as exc:
-            raise LiftFailed(("B%d->A%d" % (bi, next_ai)), exc)
-        conn = tA.connecting(ai, next_ai)
-        composite = hom_compose(chi, psi)
-        try:
-            w, _ = equiv_unitary(conn, composite)
-        except AfzpError as exc:
-            raise CorrectionFailed(("A%d->A%d" % (ai, next_ai)), exc)
-        chi = conjugate_hom(w, chi)
-        triangles.append(TriangleRecord("A", ai, next_ai, w))
-        backward.append(chi)
-        ai = next_ai
-        bi = bi + 1
-    return IntertwiningCertificate(tA, tB, a_stages, b_stages, forward,
-                                   backward, triangles, used_pairs)
-
-
-def _compose_range(conns, i, j):
-    """Invariant morphism of the composite connecting map stage i -> j."""
-    if i == j:
-        raise ValueError("empty range")
-    kp = conns[i]
-    for k in range(i + 1, j):
-        kp = compose_pairs(conns[k], kp)
-    return kp
+            raise CorrectionFailed("%s%d->%s%d" % (Y, j - 1, Y, j), exc)
+        h = conjugate_hom(w, h)
+        cert.triangles.append(TriangleRecord(Y, j - 1, j, w))
+    return h, kp
 
 
 def verify_certificate(cert):

@@ -14,7 +14,7 @@ reporting only.
 import math
 from operator import add, sub
 
-from ._rat import RAT, R0, R1, rat_from_str
+from ._rat import RAT, rat_from_str
 from .errors import ContextMismatch, DivisionByZero, TwistRootOutsideField
 
 __all__ = [
@@ -365,14 +365,30 @@ class Scalar:
         return _scalar(self.ctx, tuple(out), self.den)
 
     def inv(self):
-        """Field inverse via the extended Euclidean algorithm mod Phi_N:
-        (num/den)^-1 = den * num^-1."""
+        """Field inverse. A rational inverts directly. Otherwise the
+        product G of num's other Galois conjugates (zeta_N -> zeta_N^k,
+        1 < k < N, gcd(k, N) = 1) has num * G = Norm(num), a positive
+        integer because Q(zeta_N) is a CM field for N >= 3, so
+        (num/den)^-1 = den * G / Norm(num)."""
         if not self._nonzero:
             raise DivisionByZero("inverse of zero")
-        phi = [RAT(c) for c in cyclotomic_poly(self.ctx.order)]
-        inv_poly = _poly_ext_inverse([RAT(x) for x in self.num], phi)
-        inv_poly += [R0] * (self.ctx.degree - len(inv_poly))
-        return Scalar(self.ctx, [self.den * c for c in inv_poly])
+        ctx = self.ctx
+        a = self.num
+        if not any(a[1:]):
+            return ctx.scalar(RAT(self.den, a[0]))
+        N = ctx.order
+        g = ctx.one
+        for k in range(2, N):
+            if math.gcd(k, N) == 1:
+                out = [0] * ctx.degree
+                for j, x in enumerate(a):
+                    if x:
+                        for i, r in enumerate(ctx._xpow[j * k % N]):
+                            if r:
+                                out[i] += x * r
+                g = g * _scalar(ctx, tuple(out), 1)
+        norm = (_scalar(ctx, a, 1) * g).num[0]
+        return _reduced(ctx, tuple([self.den * x for x in g.num]), norm)
 
     def rational_part(self):
         """The rational number this scalar equals, or None."""
@@ -433,64 +449,6 @@ def _combine(a, b, op):
     sa, sb = db // g, da // g
     return _reduced(a.ctx, tuple([op(x * sa, y * sb)
                                   for x, y in zip(a.num, b.num)]), da * sa)
-
-
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    q = [R0] * max(0, len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i] == 0:
-            continue
-        f = a[i] / b[db]
-        q[i - db] = f
-        for j in range(db + 1):
-            a[i - db + j] -= f * b[j]
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_ext_inverse(a, mod):
-    """Inverse of polynomial a modulo mod over the rationals."""
-    # extended Euclid: r0 = mod, r1 = a
-    r0, r1 = list(mod), _poly_trim(list(a))
-    s0, s1 = [], [R1]  # coefficients applying to a
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        s = _poly_sub(s0, _poly_mul(q, s1))
-        r0, r1 = r1, r
-        s0, s1 = s1, s
-    # r0 = gcd (a nonzero constant, since Phi_N is irreducible)
-    assert len(r0) == 1, "gcd with cyclotomic modulus not constant"
-    c = r0[0]
-    return [x / c for x in s0]
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [R0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [R0] * n
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _poly_trim(out)
 
 
 def make_root(ctx, k):

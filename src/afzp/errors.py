@@ -75,11 +75,6 @@ class PairCheckFailed(AfzpError):
         self.report = report
 
 
-class CaseShapeViolation(AfzpError):
-    """A sub-block of (F, phi) does not have the shape forced by
-    equivariance; names the offending sub-block."""
-
-
 class PackingInfeasible(AfzpError):
     """Eigenvalue/size budget cannot be met (defensive; unreachable when
     the pair check passed)."""

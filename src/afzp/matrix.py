@@ -65,10 +65,6 @@ class Mat:
             m.entries[i][j] = ctx.one
         return m
 
-    def copy(self):
-        return Mat(self.ctx, self.rows, self.cols,
-                   [row[:] for row in self.entries])
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):

@@ -6,7 +6,7 @@ import pytest
 from afzp._rat import RAT, is_integer
 from afzp.classify import (UniquenessWitness, WitnessEntry,
                            _unitary_conjugator_search, conjugate_hom)
-from afzp.crossed import ExtendedHom, crossed_product
+from afzp.crossed import ExtendedHom, crossed_offsets, crossed_product
 from afzp.cyclo import FieldContext
 from afzp.errors import (CorrectionFailed, KDataMismatch,
                          NonIntegralMultiplicity, ShapeMismatch,
@@ -220,6 +220,84 @@ def roundtrip_induced(h):
                           % (b, r)) for b, col in enumerate(columns)]
            for r in range(cpB.m)]
     return KPair(F, phi, unital=h.unital)
+
+
+class CaseShapeViolation(Exception):
+    """A sub-block of (F, phi) lacks the shape equivariance forces."""
+
+
+def _slice(mat, rows, cols):
+    return [[mat[r][c] for c in cols] for r in rows]
+
+
+def checked_case_params(kp, srcC, tgtC):
+    """Oracle for classify._case_params, which reads each plan from the
+    first column of its sub-block: slices (F, phi) along piece boundaries
+    and checks the shape equivariance forces on every sub-block
+    (circulant fixed->fixed phi and cycle->cycle F, constant
+    fixed->cycle and cycle->fixed F lines with the matching phi lines,
+    and their sums) before reading the same plan. Raises
+    CaseShapeViolation naming the sub-block."""
+    p = srcC.p
+    srcK = crossed_offsets(srcC)
+    tgtK = crossed_offsets(tgtC)
+    plans = {}
+    for ti, tp in enumerate(tgtC.pieces):
+        for si, sp in enumerate(srcC.pieces):
+            frows = range(tgtC.piece_offsets[ti],
+                          tgtC.piece_offsets[ti] + tp.block_count(p))
+            fcols = range(srcC.piece_offsets[si],
+                          srcC.piece_offsets[si] + sp.block_count(p))
+            prows = range(tgtK[ti], tgtK[ti + 1])
+            pcols = range(srcK[si], srcK[si + 1])
+            fsub = _slice(kp.F, frows, fcols)
+            psub = _slice(kp.phi, prows, pcols)
+            tag = ("F" if sp.kind == "fixed" else "C") + \
+                  ("F" if tp.kind == "fixed" else "C")
+            where = "source piece %d -> target piece %d" % (si, ti)
+            if tag == "FF":
+                lam = [psub[d][0] for d in range(p)]
+                for r in range(p):
+                    for c in range(p):
+                        if psub[r][c] != lam[(r - c) % p]:
+                            raise CaseShapeViolation(
+                                "phi sub-block not circulant at %s" % where)
+                if sum(lam) != fsub[0][0]:
+                    raise CaseShapeViolation(
+                        "phi row sum differs from F entry at %s" % where)
+                plans[(si, ti)] = ("FF", lam)
+            elif tag == "FC":
+                cval = fsub[0][0]
+                if any(fsub[r][0] != cval for r in range(p)):
+                    raise CaseShapeViolation(
+                        "F sub-block not a constant column at %s" % where)
+                if any(psub[0][c] != cval for c in range(p)):
+                    raise CaseShapeViolation(
+                        "phi sub-block not the matching constant row at %s"
+                        % where)
+                plans[(si, ti)] = ("FC", cval)
+            elif tag == "CF":
+                cval = fsub[0][0]
+                if any(fsub[0][c] != cval for c in range(p)):
+                    raise CaseShapeViolation(
+                        "F sub-block not a constant row at %s" % where)
+                if any(psub[r][0] != cval for r in range(p)):
+                    raise CaseShapeViolation(
+                        "phi sub-block not the matching constant column at %s"
+                        % where)
+                plans[(si, ti)] = ("CF", cval)
+            else:
+                fvec = [fsub[d][0] for d in range(p)]
+                for r in range(p):
+                    for c in range(p):
+                        if fsub[r][c] != fvec[(r - c) % p]:
+                            raise CaseShapeViolation(
+                                "F sub-block not circulant at %s" % where)
+                if psub[0][0] != sum(fvec):
+                    raise CaseShapeViolation(
+                        "phi entry differs from F row sum at %s" % where)
+                plans[(si, ti)] = ("CC", fvec)
+    return plans
 
 
 @pytest.fixture

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from afzp._rat import RAT
-from afzp.classify import (IntertwiningCertificate, Tower, conjugate_hom,
-                           equiv_unitary, intertwine, ksearch, lift,
-                           validate_tower, verify_certificate)
+from afzp.classify import (IntertwiningCertificate, Tower, _case_params,
+                           conjugate_hom, equiv_unitary, intertwine, ksearch,
+                           lift, validate_tower, verify_certificate)
 from afzp.cli import main
 from afzp.demos import identity_pairs, naive_doubling_tower, product_tower
-from afzp.errors import (AfzpError, CaseShapeViolation, KDataMismatch,
-                         PairCheckFailed, ReindexFailed)
+from afzp.errors import (AfzpError, KDataMismatch, PairCheckFailed,
+                         ReindexFailed)
 from afzp.kinv import (KPair, check_pair, imat_mul, induced_map, invariant_of,
                        ivec_mul)
 from afzp.matrix import Mat, spectral
@@ -19,7 +19,8 @@ from afzp.serialize import dumps, load_json, loads, save_json
 from afzp.system import (Arrangement, EqHom, Slot, equal_as_maps,
                          hom_compose, hom_validate)
 
-from conftest import (corner_equiv_unitary, ctx_for, cycle_form, fixed_form,
+from conftest import (CaseShapeViolation, checked_case_params,
+                      corner_equiv_unitary, ctx_for, cycle_form, fixed_form,
                       fixed_point_unitary, mixed_form, piece_specs, solve,
                       unit_tuple, vec_row_major)
 
@@ -659,6 +660,28 @@ def test_intertwine_stops_at_the_last_given_pair():
             intertwine(tower, tower, pairs=pairs, depth=depth)
 
 
+def test_intertwine_rejects_given_pairs_that_fail_or_do_not_close():
+    # fails check_pair at step 0: F doubles the unit class
+    tower = product_tower(2, 2)
+    good = identity_pairs(tower, 2)
+    with pytest.raises(ReindexFailed, match="given pair 0 fails"):
+        intertwine(tower, tower, pairs=[KPair([[2]], good[0].phi), good[1]],
+                   depth=2)
+    # M2 with diag(1, -1), mapped to itself by the identity: swapping the
+    # two crossed classes passes check_pair at step 1 but does not close
+    # the triangle the backward hom opened
+    ctx = ctx_for(2)
+    f01 = fixed_form(ctx, [0, 1])
+    ident = KPair([[1]], [[1, 0], [0, 1]])
+    swap = KPair([[1]], [[0, 1], [1, 0]])
+    tower = Tower([f01, f01], [lift(ident, f01, f01)])
+    assert check_pair(swap, invariant_of(f01), invariant_of(f01)).ok
+    assert verify_certificate(
+        intertwine(tower, tower, pairs=[ident, ident], depth=2)).ok
+    with pytest.raises(ReindexFailed, match="given pair 1 does not close"):
+        intertwine(tower, tower, pairs=[ident, swap], depth=2)
+
+
 def test_certificate_serialization_roundtrip_and_replay():
     tower = product_tower(2, 3)
     cert = intertwine(tower, tower, pairs=identity_pairs(tower, 3), depth=3)
@@ -706,12 +729,26 @@ def test_intertwine_reports_reindex_failure():
         intertwine(tA, tB, depth=2)
 
 
-def test_case_shape_violation_reported():
-    # hand-made pair with non-circulant phi sneaking past nothing: the
-    # slicer names the offending sub-block
+def test_case_shape_oracle_and_lift_reject_a_non_circulant_pair():
+    # a hand-made pair whose phi is not circulant: the checking slicer
+    # names the sub-block, and lift refuses it at check_pair before
+    # reading any plan
     ctx = ctx_for(2)
     src = fixed_form(ctx, [0, 1])
     tgt = fixed_form(ctx, [0, 1])
-    from afzp.classify import _case_params
+    kp = KPair([[1]], [[1, 1], [0, 1]])
     with pytest.raises(CaseShapeViolation):
-        _case_params(KPair([[1]], [[1, 1], [0, 1]]), src, tgt)
+        checked_case_params(kp, src, tgt)
+    with pytest.raises(PairCheckFailed):
+        lift(kp, src, tgt)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_case_params_reads_the_plans_the_checking_slicer_derives(p):
+    seen = 0
+    for src, tgt in _oracle_grid(p):
+        for kp in ksearch(invariant_of(src), invariant_of(tgt)):
+            assert _case_params(kp, src, tgt) == \
+                checked_case_params(kp, src, tgt)
+            seen += 1
+    assert seen > 0

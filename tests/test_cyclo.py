@@ -137,6 +137,17 @@ def test_inverse_roundtrip_many(rng):
         count += 1
 
 
+def test_dense_inverse_at_degree_40(rng):
+    # the norm-based inverse on fully dense elements of Q(zeta_100)
+    ctx = ctx_for(5)
+    assert ctx.degree == 40
+    for _ in range(5):
+        b = Scalar(ctx, [RAT(rng.choice([-1, 1]) * rng.randint(1, 6),
+                             rng.randint(1, 6)) for _ in range(ctx.degree)])
+        assert all(b.num)
+        assert b * b.inv() == ctx.one
+
+
 def test_roots_are_unimodular():
     for p in (2, 3, 5):
         ctx = ctx_for(p, p * p)
@@ -201,7 +212,8 @@ def _agree(new, ref):
 def test_integer_vector_scalars_match_fraction_reference(data):
     p, order = data.draw(st.sampled_from(_FIELDS))
     ctx, ref = ctx_for(p, order), _REF[p, order]
-    # a dense inverse at degree 40 takes half a second by extended Euclid
+    # the oracle's extended Euclid takes half a second on a dense inverse
+    # at degree 40
     va = data.draw(_vectors(ctx.degree))
     vb = data.draw(_vectors(ctx.degree, dense=ctx.degree <= 20))
     a, b = Scalar(ctx, va), Scalar(ctx, vb)

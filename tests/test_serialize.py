@@ -162,3 +162,13 @@ def test_self_intertwined_product_tower_bytes_are_pinned(p, depth, resorted,
     cert = intertwine(tower, other, pairs=identity_pairs(tower, depth),
                       depth=depth)
     assert hashlib.sha256(dumps(cert).encode()).hexdigest() == digest
+
+
+def test_searched_pair_certificate_bytes_are_pinned():
+    """With no given pairs every zigzag step takes the first ksearch
+    candidate closing its triangle; the digest was taken before the
+    forward and backward steps shared one code path."""
+    cert = intertwine(product_tower(2, 3), product_tower(2, 3, resorted=True),
+                      depth=3)
+    assert hashlib.sha256(dumps(cert).encode()).hexdigest() == \
+        "f75ea5cd14da1610f486623f854ff90d01adb29e052499b25719406c49b021eb"
