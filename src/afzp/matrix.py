@@ -214,8 +214,12 @@ class Mat:
                             for row in self.entries]}
 
     @staticmethod
-    def from_json(obj, ctx, memo=None):
-        ents = [[Scalar.from_json(e, ctx, memo) for e in row]
+    def from_json(obj, ctx, memo):
+        """Decode a matrix object, each scalar as Scalar.from_json with
+        this field's `memo`, whose hits (a Scalar is true) skip the call."""
+        get, order = memo.get, ctx.order
+        ents = [[e.get("order") == order and get(tuple(e["coeffs"]))
+                 or Scalar.from_json(e, ctx, memo) for e in row]
                 for row in obj["entries"]]
         return Mat(ctx, obj["rows"], obj["cols"], ents)
 

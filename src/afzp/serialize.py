@@ -7,11 +7,13 @@ bit-exact; every loader rebuilds the exact in-memory value. Writes are
 atomic (temp file in the target directory, then rename).
 
 The text is exactly json.dumps(doc, indent=2, sort_keys=True). Documents
-repeat a handful of scalars (0, 1, a few roots of unity) thousands of
-times, so one dump, dumps or load call renders, and decodes, each
-distinct scalar once: dump builds one scalar object per distinct value,
-dumps keeps the text of each such object per indentation level, and
-load shares one FieldContext per field across the document and one
+repeat a few scalars (0, 1, some roots of unity) thousands of times and
+a few forms, homs and towers dozens of times, so one dump, dumps or load
+call renders, and decodes, each distinct one once: dump builds one
+scalar object per distinct value and one document per CanonicalForm,
+EqHom or Tower object (copy a document before editing it), dumps keeps
+the text of each scalar object and the fragments of each document per
+indentation level, and load shares one FieldContext per field and one
 Scalar per distinct coefficient vector. No memo outlives the call.
 
 The full schema reference lives in docs/format.md.
@@ -37,7 +39,7 @@ __all__ = ["dump", "load", "save_json", "load_json", "dumps", "loads"]
 
 def _mat_load(obj, ctx, fields):
     try:
-        return Mat.from_json(obj, ctx, fields[ctx][1])
+        return Mat.from_json(obj, ctx, fields[ctx.p, ctx.order][1])
     except (KeyError, TypeError, AttributeError, ZeroDivisionError,
             ContextMismatch, ShapeMismatch) as exc:
         raise FormatError("bad matrix object: %s" % exc)
@@ -62,12 +64,23 @@ def _int_matrix(x, name, rows=None, cols=None):
 def dump(obj):
     """Dispatch an in-memory value to its JSON document (a dict).
 
-    Equal scalars share one scalar object in the document, rendered
-    once; copy the document before editing it in place."""
+    Equal scalars share one scalar object, rendered once, and the same
+    CanonicalForm, EqHom or Tower object one document wherever it
+    occurs; copy the document before editing it in place."""
     return _dump(obj, {})
 
 
 def _dump(obj, scalars):
+    """The document of obj; `scalars` (see Scalar.to_json) also maps the
+    id of each CanonicalForm, EqHom and Tower to (object, document)."""
+    if scalars is None or not isinstance(obj, (CanonicalForm, EqHom, Tower)):
+        return _document(obj, scalars)
+    if id(obj) not in scalars:
+        scalars[id(obj)] = (obj, _document(obj, scalars))
+    return scalars[id(obj)][1]
+
+
+def _document(obj, scalars):
     if isinstance(obj, FdSystem):
         return {
             "afzp_format": FORMAT_VERSION, "kind": "system",
@@ -117,7 +130,7 @@ def _dump(obj, scalars):
             "blocks": list(obj.block_sizes),
             "special": list(obj.special),
             "iota": [row[:] for row in obj.iota_matrix],
-            "dual": _dump(dual, scalars),
+            "dual": _document(dual, scalars),  # a temporary, never shared
             "identify": obj.identify_matrix().to_json(scalars),
         }
     if isinstance(obj, KInvariant):
@@ -172,10 +185,15 @@ def load(doc, ctx=None):
     return _load(doc, ctx, {})
 
 
-def _field(ctx, fields):
-    """The context of this load equal to ctx; `fields` maps it to itself
-    and to its memo of decoded scalars."""
-    return fields.setdefault(ctx, (ctx, {}))[0]
+def _field(doc, ctx, fields):
+    """The context of this load for doc's integer p and order, or equal
+    to ctx if given; `fields` maps (p, order) to the context and to its
+    memo of decoded scalars."""
+    key = doc["p"], doc["order"]
+    if not all(map(_is_int, key)):
+        raise FormatError("p %r and order %r are not integers" % key)
+    ctx = ctx or (fields[key][0] if key in fields else FieldContext(*key))
+    return fields.setdefault((ctx.p, ctx.order), (ctx, {}))[0]
 
 
 def _stages(stages, tower, name):
@@ -202,12 +220,12 @@ def _load(doc, ctx, fields, expect=None):
                           % (expect, kind))
     try:
         if kind == "system":
-            ctx = _field(ctx or FieldContext(doc["p"], doc["order"]), fields)
+            ctx = _field(doc, ctx, fields)
             sigma = tuple(i - 1 for i in doc["sigma"])
             impl = [_mat_load(u, ctx, fields) for u in doc["impl"]]
             return FdSystem(ctx, doc["p"], list(doc["blocks"]), sigma, impl)
         if kind == "canonical":
-            ctx = _field(ctx or FieldContext(doc["p"], doc["order"]), fields)
+            ctx = _field(doc, ctx, fields)
             pieces = []
             for pc in doc["pieces"]:
                 # an empty piece would leave the pair search unbounded
@@ -303,7 +321,7 @@ def _load(doc, ctx, fields, expect=None):
                                            forward, backward, triangles,
                                            pairs)
         if kind == "unitaries":
-            ctx = _field(ctx or FieldContext(doc["p"], doc["order"]), fields)
+            ctx = _field(doc, ctx, fields)
             return [_mat_load(w, ctx, fields) for w in doc["W"]]
         if kind == "crossed":
             # derived data: rebuild the presentation from its source form
@@ -329,41 +347,59 @@ def dumps(obj):
     return "".join(out)
 
 
-def _write(x, nl, out, scalars):
+def _write(x, nl, out, memo):
     """Append the indent=2, sort_keys=True JSON text of x to out; nl is
-    a newline plus the indentation of x's line. `scalars` keeps the text
-    of each scalar object by (nl, id): dump shares one object per
-    distinct scalar, and x outlives the call, so no id is reused."""
+    a newline plus the indentation of x's line. By (nl, id), `memo`
+    keeps the text of each scalar object and the slice of out holding
+    each document: dump shares one object per distinct scalar and
+    per shared value, and x outlives the call, so no id is reused."""
     if isinstance(x, str):
         out.append(_quote(x))
-    elif isinstance(x, dict) and x.keys() == {"coeffs", "order"}:
+    elif type(x) is int:
+        out.append(int.__repr__(x))
+    elif isinstance(x, dict) and "afzp_format" in x:
         key = (nl, id(x))
-        text = scalars.get(key)
-        if text is None:
-            part = []
-            _write_object(x, nl, part, scalars)
-            text = scalars[key] = "".join(part)
-        out.append(text)
+        span = memo.get(key)
+        if span is None:
+            start = len(out)
+            _write_object(x, nl, out, memo)
+            memo[key] = (start, len(out))
+        else:
+            out.extend(out[span[0]:span[1]])
     elif isinstance(x, dict) and x:
-        _write_object(x, nl, out, scalars)
+        _write_object(x, nl, out, memo)
+    elif isinstance(x, list) and x and isinstance(x[0], dict) \
+            and x[0].keys() == {"coeffs", "order"}:
+        # a matrix row, all scalar objects: their texts, joined once
+        inner = nl + "  "
+        row = [memo.get((inner, id(e))) or _text(e, inner, memo) for e in x]
+        out.append("[" + inner + ("," + inner).join(row) + nl + "]")
     elif isinstance(x, (list, tuple)) and x:
         inner = nl + "  "
         out.append("[")
         for i, item in enumerate(x):
             out.append("," + inner if i else inner)
-            _write(item, inner, out, scalars)
+            _write(item, inner, out, memo)
         out.append(nl + "]")
     else:
-        # a number, boolean or null, or [] or {}
+        # a boolean, null or float, or [] or {}
         out.append(json.dumps(x))
 
 
-def _write_object(x, nl, out, scalars):
+def _text(x, nl, memo):
+    """The text of scalar object x, kept in `memo`."""
+    part = []
+    _write_object(x, nl, part, memo)
+    text = memo[nl, id(x)] = "".join(part)
+    return text
+
+
+def _write_object(x, nl, out, memo):
     inner = nl + "  "
     out.append("{")
     for i, k in enumerate(sorted(x)):
         out.append("%s%s%s: " % ("," if i else "", inner, _quote(k)))
-        _write(x[k], inner, out, scalars)
+        _write(x[k], inner, out, memo)
     out.append(nl + "}")
 
 

@@ -362,3 +362,24 @@ def test_corrupted_repeat_of_a_scalar_exit_two(workdir, corrupt):
         seen.add(key)
     json.dump(doc, open("bad.json", "w"))
     _assert_input_error("verify", "bad.json")
+
+
+@pytest.mark.parametrize("path", [("towerA", "systems", 1),
+                                  ("forward", 0, "source")],
+                         ids=["second-system", "forward-source"])
+@pytest.mark.parametrize("key,value", [("order", 16.0), ("p", 2.0),
+                                       ("p", True)],
+                         ids=["float-order", "float-p", "boolean-p"])
+def test_non_integer_p_or_order_exit_two(workdir, path, key, value):
+    """One load shares a FieldContext per (p, order), and (2, 16.0)
+    hashes and compares equal to (2, 16): a later document's p and order
+    must be JSON integers, checked before the lookup."""
+    assert main(["demo", "product-tower-p2", "--depth", "2",
+                 "--out", "cert.json"]) == 0
+    doc = json.load(open("cert.json"))
+    inner = doc
+    for step in path:
+        inner = inner[step]
+    inner[key] = value
+    json.dump(doc, open("bad.json", "w"))
+    _assert_input_error("verify", "bad.json")

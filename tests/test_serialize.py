@@ -1,23 +1,29 @@
-"""The scalar codec of serialize against its slow paths.
+"""The memoized codec of serialize against its slow paths.
 
-dump renders each distinct scalar once, dumps writes the text of each
-scalar object once per indentation level and load decodes each distinct
-coefficient vector once; the oracles are the document rendered entry by
-entry, json.dumps(dump(x), indent=2, sort_keys=True) for the writer and
-Scalar.from_json without a memo, entry by entry, for the reader.
+dump renders each distinct scalar once and each CanonicalForm, EqHom or
+Tower object once, dumps writes the text of each scalar object and of
+each document once per indentation level, and load builds one
+FieldContext per field and decodes each distinct coefficient vector
+once; the oracles are the document rendered entry by entry and object
+by object (_dump(x, None)), json.dumps(dump(x), indent=2,
+sort_keys=True) for the writer and Scalar.from_json without a memo,
+entry by entry, for the reader. Equal bytes cannot show a dead memo, so
+the calls are counted as well.
 """
 
+import collections
 import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from afzp import serialize
 from afzp._rat import RAT
 from afzp.classify import (IntertwiningCertificate, Tower, TriangleRecord,
                            intertwine)
 from afzp.crossed import crossed_product
-from afzp.cyclo import Scalar
+from afzp.cyclo import FieldContext, Scalar
 from afzp.demos import identity_pairs, product_tower
 from afzp.errors import ContextMismatch
 from afzp.kinv import KPair, invariant_of
@@ -80,14 +86,19 @@ def _value(draw, kind):
     if kind == "tower":
         if draw(st.booleans()):
             return Tower([form], [])
-        return Tower([form, form], [identity_hom(form)])
+        # one hom object twice
+        hom = identity_hom(form)
+        return Tower([form, form, form], [hom, hom])
     if kind == "certificate":
-        tower = Tower([form], [])
-        triangles = draw(st.sampled_from([[], [TriangleRecord(
-            "A", 0, 0, [mat(n) for n in form.block_sizes])]]))
-        return IntertwiningCertificate(tower, tower, [0], [0],
-                                       [identity_hom(form)], [], triangles,
-                                       [kpair])
+        # the tower's own map is the forward hom, so the same documents
+        # sit at several indentation levels; one Mat is in two triangles
+        hom = identity_hom(form)
+        tower = Tower([form, form], [hom])
+        w = [mat(n) for n in form.block_sizes]
+        triangles = draw(st.sampled_from([[], [
+            TriangleRecord("A", 0, 0, w), TriangleRecord("B", 0, 1, w)]]))
+        return IntertwiningCertificate(tower, tower, [0], [0], [hom], [],
+                                       triangles, [kpair])
     if kind == "unitaries":
         return [mat(n) for n in form.block_sizes]
     rep = Report()
@@ -172,3 +183,38 @@ def test_searched_pair_certificate_bytes_are_pinned():
                       depth=3)
     assert hashlib.sha256(dumps(cert).encode()).hexdigest() == \
         "f75ea5cd14da1610f486623f854ff90d01adb29e052499b25719406c49b021eb"
+
+
+def test_each_document_is_written_once_and_each_field_built_once(
+        monkeypatch):
+    """In a self-intertwined certificate towerB is towerA and the forms
+    recur in every hom: dump gives each object one document, dumps
+    writes each document once per indentation level, and loads builds
+    one FieldContext for the field."""
+    tower = product_tower(3, 2)
+    cert = intertwine(tower, tower, pairs=identity_pairs(tower, 2), depth=2)
+    doc = dump(cert)
+    assert doc["towerA"] is doc["towerB"]
+    assert doc["forward"][0]["source"] is doc["towerA"]["systems"][0]
+
+    written = collections.Counter()
+    write_object = serialize._write_object
+
+    def counting(x, nl, out, memo):
+        if "kind" in x:
+            written[id(x), nl] += 1
+        write_object(x, nl, out, memo)
+    monkeypatch.setattr(serialize, "_write_object", counting)
+    text = dumps(cert)
+    assert written and max(written.values()) == 1
+    monkeypatch.setattr(serialize, "_write_object", write_object)
+    assert text == json.dumps(dump(cert), indent=2, sort_keys=True)
+
+    built = collections.Counter()
+
+    def field(p, order=None):
+        built[p, order] += 1
+        return FieldContext(p, order)
+    monkeypatch.setattr(serialize, "FieldContext", field)
+    assert dumps(loads(text)) == text
+    assert built == {(3, 36): 1}
