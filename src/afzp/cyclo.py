@@ -396,33 +396,11 @@ class Scalar:
             return None
         return RAT(self.num[0], self.den)
 
-    def to_json(self, memo=None):
-        """{"order": N, "coeffs": d strings "a/b"}, each coefficient in
-        lowest terms and "/b" omitted when b is 1. `memo`, a dict the
-        caller owns, maps (order, num, den) of each scalar already
-        rendered to its object, so every repeat returns the same one."""
-        key = (self.ctx.order, self.num, self.den)
-        if memo is not None and key in memo:
-            return memo[key]
-        den = self.den
-        if den == 1:
-            coeffs = [str(x) for x in self.num]
-        else:
-            coeffs = []
-            for x in self.num:
-                g = math.gcd(x, den)
-                coeffs.append(str(x // g) if g == den
-                              else "%d/%d" % (x // g, den // g))
-        got = {"order": self.ctx.order, "coeffs": coeffs}
-        if memo is not None:
-            memo[key] = got
-        return got
-
     @staticmethod
     def from_json(obj, ctx, memo=None):
-        """Decode a scalar object. `memo`, a dict the caller owns for
-        this ctx, maps each coefficient-string vector already decoded to
-        its Scalar, so every repeat returns the same object."""
+        """Decode a format-1 scalar object. `memo`, a dict the caller
+        owns for this ctx, maps each coefficient-string vector already
+        decoded to its Scalar, so every repeat returns the same object."""
         if obj.get("order") != ctx.order:
             raise ContextMismatch(
                 "scalar of order %r loaded into field of order %d"

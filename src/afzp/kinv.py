@@ -29,10 +29,6 @@ def ivec_mul(a, v):
     return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
 
 
-def ieye(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 @dataclass
 class KInvariant:
     m: int

@@ -160,17 +160,6 @@ class Mat:
                             out.entries[i * rb + k][j * cb + l] = a * b
         return out
 
-    def direct_sum(self, other):
-        out = Mat.zero(self.ctx, self.rows + other.rows,
-                       self.cols + other.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out.entries[i][j] = self.entries[i][j]
-        for i in range(other.rows):
-            for j in range(other.cols):
-                out.entries[self.rows + i][self.cols + j] = other.entries[i][j]
-        return out
-
     def is_unitary(self):
         if self.rows != self.cols:
             return False
@@ -208,15 +197,11 @@ class Mat:
             n >>= 1
         return result
 
-    def to_json(self, memo=None):
-        return {"rows": self.rows, "cols": self.cols,
-                "entries": [[e.to_json(memo) for e in row]
-                            for row in self.entries]}
-
     @staticmethod
     def from_json(obj, ctx, memo):
-        """Decode a matrix object, each scalar as Scalar.from_json with
-        this field's `memo`, whose hits (a Scalar is true) skip the call."""
+        """Decode a format-1 matrix object, each scalar as
+        Scalar.from_json with this field's `memo`, whose hits (a Scalar
+        is true) skip the call."""
         get, order = memo.get, ctx.order
         ents = [[e.get("order") == order and get(tuple(e["coeffs"]))
                  or Scalar.from_json(e, ctx, memo) for e in row]

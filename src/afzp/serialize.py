@@ -1,32 +1,39 @@
 """JSON interchange.
 
-Single format for every artifact: UTF-8 JSON with a top-level
-"afzp_format": 1 and a "kind" discriminator. Rationals are strings
-"numerator/denominator" (denominator omitted when 1) so round-trips are
-bit-exact; every loader rebuilds the exact in-memory value. Writes are
-atomic (temp file in the target directory, then rename).
+Every artifact is a UTF-8 JSON document with a top-level "afzp_format"
+and a "kind" discriminator. dump and dumps write format 2, whose text is
+exactly json.dumps(doc, sort_keys=True, separators=(",", ":")):
 
-The text is exactly json.dumps(doc, indent=2, sort_keys=True). Documents
-repeat a few scalars (0, 1, some roots of unity) thousands of times and
-a few forms, homs and towers dozens of times, so one dump, dumps or load
-call renders, and decodes, each distinct one once: dump builds one
-scalar object per distinct value and one document per CanonicalForm,
-EqHom or Tower object (copy a document before editing it), dumps keeps
-the text of each scalar object and the fragments of each document per
-indentation level, and load shares one FieldContext per field and one
-Scalar per distinct coefficient vector. No memo outlives the call.
+- p and order appear once, on the top-level document;
+- a scalar is one canonical string: its nonzero coefficients in lowest
+  terms by increasing exponent, "e:c" each, joined by spaces
+  ("0:1 3:-1/2");
+- a matrix is its rows, cols and nonzero [i, j, scalar] entries in
+  row-major order;
+- each CanonicalForm, EqHom and Tower is written once into the
+  top-level "objects" list and referred to by its index there; an
+  object refers only to objects before it.
+
+load reads format 2 and the older format 1 (self-contained nested
+documents, dense matrices of {"order", "coeffs"} scalar objects). It
+rejects format-2 text that is not canonical, so the bytes of a document
+are a function of its value, and it builds each object once, so what
+the file shares is shared in memory. Writes are atomic (temp file in the
+target directory, then rename).
 
 The full schema reference lives in docs/format.md.
 """
 
 import json
+import math
 import os
 import tempfile
 
 from . import FORMAT_VERSION
+from ._rat import rat_from_str
 from .classify import (IntertwiningCertificate, Tower, TriangleRecord)
 from .crossed import CrossedPresentation, crossed_product
-from .cyclo import FieldContext
+from .cyclo import FieldContext, Scalar
 from .errors import ContextMismatch, FormatError, NotOrderP, ShapeMismatch
 from .kinv import KInvariant, KPair
 from .matrix import Mat
@@ -36,13 +43,8 @@ from .system import (Arrangement, BlockIso, CanonicalForm, EqHom, FdSystem,
 
 __all__ = ["dump", "load", "save_json", "load_json", "dumps", "loads"]
 
-
-def _mat_load(obj, ctx, fields):
-    try:
-        return Mat.from_json(obj, ctx, fields[ctx.p, ctx.order][1])
-    except (KeyError, TypeError, AttributeError, ZeroDivisionError,
-            ContextMismatch, ShapeMismatch) as exc:
-        raise FormatError("bad matrix object: %s" % exc)
+# the kinds a format-2 document keeps in "objects"
+_OBJECT_KINDS = ("canonical", "hom", "tower")
 
 
 def _is_int(x):
@@ -61,139 +63,166 @@ def _int_matrix(x, name, rows=None, cols=None):
     return x
 
 
+def _scalar_text(s):
+    """The format-2 text of Scalar s: "e:c" for each nonzero coefficient
+    c of z^e, in lowest terms ("a" or "a/b"), by increasing e and joined
+    by single spaces; "" for zero."""
+    den = s.den
+    terms = []
+    for e, x in enumerate(s.num):
+        if x:
+            g = math.gcd(x, den)
+            terms.append("%d:%d" % (e, x // g) if g == den
+                         else "%d:%d/%d" % (e, x // g, den // g))
+    return " ".join(terms)
+
+
 def dump(obj):
-    """Dispatch an in-memory value to its JSON document (a dict).
-
-    Equal scalars share one scalar object, rendered once, and the same
-    CanonicalForm, EqHom or Tower object one document wherever it
-    occurs; copy the document before editing it in place."""
-    return _dump(obj, {})
-
-
-def _dump(obj, scalars):
-    """The document of obj; `scalars` (see Scalar.to_json) also maps the
-    id of each CanonicalForm, EqHom and Tower to (object, document)."""
-    if scalars is None or not isinstance(obj, (CanonicalForm, EqHom, Tower)):
-        return _document(obj, scalars)
-    if id(obj) not in scalars:
-        scalars[id(obj)] = (obj, _document(obj, scalars))
-    return scalars[id(obj)][1]
+    """The format-2 document (a dict) of an in-memory value."""
+    w = _Writer()
+    doc = w.body(obj)
+    if w.objects:
+        doc["objects"] = w.objects
+    if w.ctx is not None:
+        doc["p"], doc["order"] = w.ctx.p, w.ctx.order
+    doc["afzp_format"] = FORMAT_VERSION
+    return doc
 
 
-def _document(obj, scalars):
-    if isinstance(obj, FdSystem):
-        return {
-            "afzp_format": FORMAT_VERSION, "kind": "system",
-            "p": obj.p, "order": obj.ctx.order,
-            "blocks": list(obj.block_sizes),
-            "sigma": [i + 1 for i in obj.sigma],
-            "impl": [u.to_json(scalars) for u in obj.impl],
-        }
-    if isinstance(obj, CanonicalForm):
-        doc = {
-            "afzp_format": FORMAT_VERSION, "kind": "canonical",
-            "p": obj.p, "order": obj.ctx.order,
-            "pieces": [
+def dumps(obj):
+    """The format-2 text of obj."""
+    return json.dumps(dump(obj), sort_keys=True, separators=(",", ":"))
+
+
+class _Writer:
+    """One dump call: the document's field, its objects, the index of
+    each object written (by id, kept with the object so that the id is
+    not reused) and the text of each scalar value."""
+
+    def __init__(self):
+        self.ctx = None
+        self.objects = []
+        self.index = {}
+        self.texts = {}
+
+    def field(self, ctx):
+        if self.ctx is None:
+            self.ctx = ctx
+        elif ctx is not self.ctx and ctx != self.ctx:
+            raise FormatError("cannot write %r and %r in one document"
+                              % (self.ctx, ctx))
+
+    def ref(self, obj):
+        """The index of obj in objects, written there on first use."""
+        got = self.index.get(id(obj))
+        if got is None:
+            self.objects.append(self.body(obj))
+            got = self.index[id(obj)] = (obj, len(self.objects) - 1)
+        return got[1]
+
+    def mat(self, m):
+        self.field(m.ctx)
+        texts = self.texts
+        entries = []
+        for i, row in enumerate(m.entries):
+            for j, e in enumerate(row):
+                if e._nonzero:
+                    key = e.num, e.den
+                    text = texts.get(key)
+                    if text is None:
+                        text = texts[key] = _scalar_text(e)
+                    entries.append([i, j, text])
+        return {"rows": m.rows, "cols": m.cols, "entries": entries}
+
+    def body(self, obj):
+        """obj's document without afzp_format, p, order and objects."""
+        if isinstance(obj, FdSystem):
+            self.field(obj.ctx)
+            return {"kind": "system", "blocks": list(obj.block_sizes),
+                    "sigma": [i + 1 for i in obj.sigma],
+                    "impl": [self.mat(u) for u in obj.impl]}
+        if isinstance(obj, CanonicalForm):
+            self.field(obj.ctx)
+            doc = {"kind": "canonical", "pieces": [
                 {"kind": pc.kind, "n": pc.n,
-                 **({"v": pc.v.to_json(scalars)} if pc.kind == "fixed"
-                    else {})}
-                for pc in obj.pieces
-            ],
-        }
-        if obj.iso is not None:
-            doc["iso"] = {
-                "block_map": list(obj.iso.block_map),
-                "conjugators": [z.to_json(scalars)
-                                for z in obj.iso.conjugators],
-            }
-        return doc
-    if isinstance(obj, EqHom):
-        return {
-            "afzp_format": FORMAT_VERSION, "kind": "hom",
-            "source": _dump(obj.source, scalars),
-            "target": _dump(obj.target, scalars),
-            "unital": obj.unital,
-            "blocks": [
-                {"slots": [{"src": (None if s.src is None else s.src),
-                            "size": s.size, "phase": s.phase}
-                           for s in arr.slots],
-                 "conj": arr.conj.to_json(scalars)}
-                for arr in obj.arrangements
-            ],
-        }
-    if isinstance(obj, CrossedPresentation):
-        dual = obj.dual_system()
-        return {
-            "afzp_format": FORMAT_VERSION, "kind": "crossed",
-            "p": obj.p, "order": obj.ctx.order,
-            "source": _dump(obj.source, scalars),
-            "blocks": list(obj.block_sizes),
-            "special": list(obj.special),
-            "iota": [row[:] for row in obj.iota_matrix],
-            "dual": _document(dual, scalars),  # a temporary, never shared
-            "identify": obj.identify_matrix().to_json(scalars),
-        }
-    if isinstance(obj, KInvariant):
-        return {
-            "afzp_format": FORMAT_VERSION, "kind": "kinvariant",
-            "m": obj.m, "unit": list(obj.unit), "act": obj.act,
-            "mC": obj.mC, "dualAct": obj.dualAct,
-            "special": list(obj.special), "iota": obj.iota,
-        }
-    if isinstance(obj, KPair):
-        return {
-            "afzp_format": FORMAT_VERSION, "kind": "kpair",
-            "F": obj.F, "phi": obj.phi, "unital": obj.unital,
-        }
-    if isinstance(obj, Tower):
-        return {
-            "afzp_format": FORMAT_VERSION, "kind": "tower",
-            "systems": [_dump(s, scalars) for s in obj.systems],
-            "maps": [_dump(h, scalars) for h in obj.maps],
-        }
-    if isinstance(obj, IntertwiningCertificate):
-        return {
-            "afzp_format": FORMAT_VERSION, "kind": "certificate",
-            "towerA": _dump(obj.towerA, scalars),
-            "towerB": _dump(obj.towerB, scalars),
-            "a_stages": list(obj.a_stages), "b_stages": list(obj.b_stages),
-            "pairs": [_dump(kp, scalars) for kp in obj.pairs],
-            "forward": [_dump(h, scalars) for h in obj.forward],
-            "backward": [_dump(h, scalars) for h in obj.backward],
-            "triangles": [
-                {"kind": t.kind, "left": t.left_stage, "right": t.right_stage,
-                 "correction": [w.to_json(scalars) for w in t.correction]}
-                for t in obj.triangles
-            ],
-        }
-    if isinstance(obj, Report):
-        doc = obj.to_json()
-        doc["afzp_format"] = FORMAT_VERSION
-        doc["kind"] = "report"
-        return doc
-    if isinstance(obj, list) and obj and all(isinstance(w, Mat) for w in obj):
-        return {
-            "afzp_format": FORMAT_VERSION, "kind": "unitaries",
-            "order": obj[0].ctx.order, "p": obj[0].ctx.p,
-            "W": [w.to_json(scalars) for w in obj],
-        }
-    raise FormatError("cannot serialize %r" % type(obj))
+                 **({"v": self.mat(pc.v)} if pc.kind == "fixed" else {})}
+                for pc in obj.pieces]}
+            if obj.iso is not None:
+                doc["iso"] = {"block_map": list(obj.iso.block_map),
+                              "conjugators": [self.mat(z) for z in
+                                              obj.iso.conjugators]}
+            return doc
+        if isinstance(obj, EqHom):
+            return {"kind": "hom", "source": self.ref(obj.source),
+                    "target": self.ref(obj.target), "unital": obj.unital,
+                    "blocks": [
+                        {"slots": [{"src": s.src, "size": s.size,
+                                    "phase": s.phase} for s in arr.slots],
+                         "conj": self.mat(arr.conj)}
+                        for arr in obj.arrangements]}
+        if isinstance(obj, CrossedPresentation):
+            return {"kind": "crossed", "source": self.ref(obj.source),
+                    "blocks": list(obj.block_sizes),
+                    "special": list(obj.special),
+                    "iota": [row[:] for row in obj.iota_matrix],
+                    "dual": self.body(obj.dual_system()),
+                    "identify": self.mat(obj.identify_matrix())}
+        if isinstance(obj, KInvariant):
+            return {"kind": "kinvariant", "m": obj.m, "unit": list(obj.unit),
+                    "act": obj.act, "mC": obj.mC, "dualAct": obj.dualAct,
+                    "special": list(obj.special), "iota": obj.iota}
+        if isinstance(obj, KPair):
+            return {"kind": "kpair", "F": obj.F, "phi": obj.phi,
+                    "unital": obj.unital}
+        if isinstance(obj, Tower):
+            return {"kind": "tower",
+                    "systems": [self.ref(s) for s in obj.systems],
+                    "maps": [self.ref(h) for h in obj.maps]}
+        if isinstance(obj, IntertwiningCertificate):
+            return {"kind": "certificate", "towerA": self.ref(obj.towerA),
+                    "towerB": self.ref(obj.towerB),
+                    "a_stages": list(obj.a_stages),
+                    "b_stages": list(obj.b_stages),
+                    "pairs": [self.body(kp) for kp in obj.pairs],
+                    "forward": [self.ref(h) for h in obj.forward],
+                    "backward": [self.ref(h) for h in obj.backward],
+                    "triangles": [
+                        {"kind": t.kind, "left": t.left_stage,
+                         "right": t.right_stage,
+                         "correction": [self.mat(w) for w in t.correction]}
+                        for t in obj.triangles]}
+        if isinstance(obj, Report):
+            return {"kind": "report", **obj.to_json()}
+        if isinstance(obj, list) and obj and all(isinstance(w, Mat)
+                                                 for w in obj):
+            return {"kind": "unitaries", "W": [self.mat(w) for w in obj]}
+        raise FormatError("cannot serialize %r" % type(obj))
 
 
-def load(doc, ctx=None):
-    """Rebuild the in-memory value of a JSON document."""
-    return _load(doc, ctx, {})
+def load(doc):
+    """Rebuild the in-memory value of a format-1 or format-2 document."""
+    if isinstance(doc, dict) and doc.get("afzp_format") == FORMAT_VERSION \
+            and _is_int(doc["afzp_format"]):
+        return _Format2(doc).load()
+    return _Format1().load(doc)
 
 
 def _field(doc, ctx, fields):
-    """The context of this load for doc's integer p and order, or equal
-    to ctx if given; `fields` maps (p, order) to the context and to its
-    memo of decoded scalars."""
+    """The field of doc's integer p and order: ctx, which they must
+    match, or if ctx is None the one `fields` maps (p, order) to, with
+    its memo of decoded scalars."""
     key = doc["p"], doc["order"]
     if not all(map(_is_int, key)):
         raise FormatError("p %r and order %r are not integers" % key)
-    ctx = ctx or (fields[key][0] if key in fields else FieldContext(*key))
-    return fields.setdefault((ctx.p, ctx.order), (ctx, {}))[0]
+    if ctx is None:
+        if key not in fields:
+            fields[key] = (FieldContext(*key), {})
+        return fields[key][0]
+    if key != (ctx.p, ctx.order):
+        raise FormatError("p %r and order %r differ from the p %d and "
+                          "order %d of the enclosing document"
+                          % (key + (ctx.p, ctx.order)))
+    return ctx
 
 
 def _stages(stages, tower, name):
@@ -207,200 +236,262 @@ def _stages(stages, tower, name):
     return list(stages)
 
 
-def _load(doc, ctx, fields, expect=None):
-    """The value of doc; a nested document must be of kind `expect`."""
-    if not isinstance(doc, dict):
-        raise FormatError("document is not a JSON object")
-    if doc.get("afzp_format") != FORMAT_VERSION:
-        raise FormatError("missing or unsupported afzp_format "
-                          "(expected %d)" % FORMAT_VERSION)
-    kind = doc.get("kind")
-    if expect is not None and kind != expect:
-        raise FormatError("expected a nested %r document, got %r"
-                          % (expect, kind))
+def _build(kind, doc, ctx, rd):
+    """The value of a document of this kind. ctx is the field of the
+    format-1 document it is nested in, or None; its field, matrices and
+    nested documents are read through rd."""
     try:
-        if kind == "system":
-            ctx = _field(doc, ctx, fields)
-            sigma = tuple(i - 1 for i in doc["sigma"])
-            impl = [_mat_load(u, ctx, fields) for u in doc["impl"]]
-            return FdSystem(ctx, doc["p"], list(doc["blocks"]), sigma, impl)
-        if kind == "canonical":
-            ctx = _field(doc, ctx, fields)
-            pieces = []
-            for pc in doc["pieces"]:
-                # an empty piece would leave the pair search unbounded
-                if not _is_int(pc["n"]) or pc["n"] < 1:
-                    raise FormatError("piece size %r is not a positive "
-                                      "integer" % (pc["n"],))
-                if pc["kind"] == "fixed":
-                    pieces.append(IrredPiece("fixed", pc["n"],
-                                             _mat_load(pc["v"], ctx, fields)))
-                elif pc["kind"] == "cycle":
-                    pieces.append(IrredPiece("cycle", pc["n"]))
-                else:
-                    raise FormatError("unknown piece kind %r" % pc["kind"])
-            iso = None
-            if "iso" in doc:
-                iso = BlockIso(list(doc["iso"]["block_map"]),
-                               [_mat_load(z, ctx, fields)
-                                for z in doc["iso"]["conjugators"]])
-            try:
-                return CanonicalForm(ctx, doc["p"], pieces, iso)
-            except NotOrderP:
-                n = next(pc.n for pc in pieces
-                         if pc.exponents(doc["p"]) is None)
-                raise FormatError(
-                    "fixed piece v is not the %dx%d diagonal of p-th roots "
-                    "of unity with ascending exponents" % (n, n)) from None
-        if kind == "hom":
-            src = _load(doc["source"], None, fields, "canonical")
-            tgt = _load(doc["target"], src.ctx, fields, "canonical")
-            arrs = []
-            for blk in doc["blocks"]:
-                slots = [Slot(s["src"], s["size"], s.get("phase", 0))
-                         for s in blk["slots"]]
-                for s in slots:
-                    if not (s.src is None or _is_int(s.src)):
-                        raise FormatError("slot src %r is neither null nor "
-                                          "an integer" % (s.src,))
-                    if not _is_int(s.size) or s.size < 0:
-                        raise FormatError("slot size %r is not a "
-                                          "non-negative integer" % (s.size,))
-                arrs.append(Arrangement(
-                    slots, _mat_load(blk["conj"], src.ctx, fields)))
-            return EqHom(src, tgt, arrs, unital=doc["unital"])
-        if kind == "kinvariant":
-            m, mC = doc["m"], doc["mC"]
-            if not (_is_int(m) and _is_int(mC) and m >= 0 and mC >= 0):
-                raise FormatError("m %r and mC %r are not class counts"
-                                  % (m, mC))
-            return KInvariant(
-                m, _int_matrix([doc["unit"]], "unit", 1, m)[0],
-                _int_matrix(doc["act"], "act", m, m), mC,
-                _int_matrix(doc["dualAct"], "dualAct", mC, mC),
-                _int_matrix([doc["special"]], "special", 1, mC)[0],
-                _int_matrix(doc["iota"], "iota", mC, m))
-        if kind == "kpair":
-            if not isinstance(doc["unital"], bool):
-                raise FormatError("unital %r is not a boolean"
-                                  % (doc["unital"],))
-            return KPair(_int_matrix(doc["F"], "F"),
-                         _int_matrix(doc["phi"], "phi"),
-                         unital=doc["unital"])
-        if kind == "tower":
-            systems = [_load(s, None, fields, "canonical")
-                       for s in doc["systems"]]
-            maps = [_load(h, None, fields, "hom") for h in doc["maps"]]
-            return Tower(systems, maps)
-        if kind == "certificate":
-            towerA = _load(doc["towerA"], None, fields, "tower")
-            towerB = _load(doc["towerB"], None, fields, "tower")
-            pairs = [_load(kp, None, fields, "kpair") for kp in doc["pairs"]]
-            forward = [_load(h, None, fields, "hom") for h in doc["forward"]]
-            backward = [_load(h, None, fields, "hom")
-                        for h in doc["backward"]]
-            a_stages = _stages(doc["a_stages"], towerA, "a_stages")
-            b_stages = _stages(doc["b_stages"], towerB, "b_stages")
-            n = len(forward)
-            if not (len(pairs) == len(a_stages) == len(b_stages) == n
-                    and len(backward) == n - 1):
-                raise FormatError(
-                    "a certificate of n >= 1 stages has n pairs, forward "
-                    "homs, a_stages and b_stages and n - 1 backward homs; "
-                    "got %d, %d, %d, %d and %d"
-                    % (len(pairs), n, len(a_stages), len(b_stages),
-                       len(backward)))
-            ctx = towerA.systems[0].ctx
-            triangles = [
-                TriangleRecord(t["kind"], t["left"], t["right"],
-                               [_mat_load(w, ctx, fields)
-                                for w in t["correction"]])
-                for t in doc["triangles"]
-            ]
-            return IntertwiningCertificate(towerA, towerB, a_stages, b_stages,
-                                           forward, backward, triangles,
-                                           pairs)
-        if kind == "unitaries":
-            ctx = _field(doc, ctx, fields)
-            return [_mat_load(w, ctx, fields) for w in doc["W"]]
-        if kind == "crossed":
-            # derived data: rebuild the presentation from its source form
-            return crossed_product(_load(doc["source"], None, fields,
-                                         "canonical"))
-        if kind == "report":
-            rep = Report()
-            for item in doc["checks"]:
-                rep.add(item["name"], item["ok"], item.get("detail", ""))
-            return rep
+        return _value(kind, doc, ctx, rd)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("malformed %r document: %s" % (kind, exc))
-    raise FormatError("unknown document kind %r" % kind)
 
 
-_quote = json.encoder.encode_basestring_ascii
+def _value(kind, doc, ctx, rd):
+    if kind == "system":
+        ctx = rd.field(doc, ctx)
+        sigma = tuple(i - 1 for i in doc["sigma"])
+        impl = [rd.mat(u, ctx) for u in doc["impl"]]
+        return FdSystem(ctx, ctx.p, list(doc["blocks"]), sigma, impl)
+    if kind == "canonical":
+        ctx = rd.field(doc, ctx)
+        pieces = []
+        for pc in doc["pieces"]:
+            # an empty piece would leave the pair search unbounded
+            if not _is_int(pc["n"]) or pc["n"] < 1:
+                raise FormatError("piece size %r is not a positive "
+                                  "integer" % (pc["n"],))
+            if pc["kind"] == "fixed":
+                pieces.append(IrredPiece("fixed", pc["n"],
+                                         rd.mat(pc["v"], ctx)))
+            elif pc["kind"] == "cycle":
+                pieces.append(IrredPiece("cycle", pc["n"]))
+            else:
+                raise FormatError("unknown piece kind %r" % pc["kind"])
+        iso = None
+        if "iso" in doc:
+            iso = BlockIso(list(doc["iso"]["block_map"]),
+                           [rd.mat(z, ctx)
+                            for z in doc["iso"]["conjugators"]])
+        try:
+            return CanonicalForm(ctx, ctx.p, pieces, iso)
+        except NotOrderP:
+            n = next(pc.n for pc in pieces if pc.exponents(ctx.p) is None)
+            raise FormatError(
+                "fixed piece v is not the %dx%d diagonal of p-th roots "
+                "of unity with ascending exponents" % (n, n)) from None
+    if kind == "hom":
+        src = rd.nested(doc["source"], ctx, "canonical")
+        tgt = rd.nested(doc["target"], src.ctx, "canonical")
+        arrs = []
+        for blk in doc["blocks"]:
+            slots = [Slot(s["src"], s["size"], s.get("phase", 0))
+                     for s in blk["slots"]]
+            for s in slots:
+                if not (s.src is None or _is_int(s.src)):
+                    raise FormatError("slot src %r is neither null nor "
+                                      "an integer" % (s.src,))
+                if not _is_int(s.size) or s.size < 0:
+                    raise FormatError("slot size %r is not a "
+                                      "non-negative integer" % (s.size,))
+            arrs.append(Arrangement(slots, rd.mat(blk["conj"], src.ctx)))
+        return EqHom(src, tgt, arrs, unital=doc["unital"])
+    if kind == "kinvariant":
+        m, mC = doc["m"], doc["mC"]
+        if not (_is_int(m) and _is_int(mC) and m >= 0 and mC >= 0):
+            raise FormatError("m %r and mC %r are not class counts"
+                              % (m, mC))
+        return KInvariant(
+            m, _int_matrix([doc["unit"]], "unit", 1, m)[0],
+            _int_matrix(doc["act"], "act", m, m), mC,
+            _int_matrix(doc["dualAct"], "dualAct", mC, mC),
+            _int_matrix([doc["special"]], "special", 1, mC)[0],
+            _int_matrix(doc["iota"], "iota", mC, m))
+    if kind == "kpair":
+        if not isinstance(doc["unital"], bool):
+            raise FormatError("unital %r is not a boolean"
+                              % (doc["unital"],))
+        return KPair(_int_matrix(doc["F"], "F"),
+                     _int_matrix(doc["phi"], "phi"), unital=doc["unital"])
+    if kind == "tower":
+        systems = []
+        for s in doc["systems"]:
+            systems.append(rd.nested(s, ctx, "canonical"))
+            ctx = systems[0].ctx
+        maps = [rd.nested(h, ctx, "hom") for h in doc["maps"]]
+        return Tower(systems, maps)
+    if kind == "certificate":
+        towerA = rd.nested(doc["towerA"], ctx, "tower")
+        ctx = next((s.ctx for s in towerA.systems), ctx)
+        towerB = rd.nested(doc["towerB"], ctx, "tower")
+        pairs = [rd.nested(kp, None, "kpair") for kp in doc["pairs"]]
+        forward = [rd.nested(h, ctx, "hom") for h in doc["forward"]]
+        backward = [rd.nested(h, ctx, "hom") for h in doc["backward"]]
+        a_stages = _stages(doc["a_stages"], towerA, "a_stages")
+        b_stages = _stages(doc["b_stages"], towerB, "b_stages")
+        n = len(forward)
+        if not (len(pairs) == len(a_stages) == len(b_stages) == n
+                and len(backward) == n - 1):
+            raise FormatError(
+                "a certificate of n >= 1 stages has n pairs, forward "
+                "homs, a_stages and b_stages and n - 1 backward homs; "
+                "got %d, %d, %d, %d and %d"
+                % (len(pairs), n, len(a_stages), len(b_stages),
+                   len(backward)))
+        triangles = [
+            TriangleRecord(t["kind"], t["left"], t["right"],
+                           [rd.mat(w, ctx) for w in t["correction"]])
+            for t in doc["triangles"]]
+        return IntertwiningCertificate(towerA, towerB, a_stages, b_stages,
+                                       forward, backward, triangles, pairs)
+    if kind == "unitaries":
+        ctx = rd.field(doc, ctx)
+        return [rd.mat(w, ctx) for w in doc["W"]]
+    if kind == "crossed":
+        # derived data: rebuild the presentation from its source form
+        return crossed_product(rd.nested(doc["source"], ctx, "canonical"))
+    if kind == "report":
+        rep = Report()
+        for item in doc["checks"]:
+            rep.add(item["name"], item["ok"], item.get("detail", ""))
+        return rep
+    raise FormatError("unknown document kind %r" % (kind,))
 
 
-def dumps(obj):
-    """json.dumps(dump(obj), indent=2, sort_keys=True), byte for byte."""
-    out = []
-    _write(dump(obj), "\n", out, {})
-    return "".join(out)
+class _Format1:
+    """One format-1 load: every nested document is a complete document
+    of its own, checked to lie in the field of the one that holds it.
+    `fields` maps (p, order) to the field and its memo of decoded
+    scalars."""
+
+    def __init__(self):
+        self.fields = {}
+
+    def load(self, doc, ctx=None, expect=None):
+        """The value of doc; a nested document must be of kind
+        `expect`."""
+        if not isinstance(doc, dict):
+            raise FormatError("document is not a JSON object")
+        if doc.get("afzp_format") != 1:
+            raise FormatError("missing or unsupported afzp_format "
+                              "(expected 1 or 2)")
+        kind = doc.get("kind")
+        if expect is not None and kind != expect:
+            raise FormatError("expected a nested %r document, got %r"
+                              % (expect, kind))
+        return _build(kind, doc, ctx, self)
+
+    def field(self, doc, ctx):
+        return _field(doc, ctx, self.fields)
+
+    def mat(self, obj, ctx):
+        try:
+            return Mat.from_json(obj, ctx, self.fields[ctx.p, ctx.order][1])
+        except (KeyError, TypeError, AttributeError, ZeroDivisionError,
+                ContextMismatch, ShapeMismatch) as exc:
+            raise FormatError("bad matrix object: %s" % exc)
+
+    nested = load
 
 
-def _write(x, nl, out, memo):
-    """Append the indent=2, sort_keys=True JSON text of x to out; nl is
-    a newline plus the indentation of x's line. By (nl, id), `memo`
-    keeps the text of each scalar object and the slice of out holding
-    each document: dump shares one object per distinct scalar and
-    per shared value, and x outlives the call, so no id is reused."""
-    if isinstance(x, str):
-        out.append(_quote(x))
-    elif type(x) is int:
-        out.append(int.__repr__(x))
-    elif isinstance(x, dict) and "afzp_format" in x:
-        key = (nl, id(x))
-        span = memo.get(key)
-        if span is None:
-            start = len(out)
-            _write_object(x, nl, out, memo)
-            memo[key] = (start, len(out))
-        else:
-            out.extend(out[span[0]:span[1]])
-    elif isinstance(x, dict) and x:
-        _write_object(x, nl, out, memo)
-    elif isinstance(x, list) and x and isinstance(x[0], dict) \
-            and x[0].keys() == {"coeffs", "order"}:
-        # a matrix row, all scalar objects: their texts, joined once
-        inner = nl + "  "
-        row = [memo.get((inner, id(e))) or _text(e, inner, memo) for e in x]
-        out.append("[" + inner + ("," + inner).join(row) + nl + "]")
-    elif isinstance(x, (list, tuple)) and x:
-        inner = nl + "  "
-        out.append("[")
-        for i, item in enumerate(x):
-            out.append("," + inner if i else inner)
-            _write(item, inner, out, memo)
-        out.append(nl + "]")
-    else:
-        # a boolean, null or float, or [] or {}
-        out.append(json.dumps(x))
+class _Format2:
+    """One format-2 load: the document's field, the scalar of each text
+    decoded so far and the (kind, value) of each object built so far."""
 
+    def __init__(self, doc):
+        self.doc = doc
+        self.ctx = None
+        self.scalars = {}
+        self.objects = []
 
-def _text(x, nl, memo):
-    """The text of scalar object x, kept in `memo`."""
-    part = []
-    _write_object(x, nl, part, memo)
-    text = memo[nl, id(x)] = "".join(part)
-    return text
+    def load(self):
+        doc = self.doc
+        objects = doc.get("objects", [])
+        if not isinstance(objects, list):
+            raise FormatError("objects is not a list")
+        for i, obj in enumerate(objects):
+            kind = obj.get("kind") if isinstance(obj, dict) else None
+            if kind not in _OBJECT_KINDS:
+                raise FormatError("object %d is not a canonical, hom or "
+                                  "tower object" % i)
+            self.objects.append((kind, self.inline(obj, kind)))
+        return _build(doc.get("kind"), doc, None, self)
 
+    def field(self, doc, ctx):
+        """The field of the top-level document's p and order."""
+        if self.ctx is None:
+            self.ctx = _field(self.doc, None, {})
+        return self.ctx
 
-def _write_object(x, nl, out, memo):
-    inner = nl + "  "
-    out.append("{")
-    for i, k in enumerate(sorted(x)):
-        out.append("%s%s%s: " % ("," if i else "", inner, _quote(k)))
-        _write(x[k], inner, out, memo)
-    out.append(nl + "}")
+    def nested(self, x, ctx, expect):
+        """The object x refers to, or an inline nested document."""
+        if expect not in _OBJECT_KINDS:
+            return self.inline(x, expect)
+        if not (_is_int(x) and 0 <= x < len(self.objects)):
+            raise FormatError("%s reference %r is not the index of an "
+                              "earlier object (dangling or cyclic)"
+                              % (expect, x))
+        kind, value = self.objects[x]
+        if kind != expect:
+            raise FormatError("object %d is a %r, expected a %r"
+                              % (x, kind, expect))
+        return value
+
+    def inline(self, doc, expect):
+        """A nested document: of kind `expect` and without afzp_format,
+        p or order, since it lives in the top-level document's field."""
+        if not isinstance(doc, dict) or doc.get("kind") != expect:
+            raise FormatError("expected a nested %r object" % expect)
+        for key in ("afzp_format", "p", "order"):
+            if key in doc:
+                raise FormatError("a nested %r object carries %r" %
+                                  (expect, key))
+        return _build(expect, doc, None, self)
+
+    def mat(self, obj, ctx):
+        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+        if not (_is_int(rows) and _is_int(cols) and rows >= 0 and cols >= 0
+                and isinstance(entries, list)):
+            raise FormatError("bad matrix object: rows %r, cols %r and "
+                              "entries are not two sizes and a list"
+                              % (rows, cols))
+        grid = [[ctx.zero] * cols for _ in range(rows)]
+        last = -1
+        for entry in entries:
+            if not (isinstance(entry, list) and len(entry) == 3):
+                raise FormatError("matrix entry %r is not [i, j, scalar]"
+                                  % (entry,))
+            i, j, text = entry
+            if not (_is_int(i) and _is_int(j) and 0 <= i < rows
+                    and 0 <= j < cols):
+                raise FormatError("matrix entry (%r, %r) lies outside "
+                                  "%dx%d" % (i, j, rows, cols))
+            at = i * cols + j
+            if at <= last:
+                raise FormatError("matrix entry (%d, %d) is repeated or out "
+                                  "of row-major order" % (i, j))
+            last = at
+            grid[i][j] = self.scalars.get(text) or self.scalar(text, ctx)
+        return Mat(ctx, rows, cols, grid)
+
+    def scalar(self, text, ctx):
+        """The nonzero Scalar of canonical text (see _scalar_text)."""
+        coeffs = [0] * ctx.degree
+        try:
+            for term in text.split(" "):
+                e, c = term.split(":")
+                if not 0 <= int(e) < ctx.degree:
+                    raise ValueError("exponent %s is not in 0..%d"
+                                     % (e, ctx.degree - 1))
+                coeffs[int(e)] = rat_from_str(c)
+        except (AttributeError, ValueError, ZeroDivisionError) as exc:
+            raise FormatError("bad scalar %r: %s" % (text, exc))
+        got = Scalar(ctx, coeffs)
+        if not got._nonzero or _scalar_text(got) != text:
+            raise FormatError("scalar %r is not a canonical nonzero scalar "
+                              "text (that would be %r)"
+                              % (text, _scalar_text(got)))
+        self.scalars[text] = got
+        return got
 
 
 def loads(text):

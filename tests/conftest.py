@@ -1,20 +1,25 @@
 import itertools
+import json
+import math
 import random
 
 import pytest
 
 from afzp._rat import RAT, is_integer
-from afzp.classify import (UniquenessWitness, WitnessEntry,
+from afzp.classify import (IntertwiningCertificate, Tower,
+                           UniquenessWitness, WitnessEntry,
                            _unitary_conjugator_search, conjugate_hom)
-from afzp.crossed import ExtendedHom, crossed_offsets, crossed_product
+from afzp.crossed import (CrossedPresentation, ExtendedHom, crossed_offsets,
+                          crossed_product)
 from afzp.cyclo import FieldContext
 from afzp.errors import (CorrectionFailed, KDataMismatch,
                          NonIntegralMultiplicity, ShapeMismatch,
                          UnitaryNotFoundInField)
-from afzp.kinv import KPair, induced_map
+from afzp.kinv import KInvariant, KPair, induced_map
 from afzp.matrix import Mat, blockdiag, diag_root_exponents
-from afzp.system import (CanonicalForm, IrredPiece, _pattern_defect,
-                         equal_as_maps, zero_tuple)
+from afzp.report import Report
+from afzp.system import (CanonicalForm, EqHom, FdSystem, IrredPiece,
+                         _pattern_defect, equal_as_maps, zero_tuple)
 
 
 _CTX_CACHE = {}
@@ -604,3 +609,113 @@ def _cycle_corner_blocks(K, p, c, k):
                             elif not e.is_zero():
                                 return None
     return A
+
+
+def direct_sum(a, b):
+    """The block-diagonal matrix a (+) b."""
+    out = Mat.zero(a.ctx, a.rows + b.rows, a.cols + b.cols)
+    for i in range(a.rows):
+        for j in range(a.cols):
+            out.entries[i][j] = a.entries[i][j]
+    for i in range(b.rows):
+        for j in range(b.cols):
+            out.entries[a.rows + i][a.cols + j] = b.entries[i][j]
+    return out
+
+
+def ieye(n):
+    """The n x n integer identity matrix."""
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+# -- the format-1 writer ------------------------------------------------------
+# The library writes format 2 and still reads format 1. This is the old
+# writer, without its memos: the byte oracle for format-1 documents and
+# the source of format-1 files in the tests.
+
+
+def scalar_json(s):
+    """The format-1 scalar object {"order": N, "coeffs": d strings "a/b"},
+    each coefficient in lowest terms and "/b" omitted when b is 1."""
+    den = s.den
+    coeffs = []
+    for x in s.num:
+        g = math.gcd(x, den)
+        coeffs.append(str(x // g) if g == den
+                      else "%d/%d" % (x // g, den // g))
+    return {"order": s.ctx.order, "coeffs": coeffs}
+
+
+def mat_json(m):
+    """The format-1 dense matrix object."""
+    return {"rows": m.rows, "cols": m.cols,
+            "entries": [[scalar_json(e) for e in row] for row in m.entries]}
+
+
+def dump_format1(obj):
+    """The format-1 document of obj: every nested document is complete
+    and written again wherever it occurs."""
+    doc = {"afzp_format": 1}
+    if isinstance(obj, FdSystem):
+        doc.update(kind="system", p=obj.p, order=obj.ctx.order,
+                   blocks=list(obj.block_sizes),
+                   sigma=[i + 1 for i in obj.sigma],
+                   impl=[mat_json(u) for u in obj.impl])
+    elif isinstance(obj, CanonicalForm):
+        doc.update(kind="canonical", p=obj.p, order=obj.ctx.order, pieces=[
+            {"kind": pc.kind, "n": pc.n,
+             **({"v": mat_json(pc.v)} if pc.kind == "fixed" else {})}
+            for pc in obj.pieces])
+        if obj.iso is not None:
+            doc["iso"] = {"block_map": list(obj.iso.block_map),
+                          "conjugators": [mat_json(z)
+                                          for z in obj.iso.conjugators]}
+    elif isinstance(obj, EqHom):
+        doc.update(kind="hom", source=dump_format1(obj.source),
+                   target=dump_format1(obj.target), unital=obj.unital,
+                   blocks=[{"slots": [{"src": s.src, "size": s.size,
+                                       "phase": s.phase} for s in arr.slots],
+                            "conj": mat_json(arr.conj)}
+                           for arr in obj.arrangements])
+    elif isinstance(obj, CrossedPresentation):
+        doc.update(kind="crossed", p=obj.p, order=obj.ctx.order,
+                   source=dump_format1(obj.source),
+                   blocks=list(obj.block_sizes), special=list(obj.special),
+                   iota=[row[:] for row in obj.iota_matrix],
+                   dual=dump_format1(obj.dual_system()),
+                   identify=mat_json(obj.identify_matrix()))
+    elif isinstance(obj, KInvariant):
+        doc.update(kind="kinvariant", m=obj.m, unit=list(obj.unit),
+                   act=obj.act, mC=obj.mC, dualAct=obj.dualAct,
+                   special=list(obj.special), iota=obj.iota)
+    elif isinstance(obj, KPair):
+        doc.update(kind="kpair", F=obj.F, phi=obj.phi, unital=obj.unital)
+    elif isinstance(obj, Tower):
+        doc.update(kind="tower",
+                   systems=[dump_format1(s) for s in obj.systems],
+                   maps=[dump_format1(h) for h in obj.maps])
+    elif isinstance(obj, IntertwiningCertificate):
+        doc.update(kind="certificate", towerA=dump_format1(obj.towerA),
+                   towerB=dump_format1(obj.towerB),
+                   a_stages=list(obj.a_stages), b_stages=list(obj.b_stages),
+                   pairs=[dump_format1(kp) for kp in obj.pairs],
+                   forward=[dump_format1(h) for h in obj.forward],
+                   backward=[dump_format1(h) for h in obj.backward],
+                   triangles=[{"kind": t.kind, "left": t.left_stage,
+                               "right": t.right_stage,
+                               "correction": [mat_json(w)
+                                              for w in t.correction]}
+                              for t in obj.triangles])
+    elif isinstance(obj, Report):
+        doc.update(kind="report", **obj.to_json())
+    else:
+        assert isinstance(obj, list) and obj and all(
+            isinstance(w, Mat) for w in obj), type(obj)
+        doc.update(kind="unitaries", p=obj[0].ctx.p, order=obj[0].ctx.order,
+                   W=[mat_json(w) for w in obj])
+    return doc
+
+
+def dumps_format1(obj):
+    """The format-1 text of obj, as the library wrote it up to format 2."""
+    return json.dumps(dump_format1(obj), indent=2, sort_keys=True)

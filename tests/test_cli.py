@@ -15,6 +15,15 @@ from afzp.matrix import Mat
 from afzp.serialize import dumps, load_json, loads, save_json
 from afzp.system import FdSystem
 
+from conftest import dump_format1
+
+
+def _format1(path):
+    """The format-1 document of the value in a file the CLI wrote: the
+    corruptions below are written against format 1, which load still
+    reads."""
+    return dump_format1(load_json(path))
+
 
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
@@ -96,10 +105,16 @@ def test_intertwine_verify_and_corruption(workdir, capsys):
     assert main(["intertwine", "towerA.json", "towerB.json",
                  "--depth", "3", "--out", "cert.json"]) == 0
     assert main(["verify", "cert.json"]) == 0
-    doc = json.load(open("cert.json"))
+    doc = _format1("cert.json")
+    new = json.load(open("cert.json"))
     # corrupting a single matrix entry must fail verification
     doc["forward"][1]["blocks"][0]["conj"]["entries"][0][0]["coeffs"][0] = "7"
     json.dump(doc, open("cert.json", "w"))
+    assert main(["verify", "cert.json"]) == 1
+    # in format 2, the entry of the same hom's first conjugator
+    conj = new["objects"][new["forward"][1]]["blocks"][0]["conj"]
+    conj["entries"][0][2] = "0:7"
+    json.dump(new, open("cert.json", "w"))
     assert main(["verify", "cert.json"]) == 1
 
 
@@ -164,7 +179,7 @@ def _assert_input_error(*argv):
 @pytest.mark.parametrize("corrupt", [_zero_denominator, _long_coefficients,
                                      _wrong_rows, _bare_scalar])
 def test_corrupted_system_exit_two_without_traceback(workdir, corrupt):
-    doc = json.load(open("m2.json"))
+    doc = _format1("m2.json")
     corrupt(doc["impl"][0])
     json.dump(doc, open("bad.json", "w"))
     _assert_input_error("validate", "bad.json")
@@ -216,13 +231,13 @@ def test_corrupted_canonical_or_hom_exit_two(workdir, command, corrupt):
     assert main(["lift", "pair.json", "m1.json", "m2.json",
                  "--out", "hom.json"]) == 0
     if command == "validate":
-        doc = json.load(open("hom.json"))
+        doc = _format1("hom.json")
         if corrupt in _V_CORRUPTIONS:
             corrupt(doc["target"]["pieces"][0]["v"])
         else:
             corrupt(doc)
     else:
-        doc = json.load(open("c2.json"))
+        doc = _format1("c2.json")
         corrupt(doc["pieces"][0]["v"])
     json.dump(doc, open("bad.json", "w"))
     _assert_input_error(command, "bad.json")
@@ -237,7 +252,7 @@ def test_text_format_report(workdir, capsys):
 def test_empty_piece_in_tower_exit_two(workdir):
     assert main(["canon", "m2.json", "--out", "c2.json"]) == 0
     save_json("tower.json", Tower([load_json("c2.json")], []))
-    doc = json.load(open("tower.json"))
+    doc = _format1("tower.json")
     doc["systems"][0]["pieces"].append({"kind": "cycle", "n": 0})
     json.dump(doc, open("tower.json", "w"))
     assert main(["intertwine", "tower.json", "tower.json",
@@ -279,7 +294,7 @@ def test_equiv_rejects_invalid_hom(workdir, corrupt):
 def test_verify_reports_invalid_hom_without_traceback(workdir, path, line):
     assert main(["demo", "product-tower-p2", "--depth", "2",
                  "--out", "cert.json"]) == 0
-    doc = json.load(open("cert.json"))
+    doc = _format1("cert.json")
     hom = doc
     for key in path:
         hom = hom[key]
@@ -352,7 +367,7 @@ def test_corrupted_repeat_of_a_scalar_exit_two(workdir, corrupt):
     second occurrence of a scalar must still be caught."""
     assert main(["demo", "product-tower-p2", "--depth", "2",
                  "--out", "cert.json"]) == 0
-    doc = json.load(open("cert.json"))
+    doc = _format1("cert.json")
     seen = set()
     for s in _scalar_objects(doc):
         key = (s["order"], tuple(s["coeffs"]))
@@ -376,10 +391,169 @@ def test_non_integer_p_or_order_exit_two(workdir, path, key, value):
     must be JSON integers, checked before the lookup."""
     assert main(["demo", "product-tower-p2", "--depth", "2",
                  "--out", "cert.json"]) == 0
-    doc = json.load(open("cert.json"))
+    doc = _format1("cert.json")
     inner = doc
     for step in path:
         inner = inner[step]
     inner[key] = value
     json.dump(doc, open("bad.json", "w"))
     _assert_input_error("verify", "bad.json")
+
+
+@pytest.mark.parametrize("path", [
+    ("forward", 0, "target"), ("forward", 1, "source"),
+    ("backward", 0, "target"), ("towerA", "systems", 1),
+    ("towerB", "maps", 0, "target"), ("towerB", "systems", 0)],
+    ids=["forward-target", "forward-source", "backward-target",
+         "second-system", "tower-map-target", "second-tower"])
+def test_nested_field_mismatch_exit_two(workdir, capsys, path):
+    """A format-1 document nested in another lies in its field: an
+    order 4 inside the order-16 certificate of the p=2 tower is an input
+    error, not a certificate that verifies."""
+    assert main(["demo", "product-tower-p2", "--depth", "2",
+                 "--out", "cert.json"]) == 0
+    doc = _format1("cert.json")
+    inner = doc
+    for step in path:
+        inner = inner[step]
+    inner["order"] = 4
+    json.dump(doc, open("bad.json", "w"))
+    capsys.readouterr()
+    assert main(["verify", "bad.json"]) == 2
+    assert "differ from the p 2 and order 16" in capsys.readouterr().err
+
+
+def test_format1_certificate_file_verifies_with_the_same_report(workdir,
+                                                               capsys):
+    assert main(["demo", "product-tower-p2", "--depth", "2",
+                 "--out", "cert.json"]) == 0
+    json.dump(_format1("cert.json"), open("old.json", "w"))
+    capsys.readouterr()
+    assert main(["verify", "cert.json", "--format", "text"]) == 0
+    new = capsys.readouterr().out
+    assert main(["verify", "old.json", "--format", "text"]) == 0
+    assert capsys.readouterr().out == new
+
+
+# -- format-2 mutations -------------------------------------------------------
+
+
+def _matrices(doc):
+    """Every format-2 matrix object in doc, in file order."""
+    if isinstance(doc, dict):
+        if "entries" in doc:
+            yield doc
+        for key in sorted(doc):
+            yield from _matrices(doc[key])
+    elif isinstance(doc, list):
+        for item in doc:
+            yield from _matrices(item)
+
+
+def _first_object(doc, kind):
+    return next(i for i, o in enumerate(doc["objects"]) if o["kind"] == kind)
+
+
+def _scalar_text(text):
+    def corrupt(doc):
+        next(_matrices(doc))["entries"][0][2] = text
+    return corrupt
+
+
+def _entry(change):
+    """change(entries, rows, cols) on the first matrix with two entries."""
+    def corrupt(doc):
+        mat = next(m for m in _matrices(doc) if len(m["entries"]) >= 2)
+        change(mat["entries"], mat["rows"], mat["cols"])
+    return corrupt
+
+
+def _object_field(kind, key, value):
+    def corrupt(doc):
+        doc["objects"][_first_object(doc, kind)][key] = value(doc)
+    return corrupt
+
+
+def _top(key, value):
+    def corrupt(doc):
+        doc[key] = value(doc) if callable(value) else value
+    return corrupt
+
+
+def _hom_source_self(doc):
+    i = _first_object(doc, "hom")
+    doc["objects"][i]["source"] = i
+
+
+def _hom_source_later(doc):
+    i = _first_object(doc, "hom")
+    doc["objects"][i]["source"] = len(doc["objects"]) - 1
+
+
+_FORMAT2_CORRUPTIONS = {
+    # object references
+    "dangling-forward": _top("forward", lambda d: [len(d["objects"])]
+                             + d["forward"][1:]),
+    "negative-forward": _top("forward", lambda d: [-1] + d["forward"][1:]),
+    "boolean-tower": _top("towerA", True),
+    "cyclic-source": _hom_source_self,
+    "forward-source": _hom_source_later,
+    "wrong-kind-forward": _top("forward", lambda d: [
+        _first_object(d, "canonical")] + d["forward"][1:]),
+    "wrong-kind-tower": _top("towerB", lambda d: _first_object(d, "hom")),
+    "wrong-kind-system": _object_field(
+        "tower", "systems", lambda d: [_first_object(d, "hom")]),
+    "unknown-object-kind": lambda d: d["objects"][0].update(kind="system"),
+    # scalar text
+    "unreduced": _scalar_text("0:2/2"),
+    "unreduced-fraction": _scalar_text("0:2/4"),
+    "unsorted": _scalar_text("1:1 0:1"),
+    "repeated-exponent": _scalar_text("0:1 0:1"),
+    "zero-coefficient": _scalar_text("0:0"),
+    "zero-term": _scalar_text("0:1 1:0"),
+    "exponent-at-degree": _scalar_text("8:1"),
+    "negative-exponent": _scalar_text("-1:1"),
+    "empty": _scalar_text(""),
+    "double-space": _scalar_text("0:1  1:1"),
+    "plus-sign": _scalar_text("0:+1"),
+    "zero-denominator": _scalar_text("0:1/0"),
+    "not-a-string": _scalar_text(1),
+    # matrix entries
+    "row-out-of-range": _entry(lambda e, r, c: e.append([r, 0, "0:1"])),
+    "column-out-of-range": _entry(lambda e, r, c: e.append([r - 1, c,
+                                                            "0:1"])),
+    "negative-row": _entry(lambda e, r, c: e.insert(0, [-1, 0, "0:1"])),
+    "repeated-entry": _entry(lambda e, r, c: e.insert(1, list(e[0]))),
+    "row-major-order": _entry(lambda e, r, c: e.reverse()),
+    "short-entry": _entry(lambda e, r, c: e[0].pop()),
+    "non-integer-rows": lambda d: next(_matrices(d)).update(rows=2.0),
+    # p and order: once, as integers, on the top-level document only
+    "float-p": _top("p", 2.0),
+    "boolean-p": _top("p", True),
+    "float-order": _top("order", 16.0),
+    "no-order": lambda d: d.pop("order"),
+    "nested-p": _object_field("canonical", "p", lambda d: 2),
+    "nested-order": _object_field("hom", "order", lambda d: 16),
+    "nested-format": _object_field("tower", "afzp_format", lambda d: 2),
+    "pair-with-p": lambda d: d["pairs"][0].update(p=2),
+    "objects-not-a-list": _top("objects", {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FORMAT2_CORRUPTIONS))
+def test_corrupted_format2_certificate_exit_two(workdir, capsys, name):
+    """Every format-2 corruption of the p=2 depth-2 certificate is an
+    input error: a reference that dangles, is cyclic or names the wrong
+    kind; scalar text that is not canonical; an entry out of range,
+    repeated or out of row-major order; a p or order that is not an
+    integer on the top-level document, or that a nested object carries.
+    main raises any other exception, so none ends in a traceback."""
+    assert main(["demo", "product-tower-p2", "--depth", "2",
+                 "--out", "cert.json"]) == 0
+    doc = json.load(open("cert.json"))
+    assert doc["afzp_format"] == 2
+    _FORMAT2_CORRUPTIONS[name](doc)
+    json.dump(doc, open("bad.json", "w"))
+    capsys.readouterr()
+    assert main(["verify", "bad.json"]) == 2
+    assert capsys.readouterr().err.startswith("input error:")

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from afzp._rat import RAT
 from afzp.cyclo import (FieldContext, Scalar, approx, make_root, root_order)
 from afzp.errors import ContextMismatch, DivisionByZero
+from afzp.serialize import _scalar_text
 
-from conftest import ctx_for
+from conftest import ctx_for, scalar_json
 from fraction_scalar import FracField, FracScalar
 
 
@@ -171,8 +172,8 @@ def test_serialization_bit_exact(rng):
         coeffs = tuple(RAT(rng.randint(-9, 9), rng.randint(1, 9))
                        for _ in range(ctx.degree))
         a = Scalar(ctx, coeffs)
-        assert Scalar.from_json(a.to_json(), ctx) == a
-    doc = ctx.one.to_json()
+        assert Scalar.from_json(scalar_json(a), ctx) == a
+    doc = scalar_json(ctx.one)
     assert doc["coeffs"][0] == "1"     # denominator-1 rendering
 
 
@@ -204,7 +205,10 @@ def _agree(new, ref):
     assert math.gcd(new.den, *new.num) == 1 and new.den > 0
     assert new.is_zero() == ref.is_zero()
     assert new.rational_part() == ref.rational_part()
-    assert new.to_json() == ref.to_json()
+    assert scalar_json(new) == ref.to_json()
+    # format 2: the nonzero coefficients as "e:a/b", Fraction's own text
+    assert _scalar_text(new) == " ".join(
+        "%d:%s" % (e, c) for e, c in enumerate(ref.coeffs) if c)
 
 
 @settings(max_examples=100, deadline=None)

@@ -27,10 +27,9 @@ from afzp.demos import identity_pairs, product_tower
 from afzp.kinv import KPair, invariant_of
 from afzp.matrix import Mat
 from afzp.report import Report
-from afzp.serialize import dumps
 from afzp.system import FdSystem, decompose, identity_hom
 
-from conftest import ctx_for, mixed_form
+from conftest import ctx_for, dumps_format1 as dumps, mixed_form
 
 
 def _doc(value):

@@ -40,7 +40,8 @@ def test_invariant_trivial_p3_special():
 
 
 def test_permutation_parts_have_order_dividing_p():
-    from afzp.kinv import imat_mul, ieye
+    from afzp.kinv import imat_mul
+    from conftest import ieye
     for p in (2, 3):
         ctx = ctx_for(p)
         for form in (fixed_form(ctx, list(range(p))), cycle_form(ctx, 2),

@@ -6,7 +6,7 @@ from afzp.cyclo import make_root
 from afzp.errors import MultisetMismatch, NotOrderP, ShapeMismatch
 from afzp.matrix import Mat, match_diagonals, spectral
 
-from conftest import Inconsistent, ctx_for, solve
+from conftest import Inconsistent, ctx_for, direct_sum, solve
 
 
 def test_dagger_of_imaginary_diagonal():
@@ -161,7 +161,7 @@ def test_solve_inconsistent():
 
 def test_direct_sum_and_power():
     ctx = ctx_for(2)
-    d = Mat.diag(ctx, [1, -1]).direct_sum(Mat.identity(ctx, 1))
+    d = direct_sum(Mat.diag(ctx, [1, -1]), Mat.identity(ctx, 1))
     assert d == Mat.diag(ctx, [1, -1, 1])
     s = Mat.permutation(ctx, [1, 0])
     assert s.power(2) == Mat.identity(ctx, 2)

@@ -1,14 +1,14 @@
-"""The memoized codec of serialize against its slow paths.
+"""The format-2 codec of serialize against its oracles.
 
-dump renders each distinct scalar once and each CanonicalForm, EqHom or
-Tower object once, dumps writes the text of each scalar object and of
-each document once per indentation level, and load builds one
-FieldContext per field and decodes each distinct coefficient vector
-once; the oracles are the document rendered entry by entry and object
-by object (_dump(x, None)), json.dumps(dump(x), indent=2,
-sort_keys=True) for the writer and Scalar.from_json without a memo,
-entry by entry, for the reader. Equal bytes cannot show a dead memo, so
-the calls are counted as well.
+dumps writes format 2: its text is json.dumps(dump(x), sort_keys=True,
+separators=(",", ":")), and load reads it back to a value that dumps
+to the same text. load still reads format 1; the old format-1 writer
+lives in conftest (dumps_format1) as the byte oracle of the pinned
+format-1 digests, and both formats must load to equal objects that
+replay to the same report. The format-1 reader decodes each distinct
+coefficient vector once; its oracle is Scalar.from_json without a memo,
+entry by entry. The format-2 reader builds each shared object once,
+which equal bytes cannot show, so the constructions are counted.
 """
 
 import collections
@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from afzp import serialize
 from afzp._rat import RAT
 from afzp.classify import (IntertwiningCertificate, Tower, TriangleRecord,
-                           intertwine)
+                           intertwine, verify_certificate)
 from afzp.crossed import crossed_product
 from afzp.cyclo import FieldContext, Scalar
 from afzp.demos import identity_pairs, product_tower
@@ -29,10 +29,11 @@ from afzp.errors import ContextMismatch
 from afzp.kinv import KPair, invariant_of
 from afzp.matrix import Mat
 from afzp.report import Report
-from afzp.serialize import _dump, dump, dumps, loads
+from afzp.serialize import dump, dumps, loads
 from afzp.system import (Arrangement, EqHom, Slot, decompose, identity_hom)
 
-from conftest import ctx_for, mixed_form, piece_specs
+from conftest import (ctx_for, dump_format1, dumps_format1, mixed_form,
+                      piece_specs, scalar_json)
 
 KINDS = ["system", "canonical", "canonical-iso", "hom", "hom-null-src",
          "crossed", "kinvariant", "kpair", "tower", "certificate",
@@ -115,12 +116,27 @@ def _value(draw, kind):
 @given(data=st.data())
 def test_dumps_matches_json_dumps_and_reloads(kind, data):
     value = _value(data.draw, kind)
-    assert dump(value) == _dump(value, None)
     text = dumps(value)
-    assert text == json.dumps(dump(value), indent=2, sort_keys=True)
-    # every loaded scalar renders to the coefficient strings it was read
-    # from, so it equals the one a fresh per-entry decode builds
+    assert text == json.dumps(dump(value), sort_keys=True,
+                              separators=(",", ":"))
+    # every loaded scalar renders to the text it was read from
     assert dumps(loads(text)) == text
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_format1_and_format2_load_to_equal_objects(kind, data):
+    """Both formats load to the value that was written; the format-1
+    oracle document compares what == cannot (a crossed presentation),
+    and a certificate replays to the same report either way."""
+    value = _value(data.draw, kind)
+    old, new = loads(dumps_format1(value)), loads(dumps(value))
+    assert dump_format1(old) == dump_format1(new) == dump_format1(value)
+    if kind != "crossed":
+        assert old == new == value
+    if kind == "certificate":
+        assert verify_certificate(old) == verify_certificate(new)
 
 
 def _decoded(obj, ctx, memo):
@@ -136,7 +152,7 @@ def _decoded(obj, ctx, memo):
 @given(data=st.data())
 def test_memoized_decoding_matches_per_entry_decoding(data):
     ctx = _field(data.draw)
-    good = [s.to_json() for s in _scalar_pool(ctx)]
+    good = [scalar_json(s) for s in _scalar_pool(ctx)]
     zeros = ["0"] * ctx.degree
     bad = [{"order": ctx.order, "coeffs": ["1/0"] + zeros[1:]},
            {"order": ctx.order, "coeffs": zeros + ["0"]},
@@ -154,6 +170,21 @@ def test_memoized_decoding_matches_per_entry_decoding(data):
     assert set(memo) == set(first)
 
 
+def _pinned_certificate(p, depth, resorted):
+    tower = product_tower(p, depth)
+    other = product_tower(p, depth, resorted=True) if resorted else tower
+    return intertwine(tower, other, pairs=identity_pairs(tower, depth),
+                      depth=depth)
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+_PINNED = [(2, 3, False), (3, 2, False), (2, 3, True)]
+_PINNED_IDS = ["p2-depth3", "p3-depth2", "p2-depth3-resorted"]
+
+
 @pytest.mark.parametrize("p,depth,resorted,digest", [
     (2, 3, False,
      "92ea0b51a6deda5a32bea9e94715b327df2a1b4c97597b674299b3962dadf3d3"),
@@ -161,18 +192,16 @@ def test_memoized_decoding_matches_per_entry_decoding(data):
      "ba9f5352b3e1ce130fcd771632adfd33e6e8989f35b55711ff938e030e009015"),
     (2, 3, True,
      "47cc0329f2e56cde0c825f04840587db99fb68b1fc8a0cf97c074a450006a772"),
-], ids=["p2-depth3", "p3-depth2", "p2-depth3-resorted"])
+], ids=_PINNED_IDS)
 def test_self_intertwined_product_tower_bytes_are_pinned(p, depth, resorted,
                                                          digest):
-    """The certificate bytes stay those of the Fraction-coefficient
-    scalar layer, where the first two digests were taken; the resorted
-    tower's, taken before hom checks moved to conjugator products, pins
-    bytes made through equiv_unitary's corrections."""
-    tower = product_tower(p, depth)
-    other = product_tower(p, depth, resorted=True) if resorted else tower
-    cert = intertwine(tower, other, pairs=identity_pairs(tower, depth),
-                      depth=depth)
-    assert hashlib.sha256(dumps(cert).encode()).hexdigest() == digest
+    """The format-1 bytes stay those of the Fraction-coefficient scalar
+    layer, where the first two digests were taken; the resorted tower's,
+    taken before hom checks moved to conjugator products, pins bytes
+    made through equiv_unitary's corrections. Format 1 is now written by
+    the oracle writer only."""
+    cert = _pinned_certificate(p, depth, resorted)
+    assert _digest(dumps_format1(cert)) == digest
 
 
 def test_searched_pair_certificate_bytes_are_pinned():
@@ -181,40 +210,89 @@ def test_searched_pair_certificate_bytes_are_pinned():
     forward and backward steps shared one code path."""
     cert = intertwine(product_tower(2, 3), product_tower(2, 3, resorted=True),
                       depth=3)
-    assert hashlib.sha256(dumps(cert).encode()).hexdigest() == \
+    assert _digest(dumps_format1(cert)) == \
         "f75ea5cd14da1610f486623f854ff90d01adb29e052499b25719406c49b021eb"
 
 
-def test_each_document_is_written_once_and_each_field_built_once(
-        monkeypatch):
+@pytest.mark.parametrize("p,depth,resorted,digest", [
+    (2, 3, False,
+     "da4087c979ecaf46f08499a07a03b49712486e6a4ee1516bfc44133327dae933"),
+    (3, 2, False,
+     "6819ab04ac85fa74d71d986f06d006688a419121e161848cd557ab423e16405c"),
+    (2, 3, True,
+     "2606b2738db835a95af7a0e6fdfea11376665c9a63355eb2caac7ddb275f3655"),
+    (2, 3, None,
+     "78700d0228db880207ce8a8cf33ec4de9956ac66848fbb05f4cdbffc5c40dcf8"),
+], ids=_PINNED_IDS + ["p2-depth3-searched"])
+def test_format2_certificate_bytes_are_pinned(p, depth, resorted, digest):
+    """The format-2 bytes of the certificates pinned above in format 1
+    (resorted None: the searched-pair one); the digests were taken when
+    format 2 was introduced."""
+    if resorted is None:
+        cert = intertwine(product_tower(2, 3),
+                          product_tower(2, 3, resorted=True), depth=3)
+    else:
+        cert = _pinned_certificate(p, depth, resorted)
+    assert _digest(dumps(cert)) == digest
+
+
+@pytest.mark.parametrize("p,depth,resorted", _PINNED, ids=_PINNED_IDS)
+def test_format1_and_format2_certificates_replay_to_the_same_report(
+        p, depth, resorted):
+    cert = _pinned_certificate(p, depth, resorted)
+    old, new = loads(dumps_format1(cert)), loads(dumps(cert))
+    assert dump_format1(old) == dump_format1(new)
+    report = verify_certificate(cert)
+    assert report.ok
+    assert verify_certificate(old) == verify_certificate(new) == report
+
+
+def test_each_object_is_written_and_built_once(monkeypatch):
     """In a self-intertwined certificate towerB is towerA and the forms
-    recur in every hom: dump gives each object one document, dumps
-    writes each document once per indentation level, and loads builds
-    one FieldContext for the field."""
+    recur in every hom: dump writes each CanonicalForm, EqHom and Tower
+    object once, and loads builds each object once, in one field, and
+    shares it where the file does."""
     tower = product_tower(3, 2)
     cert = intertwine(tower, tower, pairs=identity_pairs(tower, 2), depth=2)
     doc = dump(cert)
-    assert doc["towerA"] is doc["towerB"]
-    assert doc["forward"][0]["source"] is doc["towerA"]["systems"][0]
+    distinct = {id(x) for x in [tower, *tower.systems, *tower.maps,
+                                *cert.forward, *cert.backward]}
+    distinct |= {id(f) for h in cert.forward + cert.backward
+                 for f in (h.source, h.target)}
+    assert len(doc["objects"]) == len(distinct)
+    assert doc["towerA"] == doc["towerB"]
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert text == dumps(cert)
 
-    written = collections.Counter()
-    write_object = serialize._write_object
+    built = []
+    fields = collections.Counter()
+    canonical_form = serialize.CanonicalForm
 
-    def counting(x, nl, out, memo):
-        if "kind" in x:
-            written[id(x), nl] += 1
-        write_object(x, nl, out, memo)
-    monkeypatch.setattr(serialize, "_write_object", counting)
-    text = dumps(cert)
-    assert written and max(written.values()) == 1
-    monkeypatch.setattr(serialize, "_write_object", write_object)
-    assert text == json.dumps(dump(cert), indent=2, sort_keys=True)
-
-    built = collections.Counter()
+    def form(ctx, p, pieces, iso=None):
+        built.append(pieces)
+        return canonical_form(ctx, p, pieces, iso)
 
     def field(p, order=None):
-        built[p, order] += 1
+        fields[p, order] += 1
         return FieldContext(p, order)
+    monkeypatch.setattr(serialize, "CanonicalForm", form)
     monkeypatch.setattr(serialize, "FieldContext", field)
-    assert dumps(loads(text)) == text
-    assert built == {(3, 36): 1}
+    again = loads(text)
+    monkeypatch.undo()
+    kinds = collections.Counter(o["kind"] for o in doc["objects"])
+    assert len(built) == kinds["canonical"]
+    assert fields == {(3, 36): 1}
+    assert again.towerA is again.towerB
+    assert again.forward[0].source is again.towerA.systems[0]
+    assert dumps(again) == text
+
+
+def test_p5_depth3_certificate_is_small_and_replays():
+    """The p=5 depth-3 self certificate took 395 MB in format 1."""
+    tower = product_tower(5, 3)
+    cert = intertwine(tower, tower, pairs=identity_pairs(tower, 3), depth=3)
+    text = dumps(cert)
+    assert len(text.encode()) < 100_000
+    again = loads(text)
+    assert dumps(again) == text
+    assert verify_certificate(again).ok
