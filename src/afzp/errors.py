@@ -52,9 +52,10 @@ class TwistRootOutsideField(AfzpError):
 
 
 class NonDiagonalizableWithinField(AfzpError):
-    """Fixed-block implementing unitary is not monomial; cannot be
-    diagonalized without leaving the field. Re-present the input with a
-    diagonal (or monomial) implementing unitary."""
+    """A fixed block's implementing unitary has eigenvectors that
+    matrix.unitary_conjugator cannot pair with its sorted diagonal: some
+    norm ratio is not a rational k^2 2^a p^b / c^2. Diagonal and monomial
+    blocks never raise this; re-present the input with one."""
 
 
 class SystemMismatch(AfzpError):
@@ -90,7 +91,10 @@ class KDataMismatch(AfzpError):
 
 
 class UnitaryNotFoundInField(AfzpError):
-    """No unitary intertwiner with entries in the field was found."""
+    """No unitary intertwiner with entries in the field was found: a
+    commutant element leaves its slot pattern, or an eigenvector norm
+    ratio lies outside the class matrix.unitary_conjugator decides (the
+    message names the eigenvalue and the ratio)."""
 
 
 class ReindexFailed(AfzpError):

@@ -2,16 +2,20 @@
 
 Everything here is plain row-major dense algebra with Scalar entries.
 The only eigen-analysis offered is character averaging of finite-order
-unitaries, which stays inside the field; there is no general eigensolver
-and no linear solver: every identity the engine checks is a matrix
-product compared against a pattern.
+unitaries, which stays inside the field, and unitary_conjugator built on
+it, which pairs the eigenspaces of two order-p unitaries. There is no
+general eigensolver and no linear solver: every identity the engine
+checks is a matrix product compared against a pattern.
 """
 
-from .cyclo import Scalar
-from .errors import MultisetMismatch, NotOrderP, ShapeMismatch
-from ._rat import is_integer
+import math
 
-__all__ = ["Mat", "SpectralData", "spectral", "match_diagonals"]
+from .cyclo import Scalar
+from .errors import (MultisetMismatch, NotOrderP, ShapeMismatch,
+                     UnitaryNotFoundInField)
+from ._rat import RAT, is_integer
+
+__all__ = ["Mat", "SpectralData", "spectral", "unitary_conjugator"]
 
 
 class Mat:
@@ -279,29 +283,117 @@ def diag_root_exponents(D, p):
     return out
 
 
-def match_diagonals(D1, D2, p):
-    """Permutation Q with Q^dagger * D1 * Q == D2, for diagonal matrices
-    of p-th roots of unity with equal eigenvalue multisets. Equal
-    eigenvalues are matched in increasing index order."""
-    ctx = D1.ctx
-    if D1.rows != D2.rows:
-        raise ShapeMismatch("diagonals of different sizes")
-    e1 = diag_root_exponents(D1, p)
-    e2 = diag_root_exponents(D2, p)
-    if e1 is None or e2 is None:
-        raise NotOrderP("diagonal entries are not p-th roots of unity")
-    pools = {}
-    for i, e in enumerate(e1):
-        pools.setdefault(e, []).append(i)
-    counts1 = [sum(1 for x in e1 if x == k) for k in range(p)]
-    counts2 = [sum(1 for x in e2 if x == k) for k in range(p)]
+def unitary_conjugator(L1, L2, p):
+    """Unitary Z over the field with L1 Z = Z L2, for unitaries with
+    L1^p = L2^p = I, built one eigenspace at a time.
+
+    For each exponent d the zeta_p^d eigenspace of each L gets an
+    orthogonal basis: the unit vectors of a diagonal L in increasing
+    index order, else an unnormalised Gram-Schmidt over the columns of
+    spectral(L, p).projections[d], which stays in the field. The i-th
+    vectors v_i of L1 and u_i of L2 are paired:
+
+        Z = sum_i s_i v_i u_i^dagger / <u_i, u_i>,
+        s_i conj(s_i) = <u_i, u_i> / <v_i, v_i>.
+
+    The class decided is the one where every such ratio is a rational
+    k^2 2^a p^b / c^2 with a, b in {0, 1}: s_i is k/c times (1 + i)^a
+    (which needs 4 | N) times the Gauss sum ctx.sqrt_group_order()^b; at
+    p = 2 the factor 2 is the Gauss sum, and a field of order below 16
+    raises TwistRootOutsideField when it is needed. Diagonal pairs always
+    lie in the class (every ratio is 1, and Z is the permutation matching
+    equal eigenvalues in increasing index order); monomial ones do when
+    the field holds the Gauss sum (every ratio is 1, p or 1/p). Outside
+    it a field unitary may still exist after reordering or mixing the
+    basis (by Landherr's theorem, hermitian forms over a CM field are
+    equivalent iff they agree in rank, signatures and determinant modulo
+    norms); this raises UnitaryNotFoundInField naming d and the ratio.
+    Unequal multiplicities raise MultisetMismatch.
+    """
+    if not L1.rows == L1.cols == L2.rows == L2.cols:
+        raise ShapeMismatch("conjugating %dx%d into %dx%d"
+                            % (L2.rows, L2.cols, L1.rows, L1.cols))
+    ctx = L1.ctx
+    bases1, bases2 = _eigenbases(L1, p), _eigenbases(L2, p)
+    counts1 = [len(b) for b in bases1]
+    counts2 = [len(b) for b in bases2]
     if counts1 != counts2:
         raise MultisetMismatch(counts1, counts2)
-    images = [0] * D1.rows
-    taken = {k: 0 for k in pools}
-    for j, e in enumerate(e2):
-        pos = pools[e][taken[e]]
-        taken[e] += 1
-        images[j] = pos
-    # Q e_j = e_{images[j]}  =>  (Q^dagger D1 Q)_{jj} = D1_{images[j]}
-    return Mat.permutation(ctx, images)
+    Z = Mat.zero(ctx, L1.rows, L1.cols)
+    one = ctx.one
+    for d, (b1, b2) in enumerate(zip(bases1, bases2)):
+        for (v, nv), (u, nu) in zip(b1, b2):
+            s = one if nu == nv else _root_of_norm(
+                ctx, (nu / nv).rational_part())
+            if s is None:
+                raise UnitaryNotFoundInField(
+                    "no field scalar of squared norm %r pairs the "
+                    "eigenvectors of eigenvalue zeta_p^%d" % (nu / nv, d))
+            c = s if nu == one else s / nu
+            for row, x in zip(Z.entries, v):
+                if x._nonzero:
+                    cx = c * x
+                    for b, y in enumerate(u):
+                        if y._nonzero:
+                            row[b] = row[b] + cx * y.conj()
+    return Z
+
+
+def _eigenbases(L, p):
+    """Per exponent d, the orthogonal basis of L's zeta_p^d eigenspace
+    that unitary_conjugator pairs, as (vector, <vector, vector>)."""
+    ctx = L.ctx
+    n = L.rows
+    bases = [[] for _ in range(p)]
+    if L.is_diagonal():
+        exps = diag_root_exponents(L, p)
+        if exps is None:
+            raise NotOrderP("diagonal entries are not p-th roots of unity")
+        for i, e in enumerate(exps):
+            v = [ctx.zero] * n
+            v[i] = ctx.one
+            bases[e].append((v, ctx.one))
+        return bases
+    for basis, P in zip(bases, spectral(L, p).projections):
+        for j in range(n):
+            w = [row[j] for row in P.entries]
+            for u, nu in basis:
+                c = _inner(u, w) / nu
+                w = [x - c * y for x, y in zip(w, u)]
+            if any(x._nonzero for x in w):
+                basis.append((w, _inner(w, w)))
+    return bases
+
+
+def _inner(u, w):
+    """<u, w> = sum_i conj(u_i) w_i."""
+    t = u[0].ctx.zero
+    for x, y in zip(u, w):
+        if x._nonzero and y._nonzero:
+            t = t + x.conj() * y
+    return t
+
+
+def _root_of_norm(ctx, q):
+    """s with s conj(s) = q for a rational q = k^2 2^a p^b / c^2 (a, b in
+    {0, 1}), from k/c, 1 + i and the Gauss sum; None for any other q, or
+    when 1 + i is needed and 4 does not divide the field order. At p = 2
+    the factor 2 is the Gauss sum."""
+    if q is None or q <= 0:
+        return None
+    p = ctx.p
+    n = q.numerator * q.denominator     # q = n / denominator^2
+    for sf in (1, 2, p, 2 * p):         # the squarefree part of n
+        k = math.isqrt(n // sf)
+        if k * k * sf == n:
+            break
+    else:
+        return None
+    s = ctx.scalar(RAT(k, q.denominator))
+    if sf % p == 0:
+        s = s * ctx.sqrt_group_order()
+    if sf % 2 == 0 and p != 2:
+        if ctx.order % 4:
+            return None
+        s = s * (ctx.one + ctx.root(ctx.order // 4))
+    return s

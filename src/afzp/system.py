@@ -46,8 +46,10 @@ from dataclasses import dataclass, field
 from .cyclo import root_exponent
 from .errors import (NonDiagonalizableWithinField, NonScalarHolonomy,
                      NotOrderP, SystemMismatch, TwistNotRootOfUnity,
-                     TwistRootOutsideField, AfzpError)
-from .matrix import Mat, blockdiag, diag_root_exponents
+                     TwistRootOutsideField, UnitaryNotFoundInField,
+                     AfzpError)
+from .matrix import (Mat, blockdiag, diag_root_exponents, spectral,
+                     unitary_conjugator)
 from .report import Report
 
 __all__ = [
@@ -242,91 +244,14 @@ def _diag_conj(v, a):
     return out
 
 
-def _sort_conjugator(ctx, exps):
-    """Permutation Z with Z * diag(exps) * Z^dagger sorted ascending."""
-    order = sorted(range(len(exps)), key=lambda i: (exps[i], i))
-    images = [0] * len(exps)
-    for t, src in enumerate(order):
-        images[src] = t
-    return Mat.permutation(ctx, images), [exps[i] for i in order]
-
-
-def _monomial_structure(u):
-    """(perm, phases) with u e_j = phases[j] e_{perm[j]}, or None."""
-    n = u.rows
-    perm = [None] * n
-    phases = [None] * n
-    for j in range(n):
-        hits = [i for i in range(n) if not u.entries[i][j].is_zero()]
-        if len(hits) != 1:
-            return None
-        perm[j] = hits[0]
-        phases[j] = u.entries[hits[0]][j]
-    if sorted(perm) != list(range(n)):
-        return None
-    return perm, phases
-
-
-def _diagonalize_order_p_monomial(u, p):
-    """Unitary Z with Z u Z^dagger diagonal, for monomial u with u^p = I.
-
-    Permutation cycles of length p are rotated into eigenvectors with a
-    discrete Fourier combination; the 1/sqrt(p) normalizer is the Gauss
-    element, so everything stays in the field.
-    """
-    ctx = u.ctx
-    n = u.rows
-    ms = _monomial_structure(u)
-    if ms is None:
-        raise NonDiagonalizableWithinField(
-            "implementing unitary is not monomial; re-present the input "
-            "with a diagonal or monomial unitary")
-    perm, phases = ms
-    cols = Mat.zero(ctx, n, n)    # columns are the new basis vectors
-    diag = [None] * n
-    seen = set()
-    slot = 0
-    for start in range(n):
-        if start in seen:
-            continue
-        cycle = [start]
-        seen.add(start)
-        j = perm[start]
-        while j != start:
-            cycle.append(j)
-            seen.add(j)
-            j = perm[j]
-        if len(cycle) == 1:
-            cols.entries[start][slot] = ctx.one
-            diag[slot] = phases[start]
-            slot += 1
-            continue
-        if len(cycle) != p:
-            raise NonDiagonalizableWithinField(
-                "monomial cycle of length %d in an order-%d unitary"
-                % (len(cycle), p))
-        # balance phases: f_t = gamma_t e_{cycle[t]} with u f_t = f_{t+1}
-        gammas = [ctx.one]
-        for t in range(p - 1):
-            gammas.append(gammas[-1] * phases[cycle[t]])
-        ginv = ctx.sqrt_group_order().inv()
-        for m_eig in range(p):
-            for t in range(p):
-                cols.entries[cycle[t]][slot] = (
-                    gammas[t] * ctx.zeta_p(-t * m_eig) * ginv)
-            diag[slot] = ctx.zeta_p(m_eig)
-            slot += 1
-    # u * col_k = diag[k] * col_k; so cols^dagger * u * cols is diagonal
-    z = cols.dagger()
-    return z, Mat.diag(ctx, diag)
-
-
 def decompose(s):
     """Canonical form of a validated system, with the explicit rewriting.
 
-    Fixed blocks are scalar-normalized to order p and diagonalized
-    (diagonal or monomial implementing unitaries only), then the diagonal
-    is sorted. Orbits of size p are rewritten to the standard shift by
+    Fixed blocks are scalar-normalized to order p, and their exponents
+    are read off the diagonal (or counted by spectral when the block is
+    not diagonal) and sorted; matrix.unitary_conjugator maps the block
+    onto that sorted diagonal, which decides every diagonal or monomial
+    block. Orbits of size p are rewritten to the standard shift by
     partial products; the leftover holonomy scalar is a root of unity and
     is absorbed by powers of its p-th root.
     """
@@ -348,20 +273,17 @@ def decompose(s):
             v = u * mu
             n = s.block_sizes[i]
             if v.is_diagonal():
-                z0 = Mat.identity(ctx, n)
-                d = v
+                exps = sorted(diag_root_exponents(v, p))
             else:
-                z0, d = _diagonalize_order_p_monomial(v, p)
-            exps = diag_root_exponents(d, p)
-            if exps is None:
-                raise TwistNotRootOfUnity(
-                    "diagonal of block %d is not made of p-th roots" % i)
-            zs, sorted_exps = _sort_conjugator(ctx, exps)
-            z = zs * z0
+                exps = [d for d, k in enumerate(spectral(v, p).multiplicities)
+                        for _ in range(k)]
             piece = IrredPiece("fixed", n, Mat.diag(
-                ctx, [ctx.zeta_p(e) for e in sorted_exps]))
-            raw_pieces.append(((0, n, tuple(sorted_exps), i), piece,
-                               [(i, z)]))
+                ctx, [ctx.zeta_p(e) for e in exps]))
+            try:
+                z = unitary_conjugator(piece.v, v, p)
+            except UnitaryNotFoundInField as exc:
+                raise NonDiagonalizableWithinField("block %d: %s" % (i, exc))
+            raw_pieces.append(((0, n, tuple(exps), i), piece, [(i, z)]))
         else:
             inv_sigma = [0] * s.m
             for a, b in enumerate(s.sigma):

@@ -7,16 +7,17 @@ import pytest
 
 from afzp._rat import RAT, is_integer
 from afzp.classify import (IntertwiningCertificate, Tower,
-                           UniquenessWitness, WitnessEntry,
-                           _unitary_conjugator_search, conjugate_hom)
+                           UniquenessWitness, WitnessEntry, conjugate_hom)
 from afzp.crossed import (CrossedPresentation, ExtendedHom, crossed_offsets,
                           crossed_product)
 from afzp.cyclo import FieldContext
-from afzp.errors import (CorrectionFailed, KDataMismatch,
-                         NonIntegralMultiplicity, ShapeMismatch,
+from afzp.errors import (CorrectionFailed, KDataMismatch, MultisetMismatch,
+                         NonDiagonalizableWithinField,
+                         NonIntegralMultiplicity, NotOrderP, ShapeMismatch,
                          UnitaryNotFoundInField)
 from afzp.kinv import KInvariant, KPair, induced_map
-from afzp.matrix import Mat, blockdiag, diag_root_exponents
+from afzp.matrix import (Mat, blockdiag, diag_root_exponents, spectral,
+                         unitary_conjugator)
 from afzp.report import Report
 from afzp.system import (CanonicalForm, EqHom, FdSystem, IrredPiece,
                          _pattern_defect, equal_as_maps, zero_tuple)
@@ -518,7 +519,7 @@ def corner_equiv_unitary(h1, h2):
                         raise UnitaryNotFoundInField(
                             "commutant element leaves the copy pattern; "
                             "hom is not of product type")
-                    Z = _unitary_conjugator_search(L1h, L2h, p)
+                    Z = unitary_conjugator(L1h, L2h, p)
                     G = _expand_pattern(Z, k)
                     wt = wt + X1 * G * X2.dagger()
                     witness.entries.append(
@@ -609,6 +610,188 @@ def _cycle_corner_blocks(K, p, c, k):
                             elif not e.is_zero():
                                 return None
     return A
+
+
+def checked_conjugator(fn, L1, L2, p):
+    """fn(L1, L2, p), checked exactly: a unitary Z with L1 Z = Z L2."""
+    Z = fn(L1, L2, p)
+    assert Z.is_unitary() and L1 * Z == Z * L2
+    return Z
+
+
+# -- the retired conjugator constructions ------------------------------------
+# matrix.unitary_conjugator replaced a three-way search in
+# classify.equiv_unitary and a monomial diagonalizer in system.decompose.
+# Both stay here as oracles for it.
+
+
+def match_diagonals(D1, D2, p):
+    """Permutation Q with Q^dagger * D1 * Q == D2, for diagonal matrices
+    of p-th roots of unity with equal eigenvalue multisets. Equal
+    eigenvalues are matched in increasing index order."""
+    ctx = D1.ctx
+    if D1.rows != D2.rows:
+        raise ShapeMismatch("diagonals of different sizes")
+    e1 = diag_root_exponents(D1, p)
+    e2 = diag_root_exponents(D2, p)
+    if e1 is None or e2 is None:
+        raise NotOrderP("diagonal entries are not p-th roots of unity")
+    pools = {}
+    for i, e in enumerate(e1):
+        pools.setdefault(e, []).append(i)
+    counts1 = [sum(1 for x in e1 if x == k) for k in range(p)]
+    counts2 = [sum(1 for x in e2 if x == k) for k in range(p)]
+    if counts1 != counts2:
+        raise MultisetMismatch(counts1, counts2)
+    images = [0] * D1.rows
+    taken = {k: 0 for k in pools}
+    for j, e in enumerate(e2):
+        pos = pools[e][taken[e]]
+        taken[e] += 1
+        images[j] = pos
+    # Q e_j = e_{images[j]}  =>  (Q^dagger D1 Q)_{jj} = D1_{images[j]}
+    return Mat.permutation(ctx, images)
+
+
+def unitary_conjugator_search(L1, L2, p):
+    """Unitary Z with L1 Z = Z L2 for order-p unitaries in the copy
+    pattern. Diagonal pairs are matched by permutation; otherwise the
+    character-projection average is tried (rescaled into a unitary when
+    a field scalar of the right norm exists), then a bounded search over
+    root-of-unity scaled permutations. Failure raises
+    UnitaryNotFoundInField."""
+    ctx = L1.ctx
+    if L1.is_diagonal() and L2.is_diagonal():
+        return match_diagonals(L1, L2, p)
+    f = L1.rows
+    try:
+        s1 = spectral(L1, p)
+        s2 = spectral(L2, p)
+    except NotOrderP:
+        s1 = s2 = None
+    if s1 is not None:
+        z0 = Mat.zero(ctx, f, f)
+        for d in range(p):
+            z0 = z0 + s1.projections[d] * s2.projections[d]
+        gram = (z0.dagger() * z0).is_scalar()
+        if gram is not None and not gram.is_zero():
+            candidates = []
+            for row in z0.entries:
+                for e in row:
+                    if not e.is_zero():
+                        candidates.append(e)
+                        candidates.append(e * ctx.sqrt_group_order())
+            for s in candidates:
+                if s.conj() * s == gram:
+                    z = z0 * s.inv()
+                    if z.is_unitary() and L1 * z == z * L2:
+                        return z
+    if f > 6:
+        raise UnitaryNotFoundInField(
+            "non-diagonal commutant elements of size %d exceed the "
+            "generalized-permutation search bound" % f)
+    roots = [ctx.zeta_p(k) for k in range(p)]
+    for perm in itertools.permutations(range(f)):
+        base = Mat.permutation(ctx, list(perm))
+        for phases in itertools.product(range(p), repeat=f):
+            z = base * Mat.diag(ctx, [roots[q] for q in phases])
+            if L1 * z == z * L2:
+                return z
+    raise UnitaryNotFoundInField(
+        "no field unitary intertwining the commutant elements was found")
+
+
+def sort_conjugator(ctx, exps):
+    """Permutation Z with Z * diag(exps) * Z^dagger sorted ascending."""
+    order = sorted(range(len(exps)), key=lambda i: (exps[i], i))
+    images = [0] * len(exps)
+    for t, src in enumerate(order):
+        images[src] = t
+    return Mat.permutation(ctx, images), [exps[i] for i in order]
+
+
+def _monomial_structure(u):
+    """(perm, phases) with u e_j = phases[j] e_{perm[j]}, or None."""
+    n = u.rows
+    perm = [None] * n
+    phases = [None] * n
+    for j in range(n):
+        hits = [i for i in range(n) if not u.entries[i][j].is_zero()]
+        if len(hits) != 1:
+            return None
+        perm[j] = hits[0]
+        phases[j] = u.entries[hits[0]][j]
+    if sorted(perm) != list(range(n)):
+        return None
+    return perm, phases
+
+
+def _diagonalize_order_p_monomial(u, p):
+    """Unitary Z with Z u Z^dagger diagonal, for monomial u with u^p = I.
+
+    Permutation cycles of length p are rotated into eigenvectors with a
+    discrete Fourier combination; the 1/sqrt(p) normalizer is the Gauss
+    element, so everything stays in the field.
+    """
+    ctx = u.ctx
+    n = u.rows
+    ms = _monomial_structure(u)
+    if ms is None:
+        raise NonDiagonalizableWithinField(
+            "implementing unitary is not monomial; re-present the input "
+            "with a diagonal or monomial unitary")
+    perm, phases = ms
+    cols = Mat.zero(ctx, n, n)    # columns are the new basis vectors
+    diag = [None] * n
+    seen = set()
+    slot = 0
+    for start in range(n):
+        if start in seen:
+            continue
+        cycle = [start]
+        seen.add(start)
+        j = perm[start]
+        while j != start:
+            cycle.append(j)
+            seen.add(j)
+            j = perm[j]
+        if len(cycle) == 1:
+            cols.entries[start][slot] = ctx.one
+            diag[slot] = phases[start]
+            slot += 1
+            continue
+        if len(cycle) != p:
+            raise NonDiagonalizableWithinField(
+                "monomial cycle of length %d in an order-%d unitary"
+                % (len(cycle), p))
+        # balance phases: f_t = gamma_t e_{cycle[t]} with u f_t = f_{t+1}
+        gammas = [ctx.one]
+        for t in range(p - 1):
+            gammas.append(gammas[-1] * phases[cycle[t]])
+        ginv = ctx.sqrt_group_order().inv()
+        for m_eig in range(p):
+            for t in range(p):
+                cols.entries[cycle[t]][slot] = (
+                    gammas[t] * ctx.zeta_p(-t * m_eig) * ginv)
+            diag[slot] = ctx.zeta_p(m_eig)
+            slot += 1
+    # u * col_k = diag[k] * col_k; so cols^dagger * u * cols is diagonal
+    z = cols.dagger()
+    return z, Mat.diag(ctx, diag)
+
+
+def monomial_conjugator(d, v, p):
+    """Oracle for decompose's unitary_conjugator(d, v, p), d the sorted
+    diagonal of a diagonal or monomial fixed block v: v's diagonalizer
+    (the identity when v is diagonal), then the permutation sorting the
+    diagonal."""
+    if v.is_diagonal():
+        z0, diag = Mat.identity(v.ctx, v.rows), v
+    else:
+        z0, diag = _diagonalize_order_p_monomial(v, p)
+    zs, exps = sort_conjugator(v.ctx, diag_root_exponents(diag, p))
+    assert Mat.diag(v.ctx, [v.ctx.zeta_p(e) for e in exps]) == d
+    return zs * z0
 
 
 def direct_sum(a, b):

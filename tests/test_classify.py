@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,18 +12,19 @@ from afzp.classify import (IntertwiningCertificate, Tower, _case_params,
 from afzp.cli import main
 from afzp.demos import identity_pairs, naive_doubling_tower, product_tower
 from afzp.errors import (AfzpError, KDataMismatch, PairCheckFailed,
-                         ReindexFailed)
+                         ReindexFailed, UnitaryNotFoundInField)
 from afzp.kinv import (KPair, check_pair, imat_mul, induced_map, invariant_of,
                        ivec_mul)
-from afzp.matrix import Mat, spectral
+from afzp.matrix import Mat, spectral, unitary_conjugator
 from afzp.serialize import dumps, load_json, loads, save_json
 from afzp.system import (Arrangement, EqHom, Slot, equal_as_maps,
                          hom_compose, hom_validate)
 
 from conftest import (CaseShapeViolation, checked_case_params,
-                      corner_equiv_unitary, ctx_for, cycle_form, fixed_form,
-                      fixed_point_unitary, mixed_form, piece_specs, solve,
-                      unit_tuple, vec_row_major)
+                      checked_conjugator, corner_equiv_unitary, ctx_for,
+                      cycle_form, fixed_form, fixed_point_unitary, mixed_form,
+                      piece_specs, solve, unit_tuple,
+                      unitary_conjugator_search, vec_row_major)
 
 
 # -- lift --------------------------------------------------------------------
@@ -324,21 +326,26 @@ def test_equiv_unitary_rejects_different_pairs():
         equiv_unitary(h1, h2)
 
 
-def test_equiv_unitary_fourier_twisted_commutant():
-    # a hand-twisted hom whose commutant element is not diagonal: the
-    # projection-average fallback still finds a field unitary
+def _hadamard_twisted():
+    """p = 2: two 1x1 copies at phases 0 and 1, and the same hom with the
+    Hadamard matrix on them. The commutant elements are diag(1, -1) and
+    the swap."""
     ctx = ctx_for(2)
-    src = fixed_form(ctx, [0])
-    tgt = fixed_form(ctx, [0, 1])
-    kp = KPair([[2]], [[1, 1], [1, 1]])
-    h1 = lift(kp, src, tgt)
+    h1 = lift(KPair([[2]], [[1, 1], [1, 1]]), fixed_form(ctx, [0]),
+              fixed_form(ctx, [0, 1]))
     ginv = ctx.sqrt_group_order().inv()
     G = Mat.from_rows(ctx, [[ginv, ginv], [ginv, -1 * ginv]])
-    assert G.is_unitary()
-    h2 = EqHom(src, tgt,
+    h2 = EqHom(h1.source, h1.target,
                [Arrangement(list(h1.arrangements[0].slots),
                             h1.arrangements[0].conj * G)], unital=True)
-    assert hom_validate(h2).ok and induced_map(h2) == kp
+    return h1, h2, None
+
+
+def test_equiv_unitary_fourier_twisted_commutant():
+    # a hand-twisted hom whose commutant element is not diagonal: its
+    # eigenvectors still pair up by a field scalar
+    h1, h2, _ = _hadamard_twisted()
+    assert hom_validate(h2).ok and induced_map(h2) == induced_map(h1)
     W, wit = equiv_unitary(h1, h2)
     assert equal_as_maps(conjugate_hom(W, h2), h1)
     assert intertwiner_space_membership(h1, h2, W)
@@ -394,8 +401,9 @@ def test_equiv_unitary_generalized_permutation_fallback(tmp_path):
     """p = 3, three 1x1 slots: X1 is the Fourier matrix and X2 = X1 Q for
     the transposition Q of slots 1 and 2, so the commutant elements are
     L1 = S and L2 = S^2 for the cyclic shift S. Their eigenprojections
-    pair up only at eigenvalue 1, so the projection average is rank one
-    and only the generalized-permutation search finds Z."""
+    pair up only at eigenvalue 1, so the projection average is rank one;
+    per eigenspace, every eigenvector has squared norm 1/3 on both
+    sides, so Z pairs them with s = 1."""
     ctx = ctx_for(3)
     src = fixed_form(ctx, [0])
     tgt = fixed_form(ctx, [0, 1, 2])
@@ -417,6 +425,70 @@ def test_equiv_unitary_generalized_permutation_fallback(tmp_path):
     assert _outcome(corner_equiv_unitary, h1, h2) == (W, wit.entries)
     V = tgt.pieces[0].v
     assert W[0] * V == V * W[0]
+    assert equal_as_maps(conjugate_hom(W, h2), h1)
+    paths = [str(tmp_path / name) for name in ("h1.json", "h2.json", "w.json")]
+    save_json(paths[0], h1)
+    save_json(paths[1], h2)
+    assert main(["equiv", paths[0], paths[1], "--out", paths[2]]) == 0
+    assert load_json(paths[2]) == W
+
+
+def _fourier_permuted(p):
+    """At field order p: p 1x1 slots under the p x p Fourier conjugator,
+    and the same hom with its slots permuted. The commutant elements are
+    non-diagonal p x p unitaries with rank-one eigenspaces."""
+    ctx = ctx_for(p, p)
+    src, tgt = fixed_form(ctx, [0]), fixed_form(ctx, list(range(p)))
+    ginv = ctx.sqrt_group_order().inv()
+    dft = Mat.from_rows(ctx, [[ctx.zeta_p(j * k) * ginv for k in range(p)]
+                              for j in range(p)])
+    perm = Mat.permutation(ctx, [0, 2, 1] + list(range(3, p))) * \
+        Mat.permutation(ctx, [(j + 1) % p for j in range(p)])
+    h1, h2 = (EqHom(src, tgt, [Arrangement([Slot(0, 1) for _ in range(p)],
+                                           x)], unital=True)
+              for x in (dft, dft * perm))
+    return h1, h2, None
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_equiv_unitary_fourier_hom_against_permuted_slots(p):
+    h1, h2, _ = _fourier_permuted(p)
+    V = h1.target.pieces[0].v
+    assert hom_validate(h1).ok and hom_validate(h2).ok
+    assert induced_map(h1) == induced_map(h2)
+    W, wit = equiv_unitary(h1, h2)
+    (entry,) = wit.entries
+    assert not entry.L.is_diagonal() and not entry.N.is_diagonal()
+    assert entry.Z.is_unitary() and entry.L * entry.Z == entry.Z * entry.N
+    assert W[0].is_unitary() and W[0] * V == V * W[0]
+    assert equal_as_maps(conjugate_hom(W, h2), h1)
+
+
+def _fourier_copies():
+    """p = 2 (order 16): three 1x1 copies of a fixed piece at phases 0, 0
+    and 1, and the same hom with the 2x2 Fourier matrix on copies 1 and
+    2. The commutant elements are L1 = diag(1, 1, -1) and L2 = 1 (+)
+    [[0, 1], [1, 0]], which the retired search could not conjugate."""
+    ctx = ctx_for(2)
+    h1 = lift(KPair([[3]], [[2, 1], [1, 2]]), fixed_form(ctx, [0]),
+              fixed_form(ctx, [0, 0, 1]))
+    g = ctx.sqrt_group_order().inv()
+    twist = Mat.from_rows(ctx, [[1, 0, 0], [0, g, g], [0, g, -1 * g]])
+    h2 = EqHom(h1.source, h1.target,
+               [Arrangement(list(h1.arrangements[0].slots),
+                            h1.arrangements[0].conj * twist)], unital=True)
+    return h1, h2, None
+
+
+def test_equiv_unitary_pairs_a_swap_with_a_diagonal(tmp_path):
+    h1, h2, _ = _fourier_copies()
+    ctx = h1.source.ctx
+    assert hom_validate(h2).ok and induced_map(h1) == induced_map(h2)
+    W, wit = equiv_unitary(h1, h2)
+    (entry,) = wit.entries
+    assert entry.L == Mat.diag(ctx, [1, 1, -1])
+    assert entry.N == Mat.from_rows(ctx, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    assert entry.Z.is_unitary() and entry.L * entry.Z == entry.Z * entry.N
     assert equal_as_maps(conjugate_hom(W, h2), h1)
     paths = [str(tmp_path / name) for name in ("h1.json", "h2.json", "w.json")]
     save_json(paths[0], h1)
@@ -466,7 +538,7 @@ def _receiving_form(draw, a, most):
     each target piece takes, from each source piece, up to `most` copies
     (a fixed piece at drawn phases, a cycle piece as whole bundles), or
     up to 3 copies of a 1x1 fixed piece, enough for a Fourier twist at
-    p <= 3 (at p = 5 the permutation search could take 5! 5^5 steps)."""
+    p <= 3."""
     ctx, p = a.ctx, a.p
     specs = []
     # two target pieces at p = 5 can make the pair search take a minute
@@ -601,6 +673,37 @@ def test_equiv_unitary_matches_corner_oracle(homs, corruption):
                 equiv(x, y)
 
 
+@settings(max_examples=60, deadline=None)
+@example(_fourier_copies())
+@example(_hadamard_twisted())
+@example(_fourier_permuted(3))
+@given(_equivalent_homs())
+def test_unitary_conjugator_covers_the_search_oracle(homs):
+    """Wherever the retired search finds Z for a pair of commutant
+    elements that equiv_unitary meets, unitary_conjugator finds one too;
+    both are checked exactly. Drawn commutant elements are nearly all
+    diagonal, so the examples add non-diagonal ones that the search
+    solves by its projection average and by its permutation loop."""
+    h1, h2, _ = homs
+    met = []
+
+    def recorded(L1, L2, p):
+        met.append((L1, L2, p))
+        return unitary_conjugator(L1, L2, p)
+
+    with mock.patch("afzp.classify.unitary_conjugator", recorded):
+        try:
+            equiv_unitary(h1, h2)
+        except AfzpError:
+            pass
+    for L1, L2, p in met:
+        try:
+            checked_conjugator(unitary_conjugator_search, L1, L2, p)
+        except UnitaryNotFoundInField:
+            continue
+        checked_conjugator(unitary_conjugator, L1, L2, p)
+
+
 # -- towers and certificates --------------------------------------------------
 
 def test_self_intertwine_with_identity_pairs():
@@ -625,6 +728,25 @@ def test_intertwine_validates_each_tower_once(monkeypatch):
     seen.clear()
     intertwine(tA, tB, depth=2)
     assert seen == [tA, tB]
+
+
+def test_verify_certificate_validates_a_self_tower_once(monkeypatch):
+    tower = product_tower(2, 2)
+    cert = loads(dumps(intertwine(tower, tower,
+                                  pairs=identity_pairs(tower, 2), depth=2)))
+    assert cert.towerA is cert.towerB
+    seen = []
+
+    def counted(t):
+        seen.append(t)
+        return validate_tower(t)
+
+    monkeypatch.setattr("afzp.classify.validate_tower", counted)
+    rep = verify_certificate(cert)
+    assert rep.ok, rep.summary()
+    assert seen == [cert.towerA]
+    assert [item.name for item in rep.items[:2]] == ["tower A valid",
+                                                      "tower B valid"]
 
 
 def test_intertwine_against_resorted_variant():

@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from afzp._rat import RAT
 from afzp.cyclo import make_root
-from afzp.errors import MultisetMismatch, NotOrderP, ShapeMismatch
-from afzp.matrix import Mat, match_diagonals, spectral
+from afzp.errors import (MultisetMismatch, NotOrderP, ShapeMismatch,
+                         TwistRootOutsideField, UnitaryNotFoundInField)
+from afzp.matrix import Mat, _root_of_norm, spectral, unitary_conjugator
 
-from conftest import Inconsistent, ctx_for, direct_sum, solve
+from conftest import (Inconsistent, checked_conjugator, ctx_for, direct_sum,
+                      match_diagonals, solve, unitary_conjugator_search)
 
 
 def test_dagger_of_imaginary_diagonal():
@@ -105,13 +109,13 @@ def test_spectral_projections_commute_with_commutant():
 def test_match_diagonals_examples():
     ctx = ctx_for(2)
     D = Mat.diag(ctx, [1, -1])
-    assert match_diagonals(D, D, 2) == Mat.identity(ctx, 2)
-    Q = match_diagonals(D, Mat.diag(ctx, [-1, 1]), 2)
+    assert unitary_conjugator(D, D, 2) == Mat.identity(ctx, 2)
+    Q = unitary_conjugator(D, Mat.diag(ctx, [-1, 1]), 2)
     assert Q == Mat.permutation(ctx, [1, 0])
 
     D1 = Mat.diag(ctx, [1, 1, -1])
     D2 = Mat.diag(ctx, [1, -1, 1])
-    Q = match_diagonals(D1, D2, 2)
+    Q = unitary_conjugator(D1, D2, 2)
     # independent check by direct multiplication
     assert Q.dagger() * D1 * Q == D2
     assert Q == Mat.permutation(ctx, [0, 2, 1])
@@ -128,7 +132,7 @@ def test_match_diagonals_random_property():
             rng.shuffle(e2)
             D1 = Mat.diag(ctx, [ctx.zeta_p(e) for e in e1])
             D2 = Mat.diag(ctx, [ctx.zeta_p(e) for e in e2])
-            Q = match_diagonals(D1, D2, p)
+            Q = unitary_conjugator(D1, D2, p)
             assert Q.is_unitary()
             assert all(sum(1 for e in row if not e.is_zero()) <= 1
                        for row in Q.entries)
@@ -138,9 +142,94 @@ def test_match_diagonals_random_property():
 def test_match_diagonals_multiset_mismatch():
     ctx = ctx_for(2)
     with pytest.raises(MultisetMismatch) as info:
-        match_diagonals(Mat.diag(ctx, [1, 1]), Mat.diag(ctx, [1, -1]), 2)
+        unitary_conjugator(Mat.diag(ctx, [1, 1]), Mat.diag(ctx, [1, -1]), 2)
     assert info.value.counts1 == [2, 0]
     assert info.value.counts2 == [1, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(2, 2), (2, 4), (2, 16), (3, 3), (3, 9), (3, 36),
+                        (5, 5), (7, 7)]),
+       st.lists(st.integers(0, 6), min_size=1, max_size=8), st.randoms())
+def test_unitary_conjugator_matches_match_diagonals_oracle(field, exps, rnd):
+    """On diagonal pairs with equal multisets unitary_conjugator returns
+    the permutation match_diagonals returns: equal eigenvalues matched in
+    increasing index order."""
+    p, order = field
+    ctx = ctx_for(p, order)
+    e1 = [e % p for e in exps]
+    e2 = list(e1)
+    rnd.shuffle(e2)
+    D1 = Mat.diag(ctx, [ctx.zeta_p(e) for e in e1])
+    D2 = Mat.diag(ctx, [ctx.zeta_p(e) for e in e2])
+    assert checked_conjugator(unitary_conjugator, D1, D2, p) == \
+        checked_conjugator(match_diagonals, D1, D2, p)
+
+
+def test_unitary_conjugator_pairs_a_swap_with_a_diagonal():
+    """p = 2, order 16: L1 = diag(1, 1, -1) against L2 = 1 (+) [[0, 1],
+    [1, 0]]. The +1 eigenvectors of L2 are e_0 and (e_1 + e_2) / 2, the
+    ratio 1/2 takes s = sqrt 2 / 2, and Z = 1 (+) F_2. The retired search
+    finds no Z: the projection average is not a multiple of a unitary,
+    and no root-of-unity permutation intertwines the two."""
+    ctx = ctx_for(2)
+    L1 = Mat.diag(ctx, [1, 1, -1])
+    L2 = Mat.from_rows(ctx, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    Z = checked_conjugator(unitary_conjugator, L1, L2, 2)
+    half_root2 = ctx.sqrt_group_order() * RAT(1, 2)
+    assert Z == Mat.from_rows(ctx, [[1, 0, 0], [0, half_root2, half_root2],
+                                    [0, half_root2, -1 * half_root2]])
+    with pytest.raises(UnitaryNotFoundInField):
+        unitary_conjugator_search(L1, L2, 2)
+
+
+def test_unitary_conjugator_refuses_an_irrational_norm_ratio():
+    """The known trade against the retired search. At p = 2, order 16,
+    the Hadamard matrix H (a reflection conjugated by the pi/8 rotation)
+    against S H S for the swap S: the first +1 eigenvectors have squared
+    norms cos^2(pi/8) and sin^2(pi/8), whose ratio 3 - 2 sqrt 2 is not
+    rational, so the construction refuses and names the ratio. The
+    search's projection average finds Z."""
+    ctx = ctx_for(2)
+    half = RAT(1, 2)
+    c = (ctx.root(1) + ctx.root(-1)) * half     # cos(pi/8)
+    s = (ctx.root(3) + ctx.root(-3)) * half     # sin(pi/8)
+    R = Mat.from_rows(ctx, [[c, -1 * s], [s, c]])
+    L1 = R * Mat.diag(ctx, [1, -1]) * R.dagger()
+    S = Mat.permutation(ctx, [1, 0])
+    L2 = S * L1 * S
+    checked_conjugator(unitary_conjugator_search, L1, L2, 2)
+    root2 = ctx.sqrt_group_order()
+    with pytest.raises(UnitaryNotFoundInField) as info:
+        unitary_conjugator(L1, L2, 2)
+    assert repr(3 - 2 * root2) in str(info.value)
+    assert "zeta_p^0" in str(info.value)
+
+
+@pytest.mark.parametrize("field", [(2, 2), (2, 4), (2, 16), (3, 3), (3, 9),
+                                   (3, 36), (5, 5), (5, 100), (7, 7)])
+def test_root_of_norm_reads_the_decided_ratios(field):
+    """s conj(s) = q for every q = k^2 2^a p^b / c^2 the field decides;
+    None for the factor 2 at odd p without i in the field, for q <= 0
+    and for another squarefree part. At p = 2 the factor 2 is the Gauss
+    sum, which a field of order below 16 lacks."""
+    p, order = field
+    ctx = ctx_for(p, order)
+    for a in (0, 1):
+        for b in (0, 1):
+            for k, c in ((1, 1), (3, 2), (2, 15)):
+                q = RAT(k * k * 2 ** a * p ** b, c * c)
+                if p == 2 and order < 16 and a != b:
+                    with pytest.raises(TwistRootOutsideField):
+                        _root_of_norm(ctx, q)
+                elif a and p != 2 and order % 4:
+                    assert _root_of_norm(ctx, q) is None
+                else:
+                    s = _root_of_norm(ctx, q)
+                    assert s.conj() * s == ctx.scalar(q)
+    for q in (RAT(0), RAT(-2), RAT(3 if p != 3 else 5), RAT(7 if p != 7
+                                                              else 11, 4)):
+        assert _root_of_norm(ctx, q) is None
 
 
 def test_solve_identity_and_trivial_kernel():

@@ -1,21 +1,25 @@
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from afzp.classify import ksearch, lift
 from afzp.cyclo import make_root
-from afzp.errors import NonDiagonalizableWithinField, SystemMismatch
-from afzp.matrix import Mat
+from afzp.errors import (NonDiagonalizableWithinField, SystemMismatch,
+                         TwistRootOutsideField)
+from afzp.matrix import Mat, unitary_conjugator
 from afzp.kinv import invariant_of
+from afzp.serialize import dumps
 from afzp.system import (Arrangement, EqHom, FdSystem, Slot, _iso_defect,
                          decompose, equal_as_maps, hom_compose, hom_validate,
                          identity_hom, validate)
 
-from conftest import (all_units_equal, all_units_equivariant, ctx_for,
-                      cycle_form, fixed_form, fixed_point_unitary,
-                      generator_iso_defect, generators_equal,
-                      generators_equivariant, mixed_form, piece_specs,
+from conftest import (all_units_equal, all_units_equivariant,
+                      checked_conjugator, ctx_for, cycle_form, fixed_form,
+                      fixed_point_unitary, generator_iso_defect,
+                      generators_equal, generators_equivariant, mixed_form,
+                      monomial_conjugator, piece_specs, sort_conjugator,
                       transport, unit_tuple)
 
 
@@ -116,6 +120,15 @@ def test_decompose_rejects_dense_unitary():
     assert h.is_unitary()
     with pytest.raises(NonDiagonalizableWithinField):
         decompose(FdSystem(ctx, 2, [2], (0,), [h]))
+
+
+def test_decompose_swap_needs_the_gauss_sum():
+    """At p = 2 the 2x2 swap's eigenvectors (e_0 +- e_1) / 2 have squared
+    norm 1/2, which takes sqrt 2 from Q(zeta_8): field order 4 refuses
+    and names the order that works."""
+    ctx = ctx_for(2, 4)
+    with pytest.raises(TwistRootOutsideField, match="field order >= 16"):
+        decompose(FdSystem(ctx, 2, [2], (0,), [Mat.permutation(ctx, [1, 0])]))
 
 
 def test_decompose_idempotent_on_canonical_systems():
@@ -301,15 +314,6 @@ def test_equal_as_maps_requires_unitary_conjugators():
     assert not equal_as_maps(skewed, identity_hom(c))
 
 
-def _sorting_permutation(ctx, exps):
-    """Permutation Z with Z diag(zeta_p^exps) Z^dagger sorted ascending."""
-    order = sorted(range(len(exps)), key=lambda i: (exps[i], i))
-    images = [0] * len(exps)
-    for pos, i in enumerate(order):
-        images[i] = pos
-    return Mat.permutation(ctx, images)
-
-
 def _widening(draw, form):
     """A non-unital equivariant embedding of form into a form whose
     pieces are one or two larger: every block's slot is followed by a
@@ -334,7 +338,7 @@ def _widening(draw, form):
             arrs.append(Arrangement(
                 [Slot(b, piece.n), Slot(None, n - piece.n)],
                 Mat.identity(ctx, n) if exps is None
-                else _sorting_permutation(ctx, exps)))
+                else sort_conjugator(ctx, exps)[0]))
     return EqHom(form, wide, arrs, unital=False)
 
 
@@ -494,3 +498,34 @@ def test_iso_defect_matches_generator_oracle(s, data):
     c.iso.conjugators[i] = c.iso.conjugators[i] * Mat.diag(s.ctx, scale)
     assert (_iso_defect(s, c) is None) == \
         (generator_iso_defect(s, c) is None)
+
+
+def _twisted_shift_p3():
+    """p = 3, one fixed 4x4 block: a 3-cycle with phases and a fixed
+    point. The Gauss sum at p = 3 is not real, so the example shows
+    which of g and conj(g) the eigenvector pairing takes."""
+    ctx = ctx_for(3, 3)
+    u = Mat.permutation(ctx, [1, 2, 0, 3]) * Mat.diag(
+        ctx, [ctx.zeta_p(1), ctx.zeta_p(2), ctx.one, ctx.zeta_p(2)])
+    return FdSystem(ctx, 3, [4], (0,), [u])
+
+
+@settings(max_examples=40, deadline=None)
+@example(_twisted_shift_p3())
+@given(_decomposable_system())
+def test_decompose_matches_the_monomial_diagonalizer_oracle(s):
+    """decompose, conjugating each fixed block onto its sorted diagonal
+    one eigenspace at a time, writes the same canonical form and
+    rewriting, byte for byte, as the retired monomial diagonalizer
+    followed by the sorting permutation; each conjugator is checked
+    exactly."""
+    def checked(fn):
+        return lambda L1, L2, p: checked_conjugator(fn, L1, L2, p)
+
+    with mock.patch("afzp.system.unitary_conjugator",
+                    checked(unitary_conjugator)):
+        new = dumps(decompose(s))
+    with mock.patch("afzp.system.unitary_conjugator",
+                    checked(monomial_conjugator)):
+        old = dumps(decompose(s))
+    assert new == old
