@@ -5,9 +5,14 @@ with a direct sum of matrix blocks, never as an abstract twisted
 algebra:
 
 * a fixed piece (M_n, V) contributes p crossed blocks of size n; the
-  r-th block receives sum_j zeta_p^(-r*j) a_j V^j. The character
+  r-th block receives B_r = sum_j zeta_p^(-r*j) a_j V^j. The character
   attached to a block is the negative one, which makes the class of the
   averaging projection land exactly on the eigenvalue-count vector of V.
+  With V = diag(zeta_p^e) both directions are computed entry by entry:
+
+      B_r[x][y] = sum_j zeta_p^(j*(e_y - r)) a_j[x][y],
+      a_j[x][y] = (1/p) sum_r zeta_p^(j*(r - e_y)) B_r[x][y].
+
 * a cycle piece (p copies of M_n, shift) contributes one crossed block
   of size p*n, filled grid-wise: grid block (r, c) holds coefficient
   (c - r) mod p evaluated at piece component (-r) mod p.
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import NonIntegralMultiplicity, NotEquivariant, ShapeMismatch
 from .matrix import Mat
-from .system import FdSystem, hom_validate, zero_tuple
+from .system import FdSystem, hom_validate, root_sum, zero_tuple
 from ._rat import is_integer
 
 __all__ = ["CrossedElement", "CrossedPresentation", "crossed_product",
@@ -69,19 +74,10 @@ class CrossedPresentation:
             # iota: each crossed block holds one copy of its embedded blocks
             self.iota_matrix.extend([int(s in blocks) for s in range(source.m)]
                                     for blocks in embedded)
-        self._v_powers = {}
 
     @property
     def m(self):
         return len(self.block_sizes)
-
-    def _vpow(self, piece_idx, j):
-        got = self._v_powers.get((piece_idx, j))
-        if got is None:
-            v = self.source.pieces[piece_idx].v
-            got = v.power(j % self.p)
-            self._v_powers[(piece_idx, j)] = got
-        return got
 
     # -- element-level algebra (for property checks) ----------------------
 
@@ -153,14 +149,11 @@ class CrossedPresentation:
         for idx, piece in enumerate(self.source.pieces):
             sb = self.source.piece_offsets[idx]
             if piece.kind == "fixed":
+                e, rows = self.source.piece_exponents[idx], [0] * piece.n
                 for r in range(p):
-                    acc = Mat.zero(ctx, piece.n, piece.n)
-                    for j in range(p):
-                        a = ce.coeffs[j][sb]
-                        if a.is_zero():
-                            continue
-                        acc = acc + (a * self._vpow(idx, j)) * ctx.zeta_p(-r * j)
-                    out.append(acc)
+                    out.append(root_sum(ctx, piece.n, [
+                        (ce.coeffs[j][sb], rows, [j * (x - r) for x in e])
+                        for j in range(p)], self.source.roots))
             else:
                 n = piece.n
                 grid = Mat.zero(ctx, p * n, p * n)
@@ -183,16 +176,17 @@ class CrossedPresentation:
         p = self.p
         ctx = self.ctx
         inv_p = ctx.scalar(1) / ctx.scalar(p)
+        roots = [w * inv_p for w in self.source.roots]
         ce = self.zero_element()
         for idx, piece in enumerate(self.source.pieces):
             cb = self.piece_first_block[idx]
             sb = self.source.piece_offsets[idx]
             if piece.kind == "fixed":
+                e, rows = self.source.piece_exponents[idx], [0] * piece.n
                 for j in range(p):
-                    acc = Mat.zero(ctx, piece.n, piece.n)
-                    for r in range(p):
-                        acc = acc + mats[cb + r] * ctx.zeta_p(r * j)
-                    ce.coeffs[j][sb] = (acc * inv_p) * self._vpow(idx, -j % p)
+                    ce.coeffs[j][sb] = root_sum(ctx, piece.n, [
+                        (mats[cb + r], rows, [j * (r - x) for x in e])
+                        for r in range(p)], roots)
             else:
                 n = piece.n
                 grid = mats[cb]

@@ -182,10 +182,9 @@ class Mat:
         if self.rows != self.cols or self.rows == 0:
             return None
         s = self.entries[0][0]
-        for i in range(self.rows):
-            for j in range(self.cols):
-                want = s if i == j else self.ctx.zero
-                if self.entries[i][j] != want:
+        for i, row in enumerate(self.entries):
+            for j, e in enumerate(row):
+                if (e != s) if i == j else e._nonzero:
                     return None
         return s
 
@@ -197,8 +196,9 @@ class Mat:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     @staticmethod

@@ -45,9 +45,9 @@ from dataclasses import dataclass, field
 
 from .cyclo import root_exponent
 from .errors import (NonDiagonalizableWithinField, NonScalarHolonomy,
-                     NotOrderP, SystemMismatch, TwistNotRootOfUnity,
-                     TwistRootOutsideField, UnitaryNotFoundInField,
-                     AfzpError)
+                     NotOrderP, ShapeMismatch, SystemMismatch,
+                     TwistNotRootOfUnity, TwistRootOutsideField,
+                     UnitaryNotFoundInField, AfzpError)
 from .matrix import (Mat, blockdiag, diag_root_exponents, spectral,
                      unitary_conjugator)
 from .report import Report
@@ -187,6 +187,7 @@ class CanonicalForm:
         self.sigma = []       # block t reads from block sigma[t]
         self.block_v = []     # the fixed piece's V per block; None on cycles
         self.piece_exponents = []   # IrredPiece.exponents per piece
+        self.roots = [self.ctx.zeta_p(k) for k in range(self.p)]
         for idx, piece in enumerate(self.pieces):
             exps = piece.exponents(self.p)
             if exps is None:
@@ -213,10 +214,16 @@ class CanonicalForm:
                         tuple(self.sigma), impl)
 
     def apply_action(self, a):
+        """alpha(a). A fixed piece's block, V = diag(zeta_p^e), maps
+        entrywise: alpha(a)[x][y] = zeta_p^(e_x - e_y) a[x][y]. A cycle
+        piece's blocks move one place along the cycle."""
         out = list(a)
-        for piece, off in zip(self.pieces, self.piece_offsets):
+        for piece, off, e in zip(self.pieces, self.piece_offsets,
+                                 self.piece_exponents):
             if piece.kind == "fixed":
-                out[off] = _diag_conj(piece.v, a[off])
+                out[off] = root_sum(self.ctx, piece.n,
+                                    [(a[off], e, [-x for x in e])],
+                                    self.roots)
             else:
                 for t in range(self.p):
                     out[off + t] = a[off + (t - 1) % self.p]
@@ -230,18 +237,22 @@ class CanonicalForm:
                         for a, b in zip(self.pieces, other.pieces)))
 
 
-def _diag_conj(v, a):
-    """v * a * v^dagger for diagonal unitary v, in O(n^2) scalar ops."""
-    n = a.rows
-    d = [v.entries[i][i] for i in range(n)]
-    dc = [x.conj() for x in d]
-    out = Mat.zero(a.ctx, n, n)
-    for i in range(n):
-        for j in range(n):
-            e = a.entries[i][j]
-            if not e.is_zero():
-                out.entries[i][j] = d[i] * e * dc[j]
-    return out
+def root_sum(ctx, n, terms, roots):
+    """The n x n matrix whose (x, y) entry is the sum over terms
+    (a, ex, ey) of roots[(ex[x] + ey[y]) % len(roots)] * a[x][y]: one
+    multiply per nonzero entry, so zero blocks cost no arithmetic. An a
+    that is not n x n raises ShapeMismatch."""
+    k = len(roots)
+    out = [[ctx.zero] * n for _ in range(n)]
+    for a, ex, ey in terms:
+        if a.rows != n or a.cols != n:
+            raise ShapeMismatch("%dx%d block in a piece of size %d"
+                                % (a.rows, a.cols, n))
+        for orow, arow, rx in zip(out, a.entries, ex):
+            for y, v in enumerate(arow):
+                if v._nonzero:
+                    orow[y] = orow[y] + v * roots[(rx + ey[y]) % k]
+    return Mat(ctx, n, n, out)
 
 
 def decompose(s):
@@ -270,7 +281,7 @@ def decompose(s):
             if lam is None:
                 raise NonScalarHolonomy("block %d" % i)
             mu = _p_th_root_of_inverse(ctx, lam, p)
-            v = u * mu
+            v = u if mu == ctx.one else u * mu
             n = s.block_sizes[i]
             if v.is_diagonal():
                 exps = sorted(diag_root_exponents(v, p))

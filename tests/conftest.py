@@ -902,3 +902,116 @@ def dump_format1(obj):
 def dumps_format1(obj):
     """The format-1 text of obj, as the library wrote it up to format 2."""
     return json.dumps(dump_format1(obj), indent=2, sort_keys=True)
+
+
+# -- crossed-product oracles ---------------------------------------------------
+# identify, unidentify and CanonicalForm.apply_action as they were before
+# they read each fixed piece's exponents: dense products with the powers
+# of V, kept as the oracles for the entrywise versions.
+
+
+class ProductCrossed(CrossedPresentation):
+    """A crossed presentation whose identify and unidentify multiply by
+    the cached powers V^j of each fixed piece's V."""
+
+    def __init__(self, source):
+        super().__init__(source)
+        self._v_powers = {}
+
+    def _vpow(self, piece_idx, j):
+        got = self._v_powers.get((piece_idx, j))
+        if got is None:
+            v = self.source.pieces[piece_idx].v
+            got = v.power(j % self.p)
+            self._v_powers[(piece_idx, j)] = got
+        return got
+
+    def identify(self, ce):
+        """The *-isomorphism onto the direct sum of matrix blocks."""
+        p = self.p
+        ctx = self.ctx
+        out = []
+        for idx, piece in enumerate(self.source.pieces):
+            sb = self.source.piece_offsets[idx]
+            if piece.kind == "fixed":
+                for r in range(p):
+                    acc = Mat.zero(ctx, piece.n, piece.n)
+                    for j in range(p):
+                        a = ce.coeffs[j][sb]
+                        if a.is_zero():
+                            continue
+                        acc = acc + (a * self._vpow(idx, j)) * ctx.zeta_p(-r * j)
+                    out.append(acc)
+            else:
+                n = piece.n
+                grid = Mat.zero(ctx, p * n, p * n)
+                for r in range(p):
+                    comp = (-r) % p
+                    for c in range(p):
+                        j = (c - r) % p
+                        a = ce.coeffs[j][sb + comp]
+                        if a.is_zero():
+                            continue
+                        for i in range(n):
+                            for jj in range(n):
+                                grid.entries[r * n + i][c * n + jj] = \
+                                    a.entries[i][jj]
+                out.append(grid)
+        return out
+
+    def unidentify(self, mats):
+        """Inverse of identify."""
+        p = self.p
+        ctx = self.ctx
+        inv_p = ctx.scalar(1) / ctx.scalar(p)
+        ce = self.zero_element()
+        for idx, piece in enumerate(self.source.pieces):
+            cb = self.piece_first_block[idx]
+            sb = self.source.piece_offsets[idx]
+            if piece.kind == "fixed":
+                for j in range(p):
+                    acc = Mat.zero(ctx, piece.n, piece.n)
+                    for r in range(p):
+                        acc = acc + mats[cb + r] * ctx.zeta_p(r * j)
+                    ce.coeffs[j][sb] = (acc * inv_p) * self._vpow(idx, -j % p)
+            else:
+                n = piece.n
+                grid = mats[cb]
+                for r in range(p):
+                    comp = (-r) % p
+                    for c in range(p):
+                        j = (c - r) % p
+                        sub = Mat.zero(ctx, n, n)
+                        for i in range(n):
+                            for jj in range(n):
+                                sub.entries[i][jj] = \
+                                    grid.entries[r * n + i][c * n + jj]
+                        ce.coeffs[j][sb + comp] = sub
+        return ce
+
+
+def _diag_conj(v, a):
+    """v * a * v^dagger for diagonal unitary v, in O(n^2) scalar ops."""
+    n = a.rows
+    d = [v.entries[i][i] for i in range(n)]
+    dc = [x.conj() for x in d]
+    out = Mat.zero(a.ctx, n, n)
+    for i in range(n):
+        for j in range(n):
+            e = a.entries[i][j]
+            if not e.is_zero():
+                out.entries[i][j] = d[i] * e * dc[j]
+    return out
+
+
+def conj_apply_action(self, a):
+    """CanonicalForm.apply_action by conjugation with each fixed piece's
+    V (self is the canonical form)."""
+    out = list(a)
+    for piece, off in zip(self.pieces, self.piece_offsets):
+        if piece.kind == "fixed":
+            out[off] = _diag_conj(piece.v, a[off])
+        else:
+            for t in range(self.p):
+                out[off + t] = a[off + (t - 1) % self.p]
+    return out

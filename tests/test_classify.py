@@ -3,7 +3,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from afzp._rat import RAT
 from afzp.classify import (IntertwiningCertificate, Tower, _case_params,
@@ -499,28 +499,42 @@ def test_equiv_unitary_pairs_a_swap_with_a_diagonal(tmp_path):
 
 def _commutant_twist(draw, h, t):
     """A unitary commuting with target block t's slot embedding:
-    Z (x) I_k at the slots of one source block with c >= 2 slots there,
-    Z the p x p Fourier matrix on the first p of them (when c >= p) or a
-    cyclic shift of them times root-of-unity phases; the identity when no
-    source block repeats."""
+    Z (x) I_k at the slots of one source block with c >= 2 slots there;
+    the identity when no source block repeats. Z is the p x p Fourier
+    matrix on p of them (when c >= p), the rotation [[3, -4], [4, 3]] / 5
+    on two of them, or a cyclic shift of all of them times root-of-unity
+    phases. A monomial Z, or one mixing slots of one Slot.phase only,
+    leaves the commutant element diagonal. So a source block with slots
+    at two or more phases is drawn when there is one, it is not shifted,
+    and Fourier and rotation take one slot of each phase first."""
     ctx, p = h.source.ctx, h.source.p
     starts, pos = {}, 0
     for slot in h.arrangements[t].slots:
-        starts.setdefault(slot.src, []).append(pos)
+        starts.setdefault(slot.src, []).append((slot.phase, pos))
         pos += slot.size
     twist = Mat.identity(ctx, h.target.block_sizes[t])
     repeated = sorted(s for s, at in starts.items() if len(at) >= 2)
     if not repeated:
         return twist
-    s = draw(st.sampled_from(repeated))
-    at, k = starts[s], h.source.block_sizes[s]
+    mixed = [s for s in repeated if len({ph for ph, _ in starts[s]}) >= 2]
+    s = draw(st.sampled_from(mixed or repeated))
+    slots, k = starts[s], h.source.block_sizes[s]
+    # the i-th slot of each phase comes before the (i+1)-th of any phase
+    at = [ra for _, _, ra in sorted(
+        (sum(q == ph for q, _ in slots[:i]), i, ra)
+        for i, (ph, ra) in enumerate(slots))]
     c = len(at)
-    if c >= p and draw(st.booleans()):
+    Z = Mat.identity(ctx, c)
+    mix = draw(st.sampled_from(["fourier"] * (c >= p) + ["rotation"]
+                               + ["shift"] * (not mixed)))
+    if mix == "fourier":
         ginv = ctx.sqrt_group_order().inv()
-        Z = Mat.identity(ctx, c)
         for j in range(p):
             for q in range(p):
                 Z.entries[j][q] = ctx.zeta_p(j * q) * ginv
+    elif mix == "rotation":
+        for j, q, x in ((0, 0, 3), (0, 1, -4), (1, 0, 4), (1, 1, 3)):
+            Z.entries[j][q] = ctx.scalar(RAT(x, 5))
     else:
         r = draw(st.integers(1, c - 1))
         Z = Mat.permutation(ctx, [(j + r) % c for j in range(c)]) * Mat.diag(
@@ -702,6 +716,31 @@ def test_unitary_conjugator_covers_the_search_oracle(homs):
         except UnitaryNotFoundInField:
             continue
         checked_conjugator(unitary_conjugator, L1, L2, p)
+
+
+def test_equivalent_homs_reach_non_diagonal_pairs():
+    """Over 100 draws of _equivalent_homs at a fixed seed, at least a
+    tenth of the conjugator calls equiv_unitary makes get a non-diagonal
+    pair, so the oracle comparisons above meet the eigenspace path and
+    not only the permutation of a diagonal."""
+    met = []
+
+    def recorded(L1, L2, p):
+        met.append(not (L1.is_diagonal() and L2.is_diagonal()))
+        return unitary_conjugator(L1, L2, p)
+
+    @seed(0)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(_equivalent_homs())
+    def correct(homs):
+        with mock.patch("afzp.classify.unitary_conjugator", recorded):
+            try:
+                equiv_unitary(*homs[:2])
+            except AfzpError:
+                pass
+
+    correct()
+    assert met and 10 * sum(met) >= len(met)
 
 
 # -- towers and certificates --------------------------------------------------

@@ -1,13 +1,15 @@
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from afzp.crossed import CrossedElement, crossed_product, extend_hom
-from afzp.errors import NotEquivariant
+from afzp.errors import NotEquivariant, ShapeMismatch
 from afzp.matrix import Mat
 from afzp.system import (Arrangement, EqHom, Slot, decompose, validate)
 
-from conftest import ctx_for, cycle_form, fixed_form, rand_mat, rand_tuple
+from conftest import (ProductCrossed, conj_apply_action, ctx_for, cycle_form,
+                      fixed_form, mixed_form, rand_mat, rand_rat, rand_tuple)
 
 
 def rand_element(cp, rng):
@@ -266,3 +268,96 @@ def test_identify_matrix_shape():
     cp = crossed_product(fixed_form(ctx, [0, 1]))
     m = cp.identify_matrix()
     assert m.rows == 8 and m.cols == 8
+
+
+# -- entrywise identification against the V^j products -------------------------
+
+def _rand_entry(ctx, rng):
+    """Zero one time in four, else a sum of one or two rational multiples
+    of N-th roots of unity, so mostly not rational."""
+    if rng.random() < 0.25:
+        return ctx.zero
+    return sum((rand_rat(rng) * ctx.root(rng.randrange(ctx.order))
+                for _ in range(rng.randint(1, 2))), ctx.zero)
+
+
+def _rand_block(ctx, rng, rows, cols, zero):
+    return Mat(ctx, rows, cols, [[ctx.zero if zero else _rand_entry(ctx, rng)
+                                  for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def _crossed_cases(draw):
+    """(form, rng, zeros): a form of one to three fixed pieces (sorted
+    exponents, repeats and gaps allowed) and cycle pieces at p in
+    {2, 3, 5, 7} and every field order (only order 7 at p = 7), a seeded
+    rng for dense entries, and which drawn blocks are all zero."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    order = draw(st.sampled_from([7] if p == 7 else [p, p * p, 4 * p * p]))
+    fixed = st.lists(st.integers(0, p - 1), min_size=1, max_size=3).map(
+        lambda e: ("fixed", sorted(e)))
+    specs = draw(st.lists(fixed | st.tuples(st.just("cycle"),
+                                            st.integers(1, 2)),
+                          min_size=1, max_size=3))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    zeros = draw(st.lists(st.booleans(), min_size=8, max_size=8))
+    return mixed_form(ctx_for(p, order), specs), rng, zeros
+
+
+def _blocks(ctx, rng, sizes, zeros):
+    return [_rand_block(ctx, rng, n, n, zeros[b % len(zeros)])
+            for b, n in enumerate(sizes)]
+
+
+@settings(max_examples=60, deadline=None)
+@example((mixed_form(ctx_for(2, 4), [("fixed", [0, 0, 1]), ("cycle", 1)]),
+          random.Random(1), [False] * 8))
+@example((mixed_form(ctx_for(5, 100), [("fixed", [1, 1, 4])]),
+          random.Random(2), [False, True] * 4))
+@given(_crossed_cases())
+def test_entrywise_identification_matches_products(case):
+    """identify, unidentify and apply_action, computed entry by entry from
+    each fixed piece's exponents, equal the products with V^j and the
+    conjugation by V exactly, on dense elements with all-zero blocks."""
+    form, rng, zeros = case
+    ctx, p = form.ctx, form.p
+    cp, oracle = crossed_product(form), ProductCrossed(form)
+    ce = CrossedElement([_blocks(ctx, rng, form.block_sizes, zeros[j:])
+                         for j in range(p)])
+    assert cp.identify(ce) == oracle.identify(ce)
+    mats = _blocks(ctx, rng, cp.block_sizes, zeros)
+    assert cp.unidentify(mats) == oracle.unidentify(mats)
+    a = _blocks(ctx, rng, form.block_sizes, zeros[1:])
+    assert form.apply_action(a) == conj_apply_action(form, a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_crossed_cases(), st.data())
+def test_misshaped_fixed_blocks_raise(case, data):
+    """A nonzero block whose shape is not its fixed piece's raises
+    ShapeMismatch in both identify and unidentify and in apply_action
+    (conjugating by V used to cut a smaller block silently)."""
+    form, rng, _ = case
+    ctx, p = form.ctx, form.p
+    fixed = [i for i, piece in enumerate(form.pieces) if piece.kind == "fixed"]
+    assume(fixed)
+    idx = data.draw(st.sampled_from(fixed))
+    n, sb = form.pieces[idx].n, form.piece_offsets[idx]
+    rows, cols = data.draw(st.tuples(st.integers(1, n + 1),
+                                     st.integers(1, n + 1)))
+    if (rows, cols) == (n, n):
+        cols = n + 1
+    bad = _rand_block(ctx, rng, rows, cols, False)
+    bad.entries[0][0] = ctx.one
+    cp, oracle = crossed_product(form), ProductCrossed(form)
+    ce = cp.zero_element()
+    ce.coeffs[data.draw(st.integers(0, p - 1))][sb] = bad
+    mats = _blocks(ctx, rng, cp.block_sizes, [False])
+    mats[cp.piece_first_block[idx] + data.draw(st.integers(0, p - 1))] = bad
+    a = _blocks(ctx, rng, form.block_sizes, [False])
+    a[sb] = bad
+    for call, arg in ((cp.identify, ce), (oracle.identify, ce),
+                      (cp.unidentify, mats), (oracle.unidentify, mats),
+                      (form.apply_action, a)):
+        with pytest.raises(ShapeMismatch):
+            call(arg)

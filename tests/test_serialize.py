@@ -32,8 +32,8 @@ from afzp.report import Report
 from afzp.serialize import dump, dumps, loads
 from afzp.system import (Arrangement, EqHom, Slot, decompose, identity_hom)
 
-from conftest import (ctx_for, dump_format1, dumps_format1, mixed_form,
-                      piece_specs, scalar_json)
+from conftest import (ProductCrossed, ctx_for, dump_format1, dumps_format1,
+                      mixed_form, piece_specs, scalar_json)
 
 KINDS = ["system", "canonical", "canonical-iso", "hom", "hom-null-src",
          "crossed", "kinvariant", "kpair", "tower", "certificate",
@@ -234,6 +234,25 @@ def test_format2_certificate_bytes_are_pinned(p, depth, resorted, digest):
     else:
         cert = _pinned_certificate(p, depth, resorted)
     assert _digest(dumps(cert)) == digest
+
+
+@pytest.mark.parametrize("build", [crossed_product, ProductCrossed],
+                         ids=["entrywise", "products"])
+@pytest.mark.parametrize("p,order,specs,digest", [
+    (2, 16, [("fixed", [0, 1]), ("cycle", 2)],
+     "76ecdfb253c9f1409b4c095e123f3540cc8c3d7538e1472361963ee3ebc6e657"),
+    (3, 36, [("fixed", [0, 1, 2]), ("cycle", 1)],
+     "1c3fdd767298c7fd5da5ee9f0d43534827f8e7c158d31361439b7465b93f619c"),
+    (5, 5, [("fixed", [0, 1, 2, 3, 4])],
+     "577349f1131666d8aa3a48951be492afad073e53909de6807c22d41613535dff"),
+], ids=["p2-order16", "p3-order36", "p5-order5"])
+def test_crossed_document_bytes_are_pinned(p, order, specs, digest, build):
+    """A crossed document holds identify_matrix, identify applied to
+    every matrix unit. The digests were taken while identify multiplied
+    by powers of V; the entrywise identify and that oracle both keep
+    them."""
+    form = mixed_form(ctx_for(p, order), specs)
+    assert _digest(dumps(build(form))) == digest
 
 
 @pytest.mark.parametrize("p,depth,resorted", _PINNED, ids=_PINNED_IDS)
