@@ -578,14 +578,15 @@ def _receiving_form(draw, a, most):
 
 
 @st.composite
-def _equivalent_homs(draw):
+def _equivalent_homs(draw, hows=("moved", "commutant", "composite")):
     """(h1, h2, other): h1 a lift from a form of at most two pieces into a
     form built to receive it, and h2 with the same induced pair: Ad u o h1
     for a fixed-point unitary u, or h1 with every conj right-multiplied by
     a unitary in the commutant of its slots (then maybe moved by Ad u),
     or, for h1 followed by a lift g, the composite g o h1 against the
-    lift of its pair, in either order. other is a lift of a different
-    pair over h1's forms, or None."""
+    lift of its pair, in either order ("moved", "commutant" and
+    "composite" in hows). other is a lift of a different pair over h1's
+    forms, or None."""
     p = draw(st.sampled_from([2, 3, 5]))
     ctx = ctx_for(p, None if p == 2 else p)
     a = mixed_form(ctx, draw(st.lists(st.sampled_from(piece_specs(p, 2)),
@@ -597,7 +598,7 @@ def _equivalent_homs(draw):
     others = [q for q in pairs if q != kp]
     other = lift(draw(st.sampled_from(others)), a, b) if others else None
     rng = random.Random(draw(st.integers(0, 2 ** 16)))
-    how = draw(st.sampled_from(["moved", "commutant", "composite"]))
+    how = draw(st.sampled_from(hows))
     if how == "composite" and sum(b.block_sizes) <= 6:
         c = _receiving_form(draw, b, 1)
         later = ksearch(invariant_of(b), invariant_of(c), 3)
@@ -719,10 +720,11 @@ def test_unitary_conjugator_covers_the_search_oracle(homs):
 
 
 def test_equivalent_homs_reach_non_diagonal_pairs():
-    """Over 100 draws of _equivalent_homs at a fixed seed, at least a
-    tenth of the conjugator calls equiv_unitary makes get a non-diagonal
-    pair, so the oracle comparisons above meet the eigenspace path and
-    not only the permutation of a diagonal."""
+    """Over 100 draws of _equivalent_homs' commutant branch at a fixed
+    seed, at least a tenth of the conjugator calls equiv_unitary makes
+    get a non-diagonal pair, so the oracle comparisons above meet the
+    eigenspace path and not only the permutation of a diagonal. (A twist
+    that mixed slots of one phase only met 6 in 261 over seeds 0-3.)"""
     met = []
 
     def recorded(L1, L2, p):
@@ -731,7 +733,7 @@ def test_equivalent_homs_reach_non_diagonal_pairs():
 
     @seed(0)
     @settings(max_examples=100, deadline=None, database=None)
-    @given(_equivalent_homs())
+    @given(_equivalent_homs(hows=("commutant",)))
     def correct(homs):
         with mock.patch("afzp.classify.unitary_conjugator", recorded):
             try:

@@ -313,7 +313,8 @@ def _blocks(ctx, rng, sizes, zeros):
 @example((mixed_form(ctx_for(2, 4), [("fixed", [0, 0, 1]), ("cycle", 1)]),
           random.Random(1), [False] * 8))
 @example((mixed_form(ctx_for(5, 100), [("fixed", [1, 1, 4])]),
-          random.Random(2), [False, True] * 4))
+          random.Random(2), [False, False, True, False, True, False, True,
+                             True]))
 @given(_crossed_cases())
 def test_entrywise_identification_matches_products(case):
     """identify, unidentify and apply_action, computed entry by entry from
