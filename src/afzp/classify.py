@@ -121,7 +121,7 @@ def _pack_fixed_target(ctx, p, plans, srcC, tgtC, ti):
         return pos
 
     slots = []
-    X = Mat.zero(ctx, n, n)
+    X = [[ctx.zero] * n for _ in range(n)]
     col = 0
     for si, sp in enumerate(srcC.pieces):
         tag, data = plans[(si, ti)]
@@ -133,7 +133,7 @@ def _pack_fixed_target(ctx, p, plans, srcC, tgtC, ti):
                 for _ in range(data[d]):
                     slots.append(Slot(sb, k, phase=d))
                     for i in range(k):
-                        X.entries[take((uexps[i] + d) % p)][col + i] = ctx.one
+                        X[take((uexps[i] + d) % p)][col + i] = ctx.one
                     col += k
         else:  # CF bundles
             ginv = ctx.sqrt_group_order().inv()
@@ -146,11 +146,11 @@ def _pack_fixed_target(ctx, p, plans, srcC, tgtC, ti):
                     for w in range(k):
                         pos = take(m)
                         for j in range(p):
-                            X.entries[pos][base + j * k + w] = \
+                            X[pos][base + j * k + w] = \
                                 ctx.zeta_p(j * m) * ginv
     if col != n:    # each column took one distinct pool entry
         raise PackingInfeasible("target piece %d not exactly filled" % ti)
-    return Arrangement(slots, X)
+    return Arrangement(slots, Mat(ctx, n, n, X))
 
 
 def _pack_cycle_target(ctx, p, plans, srcC, ti, tp):
@@ -223,13 +223,12 @@ def _slot_adjoint(P, rows, cols):
 
 
 def _place(K, Z, rows, cols, k):
-    """Write Z (x) I_k into K: Z[c][c'] I_k between the k-slots starting
-    at rows[c] and at cols[c']."""
-    for r, zrow in zip(rows, Z.entries):
-        for c, z in zip(cols, zrow):
-            if z._nonzero:
-                for w in range(k):
-                    K.entries[r + w][c + w] = z
+    """Write Z (x) I_k into the list grid K: Z[c][c'] I_k between the
+    k-slots starting at rows[c] and at cols[c']."""
+    for r, zrow, zcols in zip(rows, Z.entries, Z.support()):
+        for c in zcols:
+            for w in range(k):
+                K[r + w][cols[c] + w] = zrow[c]
 
 
 def equiv_unitary(h1, h2):
@@ -274,7 +273,7 @@ def equiv_unitary(h1, h2):
     for ti, tp in enumerate(tgt.pieces):
         t = tgt.piece_offsets[ti]
         s1, s2 = _slot_starts(h1, t), _slot_starts(h2, t)
-        K = Mat.zero(ctx, tp.n, tp.n)
+        K = [[ctx.zero] * tp.n for _ in range(tp.n)]
         if tp.kind == "cycle":
             for b, (rows, cols) in enumerate(zip(s1, s2)):
                 _place(K, Mat.identity(ctx, len(rows)), rows, cols,
@@ -313,7 +312,8 @@ def equiv_unitary(h1, h2):
                     _place(K, Gj[j], s1[b0 + j], s2[b0 + j], sp.n)
                 witness.entries.append(
                     WitnessEntry(ti, si, "CF", L=L1, N=L2, Z=Gj))
-        w = h1.arrangements[t].conj * K * h2.arrangements[t].conj.dagger()
+        w = (h1.arrangements[t].conj * Mat(ctx, tp.n, tp.n, K)
+             * h2.arrangements[t].conj.dagger())
         for r in range(tp.block_count(p)):
             W[t + r] = w
         if tp.kind == "cycle":

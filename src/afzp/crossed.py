@@ -156,19 +156,14 @@ class CrossedPresentation:
                         for j in range(p)], self.source.roots))
             else:
                 n = piece.n
-                grid = Mat.zero(ctx, p * n, p * n)
+                grid = [[] for _ in range(p * n)]
                 for r in range(p):
                     comp = (-r) % p
                     for c in range(p):
-                        j = (c - r) % p
-                        a = ce.coeffs[j][sb + comp]
-                        if a.is_zero():
-                            continue
-                        for i in range(n):
-                            for jj in range(n):
-                                grid.entries[r * n + i][c * n + jj] = \
-                                    a.entries[i][jj]
-                out.append(grid)
+                        a = ce.coeffs[(c - r) % p][sb + comp]
+                        for i, row in enumerate(a.entries):
+                            grid[r * n + i].extend(row)
+                out.append(Mat(ctx, p * n, p * n, grid))
         return out
 
     def unidentify(self, mats):
@@ -193,13 +188,9 @@ class CrossedPresentation:
                 for r in range(p):
                     comp = (-r) % p
                     for c in range(p):
-                        j = (c - r) % p
-                        sub = Mat.zero(ctx, n, n)
-                        for i in range(n):
-                            for jj in range(n):
-                                sub.entries[i][jj] = \
-                                    grid.entries[r * n + i][c * n + jj]
-                        ce.coeffs[j][sb + comp] = sub
+                        ce.coeffs[(c - r) % p][sb + comp] = Mat(
+                            ctx, n, n, [row[c * n:(c + 1) * n] for row in
+                                        grid.entries[r * n:(r + 1) * n]])
         return ce
 
     def identify_matrix(self):
@@ -215,19 +206,16 @@ class CrossedPresentation:
                 for i in range(n):
                     for jj in range(n):
                         ce = self.zero_element()
-                        ce.coeffs[j][s] = Mat.zero(ctx, n, n)
-                        ce.coeffs[j][s].entries[i][jj] = ctx.one
+                        unit = [[ctx.zero] * n for _ in range(n)]
+                        unit[i][jj] = ctx.one
+                        ce.coeffs[j][s] = Mat(ctx, n, n, unit)
                         mats = self.identify(ce)
                         col = []
                         for mtx in mats:
                             for row in mtx.entries:
                                 col.extend(row)
                         cols.append(col)
-        out = Mat.zero(ctx, dim, src_dim)
-        for c, col in enumerate(cols):
-            for r, val in enumerate(col):
-                out.entries[r][c] = val
-        return out
+        return Mat(ctx, dim, src_dim, zip(*cols) if cols else [])
 
     # -- canonical structure ----------------------------------------------
 

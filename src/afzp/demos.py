@@ -26,11 +26,11 @@ __all__ = ["product_tower", "naive_doubling_tower", "identity_pairs"]
 
 def _tensor_swap(ctx, k, p):
     """Permutation T with T (1_p kron a) T^dagger = a kron 1_p."""
-    t = Mat.zero(ctx, k * p, k * p)
+    images = [0] * (k * p)
     for i in range(k):
         for c in range(p):
-            t.entries[i * p + c][c * k + i] = ctx.one
-    return t
+            images[c * k + i] = i * p + c
+    return Mat.permutation(ctx, images)
 
 
 def _reversal(ctx, n):

@@ -1,6 +1,11 @@
-"""Dense exact matrices over Q(zeta_N).
+"""Immutable exact matrices over Q(zeta_N), each with a per-row index
+of its nonzero entries.
 
-Everything here is plain row-major dense algebra with Scalar entries.
+A Mat is a row-major tuple grid of Scalar entries that cannot be
+written after construction, so the nonzero index it carries stays
+true; products, adjoints, the unitarity, diagonal, zero and scalar
+tests and block sums read only nonzero entries through it.
+
 The only eigen-analysis offered is character averaging of finite-order
 unitaries, which stays inside the field, and unitary_conjugator built on
 it, which pairs the eigenspaces of two order-p unitaries. There is no
@@ -12,47 +17,66 @@ import math
 
 from .cyclo import Scalar
 from .errors import (MultisetMismatch, NotOrderP, ShapeMismatch,
-                     UnitaryNotFoundInField)
+                     TwistRootOutsideField, UnitaryNotFoundInField)
 from ._rat import RAT, is_integer
 
 __all__ = ["Mat", "SpectralData", "spectral", "unitary_conjugator"]
 
 
 class Mat:
-    """rows x cols matrix of Scalars sharing one FieldContext."""
+    """rows x cols matrix of Scalars sharing one FieldContext; immutable.
 
-    __slots__ = ("ctx", "rows", "cols", "entries")
+    entries is a tuple of row tuples. support() is the per-row tuple of
+    nonzero column indices in ascending order: built on first use, or
+    handed over by the kernel that made the matrix. Products, adjoints,
+    the is_* tests and blockdiag walk it instead of the dense grid."""
 
-    def __init__(self, ctx, rows, cols, entries):
-        if len(entries) != rows or any(len(r) != cols for r in entries):
+    __slots__ = ("ctx", "rows", "cols", "entries", "_nz")
+
+    def __init__(self, ctx, rows, cols, entries, nz=None):
+        entries = tuple(map(tuple, entries))
+        if len(entries) != rows or any(map(cols.__ne__, map(len, entries))):
             raise ShapeMismatch("entry grid does not match %dx%d" % (rows, cols))
         self.ctx = ctx
         self.rows = rows
         self.cols = cols
         self.entries = entries
+        self._nz = nz
+
+    def support(self):
+        """Per row, the ascending column indices of its nonzero entries."""
+        nz = self._nz
+        if nz is None:
+            nz = self._nz = tuple([
+                tuple([j for j, e in enumerate(row) if e._nonzero])
+                for row in self.entries])
+        return nz
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def zero(ctx, rows, cols=None):
         cols = rows if cols is None else cols
-        z = ctx.zero
-        return Mat(ctx, rows, cols, [[z] * cols for _ in range(rows)])
+        return Mat(ctx, rows, cols, ((ctx.zero,) * cols,) * rows,
+                   ((),) * rows)
 
     @staticmethod
     def identity(ctx, n):
-        m = Mat.zero(ctx, n, n)
-        for i in range(n):
-            m.entries[i][i] = ctx.one
-        return m
+        zero = (ctx.zero,)
+        return Mat(ctx, n, n, [zero * i + (ctx.one,) + zero * (n - 1 - i)
+                               for i in range(n)],
+                   tuple([(i,) for i in range(n)]))
 
     @staticmethod
     def diag(ctx, values):
         n = len(values)
-        m = Mat.zero(ctx, n, n)
+        zero = ctx.zero
+        grid = [[zero] * n for _ in range(n)]
+        nz = []
         for i, v in enumerate(values):
-            m.entries[i][i] = ctx.scalar(v) if not isinstance(v, Scalar) else v
-        return m
+            grid[i][i] = v = ctx.scalar(v) if not isinstance(v, Scalar) else v
+            nz.append((i,) if v._nonzero else ())
+        return Mat(ctx, n, n, grid, tuple(nz))
 
     @staticmethod
     def from_rows(ctx, rows):
@@ -64,10 +88,12 @@ class Mat:
     def permutation(ctx, images):
         """Permutation matrix Q with Q e_j = e_images[j]."""
         n = len(images)
-        m = Mat.zero(ctx, n, n)
+        grid = [[ctx.zero] * n for _ in range(n)]
+        nz = [[] for _ in range(n)]
         for j, i in enumerate(images):
-            m.entries[i][j] = ctx.one
-        return m
+            grid[i][j] = ctx.one
+            nz[i].append(j)
+        return Mat(ctx, n, n, grid, tuple(map(tuple, nz)))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -85,30 +111,76 @@ class Mat:
 
     def __neg__(self):
         return Mat(self.ctx, self.rows, self.cols,
-                   [[-a for a in row] for row in self.entries])
+                   [[-a for a in row] for row in self.entries], self._nz)
 
     def __mul__(self, other):
         if isinstance(other, Mat):
-            if self.cols != other.rows:
-                raise ShapeMismatch("%dx%d times %dx%d"
-                                    % (self.rows, self.cols,
-                                       other.rows, other.cols))
-            zero = self.ctx.zero
-            out = [[zero] * other.cols for _ in range(self.rows)]
-            bent = other.entries
-            for i, row in enumerate(self.entries):
-                orow = out[i]
-                for k, aik in enumerate(row):
-                    if not aik._nonzero:
-                        continue
-                    brow = bent[k]
-                    for j, bkj in enumerate(brow):
-                        if bkj._nonzero:
-                            orow[j] = orow[j] + aik * bkj
-            return Mat(self.ctx, self.rows, other.cols, out)
+            return self._matmul(other)
         s = other if isinstance(other, Scalar) else self.ctx.scalar(other)
         return Mat(self.ctx, self.rows, self.cols,
-                   [[a * s for a in row] for row in self.entries])
+                   [[a * s for a in row] for row in self.entries],
+                   self._nz if s._nonzero else None)
+
+    def _matmul(self, other):
+        """Row by row over the nonzero a_ik b_kj. A row with one nonzero
+        a_ik is a_ik times row k of other, with its support (the field
+        has no zero divisors). Otherwise a dense accumulator collects the
+        columns reached, in the order first reached; the row's support is
+        those columns, sorted unless all were reached, less any that
+        cancelled."""
+        if self.cols != other.rows:
+            raise ShapeMismatch("%dx%d times %dx%d"
+                                % (self.rows, self.cols,
+                                   other.rows, other.cols))
+        n = other.cols
+        one = self.ctx.one
+        zrow = (self.ctx.zero,) * n
+        bent, bnz = other.entries, other.support()
+        out, index = [], []
+        for arow, acols in zip(self.entries, self.support()):
+            if len(acols) < 2:
+                if not acols:
+                    out.append(zrow)
+                    index.append(())
+                    continue
+                k = acols[0]
+                aik = arow[k]
+                if aik is one:
+                    out.append(bent[k])
+                else:
+                    row = list(zrow)
+                    brow = bent[k]
+                    for j in bnz[k]:
+                        row[j] = aik * brow[j]
+                    out.append(row)
+                index.append(bnz[k])
+                continue
+            acc = [None] * n
+            touched = []
+            for k in acols:
+                aik = arow[k]
+                brow = bent[k]
+                for j in bnz[k]:
+                    x = acc[j]
+                    if x is None:
+                        touched.append(j)
+                        acc[j] = aik * brow[j]
+                    else:
+                        acc[j] = x + aik * brow[j]
+            if len(touched) == n:
+                out.append(acc)
+                index.append(tuple([j for j in range(n) if acc[j]._nonzero]))
+                continue
+            touched.sort()
+            row = list(zrow)
+            nz = []
+            for j in touched:
+                x = row[j] = acc[j]
+                if x._nonzero:
+                    nz.append(j)
+            out.append(row)
+            index.append(tuple(nz))
+        return Mat(self.ctx, self.rows, n, out, tuple(index))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -130,16 +202,15 @@ class Mat:
                                                     other.rows, other.cols))
 
     def dagger(self):
-        """Conjugate transpose."""
+        """Conjugate transpose, by transposing the support."""
         zero = self.ctx.zero
         out = [[zero] * self.rows for _ in range(self.cols)]
-        for i in range(self.rows):
-            row = self.entries[i]
-            for j in range(self.cols):
-                e = row[j]
-                if e._nonzero:
-                    out[j][i] = e.conj()
-        return Mat(self.ctx, self.cols, self.rows, out)
+        nz = [[] for _ in range(self.cols)]
+        for i, (row, cols) in enumerate(zip(self.entries, self.support())):
+            for j in cols:
+                out[j][i] = row[j].conj()
+                nz[j].append(i)
+        return Mat(self.ctx, self.cols, self.rows, out, tuple(map(tuple, nz)))
 
     def trace(self):
         if self.rows != self.cols:
@@ -151,42 +222,44 @@ class Mat:
 
     def kron(self, other):
         ra, ca, rb, cb = self.rows, self.cols, other.rows, other.cols
-        out = Mat.zero(self.ctx, ra * rb, ca * cb)
-        for i in range(ra):
-            for j in range(ca):
-                a = self.entries[i][j]
-                if a.is_zero():
-                    continue
-                for k in range(rb):
-                    for l in range(cb):
-                        b = other.entries[k][l]
-                        if not b.is_zero():
-                            out.entries[i * rb + k][j * cb + l] = a * b
-        return out
+        out = [[self.ctx.zero] * (ca * cb) for _ in range(ra * rb)]
+        bent, bnz = other.entries, other.support()
+        for i, (arow, acols) in enumerate(zip(self.entries, self.support())):
+            for j in acols:
+                a = arow[j]
+                for k, (brow, bcols) in enumerate(zip(bent, bnz)):
+                    orow = out[i * rb + k]
+                    for l in bcols:
+                        orow[j * cb + l] = a * brow[l]
+        return Mat(self.ctx, ra * rb, ca * cb, out)
 
     def is_unitary(self):
+        """X^dagger X has support exactly the diagonal, with ones on it."""
         if self.rows != self.cols:
             return False
-        return self.dagger() * self == Mat.identity(self.ctx, self.rows)
+        g = self.dagger() * self
+        one = self.ctx.one
+        return all(cols == (i,) and row[i] == one for i, (row, cols)
+                   in enumerate(zip(g.entries, g.support())))
 
     def is_diagonal(self):
-        return all(self.entries[i][j].is_zero()
-                   for i in range(self.rows) for j in range(self.cols)
-                   if i != j)
+        return all(not cols or cols == (i,)
+                   for i, cols in enumerate(self.support()))
 
     def is_zero(self):
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(self.support())
 
     def is_scalar(self):
         """Returns the scalar s with self == s*I, or None."""
         if self.rows != self.cols or self.rows == 0:
             return None
         s = self.entries[0][0]
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                if (e != s) if i == j else e._nonzero:
-                    return None
-        return s
+        if not s._nonzero:
+            return s if self.is_zero() else None
+        if all(cols == (i,) and row[i] == s for i, (row, cols)
+               in enumerate(zip(self.entries, self.support()))):
+            return s
+        return None
 
     def power(self, n):
         if self.rows != self.cols:
@@ -218,14 +291,18 @@ def blockdiag(ctx, mats, total=None):
     size = sum(m.rows for m in mats)
     if total is None:
         total = size
-    out = Mat.zero(ctx, total, total)
+    zero = ctx.zero
+    out, index = [], []
     off = 0
     for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                out.entries[off + i][off + j] = m.entries[i][j]
+        left, right = (zero,) * off, (zero,) * (total - off - m.cols)
+        for row, cols in zip(m.entries, m.support()):
+            out.append(left + row + right)
+            index.append(tuple([off + j for j in cols]))
         off += m.rows
-    return out
+    out.extend([(zero,) * total] * (total - off))
+    index.extend([()] * (total - off))
+    return Mat(ctx, total, total, out, tuple(index))
 
 
 class SpectralData:
@@ -299,15 +376,16 @@ def unitary_conjugator(L1, L2, p):
     The class decided is the one where every such ratio is a rational
     k^2 2^a p^b / c^2 with a, b in {0, 1}: s_i is k/c times (1 + i)^a
     (which needs 4 | N) times the Gauss sum ctx.sqrt_group_order()^b; at
-    p = 2 the factor 2 is the Gauss sum, and a field of order below 16
-    raises TwistRootOutsideField when it is needed. Diagonal pairs always
-    lie in the class (every ratio is 1, and Z is the permutation matching
-    equal eigenvalues in increasing index order); monomial ones do when
-    the field holds the Gauss sum (every ratio is 1, p or 1/p). Outside
-    it a field unitary may still exist after reordering or mixing the
-    basis (by Landherr's theorem, hermitian forms over a CM field are
-    equivalent iff they agree in rank, signatures and determinant modulo
-    norms); this raises UnitaryNotFoundInField naming d and the ratio.
+    p = 2 the factor 2 is the Gauss sum sqrt 2 at order 16 and 1 + i at
+    order 4, and order 2 raises TwistRootOutsideField when it is needed.
+    Diagonal pairs always lie in the class (every ratio is 1, and Z is
+    the permutation matching equal eigenvalues in increasing index
+    order); monomial ones do in every field but Q (every ratio is 1, p
+    or 1/p). Outside it a field unitary may still exist after reordering
+    or mixing the basis (by Landherr's theorem, hermitian forms over a
+    CM field are equivalent iff they agree in rank, signatures and
+    determinant modulo norms); this raises UnitaryNotFoundInField naming
+    d and the ratio.
     Unequal multiplicities raise MultisetMismatch.
     """
     if not L1.rows == L1.cols == L2.rows == L2.cols:
@@ -319,7 +397,7 @@ def unitary_conjugator(L1, L2, p):
     counts2 = [len(b) for b in bases2]
     if counts1 != counts2:
         raise MultisetMismatch(counts1, counts2)
-    Z = Mat.zero(ctx, L1.rows, L1.cols)
+    Z = [[ctx.zero] * L1.cols for _ in range(L1.rows)]
     one = ctx.one
     for d, (b1, b2) in enumerate(zip(bases1, bases2)):
         for (v, nv), (u, nu) in zip(b1, b2):
@@ -330,13 +408,13 @@ def unitary_conjugator(L1, L2, p):
                     "no field scalar of squared norm %r pairs the "
                     "eigenvectors of eigenvalue zeta_p^%d" % (nu / nv, d))
             c = s if nu == one else s / nu
-            for row, x in zip(Z.entries, v):
+            for row, x in zip(Z, v):
                 if x._nonzero:
                     cx = c * x
                     for b, y in enumerate(u):
                         if y._nonzero:
                             row[b] = row[b] + cx * y.conj()
-    return Z
+    return Mat(ctx, L1.rows, L1.cols, Z)
 
 
 def _eigenbases(L, p):
@@ -378,7 +456,8 @@ def _root_of_norm(ctx, q):
     """s with s conj(s) = q for a rational q = k^2 2^a p^b / c^2 (a, b in
     {0, 1}), from k/c, 1 + i and the Gauss sum; None for any other q, or
     when 1 + i is needed and 4 does not divide the field order. At p = 2
-    the factor 2 is the Gauss sum."""
+    the factor 2 is the Gauss sum where the field holds it (order 16),
+    else 1 + i (order 4); order 2 raises TwistRootOutsideField(4)."""
     if q is None or q <= 0:
         return None
     p = ctx.p
@@ -390,10 +469,13 @@ def _root_of_norm(ctx, q):
     else:
         return None
     s = ctx.scalar(RAT(k, q.denominator))
-    if sf % p == 0:
+    gauss = sf % p == 0 and (p != 2 or ctx.order % 8 == 0)
+    if gauss:
         s = s * ctx.sqrt_group_order()
-    if sf % 2 == 0 and p != 2:
+    if sf % 2 == 0 and not (p == 2 and gauss):
         if ctx.order % 4:
+            if p == 2:
+                raise TwistRootOutsideField(4)
             return None
         s = s * (ctx.one + ctx.root(ctx.order // 4))
     return s

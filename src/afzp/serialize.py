@@ -63,6 +63,18 @@ def _int_matrix(x, name, rows=None, cols=None):
     return x
 
 
+def _bound(sizes, i=None):
+    """The largest matrix header that block i of `sizes`, a list of block
+    sizes read from the document, admits: its size if that is a JSON
+    integer, else (and for i None) the largest integer in sizes, 0 if
+    there is none."""
+    if not isinstance(sizes, list):
+        sizes = []
+    if i is not None and 0 <= i < len(sizes) and _is_int(sizes[i]):
+        return sizes[i]
+    return max(filter(_is_int, sizes), default=0)
+
+
 def _scalar_text(s):
     """The format-2 text of Scalar s: "e:c" for each nonzero coefficient
     c of z^e, in lowest terms ("a" or "a/b"), by increasing e and joined
@@ -124,14 +136,14 @@ class _Writer:
         self.field(m.ctx)
         texts = self.texts
         entries = []
-        for i, row in enumerate(m.entries):
-            for j, e in enumerate(row):
-                if e._nonzero:
-                    key = e.num, e.den
-                    text = texts.get(key)
-                    if text is None:
-                        text = texts[key] = _scalar_text(e)
-                    entries.append([i, j, text])
+        for i, (row, cols) in enumerate(zip(m.entries, m.support())):
+            for j in cols:
+                e = row[j]
+                key = e.num, e.den
+                text = texts.get(key)
+                if text is None:
+                    text = texts[key] = _scalar_text(e)
+                entries.append([i, j, text])
         return {"rows": m.rows, "cols": m.cols, "entries": entries}
 
     def body(self, obj):
@@ -236,6 +248,20 @@ def _stages(stages, tower, name):
     return list(stages)
 
 
+def _stage_sizes(t, towerA, towerB):
+    """The block sizes of the tower stage a triangle's corrections act
+    on (its right stage), or, when the record names none, every block
+    size of the two towers."""
+    tower = {"A": towerA, "B": towerB}.get(t["kind"]) \
+        if isinstance(t["kind"], str) else None
+    right = t["right"]
+    if tower is not None and _is_int(right) \
+            and 0 <= right < len(tower.systems):
+        return tower.systems[right].block_sizes
+    return [n for tw in (towerA, towerB) for c in tw.systems
+            for n in c.block_sizes]
+
+
 def _build(kind, doc, ctx, rd):
     """The value of a document of this kind. ctx is the field of the
     format-1 document it is nested in, or None; its field, matrices and
@@ -250,7 +276,8 @@ def _value(kind, doc, ctx, rd):
     if kind == "system":
         ctx = rd.field(doc, ctx)
         sigma = tuple(i - 1 for i in doc["sigma"])
-        impl = [rd.mat(u, ctx) for u in doc["impl"]]
+        impl = [rd.mat(u, ctx, _bound(doc["blocks"], i))
+                for i, u in enumerate(doc["impl"])]
         return FdSystem(ctx, ctx.p, list(doc["blocks"]), sigma, impl)
     if kind == "canonical":
         ctx = rd.field(doc, ctx)
@@ -262,15 +289,17 @@ def _value(kind, doc, ctx, rd):
                                   "integer" % (pc["n"],))
             if pc["kind"] == "fixed":
                 pieces.append(IrredPiece("fixed", pc["n"],
-                                         rd.mat(pc["v"], ctx)))
+                                         rd.mat(pc["v"], ctx, pc["n"])))
             elif pc["kind"] == "cycle":
                 pieces.append(IrredPiece("cycle", pc["n"]))
             else:
                 raise FormatError("unknown piece kind %r" % pc["kind"])
         iso = None
         if "iso" in doc:
+            # each conjugator maps an original block onto a piece's block
             iso = BlockIso(list(doc["iso"]["block_map"]),
-                           [rd.mat(z, ctx)
+                           [rd.mat(z, ctx, max((pc.n for pc in pieces),
+                                               default=0))
                             for z in doc["iso"]["conjugators"]])
         try:
             return CanonicalForm(ctx, ctx.p, pieces, iso)
@@ -283,7 +312,7 @@ def _value(kind, doc, ctx, rd):
         src = rd.nested(doc["source"], ctx, "canonical")
         tgt = rd.nested(doc["target"], src.ctx, "canonical")
         arrs = []
-        for blk in doc["blocks"]:
+        for t, blk in enumerate(doc["blocks"]):
             slots = [Slot(s["src"], s["size"], s.get("phase", 0))
                      for s in blk["slots"]]
             for s in slots:
@@ -293,7 +322,8 @@ def _value(kind, doc, ctx, rd):
                 if not _is_int(s.size) or s.size < 0:
                     raise FormatError("slot size %r is not a "
                                       "non-negative integer" % (s.size,))
-            arrs.append(Arrangement(slots, rd.mat(blk["conj"], src.ctx)))
+            arrs.append(Arrangement(slots, rd.mat(
+                blk["conj"], src.ctx, _bound(tgt.block_sizes, t))))
         return EqHom(src, tgt, arrs, unital=doc["unital"])
     if kind == "kinvariant":
         m, mC = doc["m"], doc["mC"]
@@ -337,10 +367,13 @@ def _value(kind, doc, ctx, rd):
                 "got %d, %d, %d, %d and %d"
                 % (len(pairs), n, len(a_stages), len(b_stages),
                    len(backward)))
-        triangles = [
-            TriangleRecord(t["kind"], t["left"], t["right"],
-                           [rd.mat(w, ctx) for w in t["correction"]])
-            for t in doc["triangles"]]
+        triangles = []
+        for t in doc["triangles"]:
+            sizes = _stage_sizes(t, towerA, towerB)
+            triangles.append(TriangleRecord(
+                t["kind"], t["left"], t["right"],
+                [rd.mat(w, ctx, _bound(sizes, i))
+                 for i, w in enumerate(t["correction"])]))
         return IntertwiningCertificate(towerA, towerB, a_stages, b_stages,
                                        forward, backward, triangles, pairs)
     if kind == "unitaries":
@@ -383,7 +416,8 @@ class _Format1:
     def field(self, doc, ctx):
         return _field(doc, ctx, self.fields)
 
-    def mat(self, obj, ctx):
+    def mat(self, obj, ctx, bound=None):
+        """A dense matrix object, whose entries bound its own size."""
         try:
             return Mat.from_json(obj, ctx, self.fields[ctx.p, ctx.order][1])
         except (KeyError, TypeError, AttributeError, ZeroDivisionError,
@@ -447,14 +481,22 @@ class _Format2:
                                   (expect, key))
         return _build(expect, doc, None, self)
 
-    def mat(self, obj, ctx):
+    def mat(self, obj, ctx, bound=None):
+        """A sparse matrix object; with a bound (the size of the block
+        the matrix belongs to) a larger header is refused before the
+        grid is allocated. Its entries arrive in row-major order, so
+        they give the matrix its nonzero index."""
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
         if not (_is_int(rows) and _is_int(cols) and rows >= 0 and cols >= 0
                 and isinstance(entries, list)):
             raise FormatError("bad matrix object: rows %r, cols %r and "
                               "entries are not two sizes and a list"
                               % (rows, cols))
+        if bound is not None and max(rows, cols) > bound:
+            raise FormatError("matrix header %dx%d exceeds its %dx%d block"
+                              % (rows, cols, bound, bound))
         grid = [[ctx.zero] * cols for _ in range(rows)]
+        index = [[] for _ in range(rows)]
         last = -1
         for entry in entries:
             if not (isinstance(entry, list) and len(entry) == 3):
@@ -471,7 +513,8 @@ class _Format2:
                                   "of row-major order" % (i, j))
             last = at
             grid[i][j] = self.scalars.get(text) or self.scalar(text, ctx)
-        return Mat(ctx, rows, cols, grid)
+            index[i].append(j)
+        return Mat(ctx, rows, cols, grid, tuple(map(tuple, index)))
 
     def scalar(self, text, ctx):
         """The nonzero Scalar of canonical text (see _scalar_text)."""

@@ -361,40 +361,59 @@ def _pattern_defect(K, rows, cols):
     same label is lambda * I_k, every other block that touches a slot is
     zero, and blocks between two gaps are free: for unitary K, exactly
     when K iota_cols(a) = iota_rows(a) K for every a, iota placing a's
-    blocks on the slots. Entries are scanned row by row; i and j are the
-    entry's indices inside its row and column slot, and the source block
-    is the row's label, or the column's on a gap row.
+    blocks on the slots. The answer is the first failing entry in
+    row-major order; i and j are its indices inside its row and column
+    slot, and the source block is the row's label, or the column's on a
+    gap row. Per row only the nonzero entries are read, plus the
+    diagonal entries of its same-label slot pairs whose lambda is
+    nonzero, where a zero would fail.
     """
-    col_at = []               # per column: label, index in slot, slot start
+    col_at = []               # per column: label, index in slot
+    slots = []                # per column slot: label, size, start
     start = 0
     for label, size in cols:
-        col_at.extend((label, j, start) for j in range(size))
+        col_at.extend((label, j) for j in range(size))
+        slots.append((label, size, start))
         start += size
     start = 0
+    nz = K.support()
     for lr, size in rows:
+        # (start column, size, lambda) of each same-label slot pair
+        same = [(c0, k, K.entries[start][c0]) for lc, k, c0 in slots
+                if lc == lr and lr is not None and k and size]
         for i in range(size):
-            for x, (lc, j, c0) in zip(K.entries[start + i], col_at):
-                if lr is None and lc is None:
-                    continue
-                if lr == lc and i == j:
-                    bad = x != K.entries[start][c0]
-                else:
-                    bad = x._nonzero
-                if bad:
-                    return (lc if lr is None else lr), i, j
+            row = K.entries[start + i]
+            diag = {c0 + i: lam for c0, k, lam in same if i < k} \
+                if same else {}
+            bad = None
+            for c in nz[start + i]:
+                if (row[c] != diag[c] if c in diag
+                        else lr is not None or col_at[c][0] is not None):
+                    bad = c
+                    break
+            for c, lam in diag.items():
+                if bad is not None and c > bad:
+                    break
+                if lam._nonzero and not row[c]._nonzero:
+                    bad = c
+                    break
+            if bad is not None:
+                lc, j = col_at[bad]
+                return (lc if lr is None else lr), i, j
         start += size
     return None
 
 
 def _diag_scaled(left, x, right):
-    """diag(left) * x * diag(right) for lists of scalars."""
+    """diag(left) * x * diag(right) for lists of nonzero scalars (the
+    diagonals of unitaries), so the support is x's."""
     out = []
-    for l, row in zip(left, x.entries):
-        out.append(row[:])
-        for j, a in enumerate(row):
-            if a._nonzero:
-                out[-1][j] = l * a * right[j]
-    return Mat(x.ctx, x.rows, x.cols, out)
+    for l, row, cols in zip(left, x.entries, x.support()):
+        row = list(row)
+        for j in cols:
+            row[j] = l * row[j] * right[j]
+        out.append(row)
+    return Mat(x.ctx, x.rows, x.cols, out, x.support())
 
 
 def _v_diagonal(c, t, conj=False):
@@ -518,7 +537,7 @@ def hom_validate(h):
         x = arr.conj
         daggers.append(x.dagger())
         rep.add("conjugator %d unitary" % t, x.rows == n_t == x.cols
-                and daggers[t] * x == Mat.identity(x.ctx, n_t))
+                and x.is_unitary())
     rep.add("unital flag consistent", h.unital == (gaps == 0),
             "flag %r with %d zero gaps" % (h.unital, gaps))
     if not rep.ok:

@@ -109,10 +109,19 @@ def rand_tuple(form, rng, span=2):
     return [rand_mat(form.ctx, rng, n, span) for n in form.block_sizes]
 
 
+def zero_grid(ctx, rows, cols=None):
+    """A rows x cols list grid of zeros, filled in place before the
+    (immutable) Mat is built from it once."""
+    return [[ctx.zero] * (rows if cols is None else cols)
+            for _ in range(rows)]
+
+
 def unit_tuple(ctx, block_sizes, s, i, j):
     """Tuple that is the (i, j) matrix unit in block s, zero elsewhere."""
     a = zero_tuple(ctx, block_sizes)
-    a[s].entries[i][j] = ctx.one
+    unit = zero_grid(ctx, block_sizes[s])
+    unit[i][j] = ctx.one
+    a[s] = Mat(ctx, block_sizes[s], block_sizes[s], unit)
     return a
 
 
@@ -373,30 +382,30 @@ def solve(system, rhs):
         if any(not aug[i][n + j].is_zero() for j in range(k)):
             raise Inconsistent("system has no solution")
     zero = ctx.zero
-    part = Mat.zero(ctx, n, k)
+    part = zero_grid(ctx, n, k)
     for r, c in enumerate(pivots):
         for j in range(k):
-            part.entries[c][j] = aug[r][n + j]
+            part[c][j] = aug[r][n + j]
     pivset = set(pivots)
     basis = []
     for free in range(n):
         if free in pivset:
             continue
-        vec = Mat.zero(ctx, n, 1)
-        vec.entries[free][0] = ctx.one
+        vec = zero_grid(ctx, n, 1)
+        vec[free][0] = ctx.one
         for r, c in enumerate(pivots):
-            vec.entries[c][0] = zero - aug[r][free]
-        basis.append(vec)
-    return part, basis
+            vec[c][0] = zero - aug[r][free]
+        basis.append(Mat(ctx, n, 1, vec))
+    return Mat(ctx, n, k, part), basis
 
 
 def vec_row_major(M):
     """Flatten to an (rows*cols) x 1 column, row-major."""
-    out = Mat.zero(M.ctx, M.rows * M.cols, 1)
+    out = zero_grid(M.ctx, M.rows * M.cols, 1)
     for i in range(M.rows):
         for j in range(M.cols):
-            out.entries[i * M.cols + j][0] = M.entries[i][j]
-    return out
+            out[i * M.cols + j][0] = M.entries[i][j]
+    return Mat(M.ctx, M.rows * M.cols, 1, out)
 
 
 def _slot_positions(h, t):
@@ -435,14 +444,14 @@ def _corner_isometry(h, t, blocks, interleave=False):
             chosen.extend(per_block[b])
     width = sum(size for _, size in chosen)
     n = h.target.block_sizes[t]
-    X = Mat.zero(ctx, n, width)
+    X = zero_grid(ctx, n, width)
     col = 0
     for off, size in chosen:
         for j in range(size):
             for i in range(n):
-                X.entries[i][col] = arr.conj.entries[i][off + j]
+                X[i][col] = arr.conj.entries[i][off + j]
             col += 1
-    return X
+    return Mat(ctx, n, width, X)
 
 
 def _pattern_extract(mat, copies, k):
@@ -460,15 +469,15 @@ def _pattern_extract(mat, copies, k):
 def _expand_pattern(bhat, k):
     ctx = bhat.ctx
     copies = bhat.rows
-    out = Mat.zero(ctx, copies * k, copies * k)
+    out = zero_grid(ctx, copies * k)
     for c in range(copies):
         for cc in range(copies):
             v = bhat.entries[c][cc]
             if v.is_zero():
                 continue
             for i in range(k):
-                out.entries[c * k + i][cc * k + i] = v
-    return out
+                out[c * k + i][cc * k + i] = v
+    return Mat(ctx, copies * k, copies * k, out)
 
 
 def corner_equiv_unitary(h1, h2):
@@ -540,7 +549,7 @@ def corner_equiv_unitary(h1, h2):
                     if closure != Gj[0]:
                         raise CorrectionFailed(
                             (ti, si), "cycle telescoping does not close")
-                    G = Mat.zero(ctx, p * c * k, p * c * k)
+                    G = zero_grid(ctx, p * c * k)
                     for j in range(p):
                         for b in range(c):
                             for bb in range(c):
@@ -548,8 +557,9 @@ def corner_equiv_unitary(h1, h2):
                                 if v.is_zero():
                                     continue
                                 for w in range(k):
-                                    G.entries[_bjw(b, j, w, p, k)][
+                                    G[_bjw(b, j, w, p, k)][
                                         _bjw(bb, j, w, p, k)] = v
+                    G = Mat(ctx, p * c * k, p * c * k, G)
                     wt = wt + X1 * G * X2.dagger()
                     witness.entries.append(
                         WitnessEntry(ti, si, "CF", L=A1, N=A2, Z=Gj))
@@ -591,7 +601,7 @@ def _cycle_corner_blocks(K, p, c, k):
     ctx = K.ctx
     A = []
     for j in range(p):
-        blk = Mat.zero(ctx, c, c)
+        blk = zero_grid(ctx, c)
         A.append(blk)
     for b in range(c):
         for j in range(p):
@@ -604,12 +614,12 @@ def _cycle_corner_blocks(K, p, c, k):
                             e = K.entries[row][col]
                             if jj == (j - 1) % p and ww == w:
                                 if w == 0:
-                                    A[j].entries[b][bb] = e
-                                elif A[j].entries[b][bb] != e:
+                                    A[j][b][bb] = e
+                                elif A[j][b][bb] != e:
                                     return None
                             elif not e.is_zero():
                                 return None
-    return A
+    return [Mat(ctx, c, c, blk) for blk in A]
 
 
 def checked_conjugator(fn, L1, L2, p):
@@ -741,7 +751,7 @@ def _diagonalize_order_p_monomial(u, p):
             "implementing unitary is not monomial; re-present the input "
             "with a diagonal or monomial unitary")
     perm, phases = ms
-    cols = Mat.zero(ctx, n, n)    # columns are the new basis vectors
+    cols = zero_grid(ctx, n)      # columns are the new basis vectors
     diag = [None] * n
     seen = set()
     slot = 0
@@ -756,7 +766,7 @@ def _diagonalize_order_p_monomial(u, p):
             seen.add(j)
             j = perm[j]
         if len(cycle) == 1:
-            cols.entries[start][slot] = ctx.one
+            cols[start][slot] = ctx.one
             diag[slot] = phases[start]
             slot += 1
             continue
@@ -771,12 +781,12 @@ def _diagonalize_order_p_monomial(u, p):
         ginv = ctx.sqrt_group_order().inv()
         for m_eig in range(p):
             for t in range(p):
-                cols.entries[cycle[t]][slot] = (
+                cols[cycle[t]][slot] = (
                     gammas[t] * ctx.zeta_p(-t * m_eig) * ginv)
             diag[slot] = ctx.zeta_p(m_eig)
             slot += 1
     # u * col_k = diag[k] * col_k; so cols^dagger * u * cols is diagonal
-    z = cols.dagger()
+    z = Mat(ctx, n, n, cols).dagger()
     return z, Mat.diag(ctx, diag)
 
 
@@ -796,14 +806,14 @@ def monomial_conjugator(d, v, p):
 
 def direct_sum(a, b):
     """The block-diagonal matrix a (+) b."""
-    out = Mat.zero(a.ctx, a.rows + b.rows, a.cols + b.cols)
+    out = zero_grid(a.ctx, a.rows + b.rows, a.cols + b.cols)
     for i in range(a.rows):
         for j in range(a.cols):
-            out.entries[i][j] = a.entries[i][j]
+            out[i][j] = a.entries[i][j]
     for i in range(b.rows):
         for j in range(b.cols):
-            out.entries[a.rows + i][a.cols + j] = b.entries[i][j]
-    return out
+            out[a.rows + i][a.cols + j] = b.entries[i][j]
+    return Mat(a.ctx, a.rows + b.rows, a.cols + b.cols, out)
 
 
 def ieye(n):
@@ -944,7 +954,7 @@ class ProductCrossed(CrossedPresentation):
                     out.append(acc)
             else:
                 n = piece.n
-                grid = Mat.zero(ctx, p * n, p * n)
+                grid = zero_grid(ctx, p * n)
                 for r in range(p):
                     comp = (-r) % p
                     for c in range(p):
@@ -954,9 +964,9 @@ class ProductCrossed(CrossedPresentation):
                             continue
                         for i in range(n):
                             for jj in range(n):
-                                grid.entries[r * n + i][c * n + jj] = \
+                                grid[r * n + i][c * n + jj] = \
                                     a.entries[i][jj]
-                out.append(grid)
+                out.append(Mat(ctx, p * n, p * n, grid))
         return out
 
     def unidentify(self, mats):
@@ -981,12 +991,12 @@ class ProductCrossed(CrossedPresentation):
                     comp = (-r) % p
                     for c in range(p):
                         j = (c - r) % p
-                        sub = Mat.zero(ctx, n, n)
+                        sub = zero_grid(ctx, n)
                         for i in range(n):
                             for jj in range(n):
-                                sub.entries[i][jj] = \
+                                sub[i][jj] = \
                                     grid.entries[r * n + i][c * n + jj]
-                        ce.coeffs[j][sb + comp] = sub
+                        ce.coeffs[j][sb + comp] = Mat(ctx, n, n, sub)
         return ce
 
 
@@ -995,13 +1005,13 @@ def _diag_conj(v, a):
     n = a.rows
     d = [v.entries[i][i] for i in range(n)]
     dc = [x.conj() for x in d]
-    out = Mat.zero(a.ctx, n, n)
+    out = zero_grid(a.ctx, n)
     for i in range(n):
         for j in range(n):
             e = a.entries[i][j]
             if not e.is_zero():
-                out.entries[i][j] = d[i] * e * dc[j]
-    return out
+                out[i][j] = d[i] * e * dc[j]
+    return Mat(a.ctx, n, n, out)
 
 
 def conj_apply_action(self, a):
@@ -1015,3 +1025,185 @@ def conj_apply_action(self, a):
             for t in range(self.p):
                 out[off + t] = a[off + (t - 1) % self.p]
     return out
+
+
+# -- dense matrix kernels -----------------------------------------------------
+# The dense bodies of Mat's product, adjoint and is_* tests, of blockdiag
+# and of system._diag_scaled / _pattern_defect as they stood before Mat
+# became immutable and indexed: they walk every entry of the grid and
+# ignore the nonzero index, the oracles for the indexed kernels. Writes
+# into a Mat became writes into a list grid that builds the Mat once.
+
+
+def dense_mul(self, other):
+    if self.cols != other.rows:
+        raise ShapeMismatch("%dx%d times %dx%d"
+                            % (self.rows, self.cols,
+                               other.rows, other.cols))
+    zero = self.ctx.zero
+    out = [[zero] * other.cols for _ in range(self.rows)]
+    bent = other.entries
+    for i, row in enumerate(self.entries):
+        orow = out[i]
+        for k, aik in enumerate(row):
+            if not aik._nonzero:
+                continue
+            brow = bent[k]
+            for j, bkj in enumerate(brow):
+                if bkj._nonzero:
+                    orow[j] = orow[j] + aik * bkj
+    return Mat(self.ctx, self.rows, other.cols, out)
+
+
+def dense_dagger(self):
+    zero = self.ctx.zero
+    out = [[zero] * self.rows for _ in range(self.cols)]
+    for i in range(self.rows):
+        row = self.entries[i]
+        for j in range(self.cols):
+            e = row[j]
+            if e._nonzero:
+                out[j][i] = e.conj()
+    return Mat(self.ctx, self.cols, self.rows, out)
+
+
+def dense_identity(ctx, n):
+    out = [[ctx.zero] * n for _ in range(n)]
+    for i in range(n):
+        out[i][i] = ctx.one
+    return Mat(ctx, n, n, out)
+
+
+def dense_is_unitary(self):
+    if self.rows != self.cols:
+        return False
+    return dense_mul(dense_dagger(self), self) == \
+        dense_identity(self.ctx, self.rows)
+
+
+def dense_is_diagonal(self):
+    return all(self.entries[i][j].is_zero()
+               for i in range(self.rows) for j in range(self.cols)
+               if i != j)
+
+
+def dense_is_zero(self):
+    return all(e.is_zero() for row in self.entries for e in row)
+
+
+def dense_is_scalar(self):
+    if self.rows != self.cols or self.rows == 0:
+        return None
+    s = self.entries[0][0]
+    for i, row in enumerate(self.entries):
+        for j, e in enumerate(row):
+            if (e != s) if i == j else e._nonzero:
+                return None
+    return s
+
+
+def dense_blockdiag(ctx, mats, total=None):
+    size = sum(m.rows for m in mats)
+    if total is None:
+        total = size
+    out = zero_grid(ctx, total)
+    off = 0
+    for m in mats:
+        for i in range(m.rows):
+            for j in range(m.cols):
+                out[off + i][off + j] = m.entries[i][j]
+        off += m.rows
+    return Mat(ctx, total, total, out)
+
+
+def dense_diag_scaled(left, x, right):
+    out = []
+    for l, row in zip(left, x.entries):
+        out.append(list(row))
+        for j, a in enumerate(row):
+            if a._nonzero:
+                out[-1][j] = l * a * right[j]
+    return Mat(x.ctx, x.rows, x.cols, out)
+
+
+def dense_pattern_defect(K, rows, cols):
+    col_at = []               # per column: label, index in slot, slot start
+    start = 0
+    for label, size in cols:
+        col_at.extend((label, j, start) for j in range(size))
+        start += size
+    start = 0
+    for lr, size in rows:
+        for i in range(size):
+            for x, (lc, j, c0) in zip(K.entries[start + i], col_at):
+                if lr is None and lc is None:
+                    continue
+                if lr == lc and i == j:
+                    bad = x != K.entries[start][c0]
+                else:
+                    bad = x._nonzero
+                if bad:
+                    return (lc if lr is None else lr), i, j
+        start += size
+    return None
+
+
+def dense_support(m):
+    """The nonzero index Mat.support() must equal."""
+    return tuple(tuple(j for j, e in enumerate(row) if e._nonzero)
+                 for row in m.entries)
+
+
+ORACLE_FIELDS = [(p, order) for p in (2, 3, 5)
+                 for order in (p, p * p, 4 * p * p)]
+
+
+def oracle_scalar(ctx, rng):
+    """A nonzero scalar from a small pool (signed roots of unity, some
+    scaled by 2 or 1/3), so that sums of products often cancel."""
+    x = ctx.root(rng.randrange(ctx.order)) * rng.choice((1, -1, 2, RAT(1, 3)))
+    y = x + ctx.root(rng.randrange(4))
+    return y if rng.random() < 0.2 and y._nonzero else x
+
+
+def oracle_matrix(ctx, rng, rows, cols, kind):
+    """A rows x cols Mat of one kind: "monomial" (at most one nonzero
+    per row and per column), "sparse" (each entry nonzero with
+    probability 1/4), "dense" (every entry drawn, cancellations may
+    leave zeros) or "unitary" (square: a signed permutation times
+    root-of-unity phases, with the rational rotation [[3, -4], [4, 3]] / 5
+    on its first two coordinates when rows >= 2 and rng says so)."""
+    grid = zero_grid(ctx, rows, cols)
+    if kind in ("monomial", "unitary"):
+        colset = list(range(cols))
+        rng.shuffle(colset)
+        for i, j in zip(range(rows), colset):
+            grid[i][j] = ctx.root(rng.randrange(ctx.order)) \
+                if kind == "unitary" else oracle_scalar(ctx, rng)
+        m = Mat(ctx, rows, cols, grid)
+        if kind == "unitary" and rows >= 2 and rng.random() < 0.5:
+            r = [[ctx.scalar(RAT(x, 5)) for x in row]
+                 for row in ((3, -4), (4, 3))]
+            m = blockdiag(ctx, [Mat(ctx, 2, 2, r),
+                                Mat.identity(ctx, rows - 2)]) * m
+        return m
+    for row in grid:
+        for j in range(cols):
+            if kind == "dense" or rng.random() < 0.25:
+                x = oracle_scalar(ctx, rng)
+                row[j] = x - ctx.root(rng.randrange(2)) \
+                    if rng.random() < 0.1 else x
+    return Mat(ctx, rows, cols, grid)
+
+
+def corrupt_entry(m, rng):
+    """m with one entry changed: set to zero, moved off by one, or
+    replaced by a root of unity."""
+    if not (m.rows and m.cols):
+        return m
+    grid = [list(row) for row in m.entries]
+    i, j = rng.randrange(m.rows), rng.randrange(m.cols)
+    ctx = m.ctx
+    grid[i][j] = rng.choice([ctx.zero, grid[i][j] + ctx.one,
+                             ctx.root(1 + rng.randrange(ctx.order - 1))])
+    return Mat(ctx, m.rows, m.cols, grid)

@@ -497,6 +497,28 @@ def test_equiv_unitary_pairs_a_swap_with_a_diagonal(tmp_path):
     assert load_json(paths[2]) == W
 
 
+def test_equiv_unitary_pairs_a_two_cycle_over_q_i():
+    """p = 2, order 4: two copies of a 1x1 fixed piece at phases 0 and 1,
+    and the same hom twisted by ((1 + i) / 2) [[1, 1], [1, -1]]. The
+    commutant elements are diag(1, -1) and the swap, a 2-cycle, whose
+    eigenvector norm ratio 1/2 takes 1 + i in Q(i); without the Gauss sum
+    sqrt 2 this used to raise TwistRootOutsideField."""
+    ctx = ctx_for(2, 4)
+    a, b = fixed_form(ctx, [0]), fixed_form(ctx, [0, 1])
+    h1 = lift(ksearch(invariant_of(a), invariant_of(b), 3)[0], a, b)
+    s = (ctx.one + ctx.root(1)) * RAT(1, 2)
+    twist = Mat.from_rows(ctx, [[s, s], [s, -1 * s]])
+    arr = h1.arrangements[0]
+    h2 = EqHom(a, b, [Arrangement(list(arr.slots), arr.conj * twist)])
+    assert hom_validate(h2).ok and induced_map(h1) == induced_map(h2)
+    W, wit = equiv_unitary(h1, h2)
+    (entry,) = wit.entries
+    assert entry.L == Mat.diag(ctx, [1, -1])
+    assert entry.N == Mat.permutation(ctx, [1, 0])
+    assert entry.Z == twist
+    assert equal_as_maps(conjugate_hom(W, h2), h1)
+
+
 def _commutant_twist(draw, h, t):
     """A unitary commuting with target block t's slot embedding:
     Z (x) I_k at the slots of one source block with c >= 2 slots there;
@@ -512,7 +534,8 @@ def _commutant_twist(draw, h, t):
     for slot in h.arrangements[t].slots:
         starts.setdefault(slot.src, []).append((slot.phase, pos))
         pos += slot.size
-    twist = Mat.identity(ctx, h.target.block_sizes[t])
+    n = h.target.block_sizes[t]
+    twist = Mat.identity(ctx, n)
     repeated = sorted(s for s, at in starts.items() if len(at) >= 2)
     if not repeated:
         return twist
@@ -524,44 +547,53 @@ def _commutant_twist(draw, h, t):
         (sum(q == ph for q, _ in slots[:i]), i, ra)
         for i, (ph, ra) in enumerate(slots))]
     c = len(at)
-    Z = Mat.identity(ctx, c)
+    Z = [list(row) for row in Mat.identity(ctx, c).entries]
     mix = draw(st.sampled_from(["fourier"] * (c >= p) + ["rotation"]
                                + ["shift"] * (not mixed)))
     if mix == "fourier":
         ginv = ctx.sqrt_group_order().inv()
         for j in range(p):
             for q in range(p):
-                Z.entries[j][q] = ctx.zeta_p(j * q) * ginv
+                Z[j][q] = ctx.zeta_p(j * q) * ginv
+        Z = Mat(ctx, c, c, Z)
     elif mix == "rotation":
         for j, q, x in ((0, 0, 3), (0, 1, -4), (1, 0, 4), (1, 1, 3)):
-            Z.entries[j][q] = ctx.scalar(RAT(x, 5))
+            Z[j][q] = ctx.scalar(RAT(x, 5))
+        Z = Mat(ctx, c, c, Z)
     else:
         r = draw(st.integers(1, c - 1))
         Z = Mat.permutation(ctx, [(j + r) % c for j in range(c)]) * Mat.diag(
             ctx, [ctx.root(e) for e in draw(st.lists(
                 st.integers(0, ctx.order - 1), min_size=c, max_size=c))])
+    twist = [list(row) for row in twist.entries]
     for a, ra in enumerate(at):
         for b, rb in enumerate(at):
             for w in range(k):
-                twist.entries[ra + w][rb + w] = Z.entries[a][b]
-    return twist
+                twist[ra + w][rb + w] = Z.entries[a][b]
+    return Mat(ctx, n, n, twist)
 
 
-def _receiving_form(draw, a, most):
+def _receiving_form(draw, a, most, repeat=False):
     """A form of one or two pieces that receives a unital hom from a:
     each target piece takes, from each source piece, up to `most` copies
     (a fixed piece at drawn phases, a cycle piece as whole bundles), or
     up to 3 copies of a 1x1 fixed piece, enough for a Fourier twist at
-    p <= 3."""
+    p <= 3. With repeat, the first target piece takes at least two
+    copies of a's first piece, and a cycle piece into a cycle target at
+    one shift, so that some target block holds one source block twice."""
     ctx, p = a.ctx, a.p
     specs = []
     # two target pieces at p = 5 can make the pair search take a minute
-    for cycle in draw(st.lists(st.booleans(), min_size=1,
-                               max_size=1 if p == 5 else 2)):
+    for t, cycle in enumerate(draw(st.lists(st.booleans(), min_size=1,
+                                            max_size=1 if p == 5 else 2))):
         exps, n = [], 0
-        for piece, e in zip(a.pieces, a.piece_exponents):
-            ds = draw(st.lists(st.integers(0, p - 1), max_size=3
-                               if piece.n == 1 and e else most))
+        for s, (piece, e) in enumerate(zip(a.pieces, a.piece_exponents)):
+            twice = repeat and t == s == 0
+            ds = draw(st.lists(st.integers(0, p - 1), min_size=2 * twice,
+                               max_size=max(2 * twice, 3 if piece.n == 1
+                                            and e else most)))
+            if twice and cycle and piece.kind == "cycle":
+                ds[1] = ds[0]
             if cycle:
                 n += len(ds) * piece.n
             elif piece.kind == "fixed":
@@ -589,16 +621,18 @@ def _equivalent_homs(draw, hows=("moved", "commutant", "composite")):
     forms, or None."""
     p = draw(st.sampled_from([2, 3, 5]))
     ctx = ctx_for(p, None if p == 2 else p)
+    how = draw(st.sampled_from(hows))
     a = mixed_form(ctx, draw(st.lists(st.sampled_from(piece_specs(p, 2)),
                                       min_size=1, max_size=2)))
-    b = _receiving_form(draw, a, 2)
+    b = _receiving_form(draw, a, 2, repeat=how == "commutant")
     pairs = ksearch(invariant_of(a), invariant_of(b), 3)
-    kp = draw(st.sampled_from(pairs))
+    # the commutant twist needs a source block twice in one target block
+    kp = draw(st.sampled_from([q for q in pairs if how != "commutant"
+                               or max(map(max, q.F)) >= 2]))
     h1 = lift(kp, a, b)
     others = [q for q in pairs if q != kp]
     other = lift(draw(st.sampled_from(others)), a, b) if others else None
     rng = random.Random(draw(st.integers(0, 2 ** 16)))
-    how = draw(st.sampled_from(hows))
     if how == "composite" and sum(b.block_sizes) <= 6:
         c = _receiving_form(draw, b, 1)
         later = ksearch(invariant_of(b), invariant_of(c), 3)
@@ -646,8 +680,9 @@ def _swapped_bundles():
     ctx = ctx_for(2)
     h1 = lift(KPair([[2, 2]], [[2], [2]]), cycle_form(ctx, 1),
               fixed_form(ctx, [0, 0, 1, 1]))
-    twist = Mat.permutation(ctx, [2, 1, 0, 3])
-    twist.entries[0][2] = ctx.root(1)
+    twist = [list(row) for row in Mat.permutation(ctx, [2, 1, 0, 3]).entries]
+    twist[0][2] = ctx.root(1)
+    twist = Mat(ctx, 4, 4, twist)
     h2 = EqHom(h1.source, h1.target,
                [Arrangement(list(h1.arrangements[0].slots),
                             h1.arrangements[0].conj * twist)], unital=True)
@@ -743,6 +778,20 @@ def test_equivalent_homs_reach_non_diagonal_pairs():
 
     correct()
     assert met and 10 * sum(met) >= len(met)
+
+
+def test_commutant_branch_always_twists():
+    """Every draw of _equivalent_homs' commutant branch at a fixed seed
+    has a source block twice in some target block, so its h2 differs
+    from h1 as arrangements."""
+    @seed(0)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(_equivalent_homs(hows=("commutant",)))
+    def twisted(homs):
+        h1, h2, _ = homs
+        assert h1.arrangements != h2.arrangements
+
+    twisted()
 
 
 # -- towers and certificates --------------------------------------------------
@@ -861,8 +910,10 @@ def test_certificate_detects_corruption():
     ctx = tower.systems[0].ctx
     # corrupt one entry of one forward conjugator
     bad = loads(dumps(cert))
-    conj = bad.forward[1].arrangements[0].conj
-    conj.entries[0][0] = conj.entries[0][0] + ctx.one
+    arr = bad.forward[1].arrangements[0]
+    conj = [list(row) for row in arr.conj.entries]
+    conj[0][0] = conj[0][0] + ctx.one
+    arr.conj = Mat(ctx, arr.conj.rows, arr.conj.cols, conj)
     rep = verify_certificate(bad)
     assert not rep.ok
 

@@ -557,3 +557,84 @@ def test_corrupted_format2_certificate_exit_two(workdir, capsys, name):
     capsys.readouterr()
     assert main(["verify", "bad.json"]) == 2
     assert capsys.readouterr().err.startswith("input error:")
+
+
+_HUGE = {"rows": 10 ** 6, "cols": 10 ** 6, "entries": []}
+
+
+def test_huge_conj_header_is_refused_before_allocation(workdir, capsys):
+    """A hom document under 1 KB whose conj claims 10^6 x 10^6: the header
+    exceeds the 2 x 2 target block, so the loader raises FormatError
+    without allocating the grid (tracemalloc peak under 1 MiB) and the
+    CLI exits 2."""
+    import tracemalloc
+    from afzp.errors import FormatError
+    from afzp.system import identity_hom
+    from conftest import fixed_form
+    doc = json.loads(dumps(identity_hom(fixed_form(FieldContext(2, 16),
+                                                   [0, 1]))))
+    doc["blocks"][0]["conj"] = _HUGE
+    text = json.dumps(doc)
+    assert len(text) < 1024
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="exceeds its 2x2 block"):
+            loads(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    with open("huge.json", "w") as fh:
+        fh.write(text)
+    capsys.readouterr()
+    assert main(["validate", "huge.json"]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+_HUGE_HEADERS = {
+    "piece-v": lambda d: next(
+        pc for o in d["objects"] if o["kind"] == "canonical"
+        for pc in o["pieces"] if pc["kind"] == "fixed").update(v=_HUGE),
+    "hom-conj": lambda d: next(
+        o for o in d["objects"] if o["kind"] == "hom")["blocks"][0].update(
+            conj=_HUGE),
+    "triangle-correction": lambda d: d["triangles"][0][
+        "correction"].__setitem__(0, _HUGE),
+    "triangle-without-stage": lambda d: (
+        d["triangles"][0].update(right=99),
+        d["triangles"][0]["correction"].__setitem__(0, _HUGE)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HUGE_HEADERS))
+def test_huge_headers_in_a_certificate_exit_two(workdir, capsys, name):
+    """A 10^6 x 10^6 header on a fixed piece's v, a hom's conj or a
+    triangle's correction (bounded by its tower stage, or by the largest
+    block of either tower when the stage is out of range) is an input
+    error."""
+    assert main(["demo", "product-tower-p2", "--depth", "2",
+                 "--out", "cert.json"]) == 0
+    doc = json.load(open("cert.json"))
+    _HUGE_HEADERS[name](doc)
+    json.dump(doc, open("bad.json", "w"))
+    capsys.readouterr()
+    assert main(["verify", "bad.json"]) == 2
+    assert "exceeds its" in capsys.readouterr().err
+
+
+def test_huge_impl_or_iso_header_exits_two(workdir, capsys):
+    """A system's impl is bounded by its block size and a canonical
+    form's iso conjugators by its largest piece."""
+    doc = json.load(open("m2.json"))
+    doc["impl"][0] = _HUGE
+    json.dump(doc, open("bad.json", "w"))
+    assert main(["validate", "bad.json"]) == 2
+    assert main(["canon", "m2.json", "--out", "canon.json"]) == 0
+    doc = json.load(open("canon.json"))
+    iso = doc["iso"] if "iso" in doc else next(
+        o for o in doc["objects"] if o["kind"] == "canonical")["iso"]
+    iso["conjugators"][0] = _HUGE
+    json.dump(doc, open("bad.json", "w"))
+    capsys.readouterr()
+    assert main(["kinv", "bad.json"]) == 2
+    assert "exceeds its" in capsys.readouterr().err

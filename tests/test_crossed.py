@@ -348,8 +348,10 @@ def test_misshaped_fixed_blocks_raise(case, data):
                                      st.integers(1, n + 1)))
     if (rows, cols) == (n, n):
         cols = n + 1
-    bad = _rand_block(ctx, rng, rows, cols, False)
-    bad.entries[0][0] = ctx.one
+    bad = [list(row) for row in _rand_block(ctx, rng, rows, cols, False)
+           .entries]
+    bad[0][0] = ctx.one
+    bad = Mat(ctx, rows, cols, bad)
     cp, oracle = crossed_product(form), ProductCrossed(form)
     ce = cp.zero_element()
     ce.coeffs[data.draw(st.integers(0, p - 1))][sb] = bad

@@ -7,10 +7,15 @@ from afzp._rat import RAT
 from afzp.cyclo import make_root
 from afzp.errors import (MultisetMismatch, NotOrderP, ShapeMismatch,
                          TwistRootOutsideField, UnitaryNotFoundInField)
-from afzp.matrix import Mat, _root_of_norm, spectral, unitary_conjugator
+from afzp.matrix import (Mat, _root_of_norm, blockdiag, spectral,
+                         unitary_conjugator)
 
-from conftest import (Inconsistent, checked_conjugator, ctx_for, direct_sum,
-                      match_diagonals, solve, unitary_conjugator_search)
+from conftest import (ORACLE_FIELDS, Inconsistent, checked_conjugator,
+                      corrupt_entry, ctx_for, dense_blockdiag, dense_dagger,
+                      dense_is_diagonal, dense_is_scalar, dense_is_unitary,
+                      dense_is_zero, dense_mul, dense_support, direct_sum,
+                      match_diagonals, oracle_matrix, solve,
+                      unitary_conjugator_search, zero_grid)
 
 
 def test_dagger_of_imaginary_diagonal():
@@ -94,13 +99,14 @@ def test_spectral_projections_commute_with_commutant():
     sd = spectral(V, 3)
     for _ in range(10):
         # block-diagonal matrices over equal-eigenvalue groups commute with V
-        C = Mat.zero(ctx, 4, 4)
-        C.entries[0][0] = ctx.scalar(rng.randint(-2, 2))
-        C.entries[0][1] = ctx.scalar(rng.randint(-2, 2))
-        C.entries[1][0] = ctx.scalar(rng.randint(-2, 2))
-        C.entries[1][1] = ctx.scalar(rng.randint(-2, 2))
-        C.entries[2][2] = ctx.scalar(rng.randint(-2, 2))
-        C.entries[3][3] = ctx.scalar(rng.randint(-2, 2))
+        C = zero_grid(ctx, 4)
+        C[0][0] = ctx.scalar(rng.randint(-2, 2))
+        C[0][1] = ctx.scalar(rng.randint(-2, 2))
+        C[1][0] = ctx.scalar(rng.randint(-2, 2))
+        C[1][1] = ctx.scalar(rng.randint(-2, 2))
+        C[2][2] = ctx.scalar(rng.randint(-2, 2))
+        C[3][3] = ctx.scalar(rng.randint(-2, 2))
+        C = Mat(ctx, 4, 4, C)
         assert V * C == C * V
         for P in sd.projections:
             assert P * C == C * P
@@ -212,15 +218,17 @@ def test_root_of_norm_reads_the_decided_ratios(field):
     """s conj(s) = q for every q = k^2 2^a p^b / c^2 the field decides;
     None for the factor 2 at odd p without i in the field, for q <= 0
     and for another squarefree part. At p = 2 the factor 2 is the Gauss
-    sum, which a field of order below 16 lacks."""
+    sum at order 16 and 1 + i at order 4; order 2 has neither and names
+    order 4."""
     p, order = field
     ctx = ctx_for(p, order)
     for a in (0, 1):
         for b in (0, 1):
             for k, c in ((1, 1), (3, 2), (2, 15)):
                 q = RAT(k * k * 2 ** a * p ** b, c * c)
-                if p == 2 and order < 16 and a != b:
-                    with pytest.raises(TwistRootOutsideField):
+                if p == 2 and order == 2 and a != b:
+                    with pytest.raises(TwistRootOutsideField,
+                                       match="field order >= 4"):
                         _root_of_norm(ctx, q)
                 elif a and p != 2 and order % 4:
                     assert _root_of_norm(ctx, q) is None
@@ -255,3 +263,106 @@ def test_direct_sum_and_power():
     s = Mat.permutation(ctx, [1, 0])
     assert s.power(2) == Mat.identity(ctx, 2)
     assert s.power(3) == s
+
+
+# -- indexed kernels against the dense oracles -------------------------------
+
+_KINDS = st.sampled_from(["monomial", "sparse", "dense"])
+
+
+def _fresh(m):
+    """m rebuilt from its entries, so its index is built lazily."""
+    return Mat(m.ctx, m.rows, m.cols, m.entries)
+
+
+def _checked(m):
+    """m, after checking that its index (handed over or built) is the
+    ascending nonzero columns of each row."""
+    assert m.support() == dense_support(m)
+    return m
+
+
+def test_entries_cannot_be_written():
+    ctx = ctx_for(2)
+    m = Mat.identity(ctx, 2)
+    with pytest.raises(TypeError):
+        m.entries[0][1] = ctx.one
+    with pytest.raises(TypeError):
+        m.entries[0] = (ctx.one, ctx.one)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ORACLE_FIELDS), st.integers(0, 6), st.integers(0, 6),
+       st.integers(0, 6), _KINDS, _KINDS, st.booleans(), st.randoms())
+def test_product_and_adjoint_match_the_dense_oracles(field, r, k, c, ka, kb,
+                                                     fresh, rnd):
+    """a * b and a^dagger equal the dense kernels' on monomial, sparse
+    and dense operands of every shape up to 6 (0 included), and carry
+    the index a scan of their entries gives; so do their adjoints."""
+    ctx = ctx_for(*field)
+    a = oracle_matrix(ctx, rnd, r, k, ka)
+    b = oracle_matrix(ctx, rnd, k, c, kb)
+    if fresh:
+        a, b = _fresh(a), _fresh(b)
+    got = _checked(a * b)
+    assert got == dense_mul(a, b)
+    assert _checked(a.dagger()) == dense_dagger(a)
+    assert _checked(got.dagger()) == dense_dagger(got)
+    assert _checked(-got) == dense_mul(a, b * -1)
+    assert _checked(got * ctx.root(1)) == dense_mul(a, b) * ctx.root(1)
+    assert _checked(got * 0).is_zero()
+
+
+def test_product_keeps_full_and_cancelled_rows_exact():
+    """A row that every column reaches takes the unsorted path and one
+    whose sums cancel drops those columns from its index."""
+    ctx = ctx_for(3, 9)
+    a = Mat.from_rows(ctx, [[1, 1, 0], [1, -1, 1], [0, 0, 0]])
+    b = Mat.from_rows(ctx, [[0, 1, 2], [0, -1, 1], [1, 0, 0]])
+    got = _checked(a * b)
+    assert got == dense_mul(a, b)
+    assert got.support() == ((2,), (0, 1, 2), ())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ORACLE_FIELDS), st.integers(0, 6),
+       st.sampled_from(["unitary", "monomial", "sparse", "dense"]),
+       st.booleans(), st.randoms())
+def test_is_tests_match_the_dense_oracles(field, n, kind, corrupt, rnd):
+    """is_unitary, is_diagonal, is_zero and is_scalar agree with the
+    dense kernels on unitaries (0x0 included), other square and
+    non-square matrices, diagonal and lambda * I matrices, and each of
+    these with one entry corrupted."""
+    ctx = ctx_for(*field)
+    lam = ctx.root(rnd.randrange(ctx.order))
+    mats = [oracle_matrix(ctx, rnd, n, n, kind),
+            oracle_matrix(ctx, rnd, n, n + 1, kind),
+            oracle_matrix(ctx, rnd, n + 1, n, kind),
+            Mat.diag(ctx, [lam] * n),
+            Mat.diag(ctx, [rnd.choice([ctx.zero, lam]) for _ in range(n)]),
+            Mat.zero(ctx, n, n + rnd.randrange(2))]
+    if corrupt:
+        mats = [corrupt_entry(m, rnd) for m in mats]
+    for m in mats:
+        for x in (m, _fresh(m)):
+            assert x.is_unitary() == dense_is_unitary(x)
+            assert x.is_diagonal() == dense_is_diagonal(x)
+            assert x.is_zero() == dense_is_zero(x)
+            assert x.is_scalar() == dense_is_scalar(x)
+    if kind == "unitary" and not corrupt:
+        assert mats[0].is_unitary()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ORACLE_FIELDS),
+       st.lists(st.tuples(st.integers(0, 3), _KINDS), max_size=4),
+       st.integers(0, 2), st.randoms())
+def test_blockdiag_matches_the_dense_oracle(field, blocks, pad, rnd):
+    """Direct sums of square blocks of sizes 0..3, zero-padded or not,
+    equal the dense kernel's, with the index of their entries."""
+    ctx = ctx_for(*field)
+    mats = [oracle_matrix(ctx, rnd, n, n, kind) for n, kind in blocks]
+    total = sum(m.rows for m in mats) + pad
+    assert _checked(blockdiag(ctx, mats, total)) == \
+        dense_blockdiag(ctx, mats, total)
+    assert _checked(blockdiag(ctx, mats)) == dense_blockdiag(ctx, mats)

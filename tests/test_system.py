@@ -4,6 +4,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from afzp._rat import RAT
 from afzp.classify import ksearch, lift
 from afzp.cyclo import make_root
 from afzp.errors import (NonDiagonalizableWithinField, SystemMismatch,
@@ -11,16 +12,20 @@ from afzp.errors import (NonDiagonalizableWithinField, SystemMismatch,
 from afzp.matrix import Mat, unitary_conjugator
 from afzp.kinv import invariant_of
 from afzp.serialize import dumps
-from afzp.system import (Arrangement, EqHom, FdSystem, Slot, _iso_defect,
-                         decompose, equal_as_maps, hom_compose, hom_validate,
-                         identity_hom, validate)
+from afzp.system import (Arrangement, EqHom, FdSystem, IrredPiece, Slot,
+                         _diag_scaled, _iso_defect, _pattern_defect,
+                         decompose, equal_as_maps, hom_compose,
+                         hom_validate, identity_hom, validate)
 
-from conftest import (all_units_equal, all_units_equivariant,
-                      checked_conjugator, ctx_for, cycle_form, fixed_form,
+from conftest import (ORACLE_FIELDS, all_units_equal, all_units_equivariant,
+                      checked_conjugator, ctx_for, cycle_form,
+                      dense_diag_scaled, dense_pattern_defect,
+                      dense_support, fixed_form, oracle_matrix,
+                      oracle_scalar,
                       fixed_point_unitary, generator_iso_defect,
                       generators_equal, generators_equivariant, mixed_form,
                       monomial_conjugator, piece_specs, sort_conjugator,
-                      transport, unit_tuple)
+                      transport, unit_tuple, zero_grid)
 
 
 def diag_system(ctx, values, p=None):
@@ -122,13 +127,24 @@ def test_decompose_rejects_dense_unitary():
         decompose(FdSystem(ctx, 2, [2], (0,), [h]))
 
 
-def test_decompose_swap_needs_the_gauss_sum():
+def test_decompose_swap_takes_one_plus_i_below_order_16():
     """At p = 2 the 2x2 swap's eigenvectors (e_0 +- e_1) / 2 have squared
-    norm 1/2, which takes sqrt 2 from Q(zeta_8): field order 4 refuses
-    and names the order that works."""
+    norm 1/2. Field order 4 takes the factor 2 from 1 + i, so the swap
+    decomposes with Z = ((1 + i) / 2) [[1, 1], [1, -1]], a unitary over
+    Q(i); order 2 holds neither 1 + i nor sqrt 2, refuses and names
+    order 4."""
     ctx = ctx_for(2, 4)
-    with pytest.raises(TwistRootOutsideField, match="field order >= 16"):
-        decompose(FdSystem(ctx, 2, [2], (0,), [Mat.permutation(ctx, [1, 0])]))
+    swap = Mat.permutation(ctx, [1, 0])
+    c = decompose(FdSystem(ctx, 2, [2], (0,), [swap]))
+    assert c.pieces == [IrredPiece("fixed", 2, Mat.diag(ctx, [1, -1]))]
+    s = (ctx.one + ctx.root(1)) * RAT(1, 2)
+    Z = c.iso.conjugators[0]
+    assert Z == Mat.from_rows(ctx, [[s, s], [s, -1 * s]])
+    assert Z.is_unitary() and Z * swap * Z.dagger() == Mat.diag(ctx, [1, -1])
+    ctx2 = ctx_for(2, 2)
+    with pytest.raises(TwistRootOutsideField, match="field order >= 4"):
+        decompose(FdSystem(ctx2, 2, [2], (0,),
+                           [Mat.permutation(ctx2, [1, 0])]))
 
 
 def test_decompose_idempotent_on_canonical_systems():
@@ -347,13 +363,13 @@ def _fourier_block(ctx, n, at):
     position `at` of an n x n identity (the identity when it does not
     fit), a unitary that is not monomial."""
     p = ctx.p
-    w = Mat.identity(ctx, n)
+    w = [list(row) for row in Mat.identity(ctx, n).entries]
     if at + p <= n:
         ginv = ctx.sqrt_group_order().inv()
         for j in range(p):
             for k in range(p):
-                w.entries[at + j][at + k] = ctx.zeta_p(j * k) * ginv
-    return w
+                w[at + j][at + k] = ctx.zeta_p(j * k) * ginv
+    return Mat(ctx, n, n, w)
 
 
 @st.composite
@@ -443,7 +459,7 @@ def _decomposable_system(draw):
             roots, min_size=count, max_size=count))]
 
     def fixed_impl(n):
-        u = Mat.zero(ctx, n, n)
+        u = zero_grid(ctx, n)
         pos = draw(st.permutations(range(n)))
         cycles = draw(st.integers(0, n // p))
         for c in range(cycles):
@@ -454,11 +470,11 @@ def _decomposable_system(draw):
                 prod = prod * x
             ph.append(lam * prod.conj())
             for q, j in enumerate(cyc):
-                u.entries[cyc[(q + 1) % p]][j] = ph[q]
+                u[cyc[(q + 1) % p]][j] = ph[q]
         for j in pos[cycles * p:]:
-            u.entries[j][j] = ctx.root(k) * ctx.zeta_p(
+            u[j][j] = ctx.root(k) * ctx.zeta_p(
                 draw(st.integers(0, p - 1)))
-        return u
+        return Mat(ctx, n, n, u)
 
     orbits = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 3)),
                            min_size=1, max_size=3))
@@ -529,3 +545,98 @@ def test_decompose_matches_the_monomial_diagonalizer_oracle(s):
                     checked(monomial_conjugator)):
         old = dumps(decompose(s))
     assert new == old
+
+
+# -- indexed pattern kernels against the dense oracles -----------------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ORACLE_FIELDS), st.integers(0, 6), st.integers(0, 6),
+       st.sampled_from(["monomial", "sparse", "dense"]), st.randoms())
+def test_diag_scaled_matches_the_dense_oracle(field, r, c, kind, rnd):
+    """diag(left) x diag(right), for nonzero diagonals as the callers
+    pass, equals the dense kernel's and carries the index of its
+    entries."""
+    ctx = ctx_for(*field)
+    x = oracle_matrix(ctx, rnd, r, c, kind)
+
+    def diagonal(n):
+        return [oracle_scalar(ctx, rnd) for _ in range(n)]
+    left, right = diagonal(r), diagonal(c)
+    got = _diag_scaled(left, x, right)
+    assert got == dense_diag_scaled(left, x, right)
+    assert got.support() == dense_support(got)
+
+
+def _labelling(draw, labels):
+    """(label, size) slots: labels 0..2 or None (a gap), sizes 0..3."""
+    return draw(st.lists(st.tuples(st.sampled_from(labels),
+                                   st.integers(0, 3)), max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ORACLE_FIELDS), st.data(), st.randoms())
+def test_pattern_defect_matches_the_dense_scan(field, data, rnd):
+    """_pattern_defect returns the dense row-major scan's first failing
+    (source block, i, j), or None with it, on a K built to fit two slot
+    labellings (lambda * I_k between slots of one label, lambda zero or
+    not and sizes equal or not; random blocks between gaps) and on that K
+    with one entry set off the pattern, one lambda-diagonal entry zeroed
+    or changed, or a random sparse or dense K."""
+    ctx = ctx_for(*field)
+    labels = [None, 0, 1, 2]
+    rows, cols = _labelling(data.draw, labels), _labelling(data.draw, labels)
+    n, m = sum(k for _, k in rows), sum(k for _, k in cols)
+    grid = [[ctx.zero] * m for _ in range(n)]
+    on_diagonals = []         # cells of lambda-diagonals, lambda nonzero
+    r0 = 0
+    for lr, kr in rows:
+        c0 = 0
+        for lc, kc in cols:
+            if lr is None and lc is None:
+                for i in range(kr):
+                    for j in range(kc):
+                        if rnd.random() < 0.5:
+                            grid[r0 + i][c0 + j] = oracle_scalar(ctx, rnd)
+            elif lr == lc:
+                lam = oracle_scalar(ctx, rnd) if rnd.random() < 0.7 \
+                    else ctx.zero
+                for i in range(min(kr, kc)):
+                    grid[r0 + i][c0 + i] = lam
+                    if lam._nonzero:
+                        on_diagonals.append((r0 + i, c0 + i))
+            c0 += kc
+        r0 += kr
+    how = data.draw(st.sampled_from(["fit", "entry", "zero", "change",
+                                     "sparse", "dense"]))
+    if how in ("sparse", "dense"):
+        K = oracle_matrix(ctx, rnd, n, m, how)
+    else:
+        if n and m and how != "fit":
+            i, j = rnd.randrange(n), rnd.randrange(m)
+            if how == "entry" or not on_diagonals:
+                grid[i][j] = grid[i][j] + oracle_scalar(ctx, rnd)
+            else:
+                i, j = rnd.choice(on_diagonals)
+                grid[i][j] = ctx.zero if how == "zero" \
+                    else grid[i][j] + ctx.one
+        K = Mat(ctx, n, m, grid)
+    for x in (K, Mat(ctx, n, m, K.entries), K * Mat.identity(ctx, m)):
+        assert _pattern_defect(x, rows, cols) == \
+            dense_pattern_defect(x, rows, cols)
+
+
+def test_pattern_defect_finds_a_zero_on_a_lambda_diagonal():
+    """A zero where lambda * I_k needs lambda is found in row-major order,
+    before a later off-pattern entry, as the dense scan finds it."""
+    ctx = ctx_for(3)
+    rows = cols = [(0, 3), (None, 1)]
+    K = Mat.from_rows(ctx, [[2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 2, 0],
+                            [0, 0, 0, 5]])
+    assert _pattern_defect(K, rows, cols) == (0, 1, 1)
+    with_later = Mat.from_rows(ctx, [[2, 0, 0, 0], [0, 0, 0, 0],
+                                     [0, 1, 2, 0], [0, 0, 0, 5]])
+    assert _pattern_defect(with_later, rows, cols) == (0, 1, 1) == \
+        dense_pattern_defect(with_later, rows, cols)
+    assert _pattern_defect(Mat.from_rows(ctx, [[2, 0, 0, 0], [0, 2, 0, 0],
+                                               [0, 0, 2, 0], [0, 0, 0, 5]]),
+                           rows, cols) is None
