@@ -475,6 +475,8 @@ class Tower:
 def validate_tower(t):
     rep = Report()
     rep.add("stage count", len(t.maps) == len(t.systems) - 1)
+    if not rep.ok:
+        return rep
     for i, h in enumerate(t.maps):
         rep.add("map %d endpoints" % i,
                 h.source.same_shape(t.systems[i])

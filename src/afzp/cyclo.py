@@ -14,7 +14,7 @@ reporting only.
 import math
 from operator import add, sub
 
-from ._rat import RAT, rat_from_str
+from ._rat import RAT
 from .errors import ContextMismatch, DivisionByZero, TwistRootOutsideField
 
 __all__ = [
@@ -395,23 +395,6 @@ class Scalar:
         if any(self.num[1:]):
             return None
         return RAT(self.num[0], self.den)
-
-    @staticmethod
-    def from_json(obj, ctx, memo=None):
-        """Decode a format-1 scalar object. `memo`, a dict the caller
-        owns for this ctx, maps each coefficient-string vector already
-        decoded to its Scalar, so every repeat returns the same object."""
-        if obj.get("order") != ctx.order:
-            raise ContextMismatch(
-                "scalar of order %r loaded into field of order %d"
-                % (obj.get("order"), ctx.order))
-        key = tuple(obj["coeffs"])
-        if memo is not None and key in memo:
-            return memo[key]
-        got = Scalar(ctx, [rat_from_str(c) for c in key])
-        if memo is not None:
-            memo[key] = got
-        return got
 
 
 def _combine(a, b, op):

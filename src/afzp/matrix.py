@@ -234,13 +234,16 @@ class Mat:
         return Mat(self.ctx, ra * rb, ca * cb, out)
 
     def is_unitary(self):
-        """X^dagger X has support exactly the diagonal, with ones on it."""
-        if self.rows != self.cols:
-            return False
-        g = self.dagger() * self
+        """Square with X^dagger X the identity. A caller that already
+        holds X^dagger tests (X^dagger * X).is_identity() itself."""
+        return self.rows == self.cols and (self.dagger() * self).is_identity()
+
+    def is_identity(self):
+        """Square with support exactly the diagonal, and ones on it."""
         one = self.ctx.one
-        return all(cols == (i,) and row[i] == one for i, (row, cols)
-                   in enumerate(zip(g.entries, g.support())))
+        return self.rows == self.cols and all(
+            cols == (i,) and row[i] == one for i, (row, cols)
+            in enumerate(zip(self.entries, self.support())))
 
     def is_diagonal(self):
         return all(not cols or cols == (i,)
@@ -273,17 +276,6 @@ class Mat:
             if n:
                 base = base * base
         return result
-
-    @staticmethod
-    def from_json(obj, ctx, memo):
-        """Decode a format-1 matrix object, each scalar as
-        Scalar.from_json with this field's `memo`, whose hits (a Scalar
-        is true) skip the call."""
-        get, order = memo.get, ctx.order
-        ents = [[e.get("order") == order and get(tuple(e["coeffs"]))
-                 or Scalar.from_json(e, ctx, memo) for e in row]
-                for row in obj["entries"]]
-        return Mat(ctx, obj["rows"], obj["cols"], ents)
 
 
 def blockdiag(ctx, mats, total=None):

@@ -14,12 +14,11 @@ exactly json.dumps(doc, sort_keys=True, separators=(",", ":")):
   top-level "objects" list and referred to by its index there; an
   object refers only to objects before it.
 
-load reads format 2 and the older format 1 (self-contained nested
-documents, dense matrices of {"order", "coeffs"} scalar objects). It
-rejects format-2 text that is not canonical, so the bytes of a document
-are a function of its value, and it builds each object once, so what
-the file shares is shared in memory. Writes are atomic (temp file in the
-target directory, then rename).
+load reads format 2 only; any other afzp_format, the older format 1
+included, is an input error. It rejects text that is not canonical, so
+the bytes of a document are a function of its value, and it builds
+each object once, so what the file shares is shared in memory. Writes
+are atomic (temp file in the target directory, then rename).
 
 The full schema reference lives in docs/format.md.
 """
@@ -34,7 +33,7 @@ from ._rat import rat_from_str
 from .classify import (IntertwiningCertificate, Tower, TriangleRecord)
 from .crossed import CrossedPresentation, crossed_product
 from .cyclo import FieldContext, Scalar
-from .errors import ContextMismatch, FormatError, NotOrderP, ShapeMismatch
+from .errors import FormatError, NotOrderP
 from .kinv import KInvariant, KPair
 from .matrix import Mat
 from .report import Report
@@ -212,29 +211,14 @@ class _Writer:
 
 
 def load(doc):
-    """Rebuild the in-memory value of a format-1 or format-2 document."""
-    if isinstance(doc, dict) and doc.get("afzp_format") == FORMAT_VERSION \
-            and _is_int(doc["afzp_format"]):
-        return _Format2(doc).load()
-    return _Format1().load(doc)
-
-
-def _field(doc, ctx, fields):
-    """The field of doc's integer p and order: ctx, which they must
-    match, or if ctx is None the one `fields` maps (p, order) to, with
-    its memo of decoded scalars."""
-    key = doc["p"], doc["order"]
-    if not all(map(_is_int, key)):
-        raise FormatError("p %r and order %r are not integers" % key)
-    if ctx is None:
-        if key not in fields:
-            fields[key] = (FieldContext(*key), {})
-        return fields[key][0]
-    if key != (ctx.p, ctx.order):
-        raise FormatError("p %r and order %r differ from the p %d and "
-                          "order %d of the enclosing document"
-                          % (key + (ctx.p, ctx.order)))
-    return ctx
+    """Rebuild the in-memory value of a format-2 document."""
+    if not isinstance(doc, dict):
+        raise FormatError("document is not a JSON object")
+    version = doc.get("afzp_format")
+    if not (_is_int(version) and version == FORMAT_VERSION):
+        raise FormatError("afzp_format %r is not supported: only format %d "
+                          "is read" % (version, FORMAT_VERSION))
+    return _Format2(doc).load()
 
 
 def _stages(stages, tower, name):
@@ -262,174 +246,11 @@ def _stage_sizes(t, towerA, towerB):
             for n in c.block_sizes]
 
 
-def _build(kind, doc, ctx, rd):
-    """The value of a document of this kind. ctx is the field of the
-    format-1 document it is nested in, or None; its field, matrices and
-    nested documents are read through rd."""
-    try:
-        return _value(kind, doc, ctx, rd)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError("malformed %r document: %s" % (kind, exc))
-
-
-def _value(kind, doc, ctx, rd):
-    if kind == "system":
-        ctx = rd.field(doc, ctx)
-        sigma = tuple(i - 1 for i in doc["sigma"])
-        impl = [rd.mat(u, ctx, _bound(doc["blocks"], i))
-                for i, u in enumerate(doc["impl"])]
-        return FdSystem(ctx, ctx.p, list(doc["blocks"]), sigma, impl)
-    if kind == "canonical":
-        ctx = rd.field(doc, ctx)
-        pieces = []
-        for pc in doc["pieces"]:
-            # an empty piece would leave the pair search unbounded
-            if not _is_int(pc["n"]) or pc["n"] < 1:
-                raise FormatError("piece size %r is not a positive "
-                                  "integer" % (pc["n"],))
-            if pc["kind"] == "fixed":
-                pieces.append(IrredPiece("fixed", pc["n"],
-                                         rd.mat(pc["v"], ctx, pc["n"])))
-            elif pc["kind"] == "cycle":
-                pieces.append(IrredPiece("cycle", pc["n"]))
-            else:
-                raise FormatError("unknown piece kind %r" % pc["kind"])
-        iso = None
-        if "iso" in doc:
-            # each conjugator maps an original block onto a piece's block
-            iso = BlockIso(list(doc["iso"]["block_map"]),
-                           [rd.mat(z, ctx, max((pc.n for pc in pieces),
-                                               default=0))
-                            for z in doc["iso"]["conjugators"]])
-        try:
-            return CanonicalForm(ctx, ctx.p, pieces, iso)
-        except NotOrderP:
-            n = next(pc.n for pc in pieces if pc.exponents(ctx.p) is None)
-            raise FormatError(
-                "fixed piece v is not the %dx%d diagonal of p-th roots "
-                "of unity with ascending exponents" % (n, n)) from None
-    if kind == "hom":
-        src = rd.nested(doc["source"], ctx, "canonical")
-        tgt = rd.nested(doc["target"], src.ctx, "canonical")
-        arrs = []
-        for t, blk in enumerate(doc["blocks"]):
-            slots = [Slot(s["src"], s["size"], s.get("phase", 0))
-                     for s in blk["slots"]]
-            for s in slots:
-                if not (s.src is None or _is_int(s.src)):
-                    raise FormatError("slot src %r is neither null nor "
-                                      "an integer" % (s.src,))
-                if not _is_int(s.size) or s.size < 0:
-                    raise FormatError("slot size %r is not a "
-                                      "non-negative integer" % (s.size,))
-            arrs.append(Arrangement(slots, rd.mat(
-                blk["conj"], src.ctx, _bound(tgt.block_sizes, t))))
-        return EqHom(src, tgt, arrs, unital=doc["unital"])
-    if kind == "kinvariant":
-        m, mC = doc["m"], doc["mC"]
-        if not (_is_int(m) and _is_int(mC) and m >= 0 and mC >= 0):
-            raise FormatError("m %r and mC %r are not class counts"
-                              % (m, mC))
-        return KInvariant(
-            m, _int_matrix([doc["unit"]], "unit", 1, m)[0],
-            _int_matrix(doc["act"], "act", m, m), mC,
-            _int_matrix(doc["dualAct"], "dualAct", mC, mC),
-            _int_matrix([doc["special"]], "special", 1, mC)[0],
-            _int_matrix(doc["iota"], "iota", mC, m))
-    if kind == "kpair":
-        if not isinstance(doc["unital"], bool):
-            raise FormatError("unital %r is not a boolean"
-                              % (doc["unital"],))
-        return KPair(_int_matrix(doc["F"], "F"),
-                     _int_matrix(doc["phi"], "phi"), unital=doc["unital"])
-    if kind == "tower":
-        systems = []
-        for s in doc["systems"]:
-            systems.append(rd.nested(s, ctx, "canonical"))
-            ctx = systems[0].ctx
-        maps = [rd.nested(h, ctx, "hom") for h in doc["maps"]]
-        return Tower(systems, maps)
-    if kind == "certificate":
-        towerA = rd.nested(doc["towerA"], ctx, "tower")
-        ctx = next((s.ctx for s in towerA.systems), ctx)
-        towerB = rd.nested(doc["towerB"], ctx, "tower")
-        pairs = [rd.nested(kp, None, "kpair") for kp in doc["pairs"]]
-        forward = [rd.nested(h, ctx, "hom") for h in doc["forward"]]
-        backward = [rd.nested(h, ctx, "hom") for h in doc["backward"]]
-        a_stages = _stages(doc["a_stages"], towerA, "a_stages")
-        b_stages = _stages(doc["b_stages"], towerB, "b_stages")
-        n = len(forward)
-        if not (len(pairs) == len(a_stages) == len(b_stages) == n
-                and len(backward) == n - 1):
-            raise FormatError(
-                "a certificate of n >= 1 stages has n pairs, forward "
-                "homs, a_stages and b_stages and n - 1 backward homs; "
-                "got %d, %d, %d, %d and %d"
-                % (len(pairs), n, len(a_stages), len(b_stages),
-                   len(backward)))
-        triangles = []
-        for t in doc["triangles"]:
-            sizes = _stage_sizes(t, towerA, towerB)
-            triangles.append(TriangleRecord(
-                t["kind"], t["left"], t["right"],
-                [rd.mat(w, ctx, _bound(sizes, i))
-                 for i, w in enumerate(t["correction"])]))
-        return IntertwiningCertificate(towerA, towerB, a_stages, b_stages,
-                                       forward, backward, triangles, pairs)
-    if kind == "unitaries":
-        ctx = rd.field(doc, ctx)
-        return [rd.mat(w, ctx) for w in doc["W"]]
-    if kind == "crossed":
-        # derived data: rebuild the presentation from its source form
-        return crossed_product(rd.nested(doc["source"], ctx, "canonical"))
-    if kind == "report":
-        rep = Report()
-        for item in doc["checks"]:
-            rep.add(item["name"], item["ok"], item.get("detail", ""))
-        return rep
-    raise FormatError("unknown document kind %r" % (kind,))
-
-
-class _Format1:
-    """One format-1 load: every nested document is a complete document
-    of its own, checked to lie in the field of the one that holds it.
-    `fields` maps (p, order) to the field and its memo of decoded
-    scalars."""
-
-    def __init__(self):
-        self.fields = {}
-
-    def load(self, doc, ctx=None, expect=None):
-        """The value of doc; a nested document must be of kind
-        `expect`."""
-        if not isinstance(doc, dict):
-            raise FormatError("document is not a JSON object")
-        if doc.get("afzp_format") != 1:
-            raise FormatError("missing or unsupported afzp_format "
-                              "(expected 1 or 2)")
-        kind = doc.get("kind")
-        if expect is not None and kind != expect:
-            raise FormatError("expected a nested %r document, got %r"
-                              % (expect, kind))
-        return _build(kind, doc, ctx, self)
-
-    def field(self, doc, ctx):
-        return _field(doc, ctx, self.fields)
-
-    def mat(self, obj, ctx, bound=None):
-        """A dense matrix object, whose entries bound its own size."""
-        try:
-            return Mat.from_json(obj, ctx, self.fields[ctx.p, ctx.order][1])
-        except (KeyError, TypeError, AttributeError, ZeroDivisionError,
-                ContextMismatch, ShapeMismatch) as exc:
-            raise FormatError("bad matrix object: %s" % exc)
-
-    nested = load
-
-
 class _Format2:
-    """One format-2 load: the document's field, the scalar of each text
-    decoded so far and the (kind, value) of each object built so far."""
+    """One load: the document, its field (read from the top-level p and
+    order when the first matrix or form needs it), the scalar of each
+    text decoded so far and the (kind, value) of each object built so
+    far."""
 
     def __init__(self, doc):
         self.doc = doc
@@ -438,8 +259,7 @@ class _Format2:
         self.objects = []
 
     def load(self):
-        doc = self.doc
-        objects = doc.get("objects", [])
+        objects = self.doc.get("objects", [])
         if not isinstance(objects, list):
             raise FormatError("objects is not a list")
         for i, obj in enumerate(objects):
@@ -448,18 +268,19 @@ class _Format2:
                 raise FormatError("object %d is not a canonical, hom or "
                                   "tower object" % i)
             self.objects.append((kind, self.inline(obj, kind)))
-        return _build(doc.get("kind"), doc, None, self)
+        return self._build(self.doc.get("kind"), self.doc)
 
-    def field(self, doc, ctx):
-        """The field of the top-level document's p and order."""
+    def field(self):
+        """The field of the top-level document's integer p and order."""
         if self.ctx is None:
-            self.ctx = _field(self.doc, None, {})
+            key = self.doc["p"], self.doc["order"]
+            if not all(map(_is_int, key)):
+                raise FormatError("p %r and order %r are not integers" % key)
+            self.ctx = FieldContext(*key)
         return self.ctx
 
-    def nested(self, x, ctx, expect):
-        """The object x refers to, or an inline nested document."""
-        if expect not in _OBJECT_KINDS:
-            return self.inline(x, expect)
+    def ref(self, x, expect):
+        """The object of kind `expect` that reference x names."""
         if not (_is_int(x) and 0 <= x < len(self.objects)):
             raise FormatError("%s reference %r is not the index of an "
                               "earlier object (dangling or cyclic)"
@@ -479,13 +300,134 @@ class _Format2:
             if key in doc:
                 raise FormatError("a nested %r object carries %r" %
                                   (expect, key))
-        return _build(expect, doc, None, self)
+        return self._build(expect, doc)
 
-    def mat(self, obj, ctx, bound=None):
+    def _build(self, kind, doc):
+        """The value of a document of this kind."""
+        try:
+            return self._value(kind, doc)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError("malformed %r document: %s" % (kind, exc))
+
+    def _value(self, kind, doc):
+        if kind == "system":
+            ctx = self.field()
+            sigma = tuple(i - 1 for i in doc["sigma"])
+            impl = [self.mat(u, _bound(doc["blocks"], i))
+                    for i, u in enumerate(doc["impl"])]
+            return FdSystem(ctx, ctx.p, list(doc["blocks"]), sigma, impl)
+        if kind == "canonical":
+            ctx = self.field()
+            pieces = []
+            for pc in doc["pieces"]:
+                # an empty piece would leave the pair search unbounded
+                if not _is_int(pc["n"]) or pc["n"] < 1:
+                    raise FormatError("piece size %r is not a positive "
+                                      "integer" % (pc["n"],))
+                if pc["kind"] == "fixed":
+                    pieces.append(IrredPiece("fixed", pc["n"],
+                                             self.mat(pc["v"], pc["n"])))
+                elif pc["kind"] == "cycle":
+                    pieces.append(IrredPiece("cycle", pc["n"]))
+                else:
+                    raise FormatError("unknown piece kind %r" % pc["kind"])
+            iso = None
+            if "iso" in doc:
+                # each conjugator maps an original block onto a piece's block
+                largest = max((pc.n for pc in pieces), default=0)
+                iso = BlockIso(list(doc["iso"]["block_map"]),
+                               [self.mat(z, largest)
+                                for z in doc["iso"]["conjugators"]])
+            try:
+                return CanonicalForm(ctx, ctx.p, pieces, iso)
+            except NotOrderP:
+                n = next(pc.n for pc in pieces
+                         if pc.exponents(ctx.p) is None)
+                raise FormatError(
+                    "fixed piece v is not the %dx%d diagonal of p-th roots "
+                    "of unity with ascending exponents" % (n, n)) from None
+        if kind == "hom":
+            src = self.ref(doc["source"], "canonical")
+            tgt = self.ref(doc["target"], "canonical")
+            arrs = []
+            for t, blk in enumerate(doc["blocks"]):
+                slots = [Slot(s["src"], s["size"], s.get("phase", 0))
+                         for s in blk["slots"]]
+                for s in slots:
+                    if not (s.src is None or _is_int(s.src)):
+                        raise FormatError("slot src %r is neither null nor "
+                                          "an integer" % (s.src,))
+                    if not _is_int(s.size) or s.size < 0:
+                        raise FormatError("slot size %r is not a "
+                                          "non-negative integer" % (s.size,))
+                arrs.append(Arrangement(slots, self.mat(
+                    blk["conj"], _bound(tgt.block_sizes, t))))
+            return EqHom(src, tgt, arrs, unital=doc["unital"])
+        if kind == "kinvariant":
+            m, mC = doc["m"], doc["mC"]
+            if not (_is_int(m) and _is_int(mC) and m >= 0 and mC >= 0):
+                raise FormatError("m %r and mC %r are not class counts"
+                                  % (m, mC))
+            return KInvariant(
+                m, _int_matrix([doc["unit"]], "unit", 1, m)[0],
+                _int_matrix(doc["act"], "act", m, m), mC,
+                _int_matrix(doc["dualAct"], "dualAct", mC, mC),
+                _int_matrix([doc["special"]], "special", 1, mC)[0],
+                _int_matrix(doc["iota"], "iota", mC, m))
+        if kind == "kpair":
+            if not isinstance(doc["unital"], bool):
+                raise FormatError("unital %r is not a boolean"
+                                  % (doc["unital"],))
+            return KPair(_int_matrix(doc["F"], "F"),
+                         _int_matrix(doc["phi"], "phi"), unital=doc["unital"])
+        if kind == "tower":
+            return Tower([self.ref(s, "canonical") for s in doc["systems"]],
+                         [self.ref(h, "hom") for h in doc["maps"]])
+        if kind == "certificate":
+            towerA = self.ref(doc["towerA"], "tower")
+            towerB = self.ref(doc["towerB"], "tower")
+            pairs = [self.inline(kp, "kpair") for kp in doc["pairs"]]
+            forward = [self.ref(h, "hom") for h in doc["forward"]]
+            backward = [self.ref(h, "hom") for h in doc["backward"]]
+            a_stages = _stages(doc["a_stages"], towerA, "a_stages")
+            b_stages = _stages(doc["b_stages"], towerB, "b_stages")
+            n = len(forward)
+            if not (len(pairs) == len(a_stages) == len(b_stages) == n
+                    and len(backward) == n - 1):
+                raise FormatError(
+                    "a certificate of n >= 1 stages has n pairs, forward "
+                    "homs, a_stages and b_stages and n - 1 backward homs; "
+                    "got %d, %d, %d, %d and %d"
+                    % (len(pairs), n, len(a_stages), len(b_stages),
+                       len(backward)))
+            triangles = []
+            for t in doc["triangles"]:
+                sizes = _stage_sizes(t, towerA, towerB)
+                triangles.append(TriangleRecord(
+                    t["kind"], t["left"], t["right"],
+                    [self.mat(w, _bound(sizes, i))
+                     for i, w in enumerate(t["correction"])]))
+            return IntertwiningCertificate(towerA, towerB, a_stages,
+                                           b_stages, forward, backward,
+                                           triangles, pairs)
+        if kind == "unitaries":
+            return [self.mat(w) for w in doc["W"]]
+        if kind == "crossed":
+            # derived data: rebuild the presentation from its source form
+            return crossed_product(self.ref(doc["source"], "canonical"))
+        if kind == "report":
+            rep = Report()
+            for item in doc["checks"]:
+                rep.add(item["name"], item["ok"], item.get("detail", ""))
+            return rep
+        raise FormatError("unknown document kind %r" % (kind,))
+
+    def mat(self, obj, bound=None):
         """A sparse matrix object; with a bound (the size of the block
         the matrix belongs to) a larger header is refused before the
         grid is allocated. Its entries arrive in row-major order, so
         they give the matrix its nonzero index."""
+        ctx = self.field()
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
         if not (_is_int(rows) and _is_int(cols) and rows >= 0 and cols >= 0
                 and isinstance(entries, list)):
@@ -512,12 +454,13 @@ class _Format2:
                 raise FormatError("matrix entry (%d, %d) is repeated or out "
                                   "of row-major order" % (i, j))
             last = at
-            grid[i][j] = self.scalars.get(text) or self.scalar(text, ctx)
+            grid[i][j] = self.scalars.get(text) or self.scalar(text)
             index[i].append(j)
         return Mat(ctx, rows, cols, grid, tuple(map(tuple, index)))
 
-    def scalar(self, text, ctx):
+    def scalar(self, text):
         """The nonzero Scalar of canonical text (see _scalar_text)."""
+        ctx = self.field()
         coeffs = [0] * ctx.degree
         try:
             for term in text.split(" "):
@@ -543,6 +486,8 @@ def loads(text):
     except json.JSONDecodeError as exc:
         raise FormatError("invalid JSON at line %d column %d: %s"
                           % (exc.lineno, exc.colno, exc.msg))
+    except RecursionError:
+        raise FormatError("JSON nested too deeply to read") from None
     return load(doc)
 
 
@@ -563,5 +508,9 @@ def save_json(path, obj):
 
 
 def load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError("%s is not UTF-8 text: %s" % (path, exc)) from None
+    return loads(text)

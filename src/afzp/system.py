@@ -434,16 +434,17 @@ def _iso_defect(s, c):
     j = sigma(i), whose block must be the one b reads from, i.e. the
     scalar K = Z_j^dagger V_b^dagger Z_i impl_i."""
     zs, block_map = c.iso.conjugators, c.iso.block_map
-    for i, z in enumerate(zs):
-        if not z.is_unitary():
+    daggers = [z.dagger() for z in zs]
+    for i, (z, zd) in enumerate(zip(zs, daggers)):
+        if not (z.rows == z.cols and (zd * z).is_identity()):
             return "conjugator %d, which is not unitary" % i
     for i, (b, j) in enumerate(zip(block_map, s.sigma)):
         if block_map[j] != c.sigma[b]:
             return "block %d, whose image does not read from the image " \
                 "of block %d" % (i, j)
         n = s.block_sizes[i]
-        k = zs[j].dagger() * _diag_scaled(_v_diagonal(c, b, conj=True),
-                                          zs[i] * s.impl[i], [s.ctx.one] * n)
+        k = daggers[j] * _diag_scaled(_v_diagonal(c, b, conj=True),
+                                      zs[i] * s.impl[i], [s.ctx.one] * n)
         bad = _pattern_defect(k, [(i, n)], [(i, n)])
         if bad is not None:
             return "unit (%d,%d) of block %d" % (bad[1], bad[2], i)
@@ -537,7 +538,7 @@ def hom_validate(h):
         x = arr.conj
         daggers.append(x.dagger())
         rep.add("conjugator %d unitary" % t, x.rows == n_t == x.cols
-                and x.is_unitary())
+                and (daggers[t] * x).is_identity())
     rep.add("unital flag consistent", h.unital == (gaps == 0),
             "flag %r with %d zero gaps" % (h.unital, gaps))
     if not rep.ok:
@@ -610,9 +611,13 @@ def equal_as_maps(h1, h2):
     not imply equality."""
     if not (h1.source.same_shape(h2.source)
             and h1.target.same_shape(h2.target)
-            and all(arr.conj.is_unitary()
-                    for h in (h1, h2) for arr in h.arrangements)):
+            and all(arr.conj.is_unitary() for arr in h2.arrangements)):
         return False
-    return all(_pattern_defect(a1.conj.dagger() * a2.conj, _labels(a1.slots),
-                               _labels(a2.slots)) is None
-               for a1, a2 in zip(h1.arrangements, h2.arrangements))
+    for a1, a2 in zip(h1.arrangements, h2.arrangements):
+        x = a1.conj
+        d = x.dagger()
+        if not (x.rows == x.cols and (d * x).is_identity()
+                and _pattern_defect(d * a2.conj, _labels(a1.slots),
+                                    _labels(a2.slots)) is None):
+            return False
+    return True

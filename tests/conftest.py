@@ -822,9 +822,11 @@ def ieye(n):
 
 
 # -- the format-1 writer ------------------------------------------------------
-# The library writes format 2 and still reads format 1. This is the old
-# writer, without its memos: the byte oracle for format-1 documents and
-# the source of format-1 files in the tests.
+# The library reads and writes format 2 only. This is the old format-1
+# writer, without its memos: the byte oracle for the pinned format-1
+# digests, the comparer of loaded values that == cannot compare (a
+# crossed presentation), and the source of the format-1 files the tests
+# check are refused.
 
 
 def scalar_json(s):

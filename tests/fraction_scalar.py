@@ -3,13 +3,13 @@
 This is the scalar layer afzp had before it moved to integer numerators
 over one denominator (afzp.cyclo), kept as the oracle the fast layer is
 tested against: the same power basis modulo Phi_N, the same operations,
-the same JSON rendering and decoding, and the same error classes.
+the same format-1 JSON rendering, and the same error classes.
 """
 
 from fractions import Fraction
 
 from afzp.cyclo import cyclotomic_poly
-from afzp.errors import ContextMismatch, DivisionByZero
+from afzp.errors import DivisionByZero
 
 R0 = Fraction(0)
 R1 = Fraction(1)
@@ -19,13 +19,6 @@ def _rat_to_str(q):
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)
-
-
-def _rat_from_str(s):
-    if "/" in s:
-        a, b = s.split("/")
-        return Fraction(int(a), int(b))
-    return Fraction(int(s))
 
 
 class FracField:
@@ -142,16 +135,6 @@ class FracScalar:
     def to_json(self):
         return {"order": self.ctx.order,
                 "coeffs": [_rat_to_str(c) for c in self.coeffs]}
-
-    @staticmethod
-    def from_json(obj, ctx):
-        if obj.get("order") != ctx.order:
-            raise ContextMismatch("scalar of order %r loaded into field of "
-                                  "order %d" % (obj.get("order"), ctx.order))
-        coeffs = tuple(_rat_from_str(c) for c in obj["coeffs"])
-        if len(coeffs) != ctx.degree:
-            raise ContextMismatch("coefficient vector has wrong length")
-        return FracScalar(ctx, coeffs)
 
 
 def _poly_trim(a):

@@ -10,19 +10,24 @@ from afzp.cli import main
 from afzp.classify import Tower
 from afzp.cyclo import FieldContext
 from afzp.demos import product_tower
+from afzp.errors import FormatError
 from afzp.kinv import KPair
 from afzp.matrix import Mat
 from afzp.serialize import dumps, load_json, loads, save_json
 from afzp.system import FdSystem
 
-from conftest import dump_format1
+from conftest import dumps_format1
 
 
-def _format1(path):
-    """The format-1 document of the value in a file the CLI wrote: the
-    corruptions below are written against format 1, which load still
-    reads."""
-    return dump_format1(load_json(path))
+def _at(doc, path):
+    """The value at path in a format-2 document, each reference on the
+    way, and at its end, replaced by the object it names."""
+    node = doc
+    for key in path:
+        node = node[key]
+        if isinstance(node, int):
+            node = doc["objects"][node]
+    return node
 
 
 @pytest.fixture
@@ -105,14 +110,10 @@ def test_intertwine_verify_and_corruption(workdir, capsys):
     assert main(["intertwine", "towerA.json", "towerB.json",
                  "--depth", "3", "--out", "cert.json"]) == 0
     assert main(["verify", "cert.json"]) == 0
-    doc = _format1("cert.json")
     new = json.load(open("cert.json"))
-    # corrupting a single matrix entry must fail verification
-    doc["forward"][1]["blocks"][0]["conj"]["entries"][0][0]["coeffs"][0] = "7"
-    json.dump(doc, open("cert.json", "w"))
-    assert main(["verify", "cert.json"]) == 1
-    # in format 2, the entry of the same hom's first conjugator
-    conj = new["objects"][new["forward"][1]]["blocks"][0]["conj"]
+    # corrupting a single matrix entry must fail verification: the first
+    # entry of the second forward hom's first conjugator
+    conj = _at(new, ("forward", 1, "blocks", 0, "conj"))
     conj["entries"][0][2] = "0:7"
     json.dump(new, open("cert.json", "w"))
     assert main(["verify", "cert.json"]) == 1
@@ -144,12 +145,14 @@ def test_validate_multiple_files(workdir, capsys):
     assert "== m1.json" in out and "== m2.json" in out
 
 
+# corruptions of the first entry of a system's impl diag(1, -1), in the
+# order-16 field (degree 8)
 def _zero_denominator(unit):
-    unit["entries"][0][0]["coeffs"][0] = "1/0"
+    unit["entries"][0][2] = "0:1/0"
 
 
 def _long_coefficients(unit):
-    unit["entries"][0][0]["coeffs"].append("0")
+    unit["entries"][0][2] = "0:1 8:1"
 
 
 def _wrong_rows(unit):
@@ -157,7 +160,7 @@ def _wrong_rows(unit):
 
 
 def _bare_scalar(unit):
-    unit["entries"][0][0] = "1"
+    unit["entries"][0] = "0:1"
 
 
 def _run_cli(code, *argv):
@@ -179,30 +182,29 @@ def _assert_input_error(*argv):
 @pytest.mark.parametrize("corrupt", [_zero_denominator, _long_coefficients,
                                      _wrong_rows, _bare_scalar])
 def test_corrupted_system_exit_two_without_traceback(workdir, corrupt):
-    doc = _format1("m2.json")
+    doc = json.load(open("m2.json"))
     corrupt(doc["impl"][0])
     json.dump(doc, open("bad.json", "w"))
     _assert_input_error("validate", "bad.json")
 
 
-# corruptions of the fixed piece v = diag(1, -1) of an n=2 canonical form
+# corruptions of the fixed piece v = diag(1, -1) of an n=2 canonical form,
+# whose entries are [[0, 0, "0:1"], [1, 1, "0:-1"]]
 def _v_non_diagonal(v):
-    v["entries"][0][1] = v["entries"][0][0]
+    v["entries"].insert(1, [0, 1, "0:1"])
 
 
 def _v_non_unitary(v):       # diag(2, 1)
-    v["entries"][1][1] = v["entries"][0][0]
-    v["entries"][0][0] = dict(v["entries"][0][0])
-    v["entries"][0][0]["coeffs"] = ["2"] + v["entries"][0][0]["coeffs"][1:]
+    v["entries"][0][2], v["entries"][1][2] = "0:2", "0:1"
 
 
 def _v_unsorted(v):          # diag(-1, 1)
     e = v["entries"]
-    e[0][0], e[1][1] = e[1][1], e[0][0]
+    e[0][2], e[1][2] = e[1][2], e[0][2]
 
 
 def _v_wrong_size(v):        # 1x1 in an n=2 piece
-    v.update(rows=1, cols=1, entries=[[v["entries"][0][0]]])
+    v.update(rows=1, cols=1, entries=v["entries"][:1])
 
 
 def _slot_src_string(doc):
@@ -231,13 +233,13 @@ def test_corrupted_canonical_or_hom_exit_two(workdir, command, corrupt):
     assert main(["lift", "pair.json", "m1.json", "m2.json",
                  "--out", "hom.json"]) == 0
     if command == "validate":
-        doc = _format1("hom.json")
+        doc = json.load(open("hom.json"))
         if corrupt in _V_CORRUPTIONS:
-            corrupt(doc["target"]["pieces"][0]["v"])
+            corrupt(_at(doc, ("target", "pieces", 0, "v")))
         else:
             corrupt(doc)
     else:
-        doc = _format1("c2.json")
+        doc = json.load(open("c2.json"))
         corrupt(doc["pieces"][0]["v"])
     json.dump(doc, open("bad.json", "w"))
     _assert_input_error(command, "bad.json")
@@ -252,11 +254,24 @@ def test_text_format_report(workdir, capsys):
 def test_empty_piece_in_tower_exit_two(workdir):
     assert main(["canon", "m2.json", "--out", "c2.json"]) == 0
     save_json("tower.json", Tower([load_json("c2.json")], []))
-    doc = _format1("tower.json")
-    doc["systems"][0]["pieces"].append({"kind": "cycle", "n": 0})
+    doc = json.load(open("tower.json"))
+    _at(doc, ("systems", 0, "pieces")).append({"kind": "cycle", "n": 0})
     json.dump(doc, open("tower.json", "w"))
     assert main(["intertwine", "tower.json", "tower.json",
                  "--depth", "1"]) == 2
+
+
+def test_tower_with_a_map_past_its_last_stage_exit_one(workdir):
+    """A tower file whose one map has no stage to land in fails the
+    stage count check; validate_tower used to index past the last
+    stage and end in an IndexError."""
+    save_json("tower.json", product_tower(2, 2))
+    doc = json.load(open("tower.json"))
+    del doc["systems"][1:]
+    json.dump(doc, open("bad.json", "w"))
+    err = _run_cli(1, "intertwine", "bad.json", "bad.json",
+                   "--depth", "1").stderr
+    assert "[FAIL] stage count" in err
 
 
 def _slot_src_out_of_range(hom):
@@ -294,11 +309,8 @@ def test_equiv_rejects_invalid_hom(workdir, corrupt):
 def test_verify_reports_invalid_hom_without_traceback(workdir, path, line):
     assert main(["demo", "product-tower-p2", "--depth", "2",
                  "--out", "cert.json"]) == 0
-    doc = _format1("cert.json")
-    hom = doc
-    for key in path:
-        hom = hom[key]
-    _slot_src_out_of_range(hom)
+    doc = json.load(open("cert.json"))
+    _slot_src_out_of_range(_at(doc, path))
     json.dump(doc, open("bad.json", "w"))
     out = _run_cli(1, "verify", "bad.json", "--format", "text").stdout
     assert line + "\n" in out
@@ -345,36 +357,34 @@ def test_certificate_lengths_and_stages_exit_two(workdir, corrupt):
     _assert_input_error("verify", "bad.json")
 
 
-def _scalar_objects(doc):
-    """Every scalar object of a document, in file order."""
-    if isinstance(doc, dict):
-        if "coeffs" in doc:
-            yield doc
-        for key in sorted(doc):
-            yield from _scalar_objects(doc[key])
-    elif isinstance(doc, list):
-        for item in doc:
-            yield from _scalar_objects(item)
+def _texts(doc):
+    """Every [i, j, scalar text] entry of a format-2 document, in file
+    order."""
+    for mat in _matrices(doc):
+        yield from mat["entries"]
 
 
+# corruptions of one scalar text in the order-16 field, whose power basis
+# has degree 8
 @pytest.mark.parametrize("corrupt", [
-    lambda s: s["coeffs"].__setitem__(0, "1/0"),
-    lambda s: s["coeffs"].append("0"),
-    lambda s: s.__setitem__("order", s["order"] * 2)],
+    lambda t: t.split(":")[0] + ":1/0",
+    lambda t: t + " 8:1",
+    lambda t: t + " 15:1"],
     ids=["zero_denominator", "long_coefficients", "wrong_order"])
 def test_corrupted_repeat_of_a_scalar_exit_two(workdir, corrupt):
-    """The loader decodes each distinct scalar once; a corruption in the
-    second occurrence of a scalar must still be caught."""
+    """The loader decodes each distinct scalar text once; a corruption in
+    the second occurrence of a text must still be caught: a zero
+    denominator, a coefficient past the degree, or one of the field of
+    twice the order."""
     assert main(["demo", "product-tower-p2", "--depth", "2",
                  "--out", "cert.json"]) == 0
-    doc = _format1("cert.json")
+    doc = json.load(open("cert.json"))
     seen = set()
-    for s in _scalar_objects(doc):
-        key = (s["order"], tuple(s["coeffs"]))
-        if key in seen:
-            corrupt(s)
+    for entry in _texts(doc):
+        if entry[2] in seen:
+            entry[2] = corrupt(entry[2])
             break
-        seen.add(key)
+        seen.add(entry[2])
     json.dump(doc, open("bad.json", "w"))
     _assert_input_error("verify", "bad.json")
 
@@ -386,53 +396,48 @@ def test_corrupted_repeat_of_a_scalar_exit_two(workdir, corrupt):
                                        ("p", True)],
                          ids=["float-order", "float-p", "boolean-p"])
 def test_non_integer_p_or_order_exit_two(workdir, path, key, value):
-    """One load shares a FieldContext per (p, order), and (2, 16.0)
-    hashes and compares equal to (2, 16): a later document's p and order
-    must be JSON integers, checked before the lookup."""
+    """p and order stand on the top-level document only: an object
+    reached through references that carries one is an input error, even
+    a value that compares equal to the document's (16.0 == 16)."""
     assert main(["demo", "product-tower-p2", "--depth", "2",
                  "--out", "cert.json"]) == 0
-    doc = _format1("cert.json")
-    inner = doc
-    for step in path:
-        inner = inner[step]
-    inner[key] = value
+    doc = json.load(open("cert.json"))
+    _at(doc, path)[key] = value
     json.dump(doc, open("bad.json", "w"))
     _assert_input_error("verify", "bad.json")
 
 
-@pytest.mark.parametrize("path", [
-    ("forward", 0, "target"), ("forward", 1, "source"),
-    ("backward", 0, "target"), ("towerA", "systems", 1),
-    ("towerB", "maps", 0, "target"), ("towerB", "systems", 0)],
-    ids=["forward-target", "forward-source", "backward-target",
-         "second-system", "tower-map-target", "second-tower"])
-def test_nested_field_mismatch_exit_two(workdir, capsys, path):
-    """A format-1 document nested in another lies in its field: an
-    order 4 inside the order-16 certificate of the p=2 tower is an input
-    error, not a certificate that verifies."""
+def test_format1_certificate_is_refused(workdir, capsys):
+    """Format 1 is no longer read: loads raises FormatError and verify
+    exits 2, naming the format."""
     assert main(["demo", "product-tower-p2", "--depth", "2",
                  "--out", "cert.json"]) == 0
-    doc = _format1("cert.json")
-    inner = doc
-    for step in path:
-        inner = inner[step]
-    inner["order"] = 4
-    json.dump(doc, open("bad.json", "w"))
+    with open("old.json", "w") as fh:
+        fh.write(dumps_format1(load_json("cert.json")))
+    with pytest.raises(FormatError, match="afzp_format 1 is not supported"):
+        load_json("old.json")
     capsys.readouterr()
-    assert main(["verify", "bad.json"]) == 2
-    assert "differ from the p 2 and order 16" in capsys.readouterr().err
+    assert main(["verify", "old.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "format 2" in err
 
 
-def test_format1_certificate_file_verifies_with_the_same_report(workdir,
-                                                               capsys):
-    assert main(["demo", "product-tower-p2", "--depth", "2",
-                 "--out", "cert.json"]) == 0
-    json.dump(_format1("cert.json"), open("old.json", "w"))
-    capsys.readouterr()
-    assert main(["verify", "cert.json", "--format", "text"]) == 0
-    new = capsys.readouterr().out
-    assert main(["verify", "old.json", "--format", "text"]) == 0
-    assert capsys.readouterr().out == new
+def _deep_nesting(path):
+    path.write_text("[" * 200_000 + "]" * 200_000)
+
+
+def _not_utf8(path):
+    path.write_bytes(b'{"afzp_format": 2, "kind": "report\xff"}')
+
+
+@pytest.mark.parametrize("make", [_deep_nesting, _not_utf8, os.mkdir],
+                         ids=["deep-nesting", "not-utf8", "directory"])
+def test_hostile_file_exits_two(workdir, make):
+    """JSON nested past the recursion limit, a byte that is not UTF-8
+    and a directory in place of a file are input errors, not
+    tracebacks."""
+    make(workdir / "hostile.json")
+    _assert_input_error("validate", "hostile.json")
 
 
 # -- format-2 mutations -------------------------------------------------------

@@ -1,12 +1,14 @@
+import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from afzp._rat import RAT
 from afzp.cyclo import (FieldContext, Scalar, approx, make_root, root_order)
-from afzp.errors import ContextMismatch, DivisionByZero
-from afzp.serialize import _scalar_text
+from afzp.errors import ContextMismatch, DivisionByZero, FormatError
+from afzp.serialize import _scalar_text, loads
 
 from conftest import ctx_for, scalar_json
 from fraction_scalar import FracField, FracScalar
@@ -172,9 +174,24 @@ def test_serialization_bit_exact(rng):
         coeffs = tuple(RAT(rng.randint(-9, 9), rng.randint(1, 9))
                        for _ in range(ctx.degree))
         a = Scalar(ctx, coeffs)
-        assert Scalar.from_json(scalar_json(a), ctx) == a
-    doc = scalar_json(ctx.one)
-    assert doc["coeffs"][0] == "1"     # denominator-1 rendering
+        if not a.is_zero():
+            assert _decoded(ctx, _scalar_text(a)) == a
+    assert _scalar_text(ctx.one) == "0:1"     # denominator-1 rendering
+
+
+def _decoded(ctx, text):
+    """The scalar whose format-2 text is text, read by serialize.loads as
+    the one entry of a 1x1 matrix."""
+    doc = {"afzp_format": 2, "kind": "unitaries", "p": ctx.p,
+           "order": ctx.order,
+           "W": [{"rows": 1, "cols": 1, "entries": [[0, 0, text]]}]}
+    return loads(json.dumps(doc))[0].entries[0][0]
+
+
+def _ref_text(ref):
+    """The format-2 text of a Fraction reference scalar: its nonzero
+    coefficients as "e:a/b", in Fraction's own rendering."""
+    return " ".join("%d:%s" % (e, c) for e, c in enumerate(ref.coeffs) if c)
 
 
 # -- the Fraction reference ---------------------------------------------------
@@ -206,9 +223,7 @@ def _agree(new, ref):
     assert new.is_zero() == ref.is_zero()
     assert new.rational_part() == ref.rational_part()
     assert scalar_json(new) == ref.to_json()
-    # format 2: the nonzero coefficients as "e:a/b", Fraction's own text
-    assert _scalar_text(new) == " ".join(
-        "%d:%s" % (e, c) for e, c in enumerate(ref.coeffs) if c)
+    assert _scalar_text(new) == _ref_text(ref)
 
 
 @settings(max_examples=100, deadline=None)
@@ -242,35 +257,59 @@ def test_integer_vector_scalars_match_fraction_reference(data):
     assert (a == b) == (ra == rb)
     again = Scalar(ctx, a.coeffs)
     assert again == a and hash(again) == hash(a)
-    _agree(Scalar.from_json(ra.to_json(), ctx), ra)
+    if not ra.is_zero():
+        _agree(_decoded(ctx, _ref_text(ra)), ra)
 
 
-_CORRUPT = ["1/0", "x", "", "1/2/3", "1.5", 0, None, "2/-4", " 7 "]
+_CORRUPT = ["1/0", "x", "", "1/2/3", "1.5", "2/-4", " 7 ", "+1", "2/4",
+            "0", "-0"]
+
+
+def _reference_decode(ref, text):
+    """The Fraction reference of the format-2 scalar decoder: the
+    coefficients of text when it is the reference's own text of a
+    nonzero scalar, else FormatError."""
+    coeffs = [Fraction(0)] * ref.degree
+    try:
+        for term in text.split(" "):
+            e, c = term.split(":")
+            coeffs[int(e)] = Fraction(c)
+    except (IndexError, ValueError, ZeroDivisionError):
+        return FormatError
+    got = FracScalar(ref, tuple(coeffs))
+    return got.coeffs if text and _ref_text(got) == text else FormatError
 
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_scalar_decoding_errors_match_fraction_reference(data):
+    """Corrupted format-2 scalar texts are refused exactly when the
+    Fraction reference refuses them, and the texts both accept decode to
+    the same coefficients."""
     p, order = data.draw(st.sampled_from(_FIELDS))
     ctx, ref = ctx_for(p, order), _REF[p, order]
-    coeffs = FracScalar(ref, tuple(data.draw(_vectors(ctx.degree)))) \
-        .to_json()["coeffs"]
-    change = data.draw(st.sampled_from(["entry", "long", "short", "order"]))
-    obj = {"order": ctx.order, "coeffs": coeffs}
-    if change == "entry":
-        coeffs[data.draw(st.integers(0, len(coeffs) - 1))] = \
-            data.draw(st.sampled_from(_CORRUPT))
-    elif change == "long":
-        coeffs.append("0")
-    elif change == "short":
-        coeffs.pop()
-    else:
-        obj["order"] = data.draw(st.sampled_from([ctx.order * 2, None, "x"]))
+    terms = _ref_text(FracScalar(ref, tuple(data.draw(
+        _vectors(ctx.degree))))).split(" ")
+    at = data.draw(st.integers(0, len(terms) - 1))
+    e, _, c = terms[at].partition(":")
+    change = data.draw(st.sampled_from(["coefficient", "exponent", "drop",
+                                        "repeat", "reverse", "none"]))
+    if change == "coefficient":
+        terms[at] = "%s:%s" % (e, data.draw(st.sampled_from(_CORRUPT)))
+    elif change == "exponent":
+        terms[at] = "%s:%s" % (data.draw(st.sampled_from(
+            [-1, ctx.degree, 2 * ctx.degree - 1, "x", "", " 0"])), c)
+    elif change == "drop":
+        del terms[at]
+    elif change == "repeat":
+        terms.insert(at, terms[at])
+    elif change == "reverse":
+        terms.reverse()
+    text = " ".join(terms)
 
-    def outcome(decode, field):
+    def outcome():
         try:
-            return decode(obj, field).coeffs
-        except Exception as exc:   # the class is what must agree
-            return type(exc)
-    assert outcome(Scalar.from_json, ctx) == \
-        outcome(FracScalar.from_json, ref)
+            return _decoded(ctx, text).coeffs
+        except FormatError:
+            return FormatError
+    assert outcome() == _reference_decode(ref, text)

@@ -1,14 +1,18 @@
-"""Mutation fuzzing of documents through the CLI.
+"""Mutation fuzzing of format-2 documents through the CLI.
 
 Valid documents of every kind a command reads at top level (hom,
-certificate, system, canonical, tower, kpair, kinvariant) get one to
-three mutations (a slot's src or size, one coefficient of a conj entry,
-one integer entry, a list item dropped or repeated, a dropped key) and
-go through afzp.cli.main; every run must end in an exit code of the
-README's contract (0 pass, 1 mathematical failure, 2 input error), never
-in an uncaught exception. Structural mutations of a certificate (list
-lengths, stage values) and nested documents of the wrong kind are input
-errors and must exit 2.
+certificate, system, canonical, tower, kpair, kinvariant), written by
+dumps as the CLI writes them, get one to three mutations (a slot's src
+or size, a matrix entry's scalar text or its i or j, one integer entry,
+a list item dropped or repeated, a dropped key, an object reference
+made dangling, forward or of another kind, an object dropped or
+repeated) and go through afzp.cli.main; every run must end in an exit
+code of the README's contract (0 pass, 1 mathematical failure, 2 input
+error), never in an uncaught exception. Structural mutations of a
+certificate (list lengths, stage values), references to objects of the
+wrong kind and documents inlined where a reference belongs are input
+errors and must exit 2. A non-vacuity check keeps the suite from
+passing by stopping every document at the format check.
 """
 
 import contextlib
@@ -29,12 +33,13 @@ from afzp.matrix import Mat
 from afzp.report import Report
 from afzp.system import FdSystem, decompose, identity_hom
 
-from conftest import ctx_for, dumps_format1 as dumps, mixed_form
+from afzp.serialize import _OBJECT_KINDS, dumps
+
+from conftest import ctx_for, mixed_form
 
 
 def _doc(value):
-    """The document of value as read from a file: dump shares one object
-    among equal scalars, and a mutation must reach one place only."""
+    """The format-2 document of value as read from a file."""
     return json.loads(dumps(value))
 
 
@@ -75,7 +80,9 @@ def _kind_docs():
     return docs
 
 
-# where each base document nests another, and the kind it must have
+# where each base document refers to an object, or nests a document
+# inline (a certificate's pairs), and the kind it must have; a path
+# follows each reference on its way to the object it names
 _NESTED = {
     "hom": [(("source",), "canonical"), (("target",), "canonical")],
     "crossed": [(("source",), "canonical")],
@@ -87,6 +94,9 @@ _NESTED = {
         (("forward", 0), "hom"), (("backward", 0), "hom"),
         (("forward", 1, "target"), "canonical")],
 }
+# the members that hold object references, one or a list of them
+_REF_KEYS = ("source", "target", "towerA", "towerB", "systems", "maps",
+             "forward", "backward")
 # the commands that load each base document, with their file count
 _COMMANDS = {"hom": [("validate", 1), ("induced", 1), ("equiv", 2)],
              "crossed": [("validate", 1)], "certificate": [("verify", 1)]}
@@ -114,27 +124,60 @@ def _dicts(doc):
             yield from _dicts(item)
 
 
+def _is_ref(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _refs(doc):
+    """(container, key) of every object reference in doc."""
+    for d in _dicts(doc):
+        for key in _REF_KEYS:
+            value = d.get(key)
+            if _is_ref(value):
+                yield d, key
+            elif isinstance(value, list):
+                yield from ((value, i) for i, x in enumerate(value)
+                            if _is_ref(x))
+
+
+def _entries(doc):
+    """Every [i, j, scalar text] matrix entry in doc."""
+    for d in _dicts(doc):
+        if isinstance(d.get("entries"), list):
+            yield from (e for e in d["entries"]
+                        if isinstance(e, list) and len(e) == 3)
+
+
+# scalar texts in the order-16 field (degree 8): valid ones that change a
+# matrix, and texts that are not canonical or not strings
+_TEXTS = ["0:1", "0:-1", "1:1", "0:7", "0:2/4", "0:2/2", "0:1/0", "", "8:1",
+          "99:1", "-1:1", "0:1 0:1", "1:1 0:1", "0:0", " 0:1", 1, None]
+_INDICES = [-1, 0, 1, 2, 9, True, "0", None, 0.5]
+
+
 @st.composite
 def _mutated(draw, kind):
     doc = copy.deepcopy(_base_docs()[kind])
     for _ in range(draw(st.integers(1, 3))):
         dicts = list(_dicts(doc))
         slots = [d for d in dicts if "src" in d and "size" in d]
-        coeffs = [d["coeffs"] for d in dicts
-                  if isinstance(d.get("coeffs"), list) and d["coeffs"]]
+        entries = list(_entries(doc))
+        refs = list(_refs(doc))
+        objects = doc.get("objects")
         ints = [d for d in _lists(doc) if d and all(
             isinstance(x, int) or isinstance(x, list) for x in d)]
-        what = draw(st.sampled_from(["src", "size", "conj", "entry", "item",
-                                     "drop"]))
+        what = draw(st.sampled_from(["src", "size", "text", "ij", "entry",
+                                     "item", "drop", "ref", "object"]))
         if what == "src" and slots:
             draw(st.sampled_from(slots))["src"] = draw(
                 st.one_of(st.none(), st.integers(-2, 8)))
         elif what == "size" and slots:
             draw(st.sampled_from(slots))["size"] = draw(st.integers(0, 6))
-        elif what == "conj" and coeffs:
-            vec = draw(st.sampled_from(coeffs))
-            vec[draw(st.integers(0, len(vec) - 1))] = draw(
-                st.sampled_from(["0", "1", "-1", "1/2", "3"]))
+        elif what == "text" and entries:
+            draw(st.sampled_from(entries))[2] = draw(st.sampled_from(_TEXTS))
+        elif what == "ij" and entries:
+            draw(st.sampled_from(entries))[draw(st.integers(0, 1))] = draw(
+                st.sampled_from(_INDICES))
         elif what == "entry" and ints:
             vec = draw(st.sampled_from(ints))
             vec[draw(st.integers(0, len(vec) - 1))] = draw(
@@ -149,6 +192,16 @@ def _mutated(draw, kind):
         elif what == "drop":
             target = draw(st.sampled_from([d for d in dicts if d]))
             del target[draw(st.sampled_from(sorted(target)))]
+        elif what == "ref" and refs and isinstance(objects, list):
+            # dangling at either end, forward, or of any kind
+            holder, key = draw(st.sampled_from(refs))
+            holder[key] = draw(st.integers(-1, len(objects)))
+        elif what == "object" and isinstance(objects, list) and objects:
+            at = draw(st.integers(0, len(objects) - 1))
+            if draw(st.booleans()):
+                del objects[at]
+            else:
+                objects.insert(at, copy.deepcopy(objects[at]))
     return doc
 
 
@@ -190,10 +243,17 @@ def _broken_structure(draw):
     return doc
 
 
-def _exit_code(*argv):
-    with contextlib.redirect_stdout(io.StringIO()), \
+def _run(*argv):
+    """(exit code, stdout) of the CLI on argv."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
-        return main(list(argv))
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def _exit_code(*argv):
+    return _run(*argv)[0]
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +293,21 @@ def _argv(fuzzdir, line, bad):
                             if a in _base_docs() else a for a in line[1:])
 
 
+def test_mutations_reach_past_the_format_check(fuzzdir):
+    """Every base document is format 2, the format load reads, and a
+    mutated hom whose slot overflows its target block passes the loader
+    and fails hom_validate: the suite fuzzes the checks behind the
+    format check, not the format check alone."""
+    assert {doc["afzp_format"] for doc in _base_docs().values()} == {2}
+    doc = copy.deepcopy(_base_docs()["hom"])
+    doc["blocks"][0]["slots"][0]["size"] += 1
+    bad = str(fuzzdir / "overflow_hom.json")
+    json.dump(doc, open(bad, "w"))
+    code, out = _run("validate", bad, "--format", "text")
+    assert code == 1
+    assert "[FAIL] slot into target block 0" in out
+
+
 def test_unmutated_documents_pass(fuzzdir):
     hom, cert = str(fuzzdir / "hom.json"), str(fuzzdir / "certificate.json")
     assert _exit_code("validate", hom) == 0
@@ -265,19 +340,44 @@ def test_broken_certificate_structure_exits_two(fuzzdir, doc):
     assert _exit_code("verify", bad) == 2
 
 
+def _parent(doc, path):
+    """The container of the place path names in doc, each reference on
+    the way followed to the object it names."""
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+        if _is_ref(node):
+            node = doc["objects"][node]
+    return node
+
+
+def _wrong_values(doc, path, want):
+    """What may stand at a place of kind `want` and must be refused: a
+    reference to an object of each other kind (of every kind where an
+    inline pair belongs), an inline document of each other kind, and,
+    where a reference belongs, the object it names, inlined."""
+    first = {}
+    for i, obj in enumerate(doc["objects"]):
+        first.setdefault(obj["kind"], i)
+    values = [i for kind, i in sorted(first.items()) if kind != want]
+    values += [_kind_docs()[k] for k in sorted(_kind_docs()) if k != want]
+    if want in _OBJECT_KINDS:
+        values.append(doc["objects"][_parent(doc, path)[path[-1]]])
+    return values
+
+
 @_SETTINGS
 @given(data=st.data())
 def test_nested_document_of_wrong_kind_exits_two(fuzzdir, data):
     base = data.draw(st.sampled_from(sorted(_NESTED)))
     path, want = data.draw(st.sampled_from(_NESTED[base]))
-    other = data.draw(st.sampled_from(sorted(set(_kind_docs()) - {want})))
     doc = copy.deepcopy(_base_docs()[base])
-    parent = functools.reduce(lambda d, k: d[k], path[:-1], doc)
-    parent[path[-1]] = _kind_docs()[other]
+    value = data.draw(st.sampled_from(_wrong_values(doc, path, want)))
+    _parent(doc, path)[path[-1]] = copy.deepcopy(value)
     bad = str(fuzzdir / "nested.json")
     json.dump(doc, open(bad, "w"))
     for cmd, files in _COMMANDS[base]:
-        assert _exit_code(cmd, *[bad] * files) == 2, (cmd, path, other)
+        assert _exit_code(cmd, *[bad] * files) == 2, (cmd, path, value)
 
 
 _MALFORMED = {

@@ -12,10 +12,11 @@ from afzp.matrix import (Mat, _root_of_norm, blockdiag, spectral,
 
 from conftest import (ORACLE_FIELDS, Inconsistent, checked_conjugator,
                       corrupt_entry, ctx_for, dense_blockdiag, dense_dagger,
-                      dense_is_diagonal, dense_is_scalar, dense_is_unitary,
-                      dense_is_zero, dense_mul, dense_support, direct_sum,
-                      match_diagonals, oracle_matrix, solve,
-                      unitary_conjugator_search, zero_grid)
+                      dense_identity, dense_is_diagonal, dense_is_scalar,
+                      dense_is_unitary, dense_is_zero, dense_mul,
+                      dense_support, direct_sum, match_diagonals,
+                      oracle_matrix, solve, unitary_conjugator_search,
+                      zero_grid)
 
 
 def test_dagger_of_imaginary_diagonal():
@@ -329,16 +330,16 @@ def test_product_keeps_full_and_cancelled_rows_exact():
        st.sampled_from(["unitary", "monomial", "sparse", "dense"]),
        st.booleans(), st.randoms())
 def test_is_tests_match_the_dense_oracles(field, n, kind, corrupt, rnd):
-    """is_unitary, is_diagonal, is_zero and is_scalar agree with the
-    dense kernels on unitaries (0x0 included), other square and
-    non-square matrices, diagonal and lambda * I matrices, and each of
-    these with one entry corrupted."""
+    """is_unitary, is_identity, is_diagonal, is_zero and is_scalar agree
+    with the dense kernels on unitaries (0x0 included), other square and
+    non-square matrices, diagonal, identity and lambda * I matrices, and
+    each of these with one entry corrupted."""
     ctx = ctx_for(*field)
     lam = ctx.root(rnd.randrange(ctx.order))
     mats = [oracle_matrix(ctx, rnd, n, n, kind),
             oracle_matrix(ctx, rnd, n, n + 1, kind),
             oracle_matrix(ctx, rnd, n + 1, n, kind),
-            Mat.diag(ctx, [lam] * n),
+            Mat.diag(ctx, [lam] * n), Mat.identity(ctx, n),
             Mat.diag(ctx, [rnd.choice([ctx.zero, lam]) for _ in range(n)]),
             Mat.zero(ctx, n, n + rnd.randrange(2))]
     if corrupt:
@@ -346,6 +347,8 @@ def test_is_tests_match_the_dense_oracles(field, n, kind, corrupt, rnd):
     for m in mats:
         for x in (m, _fresh(m)):
             assert x.is_unitary() == dense_is_unitary(x)
+            assert x.is_identity() == (x.rows == x.cols
+                                       and x == dense_identity(ctx, x.rows))
             assert x.is_diagonal() == dense_is_diagonal(x)
             assert x.is_zero() == dense_is_zero(x)
             assert x.is_scalar() == dense_is_scalar(x)

@@ -2,13 +2,12 @@
 
 dumps writes format 2: its text is json.dumps(dump(x), sort_keys=True,
 separators=(",", ":")), and load reads it back to a value that dumps
-to the same text. load still reads format 1; the old format-1 writer
-lives in conftest (dumps_format1) as the byte oracle of the pinned
-format-1 digests, and both formats must load to equal objects that
-replay to the same report. The format-1 reader decodes each distinct
-coefficient vector once; its oracle is Scalar.from_json without a memo,
-entry by entry. The format-2 reader builds each shared object once,
-which equal bytes cannot show, so the constructions are counted.
+to the same text. load reads format 2 only. The old format-1 writer
+lives in conftest (dumps_format1): it is the byte oracle of the pinned
+format-1 digests, it compares loaded values that == cannot (a crossed
+presentation), and the documents it writes must be refused. The reader
+builds each shared object once, which equal bytes cannot show, so the
+constructions are counted.
 """
 
 import collections
@@ -23,9 +22,9 @@ from afzp._rat import RAT
 from afzp.classify import (IntertwiningCertificate, Tower, TriangleRecord,
                            intertwine, verify_certificate)
 from afzp.crossed import crossed_product
-from afzp.cyclo import FieldContext, Scalar
+from afzp.cyclo import FieldContext
 from afzp.demos import identity_pairs, product_tower
-from afzp.errors import ContextMismatch
+from afzp.errors import FormatError
 from afzp.kinv import KPair, invariant_of
 from afzp.matrix import Mat
 from afzp.report import Report
@@ -33,7 +32,7 @@ from afzp.serialize import dump, dumps, loads
 from afzp.system import (Arrangement, EqHom, Slot, decompose, identity_hom)
 
 from conftest import (ProductCrossed, ctx_for, dump_format1, dumps_format1,
-                      mixed_form, piece_specs, scalar_json)
+                      mixed_form, piece_specs)
 
 KINDS = ["system", "canonical", "canonical-iso", "hom", "hom-null-src",
          "crossed", "kinvariant", "kpair", "tower", "certificate",
@@ -123,51 +122,26 @@ def test_dumps_matches_json_dumps_and_reloads(kind, data):
     assert dumps(loads(text)) == text
 
 
+_FORMAT1_REFUSED = "afzp_format 1 is not supported: only format 2 is read"
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_format1_and_format2_load_to_equal_objects(kind, data):
-    """Both formats load to the value that was written; the format-1
-    oracle document compares what == cannot (a crossed presentation),
-    and a certificate replays to the same report either way."""
+    """The format-2 text loads to the value that was written, as its
+    format-1 oracle document shows where == cannot (a crossed
+    presentation), and a certificate replays to the same report; the
+    format-1 text of the same value is refused."""
     value = _value(data.draw, kind)
-    old, new = loads(dumps_format1(value)), loads(dumps(value))
-    assert dump_format1(old) == dump_format1(new) == dump_format1(value)
+    new = loads(dumps(value))
+    assert dump_format1(new) == dump_format1(value)
     if kind != "crossed":
-        assert old == new == value
+        assert new == value
     if kind == "certificate":
-        assert verify_certificate(old) == verify_certificate(new)
-
-
-def _decoded(obj, ctx, memo):
-    try:
-        got = Scalar.from_json(obj, ctx, memo)
-    except (ContextMismatch, ZeroDivisionError, TypeError, ValueError) as exc:
-        return type(exc)
-    assert got.ctx is ctx
-    return got.coeffs
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_memoized_decoding_matches_per_entry_decoding(data):
-    ctx = _field(data.draw)
-    good = [scalar_json(s) for s in _scalar_pool(ctx)]
-    zeros = ["0"] * ctx.degree
-    bad = [{"order": ctx.order, "coeffs": ["1/0"] + zeros[1:]},
-           {"order": ctx.order, "coeffs": zeros + ["0"]},
-           {"order": ctx.order * 2, "coeffs": zeros},
-           {"order": ctx.order, "coeffs": ["x"] + zeros[1:]},
-           {"order": ctx.order, "coeffs": [0] + zeros[1:]}]
-    objs = data.draw(st.lists(st.sampled_from(good + bad), max_size=24))
-    memo = {}
-    first = {}
-    for obj in objs:
-        assert _decoded(obj, ctx, memo) == _decoded(obj, ctx, None)
-        if obj in good:
-            got = Scalar.from_json(obj, ctx, memo)
-            assert first.setdefault(tuple(obj["coeffs"]), got) is got
-    assert set(memo) == set(first)
+        assert verify_certificate(new) == verify_certificate(value)
+    with pytest.raises(FormatError, match=_FORMAT1_REFUSED):
+        loads(dumps_format1(value))
 
 
 def _pinned_certificate(p, depth, resorted):
@@ -258,12 +232,17 @@ def test_crossed_document_bytes_are_pinned(p, order, specs, digest, build):
 @pytest.mark.parametrize("p,depth,resorted", _PINNED, ids=_PINNED_IDS)
 def test_format1_and_format2_certificates_replay_to_the_same_report(
         p, depth, resorted):
+    """A pinned certificate loaded from its format-2 text equals the one
+    in memory by its format-1 oracle document and replays to the same
+    passing report; its format-1 text is refused."""
     cert = _pinned_certificate(p, depth, resorted)
-    old, new = loads(dumps_format1(cert)), loads(dumps(cert))
-    assert dump_format1(old) == dump_format1(new)
+    new = loads(dumps(cert))
+    assert dump_format1(new) == dump_format1(cert)
     report = verify_certificate(cert)
     assert report.ok
-    assert verify_certificate(old) == verify_certificate(new) == report
+    assert verify_certificate(new) == report
+    with pytest.raises(FormatError, match=_FORMAT1_REFUSED):
+        loads(dumps_format1(cert))
 
 
 def test_each_object_is_written_and_built_once(monkeypatch):
