@@ -413,6 +413,11 @@ def ksearch(invA, invB, bound=None):
     """Every unital pair passing every check, in deterministic order;
     with an integer bound, only those with all entries <= bound.
 
+    The enumeration proves each check_pair condition, so none is re-run:
+    orbit values make F and phi nonnegative and equivariant, f_check
+    fixes the unit class, and phi_check the special element and the
+    embedding square.
+
     The search is finite without a bound: F * unitA = unitB with every
     unitA entry >= 1 caps each F entry, and phi * iotaA = iotaB * F with
     no zero row in iotaA caps each phi entry."""
@@ -444,10 +449,8 @@ def ksearch(invA, invB, bound=None):
                 return False
             return imat_mul(mat, invA.iota) == _ti
 
-        for phi in _enumerate_equivariant(dualB, dualA, bound, phi_check):
-            kp = KPair(F, phi)
-            if check_pair(kp, invA, invB).ok:
-                out.append(kp)
+        out.extend(KPair(F, phi) for phi in
+                   _enumerate_equivariant(dualB, dualA, bound, phi_check))
     return out
 
 

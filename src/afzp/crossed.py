@@ -25,13 +25,13 @@ conjugation with diag(1, zeta_p, ..., zeta_p^(p-1)) x I_n.
 
 from dataclasses import dataclass
 
-from .errors import NonIntegralMultiplicity, NotEquivariant, ShapeMismatch
+from .errors import NonIntegralMultiplicity, ShapeMismatch
 from .matrix import Mat
-from .system import FdSystem, hom_validate, root_sum, zero_tuple
+from .system import FdSystem, root_sum, zero_tuple
 from ._rat import is_integer
 
 __all__ = ["CrossedElement", "CrossedPresentation", "crossed_product",
-           "crossed_offsets", "extend_hom", "ExtendedHom"]
+           "crossed_offsets"]
 
 
 @dataclass
@@ -262,40 +262,8 @@ class CrossedPresentation:
         sys = self.dual_system()
         return sys.apply_action(mats)
 
-    def u_rho_identified(self, j=1):
-        return self.identify(self.canonical_unitary(j))
-
 
 def crossed_product(c):
     """Crossed presentation of a canonical form."""
     return CrossedPresentation(c)
 
-
-class ExtendedHom:
-    """Coefficient-wise extension of an equivariant hom to the crossed
-    products, exposed in identified matrix coordinates."""
-
-    def __init__(self, hom, cpA, cpB):
-        self.hom = hom
-        self.cpA = cpA
-        self.cpB = cpB
-
-    def apply_coeffs(self, ce):
-        return CrossedElement([list(self.hom.apply(ce.coeffs[j]))
-                               for j in range(self.cpA.p)])
-
-    def apply(self, mats):
-        """Identified-A coordinates in, identified-B coordinates out."""
-        ce = self.cpA.unidentify(mats)
-        return self.cpB.identify(self.apply_coeffs(ce))
-
-
-def extend_hom(h, cpA, cpB):
-    """Natural extension of an equivariant hom to the crossed products;
-    the hom is validated first."""
-    if not (cpA.source.same_shape(h.source) and cpB.source.same_shape(h.target)):
-        raise ShapeMismatch("crossed presentations do not match the hom")
-    rep = hom_validate(h)
-    if not rep.ok:
-        raise NotEquivariant("hom fails validation:\n" + rep.summary())
-    return ExtendedHom(h, cpA, cpB)

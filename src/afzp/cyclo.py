@@ -18,7 +18,7 @@ from ._rat import RAT
 from .errors import ContextMismatch, DivisionByZero, TwistRootOutsideField
 
 __all__ = [
-    "FieldContext", "Scalar", "make_root", "root_order", "approx",
+    "FieldContext", "Scalar", "root_order", "approx",
     "cyclotomic_poly",
 ]
 
@@ -410,11 +410,6 @@ def _combine(a, b, op):
     sa, sb = db // g, da // g
     return _reduced(a.ctx, tuple([op(x * sa, y * sb)
                                   for x, y in zip(a.num, b.num)]), da * sa)
-
-
-def make_root(ctx, k):
-    """zeta_N^k in reduced form. make_root(ctx, 0) is the unit."""
-    return ctx.root(k)
 
 
 def root_order(a):

@@ -18,8 +18,12 @@ __all__ = ["KInvariant", "KPair", "invariant_of", "induced_map",
            "check_pair", "compose_pairs"]
 
 
-def imat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
+def imat_mul(a, b, cols=None):
+    """a b for lists of rows. b's column count cols defaults to the length
+    of its first row, or to 0 when b has no rows."""
+    rows, inner = len(a), len(b)
+    if cols is None:
+        cols = len(b[0]) if b else 0
     assert all(len(r) == inner for r in a)
     return [[sum(a[i][k] * b[k][j] for k in range(inner))
              for j in range(cols)] for i in range(rows)]
@@ -48,7 +52,15 @@ class KPair:
 
 
 def invariant_of(c):
-    """Assemble the invariant of a canonical form, piece by piece."""
+    """The invariant of a canonical form, assembled piece by piece on the
+    first call and cached on the form: later calls return the same
+    object, which callers share and must not modify."""
+    if c._kinv is None:
+        c._kinv = _assemble(c)
+    return c._kinv
+
+
+def _assemble(c):
     p = c.p
     cp = crossed_product(c)
     # action permutation on classes: block t receives block sigma(t)
@@ -162,7 +174,8 @@ def check_pair(kp, invA, invB):
             "phi * %s = %s, expected %s"
             % (invA.special, ivec_mul(kp.phi, invA.special), invB.special))
     rep.add("embedding square commutes",
-            imat_mul(kp.phi, invA.iota) == imat_mul(invB.iota, kp.F))
+            imat_mul(kp.phi, invA.iota, invA.m)
+            == imat_mul(invB.iota, kp.F, invA.m))
     if kp.unital:
         rep.add("F preserves the unit class",
                 ivec_mul(kp.F, invA.unit) == invB.unit,
@@ -179,7 +192,8 @@ def check_pair(kp, invA, invB):
 
 def compose_pairs(kp1, kp2):
     """kp1 after kp2 (matrix products)."""
-    if len(kp2.F) != len(kp1.F[0]) or len(kp2.phi) != len(kp1.phi[0]):
+    if (any(len(r) != len(kp2.F) for r in kp1.F)
+            or any(len(r) != len(kp2.phi) for r in kp1.phi)):
         raise ShapeMismatch("pairs are not composable")
     return KPair(imat_mul(kp1.F, kp2.F), imat_mul(kp1.phi, kp2.phi),
                  unital=kp1.unital and kp2.unital)

@@ -179,9 +179,12 @@ class _Writer:
                     "dual": self.body(obj.dual_system()),
                     "identify": self.mat(obj.identify_matrix())}
         if isinstance(obj, KInvariant):
+            # copies: invariant_of's result is shared through its cache
             return {"kind": "kinvariant", "m": obj.m, "unit": list(obj.unit),
-                    "act": obj.act, "mC": obj.mC, "dualAct": obj.dualAct,
-                    "special": list(obj.special), "iota": obj.iota}
+                    "act": [list(r) for r in obj.act], "mC": obj.mC,
+                    "dualAct": [list(r) for r in obj.dualAct],
+                    "special": list(obj.special),
+                    "iota": [list(r) for r in obj.iota]}
         if isinstance(obj, KPair):
             return {"kind": "kpair", "F": obj.F, "phi": obj.phi,
                     "unital": obj.unital}

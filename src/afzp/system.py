@@ -188,6 +188,7 @@ class CanonicalForm:
         self.block_v = []     # the fixed piece's V per block; None on cycles
         self.piece_exponents = []   # IrredPiece.exponents per piece
         self.roots = [self.ctx.zeta_p(k) for k in range(self.p)]
+        self._kinv = None     # kinv.invariant_of's cache
         for idx, piece in enumerate(self.pieces):
             exps = piece.exponents(self.p)
             if exps is None:

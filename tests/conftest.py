@@ -8,19 +8,20 @@ import pytest
 from afzp._rat import RAT, is_integer
 from afzp.classify import (IntertwiningCertificate, Tower,
                            UniquenessWitness, WitnessEntry, conjugate_hom)
-from afzp.crossed import (CrossedPresentation, ExtendedHom, crossed_offsets,
-                          crossed_product)
+from afzp.crossed import (CrossedElement, CrossedPresentation,
+                          crossed_offsets, crossed_product)
 from afzp.cyclo import FieldContext
 from afzp.errors import (CorrectionFailed, KDataMismatch, MultisetMismatch,
                          NonDiagonalizableWithinField,
-                         NonIntegralMultiplicity, NotOrderP, ShapeMismatch,
-                         UnitaryNotFoundInField)
+                         NonIntegralMultiplicity, NotEquivariant, NotOrderP,
+                         ShapeMismatch, UnitaryNotFoundInField)
 from afzp.kinv import KInvariant, KPair, induced_map
 from afzp.matrix import (Mat, blockdiag, diag_root_exponents, spectral,
                          unitary_conjugator)
 from afzp.report import Report
 from afzp.system import (CanonicalForm, EqHom, FdSystem, IrredPiece,
-                         _pattern_defect, equal_as_maps, zero_tuple)
+                         _pattern_defect, equal_as_maps, hom_validate,
+                         zero_tuple)
 
 
 _CTX_CACHE = {}
@@ -215,6 +216,58 @@ def _multiplicity(x, what):
     if tr is None or not is_integer(tr) or tr < 0:
         raise NonIntegralMultiplicity("%s is %r" % (what, tr))
     return int(tr)
+
+
+def _perm_matrix(sigma):
+    """Row t has its 1 in column sigma[t]."""
+    return [[int(sigma[t] == s) for s in range(len(sigma))]
+            for t in range(len(sigma))]
+
+
+def invariant_oracle(c):
+    """Oracle for kinv.invariant_of, assembled afresh on every call and
+    read off the crossed product's algebra: act and dualAct are the
+    block permutations of the form and of the dual system, special the
+    ranks of the averaging projection, and iota[b][s] the rank in crossed
+    block b of the embedded minimal projection E_00 of block s."""
+    cp = crossed_product(c)
+    _, _, special = cp.averaging_projection()
+    iota = [[0] * c.m for _ in range(cp.m)]
+    for s in range(c.m):
+        image = cp.identify(cp.embed(unit_tuple(c.ctx, c.block_sizes, s, 0,
+                                                0)))
+        for b, mat in enumerate(image):
+            iota[b][s] = _multiplicity(mat, "iota entry %d, %d" % (b, s))
+    return KInvariant(c.m, list(c.block_sizes), _perm_matrix(c.sigma), cp.m,
+                      _perm_matrix(cp.dual_system().sigma), special, iota)
+
+
+class ExtendedHom:
+    """Coefficient-wise extension of an equivariant hom to the crossed
+    products, exposed in identified matrix coordinates."""
+
+    def __init__(self, hom, cpA, cpB):
+        self.hom = hom
+        self.cpA = cpA
+        self.cpB = cpB
+
+    def apply(self, mats):
+        """Identified-A coordinates in, identified-B coordinates out."""
+        ce = self.cpA.unidentify(mats)
+        return self.cpB.identify(CrossedElement(
+            [list(self.hom.apply(a)) for a in ce.coeffs]))
+
+
+def extend_hom(h, cpA, cpB):
+    """Natural extension of an equivariant hom to the crossed products;
+    the hom is validated first."""
+    if not (cpA.source.same_shape(h.source)
+            and cpB.source.same_shape(h.target)):
+        raise ShapeMismatch("crossed presentations do not match the hom")
+    rep = hom_validate(h)
+    if not rep.ok:
+        raise NotEquivariant("hom fails validation:\n" + rep.summary())
+    return ExtendedHom(h, cpA, cpB)
 
 
 def roundtrip_induced(h):

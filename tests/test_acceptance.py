@@ -7,6 +7,7 @@ its stated instance counts and time budget.
 Run with: pytest tests/test_acceptance.py -v -s
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -177,12 +178,19 @@ def _existence_grid(p):
     return sources, targets
 
 
+# sha256 of the concatenated dumps of every criterion-5 lift, in grid order
+EXISTENCE_LIFTS_SHA256 = \
+    "9941dde40bf1a1d50402dc7694a786fb1fef7378936d32091b7e9add4488aec3"
+
+
 def test_criterion_5_existence_exhaustive_grid():
     """Every invariant-morphism pair with entries <= 3 that passes all
     checks lifts, and the lift induces that exact pair back; piece sizes
-    <= 6, p in {2,3}, >= 500 grid instances."""
+    <= 6, p in {2,3}, >= 500 grid instances. The lifts' bytes are
+    pinned."""
     start = time.monotonic()
     instances = 0
+    digest = hashlib.sha256()
     for p in (2, 3):
         sources, targets = _existence_grid(p)
         invs_s = [invariant_of(s) for s in sources]
@@ -192,9 +200,11 @@ def test_criterion_5_existence_exhaustive_grid():
                 for kp in ksearch(inv_s, inv_t, 3):
                     h = lift(kp, s, t)       # validates internally
                     assert induced_map(h) == kp
+                    digest.update(dumps(h).encode())
                     instances += 1
     elapsed = time.monotonic() - start
     assert instances >= 500, instances
+    assert digest.hexdigest() == EXISTENCE_LIFTS_SHA256
     assert elapsed < 60.0
     _report("criterion 5: existence on the exhaustive grid", elapsed, 60,
             "(%d instances)" % instances)

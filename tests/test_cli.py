@@ -11,10 +11,10 @@ from afzp.classify import Tower
 from afzp.cyclo import FieldContext
 from afzp.demos import product_tower
 from afzp.errors import FormatError
-from afzp.kinv import KPair
+from afzp.kinv import KInvariant, KPair
 from afzp.matrix import Mat
 from afzp.serialize import dumps, load_json, loads, save_json
-from afzp.system import FdSystem
+from afzp.system import CanonicalForm, FdSystem
 
 from conftest import dumps_format1
 
@@ -87,6 +87,23 @@ def test_lift_induced_equiv_flow(workdir, capsys):
     assert main(["equiv", "hom.json", "hom.json", "--out", "w.json"]) == 0
     W = load_json("w.json")
     assert W[0].is_unitary()
+
+
+def test_zero_algebra_lifts_and_checks(workdir, capsys):
+    """A canonical form with no pieces and an invariant with m = 0 (the
+    zero algebra) go through checkpair and lift; from it to M_1 no pair
+    is unital."""
+    save_json("zero.json", CanonicalForm(FieldContext(2, 16), 2, []))
+    save_json("i0.json", KInvariant(0, [], [], 0, [], [], []))
+    save_json("p00.json", KPair([], []))
+    save_json("p01.json", KPair([[]], [[], []]))
+    assert main(["checkpair", "p00.json", "i0.json", "i0.json"]) == 0
+    assert main(["lift", "p00.json", "zero.json", "zero.json",
+                 "--out", "h0.json"]) == 0
+    assert main(["validate", "h0.json"]) == 0
+    assert main(["kinv", "m1.json", "--out", "i1.json"]) == 0
+    assert main(["checkpair", "p01.json", "i0.json", "i1.json"]) == 1
+    assert main(["lift", "p01.json", "zero.json", "m1.json"]) == 1
 
 
 def test_lift_obstructed_exit_one(workdir):

@@ -3,13 +3,14 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from afzp.crossed import CrossedElement, crossed_product, extend_hom
+from afzp.crossed import CrossedElement, crossed_product
 from afzp.errors import NotEquivariant, ShapeMismatch
 from afzp.matrix import Mat
 from afzp.system import (Arrangement, EqHom, Slot, decompose, validate)
 
 from conftest import (ProductCrossed, conj_apply_action, ctx_for, cycle_form,
-                      fixed_form, mixed_form, rand_mat, rand_rat, rand_tuple)
+                      extend_hom, fixed_form, mixed_form, rand_mat, rand_rat,
+                      rand_tuple)
 
 
 def rand_element(cp, rng):
@@ -39,7 +40,8 @@ def test_cycle_identification_display():
     assert cp.block_sizes == [2]
     ident = cp.identify(cp.embed([Mat.diag(ctx, [5]), Mat.diag(ctx, [7])]))
     assert ident[0] == Mat.diag(ctx, [5, 7])
-    assert cp.u_rho_identified()[0] == Mat.permutation(ctx, [1, 0])
+    assert cp.identify(cp.canonical_unitary())[0] == \
+        Mat.permutation(ctx, [1, 0])
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from afzp._rat import RAT
-from afzp.cyclo import (FieldContext, Scalar, approx, make_root, root_order)
+from afzp.cyclo import (FieldContext, Scalar, approx, root_order)
 from afzp.errors import ContextMismatch, DivisionByZero, FormatError
 from afzp.serialize import _scalar_text, loads
 
@@ -14,27 +14,27 @@ from conftest import ctx_for, scalar_json
 from fraction_scalar import FracField, FracScalar
 
 
-def test_make_root_full_turn_is_one():
+def test_root_full_turn_is_one():
     ctx = ctx_for(5, 5)
-    assert make_root(ctx, 5) == ctx.one
-    assert make_root(ctx, 0) == ctx.one
+    assert ctx.root(5) == ctx.one
+    assert ctx.root(0) == ctx.one
 
 
-def test_make_root_inverse_pair():
+def test_root_inverse_pair():
     ctx = ctx_for(3, 3)
-    assert make_root(ctx, 1) * make_root(ctx, 2) == ctx.one
+    assert ctx.root(1) * ctx.root(2) == ctx.one
 
 
 def test_gaussian_integer_norm():
     ctx = ctx_for(2, 4)
-    i = make_root(ctx, 1)
+    i = ctx.root(1)
     assert (ctx.one + i) * (ctx.one - i) == ctx.scalar(2)
 
 
 def test_conj_inverts_roots():
     ctx = ctx_for(3)
     for k in range(ctx.order):
-        assert make_root(ctx, k).conj() == make_root(ctx, ctx.order - k)
+        assert ctx.root(k).conj() == ctx.root(ctx.order - k)
 
 
 def test_primitive_root_sum_vanishes():
@@ -67,7 +67,7 @@ def test_context_mismatch_rejected():
 def test_root_order_examples():
     ctx = ctx_for(3, 9)
     assert root_order(ctx.one) == 1
-    assert root_order(make_root(ctx, 3)) == 3   # zeta_9^3 has order 3
+    assert root_order(ctx.root(3)) == 3   # zeta_9^3 has order 3
     assert root_order(ctx.scalar(RAT(1, 2))) is None
 
 
@@ -81,14 +81,14 @@ def test_unsupported_field_shapes_rejected():
 def test_approx_basics():
     ctx4 = ctx_for(2, 4)
     assert approx(ctx4.one, 6) == (1.0, 0.0)
-    assert approx(make_root(ctx4, 1), 6) == (0.0, 1.0)
+    assert approx(ctx4.root(1), 6) == (0.0, 1.0)
 
 
 def test_approx_matches_cos_sin():
     # independent oracle: direct cos/sin evaluation of the primitive root
     ctx = ctx_for(3, 3)
     digits = 10
-    re, im = approx(make_root(ctx, 1), digits)
+    re, im = approx(ctx.root(1), digits)
     assert re == round(math.cos(2 * math.pi / 3), digits)
     assert im == round(math.sin(2 * math.pi / 3), digits)
     assert (re, im) == (-0.5, round(math.sin(2 * math.pi / 3), digits))
@@ -155,7 +155,7 @@ def test_roots_are_unimodular():
     for p in (2, 3, 5):
         ctx = ctx_for(p, p * p)
         for k in range(ctx.order):
-            r = make_root(ctx, k)
+            r = ctx.root(k)
             assert r * r.conj() == ctx.one
             assert root_order(r) is not None
 
@@ -163,7 +163,7 @@ def test_roots_are_unimodular():
 def test_reduction_idempotent():
     # re-wrapping reduced coefficients reproduces the same value
     ctx = ctx_for(3)
-    z = make_root(ctx, ctx.degree + 5)
+    z = ctx.root(ctx.degree + 5)
     again = Scalar(ctx, z.coeffs)
     assert again == z and again.coeffs == z.coeffs
 

@@ -3,16 +3,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import afzp.cli
 from afzp.errors import NonIntegralMultiplicity, ShapeMismatch
 from afzp.kinv import (KPair, check_pair, compose_pairs, induced_map,
                        invariant_of)
 from afzp.matrix import Mat
+from afzp.serialize import dump
 from afzp.system import (Arrangement, EqHom, Slot, hom_compose, hom_validate,
                          identity_hom)
-from afzp.classify import conjugate_hom, ksearch, lift
+from afzp.classify import Tower, conjugate_hom, intertwine, ksearch, lift
 
 from conftest import (ctx_for, cycle_form, fixed_form, fixed_point_unitary,
-                      mixed_form, piece_specs, roundtrip_induced)
+                      invariant_oracle, mixed_form, piece_specs,
+                      roundtrip_induced)
 
 
 def test_invariant_of_fixed_piece():
@@ -37,6 +40,41 @@ def test_invariant_trivial_p3_special():
     ctx = ctx_for(3)
     inv = invariant_of(fixed_form(ctx, [0]))
     assert inv.special == [1, 0, 0]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_invariant_is_cached_and_never_written(p, monkeypatch, capsys):
+    """invariant_of keeps one invariant per form, equal to the uncached
+    oracle; it still is after ksearch, lift, intertwine, dump and the
+    CLI's kinv and checkpair have read it, and every ksearch candidate
+    passes check_pair."""
+    ctx = ctx_for(p)
+    src = mixed_form(ctx, [("fixed", [0]), ("cycle", 1)])
+    tgt = mixed_form(ctx, [("fixed", [0, 1]), ("cycle", 2)])
+    forms = (src, tgt)
+    invs = [invariant_of(c) for c in forms]
+    for c, inv in zip(forms, invs):
+        assert invariant_of(c) is inv
+        assert inv == invariant_oracle(c)
+    invA, invB = invs
+    pairs = ksearch(invA, invB)
+    assert pairs and all(check_pair(kp, invA, invB).ok for kp in pairs)
+    assert all(check_pair(kp, invA, invA).ok for kp in ksearch(invA, invA))
+    h = lift(pairs[0], src, tgt)
+    tower = Tower([src, tgt], [h])
+    intertwine(tower, tower, depth=2)
+    doc = dump(invA)
+    doc["unit"][0] += 1
+    doc["act"][0][0] += 1
+    files = {"src": src, "ia": invA, "ib": invB, "kp": pairs[0]}
+    monkeypatch.setattr(afzp.cli, "load_json", files.__getitem__)
+    assert afzp.cli.main(["kinv", "src"]) == 0
+    assert afzp.cli.main(["kinv", "src", "--format", "text"]) == 0
+    assert afzp.cli.main(["checkpair", "kp", "ia", "ib"]) == 0
+    capsys.readouterr()
+    for c, inv in zip(forms, invs):
+        assert invariant_of(c) is inv
+        assert inv == invariant_oracle(c)
 
 
 def test_permutation_parts_have_order_dividing_p():

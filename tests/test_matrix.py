@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from afzp._rat import RAT
-from afzp.cyclo import make_root
 from afzp.errors import (MultisetMismatch, NotOrderP, ShapeMismatch,
                          TwistRootOutsideField, UnitaryNotFoundInField)
 from afzp.matrix import (Mat, _root_of_norm, blockdiag, spectral,
@@ -21,7 +20,7 @@ from conftest import (ORACLE_FIELDS, Inconsistent, checked_conjugator,
 
 def test_dagger_of_imaginary_diagonal():
     ctx = ctx_for(2, 4)
-    i = make_root(ctx, 1)
+    i = ctx.root(1)
     assert Mat.diag(ctx, [i]).dagger() == Mat.diag(ctx, [-i])
 
 
@@ -70,7 +69,7 @@ def test_spectral_examples():
 def test_spectral_rejects_wrong_order():
     ctx = ctx_for(2)
     with pytest.raises(NotOrderP):
-        spectral(Mat.diag(ctx, [ctx.one, make_root(ctx, 1)]), 2)
+        spectral(Mat.diag(ctx, [ctx.one, ctx.root(1)]), 2)
 
 
 def test_spectral_reconstruction_random():

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from afzp._rat import RAT
 from afzp.classify import ksearch, lift
-from afzp.cyclo import make_root
 from afzp.errors import (NonDiagonalizableWithinField, SystemMismatch,
                          TwistRootOutsideField)
 from afzp.matrix import Mat, unitary_conjugator
@@ -40,7 +39,7 @@ def test_validate_accepts_order_p_inner_action():
 
 def test_validate_rejects_wrong_order():
     ctx = ctx_for(2)
-    bad = diag_system(ctx, [ctx.one, make_root(ctx, 4)])   # diag(1, i)
+    bad = diag_system(ctx, [ctx.one, ctx.root(4)])   # diag(1, i)
     rep = validate(bad)
     assert not rep.ok
     assert any("order p" in item.name for item in rep.failures())
