@@ -76,10 +76,14 @@ def _case_params(kp, srcC, tgtC):
 
 def lift(kp, srcC, tgtC):
     """Explicit unital equivariant hom inducing the given pair exactly."""
-    invA = invariant_of(srcC)
-    invB = invariant_of(tgtC)
-    rep = check_pair(kp, invA, invB)
-    if not (rep.ok and kp.unital):
+    return _lift(kp, srcC, tgtC, check_pair(kp, invariant_of(srcC),
+                                            invariant_of(tgtC)))
+
+
+def _lift(kp, srcC, tgtC, rep=None):
+    """lift for a pair already checked: rep is its check_pair report,
+    or None for a ksearch candidate, which the enumeration proved."""
+    if rep is not None and not (rep.ok and kp.unital):
         if rep.ok:
             rep.add("unital flag", False, "lift requires a unital pair")
         raise PairCheckFailed(rep)
@@ -121,7 +125,7 @@ def _pack_fixed_target(ctx, p, plans, srcC, tgtC, ti):
         return pos
 
     slots = []
-    X = [[ctx.zero] * n for _ in range(n)]
+    X = [{} for _ in range(n)]
     col = 0
     for si, sp in enumerate(srcC.pieces):
         tag, data = plans[(si, ti)]
@@ -150,7 +154,7 @@ def _pack_fixed_target(ctx, p, plans, srcC, tgtC, ti):
                                 ctx.zeta_p(j * m) * ginv
     if col != n:    # each column took one distinct pool entry
         raise PackingInfeasible("target piece %d not exactly filled" % ti)
-    return Arrangement(slots, Mat(ctx, n, n, X))
+    return Arrangement(slots, Mat.from_dicts(ctx, n, X))
 
 
 def _pack_cycle_target(ctx, p, plans, srcC, ti, tp):
@@ -218,17 +222,17 @@ def _slot_starts(h, t):
 def _slot_adjoint(P, rows, cols):
     """Scalars of P^dagger between slots: L[c][c'] = conj(P[cols[c']][rows[c]])
     for the slots starting at rows (c) and at cols (c')."""
-    return Mat(P.ctx, len(rows), len(cols),
-               [[P.entries[c][r].conj() for c in cols] for r in rows])
+    return Mat.from_dicts(P.ctx, len(cols), [
+        {k: P.entry(c, r).conj() for k, c in enumerate(cols)} for r in rows])
 
 
 def _place(K, Z, rows, cols, k):
-    """Write Z (x) I_k into the list grid K: Z[c][c'] I_k between the
-    k-slots starting at rows[c] and at cols[c']."""
-    for r, zrow, zcols in zip(rows, Z.entries, Z.support()):
-        for c in zcols:
+    """Write Z (x) I_k into K, a list of row dicts: Z[c][c'] I_k between
+    the k-slots starting at rows[c] and at cols[c']."""
+    for r, zcols, zvals in zip(rows, Z.nz, Z.vals):
+        for c, z in zip(zcols, zvals):
             for w in range(k):
-                K[r + w][cols[c] + w] = zrow[c]
+                K[r + w][cols[c] + w] = z
 
 
 def equiv_unitary(h1, h2):
@@ -273,7 +277,7 @@ def equiv_unitary(h1, h2):
     for ti, tp in enumerate(tgt.pieces):
         t = tgt.piece_offsets[ti]
         s1, s2 = _slot_starts(h1, t), _slot_starts(h2, t)
-        K = [[ctx.zero] * tp.n for _ in range(tp.n)]
+        K = [{} for _ in range(tp.n)]
         if tp.kind == "cycle":
             for b, (rows, cols) in enumerate(zip(s1, s2)):
                 _place(K, Mat.identity(ctx, len(rows)), rows, cols,
@@ -312,7 +316,7 @@ def equiv_unitary(h1, h2):
                     _place(K, Gj[j], s1[b0 + j], s2[b0 + j], sp.n)
                 witness.entries.append(
                     WitnessEntry(ti, si, "CF", L=L1, N=L2, Z=Gj))
-        w = (h1.arrangements[t].conj * Mat(ctx, tp.n, tp.n, K)
+        w = (h1.arrangements[t].conj * Mat.from_dicts(ctx, tp.n, K)
              * h2.arrangements[t].conj.dagger())
         for r in range(tp.block_count(p)):
             W[t + r] = w
@@ -554,9 +558,9 @@ def _zigzag(cert, source, target, prev, given):
     step Y_{j-1} -> X_i. The pair is `given`, checked by check_pair and,
     with prev, by closing the invariant triangle (pair o prev's pair is
     the pair of Y's map j-1 -> j), or else the first ksearch candidate
-    that closes it. With prev, the lift is corrected by an inner
-    equivariant unitary so that hom o prev is that map exactly, and the
-    triangle is recorded in cert.
+    that closes it; either way _lift does not check it again. With prev,
+    the lift is corrected by an inner equivariant unitary so that
+    hom o prev is that map exactly, and the triangle is recorded in cert.
     """
     X, tX, i = source
     Y, tY, j = target
@@ -566,8 +570,10 @@ def _zigzag(cert, source, target, prev, given):
         conn = tY.maps[j - 1]
         want = induced_map(conn)
         triangle = "%s%d -> %s%d" % (Y, j - 1, Y, j)
+    rep = None
     if given is not None:
-        if not check_pair(given, invX, invY).ok:
+        rep = check_pair(given, invX, invY)
+        if not rep.ok:
             raise ReindexFailed(
                 "given pair %d fails the invariant checks at stages "
                 "%s%d -> %s%d" % (i, X, i, Y, j))
@@ -585,7 +591,7 @@ def _zigzag(cert, source, target, prev, given):
                 % (X, i, Y, j, "" if prev is None
                    else " closes the triangle at " + triangle))
     try:
-        h = lift(kp, tX.systems[i], tY.systems[j])
+        h = _lift(kp, tX.systems[i], tY.systems[j], rep)
     except AfzpError as exc:
         raise LiftFailed("%s%d->%s%d" % (X, i, Y, j), exc)
     if prev is not None:

@@ -156,14 +156,18 @@ class CrossedPresentation:
                         for j in range(p)], self.source.roots))
             else:
                 n = piece.n
-                grid = [[] for _ in range(p * n)]
+                rows = []
                 for r in range(p):
                     comp = (-r) % p
-                    for c in range(p):
-                        a = ce.coeffs[(c - r) % p][sb + comp]
-                        for i, row in enumerate(a.entries):
-                            grid[r * n + i].extend(row)
-                out.append(Mat(ctx, p * n, p * n, grid))
+                    blocks = [ce.coeffs[(c - r) % p][sb + comp]
+                              for c in range(p)]
+                    if any(a.rows != n or a.cols != n for a in blocks):
+                        raise ShapeMismatch("cycle block is not %dx%d"
+                                            % (n, n))
+                    rows.extend({c * n + j: v for c, a in enumerate(blocks)
+                                 for j, v in zip(a.nz[i], a.vals[i])}
+                                for i in range(n))
+                out.append(Mat.from_dicts(ctx, p * n, rows))
         return out
 
     def unidentify(self, mats):
@@ -185,37 +189,44 @@ class CrossedPresentation:
             else:
                 n = piece.n
                 grid = mats[cb]
+                if grid.rows != p * n or grid.cols != p * n:
+                    raise ShapeMismatch("cycle block is not %dx%d"
+                                        % (p * n, p * n))
                 for r in range(p):
-                    comp = (-r) % p
-                    for c in range(p):
-                        ce.coeffs[(c - r) % p][sb + comp] = Mat(
-                            ctx, n, n, [row[c * n:(c + 1) * n] for row in
-                                        grid.entries[r * n:(r + 1) * n]])
+                    blocks = [[{} for _ in range(n)] for _ in range(p)]
+                    for i in range(n):
+                        for j, v in zip(grid.nz[r * n + i],
+                                        grid.vals[r * n + i]):
+                            blocks[j // n][i][j % n] = v
+                    for c, rows in enumerate(blocks):
+                        ce.coeffs[(c - r) % p][sb + (-r) % p] = \
+                            Mat.from_dicts(ctx, n, rows)
         return ce
 
     def identify_matrix(self):
-        """Dense matrix of identify: coefficient index major, then source
+        """The matrix of identify: coefficient index major, then source
         block, then row-major entries; same flattening on the output side
         over crossed blocks."""
         ctx = self.ctx
-        dim = sum(n * n for n in self.block_sizes)
-        src_dim = self.p * sum(n * n for n in self.source.block_sizes)
-        cols = []
+        out = [{} for _ in range(sum(n * n for n in self.block_sizes))]
+        col = 0
         for j in range(self.p):
             for s, n in enumerate(self.source.block_sizes):
                 for i in range(n):
                     for jj in range(n):
                         ce = self.zero_element()
-                        unit = [[ctx.zero] * n for _ in range(n)]
-                        unit[i][jj] = ctx.one
-                        ce.coeffs[j][s] = Mat(ctx, n, n, unit)
-                        mats = self.identify(ce)
-                        col = []
-                        for mtx in mats:
-                            for row in mtx.entries:
-                                col.extend(row)
-                        cols.append(col)
-        return Mat(ctx, dim, src_dim, zip(*cols) if cols else [])
+                        ce.coeffs[j][s] = Mat.from_dicts(
+                            ctx, n, [{jj: ctx.one} if r == i else {}
+                                     for r in range(n)])
+                        at = 0
+                        for mtx in self.identify(ce):
+                            for r, (cols, vals) in enumerate(zip(mtx.nz,
+                                                                 mtx.vals)):
+                                for c, v in zip(cols, vals):
+                                    out[at + r * mtx.cols + c][col] = v
+                            at += mtx.rows * mtx.cols
+                        col += 1
+        return Mat.from_dicts(ctx, col, out)
 
     # -- canonical structure ----------------------------------------------
 

@@ -138,12 +138,11 @@ def induced_map(h):
                 phi[b][a:a + p] = [q] * p
             else:
                 by_exp = [src.ctx.zero] * p
-                X = h.arrangements[t].conj.entries
-                cols = [c for q, c in firsts[t] if q == s]
-                for k, e in enumerate(t_exps):
-                    for c in cols:
-                        x = X[k][c]
-                        if x._nonzero:
+                X = h.arrangements[t].conj
+                cols = {c for q, c in firsts[t] if q == s}
+                for e, xcols, xvals in zip(t_exps, X.nz, X.vals):
+                    for c, x in zip(xcols, xvals):
+                        if c in cols:
                             by_exp[e] = by_exp[e] + x.conj() * x
                 lam = [_multiplicity(x.rational_part(),
                                      "trace of block %d -> %d at exponent %d"

@@ -1,10 +1,12 @@
-"""Immutable exact matrices over Q(zeta_N), each with a per-row index
-of its nonzero entries.
+"""Immutable exact matrices over Q(zeta_N), stored as sparse rows.
 
-A Mat is a row-major tuple grid of Scalar entries that cannot be
-written after construction, so the nonzero index it carries stays
-true; products, adjoints, the unitarity, diagonal, zero and scalar
-tests and block sums read only nonzero entries through it.
+Each row of a Mat is the ascending tuple of the columns where it is
+nonzero and the parallel tuple of those entries; no zero is stored, so
+equal matrices have equal rows. Products, adjoints, sums, block sums and
+the unitarity, diagonal, zero and scalar tests cost time and memory in
+the nonzeros, not in rows x cols. from_rows is the one dense entry
+point; entries is a dense view, built on each read, for display and
+tests.
 
 The only eigen-analysis offered is character averaging of finite-order
 unitaries, which stays inside the field, and unitary_conjugator built on
@@ -14,6 +16,7 @@ checks is a matrix product compared against a pattern.
 """
 
 import math
+from bisect import bisect_left
 
 from .cyclo import Scalar
 from .errors import (MultisetMismatch, NotOrderP, ShapeMismatch,
@@ -26,174 +29,151 @@ __all__ = ["Mat", "SpectralData", "spectral", "unitary_conjugator"]
 class Mat:
     """rows x cols matrix of Scalars sharing one FieldContext; immutable.
 
-    entries is a tuple of row tuples. support() is the per-row tuple of
-    nonzero column indices in ascending order: built on first use, or
-    handed over by the kernel that made the matrix. Products, adjoints,
-    the is_* tests and blockdiag walk it instead of the dense grid."""
+    nz[i] is the tuple of ascending columns where row i is nonzero and
+    vals[i] the tuple of its entries there. The constructor stores both
+    as given, tuples of tuples with no zero value; the constructors,
+    kernels and builders make them so."""
 
-    __slots__ = ("ctx", "rows", "cols", "entries", "_nz")
+    __slots__ = ("ctx", "rows", "cols", "nz", "vals")
 
-    def __init__(self, ctx, rows, cols, entries, nz=None):
-        entries = tuple(map(tuple, entries))
-        if len(entries) != rows or any(map(cols.__ne__, map(len, entries))):
-            raise ShapeMismatch("entry grid does not match %dx%d" % (rows, cols))
+    def __init__(self, ctx, rows, cols, nz, vals):
         self.ctx = ctx
         self.rows = rows
         self.cols = cols
-        self.entries = entries
-        self._nz = nz
+        self.nz = nz
+        self.vals = vals
 
-    def support(self):
-        """Per row, the ascending column indices of its nonzero entries."""
-        nz = self._nz
-        if nz is None:
-            nz = self._nz = tuple([
-                tuple([j for j, e in enumerate(row) if e._nonzero])
-                for row in self.entries])
-        return nz
+    @property
+    def entries(self):
+        """The dense grid as a tuple of row tuples, built on each read."""
+        zero = self.ctx.zero
+        out = []
+        for cols, vals in zip(self.nz, self.vals):
+            row = [zero] * self.cols
+            for j, v in zip(cols, vals):
+                row[j] = v
+            out.append(tuple(row))
+        return tuple(out)
+
+    def entry(self, i, j):
+        """Entry (i, j)."""
+        cols = self.nz[i]
+        k = bisect_left(cols, j)
+        if k < len(cols) and cols[k] == j:
+            return self.vals[i][k]
+        return self.ctx.zero
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def zero(ctx, rows, cols=None):
         cols = rows if cols is None else cols
-        return Mat(ctx, rows, cols, ((ctx.zero,) * cols,) * rows,
-                   ((),) * rows)
+        return Mat(ctx, rows, cols, ((),) * rows, ((),) * rows)
 
     @staticmethod
     def identity(ctx, n):
-        zero = (ctx.zero,)
-        return Mat(ctx, n, n, [zero * i + (ctx.one,) + zero * (n - 1 - i)
-                               for i in range(n)],
-                   tuple([(i,) for i in range(n)]))
+        return Mat(ctx, n, n, tuple([(i,) for i in range(n)]),
+                   ((ctx.one,),) * n)
 
     @staticmethod
     def diag(ctx, values):
-        n = len(values)
-        zero = ctx.zero
-        grid = [[zero] * n for _ in range(n)]
-        nz = []
-        for i, v in enumerate(values):
-            grid[i][i] = v = ctx.scalar(v) if not isinstance(v, Scalar) else v
-            nz.append((i,) if v._nonzero else ())
-        return Mat(ctx, n, n, grid, tuple(nz))
+        return Mat.from_dicts(ctx, len(values), [
+            {i: ctx.scalar(v)} for i, v in enumerate(values)])
 
     @staticmethod
     def from_rows(ctx, rows):
-        ents = [[ctx.scalar(v) if not isinstance(v, Scalar) else v for v in r]
-                for r in rows]
-        return Mat(ctx, len(ents), len(ents[0]) if ents else 0, ents)
+        """The matrix of a list of equally long dense rows of Scalars,
+        ints or rationals."""
+        cols = len(rows[0]) if rows else 0
+        if any(len(r) != cols for r in rows):
+            raise ShapeMismatch("rows of unequal length")
+        return Mat.from_dicts(ctx, cols, [
+            {j: ctx.scalar(v) for j, v in enumerate(r)} for r in rows])
+
+    @staticmethod
+    def from_dicts(ctx, cols, rows):
+        """The len(rows) x cols matrix whose row i holds the entries of
+        the dict rows[i], column -> Scalar; zero values are dropped."""
+        nz, vals = [], []
+        for d in rows:
+            keep = tuple(sorted([j for j, v in d.items() if v._nonzero]))
+            nz.append(keep)
+            vals.append(tuple(map(d.__getitem__, keep)))
+        return Mat(ctx, len(rows), cols, tuple(nz), tuple(vals))
 
     @staticmethod
     def permutation(ctx, images):
         """Permutation matrix Q with Q e_j = e_images[j]."""
-        n = len(images)
-        grid = [[ctx.zero] * n for _ in range(n)]
-        nz = [[] for _ in range(n)]
+        rows = [{} for _ in images]
         for j, i in enumerate(images):
-            grid[i][j] = ctx.one
-            nz[i].append(j)
-        return Mat(ctx, n, n, grid, tuple(map(tuple, nz)))
+            rows[i][j] = ctx.one
+        return Mat.from_dicts(ctx, len(images), rows)
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
+        """Row by row; a zero matrix adds nothing."""
         self._shape_eq(other)
-        return Mat(self.ctx, self.rows, self.cols,
-                   [[a + b for a, b in zip(ra, rb)]
-                    for ra, rb in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        self._shape_eq(other)
-        return Mat(self.ctx, self.rows, self.cols,
-                   [[a - b for a, b in zip(ra, rb)]
-                    for ra, rb in zip(self.entries, other.entries)])
-
-    def __neg__(self):
-        return Mat(self.ctx, self.rows, self.cols,
-                   [[-a for a in row] for row in self.entries], self._nz)
+        if other.is_zero() or self.is_zero():
+            return self if other.is_zero() else other
+        rows = []
+        for ca, va, cb, vb in zip(self.nz, self.vals, other.nz, other.vals):
+            acc = dict(zip(ca, va))
+            for j, y in zip(cb, vb):
+                x = acc.get(j)
+                acc[j] = y if x is None else x + y
+            rows.append(acc)
+        return Mat.from_dicts(self.ctx, self.cols, rows)
 
     def __mul__(self, other):
         if isinstance(other, Mat):
             return self._matmul(other)
         s = other if isinstance(other, Scalar) else self.ctx.scalar(other)
-        return Mat(self.ctx, self.rows, self.cols,
-                   [[a * s for a in row] for row in self.entries],
-                   self._nz if s._nonzero else None)
+        if not s._nonzero:
+            return Mat.zero(self.ctx, self.rows, self.cols)
+        return Mat(self.ctx, self.rows, self.cols, self.nz,
+                   tuple([tuple([a * s for a in row]) for row in self.vals]))
 
     def _matmul(self, other):
         """Row by row over the nonzero a_ik b_kj. A row with one nonzero
-        a_ik is a_ik times row k of other, with its support (the field
-        has no zero divisors). Otherwise a dense accumulator collects the
-        columns reached, in the order first reached; the row's support is
-        those columns, sorted unless all were reached, less any that
+        a_ik is a_ik times row k of other, on its columns (the field has
+        no zero divisors). Otherwise a dict sums the terms per column;
+        the row is its columns in ascending order, less any that
         cancelled."""
         if self.cols != other.rows:
             raise ShapeMismatch("%dx%d times %dx%d"
                                 % (self.rows, self.cols,
                                    other.rows, other.cols))
-        n = other.cols
         one = self.ctx.one
-        zrow = (self.ctx.zero,) * n
-        bent, bnz = other.entries, other.support()
-        out, index = [], []
-        for arow, acols in zip(self.entries, self.support()):
-            if len(acols) < 2:
-                if not acols:
-                    out.append(zrow)
-                    index.append(())
-                    continue
-                k = acols[0]
-                aik = arow[k]
-                if aik is one:
-                    out.append(bent[k])
-                else:
-                    row = list(zrow)
-                    brow = bent[k]
-                    for j in bnz[k]:
-                        row[j] = aik * brow[j]
-                    out.append(row)
-                index.append(bnz[k])
+        bnz, bvals = other.nz, other.vals
+        nz, vals = [], []
+        for acols, avals in zip(self.nz, self.vals):
+            if len(acols) == 1:
+                k, aik = acols[0], avals[0]
+                nz.append(bnz[k])
+                vals.append(bvals[k] if aik is one
+                            else tuple([aik * b for b in bvals[k]]))
                 continue
-            acc = [None] * n
-            touched = []
-            for k in acols:
-                aik = arow[k]
-                brow = bent[k]
-                for j in bnz[k]:
-                    x = acc[j]
-                    if x is None:
-                        touched.append(j)
-                        acc[j] = aik * brow[j]
-                    else:
-                        acc[j] = x + aik * brow[j]
-            if len(touched) == n:
-                out.append(acc)
-                index.append(tuple([j for j in range(n) if acc[j]._nonzero]))
-                continue
-            touched.sort()
-            row = list(zrow)
-            nz = []
-            for j in touched:
-                x = row[j] = acc[j]
-                if x._nonzero:
-                    nz.append(j)
-            out.append(row)
-            index.append(tuple(nz))
-        return Mat(self.ctx, self.rows, n, out, tuple(index))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
+            acc = {}
+            for k, aik in zip(acols, avals):
+                for j, b in zip(bnz[k], bvals[k]):
+                    x = acc.get(j)
+                    acc[j] = aik * b if x is None else x + aik * b
+            keep = tuple(sorted([j for j, x in acc.items() if x._nonzero]))
+            nz.append(keep)
+            vals.append(tuple(map(acc.__getitem__, keep)))
+        return Mat(self.ctx, self.rows, other.cols, tuple(nz), tuple(vals))
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
         return (self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
+                and self.nz == other.nz and self.vals == other.vals)
 
     def __repr__(self):
-        body = "; ".join(", ".join(repr(e) for e in row)
-                         for row in self.entries)
+        body = "; ".join(", ".join(repr(self.entry(i, j))
+                                   for j in range(self.cols))
+                         for i in range(self.rows))
         return "Mat[%s]" % body
 
     def _shape_eq(self, other):
@@ -202,36 +182,21 @@ class Mat:
                                                     other.rows, other.cols))
 
     def dagger(self):
-        """Conjugate transpose, by transposing the support."""
-        zero = self.ctx.zero
-        out = [[zero] * self.rows for _ in range(self.cols)]
+        """Conjugate transpose: row i's entries move to their columns."""
         nz = [[] for _ in range(self.cols)]
-        for i, (row, cols) in enumerate(zip(self.entries, self.support())):
-            for j in cols:
-                out[j][i] = row[j].conj()
+        vals = [[] for _ in range(self.cols)]
+        for i, (cols, row) in enumerate(zip(self.nz, self.vals)):
+            for j, v in zip(cols, row):
                 nz[j].append(i)
-        return Mat(self.ctx, self.cols, self.rows, out, tuple(map(tuple, nz)))
+                vals[j].append(v.conj())
+        return Mat(self.ctx, self.cols, self.rows, tuple(map(tuple, nz)),
+                   tuple(map(tuple, vals)))
 
     def trace(self):
         if self.rows != self.cols:
             raise ShapeMismatch("trace of non-square matrix")
-        t = self.ctx.zero
-        for i in range(self.rows):
-            t = t + self.entries[i][i]
-        return t
-
-    def kron(self, other):
-        ra, ca, rb, cb = self.rows, self.cols, other.rows, other.cols
-        out = [[self.ctx.zero] * (ca * cb) for _ in range(ra * rb)]
-        bent, bnz = other.entries, other.support()
-        for i, (arow, acols) in enumerate(zip(self.entries, self.support())):
-            for j in acols:
-                a = arow[j]
-                for k, (brow, bcols) in enumerate(zip(bent, bnz)):
-                    orow = out[i * rb + k]
-                    for l in bcols:
-                        orow[j * cb + l] = a * brow[l]
-        return Mat(self.ctx, ra * rb, ca * cb, out)
+        return sum(map(self.entry, range(self.rows), range(self.rows)),
+                   self.ctx.zero)
 
     def is_unitary(self):
         """Square with X^dagger X the identity. A caller that already
@@ -239,30 +204,24 @@ class Mat:
         return self.rows == self.cols and (self.dagger() * self).is_identity()
 
     def is_identity(self):
-        """Square with support exactly the diagonal, and ones on it."""
+        """Square with nonzeros exactly on the diagonal, all ones."""
         one = self.ctx.one
         return self.rows == self.cols and all(
-            cols == (i,) and row[i] == one for i, (row, cols)
-            in enumerate(zip(self.entries, self.support())))
+            cols == (i,) and row[0] == one for i, (cols, row)
+            in enumerate(zip(self.nz, self.vals)))
 
     def is_diagonal(self):
-        return all(not cols or cols == (i,)
-                   for i, cols in enumerate(self.support()))
+        return all(not cols or cols == (i,) for i, cols in enumerate(self.nz))
 
     def is_zero(self):
-        return not any(self.support())
+        return not any(self.nz)
 
     def is_scalar(self):
         """Returns the scalar s with self == s*I, or None."""
         if self.rows != self.cols or self.rows == 0:
             return None
-        s = self.entries[0][0]
-        if not s._nonzero:
-            return s if self.is_zero() else None
-        if all(cols == (i,) and row[i] == s for i, (row, cols)
-               in enumerate(zip(self.entries, self.support()))):
-            return s
-        return None
+        s = self.entry(0, 0)
+        return s if self == Mat.diag(self.ctx, [s] * self.rows) else None
 
     def power(self, n):
         if self.rows != self.cols:
@@ -279,22 +238,22 @@ class Mat:
 
 
 def blockdiag(ctx, mats, total=None):
-    """Direct sum of square blocks, zero-padded at the end to `total`."""
-    size = sum(m.rows for m in mats)
+    """Direct sum of square blocks, zero-padded at the end to `total`.
+    Each block's rows keep their values, on shifted columns."""
     if total is None:
-        total = size
-    zero = ctx.zero
-    out, index = [], []
+        total = sum(m.rows for m in mats)
+    nz, vals = [], []
     off = 0
     for m in mats:
-        left, right = (zero,) * off, (zero,) * (total - off - m.cols)
-        for row, cols in zip(m.entries, m.support()):
-            out.append(left + row + right)
-            index.append(tuple([off + j for j in cols]))
+        if off + max(m.rows, m.cols) > total:
+            raise ShapeMismatch("blocks overflow %dx%d" % (total, total))
+        nz.extend([tuple([off + j for j in cols]) for cols in m.nz]
+                  if off else m.nz)
+        vals.extend(m.vals)
         off += m.rows
-    out.extend([(zero,) * total] * (total - off))
-    index.extend([()] * (total - off))
-    return Mat(ctx, total, total, out, tuple(index))
+    nz.extend([()] * (total - off))
+    vals.extend([()] * (total - off))
+    return Mat(ctx, total, total, tuple(nz), tuple(vals))
 
 
 class SpectralData:
@@ -345,7 +304,7 @@ def diag_root_exponents(D, p):
     roots = {ctx.zeta_p(k): k for k in range(p)}
     out = []
     for i in range(D.rows):
-        e = roots.get(D.entries[i][i])
+        e = roots.get(D.entry(i, i))
         if e is None:
             return None
         out.append(e)
@@ -389,8 +348,8 @@ def unitary_conjugator(L1, L2, p):
     counts2 = [len(b) for b in bases2]
     if counts1 != counts2:
         raise MultisetMismatch(counts1, counts2)
-    Z = [[ctx.zero] * L1.cols for _ in range(L1.rows)]
-    one = ctx.one
+    Z = [{} for _ in range(L1.rows)]
+    zero, one = ctx.zero, ctx.one
     for d, (b1, b2) in enumerate(zip(bases1, bases2)):
         for (v, nv), (u, nu) in zip(b1, b2):
             s = one if nu == nv else _root_of_norm(
@@ -400,18 +359,17 @@ def unitary_conjugator(L1, L2, p):
                     "no field scalar of squared norm %r pairs the "
                     "eigenvectors of eigenvalue zeta_p^%d" % (nu / nv, d))
             c = s if nu == one else s / nu
-            for row, x in zip(Z, v):
-                if x._nonzero:
-                    cx = c * x
-                    for b, y in enumerate(u):
-                        if y._nonzero:
-                            row[b] = row[b] + cx * y.conj()
-    return Mat(ctx, L1.rows, L1.cols, Z)
+            for i, x in v:
+                cx, row = c * x, Z[i]
+                for b, y in u:
+                    row[b] = row.get(b, zero) + cx * y.conj()
+    return Mat.from_dicts(ctx, L1.cols, Z)
 
 
 def _eigenbases(L, p):
     """Per exponent d, the orthogonal basis of L's zeta_p^d eigenspace
-    that unitary_conjugator pairs, as (vector, <vector, vector>)."""
+    that unitary_conjugator pairs, as (vector, <vector, vector>), each
+    vector the list of its nonzero (index, entry) pairs."""
     ctx = L.ctx
     n = L.rows
     bases = [[] for _ in range(p)]
@@ -420,18 +378,19 @@ def _eigenbases(L, p):
         if exps is None:
             raise NotOrderP("diagonal entries are not p-th roots of unity")
         for i, e in enumerate(exps):
-            v = [ctx.zero] * n
-            v[i] = ctx.one
-            bases[e].append((v, ctx.one))
+            bases[e].append(([(i, ctx.one)], ctx.one))
         return bases
     for basis, P in zip(bases, spectral(L, p).projections):
+        dense = []
         for j in range(n):
-            w = [row[j] for row in P.entries]
-            for u, nu in basis:
+            w = [P.entry(i, j) for i in range(n)]
+            for u, nu in dense:
                 c = _inner(u, w) / nu
                 w = [x - c * y for x, y in zip(w, u)]
             if any(x._nonzero for x in w):
-                basis.append((w, _inner(w, w)))
+                dense.append((w, _inner(w, w)))
+        basis.extend(([(i, x) for i, x in enumerate(w) if x._nonzero], nw)
+                     for w, nw in dense)
     return bases
 
 

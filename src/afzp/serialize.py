@@ -135,9 +135,8 @@ class _Writer:
         self.field(m.ctx)
         texts = self.texts
         entries = []
-        for i, (row, cols) in enumerate(zip(m.entries, m.support())):
-            for j in cols:
-                e = row[j]
+        for i, (cols, vals) in enumerate(zip(m.nz, m.vals)):
+            for j, e in zip(cols, vals):
                 key = e.num, e.den
                 text = texts.get(key)
                 if text is None:
@@ -427,9 +426,8 @@ class _Format2:
 
     def mat(self, obj, bound=None):
         """A sparse matrix object; with a bound (the size of the block
-        the matrix belongs to) a larger header is refused before the
-        grid is allocated. Its entries arrive in row-major order, so
-        they give the matrix its nonzero index."""
+        the matrix belongs to) a larger header is refused. Its entries
+        arrive in row-major order, so they are the matrix's rows."""
         ctx = self.field()
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
         if not (_is_int(rows) and _is_int(cols) and rows >= 0 and cols >= 0
@@ -440,8 +438,7 @@ class _Format2:
         if bound is not None and max(rows, cols) > bound:
             raise FormatError("matrix header %dx%d exceeds its %dx%d block"
                               % (rows, cols, bound, bound))
-        grid = [[ctx.zero] * cols for _ in range(rows)]
-        index = [[] for _ in range(rows)]
+        index = {}      # row -> {column: value}, filled in row-major order
         last = -1
         for entry in entries:
             if not (isinstance(entry, list) and len(entry) == 3):
@@ -457,9 +454,12 @@ class _Format2:
                 raise FormatError("matrix entry (%d, %d) is repeated or out "
                                   "of row-major order" % (i, j))
             last = at
-            grid[i][j] = self.scalars.get(text) or self.scalar(text)
-            index[i].append(j)
-        return Mat(ctx, rows, cols, grid, tuple(map(tuple, index)))
+            index.setdefault(i, {})[j] = \
+                self.scalars.get(text) or self.scalar(text)
+        nz, vals = [()] * rows, [()] * rows
+        for i, row in index.items():
+            nz[i], vals[i] = tuple(row), tuple(row.values())
+        return Mat(ctx, rows, cols, tuple(nz), tuple(vals))
 
     def scalar(self, text):
         """The nonzero Scalar of canonical text (see _scalar_text)."""

@@ -244,16 +244,17 @@ def root_sum(ctx, n, terms, roots):
     multiply per nonzero entry, so zero blocks cost no arithmetic. An a
     that is not n x n raises ShapeMismatch."""
     k = len(roots)
-    out = [[ctx.zero] * n for _ in range(n)]
+    out = [{} for _ in range(n)]
     for a, ex, ey in terms:
         if a.rows != n or a.cols != n:
             raise ShapeMismatch("%dx%d block in a piece of size %d"
                                 % (a.rows, a.cols, n))
-        for orow, arow, rx in zip(out, a.entries, ex):
-            for y, v in enumerate(arow):
-                if v._nonzero:
-                    orow[y] = orow[y] + v * roots[(rx + ey[y]) % k]
-    return Mat(ctx, n, n, out)
+        for orow, cols, vals, rx in zip(out, a.nz, a.vals, ex):
+            for y, v in zip(cols, vals):
+                w = v * roots[(rx + ey[y]) % k]
+                x = orow.get(y)
+                orow[y] = w if x is None else x + w
+    return Mat.from_dicts(ctx, n, out)
 
 
 def decompose(s):
@@ -377,25 +378,23 @@ def _pattern_defect(K, rows, cols):
         slots.append((label, size, start))
         start += size
     start = 0
-    nz = K.support()
     for lr, size in rows:
         # (start column, size, lambda) of each same-label slot pair
-        same = [(c0, k, K.entries[start][c0]) for lc, k, c0 in slots
+        same = [(c0, k, K.entry(start, c0)) for lc, k, c0 in slots
                 if lc == lr and lr is not None and k and size]
         for i in range(size):
-            row = K.entries[start + i]
             diag = {c0 + i: lam for c0, k, lam in same if i < k} \
                 if same else {}
             bad = None
-            for c in nz[start + i]:
-                if (row[c] != diag[c] if c in diag
+            for c, x in zip(K.nz[start + i], K.vals[start + i]):
+                if (x != diag[c] if c in diag
                         else lr is not None or col_at[c][0] is not None):
                     bad = c
                     break
             for c, lam in diag.items():
                 if bad is not None and c > bad:
                     break
-                if lam._nonzero and not row[c]._nonzero:
+                if lam._nonzero and not K.entry(start + i, c)._nonzero:
                     bad = c
                     break
             if bad is not None:
@@ -407,14 +406,10 @@ def _pattern_defect(K, rows, cols):
 
 def _diag_scaled(left, x, right):
     """diag(left) * x * diag(right) for lists of nonzero scalars (the
-    diagonals of unitaries), so the support is x's."""
-    out = []
-    for l, row, cols in zip(left, x.entries, x.support()):
-        row = list(row)
-        for j in cols:
-            row[j] = l * row[j] * right[j]
-        out.append(row)
-    return Mat(x.ctx, x.rows, x.cols, out, x.support())
+    diagonals of unitaries), so the nonzero columns are x's."""
+    return Mat(x.ctx, x.rows, x.cols, x.nz, tuple([
+        tuple([l * v * right[j] for j, v in zip(cols, vals)])
+        for l, cols, vals in zip(left, x.nz, x.vals)]))
 
 
 def _v_diagonal(c, t, conj=False):
@@ -423,7 +418,7 @@ def _v_diagonal(c, t, conj=False):
     v = c.block_v[t]
     if v is None:
         return [c.ctx.one] * c.block_sizes[t]
-    return [v.entries[k][k].conj() if conj else v.entries[k][k]
+    return [v.entry(k, k).conj() if conj else v.entry(k, k)
             for k in range(v.rows)]
 
 

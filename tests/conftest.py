@@ -117,12 +117,22 @@ def zero_grid(ctx, rows, cols=None):
             for _ in range(rows)]
 
 
+def grid_mat(ctx, rows, cols, grid):
+    """The rows x cols Mat of a dense list grid, its shape checked;
+    unlike Mat.from_rows it keeps the column count of a grid with no
+    rows."""
+    grid = [list(row) for row in grid]
+    if len(grid) != rows or any(len(row) != cols for row in grid):
+        raise ShapeMismatch("entry grid does not match %dx%d" % (rows, cols))
+    return Mat.from_rows(ctx, grid) if rows else Mat.zero(ctx, 0, cols)
+
+
 def unit_tuple(ctx, block_sizes, s, i, j):
     """Tuple that is the (i, j) matrix unit in block s, zero elsewhere."""
     a = zero_tuple(ctx, block_sizes)
     unit = zero_grid(ctx, block_sizes[s])
     unit[i][j] = ctx.one
-    a[s] = Mat(ctx, block_sizes[s], block_sizes[s], unit)
+    a[s] = grid_mat(ctx, block_sizes[s], block_sizes[s], unit)
     return a
 
 
@@ -448,8 +458,8 @@ def solve(system, rhs):
         vec[free][0] = ctx.one
         for r, c in enumerate(pivots):
             vec[c][0] = zero - aug[r][free]
-        basis.append(Mat(ctx, n, 1, vec))
-    return Mat(ctx, n, k, part), basis
+        basis.append(grid_mat(ctx, n, 1, vec))
+    return grid_mat(ctx, n, k, part), basis
 
 
 def vec_row_major(M):
@@ -458,7 +468,7 @@ def vec_row_major(M):
     for i in range(M.rows):
         for j in range(M.cols):
             out[i * M.cols + j][0] = M.entries[i][j]
-    return Mat(M.ctx, M.rows * M.cols, 1, out)
+    return grid_mat(M.ctx, M.rows * M.cols, 1, out)
 
 
 def _slot_positions(h, t):
@@ -504,7 +514,7 @@ def _corner_isometry(h, t, blocks, interleave=False):
             for i in range(n):
                 X[i][col] = arr.conj.entries[i][off + j]
             col += 1
-    return Mat(ctx, n, width, X)
+    return grid_mat(ctx, n, width, X)
 
 
 def _pattern_extract(mat, copies, k):
@@ -514,9 +524,9 @@ def _pattern_extract(mat, copies, k):
     slots = [(0, k)] * copies
     if _pattern_defect(mat, slots, slots) is not None:
         return None
-    return Mat(mat.ctx, copies, copies,
-               [[mat.entries[c * k][cc * k] for cc in range(copies)]
-                for c in range(copies)])
+    return grid_mat(mat.ctx, copies, copies,
+                    [[mat.entries[c * k][cc * k] for cc in range(copies)]
+                     for c in range(copies)])
 
 
 def _expand_pattern(bhat, k):
@@ -530,7 +540,7 @@ def _expand_pattern(bhat, k):
                 continue
             for i in range(k):
                 out[c * k + i][cc * k + i] = v
-    return Mat(ctx, copies * k, copies * k, out)
+    return grid_mat(ctx, copies * k, copies * k, out)
 
 
 def corner_equiv_unitary(h1, h2):
@@ -612,7 +622,7 @@ def corner_equiv_unitary(h1, h2):
                                 for w in range(k):
                                     G[_bjw(b, j, w, p, k)][
                                         _bjw(bb, j, w, p, k)] = v
-                    G = Mat(ctx, p * c * k, p * c * k, G)
+                    G = grid_mat(ctx, p * c * k, p * c * k, G)
                     wt = wt + X1 * G * X2.dagger()
                     witness.entries.append(
                         WitnessEntry(ti, si, "CF", L=A1, N=A2, Z=Gj))
@@ -672,7 +682,7 @@ def _cycle_corner_blocks(K, p, c, k):
                                     return None
                             elif not e.is_zero():
                                 return None
-    return [Mat(ctx, c, c, blk) for blk in A]
+    return [grid_mat(ctx, c, c, blk) for blk in A]
 
 
 def checked_conjugator(fn, L1, L2, p):
@@ -839,7 +849,7 @@ def _diagonalize_order_p_monomial(u, p):
             diag[slot] = ctx.zeta_p(m_eig)
             slot += 1
     # u * col_k = diag[k] * col_k; so cols^dagger * u * cols is diagonal
-    z = Mat(ctx, n, n, cols).dagger()
+    z = grid_mat(ctx, n, n, cols).dagger()
     return z, Mat.diag(ctx, diag)
 
 
@@ -866,7 +876,7 @@ def direct_sum(a, b):
     for i in range(b.rows):
         for j in range(b.cols):
             out[a.rows + i][a.cols + j] = b.entries[i][j]
-    return Mat(a.ctx, a.rows + b.rows, a.cols + b.cols, out)
+    return grid_mat(a.ctx, a.rows + b.rows, a.cols + b.cols, out)
 
 
 def ieye(n):
@@ -1021,7 +1031,7 @@ class ProductCrossed(CrossedPresentation):
                             for jj in range(n):
                                 grid[r * n + i][c * n + jj] = \
                                     a.entries[i][jj]
-                out.append(Mat(ctx, p * n, p * n, grid))
+                out.append(grid_mat(ctx, p * n, p * n, grid))
         return out
 
     def unidentify(self, mats):
@@ -1051,7 +1061,7 @@ class ProductCrossed(CrossedPresentation):
                             for jj in range(n):
                                 sub[i][jj] = \
                                     grid.entries[r * n + i][c * n + jj]
-                        ce.coeffs[j][sb + comp] = Mat(ctx, n, n, sub)
+                        ce.coeffs[j][sb + comp] = grid_mat(ctx, n, n, sub)
         return ce
 
 
@@ -1066,7 +1076,7 @@ def _diag_conj(v, a):
             e = a.entries[i][j]
             if not e.is_zero():
                 out[i][j] = d[i] * e * dc[j]
-    return Mat(a.ctx, n, n, out)
+    return grid_mat(a.ctx, n, n, out)
 
 
 def conj_apply_action(self, a):
@@ -1085,9 +1095,10 @@ def conj_apply_action(self, a):
 # -- dense matrix kernels -----------------------------------------------------
 # The dense bodies of Mat's product, adjoint and is_* tests, of blockdiag
 # and of system._diag_scaled / _pattern_defect as they stood before Mat
-# became immutable and indexed: they walk every entry of the grid and
-# ignore the nonzero index, the oracles for the indexed kernels. Writes
-# into a Mat became writes into a list grid that builds the Mat once.
+# became immutable and sparse: they walk every entry of the dense view
+# (Mat.entries) and ignore the stored rows, the oracles for the sparse
+# kernels. Writes into a Mat became writes into a list grid that builds
+# the Mat once (grid_mat).
 
 
 def dense_mul(self, other):
@@ -1107,7 +1118,7 @@ def dense_mul(self, other):
             for j, bkj in enumerate(brow):
                 if bkj._nonzero:
                     orow[j] = orow[j] + aik * bkj
-    return Mat(self.ctx, self.rows, other.cols, out)
+    return grid_mat(self.ctx, self.rows, other.cols, out)
 
 
 def dense_dagger(self):
@@ -1119,14 +1130,14 @@ def dense_dagger(self):
             e = row[j]
             if e._nonzero:
                 out[j][i] = e.conj()
-    return Mat(self.ctx, self.cols, self.rows, out)
+    return grid_mat(self.ctx, self.cols, self.rows, out)
 
 
 def dense_identity(ctx, n):
     out = [[ctx.zero] * n for _ in range(n)]
     for i in range(n):
         out[i][i] = ctx.one
-    return Mat(ctx, n, n, out)
+    return grid_mat(ctx, n, n, out)
 
 
 def dense_is_unitary(self):
@@ -1168,7 +1179,7 @@ def dense_blockdiag(ctx, mats, total=None):
             for j in range(m.cols):
                 out[off + i][off + j] = m.entries[i][j]
         off += m.rows
-    return Mat(ctx, total, total, out)
+    return grid_mat(ctx, total, total, out)
 
 
 def dense_diag_scaled(left, x, right):
@@ -1178,7 +1189,7 @@ def dense_diag_scaled(left, x, right):
         for j, a in enumerate(row):
             if a._nonzero:
                 out[-1][j] = l * a * right[j]
-    return Mat(x.ctx, x.rows, x.cols, out)
+    return grid_mat(x.ctx, x.rows, x.cols, out)
 
 
 def dense_pattern_defect(K, rows, cols):
@@ -1204,9 +1215,62 @@ def dense_pattern_defect(K, rows, cols):
 
 
 def dense_support(m):
-    """The nonzero index Mat.support() must equal."""
+    """The nonzero columns Mat.nz must equal."""
     return tuple(tuple(j for j, e in enumerate(row) if e._nonzero)
                  for row in m.entries)
+
+
+def dense_values(m):
+    """The nonzero values Mat.vals must equal."""
+    return tuple(tuple(e for e in row if e._nonzero) for row in m.entries)
+
+
+def sparse_rows_defect(m):
+    """Why m's stored rows are not its canonical sparse form, or None:
+    every row's columns strictly ascend inside the shape, its values
+    are nonzero and parallel to them, and from_rows of the dense view
+    gives m back."""
+    if len(m.nz) != m.rows or len(m.vals) != m.rows:
+        return "%d column rows and %d value rows for %d rows" \
+            % (len(m.nz), len(m.vals), m.rows)
+    for i, (cols, vals) in enumerate(zip(m.nz, m.vals)):
+        if not (isinstance(cols, tuple) and isinstance(vals, tuple)):
+            return "row %d is not stored as tuples" % i
+        if len(cols) != len(vals):
+            return "row %d has %d columns and %d values" \
+                % (i, len(cols), len(vals))
+        if list(cols) != sorted(set(cols)) or \
+                any(not 0 <= j < m.cols for j in cols):
+            return "row %d columns %s" % (i, cols)
+        if not all(v._nonzero for v in vals):
+            return "row %d stores a zero" % i
+    if m.rows and Mat.from_rows(m.ctx, m.entries) != m:
+        return "from_rows of the entries differs"
+    return None
+
+
+# -- Mat arithmetic that no caller in afzp uses ------------------------------
+
+
+def mat_kron(a, b):
+    """Kronecker product a (x) b."""
+    ctx = a.ctx
+    out = zero_grid(ctx, a.rows * b.rows, a.cols * b.cols)
+    for i, (acols, avals) in enumerate(zip(a.nz, a.vals)):
+        for j, x in zip(acols, avals):
+            for k, (bcols, bvals) in enumerate(zip(b.nz, b.vals)):
+                orow = out[i * b.rows + k]
+                for l, y in zip(bcols, bvals):
+                    orow[j * b.cols + l] = x * y
+    return grid_mat(ctx, a.rows * b.rows, a.cols * b.cols, out)
+
+
+def mat_neg(m):
+    return m * -1
+
+
+def mat_sub(a, b):
+    return a + mat_neg(b)
 
 
 ORACLE_FIELDS = [(p, order) for p in (2, 3, 5)
@@ -1235,11 +1299,11 @@ def oracle_matrix(ctx, rng, rows, cols, kind):
         for i, j in zip(range(rows), colset):
             grid[i][j] = ctx.root(rng.randrange(ctx.order)) \
                 if kind == "unitary" else oracle_scalar(ctx, rng)
-        m = Mat(ctx, rows, cols, grid)
+        m = grid_mat(ctx, rows, cols, grid)
         if kind == "unitary" and rows >= 2 and rng.random() < 0.5:
             r = [[ctx.scalar(RAT(x, 5)) for x in row]
                  for row in ((3, -4), (4, 3))]
-            m = blockdiag(ctx, [Mat(ctx, 2, 2, r),
+            m = blockdiag(ctx, [grid_mat(ctx, 2, 2, r),
                                 Mat.identity(ctx, rows - 2)]) * m
         return m
     for row in grid:
@@ -1248,7 +1312,7 @@ def oracle_matrix(ctx, rng, rows, cols, kind):
                 x = oracle_scalar(ctx, rng)
                 row[j] = x - ctx.root(rng.randrange(2)) \
                     if rng.random() < 0.1 else x
-    return Mat(ctx, rows, cols, grid)
+    return grid_mat(ctx, rows, cols, grid)
 
 
 def corrupt_entry(m, rng):
@@ -1261,4 +1325,4 @@ def corrupt_entry(m, rng):
     ctx = m.ctx
     grid[i][j] = rng.choice([ctx.zero, grid[i][j] + ctx.one,
                              ctx.root(1 + rng.randrange(ctx.order - 1))])
-    return Mat(ctx, m.rows, m.cols, grid)
+    return grid_mat(ctx, m.rows, m.cols, grid)

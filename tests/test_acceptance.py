@@ -279,6 +279,18 @@ def test_criterion_7_intertwining_towers():
             "(order 2: %.2fs, order 3: %.2fs)" % (elapsed_p2, elapsed_p3))
 
 
+def test_p2_depth_9_tower_certificate_round_trips():
+    """The p=2 depth-9 tower (stages up to 512 x 512) intertwines with
+    itself through identity pairs, and its certificate verifies after a
+    dumps/loads round trip. No timing gate."""
+    tower = product_tower(2, 9)
+    cert = intertwine(tower, tower, pairs=identity_pairs(tower, 9), depth=9)
+    text = dumps(cert)
+    again = loads(text)
+    assert dumps(again) == text
+    assert verify_certificate(again).ok
+
+
 def _p5_towers_intertwine(order):
     """The p=5 towers intertwine with no pairs given: the map from B0 to
     A1 has F = [[5]], which the pair search reaches because only the

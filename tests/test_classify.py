@@ -11,8 +11,9 @@ from afzp.classify import (IntertwiningCertificate, Tower, _case_params,
                            lift, validate_tower, verify_certificate)
 from afzp.cli import main
 from afzp.demos import identity_pairs, naive_doubling_tower, product_tower
-from afzp.errors import (AfzpError, KDataMismatch, PairCheckFailed,
-                         ReindexFailed, UnitaryNotFoundInField)
+from afzp.errors import (AfzpError, KDataMismatch, LiftFailed,
+                         PairCheckFailed, ReindexFailed,
+                         UnitaryNotFoundInField)
 from afzp.kinv import (KPair, check_pair, imat_mul, induced_map, invariant_of,
                        ivec_mul)
 from afzp.matrix import Mat, spectral, unitary_conjugator
@@ -22,9 +23,9 @@ from afzp.system import (Arrangement, EqHom, Slot, equal_as_maps,
 
 from conftest import (CaseShapeViolation, checked_case_params,
                       checked_conjugator, corner_equiv_unitary, ctx_for,
-                      cycle_form, fixed_form, fixed_point_unitary, mixed_form,
-                      piece_specs, solve, unit_tuple,
-                      unitary_conjugator_search, vec_row_major)
+                      cycle_form, fixed_form, fixed_point_unitary, grid_mat,
+                      mat_kron, mat_sub, mixed_form, piece_specs, solve,
+                      unit_tuple, unitary_conjugator_search, vec_row_major)
 
 
 # -- lift --------------------------------------------------------------------
@@ -218,22 +219,23 @@ def intertwiner_space_membership(h1, h2, W):
                     a = unit_tuple(ctx, src.block_sizes, s, i, j)
                     p1 = h1.apply(a)[toff]
                     p2 = h2.apply(a)[toff]
-                    sysm = ident.kron(_transpose(p2)) - \
-                        p1.kron(Mat.identity(ctx, n))
+                    sysm = mat_sub(mat_kron(ident, _transpose(p2)),
+                                   mat_kron(p1, Mat.identity(ctx, n)))
                     rows.extend(sysm.entries)
         if piece.kind == "fixed":
             V = piece.v
-            sysm = Mat.identity(ctx, n).kron(_transpose(V)) - \
-                V.kron(Mat.identity(ctx, n))
+            sysm = mat_sub(mat_kron(Mat.identity(ctx, n), _transpose(V)),
+                           mat_kron(V, Mat.identity(ctx, n)))
             rows.extend(sysm.entries)
-        sysmat = Mat(ctx, len(rows), n * n, rows)
+        sysmat = grid_mat(ctx, len(rows), n * n, rows)
         _, basis = solve(sysmat, Mat.zero(ctx, len(rows), 1))
         # membership: express vec(W) in the kernel basis
         if not basis:
             return False
-        stacked = Mat(ctx, n * n, len(basis),
-                      [[basis[b].entries[r][0] for b in range(len(basis))]
-                       for r in range(n * n)])
+        stacked = grid_mat(ctx, n * n, len(basis),
+                           [[basis[b].entries[r][0]
+                             for b in range(len(basis))]
+                            for r in range(n * n)])
         try:
             solve(stacked, vec_row_major(W[toff]))
         except Exception:
@@ -242,9 +244,9 @@ def intertwiner_space_membership(h1, h2, W):
 
 
 def _transpose(m):
-    return Mat(m.ctx, m.cols, m.rows,
-               [[m.entries[j][i] for j in range(m.rows)]
-                for i in range(m.cols)])
+    return grid_mat(m.ctx, m.cols, m.rows,
+                    [[m.entries[j][i] for j in range(m.rows)]
+                     for i in range(m.cols)])
 
 
 def test_solve_residual_and_kernel_exact(rng):
@@ -555,11 +557,11 @@ def _commutant_twist(draw, h, t):
         for j in range(p):
             for q in range(p):
                 Z[j][q] = ctx.zeta_p(j * q) * ginv
-        Z = Mat(ctx, c, c, Z)
+        Z = grid_mat(ctx, c, c, Z)
     elif mix == "rotation":
         for j, q, x in ((0, 0, 3), (0, 1, -4), (1, 0, 4), (1, 1, 3)):
             Z[j][q] = ctx.scalar(RAT(x, 5))
-        Z = Mat(ctx, c, c, Z)
+        Z = grid_mat(ctx, c, c, Z)
     else:
         r = draw(st.integers(1, c - 1))
         Z = Mat.permutation(ctx, [(j + r) % c for j in range(c)]) * Mat.diag(
@@ -570,7 +572,7 @@ def _commutant_twist(draw, h, t):
         for b, rb in enumerate(at):
             for w in range(k):
                 twist[ra + w][rb + w] = Z.entries[a][b]
-    return Mat(ctx, n, n, twist)
+    return grid_mat(ctx, n, n, twist)
 
 
 def _receiving_form(draw, a, most, repeat=False):
@@ -682,7 +684,7 @@ def _swapped_bundles():
               fixed_form(ctx, [0, 0, 1, 1]))
     twist = [list(row) for row in Mat.permutation(ctx, [2, 1, 0, 3]).entries]
     twist[0][2] = ctx.root(1)
-    twist = Mat(ctx, 4, 4, twist)
+    twist = grid_mat(ctx, 4, 4, twist)
     h2 = EqHom(h1.source, h1.target,
                [Arrangement(list(h1.arrangements[0].slots),
                             h1.arrangements[0].conj * twist)], unital=True)
@@ -894,6 +896,27 @@ def test_intertwine_rejects_given_pairs_that_fail_or_do_not_close():
         intertwine(tower, tower, pairs=[ident, swap], depth=2)
 
 
+def test_intertwine_checks_each_pair_once(monkeypatch):
+    """Each given pair is checked once, by _zigzag; neither it nor a
+    ksearch candidate is checked again by the lift. A non-unital given
+    pair still fails the lift with the unital flag."""
+    calls = []
+
+    def counted(kp, invA, invB):
+        calls.append(kp)
+        return check_pair(kp, invA, invB)
+
+    monkeypatch.setattr("afzp.classify.check_pair", counted)
+    tower = product_tower(2, 3)
+    pairs = identity_pairs(tower, 3)
+    assert verify_certificate(
+        intertwine(tower, tower, pairs=pairs, depth=3)).ok
+    assert calls == pairs
+    flat = KPair(pairs[0].F, pairs[0].phi, unital=False)
+    with pytest.raises(LiftFailed, match="unital flag"):
+        intertwine(tower, tower, pairs=[flat] + pairs[1:], depth=3)
+
+
 def test_certificate_serialization_roundtrip_and_replay():
     tower = product_tower(2, 3)
     cert = intertwine(tower, tower, pairs=identity_pairs(tower, 3), depth=3)
@@ -913,7 +936,7 @@ def test_certificate_detects_corruption():
     arr = bad.forward[1].arrangements[0]
     conj = [list(row) for row in arr.conj.entries]
     conj[0][0] = conj[0][0] + ctx.one
-    arr.conj = Mat(ctx, arr.conj.rows, arr.conj.cols, conj)
+    arr.conj = grid_mat(ctx, arr.conj.rows, arr.conj.cols, conj)
     rep = verify_certificate(bad)
     assert not rep.ok
 

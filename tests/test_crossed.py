@@ -9,8 +9,8 @@ from afzp.matrix import Mat
 from afzp.system import (Arrangement, EqHom, Slot, decompose, validate)
 
 from conftest import (ProductCrossed, conj_apply_action, ctx_for, cycle_form,
-                      extend_hom, fixed_form, mixed_form, rand_mat, rand_rat,
-                      rand_tuple)
+                      extend_hom, fixed_form, grid_mat, mat_sub, mixed_form,
+                      rand_mat, rand_rat, rand_tuple)
 
 
 def rand_element(cp, rng):
@@ -29,7 +29,7 @@ def test_fixed_identification_display_p2():
     V = c.pieces[0].v
     mats = cp.identify(CrossedElement([[a0], [a1]]))
     assert mats[0] == a0 + a1 * V
-    assert mats[1] == a0 - a1 * V
+    assert mats[1] == mat_sub(a0, a1 * V)
 
 
 def test_cycle_identification_display():
@@ -145,7 +145,7 @@ def test_averaging_projection_examples():
     V = cp.source.pieces[0].v
     half = ctx.scalar(1) / ctx.scalar(2)
     assert mats[0] == (Mat.identity(ctx, 2) + V) * half
-    assert mats[1] == (Mat.identity(ctx, 2) - V) * half
+    assert mats[1] == mat_sub(Mat.identity(ctx, 2), V) * half
     assert ranks == [1, 1] == cp.special
 
     cp4 = crossed_product(fixed_form(ctx, [0, 0, 0, 1]))
@@ -284,8 +284,9 @@ def _rand_entry(ctx, rng):
 
 
 def _rand_block(ctx, rng, rows, cols, zero):
-    return Mat(ctx, rows, cols, [[ctx.zero if zero else _rand_entry(ctx, rng)
-                                  for _ in range(cols)] for _ in range(rows)])
+    return grid_mat(ctx, rows, cols,
+                    [[ctx.zero if zero else _rand_entry(ctx, rng)
+                      for _ in range(cols)] for _ in range(rows)])
 
 
 @st.composite
@@ -353,7 +354,7 @@ def test_misshaped_fixed_blocks_raise(case, data):
     bad = [list(row) for row in _rand_block(ctx, rng, rows, cols, False)
            .entries]
     bad[0][0] = ctx.one
-    bad = Mat(ctx, rows, cols, bad)
+    bad = grid_mat(ctx, rows, cols, bad)
     cp, oracle = crossed_product(form), ProductCrossed(form)
     ce = cp.zero_element()
     ce.coeffs[data.draw(st.integers(0, p - 1))][sb] = bad

@@ -1,21 +1,28 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from afzp._rat import RAT
+from afzp.classify import conjugate_hom, equiv_unitary, ksearch, lift
+from afzp.crossed import CrossedElement, crossed_product
 from afzp.errors import (MultisetMismatch, NotOrderP, ShapeMismatch,
                          TwistRootOutsideField, UnitaryNotFoundInField)
+from afzp.kinv import invariant_of
 from afzp.matrix import (Mat, _root_of_norm, blockdiag, spectral,
                          unitary_conjugator)
+from afzp.serialize import dumps, loads
+from afzp.system import FdSystem, _diag_scaled, decompose
 
 from conftest import (ORACLE_FIELDS, Inconsistent, checked_conjugator,
                       corrupt_entry, ctx_for, dense_blockdiag, dense_dagger,
                       dense_identity, dense_is_diagonal, dense_is_scalar,
-                      dense_is_unitary, dense_is_zero, dense_mul,
-                      dense_support, direct_sum, match_diagonals,
-                      oracle_matrix, solve, unitary_conjugator_search,
-                      zero_grid)
+                      dense_is_unitary, dense_is_zero, dense_mul, direct_sum,
+                      fixed_point_unitary, grid_mat, mat_kron, mat_neg,
+                      match_diagonals, mixed_form, oracle_matrix,
+                      oracle_scalar, rand_tuple, solve, sparse_rows_defect,
+                      unitary_conjugator_search, zero_grid)
 
 
 def test_dagger_of_imaginary_diagonal():
@@ -26,7 +33,7 @@ def test_dagger_of_imaginary_diagonal():
 
 def test_kron_identities():
     ctx = ctx_for(2)
-    assert Mat.identity(ctx, 2).kron(Mat.identity(ctx, 3)) == \
+    assert mat_kron(Mat.identity(ctx, 2), Mat.identity(ctx, 3)) == \
         Mat.identity(ctx, 6)
 
 
@@ -106,7 +113,7 @@ def test_spectral_projections_commute_with_commutant():
         C[1][1] = ctx.scalar(rng.randint(-2, 2))
         C[2][2] = ctx.scalar(rng.randint(-2, 2))
         C[3][3] = ctx.scalar(rng.randint(-2, 2))
-        C = Mat(ctx, 4, 4, C)
+        C = grid_mat(ctx, 4, 4, C)
         assert V * C == C * V
         for P in sd.projections:
             assert P * C == C * P
@@ -271,14 +278,14 @@ _KINDS = st.sampled_from(["monomial", "sparse", "dense"])
 
 
 def _fresh(m):
-    """m rebuilt from its entries, so its index is built lazily."""
-    return Mat(m.ctx, m.rows, m.cols, m.entries)
+    """m rebuilt from its dense entries."""
+    return grid_mat(m.ctx, m.rows, m.cols, m.entries)
 
 
 def _checked(m):
-    """m, after checking that its index (handed over or built) is the
-    ascending nonzero columns of each row."""
-    assert m.support() == dense_support(m)
+    """m, after checking that its stored rows are the ascending nonzero
+    columns and values of its entries."""
+    assert sparse_rows_defect(m) is None
     return m
 
 
@@ -297,8 +304,8 @@ def test_entries_cannot_be_written():
 def test_product_and_adjoint_match_the_dense_oracles(field, r, k, c, ka, kb,
                                                      fresh, rnd):
     """a * b and a^dagger equal the dense kernels' on monomial, sparse
-    and dense operands of every shape up to 6 (0 included), and carry
-    the index a scan of their entries gives; so do their adjoints."""
+    and dense operands of every shape up to 6 (0 included), and store
+    the canonical sparse rows of their entries; so do their adjoints."""
     ctx = ctx_for(*field)
     a = oracle_matrix(ctx, rnd, r, k, ka)
     b = oracle_matrix(ctx, rnd, k, c, kb)
@@ -308,20 +315,20 @@ def test_product_and_adjoint_match_the_dense_oracles(field, r, k, c, ka, kb,
     assert got == dense_mul(a, b)
     assert _checked(a.dagger()) == dense_dagger(a)
     assert _checked(got.dagger()) == dense_dagger(got)
-    assert _checked(-got) == dense_mul(a, b * -1)
+    assert _checked(mat_neg(got)) == dense_mul(a, b * -1)
     assert _checked(got * ctx.root(1)) == dense_mul(a, b) * ctx.root(1)
     assert _checked(got * 0).is_zero()
 
 
 def test_product_keeps_full_and_cancelled_rows_exact():
-    """A row that every column reaches takes the unsorted path and one
-    whose sums cancel drops those columns from its index."""
+    """A row that every column reaches keeps them all, and one whose
+    sums cancel drops those columns from its stored row."""
     ctx = ctx_for(3, 9)
     a = Mat.from_rows(ctx, [[1, 1, 0], [1, -1, 1], [0, 0, 0]])
     b = Mat.from_rows(ctx, [[0, 1, 2], [0, -1, 1], [1, 0, 0]])
     got = _checked(a * b)
     assert got == dense_mul(a, b)
-    assert got.support() == ((2,), (0, 1, 2), ())
+    assert got.nz == ((2,), (0, 1, 2), ())
 
 
 @settings(max_examples=150, deadline=None)
@@ -361,10 +368,109 @@ def test_is_tests_match_the_dense_oracles(field, n, kind, corrupt, rnd):
        st.integers(0, 2), st.randoms())
 def test_blockdiag_matches_the_dense_oracle(field, blocks, pad, rnd):
     """Direct sums of square blocks of sizes 0..3, zero-padded or not,
-    equal the dense kernel's, with the index of their entries."""
+    equal the dense kernel's, with the sparse rows of their entries."""
     ctx = ctx_for(*field)
     mats = [oracle_matrix(ctx, rnd, n, n, kind) for n, kind in blocks]
     total = sum(m.rows for m in mats) + pad
     assert _checked(blockdiag(ctx, mats, total)) == \
         dense_blockdiag(ctx, mats, total)
     assert _checked(blockdiag(ctx, mats)) == dense_blockdiag(ctx, mats)
+
+
+# -- one storage: sparse rows ------------------------------------------------
+
+def test_permutation_of_4096_retains_under_2_mib():
+    """A 4096 x 4096 permutation keeps one column and one value per row:
+    well under 2 MiB, where a dense grid of references takes 128 MiB."""
+    ctx = ctx_for(2)
+    images = list(range(1, 4096)) + [0]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        m = Mat.permutation(ctx, images)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert m.nz[1] == (0,) and m.vals[1] == (ctx.one,)
+    assert m.entry(1, 0) == ctx.one and m.entry(1, 1) == ctx.zero
+    assert retained < 2 * 2 ** 20
+
+
+def _assert_canonical(mats):
+    for m in mats:
+        assert sparse_rows_defect(m) is None
+        for i, row in enumerate(m.entries):
+            assert [m.entry(i, j) for j in range(m.cols)] == list(row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ORACLE_FIELDS), st.integers(0, 5), st.integers(0, 5),
+       st.sampled_from(["monomial", "sparse", "dense", "unitary"]),
+       st.randoms())
+def test_matrix_builders_store_canonical_rows(field, n, c, kind, rnd):
+    """Every constructor and kernel of afzp.matrix, on every oracle_matrix
+    kind, stores strictly ascending columns and nonzero values only, and
+    from_rows of its dense entries gives it back."""
+    ctx = ctx_for(*field)
+    p = ctx.p
+    a = oracle_matrix(ctx, rnd, n, n, kind)
+    b = oracle_matrix(ctx, rnd, n, c, "dense" if kind == "unitary" else kind)
+    s = oracle_scalar(ctx, rnd)
+    images = list(range(n))
+    rnd.shuffle(images)
+    exps = sorted(rnd.randrange(p) for _ in range(n))
+    L1 = Mat.diag(ctx, [ctx.zeta_p(e) for e in exps])
+    Q = Mat.permutation(ctx, images)
+    L2 = Q * L1 * Q.dagger()
+    _assert_canonical([
+        a, b, a * b, b.dagger(), a + a, a + mat_neg(a),
+        a + corrupt_entry(a, rnd), b * s, b * 0, a.power(3),
+        Mat.zero(ctx, n, c), Mat.identity(ctx, n),
+        Mat.diag(ctx, [rnd.choice([ctx.zero, s]) for _ in range(n)]),
+        Q, Mat.from_rows(ctx, b.entries),
+        Mat.from_dicts(ctx, c, [{j: rnd.choice([ctx.zero, s])
+                                 for j in range(c) if rnd.random() < 0.5}
+                                for _ in range(n)]),
+        blockdiag(ctx, [a, Mat.identity(ctx, 1), a], 2 * n + 3),
+        unitary_conjugator(L1, L2, p), *spectral(L2, p).projections])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_engine_builders_store_canonical_rows(p):
+    """So do the matrices that lift packs (fixed and cycle targets),
+    equiv_unitary places slot by slot (W and its witness), decompose,
+    apply_action (root_sum), identify, unidentify, identify_matrix,
+    _diag_scaled and the format-2 loader build."""
+    ctx = ctx_for(p)
+    rng = random.Random(p)
+    src = mixed_form(ctx, [("fixed", [0, 1]), ("cycle", 1)])
+    tgt = mixed_form(ctx, [("fixed", sorted([0, 1] + list(range(p)))),
+                           ("cycle", p + 2)])
+    mats = []
+    for kp in ksearch(invariant_of(src), invariant_of(tgt), 3)[:3]:
+        h = lift(kp, src, tgt)
+        h2 = conjugate_hom(fixed_point_unitary(tgt, rng), h)
+        W, wit = equiv_unitary(h, h2)
+        mats += W + [arr.conj for arr in h.arrangements + h2.arrangements]
+        for e in wit.entries:
+            for x in (e.L, e.N, e.Z):
+                mats += x if isinstance(x, list) else [x] if x else []
+        mats += [arr.conj for arr in loads(dumps(h2)).arrangements]
+    v = tgt.pieces[0].v
+    u = Mat.permutation(ctx, list(range(v.rows))[::-1]) * \
+        Mat.diag(ctx, [ctx.root(k) for k in range(v.rows)])
+    c = decompose(FdSystem(ctx, p, [v.rows], (0,), [u * v * u.dagger()]))
+    mats += c.iso.conjugators + [c.pieces[0].v]
+    x = rand_tuple(tgt, rng)
+    mats += tgt.apply_action(x)
+    mats.append(_diag_scaled([ctx.root(1)] * v.rows, x[0],
+                             [ctx.root(2)] * v.rows))
+    for form in (src, tgt):
+        cp = crossed_product(form)
+        ce = CrossedElement([rand_tuple(form, rng) for _ in range(p)])
+        ident = cp.identify(ce)
+        back = cp.unidentify(ident)
+        assert back == ce
+        mats += ident + [m for coeff in back.coeffs for m in coeff]
+    mats.append(crossed_product(src).identify_matrix())
+    _assert_canonical(mats)

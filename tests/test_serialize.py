@@ -26,13 +26,12 @@ from afzp.cyclo import FieldContext
 from afzp.demos import identity_pairs, product_tower
 from afzp.errors import FormatError
 from afzp.kinv import KPair, invariant_of
-from afzp.matrix import Mat
 from afzp.report import Report
 from afzp.serialize import dump, dumps, loads
 from afzp.system import (Arrangement, EqHom, Slot, decompose, identity_hom)
 
 from conftest import (ProductCrossed, ctx_for, dump_format1, dumps_format1,
-                      mixed_form, piece_specs)
+                      grid_mat, mixed_form, piece_specs)
 
 KINDS = ["system", "canonical", "canonical-iso", "hom", "hom-null-src",
          "crossed", "kinvariant", "kpair", "tower", "certificate",
@@ -55,8 +54,8 @@ def _value(draw, kind):
     pool = _scalar_pool(ctx)
 
     def mat(n):
-        return Mat(ctx, n, n, [[draw(st.sampled_from(pool))
-                                for _ in range(n)] for _ in range(n)])
+        return grid_mat(ctx, n, n, [[draw(st.sampled_from(pool))
+                                     for _ in range(n)] for _ in range(n)])
 
     form = mixed_form(ctx, draw(st.lists(
         st.sampled_from(piece_specs(ctx.p, 2)), min_size=1, max_size=2)))

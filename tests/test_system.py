@@ -18,13 +18,12 @@ from afzp.system import (Arrangement, EqHom, FdSystem, IrredPiece, Slot,
 
 from conftest import (ORACLE_FIELDS, all_units_equal, all_units_equivariant,
                       checked_conjugator, ctx_for, cycle_form,
-                      dense_diag_scaled, dense_pattern_defect,
-                      dense_support, fixed_form, oracle_matrix,
-                      oracle_scalar,
-                      fixed_point_unitary, generator_iso_defect,
-                      generators_equal, generators_equivariant, mixed_form,
-                      monomial_conjugator, piece_specs, sort_conjugator,
-                      transport, unit_tuple, zero_grid)
+                      dense_diag_scaled, dense_pattern_defect, dense_support,
+                      fixed_form, fixed_point_unitary, generator_iso_defect,
+                      generators_equal, generators_equivariant, grid_mat,
+                      mixed_form, monomial_conjugator, oracle_matrix,
+                      oracle_scalar, piece_specs, sort_conjugator, transport,
+                      unit_tuple, zero_grid)
 
 
 def diag_system(ctx, values, p=None):
@@ -368,7 +367,7 @@ def _fourier_block(ctx, n, at):
         for j in range(p):
             for k in range(p):
                 w[at + j][at + k] = ctx.zeta_p(j * k) * ginv
-    return Mat(ctx, n, n, w)
+    return grid_mat(ctx, n, n, w)
 
 
 @st.composite
@@ -473,7 +472,7 @@ def _decomposable_system(draw):
         for j in pos[cycles * p:]:
             u[j][j] = ctx.root(k) * ctx.zeta_p(
                 draw(st.integers(0, p - 1)))
-        return Mat(ctx, n, n, u)
+        return grid_mat(ctx, n, n, u)
 
     orbits = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 3)),
                            min_size=1, max_size=3))
@@ -553,8 +552,7 @@ def test_decompose_matches_the_monomial_diagonalizer_oracle(s):
        st.sampled_from(["monomial", "sparse", "dense"]), st.randoms())
 def test_diag_scaled_matches_the_dense_oracle(field, r, c, kind, rnd):
     """diag(left) x diag(right), for nonzero diagonals as the callers
-    pass, equals the dense kernel's and carries the index of its
-    entries."""
+    pass, equals the dense kernel's and keeps x's nonzero columns."""
     ctx = ctx_for(*field)
     x = oracle_matrix(ctx, rnd, r, c, kind)
 
@@ -563,7 +561,7 @@ def test_diag_scaled_matches_the_dense_oracle(field, r, c, kind, rnd):
     left, right = diagonal(r), diagonal(c)
     got = _diag_scaled(left, x, right)
     assert got == dense_diag_scaled(left, x, right)
-    assert got.support() == dense_support(got)
+    assert got.nz == dense_support(got)
 
 
 def _labelling(draw, labels):
@@ -618,8 +616,8 @@ def test_pattern_defect_matches_the_dense_scan(field, data, rnd):
                 i, j = rnd.choice(on_diagonals)
                 grid[i][j] = ctx.zero if how == "zero" \
                     else grid[i][j] + ctx.one
-        K = Mat(ctx, n, m, grid)
-    for x in (K, Mat(ctx, n, m, K.entries), K * Mat.identity(ctx, m)):
+        K = grid_mat(ctx, n, m, grid)
+    for x in (K, grid_mat(ctx, n, m, K.entries), K * Mat.identity(ctx, m)):
         assert _pattern_defect(x, rows, cols) == \
             dense_pattern_defect(x, rows, cols)
 
