@@ -168,7 +168,9 @@ def _pack_cycle_target(ctx, p, plans, srcC, ti, tp):
             sb = srcC.piece_offsets[si]
             k = sp.n
             if tag == "FC":
-                ud = sp.v.dagger().power(r)
+                # V^-r = diag(zeta_p^(-r e))
+                ud = Mat.diag(ctx, [srcC.roots[-r * e % p]
+                                    for e in srcC.piece_exponents[si]])
                 for _ in range(data):
                     slots.append(Slot(sb, k))
                     twists.append(ud)
@@ -251,7 +253,9 @@ def equiv_unitary(h1, h2):
     lie in its slot pattern. A fixed source piece needs A1_b Z = Z A2_b
     (matrix.unitary_conjugator, one eigenspace at a time); a cycle
     source piece telescopes G_0 = I, G_j = A1_j G_{j-1} A2_j^dagger.
-    Everything is re-verified exactly before returning.
+    Everything is re-verified exactly before returning; W_t commutes
+    with V_t = diag(zeta_p^e) iff every nonzero of W_t joins two
+    positions of equal exponent, which is checked without products.
 
     Returns (W, witness): W per target block; witness.entries hold, per
     target piece, the L, N and Z of each fixed source piece ("FF"), the
@@ -326,17 +330,22 @@ def equiv_unitary(h1, h2):
     for t in range(tgt.m):
         if not W[t].is_unitary():
             raise CorrectionFailed(t, "W is not unitary")
-    for ti, tp in enumerate(tgt.pieces):
-        toff = tgt.piece_offsets[ti]
-        if tp.kind == "fixed":
-            if W[toff] * tp.v != tp.v * W[toff]:
-                raise CorrectionFailed(ti, "W does not commute with the "
-                                           "implementing unitary")
+    for ti, e in enumerate(tgt.piece_exponents):
+        if not _commutes_on_exponents(W[tgt.piece_offsets[ti]], e):
+            raise CorrectionFailed(ti, "W does not commute with the "
+                                       "implementing unitary")
     corrected = conjugate_hom(W, h2)
     if not equal_as_maps(corrected, h1):
         raise CorrectionFailed("*", "Ad W o h2 differs from h1")
     witness.W = W
     return W, witness
+
+
+def _commutes_on_exponents(w, e):
+    """W V = V W for V = diag(zeta_p^e), e () on a cycle piece (V = I):
+    every nonzero of W joins two positions of equal exponent."""
+    return not e or all(e[x] == e[y] for x, cols in enumerate(w.nz)
+                        for y in cols)
 
 
 def conjugate_hom(W, h):

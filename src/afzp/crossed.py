@@ -58,17 +58,21 @@ class CrossedPresentation:
         self.p = source.p
         self.block_sizes = []
         self.piece_first_block = crossed_offsets(source)[:-1]
+        self.dual_sigma = []  # crossed block b receives dual_sigma[b]
         self.special = []
         self.iota_matrix = []
         p = self.p
-        for piece, sb, exps in zip(source.pieces, source.piece_offsets,
-                                   source.piece_exponents):
+        for piece, sb, cb, exps in zip(source.pieces, source.piece_offsets,
+                                       self.piece_first_block,
+                                       source.piece_exponents):
             if piece.kind == "fixed":
                 self.block_sizes.extend([piece.n] * p)
+                self.dual_sigma.extend(cb + (r + 1) % p for r in range(p))
                 self.special.extend(exps.count(d) for d in range(p))
                 embedded = [range(sb, sb + 1)] * p
             else:
                 self.block_sizes.append(p * piece.n)
+                self.dual_sigma.append(cb)
                 self.special.append(piece.n)
                 embedded = [range(sb, sb + p)]
             # iota: each crossed block holds one copy of its embedded blocks
@@ -252,22 +256,17 @@ class CrossedPresentation:
         """The dual generator as a validated system on the crossed algebra."""
         ctx = self.ctx
         p = self.p
-        sizes = list(self.block_sizes)
-        sigma = [0] * len(sizes)
-        impl = [None] * len(sizes)
-        for idx, piece in enumerate(self.source.pieces):
-            cb = self.piece_first_block[idx]
+        impl = []
+        for piece in self.source.pieces:
             if piece.kind == "fixed":
-                for r in range(p):
-                    sigma[cb + r] = cb + (r + 1) % p
-                    impl[cb + r] = Mat.identity(ctx, piece.n)
+                impl.extend(Mat.identity(ctx, piece.n) for _ in range(p))
             else:
-                sigma[cb] = cb
                 diag = []
                 for r in range(p):
                     diag.extend([ctx.zeta_p(r)] * piece.n)
-                impl[cb] = Mat.diag(ctx, diag)
-        return FdSystem(ctx, p, sizes, tuple(sigma), impl)
+                impl.append(Mat.diag(ctx, diag))
+        return FdSystem(ctx, p, list(self.block_sizes),
+                        tuple(self.dual_sigma), impl)
 
     def dual_apply(self, mats):
         sys = self.dual_system()

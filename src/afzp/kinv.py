@@ -60,24 +60,17 @@ def invariant_of(c):
     return c._kinv
 
 
+def _perm_matrix(sigma):
+    """The 0/1 matrix of a block permutation on classes: row t has its 1
+    at sigma[t], the block that t receives."""
+    return [[int(j == s) for j in range(len(sigma))] for s in sigma]
+
+
 def _assemble(c):
-    p = c.p
     cp = crossed_product(c)
-    # action permutation on classes: block t receives block sigma(t)
-    act = [[0] * c.m for _ in range(c.m)]
-    dual = [[0] * cp.m for _ in range(cp.m)]
-    for piece, off, cb in zip(c.pieces, c.piece_offsets,
-                              cp.piece_first_block):
-        if piece.kind == "fixed":
-            act[off][off] = 1
-            for r in range(p):
-                dual[cb + r][cb + (r + 1) % p] = 1
-        else:
-            for t in range(p):
-                act[off + t][off + (t - 1) % p] = 1
-            dual[cb][cb] = 1
-    return KInvariant(c.m, list(c.block_sizes), act, cp.m, dual,
-                      list(cp.special), [row[:] for row in cp.iota_matrix])
+    return KInvariant(c.m, list(c.block_sizes), _perm_matrix(c.sigma), cp.m,
+                      _perm_matrix(cp.dual_sigma), list(cp.special),
+                      [row[:] for row in cp.iota_matrix])
 
 
 def _multiplicity(q, what):
@@ -190,7 +183,12 @@ def check_pair(kp, invA, invB):
 
 
 def compose_pairs(kp1, kp2):
-    """kp1 after kp2 (matrix products)."""
+    """kp1 after kp2 (matrix products). A middle zero algebra (kp2 with
+    no rows) hides the source's class count, so it composes only into a
+    zero target."""
+    if (kp1.F and not kp2.F) or (kp1.phi and not kp2.phi):
+        raise ShapeMismatch("pairs compose through the zero algebra, which "
+                            "carries no source class count")
     if (any(len(r) != len(kp2.F) for r in kp1.F)
             or any(len(r) != len(kp2.phi) for r in kp1.phi)):
         raise ShapeMismatch("pairs are not composable")

@@ -30,7 +30,9 @@ two gaps.
   X_t U_t fits for every target block t. V_t is the fixed piece's V (I on
   cycle blocks, whose sigma(t) is the block before t); U_t is diag(V_s)
   over the slots of fixed source blocks s, and a slot of a cycle block s
-  is relabelled sigma(s), the block alpha reads from.
+  is relabelled sigma(s), the block alpha reads from. No V is multiplied:
+  entry (k, j) of X_t is scaled by zeta_p^(e_s - e_t), e_t the target's
+  exponent at k and e_s the source's at j (zero on cycle blocks).
 * equal_as_maps: psi_1 = psi_2 iff X_1^dagger X_2 fits per target block.
 * classify.equiv_unitary: W_t = X_1 K X_2^dagger with K in the slot
   pattern between h1's and h2's slots, and K M_2 = M_1 K on fixed
@@ -41,6 +43,7 @@ two gaps.
   for j = sigma(i), whose canonical block must be the one b reads from.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .cyclo import root_exponent
@@ -185,7 +188,6 @@ class CanonicalForm:
         self.block_sizes = []
         self.piece_offsets = []
         self.sigma = []       # block t reads from block sigma[t]
-        self.block_v = []     # the fixed piece's V per block; None on cycles
         self.piece_exponents = []   # IrredPiece.exponents per piece
         self.roots = [self.ctx.zeta_p(k) for k in range(self.p)]
         self._kinv = None     # kinv.invariant_of's cache
@@ -200,17 +202,23 @@ class CanonicalForm:
             self.piece_offsets.append(off)
             self.block_sizes.extend([piece.n] * k)
             self.sigma.extend(off + (t - 1) % k for t in range(k))
-            self.block_v.extend([piece.v] if piece.kind == "fixed"
-                                else [None] * k)
 
     @property
     def m(self):
         return len(self.block_sizes)
 
+    def block_exponents(self, t):
+        """e with block t's implementing unitary diag(zeta_p^e): its
+        fixed piece's exponents, or zeros on a cycle block."""
+        i = bisect_right(self.piece_offsets, t) - 1
+        return self.piece_exponents[i] or [0] * self.block_sizes[t]
+
     def system(self):
         """The canonical form as an explicit FdSystem."""
-        impl = [Mat.identity(self.ctx, n) if v is None else v
-                for v, n in zip(self.block_v, self.block_sizes)]
+        impl = [Mat.identity(self.ctx, n) for n in self.block_sizes]
+        for piece, off in zip(self.pieces, self.piece_offsets):
+            if piece.kind == "fixed":
+                impl[off] = piece.v
         return FdSystem(self.ctx, self.p, list(self.block_sizes),
                         tuple(self.sigma), impl)
 
@@ -232,23 +240,29 @@ class CanonicalForm:
 
     def same_shape(self, other):
         return (self.ctx == other.ctx and self.p == other.p
-                and len(self.pieces) == len(other.pieces)
-                and all(a.kind == b.kind and a.n == b.n
-                        and (a.kind == "cycle" or a.v == b.v)
-                        for a, b in zip(self.pieces, other.pieces)))
+                and self.piece_exponents == other.piece_exponents
+                and [(a.kind, a.n) for a in self.pieces]
+                == [(b.kind, b.n) for b in other.pieces])
 
 
 def root_sum(ctx, n, terms, roots):
     """The n x n matrix whose (x, y) entry is the sum over terms
     (a, ex, ey) of roots[(ex[x] + ey[y]) % len(roots)] * a[x][y]: one
-    multiply per nonzero entry, so zero blocks cost no arithmetic. An a
-    that is not n x n raises ShapeMismatch."""
+    multiply per nonzero entry, so zero blocks cost no arithmetic. One
+    term keeps its operand's rows, the roots being nonzero. An a that is
+    not n x n raises ShapeMismatch."""
     k = len(roots)
-    out = [{} for _ in range(n)]
-    for a, ex, ey in terms:
+    for a, _, _ in terms:
         if a.rows != n or a.cols != n:
             raise ShapeMismatch("%dx%d block in a piece of size %d"
                                 % (a.rows, a.cols, n))
+    if len(terms) == 1:
+        (a, ex, ey), = terms
+        return Mat(ctx, n, n, a.nz, tuple([
+            tuple([v * roots[(rx + ey[y]) % k] for y, v in zip(cols, vals)])
+            for cols, vals, rx in zip(a.nz, a.vals, ex)]))
+    out = [{} for _ in range(n)]
+    for a, ex, ey in terms:
         for orow, cols, vals, rx in zip(out, a.nz, a.vals, ex):
             for y, v in zip(cols, vals):
                 w = v * roots[(rx + ey[y]) % k]
@@ -273,7 +287,6 @@ def decompose(s):
         raise AfzpError("system is not valid:\n" + rep.summary())
     ctx = s.ctx
     p = s.p
-    N = ctx.order
     raw_pieces = []   # (sortkey, piece, [(orig block, conjugator), ...])
     for orb in _orbits(s.sigma):
         if len(orb) == 1:
@@ -282,7 +295,8 @@ def decompose(s):
             lam = u.power(p).is_scalar()
             if lam is None:
                 raise NonScalarHolonomy("block %d" % i)
-            mu = _p_th_root_of_inverse(ctx, lam, p)
+            # lam^-1 = conj(lam) for a root of unity
+            mu = _p_th_root(ctx, lam.conj(), p, orb)
             v = u if mu == ctx.one else u * mu
             n = s.block_sizes[i]
             if v.is_diagonal():
@@ -290,10 +304,10 @@ def decompose(s):
             else:
                 exps = [d for d, k in enumerate(spectral(v, p).multiplicities)
                         for _ in range(k)]
-            piece = IrredPiece("fixed", n, Mat.diag(
-                ctx, [ctx.zeta_p(e) for e in exps]))
+            d = Mat.diag(ctx, [ctx.zeta_p(e) for e in exps])
+            piece = IrredPiece("fixed", n, d)
             try:
-                z = unitary_conjugator(piece.v, v, p)
+                z = unitary_conjugator(d, v, p)
             except UnitaryNotFoundInField as exc:
                 raise NonDiagonalizableWithinField("block %d: %s" % (i, exc))
             raw_pieces.append(((0, n, tuple(exps), i), piece, [(i, z)]))
@@ -314,13 +328,7 @@ def decompose(s):
             holonomy = (s.impl[chain[0]] * partials[-1].dagger()).is_scalar()
             if holonomy is None:
                 raise NonScalarHolonomy("orbit %s" % (orb,))
-            a_exp = root_exponent(holonomy)
-            if a_exp is None:
-                raise TwistNotRootOfUnity(
-                    "holonomy of orbit %s is not a root of unity" % (orb,))
-            if a_exp % p != 0:
-                raise TwistRootOutsideField(N * p)
-            mu = ctx.root(a_exp // p)
+            mu = _p_th_root(ctx, holonomy, p, orb)
             conjs = [(chain[t], partials[t] * (mu ** t)) for t in range(p)]
             piece = IrredPiece("cycle", n)
             raw_pieces.append(((1, n, (), j), piece, conjs))
@@ -341,17 +349,16 @@ def decompose(s):
     return c
 
 
-def _p_th_root_of_inverse(ctx, lam, p):
-    """mu with mu^p = lam^{-1}, for lam a root of unity of the field."""
-    if lam == ctx.one:
-        return ctx.one
+def _p_th_root(ctx, lam, p, orb):
+    """zeta_N^(a/p) for lam = zeta_N^a, N the field order, the holonomy
+    of the orbit orb or its inverse."""
     a = root_exponent(lam)
     if a is None:
-        raise TwistNotRootOfUnity("scalar %r is not a root of unity" % (lam,))
-    inv_exp = (ctx.order - a) % ctx.order
-    if inv_exp % p != 0:
+        raise TwistNotRootOfUnity(
+            "holonomy of orbit %s is not a root of unity" % (orb,))
+    if a % p != 0:
         raise TwistRootOutsideField(ctx.order * p)
-    return ctx.root(inv_exp // p)
+    return ctx.root(a // p)
 
 
 def _pattern_defect(K, rows, cols):
@@ -404,24 +411,6 @@ def _pattern_defect(K, rows, cols):
     return None
 
 
-def _diag_scaled(left, x, right):
-    """diag(left) * x * diag(right) for lists of nonzero scalars (the
-    diagonals of unitaries), so the nonzero columns are x's."""
-    return Mat(x.ctx, x.rows, x.cols, x.nz, tuple([
-        tuple([l * v * right[j] for j, v in zip(cols, vals)])
-        for l, cols, vals in zip(left, x.nz, x.vals)]))
-
-
-def _v_diagonal(c, t, conj=False):
-    """The diagonal of block t's implementing unitary in the canonical
-    form c (ones on a cycle block), or of its adjoint."""
-    v = c.block_v[t]
-    if v is None:
-        return [c.ctx.one] * c.block_sizes[t]
-    return [v.entry(k, k).conj() if conj else v.entry(k, k)
-            for k in range(v.rows)]
-
-
 def _iso_defect(s, c):
     """First non-unitary conjugator or failing original block; None if
     the recorded rewriting is exact. Block i lands in canonical block b
@@ -439,8 +428,9 @@ def _iso_defect(s, c):
             return "block %d, whose image does not read from the image " \
                 "of block %d" % (i, j)
         n = s.block_sizes[i]
-        k = daggers[j] * _diag_scaled(_v_diagonal(c, b, conj=True),
-                                      zs[i] * s.impl[i], [s.ctx.one] * n)
+        k = daggers[j] * root_sum(s.ctx, n, [(
+            zs[i] * s.impl[i], [-e for e in c.block_exponents(b)],
+            [0] * n)], c.roots)
         bad = _pattern_defect(k, [(i, n)], [(i, n)])
         if bad is not None:
             return "unit (%d,%d) of block %d" % (bad[1], bad[2], i)
@@ -508,8 +498,9 @@ def hom_validate(h):
     the slots of t relabelled by the source sigma (columns): V_t is the
     target's V (I on a cycle block, where sigma(t) is the block before
     t) and U_t the source's V over each slot (I on gaps and cycle
-    blocks). The failure detail names the first entry of K outside the
-    pattern: its source block, in-slot indices and target block."""
+    blocks), both entering as zeta_p^(e_s - e_t) (_block_product). The
+    failure detail names the first entry of K outside the pattern: its
+    source block, in-slot indices and target block."""
     rep = Report()
     src, tgt = h.source, h.target
     rep.add("block count", len(h.arrangements) == tgt.m)
@@ -557,19 +548,21 @@ def _block_product(h, t, first):
     """(first * V_t^dagger X_t U_t, column labels) at target block t of h:
     V_t is the target's V (I on cycle blocks), U_t the source's V over
     each slot (I on gaps and cycle blocks), and each slot's column is
-    labelled by the block alpha reads it from (None on a gap)."""
-    src = h.source
+    labelled by the block alpha reads it from (None on a gap). V_t and
+    U_t enter as zeta_p^(e_s - e_t), one root per nonzero of X_t."""
+    src, tgt = h.source, h.target
     arr = h.arrangements[t]
     u, cols = [], []
     for slot in arr.slots:
         if slot.src is None:
-            u.extend([src.ctx.one] * slot.size)
+            u.extend([0] * slot.size)
             cols.append((None, slot.size))
         else:
-            u.extend(_v_diagonal(src, slot.src))
+            u.extend(src.block_exponents(slot.src))
             cols.append((src.sigma[slot.src], slot.size))
-    return first * _diag_scaled(_v_diagonal(h.target, t, conj=True),
-                                arr.conj, u), cols
+    return first * root_sum(tgt.ctx, tgt.block_sizes[t], [
+        (arr.conj, [-e for e in tgt.block_exponents(t)], u)],
+        tgt.roots), cols
 
 
 def hom_compose(g, h):

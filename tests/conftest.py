@@ -1093,12 +1093,13 @@ def conj_apply_action(self, a):
 
 
 # -- dense matrix kernels -----------------------------------------------------
-# The dense bodies of Mat's product, adjoint and is_* tests, of blockdiag
-# and of system._diag_scaled / _pattern_defect as they stood before Mat
-# became immutable and sparse: they walk every entry of the dense view
-# (Mat.entries) and ignore the stored rows, the oracles for the sparse
-# kernels. Writes into a Mat became writes into a list grid that builds
-# the Mat once (grid_mat).
+# The dense bodies of Mat's product, adjoint and is_* tests, of blockdiag,
+# of the diagonal scaling (now system.root_sum with one term) and of
+# system._pattern_defect as they stood before Mat became immutable and
+# sparse: they walk every entry of the dense view (Mat.entries) and
+# ignore the stored rows, the oracles for the sparse kernels. Writes
+# into a Mat became writes into a list grid that builds the Mat once
+# (grid_mat).
 
 
 def dense_mul(self, other):

@@ -1,6 +1,6 @@
 """Deep product towers intertwined with themselves: time, memory, size.
 
-    python tests/deep_towers.py            # the four towers below
+    python tests/deep_towers.py            # the six towers below
     python tests/deep_towers.py 2 9        # one tower: p, depth
 
 Each tower is product_tower(p, depth) intertwined with itself through
@@ -20,7 +20,7 @@ import sys
 import time
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-TOWERS = [(2, 9), (2, 10), (3, 6), (5, 4)]
+TOWERS = [(2, 9), (2, 10), (3, 6), (5, 4), (5, 5), (7, 2)]
 
 
 def measure(p, depth):

@@ -7,8 +7,9 @@ from hypothesis import example, given, seed, settings, strategies as st
 
 from afzp._rat import RAT
 from afzp.classify import (IntertwiningCertificate, Tower, _case_params,
-                           conjugate_hom, equiv_unitary, intertwine, ksearch,
-                           lift, validate_tower, verify_certificate)
+                           _commutes_on_exponents, conjugate_hom,
+                           equiv_unitary, intertwine, ksearch, lift,
+                           validate_tower, verify_certificate)
 from afzp.cli import main
 from afzp.demos import identity_pairs, naive_doubling_tower, product_tower
 from afzp.errors import (AfzpError, KDataMismatch, LiftFailed,
@@ -16,13 +17,14 @@ from afzp.errors import (AfzpError, KDataMismatch, LiftFailed,
                          UnitaryNotFoundInField)
 from afzp.kinv import (KPair, check_pair, imat_mul, induced_map, invariant_of,
                        ivec_mul)
-from afzp.matrix import Mat, spectral, unitary_conjugator
+from afzp.matrix import Mat, blockdiag, spectral, unitary_conjugator
 from afzp.serialize import dumps, load_json, loads, save_json
 from afzp.system import (Arrangement, EqHom, Slot, equal_as_maps,
                          hom_compose, hom_validate)
 
 from conftest import (CaseShapeViolation, checked_case_params,
-                      checked_conjugator, corner_equiv_unitary, ctx_for,
+                      checked_conjugator, corner_equiv_unitary,
+                      corrupt_entry, ctx_for,
                       cycle_form, fixed_form, fixed_point_unitary, grid_mat,
                       mat_kron, mat_sub, mixed_form, piece_specs, solve,
                       unit_tuple, unitary_conjugator_search, vec_row_major)
@@ -104,6 +106,25 @@ def test_lift_mixed_pieces_roundtrip():
         h = lift(kp, src, tgt)
         assert hom_validate(h).ok
         assert induced_map(h) == kp
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_fixed_to_cycle_twist_is_the_power_of_v_dagger(p, data):
+    """Block r of a cycle target twists each copy of a fixed source piece
+    by V^-r, which lift builds as the diagonal of roots zeta_p^(-r e):
+    the oracle v.dagger().power(r) for every r."""
+    ctx = ctx_for(p)
+    exps = sorted(data.draw(st.lists(st.integers(0, p - 1), min_size=1,
+                                     max_size=4)))
+    copies = data.draw(st.integers(1, 2))
+    src = fixed_form(ctx, exps)
+    tgt = cycle_form(ctx, copies * len(exps))
+    (kp,) = ksearch(invariant_of(src), invariant_of(tgt), 3)
+    h = lift(kp, src, tgt)
+    v = src.pieces[0].v
+    for r, arr in enumerate(h.arrangements):
+        assert arr.conj == blockdiag(ctx, [v.dagger().power(r)] * copies)
 
 
 # -- ksearch -----------------------------------------------------------------
@@ -450,6 +471,29 @@ def _fourier_permuted(p):
                                            x)], unital=True)
               for x in (dft, dft * perm))
     return h1, h2, None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_exponent_commute_check_matches_the_product_oracle(p):
+    """equiv_unitary's check that W commutes with V = diag(zeta_p^e),
+    read off W's nonzeros and e, agrees with W V == V W on fixed-point
+    unitaries and on their one-entry corruptions; on a cycle piece
+    (V = I, e = ()) everything commutes."""
+    ctx = ctx_for(p)
+    rng = random.Random(p)
+    seen = set()
+    for _ in range(40):
+        form = fixed_form(ctx, sorted(rng.randrange(p)
+                                      for _ in range(rng.randint(1, 5))))
+        v = form.pieces[0].v
+        w = fixed_point_unitary(form, rng)[0]
+        for x in (w, corrupt_entry(w, rng)):
+            got = _commutes_on_exponents(x, form.piece_exponents[0])
+            assert got == (x * v == v * x)
+            seen.add(got)
+    assert seen == {True, False}
+    w = fixed_point_unitary(cycle_form(ctx, 3), rng)[0]
+    assert _commutes_on_exponents(corrupt_entry(w, rng), ())
 
 
 @pytest.mark.parametrize("p", [5, 7])

@@ -173,6 +173,16 @@ def test_compose_pairs():
     assert doubled.F == [[4]] and doubled.phi == [[2, 2], [2, 2]]
 
 
+def test_compose_pairs_through_the_zero_algebra():
+    """A middle zero algebra has no rows to carry the source's class
+    count: composing through it into a nonzero target raises, and into a
+    zero target still composes."""
+    empty = KPair([], [], unital=False)
+    with pytest.raises(ShapeMismatch, match="zero algebra"):
+        compose_pairs(KPair([[]], [[], []], unital=False), empty)
+    assert compose_pairs(empty, empty) == empty
+
+
 def test_naturality_of_embedding_for_lifted_homs():
     # the induced pair of any engine hom passes every check, including
     # the commuting square

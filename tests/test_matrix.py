@@ -13,7 +13,7 @@ from afzp.kinv import invariant_of
 from afzp.matrix import (Mat, _root_of_norm, blockdiag, spectral,
                          unitary_conjugator)
 from afzp.serialize import dumps, loads
-from afzp.system import FdSystem, _diag_scaled, decompose
+from afzp.system import FdSystem, decompose, root_sum
 
 from conftest import (ORACLE_FIELDS, Inconsistent, checked_conjugator,
                       corrupt_entry, ctx_for, dense_blockdiag, dense_dagger,
@@ -440,7 +440,7 @@ def test_engine_builders_store_canonical_rows(p):
     """So do the matrices that lift packs (fixed and cycle targets),
     equiv_unitary places slot by slot (W and its witness), decompose,
     apply_action (root_sum), identify, unidentify, identify_matrix,
-    _diag_scaled and the format-2 loader build."""
+    root_sum's one-term case and the format-2 loader build."""
     ctx = ctx_for(p)
     rng = random.Random(p)
     src = mixed_form(ctx, [("fixed", [0, 1]), ("cycle", 1)])
@@ -463,8 +463,8 @@ def test_engine_builders_store_canonical_rows(p):
     mats += c.iso.conjugators + [c.pieces[0].v]
     x = rand_tuple(tgt, rng)
     mats += tgt.apply_action(x)
-    mats.append(_diag_scaled([ctx.root(1)] * v.rows, x[0],
-                             [ctx.root(2)] * v.rows))
+    mats.append(root_sum(ctx, v.rows, [(x[0], [1] * v.rows, [2] * v.rows)],
+                         tgt.roots))
     for form in (src, tgt):
         cp = crossed_product(form)
         ce = CrossedElement([rand_tuple(form, rng) for _ in range(p)])

@@ -13,6 +13,7 @@ constructions are counted.
 import collections
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from afzp import serialize
 from afzp._rat import RAT
 from afzp.classify import (IntertwiningCertificate, Tower, TriangleRecord,
-                           intertwine, verify_certificate)
+                           intertwine, ksearch, lift, verify_certificate)
 from afzp.crossed import crossed_product
 from afzp.cyclo import FieldContext
 from afzp.demos import identity_pairs, product_tower
@@ -30,8 +31,9 @@ from afzp.report import Report
 from afzp.serialize import dump, dumps, loads
 from afzp.system import (Arrangement, EqHom, Slot, decompose, identity_hom)
 
-from conftest import (ProductCrossed, ctx_for, dump_format1, dumps_format1,
-                      grid_mat, mixed_form, piece_specs)
+from conftest import (ProductCrossed, ctx_for, cycle_form, dump_format1,
+                      dumps_format1, fixed_form, grid_mat, mixed_form,
+                      piece_specs)
 
 KINDS = ["system", "canonical", "canonical-iso", "hom", "hom-null-src",
          "crossed", "kinvariant", "kpair", "tower", "certificate",
@@ -196,17 +198,43 @@ def test_searched_pair_certificate_bytes_are_pinned():
      "2606b2738db835a95af7a0e6fdfea11376665c9a63355eb2caac7ddb275f3655"),
     (2, 3, None,
      "78700d0228db880207ce8a8cf33ec4de9956ac66848fbb05f4cdbffc5c40dcf8"),
-], ids=_PINNED_IDS + ["p2-depth3-searched"])
+    (5, 3, False,
+     "d20f9f664e963aa9a8f8045c28308bc3292faa6ba304c747d06194ffb37ae8c1"),
+    (7, 2, False,
+     "d2133009f4065bb3a0cf9c829e6ce2d0e5398ca85593256fe569d27f3f2fbcf4"),
+], ids=_PINNED_IDS + ["p2-depth3-searched", "p5-depth3", "p7-depth2"])
 def test_format2_certificate_bytes_are_pinned(p, depth, resorted, digest):
     """The format-2 bytes of the certificates pinned above in format 1
     (resorted None: the searched-pair one); the digests were taken when
-    format 2 was introduced."""
+    format 2 was introduced, those of p = 5 and 7 before hom checks
+    scaled by exponents instead of by V's diagonal."""
     if resorted is None:
         cert = intertwine(product_tower(2, 3),
                           product_tower(2, 3, resorted=True), depth=3)
     else:
         cert = _pinned_certificate(p, depth, resorted)
     assert _digest(dumps(cert)) == digest
+
+
+@pytest.mark.parametrize("target,digest", [
+    ([0, 0, 1, 1, 2, 2, 3, 3, 4, 4],
+     "e076a868997974871c45bf986e3ddb80bd7396c25f94d3822efdd20856efafba"),
+    (10,
+     "cecd564ea5888db4769c3bd0f0eca584c5229ffab40d2f755b1b3cb2c50d89df"),
+], ids=["fixed-to-fixed", "fixed-to-cycle"])
+def test_p5_lift_bytes_are_pinned(target, digest):
+    """The concatenated dumps of the lift of every ksearch pair (entries
+    <= 3) from the p=5 fixed piece diag(1, zeta, ..., zeta^4) into a
+    fixed piece with every exponent twice (15 pairs), or into a cycle
+    piece of size 10 (twisted by V^-r in block r). The digests were
+    taken while lift twisted by powers of V's adjoint."""
+    ctx = ctx_for(5)
+    src = fixed_form(ctx, [0, 1, 2, 3, 4])
+    tgt = cycle_form(ctx, target) if isinstance(target, int) \
+        else fixed_form(ctx, target)
+    text = "".join(dumps(lift(kp, src, tgt)) for kp in
+                   ksearch(invariant_of(src), invariant_of(tgt), 3))
+    assert _digest(text) == digest
 
 
 @pytest.mark.parametrize("build", [crossed_product, ProductCrossed],
@@ -293,3 +321,27 @@ def test_p5_depth3_certificate_is_small_and_replays():
     again = loads(text)
     assert dumps(again) == text
     assert verify_certificate(again).ok
+
+
+def test_a_huge_cycle_piece_allocates_nothing_per_row():
+    """A canonical document under 100 bytes naming one cycle piece of
+    n = 10^12 loads and matches itself in shape; its invariant, its
+    crossed product and the invariant's dumps stay under a 1 MiB
+    tracemalloc peak, since nothing is built per row of a cycle block."""
+    doc = json.loads(dumps(cycle_form(ctx_for(3), 1)))
+    doc["pieces"][0]["n"] = 10 ** 12
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert len(text) < 100
+    tracemalloc.start()
+    try:
+        form = loads(text)
+        assert form.same_shape(form)
+        inv = invariant_of(form)
+        cp = crossed_product(form)
+        inv_text = dumps(inv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert inv.unit == [10 ** 12] * 3 and cp.block_sizes == [3 * 10 ** 12]
+    assert loads(inv_text) == inv

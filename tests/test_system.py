@@ -7,14 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 from afzp._rat import RAT
 from afzp.classify import ksearch, lift
 from afzp.errors import (NonDiagonalizableWithinField, SystemMismatch,
-                         TwistRootOutsideField)
+                         TwistNotRootOfUnity, TwistRootOutsideField)
 from afzp.matrix import Mat, unitary_conjugator
 from afzp.kinv import invariant_of
 from afzp.serialize import dumps
 from afzp.system import (Arrangement, EqHom, FdSystem, IrredPiece, Slot,
-                         _diag_scaled, _iso_defect, _pattern_defect,
-                         decompose, equal_as_maps, hom_compose,
-                         hom_validate, identity_hom, validate)
+                         _iso_defect, _pattern_defect, decompose,
+                         equal_as_maps, hom_compose, hom_validate,
+                         identity_hom, root_sum, validate)
 
 from conftest import (ORACLE_FIELDS, all_units_equal, all_units_equivariant,
                       checked_conjugator, ctx_for, cycle_form,
@@ -143,6 +143,26 @@ def test_decompose_swap_takes_one_plus_i_below_order_16():
     with pytest.raises(TwistRootOutsideField, match="field order >= 4"):
         decompose(FdSystem(ctx2, 2, [2], (0,),
                            [Mat.permutation(ctx2, [1, 0])]))
+
+
+def test_decompose_takes_one_p_th_root_of_the_holonomy():
+    """A fixed block [[0, x], [1, 0]] (holonomy x) and a 2-cycle with
+    implementing unitaries x and 1 share one p-th root: x = (3 + 4i)/5,
+    not a root of unity, raises TwistNotRootOfUnity naming the orbit,
+    and x = i needs zeta_8, outside the order-4 field."""
+    ctx = ctx_for(2, 4)
+    i = ctx.root(1)
+    for x, error, match in (
+            (ctx.scalar(RAT(3, 5)) + i * RAT(4, 5), TwistNotRootOfUnity,
+             r"holonomy of orbit \[0"),
+            (i, TwistRootOutsideField, "field order >= 8")):
+        fixed = FdSystem(ctx, 2, [2], (0,),
+                         [Mat.from_rows(ctx, [[0, x], [1, 0]])])
+        cycle = FdSystem(ctx, 2, [1, 1], (1, 0),
+                         [Mat.diag(ctx, [x]), Mat.identity(ctx, 1)])
+        for s in (fixed, cycle):
+            with pytest.raises(error, match=match):
+                decompose(s)
 
 
 def test_decompose_idempotent_on_canonical_systems():
@@ -548,20 +568,20 @@ def test_decompose_matches_the_monomial_diagonalizer_oracle(s):
 # -- indexed pattern kernels against the dense oracles -----------------------
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(ORACLE_FIELDS), st.integers(0, 6), st.integers(0, 6),
+@given(st.sampled_from(ORACLE_FIELDS), st.integers(0, 6),
        st.sampled_from(["monomial", "sparse", "dense"]), st.randoms())
-def test_diag_scaled_matches_the_dense_oracle(field, r, c, kind, rnd):
-    """diag(left) x diag(right), for nonzero diagonals as the callers
-    pass, equals the dense kernel's and keeps x's nonzero columns."""
+def test_diag_scaled_matches_the_dense_oracle(field, n, kind, rnd):
+    """root_sum with one term (x, ex, ey), the way hom_validate scales a
+    square conjugator by its roots, is diag(roots[ex]) x diag(roots[ey]):
+    it equals the dense kernel's and keeps x's nonzero columns."""
     ctx = ctx_for(*field)
-    x = oracle_matrix(ctx, rnd, r, c, kind)
-
-    def diagonal(n):
-        return [oracle_scalar(ctx, rnd) for _ in range(n)]
-    left, right = diagonal(r), diagonal(c)
-    got = _diag_scaled(left, x, right)
-    assert got == dense_diag_scaled(left, x, right)
-    assert got.nz == dense_support(got)
+    x = oracle_matrix(ctx, rnd, n, n, kind)
+    roots = [ctx.root(k) for k in range(ctx.order)]
+    ex, ey = ([rnd.randrange(ctx.order) for _ in range(n)] for _ in "xy")
+    got = root_sum(ctx, n, [(x, ex, ey)], roots)
+    assert got == dense_diag_scaled([roots[e] for e in ex], x,
+                                    [roots[e] for e in ey])
+    assert got.nz == dense_support(got) == x.nz
 
 
 def _labelling(draw, labels):
