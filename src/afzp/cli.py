@@ -1,24 +1,28 @@
 """Command-line interface.
 
 Every command reads JSON files against the documented schemas, runs one
-library operation, and writes deterministic output (JSON by default,
---format text for human-readable reports). Exit codes: 0 on
-success/pass, 1 on mathematical failure (a report with violations or an
-obstruction error), 2 on input or format errors.
+library operation, and writes its result as deterministic format-2 JSON,
+to stdout or atomically to the file given by --out. Each option lives on
+the commands that read it: --format text prints reports as text (validate,
+checkpair, verify, induced, equiv), --depth sets the depth of intertwine
+and demo, and --order the field order of a demo's towers. Exit codes: 0
+on success/pass, 1 on mathematical failure (a report with violations or
+an obstruction error), 2 on input or format errors.
 """
 
 import argparse
-import os
 import sys
+from functools import partial
 
 from .classify import (IntertwiningCertificate, Tower, equiv_unitary,
                        intertwine, lift, verify_certificate)
 from .crossed import crossed_product
+from .cyclo import FieldContext
 from .demos import identity_pairs, naive_doubling_tower, product_tower
 from .errors import AfzpError, FormatError
 from .kinv import KInvariant, KPair, check_pair, induced_map, invariant_of
 from .report import Report
-from .serialize import dump, dumps, load_json, save_json
+from .serialize import dumps, load_json, save_json
 from .system import (CanonicalForm, EqHom, FdSystem, decompose, hom_validate,
                      validate)
 
@@ -27,28 +31,12 @@ EXIT_MATH = 1
 EXIT_INPUT = 2
 
 
-def _default_order():
-    env = os.environ.get("AFZP_ORDER")
-    return int(env) if env else None
-
-
 def _emit(args, obj):
     if args.out:
         save_json(args.out, obj)
-        return
-    if args.format == "text" and isinstance(obj, Report):
+    # only the commands that can emit a Report take --format
+    elif isinstance(obj, Report) and args.format == "text":
         print(obj.summary())
-    elif args.format == "text":
-        doc = dump(obj)
-        print("kind: %s" % doc.get("kind"))
-        for key in sorted(doc):
-            if key in ("afzp_format", "kind"):
-                continue
-            val = doc[key]
-            text = repr(val)
-            if len(text) > 100:
-                text = text[:97] + "..."
-            print("  %s: %s" % (key, text))
     else:
         print(dumps(obj))
 
@@ -71,6 +59,9 @@ def cmd_validate(args):
             return validate(obj)
         raise FormatError("%s: expected a system or hom file" % path)
 
+    if args.out and len(args.files) > 1:
+        raise FormatError("--out holds one report; %d files given"
+                          % len(args.files))
     reports = [one(p) for p in args.files]
     code = EXIT_OK
     for path, rep in zip(args.files, reports):
@@ -172,10 +163,17 @@ def cmd_verify(args):
     return EXIT_OK if rep.ok else EXIT_MATH
 
 
-def _demo_product(args, p, depth):
+def _demo_tower(args, p, resorted):
+    """Intertwine the product tower with itself along identity pairs, or,
+    resorted, with its reversed presentation along searched pairs."""
+    depth = args.depth
     tower = product_tower(p, depth, order=args.order)
-    cert = intertwine(tower, tower, pairs=identity_pairs(tower, depth),
-                      depth=depth)
+    if resorted:
+        other = product_tower(p, depth, resorted=True, order=args.order)
+        pairs = None
+    else:
+        other, pairs = tower, identity_pairs(tower, depth)
+    cert = intertwine(tower, other, pairs=pairs, depth=depth)
     rep = verify_certificate(cert)
     print("tower stages: %s" % [s.block_sizes for s in tower.systems])
     print("triangles corrected: %d" % len(cert.triangles))
@@ -187,22 +185,13 @@ def _demo_product(args, p, depth):
     return EXIT_OK if rep.ok else EXIT_MATH
 
 
-def _demo_resorted(args, depth):
-    tA = product_tower(2, depth, order=args.order)
-    tB = product_tower(2, depth, resorted=True, order=args.order)
-    cert = intertwine(tA, tB, depth=depth)
-    rep = verify_certificate(cert)
-    print("triangles corrected: %d" % len(cert.triangles))
-    print("PASS" if rep.ok else "FAIL")
+def _demo_naive_doubling(args, p):
+    if args.depth < 2:
+        raise FormatError("naive-doubling needs --depth of at least 2")
     if args.out:
-        save_json(args.out, cert)
-    return EXIT_OK if rep.ok else EXIT_MATH
-
-
-def _demo_naive_doubling(args, depth=3):
-    data = naive_doubling_tower(depth)
+        raise FormatError("naive-doubling writes no file; drop --out")
+    data = naive_doubling_tower(args.depth, order=args.order)
     print("stages: %s" % [s.block_sizes for s in data["stages"]])
-    code = EXIT_OK
     for n, rep in enumerate(data["hom_reports"]):
         fail = rep.failures()
         print("stage %d -> %d doubling map: %s"
@@ -222,99 +211,108 @@ def _demo_naive_doubling(args, depth=3):
     return EXIT_OK if expected else EXIT_MATH
 
 
+# name -> (runner(args, p), p, default depth)
 DEMOS = {
-    "product-tower-p2": lambda args: _demo_product(args, 2, args.depth or 4),
-    "product-tower-p3": lambda args: _demo_product(args, 3, args.depth or 3),
-    "product-tower-p2-resorted":
-        lambda args: _demo_resorted(args, args.depth or 3),
-    "naive-doubling": lambda args: _demo_naive_doubling(args),
+    "product-tower-p2": (partial(_demo_tower, resorted=False), 2, 4),
+    "product-tower-p3": (partial(_demo_tower, resorted=False), 3, 3),
+    "product-tower-p2-resorted": (partial(_demo_tower, resorted=True), 2, 3),
+    "naive-doubling": (_demo_naive_doubling, 2, 3),
 }
 
 
 def cmd_demo(args):
-    fn = DEMOS.get(args.name)
-    if fn is None:
-        print("unknown demo %r; available: %s"
-              % (args.name, ", ".join(sorted(DEMOS))), file=sys.stderr)
-        return EXIT_INPUT
-    return fn(args)
+    if args.name not in DEMOS:
+        raise FormatError("unknown demo %r; available: %s"
+                          % (args.name, ", ".join(sorted(DEMOS))))
+    run, p, depth = DEMOS[args.name]
+    if args.depth is None:
+        args.depth = depth
+    try:
+        FieldContext(p, args.order)
+    except ValueError as exc:
+        raise FormatError("demo %s: %s" % (args.name, exc)) from None
+    return run(args, p)
+
+
+def _positive_int(text):
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError("%r is not a positive integer"
+                                         % text)
+    return int(text)
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["json", "text"], default="json")
-    common.add_argument("--out", metavar="PATH",
-                        help="write the result to PATH (atomic)")
-    common.add_argument("--order", type=int, default=_default_order(),
-                        help="root-of-unity order for newly built contexts "
-                             "(default 4p^2; also via AFZP_ORDER)")
     ap = argparse.ArgumentParser(
         prog="afzp",
-        parents=[common],
         description="Exact invariants and classification machinery for "
                     "order-p actions on finite-dimensional C*-algebras.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def sub_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def sub_parser(name, fn, report=False, **kw):
+        sp = sub.add_parser(name, **kw)
+        sp.add_argument("--out", metavar="PATH",
+                        help="write the result to PATH (atomic)")
+        if report:
+            sp.add_argument("--format", choices=["json", "text"],
+                            default="json")
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub_parser("validate", help="validate systems or homs")
+    sp = sub_parser("validate", cmd_validate, report=True,
+                    help="validate systems or homs")
     sp.add_argument("files", nargs="+")
-    sp.set_defaults(fn=cmd_validate)
 
-    sp = sub_parser("canon", help="canonical decomposition")
+    sp = sub_parser("canon", cmd_canon, help="canonical decomposition")
     sp.add_argument("file")
-    sp.set_defaults(fn=cmd_canon)
 
-    sp = sub_parser("crossed", help="crossed-product presentation")
+    sp = sub_parser("crossed", cmd_crossed,
+                    help="crossed-product presentation")
     sp.add_argument("file")
-    sp.set_defaults(fn=cmd_crossed)
 
-    sp = sub_parser("kinv", help="classification invariant")
+    sp = sub_parser("kinv", cmd_kinv, help="classification invariant")
     sp.add_argument("file")
-    sp.set_defaults(fn=cmd_kinv)
 
-    sp = sub_parser("induced", help="invariant morphism of a hom")
+    sp = sub_parser("induced", cmd_induced, report=True,
+                    help="invariant morphism of a hom")
     sp.add_argument("homfile")
-    sp.set_defaults(fn=cmd_induced)
 
-    sp = sub_parser("checkpair",
-                        help="check an invariant morphism pair")
+    sp = sub_parser("checkpair", cmd_checkpair, report=True,
+                    help="check an invariant morphism pair")
     sp.add_argument("pairfile")
     sp.add_argument("inva")
     sp.add_argument("invb")
-    sp.set_defaults(fn=cmd_checkpair)
 
-    sp = sub_parser("lift", help="lift a pair to an equivariant hom")
+    sp = sub_parser("lift", cmd_lift,
+                    help="lift a pair to an equivariant hom")
     sp.add_argument("pairfile")
     sp.add_argument("srcfile")
     sp.add_argument("tgtfile")
-    sp.set_defaults(fn=cmd_lift)
 
-    sp = sub_parser("equiv",
-                        help="equivariant unitary conjugating one hom "
-                             "into another")
+    sp = sub_parser("equiv", cmd_equiv, report=True,
+                    help="equivariant unitary conjugating one hom "
+                         "into another")
     sp.add_argument("hom1")
     sp.add_argument("hom2")
-    sp.set_defaults(fn=cmd_equiv)
 
-    sp = sub_parser("intertwine",
-                        help="finite-depth intertwining certificate")
+    sp = sub_parser("intertwine", cmd_intertwine,
+                    help="finite-depth intertwining certificate")
     sp.add_argument("towera")
     sp.add_argument("towerb")
     sp.add_argument("pairs", nargs="?", default=None,
                     help="comma-separated invariant-pair files")
-    sp.add_argument("--depth", type=int, default=3)
-    sp.set_defaults(fn=cmd_intertwine)
+    sp.add_argument("--depth", type=_positive_int, default=3)
 
-    sp = sub_parser("verify", help="replay a certificate from scratch")
+    sp = sub_parser("verify", cmd_verify, report=True,
+                    help="replay a certificate from scratch")
     sp.add_argument("certfile")
-    sp.set_defaults(fn=cmd_verify)
 
-    sp = sub_parser("demo", help="run a built-in scenario")
-    sp.add_argument("name")
-    sp.add_argument("--depth", type=int, default=None)
-    sp.set_defaults(fn=cmd_demo)
+    sp = sub_parser("demo", cmd_demo, help="run a built-in scenario")
+    sp.add_argument("name", help="one of: %s" % ", ".join(DEMOS))
+    sp.add_argument("--depth", type=_positive_int, default=None,
+                    help="tower stages (default: the demo's own)")
+    sp.add_argument("--order", type=int, default=None,
+                    help="field order of the built towers, one of p, p^2 "
+                         "and 4p^2 (default 4p^2)")
 
     return ap
 

@@ -210,27 +210,35 @@ class CrossedPresentation:
     def identify_matrix(self):
         """The matrix of identify: coefficient index major, then source
         block, then row-major entries; same flattening on the output side
-        over crossed blocks."""
-        ctx = self.ctx
-        out = [{} for _ in range(sum(n * n for n in self.block_sizes))]
+        over crossed blocks. Each matrix unit's image is read off the
+        exponents: a fixed piece puts zeta_p^(j (e_y - r)) at (x, y) of
+        its crossed block r, and a cycle piece puts 1 at (x, y) of grid
+        block (-t, j - t) mod p, t being the unit's component."""
+        p, src = self.p, self.source
+        starts = [0]    # flattened offset of each crossed block
+        for n in self.block_sizes:
+            starts.append(starts[-1] + n * n)
+        out = [{} for _ in range(starts[-1])]
         col = 0
-        for j in range(self.p):
-            for s, n in enumerate(self.source.block_sizes):
-                for i in range(n):
-                    for jj in range(n):
-                        ce = self.zero_element()
-                        ce.coeffs[j][s] = Mat.from_dicts(
-                            ctx, n, [{jj: ctx.one} if r == i else {}
-                                     for r in range(n)])
-                        at = 0
-                        for mtx in self.identify(ce):
-                            for r, (cols, vals) in enumerate(zip(mtx.nz,
-                                                                 mtx.vals)):
-                                for c, v in zip(cols, vals):
-                                    out[at + r * mtx.cols + c][col] = v
-                            at += mtx.rows * mtx.cols
-                        col += 1
-        return Mat.from_dicts(ctx, col, out)
+        for j in range(p):
+            for piece, cb, e in zip(src.pieces, self.piece_first_block,
+                                    src.piece_exponents):
+                n = piece.n
+                if piece.kind == "fixed":
+                    for x in range(n):
+                        for y in range(n):
+                            for r in range(p):
+                                out[starts[cb + r] + x * n + y][col] = \
+                                    src.roots[j * (e[y] - r) % p]
+                            col += 1
+                    continue
+                for t in range(p):
+                    at = starts[cb] + (-t % p) * n * p * n + (j - t) % p * n
+                    for x in range(n):
+                        for y in range(n):
+                            out[at + x * p * n + y][col] = self.ctx.one
+                            col += 1
+        return Mat.from_dicts(self.ctx, col, out)
 
     # -- canonical structure ----------------------------------------------
 

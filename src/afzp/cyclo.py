@@ -425,8 +425,6 @@ def root_order(a):
 def root_exponent(a):
     """Exponent k in [0, N) with a == zeta_N^k, or None."""
     ctx = a.ctx
-    if root_order(a) is None:
-        return None
     for k in range(ctx.order):
         if a == ctx.root(k):
             return k

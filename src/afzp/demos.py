@@ -37,6 +37,28 @@ def _reversal(ctx, n):
     return Mat.permutation(ctx, list(range(n - 1, -1, -1)))
 
 
+def _tensor_maps(canon, outer):
+    """The maps a -> a (x) 1_p between consecutive single-block stages,
+    in canonical coordinates; stage n's system is its diagonal form
+    conjugated by outer[n]."""
+    ctx, p = canon[0].ctx, canon[0].p
+    maps = []
+    for n in range(len(canon) - 1):
+        k = canon[n].block_sizes[0]
+        zs = canon[n].iso.conjugators[0] * outer[n]
+        zt = canon[n + 1].iso.conjugators[0] * outer[n + 1]
+        conj = zt * _tensor_swap(ctx, k, p) * \
+            blockdiag(ctx, [zs.dagger()] * p)
+        slots = [Slot(0, k) for _ in range(p)]
+        maps.append(EqHom(canon[n], canon[n + 1],
+                          [Arrangement(slots, conj)], unital=True))
+    return maps
+
+
+def _stage(ctx, p, v):
+    return decompose(FdSystem(ctx, p, [v.rows], (0,), [v]))
+
+
 def product_tower(p, depth, resorted=False, order=None):
     """Tensor-product tower of depth `depth` (stages p, p^2, ..., p^depth).
 
@@ -47,37 +69,21 @@ def product_tower(p, depth, resorted=False, order=None):
     """
     ctx = FieldContext(p, order)
     exps = [0]
-    stage_exps = []
-    for _ in range(depth):
-        exps = [(e + d) % p for e in exps for d in range(p)]
-        stage_exps.append(exps)
-    systems = []
     canon = []
     outer = []     # per stage: extra permutation applied to positions
-    for n, se in enumerate(stage_exps):
+    for n in range(depth):
+        exps = [(e + d) % p for e in exps for d in range(p)]
         size = p ** (n + 1)
         r = _reversal(ctx, size) if resorted else Mat.identity(ctx, size)
-        vals = [ctx.zeta_p(e) for e in se]
-        v = r * Mat.diag(ctx, vals) * r.dagger()
-        sysn = FdSystem(ctx, p, [size], (0,), [v])
-        systems.append(sysn)
-        canon.append(decompose(sysn))
+        vals = [ctx.zeta_p(e) for e in exps]
+        canon.append(_stage(ctx, p, r * Mat.diag(ctx, vals) * r.dagger()))
         outer.append(r)
-    maps = []
-    for n in range(depth - 1):
-        k = p ** (n + 1)
-        zs = canon[n].iso.conjugators[0] * outer[n]
-        zt = canon[n + 1].iso.conjugators[0] * outer[n + 1]
-        conj = zt * _tensor_swap(ctx, k, p) * \
-            blockdiag(ctx, [zs.dagger()] * p)
-        slots = [Slot(0, k) for _ in range(p)]
-        h = EqHom(canon[n], canon[n + 1], [Arrangement(slots, conj)],
-                  unital=True)
+    maps = _tensor_maps(canon, outer)
+    for n, h in enumerate(maps):
         rep = hom_validate(h)
         if not rep.ok:
             raise AssertionError("tower map %d invalid:\n%s"
                                  % (n, rep.summary()))
-        maps.append(h)
     return Tower(canon, maps)
 
 
@@ -93,7 +99,7 @@ def identity_pairs(tower, count):
     return out
 
 
-def naive_doubling_tower(depth, order=16):
+def naive_doubling_tower(depth, order=None):
     """The doubling tower with inner actions by diag(1, ..., 1, -1), read
     literally with connecting maps a -> a (x) 1_2.
 
@@ -103,34 +109,17 @@ def naive_doubling_tower(depth, order=16):
     invariant morphisms (empty, with the special-element obstruction
     shown on the scale-forced candidate)."""
     ctx = FieldContext(2, order)
-    systems = []
-    canon = []
-    for n in range(1, depth + 1):
-        size = 2 ** n
-        vals = [ctx.one] * (size - 1) + [-ctx.one]
-        sysn = FdSystem(ctx, 2, [size], (0,), [Mat.diag(ctx, vals)])
-        systems.append(sysn)
-        canon.append(decompose(sysn))
-    hom_reports = []
-    searches = []
-    obstructions = []
-    for n in range(depth - 1):
-        k = 2 ** (n + 1)
-        zs = canon[n].iso.conjugators[0]
-        zt = canon[n + 1].iso.conjugators[0]
-        conj = zt * _tensor_swap(ctx, k, 2) * blockdiag(ctx, [zs.dagger()] * 2)
-        h = EqHom(canon[n], canon[n + 1],
-                  [Arrangement([Slot(0, k), Slot(0, k)], conj)], unital=True)
-        hom_reports.append(hom_validate(h))
-        invA = invariant_of(canon[n])
-        invB = invariant_of(canon[n + 1])
-        searches.append(ksearch(invA, invB))
-        # the unit-class-forced candidate, shown with its failing check
-        forced = KPair([[2]], [[1, 1], [1, 1]])
-        obstructions.append(check_pair(forced, invA, invB))
+    sizes = [2 ** n for n in range(1, depth + 1)]
+    canon = [_stage(ctx, 2, Mat.diag(ctx, [ctx.one] * (size - 1) + [-ctx.one]))
+             for size in sizes]
+    maps = _tensor_maps(canon, [Mat.identity(ctx, size) for size in sizes])
+    invs = [invariant_of(c) for c in canon]
+    # the unit-class-forced candidate, shown with its failing check
+    forced = KPair([[2]], [[1, 1], [1, 1]])
     return {
         "stages": canon,
-        "hom_reports": hom_reports,
-        "searches": searches,
-        "obstructions": obstructions,
+        "hom_reports": [hom_validate(h) for h in maps],
+        "searches": [ksearch(a, b) for a, b in zip(invs, invs[1:])],
+        "obstructions": [check_pair(forced, a, b)
+                         for a, b in zip(invs, invs[1:])],
     }

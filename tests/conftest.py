@@ -1065,6 +1065,32 @@ class ProductCrossed(CrossedPresentation):
         return ce
 
 
+def identify_matrix_by_units(cp):
+    """CrossedPresentation.identify_matrix as it was before it read the
+    exponents: identify applied to every matrix unit of every
+    coefficient on a fresh zero element, one column per unit."""
+    ctx = cp.ctx
+    out = [{} for _ in range(sum(n * n for n in cp.block_sizes))]
+    col = 0
+    for j in range(cp.p):
+        for s, n in enumerate(cp.source.block_sizes):
+            for i in range(n):
+                for jj in range(n):
+                    ce = cp.zero_element()
+                    ce.coeffs[j][s] = Mat.from_dicts(
+                        ctx, n, [{jj: ctx.one} if r == i else {}
+                                 for r in range(n)])
+                    at = 0
+                    for mtx in cp.identify(ce):
+                        for r, (cols, vals) in enumerate(zip(mtx.nz,
+                                                             mtx.vals)):
+                            for c, v in zip(cols, vals):
+                                out[at + r * mtx.cols + c][col] = v
+                        at += mtx.rows * mtx.cols
+                    col += 1
+    return Mat.from_dicts(ctx, col, out)
+
+
 def _diag_conj(v, a):
     """v * a * v^dagger for diagonal unitary v, in O(n^2) scalar ops."""
     n = a.rows

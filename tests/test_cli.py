@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,10 +7,11 @@ import sys
 import pytest
 
 import afzp
-from afzp.cli import main
+from afzp import cli
+from afzp.cli import DEMOS, build_parser, main
 from afzp.classify import Tower
 from afzp.cyclo import FieldContext
-from afzp.demos import product_tower
+from afzp.demos import naive_doubling_tower, product_tower
 from afzp.errors import FormatError
 from afzp.kinv import KInvariant, KPair
 from afzp.matrix import Mat
@@ -162,6 +164,82 @@ def test_validate_multiple_files(workdir, capsys):
     assert "== m1.json" in out and "== m2.json" in out
 
 
+def test_validate_several_files_with_out_exit_two(workdir, capsys):
+    """One --out file holds one report, so several files with --out are
+    refused before anything is written."""
+    assert main(["validate", "m1.json", "m2.json", "--out", "r.json"]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert not os.path.exists("r.json")
+    assert main(["validate", "m2.json", "--out", "r.json"]) == 0
+    assert load_json("r.json").ok
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_every_demo_passes_at_depth_two(workdir, capsys, name):
+    p = DEMOS[name][1]
+    assert main(["demo", name, "--depth", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "stages: [[%d], [%d]]\n" % (p, p * p) in out
+    assert out.splitlines()[-1].startswith("PASS")
+
+
+def test_resorted_demo_prints_the_tower_check_lines(workdir, capsys):
+    assert main(["demo", "product-tower-p2-resorted", "--depth", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("tower stages: [[2], [4]]\ntriangles corrected: ")
+    assert "[PASS] triangle over B0 -> B1 commutes\n" in out
+
+
+def test_demo_writes_its_depth_and_order(workdir):
+    assert main(["demo", "product-tower-p2", "--depth", "2", "--order", "4",
+                 "--out", "c.json"]) == 0
+    tower = load_json("c.json").towerA
+    assert [s.block_sizes for s in tower.systems] == [[2], [4]]
+    assert tower.systems[0].ctx.order == 4
+
+
+def test_naive_doubling_reads_depth_and_order(workdir, capsys, monkeypatch):
+    orders = []
+
+    def spy(depth, order=None):
+        data = naive_doubling_tower(depth, order=order)
+        orders.append(data["stages"][0].ctx.order)
+        return data
+    monkeypatch.setattr(cli, "naive_doubling_tower", spy)
+    assert main(["demo", "naive-doubling", "--depth", "2",
+                 "--order", "4"]) == 0
+    assert orders == [4]
+    assert capsys.readouterr().out.startswith("stages: [[2], [4]]\n")
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    """The top-level parser takes -h only; --out is on every command,
+    --format on those that can emit a report, --depth on intertwine and
+    demo, --order on demo."""
+    def options(parser):
+        return {o for a in parser._actions for o in a.option_strings
+                if o not in ("-h", "--help")}
+    ap = build_parser()
+    assert options(ap) == set()
+    sub, = [a for a in ap._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    report = {"validate", "checkpair", "verify", "induced", "equiv"}
+    assert len(sub.choices) == 11
+    for name, sp in sub.choices.items():
+        want = {"--out"}
+        want |= {"--format"} if name in report else set()
+        want |= {"--depth"} if name in ("intertwine", "demo") else set()
+        want |= {"--order"} if name == "demo" else set()
+        assert options(sp) == want, name
+
+
+def test_text_format_prints_a_non_report_as_json(workdir, capsys):
+    assert main(["lift", "pair.json", "m1.json", "m2.json",
+                 "--out", "hom.json"]) == 0
+    assert main(["induced", "hom.json", "--format", "text"]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "kpair"
+
+
 # corruptions of the first entry of a system's impl diag(1, -1), in the
 # order-16 field (degree 8)
 def _zero_denominator(unit):
@@ -180,10 +258,11 @@ def _bare_scalar(unit):
     unit["entries"][0] = "0:1"
 
 
-def _run_cli(code, *argv):
-    """Run the CLI in a fresh interpreter; it must exit with `code`
-    without a traceback. Returns the process."""
-    env = dict(os.environ,
+def _run_cli(code, *argv, **env):
+    """Run the CLI in a fresh interpreter, with env added to the
+    environment; it must exit with `code` without a traceback. Returns
+    the process."""
+    env = dict(os.environ, **env,
                PYTHONPATH=os.path.dirname(os.path.dirname(afzp.__file__)))
     proc = subprocess.run([sys.executable, "-m", "afzp.cli", *argv],
                           capture_output=True, text=True, env=env)
@@ -194,6 +273,43 @@ def _run_cli(code, *argv):
 
 def _assert_input_error(*argv):
     assert _run_cli(2, *argv).stderr.startswith("input error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--out", "c.json", "demo", "product-tower-p2", "--depth", "2"),
+    ("--order", "4", "demo", "product-tower-p2", "--out", "c.json"),
+    ("--format", "text", "validate", "m2.json"),
+    ("canon", "m2.json", "--format", "text", "--out", "c.json"),
+    ("kinv", "m2.json", "--order", "4", "--out", "c.json"),
+    ("demo", "product-tower-p2", "--format", "text", "--out", "c.json"),
+    ("demo", "product-tower-p2", "--depth", "0", "--out", "c.json"),
+    ("demo", "product-tower-p2", "--depth", "-1", "--out", "c.json"),
+    ("demo", "product-tower-p2", "--depth", "two", "--out", "c.json"),
+    ("intertwine", "m2.json", "m2.json", "--depth", "0", "--out", "c.json")])
+def test_misplaced_or_unread_option_is_a_usage_error(workdir, argv):
+    """An option before the command, or on a command that does not read
+    it, and a --depth below 1 exit 2 from argparse and write nothing."""
+    assert "usage: afzp" in _run_cli(2, *argv).stderr
+    assert not os.path.exists("c.json")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("demo", "product-tower-p2", "--order", "5"), "[2, 4, 16]"),
+    (("demo", "product-tower-p3", "--order", "4"), "[3, 9, 36]"),
+    (("demo", "naive-doubling", "--depth", "1"), "at least 2"),
+    (("demo", "naive-doubling", "--out", "c.json"), "writes no file"),
+    (("validate", "m1.json", "m2.json", "--out", "c.json"), "--out")])
+def test_demo_or_validate_input_error_names_the_cause(workdir, argv,
+                                                      message):
+    err = _run_cli(2, *argv).stderr
+    assert err.startswith("input error:") and message in err
+    assert not os.path.exists("c.json")
+
+
+def test_afzp_order_in_the_environment_is_ignored(workdir):
+    _run_cli(0, "demo", "product-tower-p2", "--depth", "2",
+             "--out", "c.json", AFZP_ORDER="abc")
+    assert load_json("c.json").towerA.systems[0].ctx.order == 16
 
 
 @pytest.mark.parametrize("corrupt", [_zero_denominator, _long_coefficients,

@@ -3,14 +3,15 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from afzp.crossed import CrossedElement, crossed_product
+from afzp.crossed import CrossedElement, CrossedPresentation, crossed_product
 from afzp.errors import NotEquivariant, ShapeMismatch
 from afzp.matrix import Mat
 from afzp.system import (Arrangement, EqHom, Slot, decompose, validate)
 
 from conftest import (ProductCrossed, conj_apply_action, ctx_for, cycle_form,
-                      extend_hom, fixed_form, grid_mat, mat_sub, mixed_form,
-                      rand_mat, rand_rat, rand_tuple)
+                      extend_hom, fixed_form, grid_mat,
+                      identify_matrix_by_units, mat_sub, mixed_form, rand_mat,
+                      rand_rat, rand_tuple)
 
 
 def rand_element(cp, rng):
@@ -270,6 +271,43 @@ def test_identify_matrix_shape():
     cp = crossed_product(fixed_form(ctx, [0, 1]))
     m = cp.identify_matrix()
     assert m.rows == 8 and m.cols == 8
+
+
+@st.composite
+def _identify_forms(draw):
+    """Fixed, cycle and mixed forms of one to three pieces at p in
+    {2, 3, 5} and field orders p and 4p^2."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    fixed = st.lists(st.integers(0, p - 1), min_size=1, max_size=3).map(
+        lambda e: ("fixed", sorted(e)))
+    cycle = st.tuples(st.just("cycle"), st.integers(1, 3))
+    specs = draw(st.lists(fixed | cycle, min_size=1, max_size=3))
+    return mixed_form(ctx_for(p, draw(st.sampled_from([p, 4 * p * p]))),
+                      specs)
+
+
+@settings(max_examples=40, deadline=None)
+@example(fixed_form(ctx_for(3, 3), [0, 1, 1, 2]))
+@example(cycle_form(ctx_for(5), 2))
+@example(mixed_form(ctx_for(2, 2), [("cycle", 2), ("fixed", [0, 1]),
+                                    ("cycle", 1)]))
+@given(_identify_forms())
+def test_identify_matrix_matches_identify_on_every_unit(form):
+    """identify_matrix, written from the exponents, equals identify
+    applied to each matrix unit (the oracle)."""
+    cp = crossed_product(form)
+    assert cp.identify_matrix() == identify_matrix_by_units(cp)
+
+
+def test_identify_matrix_calls_no_identify(monkeypatch):
+    form = mixed_form(ctx_for(3), [("fixed", [0, 2]), ("cycle", 2)])
+    cp = crossed_product(form)
+    want = identify_matrix_by_units(cp)
+
+    def refuse(self, ce):
+        raise AssertionError("identify called")
+    monkeypatch.setattr(CrossedPresentation, "identify", refuse)
+    assert cp.identify_matrix() == want
 
 
 # -- entrywise identification against the V^j products -------------------------

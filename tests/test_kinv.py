@@ -69,7 +69,6 @@ def test_invariant_is_cached_and_never_written(p, monkeypatch, capsys):
     files = {"src": src, "ia": invA, "ib": invB, "kp": pairs[0]}
     monkeypatch.setattr(afzp.cli, "load_json", files.__getitem__)
     assert afzp.cli.main(["kinv", "src"]) == 0
-    assert afzp.cli.main(["kinv", "src", "--format", "text"]) == 0
     assert afzp.cli.main(["checkpair", "kp", "ia", "ib"]) == 0
     capsys.readouterr()
     for c, inv in zip(forms, invs):
