@@ -4,10 +4,10 @@ Every command reads JSON files against the documented schemas, runs one
 library operation, and writes its result as deterministic format-2 JSON,
 to stdout or atomically to the file given by --out. Each option lives on
 the commands that read it: --format text prints reports as text (validate,
-checkpair, verify, induced, equiv), --depth sets the depth of intertwine
-and demo, and --order the field order of a demo's towers. Exit codes: 0
-on success/pass, 1 on mathematical failure (a report with violations or
-an obstruction error), 2 on input or format errors.
+checkpair, verify, induced, equiv), and --depth sets the depth of
+intertwine and demo. Exit codes: 0 on success/pass, 1 on mathematical
+failure (a report with violations or an obstruction error), 2 on input
+or format errors.
 """
 
 import argparse
@@ -17,7 +17,6 @@ from functools import partial
 from .classify import (IntertwiningCertificate, Tower, equiv_unitary,
                        intertwine, lift, verify_certificate)
 from .crossed import crossed_product
-from .cyclo import FieldContext
 from .demos import identity_pairs, naive_doubling_tower, product_tower
 from .errors import AfzpError, FormatError
 from .kinv import KInvariant, KPair, check_pair, induced_map, invariant_of
@@ -167,9 +166,9 @@ def _demo_tower(args, p, resorted):
     """Intertwine the product tower with itself along identity pairs, or,
     resorted, with its reversed presentation along searched pairs."""
     depth = args.depth
-    tower = product_tower(p, depth, order=args.order)
+    tower = product_tower(p, depth)
     if resorted:
-        other = product_tower(p, depth, resorted=True, order=args.order)
+        other = product_tower(p, depth, resorted=True)
         pairs = None
     else:
         other, pairs = tower, identity_pairs(tower, depth)
@@ -185,12 +184,12 @@ def _demo_tower(args, p, resorted):
     return EXIT_OK if rep.ok else EXIT_MATH
 
 
-def _demo_naive_doubling(args, p):
+def _demo_naive_doubling(args):
     if args.depth < 2:
         raise FormatError("naive-doubling needs --depth of at least 2")
     if args.out:
         raise FormatError("naive-doubling writes no file; drop --out")
-    data = naive_doubling_tower(args.depth, order=args.order)
+    data = naive_doubling_tower(args.depth)
     print("stages: %s" % [s.block_sizes for s in data["stages"]])
     for n, rep in enumerate(data["hom_reports"]):
         fail = rep.failures()
@@ -211,12 +210,12 @@ def _demo_naive_doubling(args, p):
     return EXIT_OK if expected else EXIT_MATH
 
 
-# name -> (runner(args, p), p, default depth)
+# name -> (runner(args), default depth)
 DEMOS = {
-    "product-tower-p2": (partial(_demo_tower, resorted=False), 2, 4),
-    "product-tower-p3": (partial(_demo_tower, resorted=False), 3, 3),
-    "product-tower-p2-resorted": (partial(_demo_tower, resorted=True), 2, 3),
-    "naive-doubling": (_demo_naive_doubling, 2, 3),
+    "product-tower-p2": (partial(_demo_tower, p=2, resorted=False), 4),
+    "product-tower-p3": (partial(_demo_tower, p=3, resorted=False), 3),
+    "product-tower-p2-resorted": (partial(_demo_tower, p=2, resorted=True), 3),
+    "naive-doubling": (_demo_naive_doubling, 3),
 }
 
 
@@ -224,14 +223,10 @@ def cmd_demo(args):
     if args.name not in DEMOS:
         raise FormatError("unknown demo %r; available: %s"
                           % (args.name, ", ".join(sorted(DEMOS))))
-    run, p, depth = DEMOS[args.name]
+    run, depth = DEMOS[args.name]
     if args.depth is None:
         args.depth = depth
-    try:
-        FieldContext(p, args.order)
-    except ValueError as exc:
-        raise FormatError("demo %s: %s" % (args.name, exc)) from None
-    return run(args, p)
+    return run(args)
 
 
 def _positive_int(text):
@@ -310,9 +305,6 @@ def build_parser():
     sp.add_argument("name", help="one of: %s" % ", ".join(DEMOS))
     sp.add_argument("--depth", type=_positive_int, default=None,
                     help="tower stages (default: the demo's own)")
-    sp.add_argument("--order", type=int, default=None,
-                    help="field order of the built towers, one of p, p^2 "
-                         "and 4p^2 (default 4p^2)")
 
     return ap
 

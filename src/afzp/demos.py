@@ -99,7 +99,7 @@ def identity_pairs(tower, count):
     return out
 
 
-def naive_doubling_tower(depth, order=None):
+def naive_doubling_tower(depth):
     """The doubling tower with inner actions by diag(1, ..., 1, -1), read
     literally with connecting maps a -> a (x) 1_2.
 
@@ -108,7 +108,7 @@ def naive_doubling_tower(depth, order=None):
     matrix unit named), and the per-stage exhaustive search results for
     invariant morphisms (empty, with the special-element obstruction
     shown on the scale-forced candidate)."""
-    ctx = FieldContext(2, order)
+    ctx = FieldContext(2)
     sizes = [2 ** n for n in range(1, depth + 1)]
     canon = [_stage(ctx, 2, Mat.diag(ctx, [ctx.one] * (size - 1) + [-ctx.one]))
              for size in sizes]

@@ -7,11 +7,10 @@ import sys
 import pytest
 
 import afzp
-from afzp import cli
 from afzp.cli import DEMOS, build_parser, main
 from afzp.classify import Tower
 from afzp.cyclo import FieldContext
-from afzp.demos import naive_doubling_tower, product_tower
+from afzp.demos import product_tower
 from afzp.errors import FormatError
 from afzp.kinv import KInvariant, KPair
 from afzp.matrix import Mat
@@ -176,7 +175,7 @@ def test_validate_several_files_with_out_exit_two(workdir, capsys):
 
 @pytest.mark.parametrize("name", sorted(DEMOS))
 def test_every_demo_passes_at_depth_two(workdir, capsys, name):
-    p = DEMOS[name][1]
+    p = 3 if name == "product-tower-p3" else 2
     assert main(["demo", name, "--depth", "2"]) == 0
     out = capsys.readouterr().out
     assert "stages: [[%d], [%d]]\n" % (p, p * p) in out
@@ -190,32 +189,10 @@ def test_resorted_demo_prints_the_tower_check_lines(workdir, capsys):
     assert "[PASS] triangle over B0 -> B1 commutes\n" in out
 
 
-def test_demo_writes_its_depth_and_order(workdir):
-    assert main(["demo", "product-tower-p2", "--depth", "2", "--order", "4",
-                 "--out", "c.json"]) == 0
-    tower = load_json("c.json").towerA
-    assert [s.block_sizes for s in tower.systems] == [[2], [4]]
-    assert tower.systems[0].ctx.order == 4
-
-
-def test_naive_doubling_reads_depth_and_order(workdir, capsys, monkeypatch):
-    orders = []
-
-    def spy(depth, order=None):
-        data = naive_doubling_tower(depth, order=order)
-        orders.append(data["stages"][0].ctx.order)
-        return data
-    monkeypatch.setattr(cli, "naive_doubling_tower", spy)
-    assert main(["demo", "naive-doubling", "--depth", "2",
-                 "--order", "4"]) == 0
-    assert orders == [4]
-    assert capsys.readouterr().out.startswith("stages: [[2], [4]]\n")
-
-
 def test_each_command_takes_only_the_options_it_reads():
     """The top-level parser takes -h only; --out is on every command,
     --format on those that can emit a report, --depth on intertwine and
-    demo, --order on demo."""
+    demo."""
     def options(parser):
         return {o for a in parser._actions for o in a.option_strings
                 if o not in ("-h", "--help")}
@@ -229,7 +206,6 @@ def test_each_command_takes_only_the_options_it_reads():
         want = {"--out"}
         want |= {"--format"} if name in report else set()
         want |= {"--depth"} if name in ("intertwine", "demo") else set()
-        want |= {"--order"} if name == "demo" else set()
         assert options(sp) == want, name
 
 
@@ -282,6 +258,8 @@ def _assert_input_error(*argv):
     ("canon", "m2.json", "--format", "text", "--out", "c.json"),
     ("kinv", "m2.json", "--order", "4", "--out", "c.json"),
     ("demo", "product-tower-p2", "--format", "text", "--out", "c.json"),
+    ("demo", "product-tower-p2", "--order", "5", "--out", "c.json"),
+    ("demo", "naive-doubling", "--depth", "2", "--order", "4"),
     ("demo", "product-tower-p2", "--depth", "0", "--out", "c.json"),
     ("demo", "product-tower-p2", "--depth", "-1", "--out", "c.json"),
     ("demo", "product-tower-p2", "--depth", "two", "--out", "c.json"),
@@ -294,8 +272,6 @@ def test_misplaced_or_unread_option_is_a_usage_error(workdir, argv):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (("demo", "product-tower-p2", "--order", "5"), "[2, 4, 16]"),
-    (("demo", "product-tower-p3", "--order", "4"), "[3, 9, 36]"),
     (("demo", "naive-doubling", "--depth", "1"), "at least 2"),
     (("demo", "naive-doubling", "--out", "c.json"), "writes no file"),
     (("validate", "m1.json", "m2.json", "--out", "c.json"), "--out")])
@@ -309,7 +285,9 @@ def test_demo_or_validate_input_error_names_the_cause(workdir, argv,
 def test_afzp_order_in_the_environment_is_ignored(workdir):
     _run_cli(0, "demo", "product-tower-p2", "--depth", "2",
              "--out", "c.json", AFZP_ORDER="abc")
-    assert load_json("c.json").towerA.systems[0].ctx.order == 16
+    tower = load_json("c.json").towerA
+    assert [s.block_sizes for s in tower.systems] == [[2], [4]]
+    assert tower.systems[0].ctx.order == 16
 
 
 @pytest.mark.parametrize("corrupt", [_zero_denominator, _long_coefficients,
