@@ -29,7 +29,7 @@ from .errors import (CorrectionFailed, KDataMismatch, LiftFailed,
                      PackingInfeasible, PairCheckFailed, ReindexFailed,
                      UnitaryNotFoundInField, AfzpError)
 from .crossed import crossed_offsets
-from .kinv import (KPair, check_pair, compose_pairs, imat_mul, induced_map,
+from .kinv import (KPair, check_pair, compose_pairs, induced_map,
                    invariant_of, ivec_mul)
 from .matrix import Mat, blockdiag, unitary_conjugator
 from .report import Report
@@ -360,17 +360,6 @@ def conjugate_hom(W, h):
 # ---------------------------------------------------------------------------
 
 
-def _perm_of(matrix):
-    """Images of a permutation matrix (row index with the 1, per column)."""
-    n = len(matrix)
-    out = [None] * n
-    for c in range(n):
-        for r in range(n):
-            if matrix[r][c]:
-                out[c] = r
-    return out
-
-
 def _entry_orbits(permB, permA):
     """Orbits of (r, c) under the simultaneous permutation action; the
     equivariance constraint forces equal values along each orbit."""
@@ -391,35 +380,57 @@ def _entry_orbits(permB, permA):
     return orbits
 
 
-def _enumerate_equivariant(permB, permA, bound, row_check):
-    """All nonnegative matrices constant on simultaneous-permutation
-    orbits and accepted by row_check, with entries <= bound unless bound
-    is None. Deterministic lexicographic order.
+def _fits(mat, cols, wants, partial):
+    """mat times each listed column against its wanted column, one column
+    at a time up to the first that fails: entrywise <= while mat is a
+    partial assignment, equal once it is complete."""
+    for col, want in zip(cols, wants):
+        img = ivec_mul(mat, col)
+        if (any(x > w for x, w in zip(img, want)) if partial
+                else img != want):
+            return False
+    return True
 
-    row_check(mat, partial=True) must be monotone: raising any orbit's
-    value never turns a rejection into an acceptance. Each orbit's value
-    loop therefore stops at the first rejected value, which also makes
-    the search finite when bound is None."""
-    nB, nA = len(permB), len(permA)
+
+def _equivariant(permB, permA, bound, cols, wants):
+    """Every nonnegative matrix constant on simultaneous-permutation
+    orbits with mat * col = want for each listed column, entries <= bound
+    unless bound is None, in lexicographic order of the orbit values.
+
+    Every column is nonnegative, so raising an orbit's value never turns
+    a failed partial check into a pass: each orbit's value loop stops at
+    its first failure, which also ends the loop when bound is None."""
     orbits = _entry_orbits(permB, permA)
-    results = []
+    mat = [[0] * len(permA) for _ in permB]
 
-    def rec(idx, mat):
+    def rec(idx):
         if idx == len(orbits):
-            if row_check(mat):
-                results.append([row[:] for row in mat])
+            if _fits(mat, cols, wants, False):
+                yield [row[:] for row in mat]
             return
         for v in (itertools.count() if bound is None else range(bound + 1)):
             for (r, c) in orbits[idx]:
                 mat[r][c] = v
-            if not row_check(mat, partial=True):
+            if not _fits(mat, cols, wants, True):
                 break
-            rec(idx + 1, mat)
+            yield from rec(idx + 1)
         for (r, c) in orbits[idx]:
             mat[r][c] = 0
 
-    rec(0, [[0] * nA for _ in range(nB)])
-    return results
+    return rec(0)
+
+
+def _candidates(invA, invB, bound):
+    """The pairs ksearch lists, one at a time and in its order."""
+    iotaA = [[row[c] for row in invA.iota] for c in range(invA.m)]
+    for F in _equivariant(invB.act, invA.act, bound, [invA.unit],
+                          [invB.unit]):
+        target = [ivec_mul(invB.iota, [row[c] for row in F])
+                  for c in range(invA.m)]
+        for phi in _equivariant(invB.dualAct, invA.dualAct, bound,
+                                [invA.special] + iotaA,
+                                [invB.special] + target):
+            yield KPair(F, phi)
 
 
 def ksearch(invA, invB, bound=None):
@@ -427,44 +438,14 @@ def ksearch(invA, invB, bound=None):
     with an integer bound, only those with all entries <= bound.
 
     The enumeration proves each check_pair condition, so none is re-run:
-    orbit values make F and phi nonnegative and equivariant, f_check
-    fixes the unit class, and phi_check the special element and the
-    embedding square.
+    orbit values make F and phi nonnegative and equivariant, and _fits
+    checks the unit class, the special element and the embedding square
+    column by column.
 
     The search is finite without a bound: F * unitA = unitB with every
     unitA entry >= 1 caps each F entry, and phi * iotaA = iotaB * F with
     no zero row in iotaA caps each phi entry."""
-    permB = _perm_of(invB.act)
-    permA = _perm_of(invA.act)
-
-    def f_check(mat, partial=False):
-        img = ivec_mul(mat, invA.unit)
-        if partial:
-            return all(img[r] <= invB.unit[r] for r in range(invB.m))
-        return img == invB.unit
-
-    fs = _enumerate_equivariant(permB, permA, bound, f_check)
-    dualB = _perm_of(invB.dualAct)
-    dualA = _perm_of(invA.dualAct)
-    out = []
-    for F in fs:
-        target_iota = imat_mul(invB.iota, F)
-
-        def phi_check(mat, partial=False, _ti=target_iota):
-            simg = ivec_mul(mat, invA.special)
-            if partial:
-                if any(simg[r] > invB.special[r] for r in range(invB.mC)):
-                    return False
-                comm = imat_mul(mat, invA.iota)
-                return all(comm[r][c] <= _ti[r][c]
-                           for r in range(invB.mC) for c in range(invA.m))
-            if simg != invB.special:
-                return False
-            return imat_mul(mat, invA.iota) == _ti
-
-        out.extend(KPair(F, phi) for phi in
-                   _enumerate_equivariant(dualB, dualA, bound, phi_check))
-    return out
+    return list(_candidates(invA, invB, bound))
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +572,7 @@ def _zigzag(cert, source, target, prev, given):
                                 "triangle at %s" % (i, triangle))
         kp = given
     else:
-        kp = next((c for c in ksearch(invX, invY)
+        kp = next((c for c in _candidates(invX, invY, None)
                    if prev is None or compose_pairs(c, prev[1]) == want),
                   None)
         if kp is None:

@@ -37,9 +37,9 @@ def ivec_mul(a, v):
 class KInvariant:
     m: int
     unit: list
-    act: list            # m x m permutation matrix of the action on classes
+    act: tuple           # block t of the algebra receives block act[t]
     mC: int
-    dualAct: list        # mC x mC permutation matrix of the dual action
+    dualAct: tuple       # crossed block b receives crossed block dualAct[b]
     special: list
     iota: list           # mC x m embedding matrix
 
@@ -60,16 +60,10 @@ def invariant_of(c):
     return c._kinv
 
 
-def _perm_matrix(sigma):
-    """The 0/1 matrix of a block permutation on classes: row t has its 1
-    at sigma[t], the block that t receives."""
-    return [[int(j == s) for j in range(len(sigma))] for s in sigma]
-
-
 def _assemble(c):
     cp = crossed_product(c)
-    return KInvariant(c.m, list(c.block_sizes), _perm_matrix(c.sigma), cp.m,
-                      _perm_matrix(cp.dual_sigma), list(cp.special),
+    return KInvariant(c.m, list(c.block_sizes), tuple(c.sigma), cp.m,
+                      tuple(cp.dual_sigma), list(cp.special),
                       [row[:] for row in cp.iota_matrix])
 
 
@@ -147,6 +141,13 @@ def induced_map(h):
     return KPair(F, phi, unital=h.unital)
 
 
+def _intertwines(M, permB, permA):
+    """M permA = permB M for the permutations' 0/1 matrices, read entry by
+    entry: M[r][c] = M[permB[r]][permA[c]]."""
+    return all(row[c] == M[permB[r]][permA[c]]
+               for r, row in enumerate(M) for c in range(len(permA)))
+
+
 def check_pair(kp, invA, invB):
     """All order/intertwining/special-element conditions, individually."""
     if (len(kp.F) != invB.m or any(len(r) != invA.m for r in kp.F)
@@ -158,9 +159,9 @@ def check_pair(kp, invA, invB):
             all(x >= 0 for row in kp.F for x in row)
             and all(x >= 0 for row in kp.phi for x in row))
     rep.add("F intertwines the actions",
-            imat_mul(kp.F, invA.act) == imat_mul(invB.act, kp.F))
+            _intertwines(kp.F, invB.act, invA.act))
     rep.add("phi intertwines the dual actions",
-            imat_mul(kp.phi, invA.dualAct) == imat_mul(invB.dualAct, kp.phi))
+            _intertwines(kp.phi, invB.dualAct, invA.dualAct))
     rep.add("phi maps special element to special element",
             ivec_mul(kp.phi, invA.special) == invB.special,
             "phi * %s = %s, expected %s"

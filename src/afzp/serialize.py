@@ -62,6 +62,21 @@ def _int_matrix(x, name, rows=None, cols=None):
     return x
 
 
+def _perm_rows(sigma):
+    """The 0/1 matrix of a block permutation: row t has its 1 at column
+    sigma[t], the block that t receives."""
+    return [[int(j == s) for j in range(len(sigma))] for s in sigma]
+
+
+def _perm(x, name, n):
+    """The block permutation whose n x n 0/1 matrix is x."""
+    rows = _int_matrix(x, name, n, n)
+    sigma = tuple(r.index(1) if 1 in r else -1 for r in rows)
+    if sorted(sigma) != list(range(n)) or rows != _perm_rows(sigma):
+        raise FormatError("%s is not a permutation matrix" % name)
+    return sigma
+
+
 def _bound(sizes, i=None):
     """The largest matrix header that block i of `sizes`, a list of block
     sizes read from the document, admits: its size if that is a JSON
@@ -180,8 +195,8 @@ class _Writer:
         if isinstance(obj, KInvariant):
             # copies: invariant_of's result is shared through its cache
             return {"kind": "kinvariant", "m": obj.m, "unit": list(obj.unit),
-                    "act": [list(r) for r in obj.act], "mC": obj.mC,
-                    "dualAct": [list(r) for r in obj.dualAct],
+                    "act": _perm_rows(obj.act), "mC": obj.mC,
+                    "dualAct": _perm_rows(obj.dualAct),
                     "special": list(obj.special),
                     "iota": [list(r) for r in obj.iota]}
         if isinstance(obj, KPair):
@@ -372,8 +387,8 @@ class _Format2:
                                   % (m, mC))
             return KInvariant(
                 m, _int_matrix([doc["unit"]], "unit", 1, m)[0],
-                _int_matrix(doc["act"], "act", m, m), mC,
-                _int_matrix(doc["dualAct"], "dualAct", mC, mC),
+                _perm(doc["act"], "act", m), mC,
+                _perm(doc["dualAct"], "dualAct", mC),
                 _int_matrix([doc["special"]], "special", 1, mC)[0],
                 _int_matrix(doc["iota"], "iota", mC, m))
         if kind == "kpair":

@@ -15,7 +15,7 @@ from afzp.errors import (CorrectionFailed, KDataMismatch, MultisetMismatch,
                          NonDiagonalizableWithinField,
                          NonIntegralMultiplicity, NotEquivariant, NotOrderP,
                          ShapeMismatch, UnitaryNotFoundInField)
-from afzp.kinv import KInvariant, KPair, induced_map
+from afzp.kinv import KInvariant, KPair, imat_mul, induced_map, ivec_mul
 from afzp.matrix import (Mat, blockdiag, diag_root_exponents, spectral,
                          unitary_conjugator)
 from afzp.report import Report
@@ -234,6 +234,111 @@ def _perm_matrix(sigma):
             for t in range(len(sigma))]
 
 
+def _perm_of(matrix):
+    """Images of a permutation matrix (row index with the 1, per column)."""
+    n = len(matrix)
+    out = [None] * n
+    for c in range(n):
+        for r in range(n):
+            if matrix[r][c]:
+                out[c] = r
+    return out
+
+
+def _matrix_orbits(permB, permA):
+    """Orbits of (r, c) under the simultaneous permutation action."""
+    nB, nA = len(permB), len(permA)
+    seen = [[False] * nA for _ in range(nB)]
+    orbits = []
+    for r in range(nB):
+        for c in range(nA):
+            if seen[r][c]:
+                continue
+            orb = []
+            rr, cc = r, c
+            while not seen[rr][cc]:
+                seen[rr][cc] = True
+                orb.append((rr, cc))
+                rr, cc = permB[rr], permA[cc]
+            orbits.append(orb)
+    return orbits
+
+
+def _enumerate_equivariant(permB, permA, bound, row_check):
+    """All nonnegative matrices constant on simultaneous-permutation
+    orbits and accepted by row_check, with entries <= bound unless bound
+    is None, in lexicographic order; row_check(mat, partial=True) must be
+    monotone, and each orbit's value loop stops at its first rejection."""
+    nB, nA = len(permB), len(permA)
+    orbits = _matrix_orbits(permB, permA)
+    results = []
+
+    def rec(idx, mat):
+        if idx == len(orbits):
+            if row_check(mat):
+                results.append([row[:] for row in mat])
+            return
+        for v in (itertools.count() if bound is None else range(bound + 1)):
+            for (r, c) in orbits[idx]:
+                mat[r][c] = v
+            if not row_check(mat, partial=True):
+                break
+            rec(idx + 1, mat)
+        for (r, c) in orbits[idx]:
+            mat[r][c] = 0
+
+    rec(0, [[0] * nA for _ in range(nB)])
+    return results
+
+
+def ordered_ksearch_oracle(invA, invB, bound=None):
+    """Oracle for classify.ksearch, in its order: the whole-list
+    enumerator over the actions' 0/1 matrices, decoded back to images,
+    with whole-matrix products for the unit class (f_check) and for the
+    special element and the embedding square (phi_check)."""
+    permB = _perm_of(_perm_matrix(invB.act))
+    permA = _perm_of(_perm_matrix(invA.act))
+
+    def f_check(mat, partial=False):
+        img = ivec_mul(mat, invA.unit)
+        if partial:
+            return all(img[r] <= invB.unit[r] for r in range(invB.m))
+        return img == invB.unit
+
+    fs = _enumerate_equivariant(permB, permA, bound, f_check)
+    dualB = _perm_of(_perm_matrix(invB.dualAct))
+    dualA = _perm_of(_perm_matrix(invA.dualAct))
+    out = []
+    for F in fs:
+        target_iota = imat_mul(invB.iota, F)
+
+        def phi_check(mat, partial=False, _ti=target_iota):
+            simg = ivec_mul(mat, invA.special)
+            if partial:
+                if any(simg[r] > invB.special[r] for r in range(invB.mC)):
+                    return False
+                comm = imat_mul(mat, invA.iota)
+                return all(comm[r][c] <= _ti[r][c]
+                           for r in range(invB.mC) for c in range(invA.m))
+            if simg != invB.special:
+                return False
+            return imat_mul(mat, invA.iota) == _ti
+
+        out.extend(KPair(F, phi) for phi in
+                   _enumerate_equivariant(dualB, dualA, bound, phi_check))
+    return out
+
+
+def matrix_intertwining(kp, invA, invB):
+    """Oracle for check_pair's two intertwining items, as products with
+    the actions' 0/1 matrices: (F actA = actB F, phi dualA = dualB phi)."""
+    actA, actB = _perm_matrix(invA.act), _perm_matrix(invB.act)
+    dualA, dualB = _perm_matrix(invA.dualAct), _perm_matrix(invB.dualAct)
+    return (imat_mul(kp.F, actA, invA.m) == imat_mul(actB, kp.F, invA.m),
+            imat_mul(kp.phi, dualA, invA.mC)
+            == imat_mul(dualB, kp.phi, invA.mC))
+
+
 def invariant_oracle(c):
     """Oracle for kinv.invariant_of, assembled afresh on every call and
     read off the crossed product's algebra: act and dualAct are the
@@ -248,8 +353,8 @@ def invariant_oracle(c):
                                                 0)))
         for b, mat in enumerate(image):
             iota[b][s] = _multiplicity(mat, "iota entry %d, %d" % (b, s))
-    return KInvariant(c.m, list(c.block_sizes), _perm_matrix(c.sigma), cp.m,
-                      _perm_matrix(cp.dual_system().sigma), special, iota)
+    return KInvariant(c.m, list(c.block_sizes), tuple(c.sigma), cp.m,
+                      tuple(cp.dual_system().sigma), special, iota)
 
 
 class ExtendedHom:
@@ -944,7 +1049,8 @@ def dump_format1(obj):
                    identify=mat_json(obj.identify_matrix()))
     elif isinstance(obj, KInvariant):
         doc.update(kind="kinvariant", m=obj.m, unit=list(obj.unit),
-                   act=obj.act, mC=obj.mC, dualAct=obj.dualAct,
+                   act=_perm_matrix(obj.act), mC=obj.mC,
+                   dualAct=_perm_matrix(obj.dualAct),
                    special=list(obj.special), iota=obj.iota)
     elif isinstance(obj, KPair):
         doc.update(kind="kpair", F=obj.F, phi=obj.phi, unital=obj.unital)

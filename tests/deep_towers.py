@@ -1,11 +1,13 @@
 """Deep product towers intertwined with themselves: time, memory, size.
 
-    python tests/deep_towers.py            # the six towers below
+    python tests/deep_towers.py            # the seven rows below
     python tests/deep_towers.py 2 9        # one tower: p, depth
+    python tests/deep_towers.py 7 2 searched
 
 Each tower is product_tower(p, depth) intertwined with itself through
-identity_pairs at full depth, in a fresh process so that its peak RSS is
-its own. Printed per tower: build, intertwine and load + verify seconds
+identity_pairs at full depth, or, in a searched row, with its resorted
+presentation and no given pairs, so that every zigzag step searches its
+pair. Each runs in a fresh process so that its peak RSS is its own. Printed per tower: build, intertwine and load + verify seconds
 (wall clock), peak RSS in MiB, certificate bytes and the first 12 hex
 digits of the certificate's sha256. Stdlib and afzp only; pytest does
 not collect this file.
@@ -20,10 +22,11 @@ import sys
 import time
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-TOWERS = [(2, 9), (2, 10), (3, 6), (5, 4), (5, 5), (7, 2)]
+TOWERS = [(2, 9, False), (2, 10, False), (3, 6, False), (5, 4, False),
+          (5, 5, False), (7, 2, False), (7, 2, True)]
 
 
-def measure(p, depth):
+def measure(p, depth, searched=False):
     sys.path.insert(0, SRC)
     from afzp.classify import intertwine, verify_certificate
     from afzp.demos import identity_pairs, product_tower
@@ -31,13 +34,15 @@ def measure(p, depth):
 
     t0 = time.perf_counter()
     tower = product_tower(p, depth)
+    other = product_tower(p, depth, resorted=True) if searched else tower
     t1 = time.perf_counter()
-    cert = intertwine(tower, tower, identity_pairs(tower, depth), depth=depth)
+    pairs = None if searched else identity_pairs(tower, depth)
+    cert = intertwine(tower, other, pairs, depth=depth)
     text = dumps(cert)
     t2 = time.perf_counter()
     ok = verify_certificate(loads(text)).ok
     t3 = time.perf_counter()
-    return {"p": p, "depth": depth, "build_s": t1 - t0,
+    return {"p": p, "depth": depth, "searched": searched, "build_s": t1 - t0,
             "intertwine_s": t2 - t1, "load_verify_s": t3 - t2,
             "peak_rss_mib": resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 1024,
@@ -47,19 +52,22 @@ def measure(p, depth):
 
 def main(argv):
     if argv:
-        print(json.dumps(measure(int(argv[0]), int(argv[1]))))
+        print(json.dumps(measure(int(argv[0]), int(argv[1]),
+                                 argv[2:] == ["searched"])))
         return 0
     print("| tower | build | intertwine | load + verify | peak RSS "
           "| certificate | sha256 |")
     print("| --- | --- | --- | --- | --- | --- | --- |")
     failed = 0
-    for p, depth in TOWERS:
-        out = subprocess.run([sys.executable, __file__, str(p), str(depth)],
+    for p, depth, searched in TOWERS:
+        out = subprocess.run([sys.executable, __file__, str(p), str(depth)]
+                             + ["searched"] * searched,
                              check=True, capture_output=True, text=True)
         r = json.loads(out.stdout)
         failed += not r["verified"]
-        print("| p=%d depth %d | %.2f s | %.2f s | %.2f s | %.0f MiB | "
-              "%d B | %s%s |" % (p, depth, r["build_s"], r["intertwine_s"],
+        print("| p=%d depth %d%s | %.2f s | %.2f s | %.2f s | %.0f MiB | "
+              "%d B | %s%s |" % (p, depth, " searched" * searched,
+                                 r["build_s"], r["intertwine_s"],
                                  r["load_verify_s"], r["peak_rss_mib"],
                                  r["certificate_bytes"], r["sha256"][:12],
                                  "" if r["verified"] else " FAILS VERIFY"))

@@ -118,10 +118,9 @@ def test_criterion_3_k_data_per_piece():
             form = fixed_form(ctx, exps)
             inv = invariant_of(form)
             assert inv.iota == [[1]] * p                    # duplication
-            expected_dual = [[1 if c == (r + 1) % p else 0
-                              for c in range(p)] for r in range(p)]
+            expected_dual = tuple((r + 1) % p for r in range(p))
             assert inv.dualAct == expected_dual             # cyclic shift
-            assert inv.act == [[1]]                         # trivial
+            assert inv.act == (0,)                          # trivial
             cp = crossed_product(form)
             _, mats, ranks = cp.averaging_projection()
             for q in mats:
@@ -133,9 +132,8 @@ def test_criterion_3_k_data_per_piece():
             form = cycle_form(ctx, n)
             inv = invariant_of(form)
             assert inv.iota == [[1] * p]                    # coordinate sum
-            assert inv.dualAct == [[1]]                     # trivial
-            expected_act = [[1 if c == (r - 1) % p else 0
-                             for c in range(p)] for r in range(p)]
+            assert inv.dualAct == (0,)                      # trivial
+            expected_act = tuple((r - 1) % p for r in range(p))
             assert inv.act == expected_act
             cp = crossed_product(form)
             _, mats, ranks = cp.averaging_projection()

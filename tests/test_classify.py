@@ -6,17 +6,17 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from afzp._rat import RAT
-from afzp.classify import (IntertwiningCertificate, Tower, _case_params,
-                           _commutes_on_exponents, conjugate_hom,
-                           equiv_unitary, intertwine, ksearch, lift,
-                           validate_tower, verify_certificate)
+from afzp.classify import (IntertwiningCertificate, Tower, _candidates,
+                           _case_params, _commutes_on_exponents,
+                           conjugate_hom, equiv_unitary, intertwine, ksearch,
+                           lift, validate_tower, verify_certificate)
 from afzp.cli import main
 from afzp.demos import identity_pairs, naive_doubling_tower, product_tower
 from afzp.errors import (AfzpError, KDataMismatch, LiftFailed,
                          PairCheckFailed, ReindexFailed,
                          UnitaryNotFoundInField)
-from afzp.kinv import (KPair, check_pair, imat_mul, induced_map, invariant_of,
-                       ivec_mul)
+from afzp.kinv import (KPair, check_pair, compose_pairs, imat_mul, induced_map,
+                       invariant_of, ivec_mul)
 from afzp.matrix import Mat, blockdiag, spectral, unitary_conjugator
 from afzp.serialize import dumps, load_json, loads, save_json
 from afzp.system import (Arrangement, EqHom, Slot, equal_as_maps,
@@ -26,7 +26,8 @@ from conftest import (CaseShapeViolation, checked_case_params,
                       checked_conjugator, corner_equiv_unitary,
                       corrupt_entry, ctx_for,
                       cycle_form, fixed_form, fixed_point_unitary, grid_mat,
-                      mat_kron, mat_sub, mixed_form, piece_specs, solve,
+                      mat_kron, mat_sub, matrix_intertwining, mixed_form,
+                      ordered_ksearch_oracle, piece_specs, solve,
                       unit_tuple, unitary_conjugator_search, vec_row_major)
 
 
@@ -217,6 +218,85 @@ def test_ksearch_matches_brute_force_oracle(p):
                 [kp for kp in full if max_entry(kp) <= bound]
         found += len(full)
     assert found > 0
+
+
+def _grid_with_zero(p):
+    """_oracle_grid(p) and the zero algebra (m = 0) on either side of
+    each of its forms, and against itself."""
+    zero = mixed_form(ctx_for(p), [])
+    grid = _oracle_grid(p)
+    forms = list({id(c): c for pair in grid for c in pair}.values())
+    return grid + [(zero, zero)] + [pair for c in forms
+                                    for pair in ((zero, c), (c, zero))]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_ksearch_lists_the_matrix_enumerators_pairs_in_order(p):
+    """ksearch, run on the actions' permutations with one column-wise
+    check, lists the pairs of the enumerator that ran on their 0/1
+    matrices with whole-matrix products, element by element."""
+    found = 0
+    for src, tgt in _grid_with_zero(p):
+        invA, invB = invariant_of(src), invariant_of(tgt)
+        for bound in (None, 1, 2, 3):
+            want = ordered_ksearch_oracle(invA, invB, bound)
+            assert ksearch(invA, invB, bound) == want
+            found += len(want)
+    assert found > 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_first_closing_candidate_is_first_of_filtered_list(p):
+    """The candidate a zigzag step takes, the generator's first that
+    closes its triangle, is the first of the oracle's full list that
+    does; a triangle no candidate closes finds none in either."""
+    steps = 0
+    for x, y in _oracle_grid(p):
+        invX, invY = invariant_of(x), invariant_of(y)
+        full = ordered_ksearch_oracle(invX, invY)
+        for prev in ksearch(invY, invX, 1):
+            wants = [compose_pairs(c, prev) for c in full]
+            for want in wants + [KPair([], [])]:
+                def closes(c):
+                    return compose_pairs(c, prev) == want
+                assert next(filter(closes, _candidates(invX, invY, None)),
+                            None) == next(filter(closes, full), None)
+                steps += 1
+    assert steps > 0
+
+
+def _raised(kp):
+    """kp, then kp with each one F or phi entry raised by 1."""
+    yield kp
+    for name in ("F", "phi"):
+        mat = getattr(kp, name)
+        for r, row in enumerate(mat):
+            for c in range(len(row)):
+                bumped = [list(x) for x in mat]
+                bumped[r][c] += 1
+                yield (KPair(bumped, kp.phi) if name == "F"
+                       else KPair(kp.F, bumped))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_intertwining_items_agree_with_matrix_products(p):
+    """check_pair's intertwining items, read on the permutations, agree
+    with the products by the 0/1 matrices on every grid pair's ksearch
+    pairs and zero pair, and on each with one entry raised by 1."""
+    names = ("F intertwines the actions", "phi intertwines the dual actions")
+    outcomes = set()
+    for src, tgt in _oracle_grid(p):
+        invA, invB = invariant_of(src), invariant_of(tgt)
+        zero = KPair([[0] * invA.m for _ in range(invB.m)],
+                     [[0] * invA.mC for _ in range(invB.mC)])
+        for base in ksearch(invA, invB, 2) + [zero]:
+            for kp in _raised(base):
+                items = {it.name: it.ok for it in
+                         check_pair(kp, invA, invB).items}
+                got = tuple(items[n] for n in names)
+                assert got == matrix_intertwining(kp, invA, invB)
+                outcomes.add(got)
+    assert len(outcomes) > 1
 
 
 # -- equiv_unitary -----------------------------------------------------------
@@ -848,6 +928,14 @@ def test_self_intertwine_with_identity_pairs():
     rep = verify_certificate(cert)
     assert rep.ok, rep.summary()
     assert cert.a_stages == [0, 1, 2]
+
+
+@pytest.mark.parametrize("resorted", [False, True], ids=["plain", "resorted"])
+@pytest.mark.parametrize("p,depth", [(2, 3), (3, 2), (5, 2)])
+def test_product_tower_is_valid(p, depth, resorted):
+    """product_tower leaves validation to the towers' consumers; its maps
+    pass it in both presentations."""
+    assert validate_tower(product_tower(p, depth, resorted)).ok
 
 
 def test_intertwine_validates_each_tower_once(monkeypatch):

@@ -35,7 +35,7 @@ from afzp.system import FdSystem, decompose, identity_hom
 
 from afzp.serialize import _OBJECT_KINDS, dumps
 
-from conftest import ctx_for, mixed_form
+from conftest import ctx_for, ieye, mixed_form
 
 
 def _doc(value):
@@ -382,6 +382,14 @@ def test_nested_document_of_wrong_kind_exits_two(fuzzdir, data):
 
 _MALFORMED = {
     "ragged act": ("kinvariant", lambda d: d["act"][1].pop()),
+    "act entry 2": ("kinvariant", lambda d: d["act"][0].__setitem__(0, 2)),
+    "act with a 2 beside its 1": (
+        "kinvariant", lambda d: d["act"][0].__setitem__(1, 2)),
+    "act with two 1s in a row": (
+        "kinvariant", lambda d: d.update(act=[[1, 0, 0], [0, 1, 1],
+                                              [0, 0, 0]])),
+    "dualAct with two 1s in a column": (
+        "kinvariant", lambda d: d["dualAct"].__setitem__(2, [1, 0, 0])),
     "short unit": ("kinvariant", lambda d: d["unit"].pop()),
     "fractional iota": ("kinvariant",
                         lambda d: d["iota"][0].__setitem__(0, 0.5)),
@@ -404,6 +412,25 @@ def test_malformed_integer_documents_exit_two(fuzzdir, case):
     json.dump(doc, open(bad, "w"))
     line = _TOP_COMMANDS[kind][0]
     assert _exit_code(*_argv(fuzzdir, line, bad)) == 2
+
+
+@pytest.mark.parametrize("act", [[[2]], [[1, 1], [0, 0]]])
+def test_checkpair_refuses_an_act_that_is_no_permutation(tmp_path, capsys,
+                                                         act):
+    """Invariants whose act is not a permutation matrix, checked against
+    each other, used to pass every check_pair item."""
+    m = len(act)
+    inv = {"afzp_format": 2, "kind": "kinvariant", "m": m, "unit": [1] * m,
+           "act": act, "mC": m, "dualAct": ieye(m), "special": [1] * m,
+           "iota": ieye(m)}
+    pair = {"afzp_format": 2, "kind": "kpair", "F": ieye(m),
+            "phi": ieye(m), "unital": True}
+    for name, doc in (("inv", inv), ("pair", pair)):
+        json.dump(doc, open(tmp_path / ("%s.json" % name), "w"))
+    inv_path = str(tmp_path / "inv.json")
+    assert main(["checkpair", str(tmp_path / "pair.json"), inv_path,
+                 inv_path]) == 2
+    assert "act is not a permutation matrix" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line,want", [

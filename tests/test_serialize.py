@@ -202,18 +202,30 @@ def test_searched_pair_certificate_bytes_are_pinned():
      "d20f9f664e963aa9a8f8045c28308bc3292faa6ba304c747d06194ffb37ae8c1"),
     (7, 2, False,
      "d2133009f4065bb3a0cf9c829e6ce2d0e5398ca85593256fe569d27f3f2fbcf4"),
-], ids=_PINNED_IDS + ["p2-depth3-searched", "p5-depth3", "p7-depth2"])
+    (5, 3, None,
+     "54525cbf8396d5f9c76c257628f06356cdd7f4deeaebb578162a9a814f1f459c"),
+    (7, 2, None,
+     "7484246b9b7272fff6958fc33d816eddaf3c3fdfecb8f9819fbefac8688a8587"),
+], ids=_PINNED_IDS + ["p2-depth3-searched", "p5-depth3", "p7-depth2",
+                      "p5-depth3-searched", "p7-depth2-searched"])
 def test_format2_certificate_bytes_are_pinned(p, depth, resorted, digest):
-    """The format-2 bytes of the certificates pinned above in format 1
-    (resorted None: the searched-pair one); the digests were taken when
-    format 2 was introduced, those of p = 5 and 7 before hom checks
-    scaled by exponents instead of by V's diagonal."""
+    """The format-2 bytes of the certificates pinned above in format 1,
+    and of searched-pair ones (resorted None): the tower intertwined
+    with its resorted presentation and no given pairs. The digests were
+    taken when format 2 was introduced, those of p = 5 and 7 before hom
+    checks scaled by exponents instead of by V's diagonal, and the
+    searched p = 5 and 7 ones before the pair search took its candidates
+    one at a time. A searched certificate replays after a round trip."""
     if resorted is None:
-        cert = intertwine(product_tower(2, 3),
-                          product_tower(2, 3, resorted=True), depth=3)
+        cert = intertwine(product_tower(p, depth),
+                          product_tower(p, depth, resorted=True), depth=depth)
     else:
         cert = _pinned_certificate(p, depth, resorted)
-    assert _digest(dumps(cert)) == digest
+    text = dumps(cert)
+    assert _digest(text) == digest
+    if resorted is None:
+        rep = verify_certificate(loads(text))
+        assert rep.ok, rep.summary()
 
 
 @pytest.mark.parametrize("target,digest", [
