@@ -34,8 +34,8 @@ from .kinv import (KPair, check_pair, compose_pairs, induced_map,
 from .matrix import Mat, blockdiag, unitary_conjugator
 from .report import Report
 from .system import (Arrangement, EqHom, Slot, _block_product, _labels,
-                     _pattern_defect, equal_as_maps, hom_compose,
-                     hom_validate)
+                     _orbits, _pattern_defect, _slot_starts, equal_as_maps,
+                     hom_compose, hom_validate)
 
 __all__ = ["lift", "equiv_unitary", "ksearch", "Tower", "intertwine",
            "IntertwiningCertificate", "verify_certificate",
@@ -209,18 +209,6 @@ class UniquenessWitness:
     W: list = field(default_factory=list)    # per target block
 
 
-def _slot_starts(h, t):
-    """Start of each slot of target block t, listed per source block in
-    occurrence order."""
-    starts = [[] for _ in range(h.source.m)]
-    pos = 0
-    for slot in h.arrangements[t].slots:
-        if slot.src is not None:
-            starts[slot.src].append(pos)
-        pos += slot.size
-    return starts
-
-
 def _slot_adjoint(P, rows, cols):
     """Scalars of P^dagger between slots: L[c][c'] = conj(P[cols[c']][rows[c]])
     for the slots starting at rows (c) and at cols (c')."""
@@ -361,23 +349,12 @@ def conjugate_hom(W, h):
 
 
 def _entry_orbits(permB, permA):
-    """Orbits of (r, c) under the simultaneous permutation action; the
-    equivariance constraint forces equal values along each orbit."""
-    nB, nA = len(permB), len(permA)
-    seen = [[False] * nA for _ in range(nB)]
-    orbits = []
-    for r in range(nB):
-        for c in range(nA):
-            if seen[r][c]:
-                continue
-            orb = []
-            rr, cc = r, c
-            while not seen[rr][cc]:
-                seen[rr][cc] = True
-                orb.append((rr, cc))
-                rr, cc = permB[rr], permA[cc]
-            orbits.append(orb)
-    return orbits
+    """Orbits of the entries (r, c) under (r, c) -> (permB[r], permA[c]),
+    walked on the flattened index r * nA + c; the equivariance constraint
+    forces equal values along each orbit."""
+    nA = len(permA)
+    flat = [rb * nA + ca for rb in permB for ca in permA]
+    return [[divmod(k, nA) for k in orb] for orb in _orbits(flat)]
 
 
 def _fits(mat, cols, wants, partial):
@@ -392,16 +369,16 @@ def _fits(mat, cols, wants, partial):
     return True
 
 
-def _equivariant(permB, permA, bound, cols, wants):
-    """Every nonnegative matrix constant on simultaneous-permutation
-    orbits with mat * col = want for each listed column, entries <= bound
-    unless bound is None, in lexicographic order of the orbit values.
+def _equivariant(orbits, shape, bound, cols, wants):
+    """Every nonnegative rows x cols matrix, shape = (rows, cols),
+    constant on the given entry orbits with mat * col = want for each
+    listed column, entries <= bound unless bound is None, in
+    lexicographic order of the orbit values.
 
     Every column is nonnegative, so raising an orbit's value never turns
     a failed partial check into a pass: each orbit's value loop stops at
     its first failure, which also ends the loop when bound is None."""
-    orbits = _entry_orbits(permB, permA)
-    mat = [[0] * len(permA) for _ in permB]
+    mat = [[0] * shape[1] for _ in range(shape[0])]
 
     def rec(idx):
         if idx == len(orbits):
@@ -423,11 +400,14 @@ def _equivariant(permB, permA, bound, cols, wants):
 def _candidates(invA, invB, bound):
     """The pairs ksearch lists, one at a time and in its order."""
     iotaA = [[row[c] for row in invA.iota] for c in range(invA.m)]
-    for F in _equivariant(invB.act, invA.act, bound, [invA.unit],
-                          [invB.unit]):
+    phi_orbits = None       # built at the first F: most searches find none
+    for F in _equivariant(_entry_orbits(invB.act, invA.act),
+                          (invB.m, invA.m), bound, [invA.unit], [invB.unit]):
+        if phi_orbits is None:
+            phi_orbits = _entry_orbits(invB.dualAct, invA.dualAct)
         target = [ivec_mul(invB.iota, [row[c] for row in F])
                   for c in range(invA.m)]
-        for phi in _equivariant(invB.dualAct, invA.dualAct, bound,
+        for phi in _equivariant(phi_orbits, (invB.mC, invA.mC), bound,
                                 [invA.special] + iotaA,
                                 [invB.special] + target):
             yield KPair(F, phi)
@@ -596,8 +576,9 @@ def _zigzag(cert, source, target, prev, given):
 
 def verify_certificate(cert):
     """Replay every identity in the certificate from scratch. An identity
-    involving a hom or tower that fails validation is reported as failed
-    without being evaluated."""
+    involving a tower that fails validation, or a hom that fails
+    validation or does not map the stages it stands between, is reported
+    as failed without being evaluated."""
     rep = Report()
     valid = {}
     # a tower intertwined with itself is validated once
@@ -606,19 +587,30 @@ def verify_certificate(cert):
         valid[name] = rep.add(name + " valid", a_ok if tower is cert.towerA
                               else validate_tower(tower).ok)
 
+    def check_hom(name, h, source, target):
+        """h is valid and maps stage source = (X, tower, i) to target."""
+        ok = rep.add(name + " valid", hom_validate(h).ok)
+        (X, tX, i), (Y, tY, j) = source, target
+        ends = rep.add("%s maps %s%d -> %s%d" % (name, X, i, Y, j),
+                       h.source.same_shape(tX.systems[i])
+                       and h.target.same_shape(tY.systems[j]))
+        valid[name] = ok and ends
+
     def replay(name, involved, identity):
         bad = [h for h in involved if not valid.get(h)]
         rep.add(name, not bad and identity(),
                 "not checked: %s is invalid" % bad[0] if bad else "")
 
     for i, psi in enumerate(cert.forward):
-        valid["forward hom %d" % i] = rep.add("forward hom %d valid" % i,
-                                              hom_validate(psi).ok)
+        check_hom("forward hom %d" % i, psi,
+                  ("A", cert.towerA, cert.a_stages[i]),
+                  ("B", cert.towerB, cert.b_stages[i]))
         replay("forward hom %d induces its pair" % i, ["forward hom %d" % i],
                lambda: induced_map(psi) == cert.pairs[i])
     for i, chi in enumerate(cert.backward):
-        valid["backward hom %d" % i] = rep.add("backward hom %d valid" % i,
-                                               hom_validate(chi).ok)
+        check_hom("backward hom %d" % i, chi,
+                  ("B", cert.towerB, cert.b_stages[i]),
+                  ("A", cert.towerA, cert.a_stages[i + 1]))
     for i, chi in enumerate(cert.backward):
         ai, a_next = cert.a_stages[i], cert.a_stages[i + 1]
         replay("triangle over A%d -> A%d commutes" % (ai, a_next),

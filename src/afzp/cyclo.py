@@ -7,8 +7,7 @@ terms, gcd(den, *num) == 1: the layout of Antic's nf_elem and FLINT's
 fmpq_poly. Every value has exactly one such form, so equality and
 hashing compare (num, den). Phi_N is monic, so z^e reduces to an integer
 row and products need integer arithmetic and one gcd only. No floating
-point enters any decision path; approx() gives a floating embedding for
-reporting only.
+point is used anywhere.
 """
 
 import math
@@ -18,8 +17,7 @@ from ._rat import RAT
 from .errors import ContextMismatch, DivisionByZero, TwistRootOutsideField
 
 __all__ = [
-    "FieldContext", "Scalar", "root_order", "approx",
-    "cyclotomic_poly",
+    "FieldContext", "Scalar", "cyclotomic_poly",
 ]
 
 
@@ -412,16 +410,6 @@ def _combine(a, b, op):
                                   for x, y in zip(a.num, b.num)]), da * sa)
 
 
-def root_order(a):
-    """Least m <= N with a^m == 1, or None if a is not an N-th root of
-    unity. Only divisors of N need testing."""
-    ctx = a.ctx
-    for m in _divisors(ctx.order):
-        if a ** m == ctx.one:
-            return m
-    return None
-
-
 def root_exponent(a):
     """Exponent k in [0, N) with a == zeta_N^k, or None."""
     ctx = a.ctx
@@ -430,22 +418,3 @@ def root_exponent(a):
             return k
     return None
 
-
-def approx(a, digits=12):
-    """Floating embedding zeta_N -> exp(2*pi*i/N), for reporting only.
-
-    Returns a (real, imag) pair rounded to the requested number of
-    decimal digits.
-    """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    N = a.ctx.order
-    re = 0.0
-    im = 0.0
-    for j, c in enumerate(a.coeffs):
-        if c == 0:
-            continue
-        f = int(c.numerator) / int(c.denominator)
-        re += f * math.cos(2 * math.pi * j / N)
-        im += f * math.sin(2 * math.pi * j / N)
-    return (round(re, digits), round(im, digits))

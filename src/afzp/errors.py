@@ -35,10 +35,6 @@ class MultisetMismatch(AfzpError):
         self.counts2 = counts2
 
 
-class NonScalarHolonomy(AfzpError):
-    """Product of implementing unitaries around an orbit is not scalar."""
-
-
 class TwistNotRootOfUnity(AfzpError):
     """Holonomy scalar is not a root of unity in the field."""
 
@@ -53,7 +49,7 @@ class TwistRootOutsideField(AfzpError):
 
 class NonDiagonalizableWithinField(AfzpError):
     """A fixed block's implementing unitary has eigenvectors that
-    matrix.unitary_conjugator cannot pair with its sorted diagonal: some
+    matrix.diagonalizer cannot pair with its sorted diagonal: some
     norm ratio is not a rational k^2 2^a p^b / c^2. Diagonal and monomial
     blocks never raise this; re-present the input with one."""
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .errors import NonIntegralMultiplicity, ShapeMismatch
 from .report import Report
 from .crossed import crossed_offsets, crossed_product
+from .system import _slot_starts
 from ._rat import RAT, is_integer
 
 __all__ = ["KInvariant", "KPair", "invariant_of", "induced_map",
@@ -98,16 +99,8 @@ def induced_map(h):
     """
     src, tgt = h.source, h.target
     p = src.p
-    F = [[0] * src.m for _ in range(tgt.m)]
-    firsts = []               # per target block: (source block, position)
-    for t, arr in enumerate(h.arrangements):
-        pos, here = 0, []
-        for slot in arr.slots:
-            if slot.src is not None:
-                F[t][slot.src] += 1
-                here.append((slot.src, pos))
-            pos += slot.size
-        firsts.append(here)
+    starts = [_slot_starts(h, t) for t in range(tgt.m)]
+    F = [[len(c) for c in row] for row in starts]
     offA, offB = crossed_offsets(src), crossed_offsets(tgt)
     phi = [[0] * offA[-1] for _ in range(offB[-1])]
     for sp, s, a, s_exps in zip(src.pieces, src.piece_offsets, offA,
@@ -126,7 +119,7 @@ def induced_map(h):
             else:
                 by_exp = [src.ctx.zero] * p
                 X = h.arrangements[t].conj
-                cols = {c for q, c in firsts[t] if q == s}
+                cols = set(starts[t][s])
                 for e, xcols, xvals in zip(t_exps, X.nz, X.vals):
                     for c, x in zip(xcols, xvals):
                         if c in cols:

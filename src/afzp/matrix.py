@@ -9,10 +9,12 @@ point; entries is a dense view, built on each read, for display and
 tests.
 
 The only eigen-analysis offered is character averaging of finite-order
-unitaries, which stays inside the field, and unitary_conjugator built on
-it, which pairs the eigenspaces of two order-p unitaries. There is no
-general eigensolver and no linear solver: every identity the engine
-checks is a matrix product compared against a pattern.
+unitaries, which stays inside the field, and what is built on it:
+unitary_conjugator, which pairs the eigenspaces of two order-p
+unitaries, and diagonalizer, which pairs one with its sorted diagonal's
+unit vectors. There is no general eigensolver and no linear solver:
+every identity the engine checks is a matrix product compared against
+a pattern.
 """
 
 import math
@@ -23,7 +25,7 @@ from .errors import (MultisetMismatch, NotOrderP, ShapeMismatch,
                      TwistRootOutsideField, UnitaryNotFoundInField)
 from ._rat import RAT, is_integer
 
-__all__ = ["Mat", "SpectralData", "spectral", "unitary_conjugator"]
+__all__ = ["Mat", "spectral", "unitary_conjugator", "diagonalizer"]
 
 
 class Mat:
@@ -256,20 +258,11 @@ def blockdiag(ctx, mats, total=None):
     return Mat(ctx, total, total, tuple(nz), tuple(vals))
 
 
-class SpectralData:
-    """Exact eigenprojections of an order-p unitary.
-
-    projections[k] averages the characters so that
-    V = sum_k zeta_p^k projections[k]; multiplicities[k] = trace."""
-
-    def __init__(self, p, projections, multiplicities):
-        self.p = p
-        self.projections = projections
-        self.multiplicities = multiplicities
-
-
 def spectral(V, p):
-    """Character-averaged spectral data of a unitary with V^p = I."""
+    """The eigenprojections of a unitary with V^p = I, by character
+    averaging: projections[k] = (1/p) sum_j zeta_p^(-kj) V^j, so that
+    V = sum_k zeta_p^k projections[k]. Each trace must be a nonnegative
+    integer and the traces must sum to the dimension."""
     ctx = V.ctx
     if V.rows != V.cols:
         raise NotOrderP("matrix is not square")
@@ -281,7 +274,7 @@ def spectral(V, p):
         raise NotOrderP("matrix is not a unitary of order dividing %d" % p)
     inv_p = ctx.scalar(1) / ctx.scalar(p)
     projections = []
-    multiplicities = []
+    total = 0
     for k in range(p):
         acc = Mat.zero(ctx, n, n)
         for j in range(p):
@@ -291,10 +284,10 @@ def spectral(V, p):
         if t is None or not is_integer(t) or t < 0:
             raise NotOrderP("projection trace is not a nonnegative integer")
         projections.append(P)
-        multiplicities.append(int(t))
-    if sum(multiplicities) != n:
+        total += t
+    if total != n:
         raise NotOrderP("multiplicities do not sum to the dimension")
-    return SpectralData(p, projections, multiplicities)
+    return projections
 
 
 def diag_root_exponents(D, p):
@@ -342,13 +335,31 @@ def unitary_conjugator(L1, L2, p):
     if not L1.rows == L1.cols == L2.rows == L2.cols:
         raise ShapeMismatch("conjugating %dx%d into %dx%d"
                             % (L2.rows, L2.cols, L1.rows, L1.cols))
-    ctx = L1.ctx
-    bases1, bases2 = _eigenbases(L1, p), _eigenbases(L2, p)
+    return _pair(L1.ctx, _eigenbases(L1, p), _eigenbases(L2, p))
+
+
+def diagonalizer(V, p):
+    """(e, Z) for a unitary V with V^p = I: its exponents e in ascending
+    order and unitary_conjugator(diag(zeta_p^e), V, p), from one pass
+    over V's eigenspaces (the unit vectors are diag(zeta_p^e)'s basis)."""
+    bases = _eigenbases(V, p)
+    one = V.ctx.one
+    exps, units = [], []
+    for d, basis in enumerate(bases):
+        units.append([([(len(exps) + i, one)], one)
+                      for i in range(len(basis))])
+        exps.extend([d] * len(basis))
+    return exps, _pair(V.ctx, units, bases)
+
+
+def _pair(ctx, bases1, bases2):
+    """Z = sum_i s_i v_i u_i^dagger / <u_i, u_i> over the paired basis
+    vectors of each eigenspace (see unitary_conjugator)."""
     counts1 = [len(b) for b in bases1]
     counts2 = [len(b) for b in bases2]
     if counts1 != counts2:
         raise MultisetMismatch(counts1, counts2)
-    Z = [{} for _ in range(L1.rows)]
+    Z = [{} for _ in range(sum(counts1))]
     zero, one = ctx.zero, ctx.one
     for d, (b1, b2) in enumerate(zip(bases1, bases2)):
         for (v, nv), (u, nu) in zip(b1, b2):
@@ -363,7 +374,7 @@ def unitary_conjugator(L1, L2, p):
                 cx, row = c * x, Z[i]
                 for b, y in u:
                     row[b] = row.get(b, zero) + cx * y.conj()
-    return Mat.from_dicts(ctx, L1.cols, Z)
+    return Mat.from_dicts(ctx, len(Z), Z)
 
 
 def _eigenbases(L, p):
@@ -380,7 +391,7 @@ def _eigenbases(L, p):
         for i, e in enumerate(exps):
             bases[e].append(([(i, ctx.one)], ctx.one))
         return bases
-    for basis, P in zip(bases, spectral(L, p).projections):
+    for basis, P in zip(bases, spectral(L, p)):
         dense = []
         for j in range(n):
             w = [P.entry(i, j) for i in range(n)]

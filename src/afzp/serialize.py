@@ -62,6 +62,13 @@ def _int_matrix(x, name, rows=None, cols=None):
     return x
 
 
+def _flag(x):
+    """x, checked to be a JSON boolean."""
+    if not isinstance(x, bool):
+        raise FormatError("unital %r is not a boolean" % (x,))
+    return x
+
+
 def _perm_rows(sigma):
     """The 0/1 matrix of a block permutation: row t has its 1 at column
     sigma[t], the block that t receives."""
@@ -117,7 +124,11 @@ def dump(obj):
 
 def dumps(obj):
     """The format-2 text of obj."""
-    return json.dumps(dump(obj), sort_keys=True, separators=(",", ":"))
+    return _text(dump(obj))
+
+
+def _text(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 class _Writer:
@@ -368,7 +379,7 @@ class _Format2:
             tgt = self.ref(doc["target"], "canonical")
             arrs = []
             for t, blk in enumerate(doc["blocks"]):
-                slots = [Slot(s["src"], s["size"], s.get("phase", 0))
+                slots = [Slot(s["src"], s["size"], s["phase"])
                          for s in blk["slots"]]
                 for s in slots:
                     if not (s.src is None or _is_int(s.src)):
@@ -377,9 +388,12 @@ class _Format2:
                     if not _is_int(s.size) or s.size < 0:
                         raise FormatError("slot size %r is not a "
                                           "non-negative integer" % (s.size,))
+                    if not (_is_int(s.phase) and 0 <= s.phase < src.p):
+                        raise FormatError("slot phase %r is not an integer "
+                                          "in 0..%d" % (s.phase, src.p - 1))
                 arrs.append(Arrangement(slots, self.mat(
                     blk["conj"], _bound(tgt.block_sizes, t))))
-            return EqHom(src, tgt, arrs, unital=doc["unital"])
+            return EqHom(src, tgt, arrs, unital=_flag(doc["unital"]))
         if kind == "kinvariant":
             m, mC = doc["m"], doc["mC"]
             if not (_is_int(m) and _is_int(mC) and m >= 0 and mC >= 0):
@@ -392,11 +406,9 @@ class _Format2:
                 _int_matrix([doc["special"]], "special", 1, mC)[0],
                 _int_matrix(doc["iota"], "iota", mC, m))
         if kind == "kpair":
-            if not isinstance(doc["unital"], bool):
-                raise FormatError("unital %r is not a boolean"
-                                  % (doc["unital"],))
             return KPair(_int_matrix(doc["F"], "F"),
-                         _int_matrix(doc["phi"], "phi"), unital=doc["unital"])
+                         _int_matrix(doc["phi"], "phi"),
+                         unital=_flag(doc["unital"]))
         if kind == "tower":
             return Tower([self.ref(s, "canonical") for s in doc["systems"]],
                          [self.ref(h, "hom") for h in doc["maps"]])
@@ -430,8 +442,15 @@ class _Format2:
         if kind == "unitaries":
             return [self.mat(w) for w in doc["W"]]
         if kind == "crossed":
-            # derived data: rebuild the presentation from its source form
-            return crossed_product(self.ref(doc["source"], "canonical"))
+            # derived data: rebuilt from the source form, which the
+            # document's copy must match as text
+            cp = crossed_product(self.ref(doc["source"], "canonical"))
+            want = _Writer().body(cp)
+            for key in ("blocks", "special", "iota", "dual", "identify"):
+                if _text(doc[key]) != _text(want[key]):
+                    raise FormatError("crossed %s differs from the "
+                                      "presentation of its source" % key)
+            return cp
         if kind == "report":
             rep = Report()
             for item in doc["checks"]:

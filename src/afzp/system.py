@@ -47,12 +47,11 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .cyclo import root_exponent
-from .errors import (NonDiagonalizableWithinField, NonScalarHolonomy,
-                     NotOrderP, ShapeMismatch, SystemMismatch,
-                     TwistNotRootOfUnity, TwistRootOutsideField,
-                     UnitaryNotFoundInField, AfzpError)
-from .matrix import (Mat, blockdiag, diag_root_exponents, spectral,
-                     unitary_conjugator)
+from .errors import (NonDiagonalizableWithinField, NotOrderP, ShapeMismatch,
+                     SystemMismatch, TwistNotRootOfUnity,
+                     TwistRootOutsideField, UnitaryNotFoundInField,
+                     AfzpError)
+from .matrix import Mat, blockdiag, diag_root_exponents, diagonalizer
 from .report import Report
 
 __all__ = [
@@ -88,17 +87,19 @@ def zero_tuple(ctx, block_sizes):
 
 
 def _orbits(sigma):
-    seen = set()
+    """The orbits of the permutation sigma of range(n), each from its
+    least element along sigma, in order of those least elements."""
+    seen = [False] * len(sigma)
     orbits = []
     for i in range(len(sigma)):
-        if i in seen:
+        if seen[i]:
             continue
         orb = [i]
-        seen.add(i)
+        seen[i] = True
         j = sigma[i]
         while j != i:
             orb.append(j)
-            seen.add(j)
+            seen[j] = True
             j = sigma[j]
         orbits.append(orb)
     return orbits
@@ -106,16 +107,24 @@ def _orbits(sigma):
 
 def validate(s):
     """Check all structural invariants; report every violation."""
+    return _validate(s)[0]
+
+
+def _validate(s):
+    """(validate's report, [(orbit, holonomy), ...]): per orbit of sigma,
+    from its least block i, the scalar impl[i] impl[sigma(i)] ...
+    impl[sigma^(p-1)(i)], or None where that product is not scalar. The
+    list is empty when the report stops before the orbits."""
     rep = Report()
     m = s.m
     rep.add("block count", len(s.impl) == m and len(s.sigma) == m,
             "impl/sigma length vs %d blocks" % m)
     if not rep.ok:
-        return rep
+        return rep, []
     rep.add("sigma is a permutation", sorted(s.sigma) == list(range(m)),
             "images %s" % (list(s.sigma),))
     if not rep.ok:
-        return rep
+        return rep, []
     sig_pow = list(range(m))
     for _ in range(s.p):
         sig_pow = [s.sigma[i] for i in sig_pow]
@@ -129,7 +138,8 @@ def validate(s):
         if mat.rows == ni and mat.cols == ni:
             rep.add("impl[%d] unitary" % i, mat.is_unitary())
     if not rep.ok:
-        return rep
+        return rep, []
+    holonomies = []
     for orb in _orbits(s.sigma):
         rep.add("orbit %s has size 1 or p" % (orb,),
                 len(orb) in (1, s.p))
@@ -145,7 +155,8 @@ def validate(s):
                 "" if lam is not None else
                 "product of implementing unitaries around the orbit is "
                 "not scalar")
-    return rep
+        holonomies.append((orb, lam))
+    return rep, holonomies
 
 
 @dataclass
@@ -274,64 +285,46 @@ def root_sum(ctx, n, terms, roots):
 def decompose(s):
     """Canonical form of a validated system, with the explicit rewriting.
 
-    Fixed blocks are scalar-normalized to order p, and their exponents
-    are read off the diagonal (or counted by spectral when the block is
-    not diagonal) and sorted; matrix.unitary_conjugator maps the block
+    Each orbit's holonomy is the scalar validate forms around it. A fixed
+    block is scalar-normalized to order p by a p-th root of its
+    holonomy's inverse; one pass over its eigenspaces
+    (matrix.diagonalizer) gives its ascending exponents and a unitary
     onto that sorted diagonal, which decides every diagonal or monomial
     block. Orbits of size p are rewritten to the standard shift by
-    partial products; the leftover holonomy scalar is a root of unity and
-    is absorbed by powers of its p-th root.
+    partial products; the holonomy scalar is a root of unity and is
+    absorbed by powers of its p-th root.
     """
-    rep = validate(s)
+    rep, holonomies = _validate(s)
     if not rep.ok:
         raise AfzpError("system is not valid:\n" + rep.summary())
     ctx = s.ctx
     p = s.p
     raw_pieces = []   # (sortkey, piece, [(orig block, conjugator), ...])
-    for orb in _orbits(s.sigma):
+    for orb, lam in holonomies:
+        i = orb[0]
+        n = s.block_sizes[i]
         if len(orb) == 1:
-            i = orb[0]
-            u = s.impl[i]
-            lam = u.power(p).is_scalar()
-            if lam is None:
-                raise NonScalarHolonomy("block %d" % i)
             # lam^-1 = conj(lam) for a root of unity
             mu = _p_th_root(ctx, lam.conj(), p, orb)
-            v = u if mu == ctx.one else u * mu
-            n = s.block_sizes[i]
-            if v.is_diagonal():
-                exps = sorted(diag_root_exponents(v, p))
-            else:
-                exps = [d for d, k in enumerate(spectral(v, p).multiplicities)
-                        for _ in range(k)]
-            d = Mat.diag(ctx, [ctx.zeta_p(e) for e in exps])
-            piece = IrredPiece("fixed", n, d)
+            v = s.impl[i] if mu == ctx.one else s.impl[i] * mu
             try:
-                z = unitary_conjugator(d, v, p)
+                exps, z = diagonalizer(v, p)
             except UnitaryNotFoundInField as exc:
                 raise NonDiagonalizableWithinField("block %d: %s" % (i, exc))
+            piece = IrredPiece("fixed", n, Mat.diag(
+                ctx, [ctx.zeta_p(e) for e in exps]))
             raw_pieces.append(((0, n, tuple(exps), i), piece, [(i, z)]))
         else:
-            inv_sigma = [0] * s.m
-            for a, b in enumerate(s.sigma):
-                inv_sigma[b] = a
-            j = min(orb)
-            chain = [j]
-            for _ in range(p - 1):
-                chain.append(inv_sigma[chain[-1]])
-            n = s.block_sizes[j]
+            # chain[t] = sigma^-t(i) reads from chain[t - 1]
+            chain = [orb[-t] for t in range(p)]
             w = Mat.identity(ctx, n)
             partials = [w]
             for t in range(1, p):
                 w = w * s.impl[chain[t]].dagger()
                 partials.append(w)
-            holonomy = (s.impl[chain[0]] * partials[-1].dagger()).is_scalar()
-            if holonomy is None:
-                raise NonScalarHolonomy("orbit %s" % (orb,))
-            mu = _p_th_root(ctx, holonomy, p, orb)
+            mu = _p_th_root(ctx, lam, p, orb)
             conjs = [(chain[t], partials[t] * (mu ** t)) for t in range(p)]
-            piece = IrredPiece("cycle", n)
-            raw_pieces.append(((1, n, (), j), piece, conjs))
+            raw_pieces.append(((1, n, (), i), IrredPiece("cycle", n), conjs))
     raw_pieces.sort(key=lambda item: item[0])
     pieces = [item[1] for item in raw_pieces]
     block_map = [None] * s.m
@@ -591,6 +584,18 @@ def hom_compose(g, h):
 
 def _labels(slots):
     return [(slot.src, slot.size) for slot in slots]
+
+
+def _slot_starts(h, t):
+    """Start of each slot of h's target block t, listed per source block
+    in occurrence order."""
+    starts = [[] for _ in range(h.source.m)]
+    pos = 0
+    for slot in h.arrangements[t].slots:
+        if slot.src is not None:
+            starts[slot.src].append(pos)
+        pos += slot.size
+    return starts
 
 
 def equal_as_maps(h1, h2):

@@ -245,8 +245,9 @@ def _perm_of(matrix):
     return out
 
 
-def _matrix_orbits(permB, permA):
-    """Orbits of (r, c) under the simultaneous permutation action."""
+def matrix_orbits(permB, permA):
+    """Orbits of (r, c) under the simultaneous permutation action, walked
+    on the matrix of entries: the oracle of classify._entry_orbits."""
     nB, nA = len(permB), len(permA)
     seen = [[False] * nA for _ in range(nB)]
     orbits = []
@@ -270,7 +271,7 @@ def _enumerate_equivariant(permB, permA, bound, row_check):
     is None, in lexicographic order; row_check(mat, partial=True) must be
     monotone, and each orbit's value loop stops at its first rejection."""
     nB, nA = len(permB), len(permA)
-    orbits = _matrix_orbits(permB, permA)
+    orbits = matrix_orbits(permB, permA)
     results = []
 
     def rec(idx, mat):
@@ -799,8 +800,9 @@ def checked_conjugator(fn, L1, L2, p):
 
 # -- the retired conjugator constructions ------------------------------------
 # matrix.unitary_conjugator replaced a three-way search in
-# classify.equiv_unitary and a monomial diagonalizer in system.decompose.
-# Both stay here as oracles for it.
+# classify.equiv_unitary, and matrix.diagonalizer, which pairs eigenspaces
+# the same way, a monomial diagonalizer in system.decompose. Both stay
+# here as oracles for them.
 
 
 def match_diagonals(D1, D2, p):
@@ -850,7 +852,7 @@ def unitary_conjugator_search(L1, L2, p):
     if s1 is not None:
         z0 = Mat.zero(ctx, f, f)
         for d in range(p):
-            z0 = z0 + s1.projections[d] * s2.projections[d]
+            z0 = z0 + s1[d] * s2[d]
         gram = (z0.dagger() * z0).is_scalar()
         if gram is not None and not gram.is_zero():
             candidates = []
@@ -958,18 +960,17 @@ def _diagonalize_order_p_monomial(u, p):
     return z, Mat.diag(ctx, diag)
 
 
-def monomial_conjugator(d, v, p):
-    """Oracle for decompose's unitary_conjugator(d, v, p), d the sorted
-    diagonal of a diagonal or monomial fixed block v: v's diagonalizer
-    (the identity when v is diagonal), then the permutation sorting the
-    diagonal."""
+def monomial_diagonalizer(v, p):
+    """Oracle for decompose's diagonalizer(v, p) on a diagonal or
+    monomial fixed block v: the ascending exponents, and v's
+    diagonalizer (the identity when v is diagonal) followed by the
+    permutation sorting the diagonal."""
     if v.is_diagonal():
         z0, diag = Mat.identity(v.ctx, v.rows), v
     else:
         z0, diag = _diagonalize_order_p_monomial(v, p)
     zs, exps = sort_conjugator(v.ctx, diag_root_exponents(diag, p))
-    assert Mat.diag(v.ctx, [v.ctx.zeta_p(e) for e in exps]) == d
-    return zs * z0
+    return exps, zs * z0
 
 
 def direct_sum(a, b):

@@ -8,6 +8,7 @@ from hypothesis import example, given, seed, settings, strategies as st
 from afzp._rat import RAT
 from afzp.classify import (IntertwiningCertificate, Tower, _candidates,
                            _case_params, _commutes_on_exponents,
+                           _entry_orbits,
                            conjugate_hom, equiv_unitary, intertwine, ksearch,
                            lift, validate_tower, verify_certificate)
 from afzp.cli import main
@@ -26,7 +27,8 @@ from conftest import (CaseShapeViolation, checked_case_params,
                       checked_conjugator, corner_equiv_unitary,
                       corrupt_entry, ctx_for,
                       cycle_form, fixed_form, fixed_point_unitary, grid_mat,
-                      mat_kron, mat_sub, matrix_intertwining, mixed_form,
+                      mat_kron, mat_sub, matrix_intertwining,
+                      matrix_orbits, mixed_form,
                       ordered_ksearch_oracle, piece_specs, solve,
                       unit_tuple, unitary_conjugator_search, vec_row_major)
 
@@ -243,6 +245,32 @@ def test_ksearch_lists_the_matrix_enumerators_pairs_in_order(p):
             assert ksearch(invA, invB, bound) == want
             found += len(want)
     assert found > 0
+
+
+def _order_p_permutation(rng, p, n):
+    """A permutation of range(n) made of fixed points and p-cycles on
+    shuffled labels, as an invariant's act or dualAct."""
+    labels = list(range(n))
+    rng.shuffle(labels)
+    perm = [None] * n
+    while labels:
+        k = p if len(labels) >= p and rng.random() < 0.5 else 1
+        cycle, labels = labels[:k], labels[k:]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            perm[a] = b
+    return perm
+
+
+def test_entry_orbits_match_the_matrix_walker():
+    """The entry orbits, walked by system._orbits on the flattened
+    permutation r * nA + c -> permB[r] * nA + permA[c], are the matrix
+    walker's orbits in the same order, on 3,000 random pairs."""
+    rng = random.Random(21)
+    for _ in range(3000):
+        p = rng.choice([2, 3, 5])
+        permB, permA = (_order_p_permutation(rng, p, rng.randint(0, 7))
+                        for _ in range(2))
+        assert _entry_orbits(permB, permA) == matrix_orbits(permB, permA)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -521,9 +549,7 @@ def test_equiv_unitary_generalized_permutation_fallback(tmp_path):
     W, wit = equiv_unitary(h1, h2)
     (entry,) = wit.entries
     s1, s2 = spectral(entry.L, 3), spectral(entry.N, 3)
-    z0 = s1.projections[0] * s2.projections[0] + \
-        s1.projections[1] * s2.projections[1] + \
-        s1.projections[2] * s2.projections[2]
+    z0 = s1[0] * s2[0] + s1[1] * s2[1] + s1[2] * s2[2]
     assert z0 * z0 == z0 and z0.trace() == ctx.one      # rank one
     assert _outcome(corner_equiv_unitary, h1, h2) == (W, wit.entries)
     V = tgt.pieces[0].v

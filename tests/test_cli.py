@@ -8,11 +8,11 @@ import pytest
 
 import afzp
 from afzp.cli import DEMOS, build_parser, main
-from afzp.classify import Tower
+from afzp.classify import Tower, intertwine, verify_certificate
 from afzp.cyclo import FieldContext
-from afzp.demos import product_tower
+from afzp.demos import identity_pairs, product_tower
 from afzp.errors import FormatError
-from afzp.kinv import KInvariant, KPair
+from afzp.kinv import KInvariant, KPair, induced_map
 from afzp.matrix import Mat
 from afzp.serialize import dumps, load_json, loads, save_json
 from afzp.system import CanonicalForm, FdSystem
@@ -426,6 +426,43 @@ def test_verify_reports_invalid_hom_without_traceback(workdir, path, line):
     out = _run_cli(1, "verify", "bad.json", "--format", "text").stdout
     assert line + "\n" in out
     assert ": not checked: " in out
+
+
+def test_verify_checks_a_forward_hom_maps_its_stages(workdir):
+    """A one-stage certificate whose forward hom is tower A's own map
+    A0 -> A1, stored with the pair it induces, used to pass with exit 0:
+    that hom is valid and induces its pair, but does not map A0 to B0."""
+    tower = product_tower(2, 2)
+    cert = intertwine(tower, tower, pairs=identity_pairs(tower, 1), depth=1)
+    cert.forward[0] = tower.maps[0]
+    cert.pairs[0] = induced_map(tower.maps[0])
+    save_json("cert.json", cert)
+    out = _run_cli(1, "verify", "cert.json", "--format", "text").stdout
+    assert "[PASS] forward hom 0 valid\n" in out
+    assert "[FAIL] forward hom 0 maps A0 -> B0\n" in out
+    assert "[FAIL] forward hom 0 induces its pair: not checked: forward " \
+        "hom 0 is invalid\n" in out
+
+
+def test_verify_reports_a_backward_hom_between_other_stages(workdir):
+    """A depth-2 certificate whose backward hom is tower B's map B1 -> B2
+    used to make verify_certificate raise SystemMismatch from the
+    triangle's composite; both triangles are now reported unchecked."""
+    tower = product_tower(2, 3)
+    cert = intertwine(tower, tower, pairs=identity_pairs(tower, 2), depth=2)
+    cert.backward[0] = tower.maps[1]
+    rep = verify_certificate(cert)
+    assert not rep.ok
+    failed = {item.name: item.detail for item in rep.failures()}
+    assert failed == {
+        "backward hom 0 maps B0 -> A1": "",
+        "triangle over A0 -> A1 commutes":
+            "not checked: backward hom 0 is invalid",
+        "triangle over B0 -> B1 commutes":
+            "not checked: backward hom 0 is invalid"}
+    save_json("cert.json", cert)
+    out = _run_cli(1, "verify", "cert.json", "--format", "text").stdout
+    assert "[FAIL] backward hom 0 maps B0 -> A1\n" in out
 
 
 def _cut_pairs(doc):

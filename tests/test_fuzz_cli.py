@@ -28,12 +28,13 @@ from afzp.classify import Tower, intertwine, ksearch, lift
 from afzp.cli import main
 from afzp.crossed import crossed_product
 from afzp.demos import identity_pairs, product_tower
+from afzp.errors import FormatError
 from afzp.kinv import KPair, invariant_of
 from afzp.matrix import Mat
 from afzp.report import Report
 from afzp.system import FdSystem, decompose, identity_hom
 
-from afzp.serialize import _OBJECT_KINDS, dumps
+from afzp.serialize import _OBJECT_KINDS, dumps, loads
 
 from conftest import ctx_for, ieye, mixed_form
 
@@ -449,3 +450,95 @@ def test_top_level_document_of_wrong_kind_exits_two(fuzzdir, line, want):
         if kind != want:
             json.dump(doc, open(bad, "w"))
             assert _exit_code(*_argv(fuzzdir, line, bad)) == 2, kind
+
+
+def _set_unital(value):
+    return lambda d: d.__setitem__("unital", value)
+
+
+def _set_phase(value):
+    return lambda d: d["blocks"][0]["slots"][0].__setitem__("phase", value)
+
+
+_NONCANONICAL_HOM = {
+    "unital 1": _set_unital(1),
+    "unital 0": _set_unital(0),
+    "unital null": _set_unital(None),
+    "unital string": _set_unital("true"),
+    "phase object": _set_phase({"x": [1]}),
+    "phase -1": _set_phase(-1),
+    "phase p": _set_phase(2),
+    "phase true": _set_phase(True),
+    "phase string": _set_phase("0"),
+    "phase 0.0": _set_phase(0.0),
+    "phase missing": lambda d: d["blocks"][0]["slots"][0].pop("phase"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NONCANONICAL_HOM))
+def test_noncanonical_hom_exits_two(fuzzdir, case):
+    """A hom's unital flag is a JSON boolean and each slot's phase an
+    integer in 0..p-1. "unital": 1 and a phase {"x": [1]} used to load,
+    validate with exit 0 and dump to other bytes."""
+    doc = copy.deepcopy(_base_docs()["hom"])
+    _NONCANONICAL_HOM[case](doc)
+    with pytest.raises(FormatError):
+        loads(json.dumps(doc))
+    bad = str(fuzzdir / "noncanonical_hom.json")
+    json.dump(doc, open(bad, "w"))
+    for cmd, files in _COMMANDS["hom"]:
+        assert _exit_code(cmd, *[bad] * files) == 2, cmd
+
+
+_CROSSED_DERIVED = ["blocks", "special", "iota", "dual", "identify"]
+
+
+@st.composite
+def _changed_derived_field(draw):
+    """The crossed document with one of its derived fields changed: a
+    list item replaced, dropped or repeated, or the field replaced by
+    the same field of another crossed document."""
+    doc = copy.deepcopy(_base_docs()["crossed"])
+    key = draw(st.sampled_from(_CROSSED_DERIVED))
+    what = draw(st.sampled_from(["set", "drop", "repeat", "other"]))
+    lists = [x for x in _lists({key: doc[key]}) if x]
+    if what == "other" or not lists:
+        doc[key] = copy.deepcopy(_kind_docs()["crossed"][key])
+    else:
+        vec = draw(st.sampled_from(lists))
+        at = draw(st.integers(0, len(vec) - 1))
+        if what == "set":
+            vec[at] = draw(st.sampled_from(
+                [-1, 0, 1, 2, 99, True, 1.0, "0:1", "0:-1", None, []]))
+        elif what == "drop":
+            del vec[at]
+        else:
+            vec.insert(at, copy.deepcopy(vec[at]))
+    return key, doc
+
+
+@_SETTINGS
+@given(change=_changed_derived_field())
+def test_crossed_derived_fields_must_match_the_source(fuzzdir, change):
+    """blocks, special, iota, dual and identify are rebuilt from the
+    source form on load; a document whose copy differs is an input
+    error. They used to be ignored: special [99, 7] loaded as [1, 1]."""
+    key, doc = change
+    base = _base_docs()["crossed"]
+    if json.dumps(doc[key]) == json.dumps(base[key]):
+        loads(json.dumps(doc))      # an item set to its own value
+        return
+    with pytest.raises(FormatError, match="crossed %s differs" % key):
+        loads(json.dumps(doc))
+
+
+def test_crossed_special_element_is_checked(fuzzdir):
+    doc = copy.deepcopy(_kind_docs()["crossed"])
+    assert loads(json.dumps(doc)).special == [1, 1]
+    doc["special"] = [99, 7]
+    with pytest.raises(FormatError, match="crossed special differs"):
+        loads(json.dumps(doc))
+    bad = str(fuzzdir / "crossed_special.json")
+    json.dump(doc, open(bad, "w"))
+    for cmd, files in _COMMANDS["crossed"]:
+        assert _exit_code(cmd, *[bad] * files) == 2, cmd

@@ -4,11 +4,13 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import afzp.matrix
+import afzp.system
 from afzp._rat import RAT
 from afzp.classify import ksearch, lift
 from afzp.errors import (NonDiagonalizableWithinField, SystemMismatch,
                          TwistNotRootOfUnity, TwistRootOutsideField)
-from afzp.matrix import Mat, unitary_conjugator
+from afzp.matrix import Mat, diagonalizer
 from afzp.kinv import invariant_of
 from afzp.serialize import dumps
 from afzp.system import (Arrangement, EqHom, FdSystem, IrredPiece, Slot,
@@ -17,11 +19,11 @@ from afzp.system import (Arrangement, EqHom, FdSystem, IrredPiece, Slot,
                          identity_hom, root_sum, validate)
 
 from conftest import (ORACLE_FIELDS, all_units_equal, all_units_equivariant,
-                      checked_conjugator, ctx_for, cycle_form,
+                      ctx_for, cycle_form,
                       dense_diag_scaled, dense_pattern_defect, dense_support,
                       fixed_form, fixed_point_unitary, generator_iso_defect,
                       generators_equal, generators_equivariant, grid_mat,
-                      mixed_form, monomial_conjugator, oracle_matrix,
+                      mixed_form, monomial_diagonalizer, oracle_matrix,
                       oracle_scalar, piece_specs, sort_conjugator, transport,
                       unit_tuple, zero_grid)
 
@@ -544,6 +546,32 @@ def _twisted_shift_p3():
     return FdSystem(ctx, 3, [4], (0,), [u])
 
 
+def test_decompose_runs_spectral_once_per_non_diagonal_fixed_block(
+        monkeypatch):
+    """One eigenspace pass gives a fixed block's exponents and its
+    conjugator: the p = 3 shift beside a diagonal block and a 3-cycle
+    averages characters once, for the shift alone."""
+    shift = _twisted_shift_p3()
+    ctx = shift.ctx
+    one = Mat.identity(ctx, 1)
+    s = FdSystem(ctx, 3, [4, 2, 1, 1, 1], (0, 1, 3, 4, 2),
+                 [shift.impl[0], Mat.diag(ctx, [ctx.zeta_p(2), 1]),
+                  one, one, one])
+    original = afzp.matrix.spectral
+    calls = []
+
+    def counted(V, p):
+        calls.append(V)
+        return original(V, p)
+
+    for module in (afzp.matrix, afzp.system):
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, counted)
+    decompose(s)
+    assert calls == [shift.impl[0]]
+
+
 @settings(max_examples=40, deadline=None)
 @example(_twisted_shift_p3())
 @given(_decomposable_system())
@@ -554,13 +582,18 @@ def test_decompose_matches_the_monomial_diagonalizer_oracle(s):
     followed by the sorting permutation; each conjugator is checked
     exactly."""
     def checked(fn):
-        return lambda L1, L2, p: checked_conjugator(fn, L1, L2, p)
+        def diagonalize(v, p):
+            exps, z = fn(v, p)
+            d = Mat.diag(v.ctx, [v.ctx.zeta_p(e) for e in exps])
+            assert exps == sorted(exps)
+            assert z.is_unitary() and d * z == z * v
+            return exps, z
+        return diagonalize
 
-    with mock.patch("afzp.system.unitary_conjugator",
-                    checked(unitary_conjugator)):
+    with mock.patch("afzp.system.diagonalizer", checked(diagonalizer)):
         new = dumps(decompose(s))
-    with mock.patch("afzp.system.unitary_conjugator",
-                    checked(monomial_conjugator)):
+    with mock.patch("afzp.system.diagonalizer",
+                    checked(monomial_diagonalizer)):
         old = dumps(decompose(s))
     assert new == old
 
