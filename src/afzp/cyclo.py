@@ -32,45 +32,26 @@ def _is_prime(n):
     return True
 
 
-def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
 def cyclotomic_poly(n):
     """Integer coefficient list (ascending) of the n-th cyclotomic
-    polynomial, computed by dividing x^n - 1 by all lower Phi_d."""
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in _divisors(n):
-        if d == n:
-            continue
-        phi_d = cyclotomic_poly.cache.get(d)
-        if phi_d is None:
-            phi_d = cyclotomic_poly(d)
-        poly = _poly_divexact(poly, phi_d)
-    cyclotomic_poly.cache[n] = poly
+    polynomial, for n whose radical r is a prime q or 2q, as every field
+    order p, p^2 and 4p^2 is: Phi_n(x) = Phi_r(x^(n/r)), where
+    Phi_q = 1 + x + ... + x^(q-1) and Phi_2q(x) = Phi_q(-x)."""
+    primes, m = [], n
+    for d in range(2, n + 1):
+        if m % d == 0:
+            primes.append(d)
+            while m % d == 0:
+                m //= d
+    q = primes[-1] if primes else 0
+    if primes not in ([q], [2, q]):
+        raise ValueError("the radical of %d is neither a prime q nor 2q"
+                         % (n,))
+    step, sign = n // math.prod(primes), -1 if len(primes) == 2 else 1
+    poly = [0] * ((q - 1) * step + 1)
+    for i in range(q):
+        poly[i * step] = sign ** i
     return poly
-
-
-cyclotomic_poly.cache = {}
-
-
-def _poly_divexact(num, den):
-    # exact division of integer polynomials, ascending coefficients
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        q, r = divmod(c, den[dd])
-        assert r == 0, "non-exact cyclotomic division"
-        out[i - dd] = q
-        for j, cj in enumerate(den):
-            num[i - dd + j] -= q * cj
-    assert all(c == 0 for c in num), "non-exact cyclotomic division"
-    return out
 
 
 class FieldContext:

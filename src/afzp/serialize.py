@@ -15,10 +15,12 @@ exactly json.dumps(doc, sort_keys=True, separators=(",", ":")):
   object refers only to objects before it.
 
 load reads format 2 only; any other afzp_format, the older format 1
-included, is an input error. It rejects text that is not canonical, so
-the bytes of a document are a function of its value, and it builds
-each object once, so what the file shares is shared in memory. Writes
-are atomic (temp file in the target directory, then rename).
+included, is an input error, and so are the two kinds that are only
+written: "unitaries" (afzp equiv's result) and "report". It rejects
+text that is not canonical, so the bytes of a document are a function
+of its value, and it builds each object once, so what the file shares
+is shared in memory. Writes are atomic (temp file in the target
+directory, then rename).
 
 The full schema reference lives in docs/format.md.
 """
@@ -84,14 +86,13 @@ def _perm(x, name, n):
     return sigma
 
 
-def _bound(sizes, i=None):
+def _bound(sizes, i):
     """The largest matrix header that block i of `sizes`, a list of block
     sizes read from the document, admits: its size if that is a JSON
-    integer, else (and for i None) the largest integer in sizes, 0 if
-    there is none."""
+    integer, else the largest integer in sizes, 0 if there is none."""
     if not isinstance(sizes, list):
         sizes = []
-    if i is not None and 0 <= i < len(sizes) and _is_int(sizes[i]):
+    if 0 <= i < len(sizes) and _is_int(sizes[i]):
         return sizes[i]
     return max(filter(_is_int, sizes), default=0)
 
@@ -439,29 +440,37 @@ class _Format2:
             return IntertwiningCertificate(towerA, towerB, a_stages,
                                            b_stages, forward, backward,
                                            triangles, pairs)
-        if kind == "unitaries":
-            return [self.mat(w) for w in doc["W"]]
         if kind == "crossed":
             # derived data: rebuilt from the source form, which the
-            # document's copy must match as text
-            cp = crossed_product(self.ref(doc["source"], "canonical"))
-            want = _Writer().body(cp)
-            for key in ("blocks", "special", "iota", "dual", "identify"):
-                if _text(doc[key]) != _text(want[key]):
+            # document's copy must match as text. identify has p^2 n^2
+            # entries for a piece of size n, so its header and entry count
+            # are compared before the dual and identify are built
+            src = self.ref(doc["source"], "canonical")
+            cp = crossed_product(src)
+            ident, w = doc["identify"], _Writer()
+            for key, got, want in (
+                    ("blocks", doc["blocks"], lambda: cp.block_sizes),
+                    ("special", doc["special"], lambda: cp.special),
+                    ("iota", doc["iota"], lambda: cp.iota_matrix),
+                    ("identify", [ident["rows"], ident["cols"],
+                                  len(ident["entries"])],
+                     lambda: [sum(b * b for b in cp.block_sizes),
+                              cp.p * sum(n * n for n in src.block_sizes),
+                              cp.p ** 2 * sum(pc.n ** 2
+                                              for pc in src.pieces)]),
+                    ("dual", doc["dual"], lambda: w.body(cp.dual_system())),
+                    ("identify", ident,
+                     lambda: w.mat(cp.identify_matrix()))):
+                if _text(got) != _text(want()):
                     raise FormatError("crossed %s differs from the "
                                       "presentation of its source" % key)
             return cp
-        if kind == "report":
-            rep = Report()
-            for item in doc["checks"]:
-                rep.add(item["name"], item["ok"], item.get("detail", ""))
-            return rep
         raise FormatError("unknown document kind %r" % (kind,))
 
-    def mat(self, obj, bound=None):
-        """A sparse matrix object; with a bound (the size of the block
-        the matrix belongs to) a larger header is refused. Its entries
-        arrive in row-major order, so they are the matrix's rows."""
+    def mat(self, obj, bound):
+        """A sparse matrix object whose header is at most bound, the size
+        of the block the matrix belongs to. Its entries arrive in
+        row-major order, so they are the matrix's rows."""
         ctx = self.field()
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
         if not (_is_int(rows) and _is_int(cols) and rows >= 0 and cols >= 0
@@ -469,7 +478,7 @@ class _Format2:
             raise FormatError("bad matrix object: rows %r, cols %r and "
                               "entries are not two sizes and a list"
                               % (rows, cols))
-        if bound is not None and max(rows, cols) > bound:
+        if max(rows, cols) > bound:
             raise FormatError("matrix header %dx%d exceeds its %dx%d block"
                               % (rows, cols, bound, bound))
         index = {}      # row -> {column: value}, filled in row-major order

@@ -34,6 +34,30 @@ def ctx_for(p, order=None):
     return _CTX_CACHE[key]
 
 
+def cyclotomic_poly_by_division(n):
+    """Integer coefficient list (ascending) of the n-th cyclotomic
+    polynomial for any n >= 1: x^n - 1 divided exactly by Phi_d for
+    every proper divisor d of n, each found the same way. The oracle of
+    cyclo.cyclotomic_poly's closed form."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            den = cyclotomic_poly_by_division(d)
+            dd = len(den) - 1
+            out = [0] * (len(poly) - dd)
+            for i in range(len(poly) - 1, dd - 1, -1):
+                if not poly[i]:
+                    continue
+                q, r = divmod(poly[i], den[dd])
+                assert r == 0, "non-exact cyclotomic division"
+                out[i - dd] = q
+                for j, cj in enumerate(den):
+                    poly[i - dd + j] -= q * cj
+            assert not any(poly), "non-exact cyclotomic division"
+            poly = out
+    return poly
+
+
 def fixed_form(ctx, exps):
     """Canonical form with one fixed piece, diagonal exponents as given
     (must be sorted)."""

@@ -19,9 +19,9 @@ from afzp.errors import (AfzpError, KDataMismatch, LiftFailed,
 from afzp.kinv import (KPair, check_pair, compose_pairs, imat_mul, induced_map,
                        invariant_of, ivec_mul)
 from afzp.matrix import Mat, blockdiag, spectral, unitary_conjugator
-from afzp.serialize import dumps, load_json, loads, save_json
+from afzp.serialize import dumps, loads, save_json
 from afzp.system import (Arrangement, EqHom, Slot, equal_as_maps,
-                         hom_compose, hom_validate)
+                         hom_compose, hom_validate, identity_hom)
 
 from conftest import (CaseShapeViolation, checked_case_params,
                       checked_conjugator, corner_equiv_unitary,
@@ -559,7 +559,8 @@ def test_equiv_unitary_generalized_permutation_fallback(tmp_path):
     save_json(paths[0], h1)
     save_json(paths[1], h2)
     assert main(["equiv", paths[0], paths[1], "--out", paths[2]]) == 0
-    assert load_json(paths[2]) == W
+    with open(paths[2]) as fh:
+        assert fh.read() == dumps(W) + "\n"
 
 
 def _fourier_permuted(p):
@@ -646,7 +647,8 @@ def test_equiv_unitary_pairs_a_swap_with_a_diagonal(tmp_path):
     save_json(paths[0], h1)
     save_json(paths[1], h2)
     assert main(["equiv", paths[0], paths[1], "--out", paths[2]]) == 0
-    assert load_json(paths[2]) == W
+    with open(paths[2]) as fh:
+        assert fh.read() == dumps(W) + "\n"
 
 
 def test_equiv_unitary_pairs_a_two_cycle_over_q_i():
@@ -1083,6 +1085,40 @@ def test_certificate_serialization_roundtrip_and_replay():
     assert isinstance(cert2, IntertwiningCertificate)
     assert dumps(cert2) == blob
     assert verify_certificate(cert2).ok
+
+
+def _telescope_certificate():
+    """A certificate over stages with gaps, built by hand: tower A is the
+    telescope of the p=2 depth-5 product tower B on its stages 0, 2 and
+    4, forward homs are identities A_i -> B_2i and backward homs are B's
+    composite maps B_2i -> B_2i+2 = A_i+1. Every triangle over B spans
+    two of B's maps, so its replay composes them."""
+    B = product_tower(2, 5)
+    A = Tower([B.systems[s] for s in (0, 2, 4)],
+              [B.connecting(0, 2), B.connecting(2, 4)])
+    forward = [identity_hom(form) for form in A.systems]
+    return IntertwiningCertificate(
+        A, B, [0, 1, 2], [0, 2, 4], forward,
+        [B.connecting(2 * i, 2 * i + 2) for i in range(2)], [],
+        [induced_map(h) for h in forward])
+
+
+def test_certificate_over_stages_with_gaps_replays():
+    cert = _telescope_certificate()
+    for got in (cert, loads(dumps(cert))):
+        rep = verify_certificate(got)
+        assert rep.ok, rep.summary()
+        assert "triangle over B2 -> B4 commutes" in [
+            item.name for item in rep.items]
+    cert.backward[1] = cert.towerB.maps[2]      # B2 -> B3, not B2 -> A2
+    failed = [(item.name, item.detail)
+              for item in verify_certificate(cert).failures()]
+    assert failed == [
+        ("backward hom 1 maps B2 -> A2", ""),
+        ("triangle over A1 -> A2 commutes",
+         "not checked: backward hom 1 is invalid"),
+        ("triangle over B2 -> B4 commutes",
+         "not checked: backward hom 1 is invalid")]
 
 
 def test_certificate_detects_corruption():

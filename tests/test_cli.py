@@ -8,14 +8,15 @@ import pytest
 
 import afzp
 from afzp.cli import DEMOS, build_parser, main
-from afzp.classify import Tower, intertwine, verify_certificate
+from afzp.classify import (Tower, equiv_unitary, intertwine,
+                           verify_certificate)
 from afzp.cyclo import FieldContext
 from afzp.demos import identity_pairs, product_tower
 from afzp.errors import FormatError
 from afzp.kinv import KInvariant, KPair, induced_map
 from afzp.matrix import Mat
 from afzp.serialize import dumps, load_json, loads, save_json
-from afzp.system import CanonicalForm, FdSystem
+from afzp.system import CanonicalForm, FdSystem, validate
 
 from conftest import dumps_format1
 
@@ -29,6 +30,11 @@ def _at(doc, path):
         if isinstance(node, int):
             node = doc["objects"][node]
     return node
+
+
+def _text(path):
+    with open(path) as fh:
+        return fh.read()
 
 
 @pytest.fixture
@@ -86,8 +92,10 @@ def test_lift_induced_equiv_flow(workdir, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["F"] == [[2]] and out["phi"] == [[1, 1], [1, 1]]
     assert main(["equiv", "hom.json", "hom.json", "--out", "w.json"]) == 0
-    W = load_json("w.json")
+    hom = load_json("hom.json")
+    W, _ = equiv_unitary(hom, hom)
     assert W[0].is_unitary()
+    assert _text("w.json") == dumps(W) + "\n"
 
 
 def test_zero_algebra_lifts_and_checks(workdir, capsys):
@@ -170,7 +178,8 @@ def test_validate_several_files_with_out_exit_two(workdir, capsys):
     assert "--out" in capsys.readouterr().err
     assert not os.path.exists("r.json")
     assert main(["validate", "m2.json", "--out", "r.json"]) == 0
-    assert load_json("r.json").ok
+    rep = validate(load_json("m2.json"))
+    assert rep.ok and _text("r.json") == dumps(rep) + "\n"
 
 
 @pytest.mark.parametrize("name", sorted(DEMOS))

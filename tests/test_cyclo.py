@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from afzp._rat import RAT
-from afzp.cyclo import FieldContext, Scalar
+from afzp.cyclo import FieldContext, Scalar, cyclotomic_poly
 from afzp.errors import ContextMismatch, DivisionByZero, FormatError
 from afzp.serialize import _scalar_text, loads
 
-from conftest import ctx_for, scalar_json
+from conftest import ctx_for, cyclotomic_poly_by_division, scalar_json
 from fraction_scalar import FracField, FracScalar
 
 
@@ -69,6 +69,25 @@ def test_unsupported_field_shapes_rejected():
         FieldContext(4)
     with pytest.raises(ValueError):
         FieldContext(3, 12)
+
+
+_PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+@pytest.mark.parametrize("q", _PRIMES_TO_31)
+def test_cyclotomic_closed_form_matches_division(q):
+    """Phi_n(x) = Phi_r(x^(n/r)) for the radical r of n agrees with the
+    general division of x^n - 1 at every field order q, q^2 and 4q^2."""
+    for n in (q, q * q, 4 * q * q):
+        assert cyclotomic_poly(n) == cyclotomic_poly_by_division(n), n
+
+
+@pytest.mark.parametrize("n", [1, 15, 60])
+def test_cyclotomic_poly_refuses_other_radicals(n):
+    """An n whose radical is neither a prime q nor 2q has no closed form
+    here; no field order is such an n."""
+    with pytest.raises(ValueError, match="radical of %d" % n):
+        cyclotomic_poly(n)
 
 
 # -- algebraic laws ----------------------------------------------------------
@@ -158,11 +177,11 @@ def test_serialization_bit_exact(rng):
 
 def _decoded(ctx, text):
     """The scalar whose format-2 text is text, read by serialize.loads as
-    the one entry of a 1x1 matrix."""
-    doc = {"afzp_format": 2, "kind": "unitaries", "p": ctx.p,
-           "order": ctx.order,
-           "W": [{"rows": 1, "cols": 1, "entries": [[0, 0, text]]}]}
-    return loads(json.dumps(doc))[0].entries[0][0]
+    the implementing unitary of a 1x1 system document."""
+    doc = {"afzp_format": 2, "kind": "system", "p": ctx.p,
+           "order": ctx.order, "blocks": [1], "sigma": [1],
+           "impl": [{"rows": 1, "cols": 1, "entries": [[0, 0, text]]}]}
+    return loads(json.dumps(doc)).impl[0].entries[0][0]
 
 
 def _ref_text(ref):

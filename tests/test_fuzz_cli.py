@@ -12,20 +12,24 @@ error), never in an uncaught exception. Structural mutations of a
 certificate (list lengths, stage values), references to objects of the
 wrong kind and documents inlined where a reference belongs are input
 errors and must exit 2. A non-vacuity check keeps the suite from
-passing by stopping every document at the format check.
+passing by stopping every document at the format check. Short hostile
+documents that name large matrices must be refused before those are
+built, by loads and by every command that reads files.
 """
 
+import argparse
 import contextlib
 import copy
 import functools
 import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from afzp.classify import Tower, intertwine, ksearch, lift
-from afzp.cli import main
+from afzp.cli import build_parser, main
 from afzp.crossed import crossed_product
 from afzp.demos import identity_pairs, product_tower
 from afzp.errors import FormatError
@@ -542,3 +546,95 @@ def test_crossed_special_element_is_checked(fuzzdir):
     json.dump(doc, open(bad, "w"))
     for cmd, files in _COMMANDS["crossed"]:
         assert _exit_code(cmd, *[bad] * files) == 2, cmd
+
+
+def _load_peak(text):
+    """The FormatError message of loads(text) ("" when it loads) and the
+    peak of the memory traced meanwhile, in bytes."""
+    tracemalloc.start()
+    try:
+        loads(text)
+        refused = ""
+    except FormatError as exc:
+        refused = str(exc)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return refused, peak
+
+
+def _crossed_cycle_document(rows=None, cols=None):
+    """A crossed document whose source is one cycle piece of size n = 100
+    at p = 2, with the blocks, special element, iota and identify header
+    of that source, and an identify without entries: a few hundred bytes
+    that name a p^2 n^2-entry matrix. rows and cols replace the
+    header's."""
+    n = 100
+    return json.dumps({
+        "afzp_format": 2, "kind": "crossed", "p": 2, "order": 16,
+        "objects": [{"kind": "canonical",
+                     "pieces": [{"kind": "cycle", "n": n}]}],
+        "source": 0, "blocks": [2 * n], "special": [n], "iota": [[1, 1]],
+        "dual": {}, "identify": {"rows": rows or 4 * n * n,
+                                 "cols": cols or 4 * n * n, "entries": []}})
+
+
+_HOSTILE = {
+    "unitaries": '{"afzp_format":2,"kind":"unitaries","p":2,"order":16,'
+                 '"W":[{"rows":1000000,"cols":1,"entries":[]}]}',
+    "report": '{"afzp_format":2,"kind":"report","ok":true,"checks":'
+              '[{"detail":"","name":"stage count","ok":true}]}',
+    "crossed": _crossed_cycle_document(),
+}
+_REFUSED = {"unitaries": "unknown document kind 'unitaries'",
+            "report": "unknown document kind 'report'",
+            "crossed": "crossed identify differs"}
+
+
+def _file_commands():
+    """Each command with the number of files it must be given; demo reads
+    none."""
+    sub, = [a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    return {name: sum(1 for a in sp._actions
+                      if not a.option_strings and a.nargs != "?")
+            for name, sp in sub.choices.items() if name != "demo"}
+
+
+@pytest.mark.parametrize("kind", sorted(_HOSTILE))
+def test_hostile_documents_are_refused_before_allocation(tmp_path, capsys,
+                                                         kind):
+    """A unitaries document declaring a 10^6-row matrix, a report (both
+    kinds are written, never read) and a crossed document naming a
+    160,000-entry identify are refused by loads in under 2 MiB, and by
+    every command that reads files, in the first file position, with an
+    input error. The first two used to load; the crossed document used
+    to build its whole presentation (15 MiB) before comparing."""
+    text = _HOSTILE[kind]
+    refused, peak = _load_peak(text)
+    assert peak < 2 * 2 ** 20, peak
+    assert _REFUSED[kind] in refused
+    bad = tmp_path / "hostile.json"
+    bad.write_text(text)
+    commands = _file_commands()
+    assert len(commands) == 10
+    capsys.readouterr()
+    for cmd, files in sorted(commands.items()):
+        assert main([cmd] + [str(bad)] * files) == 2, cmd
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "Traceback" not in err, \
+            (cmd, err)
+
+
+@pytest.mark.parametrize("rows,cols", [(1, None), (None, 1)])
+def test_crossed_identify_is_sized_before_it_is_built(rows, cols):
+    """A crossed document whose source is a cycle piece of size 100, with
+    the right blocks, special element and iota, is refused for its
+    identify header before the dual or identify is built: rows = sum of
+    b^2 over the crossed blocks and cols = p * sum of n^2 over the source
+    blocks (the entry count is checked with them; see the hostile
+    documents above). The whole presentation used to be built first
+    (15 MiB here); a piece of size 3000 ran out of memory."""
+    refused, peak = _load_peak(_crossed_cycle_document(rows, cols))
+    assert peak < 2 * 2 ** 20, peak
+    assert refused.startswith("crossed identify differs")

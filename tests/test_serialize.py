@@ -2,7 +2,8 @@
 
 dumps writes format 2: its text is json.dumps(dump(x), sort_keys=True,
 separators=(",", ":")), and load reads it back to a value that dumps
-to the same text. load reads format 2 only. The old format-1 writer
+to the same text; the unitaries and report kinds are written only, and
+load refuses them. load reads format 2 only. The old format-1 writer
 lives in conftest (dumps_format1): it is the byte oracle of the pinned
 format-1 digests, it compares loaded values that == cannot (a crossed
 presentation), and the documents it writes must be refused. The reader
@@ -38,6 +39,8 @@ from conftest import (ProductCrossed, ctx_for, cycle_form, dump_format1,
 KINDS = ["system", "canonical", "canonical-iso", "hom", "hom-null-src",
          "crossed", "kinvariant", "kpair", "tower", "certificate",
          "unitaries", "report"]
+# kinds that dumps writes and loads refuses: no command reads them
+WRITTEN_ONLY = ("unitaries", "report")
 
 
 def _field(draw):
@@ -119,8 +122,13 @@ def test_dumps_matches_json_dumps_and_reloads(kind, data):
     text = dumps(value)
     assert text == json.dumps(dump(value), sort_keys=True,
                               separators=(",", ":"))
-    # every loaded scalar renders to the text it was read from
-    assert dumps(loads(text)) == text
+    if kind in WRITTEN_ONLY:
+        with pytest.raises(FormatError,
+                           match="unknown document kind '%s'" % kind):
+            loads(text)
+    else:
+        # every loaded scalar renders to the text it was read from
+        assert dumps(loads(text)) == text
 
 
 _FORMAT1_REFUSED = "afzp_format 1 is not supported: only format 2 is read"
@@ -133,14 +141,19 @@ def test_format1_and_format2_load_to_equal_objects(kind, data):
     """The format-2 text loads to the value that was written, as its
     format-1 oracle document shows where == cannot (a crossed
     presentation), and a certificate replays to the same report; the
-    format-1 text of the same value is refused."""
+    format-2 text of a written-only kind and the format-1 text of any
+    value are refused."""
     value = _value(data.draw, kind)
-    new = loads(dumps(value))
-    assert dump_format1(new) == dump_format1(value)
-    if kind != "crossed":
-        assert new == value
-    if kind == "certificate":
-        assert verify_certificate(new) == verify_certificate(value)
+    if kind in WRITTEN_ONLY:
+        with pytest.raises(FormatError, match="unknown document kind"):
+            loads(dumps(value))
+    else:
+        new = loads(dumps(value))
+        assert dump_format1(new) == dump_format1(value)
+        if kind != "crossed":
+            assert new == value
+        if kind == "certificate":
+            assert verify_certificate(new) == verify_certificate(value)
     with pytest.raises(FormatError, match=_FORMAT1_REFUSED):
         loads(dumps_format1(value))
 
