@@ -24,6 +24,7 @@ re-verification recomputes every identity from scratch.
 
 import itertools
 from dataclasses import dataclass, field
+from operator import mul
 
 from .errors import (CorrectionFailed, KDataMismatch, LiftFailed,
                      PackingInfeasible, PairCheckFailed, ReindexFailed,
@@ -349,20 +350,20 @@ def conjugate_hom(W, h):
 
 
 def _entry_orbits(permB, permA):
-    """Orbits of the entries (r, c) under (r, c) -> (permB[r], permA[c]),
-    walked on the flattened index r * nA + c; the equivariance constraint
-    forces equal values along each orbit."""
+    """Orbits of the row-major entry indices r * nA + c under (r, c) ->
+    (permB[r], permA[c]); the equivariance constraint forces equal values
+    along each orbit."""
     nA = len(permA)
-    flat = [rb * nA + ca for rb in permB for ca in permA]
-    return [[divmod(k, nA) for k in orb] for orb in _orbits(flat)]
+    return _orbits([rb * nA + ca for rb in permB for ca in permA])
 
 
-def _fits(mat, cols, wants, partial):
-    """mat times each listed column against its wanted column, one column
-    at a time up to the first that fails: entrywise <= while mat is a
-    partial assignment, equal once it is complete."""
+def _fits(flat, n, cols, wants, partial):
+    """Row-major flat (n columns) times each listed column against its
+    wanted column, up to the first that fails: entrywise <= while flat is
+    a partial assignment, equal once it is complete."""
     for col, want in zip(cols, wants):
-        img = ivec_mul(mat, col)
+        img = [sum(map(mul, flat[r * n:r * n + n], col))
+               for r in range(len(want))]
         if (any(x > w for x, w in zip(img, want)) if partial
                 else img != want):
             return False
@@ -370,29 +371,30 @@ def _fits(mat, cols, wants, partial):
 
 
 def _equivariant(orbits, shape, bound, cols, wants):
-    """Every nonnegative rows x cols matrix, shape = (rows, cols),
-    constant on the given entry orbits with mat * col = want for each
-    listed column, entries <= bound unless bound is None, in
-    lexicographic order of the orbit values.
+    """Every nonnegative rows x cols matrix, shape = (rows, cols), as a
+    list of rows, constant on the given orbits of row-major entries with
+    mat * col = want for each listed column, entries <= bound unless
+    bound is None, in lexicographic order of the orbit values.
 
     Every column is nonnegative, so raising an orbit's value never turns
     a failed partial check into a pass: each orbit's value loop stops at
     its first failure, which also ends the loop when bound is None."""
-    mat = [[0] * shape[1] for _ in range(shape[0])]
+    rows, n = shape
+    flat = [0] * (rows * n)
 
     def rec(idx):
         if idx == len(orbits):
-            if _fits(mat, cols, wants, False):
-                yield [row[:] for row in mat]
+            if _fits(flat, n, cols, wants, False):
+                yield [flat[i * n:i * n + n] for i in range(rows)]
             return
         for v in (itertools.count() if bound is None else range(bound + 1)):
-            for (r, c) in orbits[idx]:
-                mat[r][c] = v
-            if not _fits(mat, cols, wants, True):
+            for k in orbits[idx]:
+                flat[k] = v
+            if not _fits(flat, n, cols, wants, True):
                 break
             yield from rec(idx + 1)
-        for (r, c) in orbits[idx]:
-            mat[r][c] = 0
+        for k in orbits[idx]:
+            flat[k] = 0
 
     return rec(0)
 
@@ -625,7 +627,11 @@ def verify_certificate(cert):
                    hom_compose(cert.forward[i + 1], chi),
                    cert.towerB.connecting(bi, b_next)))
     for rec in cert.triangles:
-        ok = all(w.is_unitary() for w in rec.correction)
+        # one unitary per block of the stage the correction acts on
+        tower = cert.towerA if rec.kind == "A" else cert.towerB
+        ok = ([w.rows for w in rec.correction]
+              == tower.systems[rec.right_stage].block_sizes
+              and all(w.is_unitary() for w in rec.correction))
         rep.add("correction on triangle %s%d->%d is unitary"
                 % (rec.kind, rec.left_stage, rec.right_stage), ok)
     return rep

@@ -86,17 +86,6 @@ def _perm(x, name, n):
     return sigma
 
 
-def _bound(sizes, i):
-    """The largest matrix header that block i of `sizes`, a list of block
-    sizes read from the document, admits: its size if that is a JSON
-    integer, else the largest integer in sizes, 0 if there is none."""
-    if not isinstance(sizes, list):
-        sizes = []
-    if 0 <= i < len(sizes) and _is_int(sizes[i]):
-        return sizes[i]
-    return max(filter(_is_int, sizes), default=0)
-
-
 def _scalar_text(s):
     """The format-2 text of Scalar s: "e:c" for each nonzero coefficient
     c of z^e, in lowest terms ("a" or "a/b"), by increasing e and joined
@@ -261,20 +250,6 @@ def _stages(stages, tower, name):
     return list(stages)
 
 
-def _stage_sizes(t, towerA, towerB):
-    """The block sizes of the tower stage a triangle's corrections act
-    on (its right stage), or, when the record names none, every block
-    size of the two towers."""
-    tower = {"A": towerA, "B": towerB}.get(t["kind"]) \
-        if isinstance(t["kind"], str) else None
-    right = t["right"]
-    if tower is not None and _is_int(right) \
-            and 0 <= right < len(tower.systems):
-        return tower.systems[right].block_sizes
-    return [n for tw in (towerA, towerB) for c in tw.systems
-            for n in c.block_sizes]
-
-
 class _Format2:
     """One load: the document, its field (read from the top-level p and
     order when the first matrix or form needs it), the scalar of each
@@ -342,8 +317,7 @@ class _Format2:
         if kind == "system":
             ctx = self.field()
             sigma = tuple(i - 1 for i in doc["sigma"])
-            impl = [self.mat(u, _bound(doc["blocks"], i))
-                    for i, u in enumerate(doc["impl"])]
+            impl = [self.mat(u) for u in doc["impl"]]
             return FdSystem(ctx, ctx.p, list(doc["blocks"]), sigma, impl)
         if kind == "canonical":
             ctx = self.field()
@@ -355,18 +329,15 @@ class _Format2:
                                       "integer" % (pc["n"],))
                 if pc["kind"] == "fixed":
                     pieces.append(IrredPiece("fixed", pc["n"],
-                                             self.mat(pc["v"], pc["n"])))
+                                             self.mat(pc["v"])))
                 elif pc["kind"] == "cycle":
                     pieces.append(IrredPiece("cycle", pc["n"]))
                 else:
                     raise FormatError("unknown piece kind %r" % pc["kind"])
             iso = None
             if "iso" in doc:
-                # each conjugator maps an original block onto a piece's block
-                largest = max((pc.n for pc in pieces), default=0)
-                iso = BlockIso(list(doc["iso"]["block_map"]),
-                               [self.mat(z, largest)
-                                for z in doc["iso"]["conjugators"]])
+                iso = BlockIso(list(doc["iso"]["block_map"]), [
+                    self.mat(z) for z in doc["iso"]["conjugators"]])
             try:
                 return CanonicalForm(ctx, ctx.p, pieces, iso)
             except NotOrderP:
@@ -379,7 +350,7 @@ class _Format2:
             src = self.ref(doc["source"], "canonical")
             tgt = self.ref(doc["target"], "canonical")
             arrs = []
-            for t, blk in enumerate(doc["blocks"]):
+            for blk in doc["blocks"]:
                 slots = [Slot(s["src"], s["size"], s["phase"])
                          for s in blk["slots"]]
                 for s in slots:
@@ -392,8 +363,7 @@ class _Format2:
                     if not (_is_int(s.phase) and 0 <= s.phase < src.p):
                         raise FormatError("slot phase %r is not an integer "
                                           "in 0..%d" % (s.phase, src.p - 1))
-                arrs.append(Arrangement(slots, self.mat(
-                    blk["conj"], _bound(tgt.block_sizes, t))))
+                arrs.append(Arrangement(slots, self.mat(blk["conj"])))
             return EqHom(src, tgt, arrs, unital=_flag(doc["unital"]))
         if kind == "kinvariant":
             m, mC = doc["m"], doc["mC"]
@@ -432,11 +402,19 @@ class _Format2:
                        len(backward)))
             triangles = []
             for t in doc["triangles"]:
-                sizes = _stage_sizes(t, towerA, towerB)
+                side, left, right = t["kind"], t["left"], t["right"]
+                tower = towerA if side == "A" else \
+                    towerB if side == "B" else None
+                if tower is None or not all(
+                        _is_int(s) and 0 <= s < len(tower.systems)
+                        for s in (left, right)):
+                    raise FormatError(
+                        "triangle kind %r, left %r and right %r do not name "
+                        "a tower, \"A\" or \"B\", and two of its stages"
+                        % (side, left, right))
                 triangles.append(TriangleRecord(
-                    t["kind"], t["left"], t["right"],
-                    [self.mat(w, _bound(sizes, i))
-                     for i, w in enumerate(t["correction"])]))
+                    side, left, right,
+                    [self.mat(w) for w in t["correction"]]))
             return IntertwiningCertificate(towerA, towerB, a_stages,
                                            b_stages, forward, backward,
                                            triangles, pairs)
@@ -467,10 +445,12 @@ class _Format2:
             return cp
         raise FormatError("unknown document kind %r" % (kind,))
 
-    def mat(self, obj, bound):
-        """A sparse matrix object whose header is at most bound, the size
-        of the block the matrix belongs to. Its entries arrive in
-        row-major order, so they are the matrix's rows."""
+    def mat(self, obj):
+        """A sparse matrix object, listing at least as many entries as it
+        has rows or columns: every matrix a valid document holds is
+        invertible, so it has a nonzero in each row and column, and no
+        larger header is allocated. Its entries arrive in row-major
+        order, so they are the matrix's rows."""
         ctx = self.field()
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
         if not (_is_int(rows) and _is_int(cols) and rows >= 0 and cols >= 0
@@ -478,9 +458,10 @@ class _Format2:
             raise FormatError("bad matrix object: rows %r, cols %r and "
                               "entries are not two sizes and a list"
                               % (rows, cols))
-        if max(rows, cols) > bound:
-            raise FormatError("matrix header %dx%d exceeds its %dx%d block"
-                              % (rows, cols, bound, bound))
+        if max(rows, cols) > len(entries):
+            raise FormatError("matrix header %dx%d lists %d entries: an "
+                              "invertible matrix lists at least %d"
+                              % (rows, cols, len(entries), max(rows, cols)))
         index = {}      # row -> {column: value}, filled in row-major order
         last = -1
         for entry in entries:

@@ -264,13 +264,16 @@ def _order_p_permutation(rng, p, n):
 def test_entry_orbits_match_the_matrix_walker():
     """The entry orbits, walked by system._orbits on the flattened
     permutation r * nA + c -> permB[r] * nA + permA[c], are the matrix
-    walker's orbits in the same order, on 3,000 random pairs."""
+    walker's orbits in the same order, on 3,000 random pairs, once each
+    row-major index k is read as the entry divmod(k, nA)."""
     rng = random.Random(21)
     for _ in range(3000):
         p = rng.choice([2, 3, 5])
         permB, permA = (_order_p_permutation(rng, p, rng.randint(0, 7))
                         for _ in range(2))
-        assert _entry_orbits(permB, permA) == matrix_orbits(permB, permA)
+        assert [[divmod(k, len(permA)) for k in orb]
+                for orb in _entry_orbits(permB, permA)] \
+            == matrix_orbits(permB, permA)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -16,9 +16,9 @@ from afzp.errors import FormatError
 from afzp.kinv import KInvariant, KPair, induced_map
 from afzp.matrix import Mat
 from afzp.serialize import dumps, load_json, loads, save_json
-from afzp.system import CanonicalForm, FdSystem, validate
+from afzp.system import CanonicalForm, FdSystem, identity_hom, validate
 
-from conftest import dumps_format1
+from conftest import dumps_format1, fixed_form
 
 
 def _at(doc, path):
@@ -453,6 +453,28 @@ def test_verify_checks_a_forward_hom_maps_its_stages(workdir):
         "hom 0 is invalid\n" in out
 
 
+@pytest.mark.parametrize("change", ["drop", "identity"])
+def test_verify_checks_each_correction_fits_its_right_stage(workdir, change):
+    """A triangle's corrections are one unitary per block of its right
+    stage: dropping one, or putting a 3x3 identity in place of the 4x4
+    correction, fails the item "correction on triangle A0->1 is
+    unitary". Both used to pass, since either list holds only
+    unitaries."""
+    tower = product_tower(2, 2)
+    cert = intertwine(tower, tower, pairs=identity_pairs(tower, 2), depth=2)
+    w = cert.triangles[0].correction
+    assert [m.rows for m in w] == tower.systems[1].block_sizes
+    if change == "drop":
+        w.pop()
+    else:
+        w[0] = Mat.identity(w[0].ctx, 3)
+    failed = [item.name for item in verify_certificate(cert).failures()]
+    assert failed == ["correction on triangle A0->1 is unitary"]
+    save_json("cert.json", cert)
+    out = _run_cli(1, "verify", "cert.json", "--format", "text").stdout
+    assert "[FAIL] correction on triangle A0->1 is unitary\n" in out
+
+
 def test_verify_reports_a_backward_hom_between_other_stages(workdir):
     """A depth-2 certificate whose backward hom is tower B's map B1 -> B2
     used to make verify_certificate raise SystemMismatch from the
@@ -722,25 +744,30 @@ def test_corrupted_format2_certificate_exit_two(workdir, capsys, name):
 
 
 _HUGE = {"rows": 10 ** 6, "cols": 10 ** 6, "entries": []}
+# the loader's refusal of a header larger than its listed entries
+_SHORT = "lists 0 entries: an invertible matrix lists at least 1000000"
+
+
+def _hom_with_conj(conj):
+    """The identity hom of the fixed piece diag(1, -1), as a document
+    whose one conj is replaced by conj."""
+    doc = json.loads(dumps(identity_hom(fixed_form(FieldContext(2, 16),
+                                                   [0, 1]))))
+    doc["blocks"][0]["conj"] = conj
+    return doc
 
 
 def test_huge_conj_header_is_refused_before_allocation(workdir, capsys):
     """A hom document under 1 KB whose conj claims 10^6 x 10^6: the header
-    exceeds the 2 x 2 target block, so the loader raises FormatError
-    without allocating the grid (tracemalloc peak under 1 MiB) and the
-    CLI exits 2."""
+    is larger than its (zero) listed entries, so the loader raises
+    FormatError without allocating the grid (tracemalloc peak under
+    1 MiB) and the CLI exits 2."""
     import tracemalloc
-    from afzp.errors import FormatError
-    from afzp.system import identity_hom
-    from conftest import fixed_form
-    doc = json.loads(dumps(identity_hom(fixed_form(FieldContext(2, 16),
-                                                   [0, 1]))))
-    doc["blocks"][0]["conj"] = _HUGE
-    text = json.dumps(doc)
+    text = json.dumps(_hom_with_conj(_HUGE))
     assert len(text) < 1024
     tracemalloc.start()
     try:
-        with pytest.raises(FormatError, match="exceeds its 2x2 block"):
+        with pytest.raises(FormatError, match=_SHORT):
             loads(text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -770,10 +797,10 @@ _HUGE_HEADERS = {
 
 @pytest.mark.parametrize("name", sorted(_HUGE_HEADERS))
 def test_huge_headers_in_a_certificate_exit_two(workdir, capsys, name):
-    """A 10^6 x 10^6 header on a fixed piece's v, a hom's conj or a
-    triangle's correction (bounded by its tower stage, or by the largest
-    block of either tower when the stage is out of range) is an input
-    error."""
+    """A 10^6 x 10^6 header without entries on a fixed piece's v, a hom's
+    conj or a triangle's correction is an input error; so is a triangle
+    whose right stage is out of range, refused before its corrections
+    are read."""
     assert main(["demo", "product-tower-p2", "--depth", "2",
                  "--out", "cert.json"]) == 0
     doc = json.load(open("cert.json"))
@@ -781,16 +808,44 @@ def test_huge_headers_in_a_certificate_exit_two(workdir, capsys, name):
     json.dump(doc, open("bad.json", "w"))
     capsys.readouterr()
     assert main(["verify", "bad.json"]) == 2
-    assert "exceeds its" in capsys.readouterr().err
+    assert ("and two of its stages" if name == "triangle-without-stage"
+            else _SHORT) in capsys.readouterr().err
+
+
+def test_a_short_listed_conj_is_an_input_error(workdir, capsys):
+    """A 2x2 conj listing one entry cannot be invertible: the loader
+    refuses it (exit 2), where validate used to report it (exit 1)."""
+    json.dump(_hom_with_conj({"rows": 2, "cols": 2,
+                              "entries": [[0, 0, "0:1"]]}),
+              open("bad.json", "w"))
+    capsys.readouterr()
+    assert main(["validate", "bad.json"]) == 2
+    assert "lists 1 entries" in capsys.readouterr().err
+
+
+def test_a_fully_listed_conj_larger_than_its_block_fails_validation(
+        workdir, capsys):
+    """A 3x3 identity conj in a 2x2 target block loads, since it lists
+    three entries, and validate fails its shape (exit 1), where the
+    loader used to refuse it (exit 2)."""
+    json.dump(_hom_with_conj({"rows": 3, "cols": 3, "entries": [
+        [i, i, "0:1"] for i in range(3)]}), open("bad.json", "w"))
+    capsys.readouterr()
+    assert main(["validate", "bad.json"]) == 1
+    failed = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]
+              if not c["ok"]]
+    assert failed == ["conjugator 0 unitary"]
 
 
 def test_huge_impl_or_iso_header_exits_two(workdir, capsys):
-    """A system's impl is bounded by its block size and a canonical
-    form's iso conjugators by its largest piece."""
+    """A system's impl and a canonical form's iso conjugators are
+    refused when their header is larger than their listed entries."""
     doc = json.load(open("m2.json"))
     doc["impl"][0] = _HUGE
     json.dump(doc, open("bad.json", "w"))
+    capsys.readouterr()
     assert main(["validate", "bad.json"]) == 2
+    assert _SHORT in capsys.readouterr().err
     assert main(["canon", "m2.json", "--out", "canon.json"]) == 0
     doc = json.load(open("canon.json"))
     iso = doc["iso"] if "iso" in doc else next(
@@ -799,4 +854,4 @@ def test_huge_impl_or_iso_header_exits_two(workdir, capsys):
     json.dump(doc, open("bad.json", "w"))
     capsys.readouterr()
     assert main(["kinv", "bad.json"]) == 2
-    assert "exceeds its" in capsys.readouterr().err
+    assert _SHORT in capsys.readouterr().err

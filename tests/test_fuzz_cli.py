@@ -579,14 +579,34 @@ def _crossed_cycle_document(rows=None, cols=None):
                                  "cols": cols or 4 * n * n, "entries": []}})
 
 
+def _hom_onto_a_huge_cycle(n=10 ** 6):
+    """A hom document from and to one cycle piece of size n at p = 2
+    whose first conj is an n x n header without entries: a few hundred
+    bytes naming an n-row matrix in a block of that size."""
+    return json.dumps({
+        "afzp_format": 2, "kind": "hom", "p": 2, "order": 16,
+        "objects": [{"kind": "canonical",
+                     "pieces": [{"kind": "cycle", "n": n}]}],
+        "source": 0, "target": 0, "unital": True, "blocks": [
+            {"slots": [{"src": t, "size": n, "phase": 0}],
+             "conj": {"rows": n, "cols": n, "entries": []}}
+            for t in range(2)]})
+
+
 _HOSTILE = {
+    "system": '{"afzp_format":2,"kind":"system","p":2,"order":16,'
+              '"blocks":[300000000],"sigma":[1],"impl":[{"rows":300000000,'
+              '"cols":300000000,"entries":[]}]}',
+    "hom": _hom_onto_a_huge_cycle(),
     "unitaries": '{"afzp_format":2,"kind":"unitaries","p":2,"order":16,'
                  '"W":[{"rows":1000000,"cols":1,"entries":[]}]}',
     "report": '{"afzp_format":2,"kind":"report","ok":true,"checks":'
               '[{"detail":"","name":"stage count","ok":true}]}',
     "crossed": _crossed_cycle_document(),
 }
-_REFUSED = {"unitaries": "unknown document kind 'unitaries'",
+_REFUSED = {"system": "lists 0 entries",
+            "hom": "lists 0 entries",
+            "unitaries": "unknown document kind 'unitaries'",
             "report": "unknown document kind 'report'",
             "crossed": "crossed identify differs"}
 
@@ -604,13 +624,20 @@ def _file_commands():
 @pytest.mark.parametrize("kind", sorted(_HOSTILE))
 def test_hostile_documents_are_refused_before_allocation(tmp_path, capsys,
                                                          kind):
-    """A unitaries document declaring a 10^6-row matrix, a report (both
-    kinds are written, never read) and a crossed document naming a
-    160,000-entry identify are refused by loads in under 2 MiB, and by
-    every command that reads files, in the first file position, with an
-    input error. The first two used to load; the crossed document used
-    to build its whole presentation (15 MiB) before comparing."""
+    """A 141-byte system document whose impl is a 3*10^8-row header in a
+    block it declares of that size, a hom onto a cycle piece of size
+    10^6 with an empty 10^6-row conj, a unitaries document declaring a
+    10^6-row matrix, a report (both kinds are written, never read) and
+    a crossed document naming a 160,000-entry identify are refused by
+    loads in under 2 MiB, and by every command that reads files, in the
+    first file position, with an input error. The system document used
+    to end in a MemoryError and the hom to allocate its empty rows
+    (48 MiB); the unitaries and report documents used to load; the
+    crossed document used to build its whole presentation (15 MiB)
+    before comparing."""
     text = _HOSTILE[kind]
+    if kind == "system":
+        assert len(text) == 141
     refused, peak = _load_peak(text)
     assert peak < 2 * 2 ** 20, peak
     assert _REFUSED[kind] in refused
@@ -624,6 +651,27 @@ def test_hostile_documents_are_refused_before_allocation(tmp_path, capsys,
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and "Traceback" not in err, \
             (cmd, err)
+
+
+@pytest.mark.parametrize("key,value", [
+    (key, value) for key in ("left", "right")
+    for value in ("x", None, [1], -1, 99)] + [("kind", 5)])
+def test_a_triangle_record_names_a_tower_and_two_of_its_stages(
+        fuzzdir, capsys, key, value):
+    """A triangle's kind is "A" or "B" and its left and right are JSON
+    integers indexing that tower's stages; anything else is an input
+    error. A left of "x", None or [1] used to end verify in a TypeError
+    traceback."""
+    doc = copy.deepcopy(_base_docs()["certificate"])
+    doc["triangles"][0][key] = value
+    with pytest.raises(FormatError, match="and two of its stages"):
+        loads(json.dumps(doc))
+    bad = fuzzdir / "bad_triangle.json"
+    json.dump(doc, open(bad, "w"))
+    capsys.readouterr()
+    assert main(["verify", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("rows,cols", [(1, None), (None, 1)])

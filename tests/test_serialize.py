@@ -58,9 +58,13 @@ def _value(draw, kind):
     ctx = _field(draw)
     pool = _scalar_pool(ctx)
 
-    def mat(n):
-        return grid_mat(ctx, n, n, [[draw(st.sampled_from(pool))
-                                     for _ in range(n)] for _ in range(n)])
+    def mat(n, diagonal=pool):
+        """An n x n grid with its diagonal drawn from `diagonal`: the
+        nonzero pool[1:] lists at least n entries, as the loader asks of
+        every matrix it reads."""
+        return grid_mat(ctx, n, n, [[draw(st.sampled_from(
+            diagonal if i == j else pool)) for j in range(n)]
+            for i in range(n)])
 
     form = mixed_form(ctx, draw(st.lists(
         st.sampled_from(piece_specs(ctx.p, 2)), min_size=1, max_size=2)))
@@ -80,7 +84,7 @@ def _value(draw, kind):
         src = mixed_form(ctx, [("fixed", [0])])
         tgt = mixed_form(ctx, [("fixed", [0, 0])])
         return EqHom(src, tgt, [Arrangement([Slot(0, 1), Slot(None, 1)],
-                                            mat(2))], unital=False)
+                                            mat(2, pool[1:]))], unital=False)
     if kind == "crossed":
         return crossed_product(form)
     if kind == "kinvariant":
@@ -98,7 +102,7 @@ def _value(draw, kind):
         # sit at several indentation levels; one Mat is in two triangles
         hom = identity_hom(form)
         tower = Tower([form, form], [hom])
-        w = [mat(n) for n in form.block_sizes]
+        w = [mat(n, pool[1:]) for n in form.block_sizes]
         triangles = draw(st.sampled_from([[], [
             TriangleRecord("A", 0, 0, w), TriangleRecord("B", 0, 1, w)]]))
         return IntertwiningCertificate(tower, tower, [0], [0], [hom], [],
@@ -370,3 +374,18 @@ def test_a_huge_cycle_piece_allocates_nothing_per_row():
     assert peak < 2 ** 20
     assert inv.unit == [10 ** 12] * 3 and cp.block_sizes == [3 * 10 ** 12]
     assert loads(inv_text) == inv
+
+
+def test_a_short_listed_matrix_is_refused():
+    """A matrix that lists fewer entries than its rows or columns has an
+    empty row or column, so it is not invertible: loads refuses it
+    before allocating its rows, whatever block it sits in."""
+    ctx = ctx_for(2)
+    src = fixed_form(ctx, [0])
+    tgt = fixed_form(ctx, [0, 0])
+    conj = grid_mat(ctx, 2, 2, [[ctx.one, ctx.zero], [ctx.zero, ctx.zero]])
+    hom = EqHom(src, tgt, [Arrangement([Slot(0, 1), Slot(None, 1)], conj)],
+                unital=False)
+    with pytest.raises(FormatError, match="matrix header 2x2 lists 1 "
+                       "entries: an invertible matrix lists at least 2"):
+        loads(dumps(hom))
