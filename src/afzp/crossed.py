@@ -8,14 +8,14 @@ algebra:
   r-th block receives B_r = sum_j zeta_p^(-r*j) a_j V^j. The character
   attached to a block is the negative one, which makes the class of the
   averaging projection land exactly on the eigenvalue-count vector of V.
-  With V = diag(zeta_p^e) both directions are computed entry by entry:
-
-      B_r[x][y] = sum_j zeta_p^(j*(e_y - r)) a_j[x][y],
-      a_j[x][y] = (1/p) sum_r zeta_p^(j*(r - e_y)) B_r[x][y].
-
 * a cycle piece (p copies of M_n, shift) contributes one crossed block
   of size p*n, filled grid-wise: grid block (r, c) holds coefficient
   (c - r) mod p evaluated at piece component (-r) mod p.
+
+The identification is one matrix M, identify_matrix (what afzp crossed
+writes). Its columns are orthogonal, D = M^dagger M being p on a fixed
+piece's columns and 1 on a cycle piece's, and identify and unidentify
+apply M and M^-1 = D^-1 M^dagger, each built once per presentation.
 
 The dual generator scales coefficient j by zeta_p^(-j); in identified
 coordinates it cyclically rotates the blocks of a fixed piece (block r
@@ -24,10 +24,11 @@ conjugation with diag(1, zeta_p, ..., zeta_p^(p-1)) x I_n.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .errors import NonIntegralMultiplicity, ShapeMismatch
+from .errors import AfzpError, NonIntegralMultiplicity, ShapeMismatch
 from .matrix import Mat
-from .system import FdSystem, root_sum, zero_tuple
+from .system import FdSystem, zero_tuple
 from ._rat import is_integer
 
 __all__ = ["CrossedElement", "CrossedPresentation", "crossed_product",
@@ -61,6 +62,7 @@ class CrossedPresentation:
         self.dual_sigma = []  # crossed block b receives dual_sigma[b]
         self.special = []
         self.iota_matrix = []
+        self._ident = self._scatter = None  # identify_matrix, _tables
         p = self.p
         for piece, sb, cb, exps in zip(source.pieces, source.piece_offsets,
                                        self.piece_first_block,
@@ -146,78 +148,58 @@ class CrossedPresentation:
     # -- identification ----------------------------------------------------
 
     def identify(self, ce):
-        """The *-isomorphism onto the direct sum of matrix blocks."""
-        p = self.p
-        ctx = self.ctx
-        out = []
-        for idx, piece in enumerate(self.source.pieces):
-            sb = self.source.piece_offsets[idx]
-            if piece.kind == "fixed":
-                e, rows = self.source.piece_exponents[idx], [0] * piece.n
-                for r in range(p):
-                    out.append(root_sum(ctx, piece.n, [
-                        (ce.coeffs[j][sb], rows, [j * (x - r) for x in e])
-                        for j in range(p)], self.source.roots))
-            else:
-                n = piece.n
-                rows = []
-                for r in range(p):
-                    comp = (-r) % p
-                    blocks = [ce.coeffs[(c - r) % p][sb + comp]
-                              for c in range(p)]
-                    if any(a.rows != n or a.cols != n for a in blocks):
-                        raise ShapeMismatch("cycle block is not %dx%d"
-                                            % (n, n))
-                    rows.extend({c * n + j: v for c, a in enumerate(blocks)
-                                 for j, v in zip(a.nz[i], a.vals[i])}
-                                for i in range(n))
-                out.append(Mat.from_dicts(ctx, p * n, rows))
-        return out
+        """The *-isomorphism onto the direct sum of matrix blocks: M times
+        ce's coefficients, read as one vector."""
+        if any(len(a) != self.source.m for a in ce.coeffs):
+            raise ShapeMismatch("coefficient tuples do not have %d blocks"
+                                % self.source.m)
+        return self._apply(self._tables()[0],
+                           [a for coeff in ce.coeffs for a in coeff],
+                           self.source.block_sizes * self.p, self.block_sizes)
 
     def unidentify(self, mats):
-        """Inverse of identify."""
-        p = self.p
-        ctx = self.ctx
-        inv_p = ctx.scalar(1) / ctx.scalar(p)
-        roots = [w * inv_p for w in self.source.roots]
-        ce = self.zero_element()
-        for idx, piece in enumerate(self.source.pieces):
-            cb = self.piece_first_block[idx]
-            sb = self.source.piece_offsets[idx]
-            if piece.kind == "fixed":
-                e, rows = self.source.piece_exponents[idx], [0] * piece.n
-                for j in range(p):
-                    ce.coeffs[j][sb] = root_sum(ctx, piece.n, [
-                        (mats[cb + r], rows, [j * (r - x) for x in e])
-                        for r in range(p)], roots)
-            else:
-                n = piece.n
-                grid = mats[cb]
-                if grid.rows != p * n or grid.cols != p * n:
-                    raise ShapeMismatch("cycle block is not %dx%d"
-                                        % (p * n, p * n))
-                for r in range(p):
-                    blocks = [[{} for _ in range(n)] for _ in range(p)]
-                    for i in range(n):
-                        for j, v in zip(grid.nz[r * n + i],
-                                        grid.vals[r * n + i]):
-                            blocks[j // n][i][j % n] = v
-                    for c, rows in enumerate(blocks):
-                        ce.coeffs[(c - r) % p][sb + (-r) % p] = \
-                            Mat.from_dicts(ctx, n, rows)
-        return ce
+        """Inverse of identify: M^-1 times mats, read as one vector."""
+        m = self.source.m
+        out = self._apply(self._tables()[1], mats, self.block_sizes,
+                          self.source.block_sizes * self.p)
+        return CrossedElement([out[j * m:(j + 1) * m] for j in range(self.p)])
+
+    def _apply(self, table, mats, sizes, out_sizes):
+        """The blocks of out_sizes holding table's matrix times the
+        row-major entries of mats, blocks of sizes. table[k] lists the
+        (row, column, value) of column k's nonzeros, rows counted across
+        the output blocks; each nonzero of mats is scattered along its
+        column, so zero blocks cost no arithmetic."""
+        if len(mats) != len(sizes) or any(
+                a.rows != n or a.cols != n for a, n in zip(mats, sizes)):
+            raise ShapeMismatch("blocks are not %d square blocks of sizes %s"
+                                % (len(sizes), sizes))
+        rows, one = [{} for _ in range(sum(out_sizes))], self.ctx.one
+        k = 0       # flat index of the current row's first entry
+        for a, n in zip(mats, sizes):
+            for cols, vals in zip(a.nz, a.vals):
+                for c, v in zip(cols, vals):
+                    for i, j, w in table[k + c]:
+                        t = v if w is one else v * w
+                        x = rows[i].get(j)
+                        rows[i][j] = t if x is None else x + t
+                k += n
+        return [Mat.from_dicts(self.ctx, n, rows[at:at + n])
+                for n, at in zip(out_sizes, accumulate(out_sizes, initial=0))]
 
     def identify_matrix(self):
-        """The matrix of identify: coefficient index major, then source
-        block, then row-major entries; same flattening on the output side
-        over crossed blocks. Each matrix unit's image is read off the
-        exponents: a fixed piece puts zeta_p^(j (e_y - r)) at (x, y) of
-        its crossed block r, and a cycle piece puts 1 at (x, y) of grid
-        block (-t, j - t) mod p, t being the unit's component."""
-        p, src = self.p, self.source
-        starts = [0]    # flattened offset of each crossed block
-        for n in self.block_sizes:
-            starts.append(starts[-1] + n * n)
+        """The matrix M of identify, built once: coefficient index major,
+        then source block, then row-major entries; same flattening on the
+        output side over crossed blocks. Each matrix unit's image is read
+        off the exponents: a fixed piece puts zeta_p^(j (e_y - r)) at
+        (x, y) of its crossed block r, and a cycle piece puts 1 at (x, y)
+        of grid block (-t, j - t) mod p, t being the unit's component."""
+        if self._ident is not None:
+            return self._ident
+        p, src, ctx = self.p, self.source, self.ctx
+        # flattened offset of each crossed block
+        starts = list(accumulate([n * n for n in self.block_sizes],
+                                 initial=0))
         out = [{} for _ in range(starts[-1])]
         col = 0
         for j in range(p):
@@ -236,9 +218,38 @@ class CrossedPresentation:
                     at = starts[cb] + (-t % p) * n * p * n + (j - t) % p * n
                     for x in range(n):
                         for y in range(n):
-                            out[at + x * p * n + y][col] = self.ctx.one
+                            out[at + x * p * n + y][col] = ctx.one
                             col += 1
-        return Mat.from_dicts(self.ctx, col, out)
+        self._ident = Mat.from_dicts(ctx, col, out)
+        return self._ident
+
+    def _tables(self):
+        """_apply's tables of M and M^-1 = D^-1 M^dagger, built once D =
+        M^dagger M is checked to be an invertible diagonal: p^3 n^2
+        products for a fixed piece of size n, which identify_matrix does
+        not pay. A weight equal to one is ctx.one itself, added unscaled."""
+        if self._scatter is not None:
+            return self._scatter
+        M, ctx = self.identify_matrix(), self.ctx
+        d = M.dagger() * M
+        if any(cols != (k,) for k, cols in enumerate(d.nz)):
+            raise AfzpError("internal: identify_matrix's columns are not "
+                            "orthogonal")
+
+        def units(sizes):   # (row in all blocks, column) per entry
+            return [(at + x, y) for n, at in zip(sizes, accumulate(
+                sizes, initial=0)) for x in range(n) for y in range(n)]
+        ins, outs = units(self.source.block_sizes * self.p), \
+            units(self.block_sizes)
+        fwd, inv, one = [[] for _ in ins], [], ctx.one
+        for r, (cols, vals) in enumerate(zip(M.nz, M.vals)):
+            inv.append([])
+            for k, v in zip(cols, vals):
+                w = v.conj() / d.vals[k][0]
+                fwd[k].append(outs[r] + (one if v == one else v,))
+                inv[r].append(ins[k] + (one if w == one else w,))
+        self._scatter = fwd, inv
+        return self._scatter
 
     # -- canonical structure ----------------------------------------------
 

@@ -67,7 +67,7 @@ def product_tower(p, depth, resorted=False, order=None):
     the recorded connecting maps differ by permutations, so intertwining
     against the plain tower needs nontrivial inner corrections. The maps
     are not validated here: intertwine and verify_certificate validate
-    every tower they read.
+    every tower they read. order is the field order (default 4p^2).
     """
     ctx = FieldContext(p, order)
     exps = [0]

@@ -239,6 +239,23 @@ def load(doc):
     return _Format2(doc).load()
 
 
+def _check_iso(c):
+    """c.iso, checked to map the original blocks one to one onto c's
+    blocks, each with a unitary conjugator of its canonical block's
+    size."""
+    block_map, zs = c.iso.block_map, c.iso.conjugators
+    if not (all(map(_is_int, block_map)) and len(zs) == len(block_map)
+            and sorted(block_map) == list(range(c.m))):
+        raise FormatError("iso block_map %r with %d conjugators is not a "
+                          "permutation of the %d canonical blocks"
+                          % (block_map, len(zs), c.m))
+    for i, (b, z) in enumerate(zip(block_map, zs)):
+        n = c.block_sizes[b]
+        if not (z.rows == z.cols == n and z.is_unitary()):
+            raise FormatError("iso conjugator %d is not a %dx%d unitary, the "
+                              "size of canonical block %d" % (i, n, n, b))
+
+
 def _stages(stages, tower, name):
     """A certificate's stage list, checked to index the tower strictly
     increasingly."""
@@ -339,13 +356,16 @@ class _Format2:
                 iso = BlockIso(list(doc["iso"]["block_map"]), [
                     self.mat(z) for z in doc["iso"]["conjugators"]])
             try:
-                return CanonicalForm(ctx, ctx.p, pieces, iso)
+                c = CanonicalForm(ctx, ctx.p, pieces, iso)
             except NotOrderP:
                 n = next(pc.n for pc in pieces
                          if pc.exponents(ctx.p) is None)
                 raise FormatError(
                     "fixed piece v is not the %dx%d diagonal of p-th roots "
                     "of unity with ascending exponents" % (n, n)) from None
+            if iso is not None:
+                _check_iso(c)
+            return c
         if kind == "hom":
             src = self.ref(doc["source"], "canonical")
             tgt = self.ref(doc["target"], "canonical")

@@ -241,9 +241,8 @@ class CanonicalForm:
         for piece, off, e in zip(self.pieces, self.piece_offsets,
                                  self.piece_exponents):
             if piece.kind == "fixed":
-                out[off] = root_sum(self.ctx, piece.n,
-                                    [(a[off], e, [-x for x in e])],
-                                    self.roots)
+                out[off] = root_sum(self.ctx, piece.n, a[off], e,
+                                    [-x for x in e], self.roots)
             else:
                 for t in range(self.p):
                     out[off + t] = a[off + (t - 1) % self.p]
@@ -256,30 +255,18 @@ class CanonicalForm:
                 == [(b.kind, b.n) for b in other.pieces])
 
 
-def root_sum(ctx, n, terms, roots):
-    """The n x n matrix whose (x, y) entry is the sum over terms
-    (a, ex, ey) of roots[(ex[x] + ey[y]) % len(roots)] * a[x][y]: one
-    multiply per nonzero entry, so zero blocks cost no arithmetic. One
-    term keeps its operand's rows, the roots being nonzero. An a that is
-    not n x n raises ShapeMismatch."""
+def root_sum(ctx, n, a, ex, ey, roots):
+    """The n x n matrix whose (x, y) entry is roots[(ex[x] + ey[y]) %
+    len(roots)] * a[x][y]: one multiply per nonzero entry, on a's rows,
+    the roots being nonzero. An a that is not n x n raises
+    ShapeMismatch."""
+    if a.rows != n or a.cols != n:
+        raise ShapeMismatch("%dx%d block in a piece of size %d"
+                            % (a.rows, a.cols, n))
     k = len(roots)
-    for a, _, _ in terms:
-        if a.rows != n or a.cols != n:
-            raise ShapeMismatch("%dx%d block in a piece of size %d"
-                                % (a.rows, a.cols, n))
-    if len(terms) == 1:
-        (a, ex, ey), = terms
-        return Mat(ctx, n, n, a.nz, tuple([
-            tuple([v * roots[(rx + ey[y]) % k] for y, v in zip(cols, vals)])
-            for cols, vals, rx in zip(a.nz, a.vals, ex)]))
-    out = [{} for _ in range(n)]
-    for a, ex, ey in terms:
-        for orow, cols, vals, rx in zip(out, a.nz, a.vals, ex):
-            for y, v in zip(cols, vals):
-                w = v * roots[(rx + ey[y]) % k]
-                x = orow.get(y)
-                orow[y] = w if x is None else x + w
-    return Mat.from_dicts(ctx, n, out)
+    return Mat(ctx, n, n, a.nz, tuple([
+        tuple([v * roots[(rx + ey[y]) % k] for y, v in zip(cols, vals)])
+        for cols, vals, rx in zip(a.nz, a.vals, ex)]))
 
 
 def decompose(s):
@@ -421,9 +408,9 @@ def _iso_defect(s, c):
             return "block %d, whose image does not read from the image " \
                 "of block %d" % (i, j)
         n = s.block_sizes[i]
-        k = daggers[j] * root_sum(s.ctx, n, [(
-            zs[i] * s.impl[i], [-e for e in c.block_exponents(b)],
-            [0] * n)], c.roots)
+        k = daggers[j] * root_sum(s.ctx, n, zs[i] * s.impl[i],
+                                  [-e for e in c.block_exponents(b)],
+                                  [0] * n, c.roots)
         bad = _pattern_defect(k, [(i, n)], [(i, n)])
         if bad is not None:
             return "unit (%d,%d) of block %d" % (bad[1], bad[2], i)
@@ -553,9 +540,9 @@ def _block_product(h, t, first):
         else:
             u.extend(src.block_exponents(slot.src))
             cols.append((src.sigma[slot.src], slot.size))
-    return first * root_sum(tgt.ctx, tgt.block_sizes[t], [
-        (arr.conj, [-e for e in tgt.block_exponents(t)], u)],
-        tgt.roots), cols
+    return first * root_sum(tgt.ctx, tgt.block_sizes[t], arr.conj,
+                            [-e for e in tgt.block_exponents(t)], u,
+                            tgt.roots), cols
 
 
 def hom_compose(g, h):

@@ -855,3 +855,45 @@ def test_huge_impl_or_iso_header_exits_two(workdir, capsys):
     capsys.readouterr()
     assert main(["kinv", "bad.json"]) == 2
     assert _SHORT in capsys.readouterr().err
+
+
+def _iso_mat(n, text):
+    """The n x n diagonal matrix object with every diagonal entry text."""
+    return {"rows": n, "cols": n, "entries": [[i, i, text] for i in range(n)]}
+
+
+# corruptions of the iso that canon writes for m2.json: block_map [0] and
+# one 2x2 conjugator
+_ISO_CORRUPTIONS = {
+    "map-7-conj-3x3-2I": lambda iso: iso.update(
+        block_map=[7], conjugators=[_iso_mat(3, "0:2")]),
+    "map-7": lambda iso: iso.update(block_map=[7]),
+    "map-string": lambda iso: iso.update(block_map=["0"]),
+    "map-boolean": lambda iso: iso.update(block_map=[False]),
+    "map-repeated": lambda iso: iso.update(
+        block_map=[0, 0], conjugators=iso["conjugators"] * 2),
+    "no-conjugator": lambda iso: iso.update(conjugators=[]),
+    "conj-2I": lambda iso: iso.update(conjugators=[_iso_mat(2, "0:2")]),
+    "conj-3x3-identity": lambda iso: iso.update(
+        conjugators=[_iso_mat(3, "0:1")]),
+}
+
+
+@pytest.mark.parametrize("command", ["kinv", "crossed", "lift"])
+@pytest.mark.parametrize("name", sorted(_ISO_CORRUPTIONS))
+def test_an_iso_that_is_not_a_block_permutation_of_unitaries_exits_two(
+        workdir, capsys, command, name):
+    """A canonical form's iso must map its blocks one to one onto the
+    form's blocks, with a unitary conjugator of each image block's size;
+    otherwise every command that reads the form refuses it. Earlier
+    versions loaded such an iso unchecked and exited 0."""
+    assert main(["canon", "m2.json", "--out", "c2.json"]) == 0
+    doc = json.load(open("c2.json"))
+    _ISO_CORRUPTIONS[name](doc["iso"])
+    json.dump(doc, open("bad.json", "w"))
+    capsys.readouterr()
+    argv = ["lift", "pair.json", "m1.json", "bad.json"] \
+        if command == "lift" else [command, "bad.json"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "iso" in err

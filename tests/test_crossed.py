@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from afzp.crossed import CrossedElement, CrossedPresentation, crossed_product
+from afzp.cyclo import Scalar
 from afzp.errors import NotEquivariant, ShapeMismatch
 from afzp.matrix import Mat
 from afzp.system import (Arrangement, EqHom, Slot, decompose, validate)
@@ -293,21 +294,65 @@ def _identify_forms(draw):
                                     ("cycle", 1)]))
 @given(_identify_forms())
 def test_identify_matrix_matches_identify_on_every_unit(form):
-    """identify_matrix, written from the exponents, equals identify
-    applied to each matrix unit (the oracle)."""
+    """identify_matrix, written from the exponents, equals the oracle's
+    identify (products with the powers of V) applied to each matrix
+    unit."""
     cp = crossed_product(form)
-    assert cp.identify_matrix() == identify_matrix_by_units(cp)
+    assert cp.identify_matrix() == identify_matrix_by_units(
+        ProductCrossed(form))
 
 
 def test_identify_matrix_calls_no_identify(monkeypatch):
     form = mixed_form(ctx_for(3), [("fixed", [0, 2]), ("cycle", 2)])
     cp = crossed_product(form)
-    want = identify_matrix_by_units(cp)
+    want = identify_matrix_by_units(ProductCrossed(form))
 
     def refuse(self, ce):
         raise AssertionError("identify called")
     monkeypatch.setattr(CrossedPresentation, "identify", refuse)
     assert cp.identify_matrix() == want
+
+
+def test_identify_matrix_is_built_once_per_presentation(monkeypatch):
+    """identify_matrix builds M once, without M^dagger M; identify,
+    unidentify and averaging_projection apply it through tables built
+    once, with one product M^dagger M. Another presentation of the same
+    form builds its own."""
+    form = mixed_form(ctx_for(3), [("fixed", [0, 2]), ("cycle", 2)])
+    cp = crossed_product(form)
+    x = rand_element(cp, random.Random(5))
+    products, dagger = [], Mat.dagger
+
+    def counted(self):
+        products.append(self.rows)
+        return dagger(self)
+    monkeypatch.setattr(Mat, "dagger", counted)
+    M = cp.identify_matrix()
+    assert products == []
+    assert cp.unidentify(cp.identify(x)) == x
+    cp.averaging_projection()
+    assert cp.identify_matrix() is M and products == [M.rows]
+    other = crossed_product(form)
+    assert other.identify(x) == cp.identify(x)
+    assert other.identify_matrix() == M and other.identify_matrix() is not M
+    assert products == [M.rows] * 2
+
+
+def test_identifying_zero_does_no_scalar_multiplication(monkeypatch):
+    """Zero blocks cost no arithmetic: once M and its inverse are built,
+    identify and unidentify of zero multiply no Scalar."""
+    cp = crossed_product(mixed_form(ctx_for(5), [("fixed", [0, 1, 3]),
+                                                 ("cycle", 2)]))
+    cp.identify(cp.canonical_unitary())
+
+    def refuse(self, other):
+        raise AssertionError("Scalar multiplied")
+    monkeypatch.setattr(Scalar, "__mul__", refuse)
+    monkeypatch.setattr(Scalar, "__rmul__", refuse)
+    zero = cp.identify(cp.zero_element())
+    assert [(m.rows, m.is_zero()) for m in zero] == \
+        [(n, True) for n in cp.block_sizes]
+    assert cp.unidentify(zero) == cp.zero_element()
 
 
 # -- entrywise identification against the V^j products -------------------------
@@ -378,7 +423,10 @@ def test_entrywise_identification_matches_products(case):
 def test_misshaped_fixed_blocks_raise(case, data):
     """A nonzero block whose shape is not its fixed piece's raises
     ShapeMismatch in both identify and unidentify and in apply_action
-    (conjugating by V used to cut a smaller block silently)."""
+    (conjugating by V used to cut a smaller block silently). So does a
+    missing or extra block or coefficient in identify and unidentify
+    (a short tuple used to end in IndexError, an extra block was
+    ignored)."""
     form, rng, _ = case
     ctx, p = form.ctx, form.p
     fixed = [i for i, piece in enumerate(form.pieces) if piece.kind == "fixed"]
@@ -400,8 +448,14 @@ def test_misshaped_fixed_blocks_raise(case, data):
     mats[cp.piece_first_block[idx] + data.draw(st.integers(0, p - 1))] = bad
     a = _blocks(ctx, rng, form.block_sizes, [False])
     a[sb] = bad
+    j, z = data.draw(st.integers(0, p - 1)), cp.zero_element().coeffs
+    miscounted = [z[:j] + [z[j][:-1]] + z[j + 1:],
+                  z[:j] + [z[j] + z[j][:1]] + z[j + 1:], z[1:], z + z[:1]]
+    good = _blocks(ctx, rng, cp.block_sizes, [False])
     for call, arg in ((cp.identify, ce), (oracle.identify, ce),
                       (cp.unidentify, mats), (oracle.unidentify, mats),
-                      (form.apply_action, a)):
+                      (form.apply_action, a), (cp.unidentify, good[1:]),
+                      (cp.unidentify, good + good[:1]),
+                      *((cp.identify, CrossedElement(c)) for c in miscounted)):
         with pytest.raises(ShapeMismatch):
             call(arg)

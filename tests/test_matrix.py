@@ -443,7 +443,7 @@ def test_engine_builders_store_canonical_rows(p):
     """So do the matrices that lift packs (fixed and cycle targets),
     equiv_unitary places slot by slot (W and its witness), decompose,
     apply_action (root_sum), identify, unidentify, identify_matrix,
-    root_sum's one-term case and the format-2 loader build."""
+    root_sum and the format-2 loader build."""
     ctx = ctx_for(p)
     rng = random.Random(p)
     src = mixed_form(ctx, [("fixed", [0, 1]), ("cycle", 1)])
@@ -466,7 +466,7 @@ def test_engine_builders_store_canonical_rows(p):
     mats += c.iso.conjugators + [c.pieces[0].v]
     x = rand_tuple(tgt, rng)
     mats += tgt.apply_action(x)
-    mats.append(root_sum(ctx, v.rows, [(x[0], [1] * v.rows, [2] * v.rows)],
+    mats.append(root_sum(ctx, v.rows, x[0], [1] * v.rows, [2] * v.rows,
                          tgt.roots))
     for form in (src, tgt):
         cp = crossed_product(form)

@@ -12,7 +12,7 @@ from afzp.errors import (NonDiagonalizableWithinField, SystemMismatch,
                          TwistNotRootOfUnity, TwistRootOutsideField)
 from afzp.matrix import Mat, diagonalizer
 from afzp.kinv import invariant_of
-from afzp.serialize import dumps
+from afzp.serialize import dumps, loads
 from afzp.system import (Arrangement, EqHom, FdSystem, IrredPiece, Slot,
                          _iso_defect, _pattern_defect, decompose,
                          equal_as_maps, hom_compose, hom_validate,
@@ -536,6 +536,15 @@ def test_iso_defect_matches_generator_oracle(s, data):
         (generator_iso_defect(s, c) is None)
 
 
+@settings(max_examples=30, deadline=None)
+@given(_decomposable_system())
+def test_every_canon_output_round_trips(s):
+    """The canonical form afzp canon writes loads past the loader's iso
+    check and dumps to the same bytes."""
+    text = dumps(decompose(s))
+    assert dumps(loads(text)) == text
+
+
 def _twisted_shift_p3():
     """p = 3, one fixed 4x4 block: a 3-cycle with phases and a fixed
     point. The Gauss sum at p = 3 is not real, so the example shows
@@ -604,14 +613,14 @@ def test_decompose_matches_the_monomial_diagonalizer_oracle(s):
 @given(st.sampled_from(ORACLE_FIELDS), st.integers(0, 6),
        st.sampled_from(["monomial", "sparse", "dense"]), st.randoms())
 def test_diag_scaled_matches_the_dense_oracle(field, n, kind, rnd):
-    """root_sum with one term (x, ex, ey), the way hom_validate scales a
-    square conjugator by its roots, is diag(roots[ex]) x diag(roots[ey]):
-    it equals the dense kernel's and keeps x's nonzero columns."""
+    """root_sum of (x, ex, ey), the way hom_validate scales a square
+    conjugator by its roots, is diag(roots[ex]) x diag(roots[ey]): it
+    equals the dense kernel's and keeps x's nonzero columns."""
     ctx = ctx_for(*field)
     x = oracle_matrix(ctx, rnd, n, n, kind)
     roots = [ctx.root(k) for k in range(ctx.order)]
     ex, ey = ([rnd.randrange(ctx.order) for _ in range(n)] for _ in "xy")
-    got = root_sum(ctx, n, [(x, ex, ey)], roots)
+    got = root_sum(ctx, n, x, ex, ey, roots)
     assert got == dense_diag_scaled([roots[e] for e in ex], x,
                                     [roots[e] for e in ey])
     assert got.nz == dense_support(got) == x.nz
