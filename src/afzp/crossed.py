@@ -108,33 +108,29 @@ class CrossedPresentation:
         return ce
 
     def mul(self, x, y):
-        """(sum a_j U^j)(sum b_k U^k) with U b U* = alpha(b)."""
-        p = self.p
+        """(sum a_j U^j)(sum b_k U^k) = sum a_j alpha^j(b_k) U^(j+k), with
+        U b U* = alpha(b): one apply_action per nonzero a_j with j >= 1
+        and each b_k; alpha^0 is never applied."""
+        p, m = self.p, self.source.m
         out = self.zero_element()
-        alpha_pows = [list(y.coeffs[k]) for k in range(p)]
-        # alpha^j applied lazily per j below
         for j in range(p):
-            if j > 0:
-                for k in range(p):
-                    alpha_pows[k] = self.source.apply_action(alpha_pows[k])
             a = x.coeffs[j]
-            if all(m.is_zero() for m in a):
+            if all(mat.is_zero() for mat in a):
                 continue
-            for k in range(p):
-                b = alpha_pows[k]
+            for k, b in enumerate(y.coeffs):
+                b = self.source.apply_action(b, j) if j else b
                 tgt = out.coeffs[(j + k) % p]
-                for t in range(self.source.m):
+                for t in range(m):
                     tgt[t] = tgt[t] + a[t] * b[t]
         return out
 
     def adjoint(self, x):
+        """(sum a_j U^j)^* = sum_m alpha^m(a_(-m)^dagger) U^m: one
+        apply_action per coefficient m >= 1."""
         out = self.zero_element()
-        for m_idx in range(self.p):
-            j = (-m_idx) % self.p
-            a = [mat.dagger() for mat in x.coeffs[j]]
-            for _ in range(m_idx):
-                a = self.source.apply_action(a)
-            out.coeffs[m_idx] = a
+        for m in range(self.p):
+            a = [mat.dagger() for mat in x.coeffs[-m % self.p]]
+            out.coeffs[m] = self.source.apply_action(a, m) if m else a
         return out
 
     def dual_coeff(self, x):

@@ -333,9 +333,11 @@ class _Format2:
     def _value(self, kind, doc):
         if kind == "system":
             ctx = self.field()
-            sigma = tuple(i - 1 for i in doc["sigma"])
+            blocks, sigma = _int_matrix([doc["blocks"], doc["sigma"]],
+                                        "blocks and sigma")
             impl = [self.mat(u) for u in doc["impl"]]
-            return FdSystem(ctx, ctx.p, list(doc["blocks"]), sigma, impl)
+            return FdSystem(ctx, ctx.p, list(blocks),
+                            tuple(i - 1 for i in sigma), impl)
         if kind == "canonical":
             ctx = self.field()
             pieces = []
@@ -357,12 +359,8 @@ class _Format2:
                     self.mat(z) for z in doc["iso"]["conjugators"]])
             try:
                 c = CanonicalForm(ctx, ctx.p, pieces, iso)
-            except NotOrderP:
-                n = next(pc.n for pc in pieces
-                         if pc.exponents(ctx.p) is None)
-                raise FormatError(
-                    "fixed piece v is not the %dx%d diagonal of p-th roots "
-                    "of unity with ascending exponents" % (n, n)) from None
+            except NotOrderP as exc:
+                raise FormatError(str(exc)) from None
             if iso is not None:
                 _check_iso(c)
             return c

@@ -125,10 +125,8 @@ def _validate(s):
             "images %s" % (list(s.sigma),))
     if not rep.ok:
         return rep, []
-    sig_pow = list(range(m))
-    for _ in range(s.p):
-        sig_pow = [s.sigma[i] for i in sig_pow]
-    rep.add("sigma^p = id", sig_pow == list(range(m)))
+    orbits = _orbits(s.sigma)   # sigma^p = id iff each orbit length divides p
+    rep.add("sigma^p = id", all(s.p % len(orb) == 0 for orb in orbits))
     for i in range(m):
         ni = s.block_sizes[i]
         rep.add("block %d size matches its sigma-image" % i,
@@ -140,7 +138,7 @@ def _validate(s):
     if not rep.ok:
         return rep, []
     holonomies = []
-    for orb in _orbits(s.sigma):
+    for orb in orbits:
         rep.add("orbit %s has size 1 or p" % (orb,),
                 len(orb) in (1, s.p))
         i = orb[0]
@@ -205,8 +203,9 @@ class CanonicalForm:
         for idx, piece in enumerate(self.pieces):
             exps = piece.exponents(self.p)
             if exps is None:
-                raise NotOrderP("fixed piece %d is not a sorted diagonal of "
-                                "p-th roots of unity" % idx)
+                raise NotOrderP("fixed piece %d: v is not an ascending %dx%d "
+                                "diagonal of p-th roots of unity"
+                                % (idx, piece.n, piece.n))
             self.piece_exponents.append(exps)
             off = len(self.block_sizes)
             k = piece.block_count(self.p)
@@ -233,19 +232,21 @@ class CanonicalForm:
         return FdSystem(self.ctx, self.p, list(self.block_sizes),
                         tuple(self.sigma), impl)
 
-    def apply_action(self, a):
-        """alpha(a). A fixed piece's block, V = diag(zeta_p^e), maps
-        entrywise: alpha(a)[x][y] = zeta_p^(e_x - e_y) a[x][y]. A cycle
-        piece's blocks move one place along the cycle."""
+    def apply_action(self, a, j=1):
+        """alpha^j(a), in one pass for any integer j. A fixed piece's
+        block, V = diag(zeta_p^e), maps entrywise: alpha^j(a)[x][y] =
+        zeta_p^(j (e_x - e_y)) a[x][y]. A cycle piece's blocks move j
+        places along the cycle."""
         out = list(a)
         for piece, off, e in zip(self.pieces, self.piece_offsets,
                                  self.piece_exponents):
             if piece.kind == "fixed":
-                out[off] = root_sum(self.ctx, piece.n, a[off], e,
-                                    [-x for x in e], self.roots)
+                out[off] = root_sum(self.ctx, piece.n, a[off],
+                                    [j * x for x in e], [-j * x for x in e],
+                                    self.roots)
             else:
                 for t in range(self.p):
-                    out[off + t] = a[off + (t - 1) % self.p]
+                    out[off + t] = a[off + (t - j) % self.p]
         return out
 
     def same_shape(self, other):

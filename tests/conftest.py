@@ -252,6 +252,15 @@ def _multiplicity(x, what):
     return int(tr)
 
 
+def sigma_power_is_identity(sigma, p):
+    """Whether sigma^p = id, by p passes over the permutation: the oracle
+    of validate's "sigma^p = id", which reads it off sigma's orbits."""
+    power = list(range(len(sigma)))
+    for _ in range(p):
+        power = [sigma[i] for i in power]
+    return power == list(range(len(sigma)))
+
+
 def _perm_matrix(sigma):
     """Row t has its 1 in column sigma[t]."""
     return [[int(sigma[t] == s) for s in range(len(sigma))]

@@ -308,6 +308,35 @@ def test_corrupted_system_exit_two_without_traceback(workdir, corrupt):
     _assert_input_error("validate", "bad.json")
 
 
+# a system's blocks and sigma with a float, boolean or string where a
+# JSON integer belongs (m2.json has blocks [2] and sigma [1])
+_BLOCKS_SIGMA_CORRUPTIONS = {
+    "sigma-float": ("sigma", [1.0]),
+    "blocks-float": ("blocks", [2.0]),
+    "sigma-boolean": ("sigma", [True]),
+    "blocks-boolean": ("blocks", [True]),
+    "blocks-string": ("blocks", "2"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "canon", "kinv", "crossed"])
+@pytest.mark.parametrize("name", sorted(_BLOCKS_SIGMA_CORRUPTIONS))
+def test_system_blocks_and_sigma_must_be_integer_lists(workdir, capsys,
+                                                       command, name):
+    """A system's blocks and sigma are lists of JSON integers. A float
+    used to end in a TypeError traceback, a boolean block size in exit 0
+    with "n": true written, a boolean sigma was read as 1 and the string
+    "2" as the list ["2"]."""
+    doc = json.load(open("m2.json"))
+    key, value = _BLOCKS_SIGMA_CORRUPTIONS[name]
+    doc[key] = value
+    json.dump(doc, open("bad.json", "w"))
+    capsys.readouterr()
+    assert main([command, "bad.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "blocks and sigma" in err
+
+
 # corruptions of the fixed piece v = diag(1, -1) of an n=2 canonical form,
 # whose entries are [[0, 0, "0:1"], [1, 1, "0:-1"]]
 def _v_non_diagonal(v):

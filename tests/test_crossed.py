@@ -459,3 +459,56 @@ def test_misshaped_fixed_blocks_raise(case, data):
                       *((cp.identify, CrossedElement(c)) for c in miscounted)):
         with pytest.raises(ShapeMismatch):
             call(arg)
+
+
+# -- powers of the action --------------------------------------------------------
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("square", [False, True], ids=["order-p",
+                                                      "order-4p2"])
+def test_apply_action_power_is_repeated_action(p, square):
+    """apply_action(a, j) equals j applications of apply_action(a) and of
+    the conjugation oracle, for j in 0..2p, on fixed, cycle and mixed
+    forms; alpha^p is the identity."""
+    ctx = ctx_for(p, 4 * p * p if square else p)
+    rng = random.Random(p)
+    for form in (fixed_form(ctx, [0, 1, p - 1]), cycle_form(ctx, 2),
+                 mixed_form(ctx, [("fixed", [0, 0, p - 1]), ("cycle", 1),
+                                  ("fixed", [1])])):
+        a = _blocks(ctx, rng, form.block_sizes, [False])
+        repeated = oracle = a
+        for j in range(2 * p + 1):
+            assert form.apply_action(a, j) == repeated == oracle, j
+            repeated = form.apply_action(repeated)
+            oracle = conj_apply_action(form, oracle)
+        assert form.apply_action(a, p) == a
+
+
+def _count_actions(monkeypatch, form):
+    """The powers j of every apply_action(a, j) call on form, as made."""
+    calls, apply = [], form.apply_action
+
+    def counted(a, j=1):
+        calls.append(j)
+        return apply(a, j)
+    monkeypatch.setattr(form, "apply_action", counted)
+    return calls
+
+
+def test_crossed_algebra_applies_each_power_once(monkeypatch):
+    """mul of two embedded elements applies no power of the action; mul
+    applies alpha^j once per nonzero a_j (j >= 1) and coefficient b_k,
+    and adjoint once per coefficient m >= 1."""
+    p = 3
+    form = mixed_form(ctx_for(p), [("fixed", [0, 2]), ("cycle", 1)])
+    cp, rng = crossed_product(form), random.Random(5)
+    calls = _count_actions(monkeypatch, form)
+    x, y = rand_element(cp, rng), rand_element(cp, rng)
+    cp.mul(cp.embed(x.coeffs[0]), cp.embed(y.coeffs[0]))
+    assert calls == []
+    x.coeffs[1] = cp.zero_element().coeffs[1]
+    cp.mul(x, y)
+    assert calls == [2] * p
+    calls.clear()
+    cp.adjoint(x)
+    assert calls == list(range(1, p))

@@ -8,10 +8,11 @@ a list item dropped or repeated, a dropped key, an object reference
 made dangling, forward or of another kind, an object dropped or
 repeated) and go through afzp.cli.main; every run must end in an exit
 code of the README's contract (0 pass, 1 mathematical failure, 2 input
-error), never in an uncaught exception. Structural mutations of a
-certificate (list lengths, stage values), references to objects of the
-wrong kind and documents inlined where a reference belongs are input
-errors and must exit 2. A non-vacuity check keeps the suite from
+error), never in an uncaught exception, and a run that exits 0 printing
+a document load reads must print it as dumps writes it back.
+Structural mutations of a certificate (list lengths, stage values),
+references to objects of the wrong kind and documents inlined where a
+reference belongs are input errors and must exit 2. A non-vacuity check keeps the suite from
 passing by stopping every document at the format check. Short hostile
 documents that name large matrices must be refused before those are
 built, by loads and by every command that reads files.
@@ -186,7 +187,8 @@ def _mutated(draw, kind):
         elif what == "entry" and ints:
             vec = draw(st.sampled_from(ints))
             vec[draw(st.integers(0, len(vec) - 1))] = draw(
-                st.sampled_from([-1, 0, 2, 9, True, "1", 0.5, None, []]))
+                st.sampled_from([-1, 0, 2, 9, True, 1.0, "1", 0.5, None,
+                                 []]))
         elif what == "item" and ints:
             vec = draw(st.sampled_from(ints))
             at = draw(st.integers(0, len(vec) - 1))
@@ -244,7 +246,7 @@ def _broken_structure(draw):
                          copy.deepcopy(draw(st.sampled_from(items))))
         else:
             items[draw(st.integers(0, len(items) - 1))] = draw(
-                st.sampled_from([-1, 2, 9, True, "1", 0.5, None]))
+                st.sampled_from([-1, 2, 9, True, 1.0, "1", 0.5, None]))
     return doc
 
 
@@ -258,7 +260,15 @@ def _run(*argv):
 
 
 def _exit_code(*argv):
-    return _run(*argv)[0]
+    """The CLI's exit code on argv. A run that exits 0 and prints a
+    document of a kind load reads (not a report or unitaries) must print
+    it in its canonical bytes: dumps(loads(out)) == out."""
+    code, out = _run(*argv)
+    if code == 0 and out.startswith("{"):
+        text = out.rstrip("\n")
+        if json.loads(text)["kind"] not in ("report", "unitaries"):
+            assert dumps(loads(text)) == text, argv
+    return code
 
 
 @pytest.fixture(scope="module")

@@ -24,8 +24,8 @@ from conftest import (ORACLE_FIELDS, all_units_equal, all_units_equivariant,
                       fixed_form, fixed_point_unitary, generator_iso_defect,
                       generators_equal, generators_equivariant, grid_mat,
                       mixed_form, monomial_diagonalizer, oracle_matrix,
-                      oracle_scalar, piece_specs, sort_conjugator, transport,
-                      unit_tuple, zero_grid)
+                      oracle_scalar, piece_specs, sigma_power_is_identity,
+                      sort_conjugator, transport, unit_tuple, zero_grid)
 
 
 def diag_system(ctx, values, p=None):
@@ -201,6 +201,26 @@ def test_orbit_sizes_are_one_or_p():
                  [Mat.identity(ctx, 1)] * 2)     # sigma^3 != id
     rep = validate(s)
     assert not rep.ok
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_sigma_order_check_matches_the_power_oracle(p):
+    """validate's "sigma^p = id", read off sigma's orbits, agrees with
+    p passes over the permutation, on random permutations of up to 8
+    blocks of size 1: most are not of order p, and a 3-cycle at p = 2 is
+    among them."""
+    ctx, rng = ctx_for(p), random.Random(p)
+    sigmas = [(1, 2, 0)] + [tuple(rng.sample(range(m), m))
+                            for m in range(1, 9) for _ in range(6)]
+    assert any(not sigma_power_is_identity(s, p) for s in sigmas)
+    assert any(sigma_power_is_identity(s, p) and s != tuple(range(len(s)))
+               for s in sigmas)
+    for sigma in sigmas:
+        m = len(sigma)
+        rep = validate(FdSystem(ctx, p, [1] * m, sigma,
+                                [Mat.identity(ctx, 1)] * m))
+        got = [it.ok for it in rep.items if it.name == "sigma^p = id"]
+        assert got == [sigma_power_is_identity(sigma, p)], sigma
 
 
 def test_hom_validate_identity():
