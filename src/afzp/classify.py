@@ -15,11 +15,12 @@ commutant elements of finite order; everything is re-verified exactly
 before returning.
 
 intertwine() runs the finite-depth intertwining argument on consecutive
-stages 0 .. n-1 of both towers, as one zigzag step taken twice per
-stage (A_i -> B_i, then B_i -> A_{i+1}): pick the invariant morphism,
-lift it, and correct the lift by an inner equivariant unitary so the
-triangle with the previous hom commutes exactly. The certificate's
-re-verification recomputes every identity from scratch.
+stages 0 .. n-1 of both towers, hop by hop (A_0 -> B_0 -> A_1 -> ...).
+It plans first, over integers: one invariant morphism per hop closing
+its invariant triangle, so a hop with none is reported before any lift.
+Then it lifts each and corrects the lift by an inner equivariant unitary
+so the triangle with the previous hom commutes exactly. The
+certificate's re-verification recomputes every identity from scratch.
 """
 
 import itertools
@@ -36,7 +37,7 @@ from .matrix import Mat, blockdiag, unitary_conjugator
 from .report import Report
 from .system import (Arrangement, EqHom, Slot, _block_product, _labels,
                      _orbits, _pattern_defect, _slot_starts, equal_as_maps,
-                     hom_compose, hom_validate)
+                     hom_compose, hom_validate, identity_hom)
 
 __all__ = ["lift", "equiv_unitary", "ksearch", "Tower", "intertwine",
            "IntertwiningCertificate", "verify_certificate",
@@ -77,17 +78,16 @@ def _case_params(kp, srcC, tgtC):
 
 def lift(kp, srcC, tgtC):
     """Explicit unital equivariant hom inducing the given pair exactly."""
-    return _lift(kp, srcC, tgtC, check_pair(kp, invariant_of(srcC),
-                                            invariant_of(tgtC)))
-
-
-def _lift(kp, srcC, tgtC, rep=None):
-    """lift for a pair already checked: rep is its check_pair report,
-    or None for a ksearch candidate, which the enumeration proved."""
-    if rep is not None and not (rep.ok and kp.unital):
-        if rep.ok:
-            rep.add("unital flag", False, "lift requires a unital pair")
+    rep = check_pair(kp, invariant_of(srcC), invariant_of(tgtC))
+    if rep.ok and not kp.unital:
+        rep.add("unital flag", False, "lift requires a unital pair")
+    if not rep.ok:
         raise PairCheckFailed(rep)
+    return _lift(kp, srcC, tgtC)
+
+
+def _lift(kp, srcC, tgtC):
+    """lift for a unital pair that passes check_pair."""
     ctx = srcC.ctx
     p = srcC.p
     plans = _case_params(kp, srcC, tgtC)
@@ -443,7 +443,6 @@ class Tower:
     def connecting(self, i, j):
         """Composite map from stage i to stage j (i <= j)."""
         if i == j:
-            from .system import identity_hom
             return identity_hom(self.systems[i])
         h = self.maps[i]
         for k in range(i + 1, j):
@@ -492,11 +491,10 @@ def intertwine(tA, tB, pairs=None, depth=3):
     """Finite-depth intertwining with exact triangle identities.
 
     Stage i of each tower is used for i < steps, steps the least of
-    depth, the two tower lengths and len(pairs). Each stage takes two
-    zigzag steps: psi_i: A_i -> B_i, then (unless it is the last)
-    chi_i: B_i -> A_{i+1}. pairs may give the invariant morphism of
-    every psi_i; otherwise, and for every chi_i, the first ksearch
-    candidate closing the invariant triangle is taken.
+    depth, the two tower lengths and len(pairs). The hops are psi_i:
+    A_i -> B_i and, unless i is the last, chi_i: B_i -> A_{i+1}. _plan
+    picks every hop's invariant morphism; each is then lifted and, from
+    the second hop on, corrected so that its triangle commutes.
     """
     # a tower intertwined with itself is validated once
     for name, tower in (("A", tA), ("B", tB))[:2 - (tB is tA)]:
@@ -509,71 +507,72 @@ def intertwine(tA, tB, pairs=None, depth=3):
     if steps < 1:
         raise ReindexFailed("nothing to intertwine: the depth, the towers "
                             "and the pairs leave no stage")
+    plan = _plan(tA, tB, steps, pairs)
     cert = IntertwiningCertificate(tA, tB, list(range(steps)),
-                                   list(range(steps)), [], [], [], [])
+                                   list(range(steps)), [], [], [], plan[::2])
     prev = None
-    for i in range(steps):
-        prev = _zigzag(cert, ("A", tA, i), ("B", tB, i), prev,
-                       None if pairs is None else pairs[i])
-        cert.forward.append(prev[0])
-        cert.pairs.append(prev[1])
-        if i + 1 < steps:
-            prev = _zigzag(cert, ("B", tB, i), ("A", tA, i + 1), prev, None)
-            cert.backward.append(prev[0])
+    for k, ((X, tX, i), (Y, tY, j)) in enumerate(_hops(tA, tB, steps)):
+        try:
+            h = _lift(plan[k], tX.systems[i], tY.systems[j])
+        except AfzpError as exc:
+            raise LiftFailed("%s%d->%s%d" % (X, i, Y, j), exc)
+        if prev is not None:
+            try:
+                w, _ = equiv_unitary(tY.maps[j - 1], hom_compose(h, prev))
+            except AfzpError as exc:
+                raise CorrectionFailed("%s%d->%s%d" % (Y, j - 1, Y, j), exc)
+            h = conjugate_hom(w, h)
+            cert.triangles.append(TriangleRecord(Y, j - 1, j, w))
+        (cert.backward if k % 2 else cert.forward).append(h)
+        prev = h
     return cert
 
 
-def _zigzag(cert, source, target, prev, given):
-    """One zigzag step X_i -> Y_j; returns (hom, pair).
+def _hops(tA, tB, steps):
+    """The chain's hops A_0 -> B_0 -> A_1 -> ... -> B_{steps-1}, each a
+    (source, target) of stages (tower name, tower, index)."""
+    stages = [(name, tower, i) for i in range(steps)
+              for name, tower in (("A", tA), ("B", tB))]
+    return list(zip(stages, stages[1:]))
 
-    prev is None at the first step, else the (hom, pair) of the previous
-    step Y_{j-1} -> X_i. The pair is `given`, checked by check_pair and,
-    with prev, by closing the invariant triangle (pair o prev's pair is
-    the pair of Y's map j-1 -> j), or else the first ksearch candidate
-    that closes it; either way _lift does not check it again. With prev,
-    the lift is corrected by an inner equivariant unitary so that
-    hom o prev is that map exactly, and the triangle is recorded in cert.
-    """
-    X, tX, i = source
-    Y, tY, j = target
-    invX = invariant_of(tX.systems[i])
-    invY = invariant_of(tY.systems[j])
-    if prev is not None:
-        conn = tY.maps[j - 1]
-        want = induced_map(conn)
+
+def _plan(tA, tB, steps, pairs=None):
+    """The invariant morphism of every hop, from the stage invariants and
+    the towers' connecting pairs alone: psi_i is pairs[i] if given,
+    checked by check_pair, and any other hop takes the first ksearch
+    candidate. From the second hop on, the morphism after the previous
+    one must be the pair of the target tower's map j-1 -> j."""
+    plan = []
+    for k, ((X, tX, i), (Y, tY, j)) in enumerate(_hops(tA, tB, steps)):
+        invX = invariant_of(tX.systems[i])
+        invY = invariant_of(tY.systems[j])
+        want = induced_map(tY.maps[j - 1]) if plan else None
         triangle = "%s%d -> %s%d" % (Y, j - 1, Y, j)
-    rep = None
-    if given is not None:
-        rep = check_pair(given, invX, invY)
-        if not rep.ok:
-            raise ReindexFailed(
-                "given pair %d fails the invariant checks at stages "
-                "%s%d -> %s%d" % (i, X, i, Y, j))
-        if prev is not None and compose_pairs(given, prev[1]) != want:
-            raise ReindexFailed("given pair %d does not close the invariant "
-                                "triangle at %s" % (i, triangle))
-        kp = given
-    else:
-        kp = next((c for c in _candidates(invX, invY, None)
-                   if prev is None or compose_pairs(c, prev[1]) == want),
-                  None)
-        if kp is None:
-            raise ReindexFailed(
-                "no invariant morphism from %s%d to %s%d%s"
-                % (X, i, Y, j, "" if prev is None
-                   else " closes the triangle at " + triangle))
-    try:
-        h = _lift(kp, tX.systems[i], tY.systems[j], rep)
-    except AfzpError as exc:
-        raise LiftFailed("%s%d->%s%d" % (X, i, Y, j), exc)
-    if prev is not None:
-        try:
-            w, _ = equiv_unitary(conn, hom_compose(h, prev[0]))
-        except AfzpError as exc:
-            raise CorrectionFailed("%s%d->%s%d" % (Y, j - 1, Y, j), exc)
-        h = conjugate_hom(w, h)
-        cert.triangles.append(TriangleRecord(Y, j - 1, j, w))
-    return h, kp
+        if pairs is not None and not k % 2:
+            kp = pairs[i]
+            rep = check_pair(kp, invX, invY)
+            if not rep.ok:
+                raise ReindexFailed(
+                    "given pair %d fails the invariant checks at stages "
+                    "%s%d -> %s%d" % (i, X, i, Y, j))
+            if plan and compose_pairs(kp, plan[-1]) != want:
+                raise ReindexFailed("given pair %d does not close the "
+                                    "invariant triangle at %s" % (i, triangle))
+            if not kp.unital:
+                rep.add("unital flag", False, "lift requires a unital pair")
+                raise LiftFailed("%s%d->%s%d" % (X, i, Y, j),
+                                 PairCheckFailed(rep))
+        else:
+            kp = next((c for c in _candidates(invX, invY, None)
+                       if not plan or compose_pairs(c, plan[-1]) == want),
+                      None)
+            if kp is None:
+                raise ReindexFailed(
+                    "no invariant morphism from %s%d to %s%d%s"
+                    % (X, i, Y, j, " closes the triangle at " + triangle
+                       if plan else ""))
+        plan.append(kp)
+    return plan
 
 
 def verify_certificate(cert):

@@ -314,8 +314,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (FormatError, OSError) as exc:
-        print("input error: %s" % exc, file=sys.stderr)
+    except (FormatError, OSError, MemoryError) as exc:
+        print("input error: %s" % (str(exc) or "out of memory"),
+              file=sys.stderr)
         return EXIT_INPUT
     except AfzpError as exc:
         print("failure: %s" % exc, file=sys.stderr)

@@ -58,10 +58,6 @@ class SystemMismatch(AfzpError):
     """Homomorphisms are not composable / not over the same systems."""
 
 
-class NotEquivariant(AfzpError):
-    pass
-
-
 class NonIntegralMultiplicity(AfzpError):
     """Trace bookkeeping produced a non-integer; internal consistency bug."""
 

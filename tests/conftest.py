@@ -7,15 +7,17 @@ import pytest
 
 from afzp._rat import RAT, is_integer
 from afzp.classify import (IntertwiningCertificate, Tower,
-                           UniquenessWitness, WitnessEntry, conjugate_hom)
+                           UniquenessWitness, WitnessEntry, conjugate_hom,
+                           ksearch, lift)
 from afzp.crossed import (CrossedElement, CrossedPresentation,
                           crossed_offsets, crossed_product)
 from afzp.cyclo import FieldContext
-from afzp.errors import (CorrectionFailed, KDataMismatch, MultisetMismatch,
-                         NonDiagonalizableWithinField,
-                         NonIntegralMultiplicity, NotEquivariant, NotOrderP,
-                         ShapeMismatch, UnitaryNotFoundInField)
-from afzp.kinv import KInvariant, KPair, imat_mul, induced_map, ivec_mul
+from afzp.errors import (AfzpError, CorrectionFailed, KDataMismatch,
+                         MultisetMismatch, NonDiagonalizableWithinField,
+                         NonIntegralMultiplicity, NotOrderP, ShapeMismatch,
+                         UnitaryNotFoundInField)
+from afzp.kinv import (KInvariant, KPair, imat_mul, induced_map,
+                       invariant_of, ivec_mul)
 from afzp.matrix import (Mat, blockdiag, diag_root_exponents, spectral,
                          unitary_conjugator)
 from afzp.report import Report
@@ -119,6 +121,39 @@ def fixed_point_unitary(tgt, rng):
             for r in range(p):
                 out[off + r] = w
     return out
+
+
+def _random_form(rng, ctx, max_n):
+    """Canonical form of 1-3 pieces, each fixed (random exponents) or a
+    cycle, of size at most max_n."""
+    pieces = []
+    for _ in range(rng.randint(1, 3)):
+        n = rng.randint(1, max_n)
+        pieces.append(("fixed", sorted(rng.randrange(ctx.p) for _ in range(n)))
+                      if rng.random() < 0.5 else ("cycle", n))
+    return mixed_form(ctx, pieces)
+
+
+def random_tower_pair(seed):
+    """Seeded random tower A and a second presentation B of it: p in
+    {2, 3}, depth 2-3, 1-3 pieces per stage. Each map of A is the lift of
+    a random ksearch(.., 4) pair; B's map i is A's conjugated by a random
+    fixed-point unitary of stage i+1, so both towers have the same limit
+    and every stage the same invariant and connecting pair."""
+    rng = random.Random(seed)
+    ctx = ctx_for(rng.choice([2, 3]))
+    depth = rng.randint(2, 3)
+    stages = [_random_form(rng, ctx, 2)]
+    maps = []
+    while len(stages) < depth:
+        tgt = _random_form(rng, ctx, len(stages) + 2)
+        pairs = ksearch(invariant_of(stages[-1]), invariant_of(tgt), 4)
+        if pairs:
+            maps.append(lift(rng.choice(pairs), stages[-1], tgt))
+            stages.append(tgt)
+    moved = [conjugate_hom(fixed_point_unitary(h.target, rng), h)
+             for h in maps]
+    return Tower(stages, maps), Tower(stages, moved)
 
 
 def rand_rat(rng, span=2):
@@ -389,6 +424,10 @@ def invariant_oracle(c):
             iota[b][s] = _multiplicity(mat, "iota entry %d, %d" % (b, s))
     return KInvariant(c.m, list(c.block_sizes), tuple(c.sigma), cp.m,
                       tuple(cp.dual_system().sigma), special, iota)
+
+
+class NotEquivariant(AfzpError):
+    """extend_hom was given a hom that fails validation."""
 
 
 class ExtendedHom:

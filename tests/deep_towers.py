@@ -6,7 +6,7 @@
 
 Each tower is product_tower(p, depth) intertwined with itself through
 identity_pairs at full depth, or, in a searched row, with its resorted
-presentation and no given pairs, so that every zigzag step searches its
+presentation and no given pairs, so that every hop searches its
 pair. Each runs in a fresh process so that its peak RSS is its own. Printed per tower: build, intertwine and load + verify seconds
 (wall clock), peak RSS in MiB, certificate bytes and the first 12 hex
 digits of the certificate's sha256. Stdlib and afzp only; pytest does

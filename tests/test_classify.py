@@ -5,10 +5,11 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
+from afzp import classify
 from afzp._rat import RAT
 from afzp.classify import (IntertwiningCertificate, Tower, _candidates,
                            _case_params, _commutes_on_exponents,
-                           _entry_orbits,
+                           _entry_orbits, _plan,
                            conjugate_hom, equiv_unitary, intertwine, ksearch,
                            lift, validate_tower, verify_certificate)
 from afzp.cli import main
@@ -29,7 +30,8 @@ from conftest import (CaseShapeViolation, checked_case_params,
                       cycle_form, fixed_form, fixed_point_unitary, grid_mat,
                       mat_kron, mat_sub, matrix_intertwining,
                       matrix_orbits, mixed_form,
-                      ordered_ksearch_oracle, piece_specs, solve,
+                      ordered_ksearch_oracle, piece_specs,
+                      random_tower_pair, solve,
                       unit_tuple, unitary_conjugator_search, vec_row_major)
 
 
@@ -278,7 +280,7 @@ def test_entry_orbits_match_the_matrix_walker():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_first_closing_candidate_is_first_of_filtered_list(p):
-    """The candidate a zigzag step takes, the generator's first that
+    """The candidate a searched hop takes, the generator's first that
     closes its triangle, is the first of the oracle's full list that
     does; a triangle no candidate closes finds none in either."""
     steps = 0
@@ -1060,7 +1062,7 @@ def test_intertwine_rejects_given_pairs_that_fail_or_do_not_close():
 
 
 def test_intertwine_checks_each_pair_once(monkeypatch):
-    """Each given pair is checked once, by _zigzag; neither it nor a
+    """Each given pair is checked once, by _plan; neither it nor a
     ksearch candidate is checked again by the lift. A non-unital given
     pair still fails the lift with the unital flag."""
     calls = []
@@ -1078,6 +1080,51 @@ def test_intertwine_checks_each_pair_once(monkeypatch):
     flat = KPair(pairs[0].F, pairs[0].phi, unital=False)
     with pytest.raises(LiftFailed, match="unital flag"):
         intertwine(tower, tower, pairs=[flat] + pairs[1:], depth=3)
+
+
+def test_random_towers_realize_the_plan_or_fail_before_any_lift(
+        monkeypatch):
+    """Seeded random towers against a second presentation of themselves,
+    every pair searched. A run that succeeds verifies, and its chain of
+    pairs (forward pairs, and the induced pairs of the backward homs) is
+    _plan's. The plan keeps each hop's first closing candidate and never
+    revisits it, so some of these isomorphic pairs raise ReindexFailed;
+    they do so before any lift. Both outcomes must occur."""
+    lifts = []
+    real = classify._lift
+    monkeypatch.setattr(classify, "_lift",
+                        lambda *args: lifts.append(args) or real(*args))
+    outcomes = set()
+    for seed in range(24):
+        tA, tB = random_tower_pair(seed)
+        depth = len(tA.systems)
+        lifts.clear()
+        try:
+            cert = intertwine(tA, tB, depth=depth)
+        except ReindexFailed:
+            assert lifts == [], seed
+            outcomes.add("no chain")
+            continue
+        assert verify_certificate(cert).ok, seed
+        chain = cert.pairs[:1]
+        for chi, psi in zip(cert.backward, cert.pairs[1:]):
+            chain += [induced_map(chi), psi]
+        assert chain == _plan(tA, tB, depth), seed
+        outcomes.add("verified")
+    assert outcomes == {"no chain", "verified"}
+
+
+def test_intertwine_searches_every_hop_at_p7():
+    """The machinery works for every prime p it accepts: at p = 7 every
+    hop's pair is searched, and the certificate verifies and survives a
+    dumps/loads round trip."""
+    cert = intertwine(product_tower(7, 2), product_tower(7, 2, resorted=True),
+                      depth=2)
+    assert verify_certificate(cert).ok
+    blob = dumps(cert)
+    again = loads(blob)
+    assert dumps(again) == blob
+    assert verify_certificate(again).ok
 
 
 def test_certificate_serialization_roundtrip_and_replay():

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -243,14 +244,15 @@ def _bare_scalar(unit):
     unit["entries"][0] = "0:1"
 
 
-def _run_cli(code, *argv, **env):
+def _run_cli(code, *argv, preexec_fn=None, **env):
     """Run the CLI in a fresh interpreter, with env added to the
-    environment; it must exit with `code` without a traceback. Returns
-    the process."""
+    environment and preexec_fn run in the child before it starts; it
+    must exit with `code` without a traceback. Returns the process."""
     env = dict(os.environ, **env,
                PYTHONPATH=os.path.dirname(os.path.dirname(afzp.__file__)))
     proc = subprocess.run([sys.executable, "-m", "afzp.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=preexec_fn)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     return proc
@@ -289,6 +291,22 @@ def test_demo_or_validate_input_error_names_the_cause(workdir, argv,
     err = _run_cli(2, *argv).stderr
     assert err.startswith("input error:") and message in err
     assert not os.path.exists("c.json")
+
+
+def test_a_result_that_does_not_fit_in_memory_exits_two(workdir):
+    """The crossed product of a cycle piece of size 10^6, in a process
+    whose address space is capped at 256 MiB, runs out of memory within
+    seconds: an input error, where earlier versions ended in a
+    MemoryError traceback with exit 1."""
+    with open("big.json", "w") as fh:
+        json.dump({"afzp_format": 2, "kind": "canonical", "order": 16,
+                   "p": 2, "pieces": [{"kind": "cycle", "n": 10 ** 6}]}, fh)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    assert _run_cli(2, "crossed", "big.json", preexec_fn=cap) \
+        .stderr.startswith("input error:")
 
 
 def test_afzp_order_in_the_environment_is_ignored(workdir):

@@ -5,12 +5,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from afzp.crossed import CrossedElement, CrossedPresentation, crossed_product
 from afzp.cyclo import Scalar
-from afzp.errors import NotEquivariant, ShapeMismatch
+from afzp.errors import ShapeMismatch
 from afzp.matrix import Mat
 from afzp.system import (Arrangement, EqHom, Slot, decompose, validate)
 
-from conftest import (ProductCrossed, conj_apply_action, ctx_for, cycle_form,
-                      extend_hom, fixed_form, grid_mat,
+from conftest import (NotEquivariant, ProductCrossed, conj_apply_action,
+                      ctx_for, cycle_form, extend_hom, fixed_form, grid_mat,
                       identify_matrix_by_units, mat_sub, mixed_form, rand_mat,
                       rand_rat, rand_tuple)
 

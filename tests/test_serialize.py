@@ -197,7 +197,7 @@ def test_self_intertwined_product_tower_bytes_are_pinned(p, depth, resorted,
 
 
 def test_searched_pair_certificate_bytes_are_pinned():
-    """With no given pairs every zigzag step takes the first ksearch
+    """With no given pairs every hop takes the first ksearch
     candidate closing its triangle; the digest was taken before the
     forward and backward steps shared one code path."""
     cert = intertwine(product_tower(2, 3), product_tower(2, 3, resorted=True),
