@@ -6,8 +6,10 @@ integer numerators over one positive integer denominator in lowest
 terms, gcd(den, *num) == 1: the layout of Antic's nf_elem and FLINT's
 fmpq_poly. Every value has exactly one such form, so equality and
 hashing compare (num, den). Phi_N is monic, so z^e reduces to an integer
-row and products need integer arithmetic and one gcd only. No floating
-point is used anywhere.
+row and products need integer arithmetic and one gcd only. sum_rows,
+the kernel of matrix products, adds a row's products unreduced and
+pays that fold and gcd once per entry. No floating point is used
+anywhere.
 """
 
 import math
@@ -17,7 +19,7 @@ from ._rat import RAT
 from .errors import ContextMismatch, DivisionByZero, TwistRootOutsideField
 
 __all__ = [
-    "FieldContext", "Scalar", "cyclotomic_poly",
+    "FieldContext", "Scalar", "cyclotomic_poly", "sum_rows",
 ]
 
 
@@ -389,6 +391,57 @@ def _combine(a, b, op):
     sa, sb = db // g, da // g
     return _reduced(a.ctx, tuple([op(x * sa, y * sb)
                                   for x, y in zip(a.num, b.num)]), da * sa)
+
+
+def sum_rows(ctx, weights, rows):
+    """sum_k weights[k] * rows[k] for nonzero Scalars weights[k] and
+    sparse rows (cols, vals) of nonzero Scalars, as the (cols, vals) of
+    its nonzero entries, columns ascending.
+
+    Each column's terms are summed on the raw numerators: the unfolded
+    convolutions (length 2d - 1) go into one integer list over a running
+    common denominator, rescaled only when a term's denominator does not
+    divide it. The column is folded mod Phi_N and brought to lowest terms
+    once at the end, and dropped if it cancelled; so it costs one fold
+    and one gcd, not one per term and one per partial sum."""
+    d = ctx.degree
+    width = 2 * d - 1
+    acc = {}                   # column -> [raw numerators, denominator]
+    for a, (cols, vals) in zip(weights, rows):
+        a_nz = [(i, x) for i, x in enumerate(a.num) if x]
+        a_den = a.den
+        for j, b in zip(cols, vals):
+            t = a_den * b.den
+            got = acc.get(j)
+            if got is None:
+                raw = [0] * width
+                acc[j] = [raw, t]
+                s = 1
+            else:
+                raw, den = got
+                if den % t:
+                    up = t // math.gcd(den, t)
+                    raw[:] = [c * up for c in raw]
+                    got[1] = den = den * up
+                s = den // t
+            bn = b.num
+            for i, x in a_nz:
+                x *= s
+                for k, y in enumerate(bn, i):
+                    if y:
+                        raw[k] += x * y
+    out_cols, out_vals = [], []
+    for j in sorted(acc):
+        raw, den = acc[j]
+        out = raw[:d]
+        for c, row in zip(raw[d:], ctx._fold):
+            if c:
+                for k, r in row:
+                    out[k] += c * r
+        if any(out):
+            out_cols.append(j)
+            out_vals.append(_reduced(ctx, tuple(out), den))
+    return tuple(out_cols), tuple(out_vals)
 
 
 def root_exponent(a):

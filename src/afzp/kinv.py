@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .errors import NonIntegralMultiplicity, ShapeMismatch
 from .report import Report
 from .crossed import crossed_offsets, crossed_product
-from .system import _slot_starts
+from .system import _orbits, _slot_starts
 from ._rat import RAT, is_integer
 
 __all__ = ["KInvariant", "KPair", "invariant_of", "induced_map",
@@ -142,7 +142,9 @@ def _intertwines(M, permB, permA):
 
 
 def check_pair(kp, invA, invB):
-    """All order/intertwining/special-element conditions, individually."""
+    """All order/intertwining/special-element conditions, individually;
+    a non-unital pair has the three defect items of _check_defects in
+    place of the special-element item, and no unit-class item."""
     if (len(kp.F) != invB.m or any(len(r) != invA.m for r in kp.F)
             or len(kp.phi) != invB.mC
             or any(len(r) != invA.mC for r in kp.phi)):
@@ -155,10 +157,14 @@ def check_pair(kp, invA, invB):
             _intertwines(kp.F, invB.act, invA.act))
     rep.add("phi intertwines the dual actions",
             _intertwines(kp.phi, invB.dualAct, invA.dualAct))
-    rep.add("phi maps special element to special element",
-            ivec_mul(kp.phi, invA.special) == invB.special,
-            "phi * %s = %s, expected %s"
-            % (invA.special, ivec_mul(kp.phi, invA.special), invB.special))
+    if kp.unital:
+        rep.add("phi maps special element to special element",
+                ivec_mul(kp.phi, invA.special) == invB.special,
+                "phi * %s = %s, expected %s"
+                % (invA.special, ivec_mul(kp.phi, invA.special),
+                   invB.special))
+    else:
+        _check_defects(rep, kp, invA, invB)
     rep.add("embedding square commutes",
             imat_mul(kp.phi, invA.iota, invA.m)
             == imat_mul(invB.iota, kp.F, invA.m))
@@ -174,6 +180,44 @@ def check_pair(kp, invA, invB):
             % (unitA_crossed, ivec_mul(kp.phi, unitA_crossed),
                unitB_crossed))
     return rep
+
+
+def _check_defects(rep, kp, invA, invB):
+    """The special-element items of a non-unital pair. A hom psi sends
+    the averaging projection q_A of A x| G to psi(1) q_B, so with
+    u = unit_B - F unit_A, the class of 1 - psi(1), and s = special_B -
+    phi special_A, the class of (1 - psi(1)) q_B, both are nonnegative,
+    and the dual images of (1 - psi(1)) q_B sum to 1 - psi(1) in B x| G:
+    iota_B u = sum over k < p of dualAct_B^k s. When u = 0 this forces
+    s = 0, the unital pair's condition."""
+    u = [b - a for a, b in zip(ivec_mul(kp.F, invA.unit), invB.unit)]
+    s = [b - a for a, b in zip(ivec_mul(kp.phi, invA.special),
+                               invB.special)]
+    rep.add("unit defect unit_B - F unit_A is nonnegative",
+            all(x >= 0 for x in u), "unit_B - F * %s = %s" % (invA.unit, u))
+    rep.add("special defect special_B - phi special_A is nonnegative",
+            all(x >= 0 for x in s),
+            "special_B - phi * %s = %s" % (invA.special, s))
+    lhs, rhs = ivec_mul(invB.iota, u), _dual_orbit_sum(invB, s)
+    rep.add("iota_B maps the unit defect to the dual orbit sum of the "
+            "special defect", lhs == rhs,
+            "iota_B * %s = %s, sum over k of dualAct_B^k %s = %s"
+            % (u, lhs, s, rhs))
+
+
+def _dual_orbit_sum(inv, s):
+    """sum over k < p of dualAct^k applied to s: on each orbit of the
+    dual action, the orbit's sum times p / its length. p is the longest
+    orbit of act or dualAct; a cycle piece's blocks or a fixed piece's
+    crossed blocks make one of length p in every nonzero invariant."""
+    orbits = _orbits(inv.dualAct)
+    p = max(map(len, orbits + _orbits(inv.act)), default=1)
+    out = [0] * len(s)
+    for orb in orbits:
+        total = sum(s[b] for b in orb) * (p // len(orb))
+        for b in orb:
+            out[b] = total
+    return out
 
 
 def compose_pairs(kp1, kp2):

@@ -4,9 +4,11 @@ Each row of a Mat is the ascending tuple of the columns where it is
 nonzero and the parallel tuple of those entries; no zero is stored, so
 equal matrices have equal rows. Products, adjoints, sums, block sums and
 the unitarity, diagonal, zero and scalar tests cost time and memory in
-the nonzeros, not in rows x cols. from_rows is the one dense entry
-point; entries is a dense view, built on each read, for display and
-tests.
+the nonzeros, not in rows x cols. A product row with several nonzeros
+is summed by cyclo.sum_rows on integer numerators, one fold and one gcd
+per entry; a row with one nonzero scales the row it selects. from_rows
+is the one dense entry point; entries is a dense view, built on each
+read, for display and tests.
 
 The only eigen-analysis offered is character averaging of finite-order
 unitaries, which stays inside the field, and what is built on it:
@@ -20,7 +22,7 @@ a pattern.
 import math
 from bisect import bisect_left
 
-from .cyclo import Scalar
+from .cyclo import Scalar, sum_rows
 from .errors import (MultisetMismatch, NotOrderP, ShapeMismatch,
                      TwistRootOutsideField, UnitaryNotFoundInField)
 from ._rat import RAT, is_integer
@@ -137,16 +139,19 @@ class Mat:
                    tuple([tuple([a * s for a in row]) for row in self.vals]))
 
     def _matmul(self, other):
-        """Row by row over the nonzero a_ik b_kj. A row with one nonzero
-        a_ik is a_ik times row k of other, on its columns (the field has
-        no zero divisors). Otherwise a dict sums the terms per column;
-        the row is its columns in ascending order, less any that
-        cancelled."""
+        """Row by row over the nonzero a_ik. A row with one nonzero a_ik
+        is a_ik times row k of other, on its columns (the field has no
+        zero divisors), through Scalar's product and its rational
+        shortcuts; when a_ik is one it is row k itself. A row with
+        several is cyclo.sum_rows of the rows k it selects: each column
+        summed on integer numerators, folded and reduced once, and
+        dropped if it cancelled."""
         if self.cols != other.rows:
             raise ShapeMismatch("%dx%d times %dx%d"
                                 % (self.rows, self.cols,
                                    other.rows, other.cols))
-        one = self.ctx.one
+        ctx = self.ctx
+        one = ctx.one
         bnz, bvals = other.nz, other.vals
         nz, vals = [], []
         for acols, avals in zip(self.nz, self.vals):
@@ -156,15 +161,11 @@ class Mat:
                 vals.append(bvals[k] if aik is one
                             else tuple([aik * b for b in bvals[k]]))
                 continue
-            acc = {}
-            for k, aik in zip(acols, avals):
-                for j, b in zip(bnz[k], bvals[k]):
-                    x = acc.get(j)
-                    acc[j] = aik * b if x is None else x + aik * b
-            keep = tuple(sorted([j for j, x in acc.items() if x._nonzero]))
-            nz.append(keep)
-            vals.append(tuple(map(acc.__getitem__, keep)))
-        return Mat(self.ctx, self.rows, other.cols, tuple(nz), tuple(vals))
+            cols, row = sum_rows(ctx, avals,
+                                 [(bnz[k], bvals[k]) for k in acols])
+            nz.append(cols)
+            vals.append(row)
+        return Mat(ctx, self.rows, other.cols, tuple(nz), tuple(vals))
 
     def __eq__(self, other):
         if not isinstance(other, Mat):

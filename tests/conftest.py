@@ -21,9 +21,9 @@ from afzp.kinv import (KInvariant, KPair, imat_mul, induced_map,
 from afzp.matrix import (Mat, blockdiag, diag_root_exponents, spectral,
                          unitary_conjugator)
 from afzp.report import Report
-from afzp.system import (CanonicalForm, EqHom, FdSystem, IrredPiece,
-                         _pattern_defect, equal_as_maps, hom_validate,
-                         zero_tuple)
+from afzp.system import (Arrangement, CanonicalForm, EqHom, FdSystem,
+                         IrredPiece, Slot, _pattern_defect, equal_as_maps,
+                         hom_validate, zero_tuple)
 
 
 _CTX_CACHE = {}
@@ -476,6 +476,31 @@ def roundtrip_induced(h):
                           % (b, r)) for b, col in enumerate(columns)]
            for r in range(cpB.m)]
     return KPair(F, phi, unital=h.unital)
+
+
+def corner_inclusion(h, tgt):
+    """The non-unital hom h followed by the inclusion of its target, a
+    corner form of tgt, into tgt: each block of tgt holds the corner's
+    block and then a zero gap. The corner has tgt's pieces in order,
+    each no larger, with a fixed piece's exponents a sub-multiset of
+    tgt's. Corner coordinate i of a block goes to the first free
+    position of tgt's block with the same exponent, and the gap to the
+    rest in order, so the inclusion commutes with the actions."""
+    ctx, corner = tgt.ctx, h.target
+    arrs = []
+    for t, (arr, n) in enumerate(zip(h.arrangements, tgt.block_sizes)):
+        exps, free = tgt.block_exponents(t), set(range(n))
+        images = []
+        for e in corner.block_exponents(t):
+            images.append(min(i for i in free if exps[i] == e))
+            free.discard(images[-1])
+        gap = n - len(images)
+        images += sorted(free)
+        conj = Mat.permutation(ctx, images) * blockdiag(
+            ctx, [arr.conj, Mat.identity(ctx, gap)])
+        arrs.append(Arrangement(list(arr.slots) + [Slot(None, gap)] * (
+            gap > 0), conj))
+    return EqHom(h.source, tgt, arrs, unital=False)
 
 
 class CaseShapeViolation(Exception):
@@ -1325,6 +1350,37 @@ def dense_mul(self, other):
                 if bkj._nonzero:
                     orow[j] = orow[j] + aik * bkj
     return grid_mat(self.ctx, self.rows, other.cols, out)
+
+
+def matmul_by_terms(self, other):
+    """Mat._matmul as it summed a row with several nonzeros before
+    cyclo.sum_rows: one reduced Scalar per term a_ik b_kj and per partial
+    sum, kept in a dict per row. A row with one nonzero is a_ik times row
+    k of other, and row k itself when a_ik is one. The oracle of the
+    integer kernel."""
+    if self.cols != other.rows:
+        raise ShapeMismatch("%dx%d times %dx%d"
+                            % (self.rows, self.cols,
+                               other.rows, other.cols))
+    one = self.ctx.one
+    bnz, bvals = other.nz, other.vals
+    nz, vals = [], []
+    for acols, avals in zip(self.nz, self.vals):
+        if len(acols) == 1:
+            k, aik = acols[0], avals[0]
+            nz.append(bnz[k])
+            vals.append(bvals[k] if aik is one
+                        else tuple([aik * b for b in bvals[k]]))
+            continue
+        acc = {}
+        for k, aik in zip(acols, avals):
+            for j, b in zip(bnz[k], bvals[k]):
+                x = acc.get(j)
+                acc[j] = aik * b if x is None else x + aik * b
+        keep = tuple(sorted([j for j, x in acc.items() if x._nonzero]))
+        nz.append(keep)
+        vals.append(tuple(map(acc.__getitem__, keep)))
+    return Mat(self.ctx, self.rows, other.cols, tuple(nz), tuple(vals))
 
 
 def dense_dagger(self):

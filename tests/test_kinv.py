@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -8,14 +9,14 @@ from afzp.errors import NonIntegralMultiplicity, ShapeMismatch
 from afzp.kinv import (KPair, check_pair, compose_pairs, induced_map,
                        invariant_of)
 from afzp.matrix import Mat
-from afzp.serialize import dump
-from afzp.system import (Arrangement, EqHom, Slot, hom_compose, hom_validate,
-                         identity_hom)
+from afzp.serialize import dump, dumps, load_json, save_json
+from afzp.system import (Arrangement, EqHom, FdSystem, Slot, decompose,
+                         hom_compose, hom_validate, identity_hom)
 from afzp.classify import Tower, conjugate_hom, intertwine, ksearch, lift
 
-from conftest import (ctx_for, cycle_form, fixed_form, fixed_point_unitary,
-                      invariant_oracle, mixed_form, piece_specs,
-                      roundtrip_induced)
+from conftest import (corner_inclusion, ctx_for, cycle_form, fixed_form,
+                      fixed_point_unitary, invariant_oracle, mixed_form,
+                      piece_specs, roundtrip_induced)
 
 
 def test_invariant_of_fixed_piece():
@@ -274,3 +275,134 @@ def test_induced_map_reads_first_exponent_of_source():
     kp = induced_map(identity_hom(c))
     assert kp.phi == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert kp == roundtrip_induced(identity_hom(c))
+
+
+# -- non-unital pairs ---------------------------------------------------------
+
+_DEFECT_ITEMS = [
+    "unit defect unit_B - F unit_A is nonnegative",
+    "special defect special_B - phi special_A is nonnegative",
+    "iota_B maps the unit defect to the dual orbit sum of the special "
+    "defect"]
+
+
+def _sub_multisets(exps):
+    """The nonempty sub-multisets of the sorted list exps, sorted."""
+    return sorted({tuple(exps[i] for i in range(len(exps)) if mask >> i & 1)
+                   for mask in range(1, 2 ** len(exps))})
+
+
+@pytest.mark.parametrize("p,exps,n", [(2, [0, 0, 1], 2), (3, [0, 1, 2], 2)])
+def test_pairs_of_corner_inclusions_pass_check_pair(p, exps, n):
+    """Every pair induced by a non-unital hom built as the unital lift of
+    a ksearch pair into a corner of the target, followed by the corner's
+    inclusion with gaps, passes check_pair with the three defect items in
+    place of the special-element item; the pair is the crossed round
+    trip's."""
+    ctx = ctx_for(p)
+    src = mixed_form(ctx, [("fixed", [0]), ("cycle", 1)])
+    tgt = mixed_form(ctx, [("fixed", exps), ("cycle", n)])
+    invA, invB = invariant_of(src), invariant_of(tgt)
+    checked = 0
+    for sub in _sub_multisets(exps):
+        for k in range(1, n + 1):
+            if (list(sub), k) == (exps, n):
+                continue
+            corner = mixed_form(ctx, [("fixed", list(sub)), ("cycle", k)])
+            for kp in ksearch(invA, invariant_of(corner), 2):
+                g = corner_inclusion(lift(kp, src, corner), tgt)
+                assert hom_validate(g).ok
+                got = induced_map(g)
+                assert not got.unital and got == roundtrip_induced(g)
+                rep = check_pair(got, invA, invB)
+                assert rep.ok, rep.summary()
+                names = [item.name for item in rep.items]
+                assert names[3:6] == _DEFECT_ITEMS
+                assert "phi maps special element to special element" \
+                    not in names
+                checked += 1
+    assert checked >= 10
+
+
+def _corner_example(tmp_path):
+    """p = 2, A = C and B = M_2 with trivial actions, and the hom
+    a -> diag(a, 0), written to tmp_path as hom, a and b."""
+    ctx = ctx_for(2)
+    a, b = fixed_form(ctx, [0]), fixed_form(ctx, [0, 0])
+    h = EqHom(a, b, [Arrangement([Slot(0, 1), Slot(None, 1)],
+                                 Mat.identity(ctx, 2))], unital=False)
+    for name, obj in (("hom", h), ("a", a), ("b", b)):
+        save_json(str(tmp_path / ("%s.json" % name)), obj)
+    return h
+
+
+def test_corner_of_m2_induces_a_pair_that_checks(tmp_path, capsys):
+    """The hom a -> diag(a, 0) from C into M_2 (p = 2, trivial actions)
+    validates and induces F = [[1]], phi = I_2, which checkpair used to
+    fail on the unital special-element item; now u = [1], s = [1, 0]
+    and iota_B u = [1, 1] = s + dualAct_B s."""
+    h = _corner_example(tmp_path)
+    assert hom_validate(h).ok
+    at = [str(tmp_path / name) for name in
+          ("hom.json", "pair.json", "a.json", "b.json", "ia.json", "ib.json")]
+    assert afzp.cli.main(["induced", at[0], "--out", at[1]]) == 0
+    assert load_json(at[1]) == KPair([[1]], [[1, 0], [0, 1]], unital=False)
+    assert afzp.cli.main(["kinv", at[2], "--out", at[4]]) == 0
+    assert afzp.cli.main(["kinv", at[3], "--out", at[5]]) == 0
+    capsys.readouterr()
+    assert afzp.cli.main(["checkpair", at[1], at[4], at[5],
+                          "--format", "text"]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] %s: unit_B - F * [1] = [1]" % _DEFECT_ITEMS[0] in out
+    assert "special_B - phi * [1, 0] = [1, 0]" in out
+    assert "iota_B * [1] = [1, 1]" in out
+
+
+def test_nonunital_pair_with_negative_unit_defect_fails(tmp_path, capsys):
+    """F = [[3]] from C into M_2 overfills the unit: u = [-1] and
+    s = [-1, 0] fail their items, by name, and checkpair exits 1."""
+    ctx = ctx_for(2)
+    invA = invariant_of(fixed_form(ctx, [0]))
+    invB = invariant_of(fixed_form(ctx, [0, 0]))
+    kp = KPair([[3]], [[3, 0], [0, 3]], unital=False)
+    rep = check_pair(kp, invA, invB)
+    assert [item.name for item in rep.failures()] == _DEFECT_ITEMS[:2]
+    assert "unit_B - F * [1] = [-1]" in rep.failures()[0].detail
+    save_json(str(tmp_path / "pair.json"), kp)
+    for name, form in (("ia", invA), ("ib", invB)):
+        save_json(str(tmp_path / ("%s.json" % name)), form)
+    assert afzp.cli.main(["checkpair"] + [
+        str(tmp_path / name) for name in ("pair.json", "ia.json",
+                                          "ib.json")]) == 1
+
+
+def test_nonunital_pair_fails_the_orbit_sum_alone():
+    """At p = 3, from C into M_2 (trivial actions), F = [[1]] with
+    phi = I_3 passes: u = [1], s = [1, 0, 0], and iota_B u = [1, 1, 1]
+    is s's dual orbit sum. With phi = 0, u and s = [2, 0, 0] stay
+    nonnegative, but s's orbit sum [2, 2, 2] is not iota_B u (and the
+    embedding square fails too)."""
+    ctx = ctx_for(3)
+    invA = invariant_of(fixed_form(ctx, [0]))
+    invB = invariant_of(fixed_form(ctx, [0, 0]))
+    eye = [[int(r == c) for c in range(3)] for r in range(3)]
+    assert check_pair(KPair([[1]], eye, unital=False), invA, invB).ok
+    rep = check_pair(KPair([[1]], [[0] * 3] * 3, unital=False), invA, invB)
+    assert [item.name for item in rep.failures()] == \
+        [_DEFECT_ITEMS[2], "embedding square commutes"]
+
+
+def test_unital_check_pair_reports_keep_their_bytes():
+    """Unital reports are unchanged by the non-unital items: the format-2
+    text of a passing and two failing reports between M_1 and (M_2,
+    Ad diag(1, -1)) at p = 2, pinned before those items were added."""
+    ctx = ctx_for(2, 16)
+    c1 = decompose(FdSystem(ctx, 2, [1], (0,), [Mat.identity(ctx, 1)]))
+    c2 = decompose(FdSystem(ctx, 2, [2], (0,), [Mat.diag(ctx, [1, -1])]))
+    i1, i2 = invariant_of(c1), invariant_of(c2)
+    text = "".join(dumps(check_pair(kp, a, b)) for kp, a, b in (
+        (KPair([[2]], [[1, 1], [1, 1]]), i1, i2),
+        (KPair([[2]], [[1, 1], [1, 1]]), i2, i1),
+        (KPair([[1]], [[1, 0], [0, 1]]), i1, i2)))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "9f8ca055d7eb406d9a4610fa3a15d879e7ff7d96e45bb94df4cb24a1888dd2b1"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 
@@ -20,9 +21,10 @@ from conftest import (ORACLE_FIELDS, Inconsistent, checked_conjugator,
                       dense_identity, dense_is_diagonal, dense_is_scalar,
                       dense_is_unitary, dense_is_zero, dense_mul, direct_sum,
                       fixed_point_unitary, grid_mat, mat_kron, mat_neg,
-                      match_diagonals, mixed_form, oracle_matrix,
-                      oracle_scalar, rand_tuple, solve, sparse_rows_defect,
-                      unitary_conjugator_search, zero_grid)
+                      match_diagonals, matmul_by_terms, mixed_form,
+                      oracle_matrix, oracle_scalar, rand_tuple, solve,
+                      sparse_rows_defect, unitary_conjugator_search,
+                      zero_grid)
 
 
 def test_dagger_of_imaginary_diagonal():
@@ -332,6 +334,92 @@ def test_product_keeps_full_and_cancelled_rows_exact():
     got = _checked(a * b)
     assert got == dense_mul(a, b)
     assert got.nz == ((2,), (0, 1, 2), ())
+
+
+# -- product rows summed on integer numerators -------------------------------
+
+_KERNEL_FIELDS = ORACLE_FIELDS + [(7, 7), (7, 49)]
+
+
+def _mixed_den_matrix(ctx, rnd, rows, cols):
+    """rows x cols, dense, each row's entries over the denominators 1, 2,
+    3, 4, 6 in turn: a product row's running common denominator grows
+    mid-sum (1, 2, 6, 12, 12 along row 0)."""
+    return grid_mat(ctx, rows, cols, [
+        [ctx.root(rnd.randrange(ctx.order))
+         * RAT(rnd.choice((1, -1, 5)), (1, 2, 3, 4, 6)[(i + j) % 5])
+         for j in range(cols)] for i in range(rows)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_KERNEL_FIELDS), st.integers(1, 5), st.integers(1, 5),
+       st.integers(1, 5), st.sampled_from(["mixed", "monomial", "sparse",
+                                           "dense"]),
+       _KINDS, st.randoms())
+def test_product_rows_sum_as_the_per_term_oracle(field, r, k, c, ka, kb,
+                                                 rnd):
+    """a * b stores the very nz and vals tuples of the per-term product
+    (one reduced Scalar per term and partial sum) and equals the dense
+    kernel's, at orders up to 49 (degree 42), on rows whose denominators
+    1, 2, 3, 4, 6 grow the running denominator mid-sum, and on rows whose
+    terms cancel: row r is w z b_0 - w b_k = 0, with b_k = z b_0, and
+    row r + 1 adds v b_1 to it. A shape mismatch raises the oracle's
+    ShapeMismatch message."""
+    ctx = ctx_for(*field)
+    a = _mixed_den_matrix(ctx, rnd, r, k) if ka == "mixed" \
+        else oracle_matrix(ctx, rnd, r, k, ka)
+    b = oracle_matrix(ctx, rnd, k, c, kb)
+    if rnd.random() < 0.5:
+        b = _mixed_den_matrix(ctx, rnd, k, c)
+    w, v, z = (oracle_scalar(ctx, rnd) for _ in range(3))
+    b = Mat(ctx, k + 1, c, b.nz + b.nz[:1],
+            b.vals + (tuple([z * x for x in b.vals[0]]),))
+    cancel = {0: w * z, k: -w}
+    a = Mat.from_dicts(ctx, k + 1, [dict(zip(cols, vals)) for cols, vals
+                                    in zip(a.nz, a.vals)]
+                       + [cancel, {**cancel, (1 if k > 1 else 0): v}])
+    got, want = _checked(a * b), matmul_by_terms(a, b)
+    assert got.nz == want.nz and got.vals == want.vals
+    assert got == dense_mul(a, b)
+    assert got.nz[r] == ()
+    if k > 1:
+        assert got.nz[r + 1] == b.nz[1]
+    if b.cols != a.rows:
+        errors = []
+        for mul in (Mat.__mul__, matmul_by_terms):
+            with pytest.raises(ShapeMismatch) as err:
+                mul(b, a)
+            errors.append(str(err.value))
+        assert errors == ["%dx%d times %dx%d" % (k + 1, c, r + 2, k + 1)] * 2
+
+
+def _dense_product_text(p):
+    """dumps of seeded dense products and of a crossed product's
+    identify(mul(x, y)), all at field order p."""
+    ctx = ctx_for(p, p)
+    rnd = random.Random(p)
+    prods = []
+    for r, k, c in ((4, 4, 4), (3, 6, 2), (6, 5, 6)):
+        a = oracle_matrix(ctx, rnd, r, k, "dense")
+        prods.append(a * oracle_matrix(ctx, rnd, k, c, "dense"))
+    form = mixed_form(ctx, [("fixed", [0] + [p - 1] * 2), ("cycle", 2)])
+    cp = crossed_product(form)
+    x, y = (CrossedElement([rand_tuple(form, rnd) for _ in range(p)])
+            for _ in range(2))
+    return dumps(prods) + dumps(cp.identify(cp.mul(x, y)))
+
+
+@pytest.mark.parametrize("p,digest", [
+    (2, "b934c36f456490eb9a803b08b570d63a303b4e919e314abd06526e7efa244b41"),
+    (3, "077ee5cabe9608dc2f48358b56b31f35884097321bfc056679688b2bc82beb81"),
+    (5, "5c9251842d9846508a651e34864834f52b11821b2d2c39e5bae6138beab76a88"),
+])
+def test_dense_product_bytes_are_pinned(p, digest):
+    """The bytes of dense products, which the monomial pinned
+    certificates never reach; the digests were taken while each product
+    row still summed one reduced Scalar per term."""
+    text = _dense_product_text(p)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @settings(max_examples=150, deadline=None)
