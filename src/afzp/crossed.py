@@ -13,9 +13,11 @@ algebra:
   (c - r) mod p evaluated at piece component (-r) mod p.
 
 The identification is one matrix M, identify_matrix (what afzp crossed
-writes). Its columns are orthogonal, D = M^dagger M being p on a fixed
-piece's columns and 1 on a cycle piece's, and identify and unidentify
-apply M and M^-1 = D^-1 M^dagger, each built once per presentation.
+writes), and identify is the Mat product M * col(ce), col reading the
+blocks row-major as one column. D = M^dagger M is diagonal, p on a fixed
+piece's columns and 1 on a cycle piece's: a tier-1 tested property, not
+a runtime check. So unidentify is the product with M^-1 = D^-1 M^dagger,
+D read off the piece kinds; M and M^-1 are built once per presentation.
 
 The dual generator scales coefficient j by zeta_p^(-j); in identified
 coordinates it cyclically rotates the blocks of a fixed piece (block r
@@ -26,7 +28,7 @@ conjugation with diag(1, zeta_p, ..., zeta_p^(p-1)) x I_n.
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import AfzpError, NonIntegralMultiplicity, ShapeMismatch
+from .errors import NonIntegralMultiplicity, ShapeMismatch
 from .matrix import Mat
 from .system import FdSystem, zero_tuple
 from ._rat import is_integer
@@ -62,7 +64,7 @@ class CrossedPresentation:
         self.dual_sigma = []  # crossed block b receives dual_sigma[b]
         self.special = []
         self.iota_matrix = []
-        self._ident = self._scatter = None  # identify_matrix, _tables
+        self._ident = self._inv = None  # M and M^-1, built once
         p = self.p
         for piece, sb, cb, exps in zip(source.pieces, source.piece_offsets,
                                        self.piece_first_block,
@@ -144,44 +146,53 @@ class CrossedPresentation:
     # -- identification ----------------------------------------------------
 
     def identify(self, ce):
-        """The *-isomorphism onto the direct sum of matrix blocks: M times
-        ce's coefficients, read as one vector."""
+        """The *-isomorphism onto the direct sum of matrix blocks: the
+        product M * col(ce), cut back into the crossed blocks."""
         if any(len(a) != self.source.m for a in ce.coeffs):
             raise ShapeMismatch("coefficient tuples do not have %d blocks"
                                 % self.source.m)
-        return self._apply(self._tables()[0],
-                           [a for coeff in ce.coeffs for a in coeff],
-                           self.source.block_sizes * self.p, self.block_sizes)
+        col = self._column([a for coeff in ce.coeffs for a in coeff],
+                           self.source.block_sizes * self.p)
+        return self._blocks(self.identify_matrix() * col, self.block_sizes)
 
     def unidentify(self, mats):
-        """Inverse of identify: M^-1 times mats, read as one vector."""
+        """Inverse of identify: the product M^-1 * col(mats), cut back into
+        the coefficients' blocks."""
         m = self.source.m
-        out = self._apply(self._tables()[1], mats, self.block_sizes,
-                          self.source.block_sizes * self.p)
+        col = self._column(mats, self.block_sizes)
+        out = self._blocks(self._inverse() * col,
+                           self.source.block_sizes * self.p)
         return CrossedElement([out[j * m:(j + 1) * m] for j in range(self.p)])
 
-    def _apply(self, table, mats, sizes, out_sizes):
-        """The blocks of out_sizes holding table's matrix times the
-        row-major entries of mats, blocks of sizes. table[k] lists the
-        (row, column, value) of column k's nonzeros, rows counted across
-        the output blocks; each nonzero of mats is scattered along its
-        column, so zero blocks cost no arithmetic."""
+    def _column(self, mats, sizes):
+        """col(mats): the row-major entries of the square blocks mats, of
+        sizes, as one column Mat."""
         if len(mats) != len(sizes) or any(
                 a.rows != n or a.cols != n for a, n in zip(mats, sizes)):
             raise ShapeMismatch("blocks are not %d square blocks of sizes %s"
                                 % (len(sizes), sizes))
-        rows, one = [{} for _ in range(sum(out_sizes))], self.ctx.one
-        k = 0       # flat index of the current row's first entry
+        nz = [()] * sum(n * n for n in sizes)
+        vals, at = list(nz), 0
         for a, n in zip(mats, sizes):
-            for cols, vals in zip(a.nz, a.vals):
-                for c, v in zip(cols, vals):
-                    for i, j, w in table[k + c]:
-                        t = v if w is one else v * w
-                        x = rows[i].get(j)
-                        rows[i][j] = t if x is None else x + t
-                k += n
-        return [Mat.from_dicts(self.ctx, n, rows[at:at + n])
-                for n, at in zip(out_sizes, accumulate(out_sizes, initial=0))]
+            for cols, row in zip(a.nz, a.vals):
+                for c, v in zip(cols, row):
+                    nz[at + c] = (0,)
+                    vals[at + c] = (v,)
+                at += n
+        return Mat(self.ctx, len(nz), 1, tuple(nz), tuple(vals))
+
+    def _blocks(self, col, sizes):
+        """The square blocks of sizes read row-major from the column col."""
+        out, at, cnz, cvals = [], 0, col.nz, col.vals
+        for n in sizes:
+            nz, vals = [], []
+            for _ in range(n):
+                cols = tuple([c for c in range(n) if cnz[at + c]])
+                nz.append(cols)
+                vals.append(tuple([cvals[at + c][0] for c in cols]))
+                at += n
+            out.append(Mat(self.ctx, n, n, tuple(nz), tuple(vals)))
+        return out
 
     def identify_matrix(self):
         """The matrix M of identify, built once: coefficient index major,
@@ -219,33 +230,18 @@ class CrossedPresentation:
         self._ident = Mat.from_dicts(ctx, col, out)
         return self._ident
 
-    def _tables(self):
-        """_apply's tables of M and M^-1 = D^-1 M^dagger, built once D =
-        M^dagger M is checked to be an invertible diagonal: p^3 n^2
-        products for a fixed piece of size n, which identify_matrix does
-        not pay. A weight equal to one is ctx.one itself, added unscaled."""
-        if self._scatter is not None:
-            return self._scatter
-        M, ctx = self.identify_matrix(), self.ctx
-        d = M.dagger() * M
-        if any(cols != (k,) for k, cols in enumerate(d.nz)):
-            raise AfzpError("internal: identify_matrix's columns are not "
-                            "orthogonal")
-
-        def units(sizes):   # (row in all blocks, column) per entry
-            return [(at + x, y) for n, at in zip(sizes, accumulate(
-                sizes, initial=0)) for x in range(n) for y in range(n)]
-        ins, outs = units(self.source.block_sizes * self.p), \
-            units(self.block_sizes)
-        fwd, inv, one = [[] for _ in ins], [], ctx.one
-        for r, (cols, vals) in enumerate(zip(M.nz, M.vals)):
-            inv.append([])
-            for k, v in zip(cols, vals):
-                w = v.conj() / d.vals[k][0]
-                fwd[k].append(outs[r] + (one if v == one else v,))
-                inv[r].append(ins[k] + (one if w == one else w,))
-        self._scatter = fwd, inv
-        return self._scatter
+    def _inverse(self):
+        """M^-1 = D^-1 M^dagger, built once, D read off the piece kinds."""
+        if self._inv is None:
+            ctx, p = self.ctx, self.p
+            inv_p = ctx.one / ctx.scalar(p)
+            d_inv = []
+            for piece in self.source.pieces:
+                w = inv_p if piece.kind == "fixed" else ctx.one
+                d_inv += [w] * (piece.block_count(p) * piece.n ** 2)
+            self._inv = Mat.diag(ctx, d_inv * p) * \
+                self.identify_matrix().dagger()
+        return self._inv
 
     # -- canonical structure ----------------------------------------------
 

@@ -129,6 +129,8 @@ def _validate(s):
     rep.add("sigma^p = id", all(s.p % len(orb) == 0 for orb in orbits))
     for i in range(m):
         ni = s.block_sizes[i]
+        rep.add("block %d has positive size" % i, ni >= 1,
+                "" if ni >= 1 else "size %d" % ni)
         rep.add("block %d size matches its sigma-image" % i,
                 ni == s.block_sizes[s.sigma[i]])
         mat = s.impl[i]

@@ -355,6 +355,32 @@ def test_system_blocks_and_sigma_must_be_integer_lists(workdir, capsys,
     assert err.startswith("input error:") and "blocks and sigma" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "canon", "kinv", "crossed"])
+@pytest.mark.parametrize("blocks", [[0], [1, 0], [-1]],
+                         ids=["0", "1-0", "minus-1"])
+def test_block_size_below_one_is_named(workdir, capsys, command, blocks):
+    """A block size below 1 fails with exit 1 and a report item naming
+    the block. A 0 x 0 block used to be reported as an orbit whose
+    product of unitaries is not scalar, and size -1 only by its impl
+    shape."""
+    doc = json.load(open("m1.json"))
+    empty = {"rows": 0, "cols": 0, "entries": []}
+    doc.update(blocks=blocks, sigma=list(range(1, len(blocks) + 1)),
+               impl=[doc["impl"][0] if n == 1 else empty for n in blocks])
+    json.dump(doc, open("bad.json", "w"))
+    capsys.readouterr()
+    assert main([command, "bad.json"]) == 1
+    out = capsys.readouterr()
+    name, detail = ("block %d has positive size" % (len(blocks) - 1),
+                    "size %d" % blocks[-1])
+    if command == "validate":
+        assert {"name": name, "ok": False, "detail": detail} in \
+            json.loads(out.out)["checks"]
+    else:
+        assert "[FAIL] %s: %s" % (name, detail) in out.err
+    assert "not scalar" not in out.out + out.err
+
+
 # corruptions of the fixed piece v = diag(1, -1) of an n=2 canonical form,
 # whose entries are [[0, 0, "0:1"], [1, 1, "0:-1"]]
 def _v_non_diagonal(v):

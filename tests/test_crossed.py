@@ -314,28 +314,30 @@ def test_identify_matrix_calls_no_identify(monkeypatch):
 
 
 def test_identify_matrix_is_built_once_per_presentation(monkeypatch):
-    """identify_matrix builds M once, without M^dagger M; identify,
-    unidentify and averaging_projection apply it through tables built
-    once, with one product M^dagger M. Another presentation of the same
-    form builds its own."""
+    """identify_matrix builds M once, without M^dagger M; identify and
+    averaging_projection apply it. The first unidentify builds M^-1 =
+    D^-1 M^dagger with one dagger, and later ones reuse it. Another
+    presentation of the same form builds its own M and M^-1."""
     form = mixed_form(ctx_for(3), [("fixed", [0, 2]), ("cycle", 2)])
     cp = crossed_product(form)
     x = rand_element(cp, random.Random(5))
-    products, dagger = [], Mat.dagger
+    daggers, dagger = [], Mat.dagger
 
     def counted(self):
-        products.append(self.rows)
+        daggers.append(self.rows)
         return dagger(self)
     monkeypatch.setattr(Mat, "dagger", counted)
     M = cp.identify_matrix()
-    assert products == []
-    assert cp.unidentify(cp.identify(x)) == x
+    y = cp.identify(x)
     cp.averaging_projection()
-    assert cp.identify_matrix() is M and products == [M.rows]
+    assert cp.identify_matrix() is M and daggers == []
+    assert cp.unidentify(y) == x and daggers == [M.rows]
+    assert cp.unidentify(cp.identify(x)) == x
+    assert cp.identify_matrix() is M and daggers == [M.rows]
     other = crossed_product(form)
-    assert other.identify(x) == cp.identify(x)
+    assert other.identify(x) == y and other.unidentify(y) == x
     assert other.identify_matrix() == M and other.identify_matrix() is not M
-    assert products == [M.rows] * 2
+    assert daggers == [M.rows] * 2
 
 
 def test_identifying_zero_does_no_scalar_multiplication(monkeypatch):
@@ -343,7 +345,7 @@ def test_identifying_zero_does_no_scalar_multiplication(monkeypatch):
     identify and unidentify of zero multiply no Scalar."""
     cp = crossed_product(mixed_form(ctx_for(5), [("fixed", [0, 1, 3]),
                                                  ("cycle", 2)]))
-    cp.identify(cp.canonical_unitary())
+    cp.unidentify(cp.identify(cp.canonical_unitary()))
 
     def refuse(self, other):
         raise AssertionError("Scalar multiplied")
@@ -416,6 +418,27 @@ def test_entrywise_identification_matches_products(case):
     assert cp.unidentify(mats) == oracle.unidentify(mats)
     a = _blocks(ctx, rng, form.block_sizes, zeros[1:])
     assert form.apply_action(a) == conj_apply_action(form, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_crossed_cases())
+def test_identify_matrix_columns_are_orthogonal(case):
+    """M^dagger M = D is diagonal, p on each fixed piece's columns and 1
+    on each cycle piece's: the closed form unidentify's M^-1 = D^-1
+    M^dagger is read from."""
+    form = case[0]
+    ctx, p = form.ctx, form.p
+    M = crossed_product(form).identify_matrix()
+    want = [ctx.scalar(p if piece.kind == "fixed" else 1)
+            for piece in form.pieces
+            for _ in range(piece.block_count(p) * piece.n ** 2)] * p
+    assert M.dagger() * M == Mat.diag(ctx, want)
+
+
+def test_form_with_no_pieces_identifies_to_no_blocks():
+    cp = crossed_product(mixed_form(ctx_for(3), []))
+    assert cp.block_sizes == [] and cp.identify(cp.zero_element()) == []
+    assert cp.unidentify([]) == cp.zero_element()
 
 
 @settings(max_examples=30, deadline=None)
