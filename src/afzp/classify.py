@@ -37,7 +37,7 @@ from .matrix import Mat, blockdiag, unitary_conjugator
 from .report import Report
 from .system import (Arrangement, EqHom, Slot, _block_product, _labels,
                      _orbits, _pattern_defect, _slot_starts, equal_as_maps,
-                     hom_compose, hom_validate, identity_hom)
+                     hom_compose, hom_validate, identity_hom, maps_defect)
 
 __all__ = ["lift", "equiv_unitary", "ksearch", "Tower", "intertwine",
            "IntertwiningCertificate", "verify_certificate",
@@ -597,17 +597,19 @@ def verify_certificate(cert):
                        and h.target.same_shape(tY.systems[j]))
         valid[name] = ok and ends
 
-    def replay(name, involved, identity):
+    def replay(name, involved, defect):
+        """defect() is None when the identity holds, else the detail."""
         bad = [h for h in involved if not valid.get(h)]
-        rep.add(name, not bad and identity(),
-                "not checked: %s is invalid" % bad[0] if bad else "")
+        found = "not checked: %s is invalid" % bad[0] if bad else defect()
+        rep.add(name, found is None, found or "")
 
     for i, psi in enumerate(cert.forward):
         check_hom("forward hom %d" % i, psi,
                   ("A", cert.towerA, cert.a_stages[i]),
                   ("B", cert.towerB, cert.b_stages[i]))
         replay("forward hom %d induces its pair" % i, ["forward hom %d" % i],
-               lambda: induced_map(psi) == cert.pairs[i])
+               lambda: None if induced_map(psi) == cert.pairs[i]
+               else "it induces another pair")
     for i, chi in enumerate(cert.backward):
         check_hom("backward hom %d" % i, chi,
                   ("B", cert.towerB, cert.b_stages[i]),
@@ -616,13 +618,13 @@ def verify_certificate(cert):
         ai, a_next = cert.a_stages[i], cert.a_stages[i + 1]
         replay("triangle over A%d -> A%d commutes" % (ai, a_next),
                ["tower A", "forward hom %d" % i, "backward hom %d" % i],
-               lambda: equal_as_maps(
+               lambda: maps_defect(
                    hom_compose(chi, cert.forward[i]),
                    cert.towerA.connecting(ai, a_next)))
         bi, b_next = cert.b_stages[i], cert.b_stages[i + 1]
         replay("triangle over B%d -> B%d commutes" % (bi, b_next),
                ["tower B", "backward hom %d" % i, "forward hom %d" % (i + 1)],
-               lambda: equal_as_maps(
+               lambda: maps_defect(
                    hom_compose(cert.forward[i + 1], chi),
                    cert.towerB.connecting(bi, b_next)))
     for rec in cert.triangles:

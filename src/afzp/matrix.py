@@ -8,7 +8,8 @@ the nonzeros, not in rows x cols. A product row with several nonzeros
 is summed by cyclo.sum_rows on integer numerators, one fold and one gcd
 per entry; a row with one nonzero scales the row it selects. from_rows
 is the one dense entry point; entries is a dense view, built on each
-read, for display and tests.
+read, for display and tests. A Mat never changes, so its adjoint and
+its unitarity are computed once per object, on first use, and kept.
 
 The only eigen-analysis offered is character averaging of finite-order
 unitaries, which stays inside the field, and what is built on it:
@@ -38,7 +39,7 @@ class Mat:
     as given, tuples of tuples with no zero value; the constructors,
     kernels and builders make them so."""
 
-    __slots__ = ("ctx", "rows", "cols", "nz", "vals")
+    __slots__ = ("ctx", "rows", "cols", "nz", "vals", "_dagger", "_unitary")
 
     def __init__(self, ctx, rows, cols, nz, vals):
         self.ctx = ctx
@@ -46,6 +47,8 @@ class Mat:
         self.cols = cols
         self.nz = nz
         self.vals = vals
+        self._dagger = None
+        self._unitary = None
 
     @property
     def entries(self):
@@ -185,15 +188,18 @@ class Mat:
                                                     other.rows, other.cols))
 
     def dagger(self):
-        """Conjugate transpose: row i's entries move to their columns."""
-        nz = [[] for _ in range(self.cols)]
-        vals = [[] for _ in range(self.cols)]
-        for i, (cols, row) in enumerate(zip(self.nz, self.vals)):
-            for j, v in zip(cols, row):
-                nz[j].append(i)
-                vals[j].append(v.conj())
-        return Mat(self.ctx, self.cols, self.rows, tuple(map(tuple, nz)),
-                   tuple(map(tuple, vals)))
+        """Conjugate transpose: row i's entries move to their columns.
+        Kept after the first call; it holds no link back to self."""
+        if self._dagger is None:
+            nz = [[] for _ in range(self.cols)]
+            vals = [[] for _ in range(self.cols)]
+            for i, (cols, row) in enumerate(zip(self.nz, self.vals)):
+                for j, v in zip(cols, row):
+                    nz[j].append(i)
+                    vals[j].append(v.conj())
+            self._dagger = Mat(self.ctx, self.cols, self.rows,
+                               tuple(map(tuple, nz)), tuple(map(tuple, vals)))
+        return self._dagger
 
     def trace(self):
         if self.rows != self.cols:
@@ -202,16 +208,12 @@ class Mat:
                    self.ctx.zero)
 
     def is_unitary(self):
-        """Square with X^dagger X the identity. A caller that already
-        holds X^dagger tests (X^dagger * X).is_identity() itself."""
-        return self.rows == self.cols and (self.dagger() * self).is_identity()
-
-    def is_identity(self):
-        """Square with nonzeros exactly on the diagonal, all ones."""
-        one = self.ctx.one
-        return self.rows == self.cols and all(
-            cols == (i,) and row[0] == one for i, (cols, row)
-            in enumerate(zip(self.nz, self.vals)))
+        """Square with X^dagger X the identity: one product, on the
+        first call, whose verdict is kept."""
+        if self._unitary is None:
+            self._unitary = self.rows == self.cols and (
+                self.dagger() * self == Mat.identity(self.ctx, self.rows))
+        return self._unitary
 
     def is_diagonal(self):
         return all(not cols or cols == (i,) for i, cols in enumerate(self.nz))

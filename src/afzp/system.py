@@ -33,7 +33,9 @@ two gaps.
   is relabelled sigma(s), the block alpha reads from. No V is multiplied:
   entry (k, j) of X_t is scaled by zeta_p^(e_s - e_t), e_t the target's
   exponent at k and e_s the source's at j (zero on cycle blocks).
-* equal_as_maps: psi_1 = psi_2 iff X_1^dagger X_2 fits per target block.
+* maps_defect / equal_as_maps: psi_1 = psi_2 iff X_1^dagger X_2 fits per
+  target block, each X unitary (its X^dagger and verdict kept on the
+  Mat); maps_defect names the first failing block and unit.
 * classify.equiv_unitary: W_t = X_1 K X_2^dagger with K in the slot
   pattern between h1's and h2's slots, and K M_2 = M_1 K on fixed
   pieces for M_i = X_i^dagger V_t X_i, read from each hom's product
@@ -57,7 +59,7 @@ from .report import Report
 __all__ = [
     "FdSystem", "IrredPiece", "BlockIso", "CanonicalForm", "Slot", "EqHom",
     "validate", "decompose", "hom_validate",
-    "hom_compose", "identity_hom", "equal_as_maps",
+    "hom_compose", "identity_hom", "equal_as_maps", "maps_defect",
 ]
 
 
@@ -402,16 +404,15 @@ def _iso_defect(s, c):
     j = sigma(i), whose block must be the one b reads from, i.e. the
     scalar K = Z_j^dagger V_b^dagger Z_i impl_i."""
     zs, block_map = c.iso.conjugators, c.iso.block_map
-    daggers = [z.dagger() for z in zs]
-    for i, (z, zd) in enumerate(zip(zs, daggers)):
-        if not (z.rows == z.cols and (zd * z).is_identity()):
+    for i, z in enumerate(zs):
+        if not z.is_unitary():
             return "conjugator %d, which is not unitary" % i
     for i, (b, j) in enumerate(zip(block_map, s.sigma)):
         if block_map[j] != c.sigma[b]:
             return "block %d, whose image does not read from the image " \
                 "of block %d" % (i, j)
         n = s.block_sizes[i]
-        k = daggers[j] * root_sum(s.ctx, n, zs[i] * s.impl[i],
+        k = zs[j].dagger() * root_sum(s.ctx, n, zs[i] * s.impl[i],
                                   [-e for e in c.block_exponents(b)],
                                   [0] * n, c.roots)
         bad = _pattern_defect(k, [(i, n)], [(i, n)])
@@ -490,7 +491,6 @@ def hom_validate(h):
     if not rep.ok:
         return rep
     gaps = 0
-    daggers = []
     for t, (arr, n_t) in enumerate(zip(h.arrangements, tgt.block_sizes)):
         total = 0
         for slot in arr.slots:
@@ -505,18 +505,16 @@ def hom_validate(h):
                 total += slot.size
         rep.add("target block %d is filled" % t, total == n_t,
                 "slots cover %d of %d" % (total, n_t))
-        x = arr.conj
-        daggers.append(x.dagger())
-        rep.add("conjugator %d unitary" % t, x.rows == n_t == x.cols
-                and (daggers[t] * x).is_identity())
+        rep.add("conjugator %d unitary" % t,
+                arr.conj.rows == n_t and arr.conj.is_unitary())
     rep.add("unital flag consistent", h.unital == (gaps == 0),
             "flag %r with %d zero gaps" % (h.unital, gaps))
     if not rep.ok:
         return rep
     for t in range(tgt.m):
-        K, cols = _block_product(h, t, daggers[tgt.sigma[t]])
-        bad = _pattern_defect(K, _labels(h.arrangements[tgt.sigma[t]].slots),
-                              cols)
+        first = h.arrangements[tgt.sigma[t]]
+        K, cols = _block_product(h, t, first.conj.dagger())
+        bad = _pattern_defect(K, _labels(first.slots), cols)
         if bad is not None:
             rep.add("equivariance", False,
                     "fails on unit (%d,%d) of source block %d "
@@ -588,20 +586,38 @@ def _slot_starts(h, t):
     return starts
 
 
-def equal_as_maps(h1, h2):
-    """Exact equality as maps: per target block X_1^dagger X_2 lies in
-    the commutant pattern between h1's slots (rows) and h2's (columns).
-    False unless every conj is unitary, without which the pattern does
-    not imply equality."""
+def maps_defect(h1, h2):
+    """First reason why h1 and h2 differ as maps; None if they are equal.
+
+    They are equal iff per target block X_1^dagger X_2 lies in the
+    commutant pattern between h1's slots (rows) and h2's (columns),
+    given one arrangement per target block, slots that fill it and a
+    unitary conjugator of its size, which are checked first. The reason
+    then names, as hom_validate does, the first entry outside the
+    pattern: its in-slot indices, source block and target block."""
     if not (h1.source.same_shape(h2.source)
-            and h1.target.same_shape(h2.target)
-            and all(arr.conj.is_unitary() for arr in h2.arrangements)):
-        return False
-    for a1, a2 in zip(h1.arrangements, h2.arrangements):
-        x = a1.conj
-        d = x.dagger()
-        if not (x.rows == x.cols and (d * x).is_identity()
-                and _pattern_defect(d * a2.conj, _labels(a1.slots),
-                                    _labels(a2.slots)) is None):
-            return False
-    return True
+            and h1.target.same_shape(h2.target)):
+        return "the homs differ in source or target"
+    sizes = h1.target.block_sizes
+    for k, h in enumerate((h1, h2), 1):
+        if len(h.arrangements) != len(sizes):
+            return "hom %d has %d arrangements for %d target blocks" \
+                % (k, len(h.arrangements), len(sizes))
+        for t, (arr, n_t) in enumerate(zip(h.arrangements, sizes)):
+            if sum([slot.size for slot in arr.slots]) != n_t:
+                return "the slots of hom %d do not fill target block %d" \
+                    % (k, t)
+            if not (arr.conj.rows == n_t and arr.conj.is_unitary()):
+                return "conjugator %d of hom %d is not unitary" % (t, k)
+    for t, (a1, a2) in enumerate(zip(h1.arrangements, h2.arrangements)):
+        bad = _pattern_defect(a1.conj.dagger() * a2.conj, _labels(a1.slots),
+                              _labels(a2.slots))
+        if bad is not None:
+            return "fails on unit (%d,%d) of source block %d at target " \
+                "block %d" % (bad[1], bad[2], bad[0], t)
+    return None
+
+
+def equal_as_maps(h1, h2):
+    """Exact equality as maps: maps_defect(h1, h2) is None."""
+    return maps_defect(h1, h2) is None

@@ -1395,6 +1395,25 @@ def dense_dagger(self):
     return grid_mat(self.ctx, self.cols, self.rows, out)
 
 
+def gram_products(monkeypatch):
+    """Record every Mat product from now on. Returns the list of
+    recorded operand pairs and a function counting, over a list of
+    matrices x, the recorded products x^dagger * x."""
+    seen = []
+    matmul = Mat._matmul
+
+    def recording(a, b):
+        seen.append((a, b))
+        return matmul(a, b)
+
+    monkeypatch.setattr(Mat, "_matmul", recording)
+
+    def count(xs):
+        return sum(1 for a, b in seen for x in xs
+                   if b is x and a == dense_dagger(x))
+    return seen, count
+
+
 def dense_identity(ctx, n):
     out = [[ctx.zero] * n for _ in range(n)]
     for i in range(n):

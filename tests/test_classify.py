@@ -27,7 +27,8 @@ from afzp.system import (Arrangement, EqHom, Slot, equal_as_maps,
 from conftest import (CaseShapeViolation, checked_case_params,
                       checked_conjugator, corner_equiv_unitary,
                       corrupt_entry, ctx_for,
-                      cycle_form, fixed_form, fixed_point_unitary, grid_mat,
+                      cycle_form, fixed_form, fixed_point_unitary,
+                      gram_products, grid_mat,
                       mat_kron, mat_sub, matrix_intertwining,
                       matrix_orbits, mixed_form,
                       ordered_ksearch_oracle, piece_specs,
@@ -1019,6 +1020,23 @@ def test_intertwine_against_resorted_variant():
             if w != Mat.identity(w.ctx, w.rows):
                 nontrivial += 1
     assert nontrivial >= 1
+
+
+def test_verify_of_a_loaded_certificate_checks_every_conjugator(
+        monkeypatch):
+    """A loaded certificate's matrices are fresh objects, so replaying
+    it forms X^dagger X for every conjugator of every tower map, forward
+    and backward hom, and for every correction; no verdict carries over
+    from the run that built it."""
+    tA = product_tower(2, 2)
+    cert = loads(dumps(intertwine(tA, product_tower(2, 2, resorted=True),
+                                  depth=2)))
+    homs = cert.towerA.maps + cert.towerB.maps + cert.forward + cert.backward
+    xs = [arr.conj for h in homs for arr in h.arrangements]
+    xs += [w for rec in cert.triangles for w in rec.correction]
+    _, count = gram_products(monkeypatch)
+    assert verify_certificate(cert).ok
+    assert all(count([x]) for x in xs)
 
 
 def test_intertwine_z3_tower():

@@ -9,7 +9,7 @@ import pytest
 
 import afzp
 from afzp.cli import DEMOS, build_parser, main
-from afzp.classify import (Tower, equiv_unitary, intertwine,
+from afzp.classify import (Tower, conjugate_hom, equiv_unitary, intertwine,
                            verify_certificate)
 from afzp.cyclo import FieldContext
 from afzp.demos import identity_pairs, product_tower
@@ -524,6 +524,24 @@ def test_verify_checks_a_forward_hom_maps_its_stages(workdir):
     assert "[FAIL] forward hom 0 maps A0 -> B0\n" in out
     assert "[FAIL] forward hom 0 induces its pair: not checked: forward " \
         "hom 0 is invalid\n" in out
+
+
+def test_verify_names_the_unit_of_a_failed_triangle(workdir):
+    """A forward hom replaced by its conjugate under the fixed-point
+    unitary diag(1, -1) is valid and induces its pair, but differs as a
+    map, so the triangle over A0 -> A1 fails. Its detail names the
+    target block, the source block and the unit; it used to be empty."""
+    tower = product_tower(2, 2)
+    cert = intertwine(tower, tower, pairs=identity_pairs(tower, 2), depth=2)
+    psi = cert.forward[0]
+    cert.forward[0] = conjugate_hom([Mat.diag(psi.target.ctx, [1, -1])], psi)
+    save_json("cert.json", cert)
+    out = _run_cli(1, "verify", "cert.json", "--format", "text").stdout
+    assert "[PASS] forward hom 0 valid\n" in out
+    assert "[PASS] forward hom 0 induces its pair\n" in out
+    assert "[FAIL] triangle over A0 -> A1 commutes: fails on unit (1,1) " \
+        "of source block 0 at target block 0\n" in out
+    assert "[PASS] triangle over B0 -> B1 commutes\n" in out
 
 
 @pytest.mark.parametrize("change", ["drop", "identity"])

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import tracemalloc
@@ -18,8 +19,8 @@ from afzp.system import FdSystem, decompose, root_sum
 
 from conftest import (ORACLE_FIELDS, Inconsistent, checked_conjugator,
                       corrupt_entry, ctx_for, dense_blockdiag, dense_dagger,
-                      dense_identity, dense_is_diagonal, dense_is_scalar,
-                      dense_is_unitary, dense_is_zero, dense_mul, direct_sum,
+                      dense_is_diagonal, dense_is_scalar, dense_is_unitary,
+                      dense_is_zero, dense_mul, direct_sum,
                       fixed_point_unitary, grid_mat, mat_kron, mat_neg,
                       match_diagonals, matmul_by_terms, mixed_form,
                       oracle_matrix, oracle_scalar, rand_tuple, solve,
@@ -427,7 +428,7 @@ def test_dense_product_bytes_are_pinned(p, digest):
        st.sampled_from(["unitary", "monomial", "sparse", "dense"]),
        st.booleans(), st.randoms())
 def test_is_tests_match_the_dense_oracles(field, n, kind, corrupt, rnd):
-    """is_unitary, is_identity, is_diagonal, is_zero and is_scalar agree
+    """is_unitary, is_diagonal, is_zero and is_scalar agree
     with the dense kernels on unitaries (0x0 included), other square and
     non-square matrices, diagonal, identity and lambda * I matrices, and
     each of these with one entry corrupted."""
@@ -444,13 +445,53 @@ def test_is_tests_match_the_dense_oracles(field, n, kind, corrupt, rnd):
     for m in mats:
         for x in (m, _fresh(m)):
             assert x.is_unitary() == dense_is_unitary(x)
-            assert x.is_identity() == (x.rows == x.cols
-                                       and x == dense_identity(ctx, x.rows))
             assert x.is_diagonal() == dense_is_diagonal(x)
             assert x.is_zero() == dense_is_zero(x)
             assert x.is_scalar() == dense_is_scalar(x)
     if kind == "unitary" and not corrupt:
         assert mats[0].is_unitary()
+
+
+def _cache_cases(ctx, p, n, rnd):
+    """Unitaries of size n: a permutation times roots of unity, and the
+    unitary_conjugator Z of L1 = diag(zeta_p^e) and L2 = U^dagger L1 U,
+    U one of oracle_matrix's unitaries, whose rational rotation makes Z
+    not monomial."""
+    images = list(range(n))
+    rnd.shuffle(images)
+    perm = Mat.permutation(ctx, images) * Mat.diag(
+        ctx, [ctx.root(rnd.randrange(ctx.order)) for _ in range(n)])
+    L1 = Mat.diag(ctx, [ctx.zeta_p(rnd.randrange(p)) for _ in range(n)])
+    U = oracle_matrix(ctx, rnd, n, n, "unitary")
+    return [perm, unitary_conjugator(L1, U.dagger() * L1 * U, p)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ORACLE_FIELDS), st.integers(0, 5), st.booleans(),
+       st.booleans(), st.randoms())
+def test_kept_adjoint_and_unitarity_match_fresh_and_dense_oracles(
+        field, n, corrupt, unitary_first, rnd):
+    """dagger() and is_unitary() give the same answer on a second call,
+    the same as on a fresh Mat of the same rows (no verdict is shared
+    between equal matrices), and the same as the dense oracles, on
+    unitaries and on copies with one entry corrupted; the kept adjoint
+    holds no reference back to its matrix."""
+    ctx = ctx_for(*field)
+    for m in _cache_cases(ctx, field[0], n, rnd):
+        if corrupt:
+            m = corrupt_entry(m, rnd)
+        if unitary_first:
+            verdict = m.is_unitary()
+        adjoint = m.dagger()
+        if not unitary_first:
+            verdict = m.is_unitary()
+        assert m.dagger() is adjoint and m.is_unitary() is verdict
+        fresh = Mat(m.ctx, m.rows, m.cols, m.nz, m.vals)
+        assert fresh.dagger() == adjoint and fresh.is_unitary() == verdict
+        assert adjoint == dense_dagger(m)
+        assert verdict == dense_is_unitary(m)
+        assert verdict or corrupt
+        assert not any(r is m for r in gc.get_referents(adjoint))
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 import afzp.matrix
 import afzp.system
 from afzp._rat import RAT
-from afzp.classify import ksearch, lift
+from afzp.classify import conjugate_hom, ksearch, lift
 from afzp.errors import (NonDiagonalizableWithinField, SystemMismatch,
                          TwistNotRootOfUnity, TwistRootOutsideField)
 from afzp.matrix import Mat, diagonalizer
@@ -16,13 +16,14 @@ from afzp.serialize import dumps, loads
 from afzp.system import (Arrangement, EqHom, FdSystem, IrredPiece, Slot,
                          _iso_defect, _pattern_defect, decompose,
                          equal_as_maps, hom_compose, hom_validate,
-                         identity_hom, root_sum, validate)
+                         identity_hom, maps_defect, root_sum, validate)
 
 from conftest import (ORACLE_FIELDS, all_units_equal, all_units_equivariant,
                       ctx_for, cycle_form,
                       dense_diag_scaled, dense_pattern_defect, dense_support,
                       fixed_form, fixed_point_unitary, generator_iso_defect,
-                      generators_equal, generators_equivariant, grid_mat,
+                      generators_equal, generators_equivariant,
+                      gram_products, grid_mat,
                       mixed_form, monomial_diagonalizer, oracle_matrix,
                       oracle_scalar, piece_specs, sigma_power_is_identity,
                       sort_conjugator, transport, unit_tuple, zero_grid)
@@ -368,6 +369,60 @@ def test_equal_as_maps_requires_unitary_conjugators():
     assert equal_as_maps(identity_hom(c), identity_hom(c))
     assert not all_units_equal(skewed, identity_hom(c))
     assert not equal_as_maps(skewed, identity_hom(c))
+    assert maps_defect(skewed, identity_hom(c)) == \
+        "conjugator 0 of hom 1 is not unitary"
+
+
+def test_equal_as_maps_needs_an_arrangement_per_target_block():
+    """A hom missing a target block's arrangement is not equal to a
+    whole one in either order. Both used to compare equal, since the
+    blocks were zipped, while hom_validate rejects the short hom."""
+    ctx = ctx_for(2)
+    c = cycle_form(ctx, 1)
+    short = EqHom(c, c, identity_hom(c).arrangements[:1])
+    assert not hom_validate(short).ok
+    assert not equal_as_maps(short, identity_hom(c))
+    assert not equal_as_maps(identity_hom(c), short)
+    assert maps_defect(identity_hom(c), short) == \
+        "hom 2 has 1 arrangements for 2 target blocks"
+
+
+def test_equal_as_maps_needs_slots_that_fill_each_target_block():
+    """Two slots of a 1x1 block against one slot and an unfilled row of
+    a 2x2 block: the maps differ on every nonzero a. The short hom used
+    to compare equal to the full one, and the other order ended in an
+    IndexError."""
+    ctx = ctx_for(2)
+    src, tgt = fixed_form(ctx, [0]), fixed_form(ctx, [0, 0])
+    one = Arrangement([Slot(0, 1)], Mat.identity(ctx, 2))
+    two = Arrangement([Slot(0, 1), Slot(0, 1)], Mat.identity(ctx, 2))
+    short, full = EqHom(src, tgt, [one], False), EqHom(src, tgt, [two])
+    assert hom_validate(full).ok and not all_units_equal(short, full)
+    assert not equal_as_maps(short, full)
+    assert not equal_as_maps(full, short)
+    assert maps_defect(short, full) == \
+        "the slots of hom 1 do not fill target block 0"
+
+
+def test_a_second_equal_as_maps_computes_no_gram_product_for_h1(
+        monkeypatch):
+    """A Mat keeps its unitarity verdict: the first comparison of h1
+    with an equal copy forms X^dagger X once for each of h1's
+    conjugators, a second comparison forms none. Without the kept
+    verdict every call formed them again."""
+    ctx = ctx_for(3)
+    c = mixed_form(ctx, [("fixed", [0, 0, 1]), ("cycle", 2)])
+    h1 = conjugate_hom(fixed_point_unitary(c, random.Random(5)),
+                       identity_hom(c))
+    ones = [Mat.identity(ctx, n) for n in c.block_sizes]
+    h2, h3 = conjugate_hom(ones, h1), conjugate_hom(ones, h1)
+    xs = [arr.conj for arr in h1.arrangements]
+    seen, count = gram_products(monkeypatch)
+    assert equal_as_maps(h1, h2)
+    assert count(xs) == len(xs)
+    seen.clear()
+    assert equal_as_maps(h1, h3)
+    assert count(xs) == 0
 
 
 def _widening(draw, form):
