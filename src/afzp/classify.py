@@ -170,7 +170,7 @@ def _pack_cycle_target(ctx, p, plans, srcC, ti, tp):
             k = sp.n
             if tag == "FC":
                 # V^-r = diag(zeta_p^(-r e))
-                ud = Mat.diag(ctx, [srcC.roots[-r * e % p]
+                ud = Mat.diag(ctx, [ctx.zeta_p(-r * e)
                                     for e in srcC.piece_exponents[si]])
                 for _ in range(data):
                     slots.append(Slot(sb, k))

@@ -218,7 +218,7 @@ class CrossedPresentation:
                         for y in range(n):
                             for r in range(p):
                                 out[starts[cb + r] + x * n + y][col] = \
-                                    src.roots[j * (e[y] - r) % p]
+                                    ctx.p_roots[j * (e[y] - r) % p]
                             col += 1
                     continue
                 for t in range(p):

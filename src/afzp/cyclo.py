@@ -6,7 +6,8 @@ integer numerators over one positive integer denominator in lowest
 terms, gcd(den, *num) == 1: the layout of Antic's nf_elem and FLINT's
 fmpq_poly. Every value has exactly one such form, so equality and
 hashing compare (num, den). Phi_N is monic, so z^e reduces to an integer
-row and products need integer arithmetic and one gcd only. sum_rows,
+row, read off Phi_N's own coefficients (FieldContext.x_power), and
+products need integer arithmetic and one gcd only. sum_rows,
 the kernel of matrix products, adds a row's products unreduced and
 pays that fold and gcd once per entry. No floating point is used
 anywhere.
@@ -64,8 +65,8 @@ class FieldContext:
     Fourier-type conjugators).
     """
 
-    __slots__ = ("p", "order", "degree", "_xpow", "_fold", "_conj",
-                 "_zeros", "_root_cache", "zero", "one", "_gauss")
+    __slots__ = ("p", "order", "degree", "_low", "_half", "_fold", "_conj",
+                 "_zeros", "zero", "one", "p_roots", "_gauss")
 
     def __init__(self, p, order=None):
         if not _is_prime(p):
@@ -81,29 +82,19 @@ class FieldContext:
         phi = cyclotomic_poly(order)
         self.degree = d = len(phi) - 1
         assert phi[d] == 1
-        # xpow[e] = integer coefficients of x^e reduced mod Phi_N, e in
-        # [0, max(2d-2, N-1)]; built by shifting and folding the leading
-        # term, which stays integral because Phi_N is monic
-        xpow = [(1,) + (0,) * (d - 1)]
-        cur = list(xpow[0])
-        for _ in range(max(2 * d - 2, order - 1)):
-            top = cur.pop()
-            cur.insert(0, 0)
-            if top:
-                cur = [c - top * f for c, f in zip(cur, phi)]
-            xpow.append(tuple(cur))
-        self._xpow = xpow
-
-        def nonzero(row):
-            return [(j, c) for j, c in enumerate(row) if c]
+        # Phi_N = x^d + low: the nonzero (j, c) of low, j ascending
+        self._low = [(j, c) for j, c in enumerate(phi[:d]) if c]
+        # x^(N/2) = -1 when Phi_N has a -1 coefficient (radical 2q)
+        self._half = order // 2 if -1 in phi else order
         # _fold[e - d]: the nonzero (j, c) of x^e for e in [d, 2d-2];
         # _conj[j]: those of conj(x^j) = x^(N-j)
-        self._fold = [nonzero(xpow[e]) for e in range(d, 2 * d - 1)]
-        self._conj = [nonzero(xpow[(order - j) % order]) for j in range(d)]
+        self._fold = [self.x_power(e) for e in range(d, 2 * d - 1)]
+        self._conj = [self.x_power(-j) for j in range(d)]
         self._zeros = (0,) * d
-        self._root_cache = {}
         self.zero = _scalar(self, self._zeros, 1)
-        self.one = _scalar(self, xpow[0], 1)
+        self.one = self.root(0)
+        # p_roots[k] = zeta_p^k
+        self.p_roots = tuple(self.root(order // p * k) for k in range(p))
         self._gauss = None
 
     def __eq__(self, other):
@@ -125,18 +116,31 @@ class FieldContext:
         q = RAT(value)
         return _scalar(self, (q.numerator,) + self._zeros[1:], q.denominator)
 
+    def x_power(self, e):
+        """The nonzero (j, c) of x^e mod Phi_N, j ascending, for any
+        integer e. Phi_N(x) = Phi_r(x^s) (see cyclotomic_poly) puts low
+        below x^(d - s), so for d <= e < d + s, x^e = -x^(e - d) low
+        needs no further fold. Every other e reaches [0, d + s) by
+        x^N = 1 and, when Phi_N has a -1 coefficient, x^(N/2) = -1."""
+        e %= self.order
+        sign = 1
+        if e >= self._half:
+            e, sign = e - self._half, -1
+        shift = e - self.degree
+        if shift < 0:
+            return [(e, sign)]
+        return [(j + shift, -sign * c) for j, c in self._low]
+
     def root(self, k):
         """zeta_N^k, k taken modulo N."""
-        k %= self.order
-        got = self._root_cache.get(k)
-        if got is None:
-            got = _scalar(self, self._xpow[k], 1)
-            self._root_cache[k] = got
-        return got
+        num = [0] * self.degree
+        for j, c in self.x_power(k):
+            num[j] = c
+        return _scalar(self, tuple(num), 1)
 
     def zeta_p(self, k=1):
         """Primitive p-th root of unity to the k-th power."""
-        return self.root((self.order // self.p) * k)
+        return self.p_roots[k % self.p]
 
     def sqrt_group_order(self):
         """An element g with conj(g) * g = p (quadratic Gauss sum).
@@ -364,9 +368,8 @@ class Scalar:
                 out = [0] * ctx.degree
                 for j, x in enumerate(a):
                     if x:
-                        for i, r in enumerate(ctx._xpow[j * k % N]):
-                            if r:
-                                out[i] += x * r
+                        for i, r in ctx.x_power(j * k):
+                            out[i] += x * r
                 g = g * _scalar(ctx, tuple(out), 1)
         norm = (_scalar(ctx, a, 1) * g).num[0]
         return _reduced(ctx, tuple([self.den * x for x in g.num]), norm)
@@ -445,10 +448,17 @@ def sum_rows(ctx, weights, rows):
 
 
 def root_exponent(a):
-    """Exponent k in [0, N) with a == zeta_N^k, or None."""
+    """Exponent k in [0, N) with a == zeta_N^k, or None. x^k is +-x^e,
+    or +-x^(e - d) times Phi_N's low terms, whose lowest is 1 (see
+    FieldContext.x_power), so a's lowest power j leaves four k."""
     ctx = a.ctx
-    for k in range(ctx.order):
-        if a == ctx.root(k):
+    terms = [(j, c) for j, c in enumerate(a.num) if c]
+    if a.den != 1 or not terms:
+        return None
+    j, d, h = terms[0][0], ctx.degree, ctx._half
+    for k in (j, j + h, j + d, j + d + h):
+        k %= ctx.order
+        if ctx.x_power(k) == terms:
             return k
     return None
 

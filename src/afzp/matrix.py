@@ -228,19 +228,6 @@ class Mat:
         s = self.entry(0, 0)
         return s if self == Mat.diag(self.ctx, [s] * self.rows) else None
 
-    def power(self, n):
-        if self.rows != self.cols:
-            raise ShapeMismatch("power of non-square matrix")
-        result = Mat.identity(self.ctx, self.rows)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
 
 def blockdiag(ctx, mats, total=None):
     """Direct sum of square blocks, zero-padded at the end to `total`.

@@ -55,12 +55,15 @@ def _is_int(x):
 
 def _int_matrix(x, name, rows=None, cols=None):
     """x, checked to be a list of `rows` lists of `cols` JSON integers;
-    without a shape, lists of any lengths."""
+    without a shape, of rows as long as its first."""
+    if cols is None and isinstance(x, list) and x and isinstance(x[0], list):
+        cols = len(x[0])
     if not (isinstance(x, list) and rows in (None, len(x))
-            and all(isinstance(r, list) and cols in (None, len(r))
+            and all(isinstance(r, list) and cols == len(r)
                     and all(map(_is_int, r)) for r in x)):
-        raise FormatError("%s is not a list of integer rows%s" % (
-            name, "" if rows is None else " of shape %dx%d" % (rows, cols)))
+        raise FormatError("%s is not a list of integer rows %s" % (
+            name, "of one length" if rows is None
+            else "of shape %dx%d" % (rows, cols)))
     return x
 
 
@@ -333,8 +336,8 @@ class _Format2:
     def _value(self, kind, doc):
         if kind == "system":
             ctx = self.field()
-            blocks, sigma = _int_matrix([doc["blocks"], doc["sigma"]],
-                                        "blocks and sigma")
+            blocks, sigma = (_int_matrix([doc[k]], "blocks and sigma")[0]
+                             for k in ("blocks", "sigma"))
             impl = [self.mat(u) for u in doc["impl"]]
             return FdSystem(ctx, ctx.p, list(blocks),
                             tuple(i - 1 for i in sigma), impl)

@@ -202,7 +202,6 @@ class CanonicalForm:
         self.piece_offsets = []
         self.sigma = []       # block t reads from block sigma[t]
         self.piece_exponents = []   # IrredPiece.exponents per piece
-        self.roots = [self.ctx.zeta_p(k) for k in range(self.p)]
         self._kinv = None     # kinv.invariant_of's cache
         for idx, piece in enumerate(self.pieces):
             exps = piece.exponents(self.p)
@@ -246,8 +245,7 @@ class CanonicalForm:
                                  self.piece_exponents):
             if piece.kind == "fixed":
                 out[off] = root_sum(self.ctx, piece.n, a[off],
-                                    [j * x for x in e], [-j * x for x in e],
-                                    self.roots)
+                                    [j * x for x in e], [-j * x for x in e])
             else:
                 for t in range(self.p):
                     out[off + t] = a[off + (t - j) % self.p]
@@ -260,15 +258,14 @@ class CanonicalForm:
                 == [(b.kind, b.n) for b in other.pieces])
 
 
-def root_sum(ctx, n, a, ex, ey, roots):
-    """The n x n matrix whose (x, y) entry is roots[(ex[x] + ey[y]) %
-    len(roots)] * a[x][y]: one multiply per nonzero entry, on a's rows,
-    the roots being nonzero. An a that is not n x n raises
-    ShapeMismatch."""
+def root_sum(ctx, n, a, ex, ey):
+    """The n x n matrix whose (x, y) entry is zeta_p^(ex[x] + ey[y]) *
+    a[x][y]: one multiply per nonzero entry, on a's rows, the roots
+    being nonzero. An a that is not n x n raises ShapeMismatch."""
     if a.rows != n or a.cols != n:
         raise ShapeMismatch("%dx%d block in a piece of size %d"
                             % (a.rows, a.cols, n))
-    k = len(roots)
+    roots, k = ctx.p_roots, ctx.p
     return Mat(ctx, n, n, a.nz, tuple([
         tuple([v * roots[(rx + ey[y]) % k] for y, v in zip(cols, vals)])
         for cols, vals, rx in zip(a.nz, a.vals, ex)]))
@@ -414,7 +411,7 @@ def _iso_defect(s, c):
         n = s.block_sizes[i]
         k = zs[j].dagger() * root_sum(s.ctx, n, zs[i] * s.impl[i],
                                   [-e for e in c.block_exponents(b)],
-                                  [0] * n, c.roots)
+                                  [0] * n)
         bad = _pattern_defect(k, [(i, n)], [(i, n)])
         if bad is not None:
             return "unit (%d,%d) of block %d" % (bad[1], bad[2], i)
@@ -542,8 +539,7 @@ def _block_product(h, t, first):
             u.extend(src.block_exponents(slot.src))
             cols.append((src.sigma[slot.src], slot.size))
     return first * root_sum(tgt.ctx, tgt.block_sizes[t], arr.conj,
-                            [-e for e in tgt.block_exponents(t)], u,
-                            tgt.roots), cols
+                            [-e for e in tgt.block_exponents(t)], u), cols
 
 
 def hom_compose(g, h):

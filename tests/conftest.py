@@ -1201,7 +1201,7 @@ class ProductCrossed(CrossedPresentation):
         got = self._v_powers.get((piece_idx, j))
         if got is None:
             v = self.source.pieces[piece_idx].v
-            got = v.power(j % self.p)
+            got = mat_power(v, j % self.p)
             self._v_powers[(piece_idx, j)] = got
         return got
 
@@ -1552,6 +1552,14 @@ def mat_neg(m):
 
 def mat_sub(a, b):
     return a + mat_neg(b)
+
+
+def mat_power(m, n):
+    """m^n for a square m and n >= 0, as n products."""
+    out = Mat.identity(m.ctx, m.rows)
+    for _ in range(n):
+        out = out * m
+    return out
 
 
 ORACLE_FIELDS = [(p, order) for p in (2, 3, 5)

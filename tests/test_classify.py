@@ -29,7 +29,7 @@ from conftest import (CaseShapeViolation, checked_case_params,
                       corrupt_entry, ctx_for,
                       cycle_form, fixed_form, fixed_point_unitary,
                       gram_products, grid_mat,
-                      mat_kron, mat_sub, matrix_intertwining,
+                      mat_kron, mat_power, mat_sub, matrix_intertwining,
                       matrix_orbits, mixed_form,
                       ordered_ksearch_oracle, piece_specs,
                       random_tower_pair, solve,
@@ -119,7 +119,7 @@ def test_lift_mixed_pieces_roundtrip():
 def test_fixed_to_cycle_twist_is_the_power_of_v_dagger(p, data):
     """Block r of a cycle target twists each copy of a fixed source piece
     by V^-r, which lift builds as the diagonal of roots zeta_p^(-r e):
-    the oracle v.dagger().power(r) for every r."""
+    the oracle mat_power(v.dagger(), r) for every r."""
     ctx = ctx_for(p)
     exps = sorted(data.draw(st.lists(st.integers(0, p - 1), min_size=1,
                                      max_size=4)))
@@ -130,7 +130,8 @@ def test_fixed_to_cycle_twist_is_the_power_of_v_dagger(p, data):
     h = lift(kp, src, tgt)
     v = src.pieces[0].v
     for r, arr in enumerate(h.arrangements):
-        assert arr.conj == blockdiag(ctx, [v.dagger().power(r)] * copies)
+        assert arr.conj == blockdiag(ctx,
+                                     [mat_power(v.dagger(), r)] * copies)
 
 
 # -- ksearch -----------------------------------------------------------------
@@ -428,8 +429,8 @@ def test_equiv_unitary_opposite_phase_routings():
     # witness invariants: commutant elements have order p
     for entry in wit.entries:
         if entry.case == "FF":
-            assert entry.L.power(2) == Mat.identity(ctx, entry.L.rows)
-            assert entry.N.power(2) == Mat.identity(ctx, entry.N.rows)
+            assert mat_power(entry.L, 2) == Mat.identity(ctx, entry.L.rows)
+            assert mat_power(entry.N, 2) == Mat.identity(ctx, entry.N.rows)
 
 
 def test_equiv_unitary_cycle_target_components_equal():

@@ -988,3 +988,150 @@ def test_an_iso_that_is_not_a_block_permutation_of_unitaries_exits_two(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "iso" in err
+
+
+# -- ragged pairs and the remaining input branches, in process ---------------
+
+@pytest.mark.parametrize("command", ["checkpair", "lift", "intertwine"])
+@pytest.mark.parametrize("key,rows,code,message", [
+    ("phi", [[1, 0], [0]], 2,
+     "input error: phi is not a list of integer rows of one length"),
+    ("F", [[2], []], 2,
+     "input error: F is not a list of integer rows of one length"),
+    ("phi", [[1, 1, 1], [1, 1, 1]], 1,
+     "failure: pair shapes do not match the invariants")],
+    ids=["ragged-phi", "ragged-F", "wide-phi"])
+def test_a_ragged_pair_is_an_input_error(workdir, capsys, command, key,
+                                         rows, code, message):
+    """A kpair whose F or phi rows differ in length is not a matrix, so
+    every command that reads the pair refuses it on load. Earlier
+    versions loaded it and exited 1 with "pair shapes do not match the
+    invariants", a mathematical failure, which stays the verdict on a
+    matrix of the wrong size."""
+    doc = json.load(open("pair.json"))
+    doc[key] = rows
+    json.dump(doc, open("bad.json", "w"))
+    assert main(["kinv", "m1.json", "--out", "i1.json"]) == 0
+    assert main(["kinv", "m2.json", "--out", "i2.json"]) == 0
+    save_json("tower.json", product_tower(2, 2))
+    argv = {"checkpair": ["checkpair", "bad.json", "i1.json", "i2.json"],
+            "lift": ["lift", "bad.json", "m1.json", "m2.json"],
+            "intertwine": ["intertwine", "tower.json", "tower.json",
+                           "bad.json"]}[command]
+    capsys.readouterr()
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith(message)
+
+
+def _write(name, data):
+    with open(name, "wb" if isinstance(data, bytes) else "w") as fh:
+        fh.write(data)
+
+
+def _edited(argv, src, edit):
+    """Run argv (which writes src), then write src's document, changed
+    by edit, to bad.json."""
+    assert main(argv) == 0
+    doc = json.load(open(src))
+    edit(doc)
+    json.dump(doc, open("bad.json", "w"))
+
+
+def _system(blocks, sigma, impl_count):
+    unit = {"rows": 1, "cols": 1, "entries": [[0, 0, "0:1"]]}
+    _write("bad.json", json.dumps({
+        "afzp_format": 2, "kind": "system", "p": 2, "order": 16,
+        "blocks": blocks, "sigma": sigma, "impl": [unit] * impl_count}))
+
+
+def _slot(key, value):
+    def edit(doc):
+        doc["blocks"][0]["slots"][0][key] = value
+    return lambda: _edited(["lift", "pair.json", "m1.json", "m2.json",
+                            "--out", "hom.json"], "hom.json", edit)
+
+
+def _piece_kind(doc):
+    doc["pieces"][0]["kind"] = "spiral"
+
+
+def _pair_kind(doc):
+    doc["pairs"][0]["kind"] = "hom"
+
+
+# id -> (setup or None, argv, exit code, text on stderr, or on stdout
+# for a report)
+_INPUT_BRANCHES = {
+    "document-not-an-object": (
+        lambda: _write("bad.json", "[]"), ["validate", "bad.json"], 2,
+        "document is not a JSON object"),
+    "not-utf8": (
+        lambda: _write("bad.json", b'{"afzp_format": 2, "kind": "\xff"}'),
+        ["validate", "bad.json"], 2, "is not UTF-8 text"),
+    "deep-nesting": (
+        lambda: _write("bad.json", "[" * 200_000 + "]" * 200_000),
+        ["validate", "bad.json"], 2, "JSON nested too deeply to read"),
+    "unknown-piece-kind": (
+        lambda: _edited(["canon", "m2.json", "--out", "c2.json"], "c2.json",
+                        _piece_kind),
+        ["kinv", "bad.json"], 2, "unknown piece kind 'spiral'"),
+    "slot-src-string": (
+        _slot("src", "0"), ["validate", "bad.json"], 2,
+        "slot src '0' is neither null nor an integer"),
+    "slot-size-string": (
+        _slot("size", "2"), ["validate", "bad.json"], 2,
+        "slot size '2' is not a non-negative integer"),
+    "nested-object-of-the-wrong-kind": (
+        lambda: _edited(["demo", "product-tower-p2", "--depth", "2",
+                         "--out", "cert.json"], "cert.json", _pair_kind),
+        ["verify", "bad.json"], 2, "expected a nested 'kpair' object"),
+    "kinv-on-a-kpair": (
+        None, ["kinv", "pair.json"], 2,
+        "expected a system or canonical-form file"),
+    "intertwine-on-non-towers": (
+        None, ["intertwine", "m1.json", "m2.json"], 2,
+        "expected tower files"),
+    "verify-on-a-non-certificate": (
+        None, ["verify", "m1.json"], 2, "expected a certificate file"),
+    "naive-doubling-depth-1": (
+        None, ["demo", "naive-doubling", "--depth", "1"], 2,
+        "naive-doubling needs --depth of at least 2"),
+    "naive-doubling-out": (
+        None, ["demo", "naive-doubling", "--out", "c.json"], 2,
+        "naive-doubling writes no file; drop --out"),
+    "depth-0": (
+        None, ["demo", "product-tower-p2", "--depth", "0"], 2,
+        "argument --depth: '0' is not a positive integer"),
+    "impl-count-differs-from-blocks": (
+        lambda: _system([1], [1], 2),
+        ["validate", "bad.json", "--format", "text"], 1,
+        "[FAIL] block count: impl/sigma length vs 1 blocks"),
+    "sigma-not-a-permutation": (
+        lambda: _system([1, 1], [1, 1], 2),
+        ["validate", "bad.json", "--format", "text"], 1,
+        "[FAIL] sigma is a permutation: images [0, 0]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INPUT_BRANCHES))
+def test_each_input_branch_exits_with_its_code_and_message(workdir, capsys,
+                                                           name):
+    """Each input error, and each early return of a system's validation,
+    run in process: the exit code of the README's contract (2 for an
+    input error, 1 for a failing report) and the message that names the
+    cause, with no traceback."""
+    setup, argv, code, message = _INPUT_BRANCHES[name]
+    if setup:
+        setup()
+    capsys.readouterr()
+    try:
+        got = main(argv)
+    except SystemExit as exc:           # argparse's usage errors
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code
+    assert message in (out if code == 1 else err)
+    assert "Traceback" not in err
+    if code == 2 and name != "depth-0":
+        assert err.startswith("input error:")
+    assert not os.path.exists("c.json")

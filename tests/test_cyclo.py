@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from afzp._rat import RAT
-from afzp.cyclo import FieldContext, Scalar, cyclotomic_poly
+from afzp.cyclo import FieldContext, Scalar, cyclotomic_poly, root_exponent
 from afzp.errors import ContextMismatch, DivisionByZero, FormatError
 from afzp.serialize import _scalar_text, loads
 
-from conftest import ctx_for, cyclotomic_poly_by_division, scalar_json
+from conftest import (ORACLE_FIELDS, ctx_for, cyclotomic_poly_by_division,
+                      scalar_json)
 from fraction_scalar import FracField, FracScalar
 
 
@@ -88,6 +89,41 @@ def test_cyclotomic_poly_refuses_other_radicals(n):
     here; no field order is such an n."""
     with pytest.raises(ValueError, match="radical of %d" % n):
         cyclotomic_poly(n)
+
+
+@pytest.mark.parametrize("order", ["p", "p^2", "4p^2"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_x_power_matches_the_shift_and_fold_rows(p, order):
+    """x^e read off Phi_N is the Fraction reference's row, built by
+    shifting x^(e-1) and folding its leading term, for every e below
+    max(2d - 1, N): every row a product fold or a root reads. The terms
+    are nonzero, by ascending power."""
+    n = {"p": p, "p^2": p * p, "4p^2": 4 * p * p}[order]
+    ctx, ref = FieldContext(p, n), FracField(p, n)
+    assert len(ref._xpow) == max(2 * ctx.degree - 1, n)
+    for e, want in enumerate(ref._xpow):
+        terms = ctx.x_power(e)
+        assert [j for j, _ in terms] == sorted({j for j, _ in terms})
+        assert all(terms[k][1] for k in range(len(terms)))
+        row = [0] * ctx.degree
+        for j, c in terms:
+            row[j] = c
+        assert tuple(row) == want, e
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS)
+def test_root_exponent_matches_the_search_over_every_root(field):
+    """root_exponent, which reads four candidates off a's lowest power,
+    agrees with the search over zeta_N^k for k < N: on every root, and
+    on values that are not roots of this field."""
+    ctx = ctx_for(*field)
+    roots = [ctx.root(k) for k in range(ctx.order)]
+    others = [ctx.zero, ctx.scalar(2), ctx.scalar(RAT(1, 2)),
+              ctx.scalar(-1), ctx.one + ctx.root(1), -ctx.root(1),
+              ctx.root(1) * 2]
+    for a in roots + others:
+        want = next((k for k, r in enumerate(roots) if r == a), None)
+        assert root_exponent(a) == want
 
 
 # -- algebraic laws ----------------------------------------------------------

@@ -22,7 +22,7 @@ from conftest import (ORACLE_FIELDS, Inconsistent, checked_conjugator,
                       dense_is_diagonal, dense_is_scalar, dense_is_unitary,
                       dense_is_zero, dense_mul, direct_sum,
                       fixed_point_unitary, grid_mat, mat_kron, mat_neg,
-                      match_diagonals, matmul_by_terms, mixed_form,
+                      mat_power, match_diagonals, matmul_by_terms, mixed_form,
                       oracle_matrix, oracle_scalar, rand_tuple, solve,
                       sparse_rows_defect, unitary_conjugator_search,
                       zero_grid)
@@ -274,8 +274,8 @@ def test_direct_sum_and_power():
     d = direct_sum(Mat.diag(ctx, [1, -1]), Mat.identity(ctx, 1))
     assert d == Mat.diag(ctx, [1, -1, 1])
     s = Mat.permutation(ctx, [1, 0])
-    assert s.power(2) == Mat.identity(ctx, 2)
-    assert s.power(3) == s
+    assert mat_power(s, 2) == Mat.identity(ctx, 2)
+    assert mat_power(s, 3) == s
 
 
 # -- indexed kernels against the dense oracles -------------------------------
@@ -556,7 +556,7 @@ def test_matrix_builders_store_canonical_rows(field, n, c, kind, rnd):
     L2 = Q * L1 * Q.dagger()
     _assert_canonical([
         a, b, a * b, b.dagger(), a + a, a + mat_neg(a),
-        a + corrupt_entry(a, rnd), b * s, b * 0, a.power(3),
+        a + corrupt_entry(a, rnd), b * s, b * 0, mat_power(a, 3),
         Mat.zero(ctx, n, c), Mat.identity(ctx, n),
         Mat.diag(ctx, [rnd.choice([ctx.zero, s]) for _ in range(n)]),
         Q, Mat.from_rows(ctx, b.entries),
@@ -595,8 +595,7 @@ def test_engine_builders_store_canonical_rows(p):
     mats += c.iso.conjugators + [c.pieces[0].v]
     x = rand_tuple(tgt, rng)
     mats += tgt.apply_action(x)
-    mats.append(root_sum(ctx, v.rows, x[0], [1] * v.rows, [2] * v.rows,
-                         tgt.roots))
+    mats.append(root_sum(ctx, v.rows, x[0], [1] * v.rows, [2] * v.rows))
     for form in (src, tgt):
         cp = crossed_product(form)
         ce = CrossedElement([rand_tuple(form, rng) for _ in range(p)])

@@ -68,10 +68,14 @@ def _value(draw, kind):
 
     form = mixed_form(ctx, draw(st.lists(
         st.sampled_from(piece_specs(ctx.p, 2)), min_size=1, max_size=2)))
-    kpair = KPair(draw(st.lists(st.lists(st.integers(0, 3), max_size=2),
-                                max_size=2)),
-                  draw(st.lists(st.lists(st.integers(0, 3)), max_size=2)),
-                  unital=draw(st.booleans()))
+    def int_rows(width):
+        """Up to two integer rows of one length, at most width: the
+        loader refuses ragged ones."""
+        n = draw(st.integers(0, width))
+        return draw(st.lists(st.lists(st.integers(0, 3), min_size=n,
+                                      max_size=n), max_size=2))
+
+    kpair = KPair(int_rows(2), int_rows(4), unital=draw(st.booleans()))
     if kind == "system":
         return form.system()
     if kind == "canonical":

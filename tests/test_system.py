@@ -689,15 +689,18 @@ def test_decompose_matches_the_monomial_diagonalizer_oracle(s):
        st.sampled_from(["monomial", "sparse", "dense"]), st.randoms())
 def test_diag_scaled_matches_the_dense_oracle(field, n, kind, rnd):
     """root_sum of (x, ex, ey), the way hom_validate scales a square
-    conjugator by its roots, is diag(roots[ex]) x diag(roots[ey]): it
-    equals the dense kernel's and keeps x's nonzero columns."""
+    conjugator by its roots, is diag(zeta_p^ex) x diag(zeta_p^ey): it
+    equals the dense kernel's and keeps x's nonzero columns. Exponents
+    run past p, which root_sum takes modulo p."""
     ctx = ctx_for(*field)
     x = oracle_matrix(ctx, rnd, n, n, kind)
-    roots = [ctx.root(k) for k in range(ctx.order)]
-    ex, ey = ([rnd.randrange(ctx.order) for _ in range(n)] for _ in "xy")
-    got = root_sum(ctx, n, x, ex, ey, roots)
-    assert got == dense_diag_scaled([roots[e] for e in ex], x,
-                                    [roots[e] for e in ey])
+    p = ctx.p
+    roots = [ctx.root(ctx.order // p * k) for k in range(p)]
+    ex, ey = ([rnd.randrange(-ctx.order, ctx.order) for _ in range(n)]
+              for _ in "xy")
+    got = root_sum(ctx, n, x, ex, ey)
+    assert got == dense_diag_scaled([roots[e % p] for e in ex], x,
+                                    [roots[e % p] for e in ey])
     assert got.nz == dense_support(got) == x.nz
 
 
