@@ -7,10 +7,14 @@ terms, gcd(den, *num) == 1: the layout of Antic's nf_elem and FLINT's
 fmpq_poly. Every value has exactly one such form, so equality and
 hashing compare (num, den). Phi_N is monic, so z^e reduces to an integer
 row, read off Phi_N's own coefficients (FieldContext.x_power), and
-products need integer arithmetic and one gcd only. sum_rows,
-the kernel of matrix products, adds a row's products unreduced and
-pays that fold and gcd once per entry. No floating point is used
-anywhere.
+products need integer arithmetic and one gcd only. A Scalar never
+changes, so it keeps its nonzero terms (j, num[j]) once they are first
+read (Scalar.terms): products, conjugates and sum_rows, the kernel of
+matrix products, convolve and walk those terms, not all d coefficients,
+and fold mod Phi_N only when a term reached past z^(d-1). sum_rows adds
+a row's products unreduced and pays that fold and gcd once per entry.
+Field elements are built from ints, Fractions and Scalars only; no
+floating point is used anywhere.
 """
 
 import math
@@ -108,12 +112,13 @@ class FieldContext:
         return "FieldContext(p=%d, order=%d)" % (self.p, self.order)
 
     def scalar(self, value):
-        """Coerce an int, rational or Scalar into this field."""
+        """Coerce an int, Fraction or Scalar into this field; TypeError
+        for anything else."""
         if isinstance(value, Scalar):
             if value.ctx != self:
                 raise ContextMismatch("scalar from %r used in %r" % (value.ctx, self))
             return value
-        q = RAT(value)
+        q = _rational(value)
         return _scalar(self, (q.numerator,) + self._zeros[1:], q.denominator)
 
     def x_power(self, e):
@@ -166,6 +171,15 @@ class FieldContext:
         return g
 
 
+def _rational(value):
+    """An int or Fraction as a RAT. Anything else, a float or a string
+    among them, is no exact field element: TypeError."""
+    if isinstance(value, (int, RAT)):
+        return RAT(value)
+    raise TypeError("a field element is an int, a Fraction or a Scalar, "
+                    "not %r" % (value,))
+
+
 def _scalar(ctx, num, den):
     """The Scalar num/den; num is a tuple of d ints, den > 0 and
     gcd(den, *num) == 1."""
@@ -174,15 +188,18 @@ def _scalar(ctx, num, den):
     s.num = num
     s.den = den
     s._nonzero = num != ctx._zeros
+    s._terms = None
     return s
 
 
 def _reduced(ctx, num, den):
-    """The Scalar num/den for any den > 0, brought to lowest terms."""
-    g = math.gcd(den, *num)
-    if g != 1:
-        num = tuple([x // g for x in num])
-        den //= g
+    """The Scalar num/den for any den > 0, brought to lowest terms (by
+    no gcd when den is 1)."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple([x // g for x in num])
+            den //= g
     return _scalar(ctx, num, den)
 
 
@@ -190,12 +207,13 @@ class Scalar:
     """An element of Q(zeta_N); immutable, exact.
 
     Scalar(ctx, coeffs) builds sum_j coeffs[j] z^j from d rationals
-    (ints or RAT); `num` and `den` hold the lowest-terms form."""
+    (ints or Fractions; TypeError for anything else); `num` and `den`
+    hold the lowest-terms form."""
 
-    __slots__ = ("ctx", "num", "den", "_nonzero")
+    __slots__ = ("ctx", "num", "den", "_nonzero", "_terms")
 
     def __init__(self, ctx, coeffs):
-        coeffs = [RAT(c) for c in coeffs]
+        coeffs = [_rational(c) for c in coeffs]
         if len(coeffs) != ctx.degree:
             raise ContextMismatch("coefficient vector has wrong length")
         # over the lcm of reduced denominators the vector is in lowest terms
@@ -205,6 +223,18 @@ class Scalar:
                           for c in coeffs])
         self.den = den
         self._nonzero = self.num != ctx._zeros
+        self._terms = None
+
+    @property
+    def terms(self):
+        """The nonzero (j, num[j]), j ascending, as a tuple: built on the
+        first read and kept. Empty for zero; a rational's only term is
+        (0, num[0])."""
+        t = self._terms
+        if t is None:
+            t = self._terms = tuple([(j, x) for j, x in enumerate(self.num)
+                                     if x])
+        return t
 
     @property
     def coeffs(self):
@@ -260,32 +290,29 @@ class Scalar:
         ctx = self.ctx
         if not self._nonzero or not other._nonzero:
             return ctx.zero
-        a, b = self.num, other.num
+        ta, tb = self.terms, other.terms
         den = self.den * other.den
-        # rational factors scale coefficientwise, no convolution needed
-        if not any(a[1:]):
-            if a[0] == 1 and self.den == 1:
+        # rational factors (one term, at z^0) scale coefficientwise, no
+        # convolution needed
+        if ta[-1][0] == 0:
+            x = ta[0][1]
+            if x == 1 and self.den == 1:
                 return other
-            out = [a[0] * x for x in b]
-        elif not any(b[1:]):
-            if b[0] == 1 and other.den == 1:
+            out = [x * y for y in other.num]
+        elif tb[-1][0] == 0:
+            y = tb[0][1]
+            if y == 1 and other.den == 1:
                 return self
-            out = [b[0] * x for x in a]
+            out = [y * x for x in self.num]
         else:
             d = ctx.degree
-            nz_b = [(j, x) for j, x in enumerate(b) if x]
             raw = [0] * (2 * d - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in nz_b:
-                        raw[i + j] += x * y
+            for i, x in ta:
+                for j, y in tb:
+                    raw[i + j] += x * y
             out = raw[:d]
-            for c, row in zip(raw[d:], ctx._fold):
-                if c:
-                    for j, r in row:
-                        out[j] += c * r
-        if den == 1:
-            return _scalar(ctx, tuple(out), 1)
+            if ta[-1][0] + tb[-1][0] >= d:
+                _fold_high(ctx, raw, out)
         return _reduced(ctx, tuple(out), den)
 
     __rmul__ = __mul__
@@ -339,15 +366,15 @@ class Scalar:
         """Complex conjugation: zeta_N -> zeta_N^(N-1). It maps the
         numerators by an integer matrix that is its own inverse, so the
         result stays in lowest terms over the same denominator."""
-        a = self.num
-        if not any(a[1:]):
+        t = self.terms
+        if not t or t[-1][0] == 0:
             return self          # rational, hence real
-        out = [0] * self.ctx.degree
-        for x, row in zip(a, self.ctx._conj):
-            if x:
-                for k, r in row:
-                    out[k] += x * r
-        return _scalar(self.ctx, tuple(out), self.den)
+        ctx = self.ctx
+        out = [0] * ctx.degree
+        for j, x in t:
+            for k, r in ctx._conj[j]:
+                out[k] += x * r
+        return _scalar(ctx, tuple(out), self.den)
 
     def inv(self):
         """Field inverse. A rational inverts directly. Otherwise the
@@ -358,20 +385,19 @@ class Scalar:
         if not self._nonzero:
             raise DivisionByZero("inverse of zero")
         ctx = self.ctx
-        a = self.num
-        if not any(a[1:]):
-            return ctx.scalar(RAT(self.den, a[0]))
+        t = self.terms
+        if t[-1][0] == 0:
+            return ctx.scalar(RAT(self.den, t[0][1]))
         N = ctx.order
         g = ctx.one
         for k in range(2, N):
             if math.gcd(k, N) == 1:
                 out = [0] * ctx.degree
-                for j, x in enumerate(a):
-                    if x:
-                        for i, r in ctx.x_power(j * k):
-                            out[i] += x * r
+                for j, x in t:
+                    for i, r in ctx.x_power(j * k):
+                        out[i] += x * r
                 g = g * _scalar(ctx, tuple(out), 1)
-        norm = (_scalar(ctx, a, 1) * g).num[0]
+        norm = (_scalar(ctx, self.num, 1) * g).num[0]
         return _reduced(ctx, tuple([self.den * x for x in g.num]), norm)
 
     def rational_part(self):
@@ -386,14 +412,20 @@ def _combine(a, b, op):
     a common denominator, then lowest terms."""
     da, db = a.den, b.den
     if da == db:
-        num = tuple(map(op, a.num, b.num))
-        if da == 1:
-            return _scalar(a.ctx, num, 1)
-        return _reduced(a.ctx, num, da)
+        return _reduced(a.ctx, tuple(map(op, a.num, b.num)), da)
     g = math.gcd(da, db)
     sa, sb = db // g, da // g
     return _reduced(a.ctx, tuple([op(x * sa, y * sb)
                                   for x, y in zip(a.num, b.num)]), da * sa)
+
+
+def _fold_high(ctx, raw, out):
+    """Add the raw numerators at z^d .. z^(2d-2), reduced mod Phi_N,
+    into out, the numerators below z^d."""
+    for c, row in zip(raw[ctx.degree:], ctx._fold):
+        if c:
+            for j, r in row:
+                out[j] += c * r
 
 
 def sum_rows(ctx, weights, rows):
@@ -402,16 +434,17 @@ def sum_rows(ctx, weights, rows):
     its nonzero entries, columns ascending.
 
     Each column's terms are summed on the raw numerators: the unfolded
-    convolutions (length 2d - 1) go into one integer list over a running
-    common denominator, rescaled only when a term's denominator does not
-    divide it. The column is folded mod Phi_N and brought to lowest terms
-    once at the end, and dropped if it cancelled; so it costs one fold
-    and one gcd, not one per term and one per partial sum."""
+    convolutions (length 2d - 1) of the factors' nonzero terms go into
+    one integer list over a running common denominator, rescaled only
+    when a term's denominator does not divide it. The column is folded
+    mod Phi_N (when a term reached past z^(d-1)) and brought to lowest
+    terms once at the end, and dropped if it cancelled; so it costs one
+    fold and one gcd, not one per term and one per partial sum."""
     d = ctx.degree
     width = 2 * d - 1
     acc = {}                   # column -> [raw numerators, denominator]
     for a, (cols, vals) in zip(weights, rows):
-        a_nz = [(i, x) for i, x in enumerate(a.num) if x]
+        ta = a.terms
         a_den = a.den
         for j, b in zip(cols, vals):
             t = a_den * b.den
@@ -422,25 +455,27 @@ def sum_rows(ctx, weights, rows):
                 s = 1
             else:
                 raw, den = got
-                if den % t:
-                    up = t // math.gcd(den, t)
-                    raw[:] = [c * up for c in raw]
-                    got[1] = den = den * up
-                s = den // t
-            bn = b.num
-            for i, x in a_nz:
+                if den == t:
+                    s = 1
+                else:
+                    if den % t:
+                        up = t // math.gcd(den, t)
+                        raw[:] = [c * up for c in raw]
+                        got[1] = den = den * up
+                    s = den // t
+            # b != 0, so once kept its terms are a nonempty tuple: the
+            # slot is read directly, the property only on the first read
+            tb = b._terms or b.terms
+            for i, x in ta:
                 x *= s
-                for k, y in enumerate(bn, i):
-                    if y:
-                        raw[k] += x * y
+                for k, y in tb:
+                    raw[i + k] += x * y
     out_cols, out_vals = [], []
     for j in sorted(acc):
         raw, den = acc[j]
         out = raw[:d]
-        for c, row in zip(raw[d:], ctx._fold):
-            if c:
-                for k, r in row:
-                    out[k] += c * r
+        if any(raw[d:]):
+            _fold_high(ctx, raw, out)
         if any(out):
             out_cols.append(j)
             out_vals.append(_reduced(ctx, tuple(out), den))
@@ -452,7 +487,7 @@ def root_exponent(a):
     or +-x^(e - d) times Phi_N's low terms, whose lowest is 1 (see
     FieldContext.x_power), so a's lowest power j leaves four k."""
     ctx = a.ctx
-    terms = [(j, c) for j, c in enumerate(a.num) if c]
+    terms = list(a.terms)
     if a.den != 1 or not terms:
         return None
     j, d, h = terms[0][0], ctx.degree, ctx._half

@@ -11,7 +11,7 @@ from afzp.classify import (IntertwiningCertificate, Tower,
                            ksearch, lift)
 from afzp.crossed import (CrossedElement, CrossedPresentation,
                           crossed_offsets, crossed_product)
-from afzp.cyclo import FieldContext
+from afzp.cyclo import FieldContext, _scalar
 from afzp.errors import (AfzpError, CorrectionFailed, KDataMismatch,
                          MultisetMismatch, NonDiagonalizableWithinField,
                          NonIntegralMultiplicity, NotOrderP, ShapeMismatch,
@@ -1383,6 +1383,112 @@ def matmul_by_terms(self, other):
     return Mat(self.ctx, self.rows, other.cols, tuple(nz), tuple(vals))
 
 
+def _lowest_terms(ctx, num, den):
+    """The Scalar num/den brought to lowest terms by one gcd."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = tuple([x // g for x in num])
+        den //= g
+    return _scalar(ctx, num, den)
+
+
+def mul_by_coefficients(a, b):
+    """Scalar.__mul__ as it read the numerators before scalars kept their
+    nonzero terms: a rational factor found by num[1:] being zero, b's
+    nonzero coefficients listed on every call, all d coefficients of a
+    scanned and all d - 1 fold positions walked. The oracle of the
+    product over kept terms; a and b are Scalars of one field."""
+    ctx = a.ctx
+    if not a._nonzero or not b._nonzero:
+        return ctx.zero
+    an, bn = a.num, b.num
+    den = a.den * b.den
+    if not any(an[1:]):
+        if an[0] == 1 and a.den == 1:
+            return b
+        out = [an[0] * x for x in bn]
+    elif not any(bn[1:]):
+        if bn[0] == 1 and b.den == 1:
+            return a
+        out = [bn[0] * x for x in an]
+    else:
+        d = ctx.degree
+        nz_b = [(j, x) for j, x in enumerate(bn) if x]
+        raw = [0] * (2 * d - 1)
+        for i, x in enumerate(an):
+            if x:
+                for j, y in nz_b:
+                    raw[i + j] += x * y
+        out = raw[:d]
+        for c, row in zip(raw[d:], ctx._fold):
+            if c:
+                for j, r in row:
+                    out[j] += c * r
+    if den == 1:
+        return _scalar(ctx, tuple(out), 1)
+    return _lowest_terms(ctx, tuple(out), den)
+
+
+def conj_by_coefficients(a):
+    """Scalar.conj over all d coefficients, the oracle of the conjugate
+    over kept terms."""
+    num = a.num
+    if not any(num[1:]):
+        return a
+    out = [0] * a.ctx.degree
+    for x, row in zip(num, a.ctx._conj):
+        if x:
+            for k, r in row:
+                out[k] += x * r
+    return _scalar(a.ctx, tuple(out), a.den)
+
+
+def sum_rows_by_coefficients(ctx, weights, rows):
+    """cyclo.sum_rows before scalars kept their nonzero terms: each
+    weight's nonzero coefficients listed per row, every coefficient of
+    every value scanned, the running denominator tested by % on every
+    term, every column folded over all d - 1 positions and reduced by a
+    gcd. The oracle of the kernel over kept terms."""
+    d = ctx.degree
+    width = 2 * d - 1
+    acc = {}
+    for a, (cols, vals) in zip(weights, rows):
+        a_nz = [(i, x) for i, x in enumerate(a.num) if x]
+        a_den = a.den
+        for j, b in zip(cols, vals):
+            t = a_den * b.den
+            got = acc.get(j)
+            if got is None:
+                raw = [0] * width
+                acc[j] = [raw, t]
+                s = 1
+            else:
+                raw, den = got
+                if den % t:
+                    up = t // math.gcd(den, t)
+                    raw[:] = [c * up for c in raw]
+                    got[1] = den = den * up
+                s = den // t
+            bn = b.num
+            for i, x in a_nz:
+                x *= s
+                for k, y in enumerate(bn, i):
+                    if y:
+                        raw[k] += x * y
+    out_cols, out_vals = [], []
+    for j in sorted(acc):
+        raw, den = acc[j]
+        out = raw[:d]
+        for c, row in zip(raw[d:], ctx._fold):
+            if c:
+                for k, r in row:
+                    out[k] += c * r
+        if any(out):
+            out_cols.append(j)
+            out_vals.append(_lowest_terms(ctx, tuple(out), den))
+    return tuple(out_cols), tuple(out_vals)
+
+
 def dense_dagger(self):
     zero = self.ctx.zero
     out = [[zero] * self.rows for _ in range(self.cols)]
@@ -1566,28 +1672,38 @@ ORACLE_FIELDS = [(p, order) for p in (2, 3, 5)
                  for order in (p, p * p, 4 * p * p)]
 
 
-def oracle_scalar(ctx, rng):
+def oracle_scalar(ctx, rng, few_terms=False):
     """A nonzero scalar from a small pool (signed roots of unity, some
-    scaled by 2 or 1/3), so that sums of products often cancel."""
+    scaled by 2 or 1/3), so that sums of products often cancel. With
+    few_terms, since the kernels walk nonzero terms, one draw in five is
+    as sparse as a value gets: a rational, or one power z^j below z^d.
+    Without it the draws are those the pinned product bytes were taken
+    on."""
+    if few_terms and rng.random() < 0.2:
+        scale = rng.choice((1, -1, 2, RAT(1, 3)))
+        return ctx.scalar(scale) if rng.random() < 0.5 \
+            else ctx.root(rng.randrange(ctx.degree)) * scale
     x = ctx.root(rng.randrange(ctx.order)) * rng.choice((1, -1, 2, RAT(1, 3)))
     y = x + ctx.root(rng.randrange(4))
     return y if rng.random() < 0.2 and y._nonzero else x
 
 
-def oracle_matrix(ctx, rng, rows, cols, kind):
+def oracle_matrix(ctx, rng, rows, cols, kind, few_terms=False):
     """A rows x cols Mat of one kind: "monomial" (at most one nonzero
     per row and per column), "sparse" (each entry nonzero with
     probability 1/4), "dense" (every entry drawn, cancellations may
     leave zeros) or "unitary" (square: a signed permutation times
     root-of-unity phases, with the rational rotation [[3, -4], [4, 3]] / 5
-    on its first two coordinates when rows >= 2 and rng says so)."""
+    on its first two coordinates when rows >= 2 and rng says so). The
+    entries other than a unitary's are oracle_scalar draws, with
+    few_terms."""
     grid = zero_grid(ctx, rows, cols)
     if kind in ("monomial", "unitary"):
         colset = list(range(cols))
         rng.shuffle(colset)
         for i, j in zip(range(rows), colset):
             grid[i][j] = ctx.root(rng.randrange(ctx.order)) \
-                if kind == "unitary" else oracle_scalar(ctx, rng)
+                if kind == "unitary" else oracle_scalar(ctx, rng, few_terms)
         m = grid_mat(ctx, rows, cols, grid)
         if kind == "unitary" and rows >= 2 and rng.random() < 0.5:
             r = [[ctx.scalar(RAT(x, 5)) for x in row]
@@ -1598,7 +1714,7 @@ def oracle_matrix(ctx, rng, rows, cols, kind):
     for row in grid:
         for j in range(cols):
             if kind == "dense" or rng.random() < 0.25:
-                x = oracle_scalar(ctx, rng)
+                x = oracle_scalar(ctx, rng, few_terms)
                 row[j] = x - ctx.root(rng.randrange(2)) \
                     if rng.random() < 0.1 else x
     return grid_mat(ctx, rows, cols, grid)

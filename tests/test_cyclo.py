@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from afzp._rat import RAT
-from afzp.cyclo import FieldContext, Scalar, cyclotomic_poly, root_exponent
+from afzp.cyclo import (FieldContext, Scalar, _scalar, cyclotomic_poly,
+                        root_exponent, sum_rows)
 from afzp.errors import ContextMismatch, DivisionByZero, FormatError
+from afzp.matrix import Mat
 from afzp.serialize import _scalar_text, loads
 
-from conftest import (ORACLE_FIELDS, ctx_for, cyclotomic_poly_by_division,
-                      scalar_json)
+from conftest import (ORACLE_FIELDS, conj_by_coefficients, ctx_for,
+                      cyclotomic_poly_by_division, mul_by_coefficients,
+                      scalar_json, sum_rows_by_coefficients)
 from fraction_scalar import FracField, FracScalar
 
 
@@ -229,22 +232,36 @@ def _ref_text(ref):
 # -- the Fraction reference ---------------------------------------------------
 
 _FIELDS = [(p, order) for p in (2, 3, 5) for order in (p, p * p, 4 * p * p)]
-_REF = {key: FracField(*key) for key in _FIELDS}
+# the fields of the kept-terms tests, up to degree 84
+_TERM_FIELDS = [(p, order) for p in (2, 3, 5, 7)
+                for order in (p, p * p, 4 * p * p)]
+_REF = {key: FracField(*key) for key in _TERM_FIELDS}
 
 
 @st.composite
-def _vectors(draw, degree, dense=True):
-    """Rational coefficient vectors: dense, sparse, rational, zero."""
+def _vectors(draw, ctx, dense=True):
+    """Rational coefficient vectors of ctx's scalars, mixed denominators
+    throughout: dense; sparse (up to three random powers), one power,
+    two powers, a scaled root of unity zeta_N^k (one or two terms at
+    N = p^2 and 4p^2, dense for k = p - 1 at N = p), rational, zero."""
+    degree = ctx.degree
     q = st.builds(RAT, st.integers(-6, 6), st.integers(1, 6))
     shape = draw(st.sampled_from(["dense"] * dense
-                                 + ["sparse", "rational", "zero"]))
+                                 + ["sparse", "one", "two", "root",
+                                    "rational", "zero"]))
     if shape == "dense":
         return draw(st.lists(q, min_size=degree, max_size=degree))
+    if shape == "root":
+        c = draw(q)
+        return [c * x for x in ctx.root(
+            draw(st.integers(0, ctx.order - 1))).coeffs]
     out = [RAT(0)] * degree
-    if shape == "sparse":
-        for j in draw(st.lists(st.integers(0, degree - 1), max_size=3)):
-            out[j] = draw(q)
-    elif shape == "rational":
+    count = min(degree, {"sparse": draw(st.integers(0, 3)), "one": 1,
+                         "two": 2, "rational": 0, "zero": 0}[shape])
+    for j in draw(st.lists(st.integers(0, degree - 1), min_size=count,
+                           max_size=count, unique=True)):
+        out[j] = draw(q.filter(bool))
+    if shape == "rational":
         out[0] = draw(q)
     return out
 
@@ -265,8 +282,8 @@ def test_integer_vector_scalars_match_fraction_reference(data):
     ctx, ref = ctx_for(p, order), _REF[p, order]
     # the oracle's extended Euclid takes half a second on a dense inverse
     # at degree 40
-    va = data.draw(_vectors(ctx.degree))
-    vb = data.draw(_vectors(ctx.degree, dense=ctx.degree <= 20))
+    va = data.draw(_vectors(ctx))
+    vb = data.draw(_vectors(ctx, dense=ctx.degree <= 20))
     a, b = Scalar(ctx, va), Scalar(ctx, vb)
     ra, rb = FracScalar(ref, tuple(va)), FracScalar(ref, tuple(vb))
     _agree(a, ra)
@@ -321,7 +338,7 @@ def test_scalar_decoding_errors_match_fraction_reference(data):
     p, order = data.draw(st.sampled_from(_FIELDS))
     ctx, ref = ctx_for(p, order), _REF[p, order]
     terms = _ref_text(FracScalar(ref, tuple(data.draw(
-        _vectors(ctx.degree))))).split(" ")
+        _vectors(ctx))))).split(" ")
     at = data.draw(st.integers(0, len(terms) - 1))
     e, _, c = terms[at].partition(":")
     change = data.draw(st.sampled_from(["coefficient", "exponent", "drop",
@@ -345,3 +362,138 @@ def test_scalar_decoding_errors_match_fraction_reference(data):
         except FormatError:
             return FormatError
     assert outcome() == _reference_decode(ref, text)
+
+
+# -- kept terms ---------------------------------------------------------------
+
+def _same(new, old):
+    """new is old's value in the very same lowest-terms form."""
+    assert (new.num, new.den) == (old.num, old.den)
+
+
+def _nonzero_scalar(ctx, data, dense=True):
+    """A nonzero scalar of ctx drawn by _vectors, or zeta_N when the draw
+    is zero."""
+    a = Scalar(ctx, data.draw(_vectors(ctx, dense)))
+    return a if a._nonzero else ctx.root(1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_products_and_conjugates_over_kept_terms_match_the_oracles(data):
+    """a * b, b * a and conj, which walk kept terms, equal the bodies that
+    scanned every coefficient (conftest) and the Fraction reference, for
+    p up to 7 at orders p, p^2 and 4p^2: dense, sparse, one- and two-term
+    values, roots, rationals and zero, over mixed denominators."""
+    p, order = data.draw(st.sampled_from(_TERM_FIELDS))
+    ctx, ref = ctx_for(p, order), _REF[p, order]
+    # dense times dense at degree 84 is slow in Fractions
+    va = data.draw(_vectors(ctx))
+    vb = data.draw(_vectors(ctx, dense=ctx.degree <= 42))
+    a, b = Scalar(ctx, va), Scalar(ctx, vb)
+    ra, rb = FracScalar(ref, tuple(va)), FracScalar(ref, tuple(vb))
+    for x, y, rx, ry in ((a, b, ra, rb), (b, a, rb, ra), (a, a, ra, ra)):
+        got = x * y
+        _same(got, mul_by_coefficients(x, y))
+        _agree(got, rx * ry)
+    _same(a.conj(), conj_by_coefficients(a))
+    _agree(a.conj(), ra.conj())
+    r = ctx.root(data.draw(st.integers(0, ctx.order - 1)))
+    _same(r * a, mul_by_coefficients(r, a))
+    _agree(r * a, FracScalar(ref, r.coeffs) * ra)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_sum_rows_over_kept_terms_matches_the_oracles(data):
+    """sum_rows equals the kernel that scanned every coefficient and the
+    Fraction reference's sum of products, column by column: on weights
+    and values of every _vectors shape and on roots, with mixed
+    denominators, and on a last weight that cancels a whole row's
+    columns, which sum_rows must drop."""
+    p, order = data.draw(st.sampled_from(_TERM_FIELDS))
+    ctx, ref = ctx_for(p, order), _REF[p, order]
+    dense = ctx.degree <= 20
+    weights, rows = [], []
+    for _ in range(data.draw(st.integers(1, 4))):
+        weights.append(_nonzero_scalar(ctx, data, dense))
+        cols = tuple(sorted(data.draw(st.sets(st.integers(0, 4),
+                                              min_size=1, max_size=3))))
+        rows.append((cols, tuple(_nonzero_scalar(ctx, data, dense)
+                                 for _ in cols)))
+    cancel = data.draw(st.booleans())
+    if cancel:
+        weights.append(-weights[0])
+        rows.append(rows[0])
+    got = sum_rows(ctx, weights, rows)
+    want = sum_rows_by_coefficients(ctx, weights, rows)
+    assert got[0] == want[0]
+    for x, y in zip(got[1], want[1]):
+        _same(x, y)
+    total = {}
+    for a, (cols, vals) in zip(weights, rows):
+        for j, b in zip(cols, vals):
+            term = FracScalar(ref, a.coeffs) * FracScalar(ref, b.coeffs)
+            total[j] = total[j] + term if j in total else term
+    keep = sorted(j for j, x in total.items() if not x.is_zero())
+    assert list(got[0]) == keep
+    for j, x in zip(got[0], got[1]):
+        _agree(x, total[j])
+    if cancel and len(weights) == 2:
+        assert got == ((), ())
+
+
+def _kept_terms_sources(ctx, data):
+    """(name, scalar) for every way a Scalar is made."""
+    dense = ctx.degree <= 20
+    a, b = (_nonzero_scalar(ctx, data, dense) for _ in range(2))
+    k = data.draw(st.integers(0, ctx.order - 1))
+    return [("_scalar", _scalar(ctx, a.num, a.den)), ("Scalar", a),
+            ("zero", Scalar(ctx, [0] * ctx.degree)),
+            ("ctx.scalar", ctx.scalar(data.draw(st.builds(
+                RAT, st.integers(-6, 6), st.integers(1, 6))))),
+            ("ctx.root", ctx.root(k)), ("neg", -a), ("conj", a.conj()),
+            ("inv", a.inv()), ("product", a * b),
+            ("root product", ctx.root(k) * b),
+            ("sum_rows", sum_rows(ctx, [ctx.root(k), a], [
+                ((0,), (ctx.root(1),)), ((0, 1), (b, b))])[1][-1]),
+            ("format-2 loader", _decoded(ctx, _scalar_text(a)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kept_terms_are_the_nonzero_coefficients(data):
+    """However a Scalar is made, its kept terms are the nonzero (j, c) of
+    num, j ascending, built on the first read and kept; a fresh Scalar
+    has none kept, and reading them changes neither ==, hash nor the
+    format-2 text."""
+    p, order = data.draw(st.sampled_from(_FIELDS))
+    ctx = ctx_for(p, order)
+    fresh = [Scalar(ctx, data.draw(_vectors(ctx))), ctx.root(1),
+             ctx.scalar(2)]
+    assert all(s._terms is None for s in fresh)
+    for name, s in _kept_terms_sources(ctx, data):
+        twin = _scalar(ctx, s.num, s.den)
+        h, text = hash(s), _scalar_text(s)
+        assert s == twin and twin._terms is None, name
+        t = s.terms
+        assert t == tuple((j, c) for j, c in enumerate(s.num) if c), name
+        assert s.terms is t and s._terms is t, name
+        assert s == twin and twin == s and twin._terms is None, name
+        assert hash(s) == h == hash(twin), name
+        assert _scalar_text(s) == text == _scalar_text(twin), name
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda ctx: ctx.scalar(0.1), id="float"),
+    pytest.param(lambda ctx: Mat.from_rows(ctx, [[0.5]]), id="from_rows"),
+    pytest.param(lambda ctx: ctx.scalar("1/3"), id="string"),
+    pytest.param(lambda ctx: ctx.scalar(float("nan")), id="nan"),
+    pytest.param(lambda ctx: Scalar(ctx, [RAT(1, 2), 0.5]), id="Scalar"),
+])
+def test_field_elements_are_ints_fractions_or_scalars(make):
+    """A float, a string or a NaN is no exact field element: TypeError,
+    not a silently rounded 0.1 = 3602879701896397/2^55, a parsed string
+    or a bare ValueError."""
+    with pytest.raises(TypeError, match="an int, a Fraction or a Scalar"):
+        make(ctx_for(3, 3))

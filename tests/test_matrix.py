@@ -24,8 +24,8 @@ from conftest import (ORACLE_FIELDS, Inconsistent, checked_conjugator,
                       fixed_point_unitary, grid_mat, mat_kron, mat_neg,
                       mat_power, match_diagonals, matmul_by_terms, mixed_form,
                       oracle_matrix, oracle_scalar, rand_tuple, solve,
-                      sparse_rows_defect, unitary_conjugator_search,
-                      zero_grid)
+                      sparse_rows_defect, sum_rows_by_coefficients,
+                      unitary_conjugator_search, zero_grid)
 
 
 def test_dagger_of_imaginary_diagonal():
@@ -356,23 +356,25 @@ def _mixed_den_matrix(ctx, rnd, rows, cols):
 @given(st.sampled_from(_KERNEL_FIELDS), st.integers(1, 5), st.integers(1, 5),
        st.integers(1, 5), st.sampled_from(["mixed", "monomial", "sparse",
                                            "dense"]),
-       _KINDS, st.randoms())
+       _KINDS, st.booleans(), st.randoms())
 def test_product_rows_sum_as_the_per_term_oracle(field, r, k, c, ka, kb,
-                                                 rnd):
+                                                 few_terms, rnd):
     """a * b stores the very nz and vals tuples of the per-term product
-    (one reduced Scalar per term and partial sum) and equals the dense
-    kernel's, at orders up to 49 (degree 42), on rows whose denominators
+    (one reduced Scalar per term and partial sum), sums each row with
+    several nonzeros as the kernel over all coefficients does, and
+    equals the dense kernel's, at orders up to 49 (degree 42), on rows whose denominators
     1, 2, 3, 4, 6 grow the running denominator mid-sum, and on rows whose
     terms cancel: row r is w z b_0 - w b_k = 0, with b_k = z b_0, and
     row r + 1 adds v b_1 to it. A shape mismatch raises the oracle's
-    ShapeMismatch message."""
+    ShapeMismatch message. With few_terms, entries are also rationals
+    and single powers z^j."""
     ctx = ctx_for(*field)
     a = _mixed_den_matrix(ctx, rnd, r, k) if ka == "mixed" \
-        else oracle_matrix(ctx, rnd, r, k, ka)
-    b = oracle_matrix(ctx, rnd, k, c, kb)
+        else oracle_matrix(ctx, rnd, r, k, ka, few_terms)
+    b = oracle_matrix(ctx, rnd, k, c, kb, few_terms)
     if rnd.random() < 0.5:
         b = _mixed_den_matrix(ctx, rnd, k, c)
-    w, v, z = (oracle_scalar(ctx, rnd) for _ in range(3))
+    w, v, z = (oracle_scalar(ctx, rnd, few_terms) for _ in range(3))
     b = Mat(ctx, k + 1, c, b.nz + b.nz[:1],
             b.vals + (tuple([z * x for x in b.vals[0]]),))
     cancel = {0: w * z, k: -w}
@@ -381,6 +383,10 @@ def test_product_rows_sum_as_the_per_term_oracle(field, r, k, c, ka, kb,
                        + [cancel, {**cancel, (1 if k > 1 else 0): v}])
     got, want = _checked(a * b), matmul_by_terms(a, b)
     assert got.nz == want.nz and got.vals == want.vals
+    for i, (acols, avals) in enumerate(zip(a.nz, a.vals)):
+        if len(acols) > 1:
+            assert (got.nz[i], got.vals[i]) == sum_rows_by_coefficients(
+                ctx, avals, [(b.nz[k], b.vals[k]) for k in acols])
     assert got == dense_mul(a, b)
     assert got.nz[r] == ()
     if k > 1:
