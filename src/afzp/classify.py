@@ -242,9 +242,13 @@ def equiv_unitary(h1, h2):
     lie in its slot pattern. A fixed source piece needs A1_b Z = Z A2_b
     (matrix.unitary_conjugator, one eigenspace at a time); a cycle
     source piece telescopes G_0 = I, G_j = A1_j G_{j-1} A2_j^dagger.
-    Everything is re-verified exactly before returning; W_t commutes
-    with V_t = diag(zeta_p^e) iff every nonzero of W_t joins two
-    positions of equal exponent, which is checked without products.
+    Everything is re-verified exactly before returning. W_t is unitary:
+    K's verdict is computed on the sparse K, so when X1_t and X2_t are
+    known unitary (a validated hom's conjugators are) W_t inherits it as
+    a product of unitaries, and otherwise W_t.is_unitary() forms
+    W_t^dagger W_t. W_t commutes with V_t = diag(zeta_p^e) iff every
+    nonzero of W_t joins two positions of equal exponent, which is
+    checked without products.
 
     Returns (W, witness): W per target block; witness.entries hold, per
     target piece, the L, N and Z of each fixed source piece ("FF"), the
@@ -309,8 +313,11 @@ def equiv_unitary(h1, h2):
                     _place(K, Gj[j], s1[b0 + j], s2[b0 + j], sp.n)
                 witness.entries.append(
                     WitnessEntry(ti, si, "CF", L=L1, N=L2, Z=Gj))
-        w = (h1.arrangements[t].conj * Mat.from_dicts(ctx, tp.n, K)
-             * h2.arrangements[t].conj.dagger())
+        # deciding the sparse K here lets w inherit its verdict from
+        # X1, K and X2^dagger, when X1 and X2 are known unitary
+        K = Mat.from_dicts(ctx, tp.n, K)
+        K.is_unitary()
+        w = h1.arrangements[t].conj * K * h2.arrangements[t].conj.dagger()
         for r in range(tp.block_count(p)):
             W[t + r] = w
         if tp.kind == "cycle":

@@ -70,7 +70,8 @@ class FieldContext:
     """
 
     __slots__ = ("p", "order", "degree", "_low", "_half", "_fold", "_conj",
-                 "_zeros", "zero", "one", "p_roots", "_gauss")
+                 "_zeros", "zero", "one", "p_roots", "p_root_exponents",
+                 "_gauss")
 
     def __init__(self, p, order=None):
         if not _is_prime(p):
@@ -97,8 +98,9 @@ class FieldContext:
         self._zeros = (0,) * d
         self.zero = _scalar(self, self._zeros, 1)
         self.one = self.root(0)
-        # p_roots[k] = zeta_p^k
+        # p_roots[k] = zeta_p^k, and p_root_exponents[zeta_p^k] = k
         self.p_roots = tuple(self.root(order // p * k) for k in range(p))
+        self.p_root_exponents = {r: k for k, r in enumerate(self.p_roots)}
         self._gauss = None
 
     def __eq__(self, other):

@@ -8,8 +8,13 @@ the nonzeros, not in rows x cols. A product row with several nonzeros
 is summed by cyclo.sum_rows on integer numerators, one fold and one gcd
 per entry; a row with one nonzero scales the row it selects. from_rows
 is the one dense entry point; entries is a dense view, built on each
-read, for display and tests. A Mat never changes, so its adjoint and
-its unitarity are computed once per object, on first use, and kept.
+read, for display and tests. A Mat never changes, so its adjoint is
+built once per object, on first use, and kept. So is its unitarity
+verdict, which comes from one of three places: it is known by
+construction (identity, a permutation matrix), inherited exactly (a
+product of two unitaries, the adjoint of a unitary, a block sum of
+unitaries that fills its size), or computed once, as X^dagger X == I.
+A loaded or hand-built matrix starts with no verdict.
 
 The only eigen-analysis offered is character averaging of finite-order
 unitaries, which stays inside the field, and what is built on it:
@@ -37,18 +42,19 @@ class Mat:
     nz[i] is the tuple of ascending columns where row i is nonzero and
     vals[i] the tuple of its entries there. The constructor stores both
     as given, tuples of tuples with no zero value; the constructors,
-    kernels and builders make them so."""
+    kernels and builders make them so. unitary is the unitarity verdict
+    when it is known at construction, else None."""
 
     __slots__ = ("ctx", "rows", "cols", "nz", "vals", "_dagger", "_unitary")
 
-    def __init__(self, ctx, rows, cols, nz, vals):
+    def __init__(self, ctx, rows, cols, nz, vals, unitary=None):
         self.ctx = ctx
         self.rows = rows
         self.cols = cols
         self.nz = nz
         self.vals = vals
         self._dagger = None
-        self._unitary = None
+        self._unitary = unitary
 
     @property
     def entries(self):
@@ -80,7 +86,7 @@ class Mat:
     @staticmethod
     def identity(ctx, n):
         return Mat(ctx, n, n, tuple([(i,) for i in range(n)]),
-                   ((ctx.one,),) * n)
+                   ((ctx.one,),) * n, True)
 
     @staticmethod
     def diag(ctx, values):
@@ -110,11 +116,14 @@ class Mat:
 
     @staticmethod
     def permutation(ctx, images):
-        """Permutation matrix Q with Q e_j = e_images[j]."""
+        """Permutation matrix Q with Q e_j = e_images[j], unitary when
+        every row is hit; repeated images leave the verdict open."""
         rows = [{} for _ in images]
         for j, i in enumerate(images):
             rows[i][j] = ctx.one
-        return Mat.from_dicts(ctx, len(images), rows)
+        q = Mat.from_dicts(ctx, len(images), rows)
+        q._unitary = True if all(rows) else None
+        return q
 
     # -- arithmetic ------------------------------------------------------
 
@@ -148,7 +157,8 @@ class Mat:
         shortcuts; when a_ik is one it is row k itself. A row with
         several is cyclo.sum_rows of the rows k it selects: each column
         summed on integer numerators, folded and reduced once, and
-        dropped if it cancelled."""
+        dropped if it cancelled. The product of two matrices known
+        unitary is unitary."""
         if self.cols != other.rows:
             raise ShapeMismatch("%dx%d times %dx%d"
                                 % (self.rows, self.cols,
@@ -168,7 +178,8 @@ class Mat:
                                  [(bnz[k], bvals[k]) for k in acols])
             nz.append(cols)
             vals.append(row)
-        return Mat(ctx, self.rows, other.cols, tuple(nz), tuple(vals))
+        return Mat(ctx, self.rows, other.cols, tuple(nz), tuple(vals),
+                   True if self._unitary and other._unitary else None)
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
@@ -189,7 +200,8 @@ class Mat:
 
     def dagger(self):
         """Conjugate transpose: row i's entries move to their columns.
-        Kept after the first call; it holds no link back to self."""
+        Kept after the first call, with self's unitarity verdict (X is
+        unitary iff X^dagger is); it holds no link back to self."""
         if self._dagger is None:
             nz = [[] for _ in range(self.cols)]
             vals = [[] for _ in range(self.cols)]
@@ -198,7 +210,8 @@ class Mat:
                     nz[j].append(i)
                     vals[j].append(v.conj())
             self._dagger = Mat(self.ctx, self.cols, self.rows,
-                               tuple(map(tuple, nz)), tuple(map(tuple, vals)))
+                               tuple(map(tuple, nz)), tuple(map(tuple, vals)),
+                               self._unitary)
         return self._dagger
 
     def trace(self):
@@ -208,11 +221,15 @@ class Mat:
                    self.ctx.zero)
 
     def is_unitary(self):
-        """Square with X^dagger X the identity: one product, on the
-        first call, whose verdict is kept."""
+        """Square with X^dagger X the identity. A verdict that self or
+        its kept adjoint already holds is returned; else one product
+        decides it, kept on both."""
         if self._unitary is None:
-            self._unitary = self.rows == self.cols and (
-                self.dagger() * self == Mat.identity(self.ctx, self.rows))
+            d = self.dagger()
+            if d._unitary is None:
+                d._unitary = self.rows == self.cols and (
+                    d * self == Mat.identity(self.ctx, self.rows))
+            self._unitary = d._unitary
         return self._unitary
 
     def is_diagonal(self):
@@ -231,7 +248,8 @@ class Mat:
 
 def blockdiag(ctx, mats, total=None):
     """Direct sum of square blocks, zero-padded at the end to `total`.
-    Each block's rows keep their values, on shifted columns."""
+    Each block's rows keep their values, on shifted columns. Unitary
+    when every block is known unitary and they fill `total`."""
     if total is None:
         total = sum(m.rows for m in mats)
     nz, vals = [], []
@@ -245,7 +263,9 @@ def blockdiag(ctx, mats, total=None):
         off += m.rows
     nz.extend([()] * (total - off))
     vals.extend([()] * (total - off))
-    return Mat(ctx, total, total, tuple(nz), tuple(vals))
+    return Mat(ctx, total, total, tuple(nz), tuple(vals),
+               True if off == total and all(m._unitary for m in mats)
+               else None)
 
 
 def spectral(V, p):
@@ -282,9 +302,9 @@ def spectral(V, p):
 
 def diag_root_exponents(D, p):
     """Exponents e_i with D = diag(zeta_p^{e_i}), or None if some entry
-    is not a p-th root of unity."""
-    ctx = D.ctx
-    roots = {ctx.zeta_p(k): k for k in range(p)}
+    is not a p-th root of unity; p is the field's, whose root -> exponent
+    map is read."""
+    roots = D.ctx.p_root_exponents
     out = []
     for i in range(D.rows):
         e = roots.get(D.entry(i, i))

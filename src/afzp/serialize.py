@@ -94,12 +94,13 @@ def _scalar_text(s):
     c of z^e, in lowest terms ("a" or "a/b"), by increasing e and joined
     by single spaces; "" for zero."""
     den = s.den
+    if den == 1:
+        return " ".join(["%d:%d" % t for t in s.terms])
     terms = []
-    for e, x in enumerate(s.num):
-        if x:
-            g = math.gcd(x, den)
-            terms.append("%d:%d" % (e, x // g) if g == den
-                         else "%d:%d/%d" % (e, x // g, den // g))
+    for e, x in s.terms:
+        g = math.gcd(x, den)
+        terms.append("%d:%d" % (e, x // g) if g == den
+                     else "%d:%d/%d" % (e, x // g, den // g))
     return " ".join(terms)
 
 

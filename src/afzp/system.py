@@ -446,22 +446,6 @@ class EqHom:
     arrangements: list
     unital: bool = True
 
-    def apply(self, a):
-        """psi(a) for a tuple over the source canonical blocks."""
-        out = []
-        for arr, n_t in zip(self.arrangements, self.target.block_sizes):
-            ctx = self.source.ctx
-            blocks = []
-            for slot in arr.slots:
-                if slot.src is None:
-                    blocks.append(Mat.zero(ctx, slot.size, slot.size))
-                else:
-                    blocks.append(a[slot.src])
-            content = blockdiag(ctx, blocks, total=n_t)
-            x = arr.conj
-            out.append(x * content * x.dagger())
-        return out
-
 
 def identity_hom(c):
     arrs = []

@@ -123,6 +123,20 @@ def fixed_point_unitary(tgt, rng):
     return out
 
 
+def diag_root_exponents_by_hashing(D, p):
+    """Oracle for matrix.diag_root_exponents: the map zeta_p^k -> k built
+    afresh on each call."""
+    ctx = D.ctx
+    roots = {ctx.zeta_p(k): k for k in range(p)}
+    out = []
+    for i in range(D.rows):
+        e = roots.get(D.entry(i, i))
+        if e is None:
+            return None
+        out.append(e)
+    return out
+
+
 def _random_form(rng, ctx, max_n):
     """Canonical form of 1-3 pieces, each fixed (random exponents) or a
     cycle, of size at most max_n."""
@@ -195,6 +209,19 @@ def unit_tuple(ctx, block_sizes, s, i, j):
     return a
 
 
+def apply_hom(h, a):
+    """psi(a) for a tuple a over h's source canonical blocks: per target
+    block, X blockdiag(slot contents, zero on gaps) X^dagger."""
+    ctx = h.source.ctx
+    out = []
+    for arr, n_t in zip(h.arrangements, h.target.block_sizes):
+        blocks = [Mat.zero(ctx, slot.size, slot.size) if slot.src is None
+                  else a[slot.src] for slot in arr.slots]
+        x = arr.conj
+        out.append(x * blockdiag(ctx, blocks, total=n_t) * x.dagger())
+    return out
+
+
 def _star_generators(block_sizes):
     """(s, i, i+1) per block s, (s, 0, 0) per 1x1 block. *-homs equal on
     these are equal: E_ij = E_{i,i+1}...E_{j-1,j} (i < j), E_ji = E_ij^*,
@@ -222,7 +249,8 @@ def generators_equivariant(h):
     src, tgt = h.source, h.target
     for s, i, j in _star_generators(src.block_sizes):
         a = unit_tuple(src.ctx, src.block_sizes, s, i, j)
-        if h.apply(src.apply_action(a)) != tgt.apply_action(h.apply(a)):
+        if apply_hom(h, src.apply_action(a)) != \
+                tgt.apply_action(apply_hom(h, a)):
             return False
     return True
 
@@ -236,7 +264,7 @@ def generators_equal(h1, h2):
                     for h in (h1, h2) for arr in h.arrangements)):
         return False
     src = h1.source
-    return all(h1.apply(a) == h2.apply(a)
+    return all(apply_hom(h1, a) == apply_hom(h2, a)
                for a in (unit_tuple(src.ctx, src.block_sizes, s, i, j)
                          for s, i, j in _star_generators(src.block_sizes)))
 
@@ -269,7 +297,8 @@ def all_units_equivariant(h):
     beta(psi(E)) on every matrix unit E of the source, not only on the
     *-generators."""
     src, tgt = h.source, h.target
-    return all(h.apply(src.apply_action(a)) == tgt.apply_action(h.apply(a))
+    return all(apply_hom(h, src.apply_action(a))
+               == tgt.apply_action(apply_hom(h, a))
                for a in _all_units(src))
 
 
@@ -277,7 +306,8 @@ def all_units_equal(h1, h2):
     """Oracle for equal_as_maps: equal images of every matrix unit."""
     return (h1.source.same_shape(h2.source)
             and h1.target.same_shape(h2.target)
-            and all(h1.apply(a) == h2.apply(a) for a in _all_units(h1.source)))
+            and all(apply_hom(h1, a) == apply_hom(h2, a)
+                    for a in _all_units(h1.source)))
 
 
 def _multiplicity(x, what):
@@ -443,7 +473,7 @@ class ExtendedHom:
         """Identified-A coordinates in, identified-B coordinates out."""
         ce = self.cpA.unidentify(mats)
         return self.cpB.identify(CrossedElement(
-            [list(self.hom.apply(a)) for a in ce.coeffs]))
+            [list(apply_hom(self.hom, a)) for a in ce.coeffs]))
 
 
 def extend_hom(h, cpA, cpB):
@@ -464,7 +494,7 @@ def roundtrip_induced(h):
     to the crossed products, applied to a minimal projection of every
     crossed block through unidentify, h coefficient-wise and identify."""
     src, tgt = h.source, h.target
-    images = [h.apply(unit_tuple(src.ctx, src.block_sizes, s, 0, 0))
+    images = [apply_hom(h, unit_tuple(src.ctx, src.block_sizes, s, 0, 0))
               for s in range(src.m)]
     F = [[_multiplicity(images[s][t], "trace of block %d -> %d" % (s, t))
           for s in range(src.m)] for t in range(tgt.m)]
@@ -1105,6 +1135,19 @@ def scalar_json(s):
         coeffs.append(str(x // g) if g == den
                       else "%d/%d" % (x // g, den // g))
     return {"order": s.ctx.order, "coeffs": coeffs}
+
+
+def scalar_text_by_coefficients(s):
+    """Oracle for serialize._scalar_text: the format-2 text of s from all
+    d numerators, one gcd per nonzero term."""
+    den = s.den
+    terms = []
+    for e, x in enumerate(s.num):
+        if x:
+            g = math.gcd(x, den)
+            terms.append("%d:%d" % (e, x // g) if g == den
+                         else "%d:%d/%d" % (e, x // g, den // g))
+    return " ".join(terms)
 
 
 def mat_json(m):

@@ -24,7 +24,7 @@ from afzp.serialize import dumps, loads, save_json
 from afzp.system import (Arrangement, EqHom, Slot, equal_as_maps,
                          hom_compose, hom_validate, identity_hom)
 
-from conftest import (CaseShapeViolation, checked_case_params,
+from conftest import (CaseShapeViolation, apply_hom, checked_case_params,
                       checked_conjugator, corner_equiv_unitary,
                       corrupt_entry, ctx_for,
                       cycle_form, fixed_form, fixed_point_unitary,
@@ -353,8 +353,8 @@ def intertwiner_space_membership(h1, h2, W):
             for i in range(k):
                 for j in range(k):
                     a = unit_tuple(ctx, src.block_sizes, s, i, j)
-                    p1 = h1.apply(a)[toff]
-                    p2 = h2.apply(a)[toff]
+                    p1 = apply_hom(h1, a)[toff]
+                    p2 = apply_hom(h2, a)[toff]
                     sysm = mat_sub(mat_kron(ident, _transpose(p2)),
                                    mat_kron(p1, Mat.identity(ctx, n)))
                     rows.extend(sysm.entries)
@@ -848,6 +848,40 @@ def _swapped_bundles():
                [Arrangement(list(h1.arrangements[0].slots),
                             h1.arrangements[0].conj * twist)], unital=True)
     return h1, h2, None
+
+
+@settings(max_examples=40, deadline=None)
+@example(_shifted_copies())
+@example(_swapped_bundles())
+@given(_equivalent_homs())
+def test_replaying_a_correction_forms_no_gram_product(homs):
+    """On validated homs, equiv_unitary(h1, h2) forms no W_t^dagger W_t
+    (it decides the sparse K instead, and W_t = X1 K X2^dagger inherits),
+    and the replay check equal_as_maps(Ad W o h2, h1) forms no X^dagger X
+    at all: each W_t X2 is a product of matrices known unitary. A W
+    rebuilt from its rows starts with no verdict, so the same check
+    forms one per target block."""
+    h1, h2, _ = homs
+    assert hom_validate(h1).ok and hom_validate(h2).ok
+    seen = []
+    matmul = Mat._matmul
+
+    def recording(a, b):
+        seen.append((a, b))
+        return matmul(a, b)
+
+    with mock.patch.object(Mat, "_matmul", recording):
+        try:
+            W, _ = equiv_unitary(h1, h2)
+        except UnitaryNotFoundInField:
+            return
+        assert not any(a is b.dagger() for a, b in seen
+                       if any(b is w for w in W))
+        rebuilt = [Mat(w.ctx, w.rows, w.cols, w.nz, w.vals) for w in W]
+        for ws, grams in ((W, 0), (rebuilt, h1.target.m)):
+            del seen[:]
+            assert equal_as_maps(conjugate_hom(ws, h2), h1)
+            assert sum(a is b.dagger() for a, b in seen) == grams
 
 
 @settings(max_examples=60, deadline=None)

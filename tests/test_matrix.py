@@ -12,16 +12,17 @@ from afzp.crossed import CrossedElement, crossed_product
 from afzp.errors import (MultisetMismatch, NotOrderP, ShapeMismatch,
                          TwistRootOutsideField, UnitaryNotFoundInField)
 from afzp.kinv import invariant_of
-from afzp.matrix import (Mat, _root_of_norm, blockdiag, spectral,
-                         unitary_conjugator)
+from afzp.matrix import (Mat, _root_of_norm, blockdiag, diag_root_exponents,
+                         spectral, unitary_conjugator)
 from afzp.serialize import dumps, loads
 from afzp.system import FdSystem, decompose, root_sum
 
 from conftest import (ORACLE_FIELDS, Inconsistent, checked_conjugator,
                       corrupt_entry, ctx_for, dense_blockdiag, dense_dagger,
                       dense_is_diagonal, dense_is_scalar, dense_is_unitary,
-                      dense_is_zero, dense_mul, direct_sum,
-                      fixed_point_unitary, grid_mat, mat_kron, mat_neg,
+                      dense_is_zero, dense_mul, diag_root_exponents_by_hashing,
+                      direct_sum, fixed_point_unitary, gram_products,
+                      grid_mat, mat_kron, mat_neg,
                       mat_power, match_diagonals, matmul_by_terms, mixed_form,
                       oracle_matrix, oracle_scalar, rand_tuple, solve,
                       sparse_rows_defect, sum_rows_by_coefficients,
@@ -498,6 +499,111 @@ def test_kept_adjoint_and_unitarity_match_fresh_and_dense_oracles(
         assert verdict == dense_is_unitary(m)
         assert verdict or corrupt
         assert not any(r is m for r in gc.get_referents(adjoint))
+
+
+def _verdict_leaf(ctx, rnd, k):
+    """A fresh k x k matrix: unitary, monomial, dense, a unitary with one
+    entry corrupted, the identity, or a permutation matrix with valid
+    or with repeated images."""
+    kind = rnd.choice(["unitary", "unitary", "monomial", "dense",
+                       "corrupt", "identity", "permutation", "repeated"])
+    if kind == "corrupt":
+        return corrupt_entry(oracle_matrix(ctx, rnd, k, k, "unitary"), rnd)
+    if kind == "identity":
+        return Mat.identity(ctx, k)
+    if kind in ("permutation", "repeated"):
+        images = list(range(k))
+        rnd.shuffle(images)
+        if kind == "repeated" and k >= 2:
+            i, j = rnd.sample(range(k), 2)
+            images[i] = images[j]
+        return Mat.permutation(ctx, images)
+    return oracle_matrix(ctx, rnd, k, k, kind)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(ORACLE_FIELDS), st.randoms())
+def test_inherited_unitarity_matches_the_dense_oracle(field, rnd):
+    """Random products, adjoints (taken before and after their matrix's
+    verdict), block sums that fill their size or are zero-padded, and
+    the leaves above, with verdicts asked for at random points: every
+    is_unitary(), known by construction, inherited or computed, equals
+    the dense X^dagger X == I and the verdict of a fresh copy."""
+    ctx = ctx_for(*field)
+    pool = [_verdict_leaf(ctx, rnd, rnd.randint(0, 3)) for _ in range(4)]
+    for _ in range(14):
+        op = rnd.choice(["leaf", "product", "product", "adjoint",
+                         "blocks", "decide"])
+        x = rnd.choice(pool)
+        if op == "leaf":
+            pool.append(_verdict_leaf(ctx, rnd, rnd.randint(0, 3)))
+        elif op == "product":
+            pool.append(x * rnd.choice([y for y in pool if y.rows == x.cols]))
+        elif op == "adjoint":
+            if rnd.random() < 0.5:
+                x.is_unitary()
+            pool.append(x.dagger())
+        elif op == "blocks":
+            blocks = [m for m in rnd.sample(pool, rnd.randint(1, 3))
+                      if m.rows <= 3]
+            size = sum(m.rows for m in blocks)
+            pool.append(blockdiag(ctx, blocks, size + rnd.randint(0, 1)))
+        else:
+            x.is_unitary()
+    for x in pool:
+        assert x.is_unitary() == dense_is_unitary(x) == _fresh(x).is_unitary()
+        assert x.dagger().is_unitary() == dense_is_unitary(x)
+    wide = oracle_matrix(ctx, rnd, 2, 3, "monomial")
+    for first in (wide, wide.dagger()):
+        assert not first.is_unitary()
+        assert not wide.is_unitary() and not wide.dagger().is_unitary()
+
+
+def test_unitarity_known_or_inherited_forms_no_product(monkeypatch):
+    """is_unitary() forms no product on I, on a permutation matrix, and
+    on products, adjoints and full block sums of matrices already known
+    unitary; it forms X^dagger X once on a zero-padded block sum, on a
+    permutation with a repeated image, and on a rebuilt copy of a known
+    unitary, which starts with no verdict."""
+    ctx = ctx_for(3)
+    u = Mat.diag(ctx, [ctx.zeta_p(1), 1]) * Mat.from_rows(
+        ctx, [[RAT(3, 5), RAT(-4, 5)], [RAT(4, 5), RAT(3, 5)]])
+    assert u.is_unitary()
+    perm = Mat.permutation(ctx, [2, 0, 1])
+    known = [Mat.identity(ctx, 3), perm, u * u, u.dagger(),
+             (u * u).dagger() * u,
+             blockdiag(ctx, [u, Mat.identity(ctx, 1)]) * perm,
+             blockdiag(ctx, [], 0)]
+    open_ = [blockdiag(ctx, [u], 3), Mat.permutation(ctx, [0, 0, 1]),
+             Mat(ctx, 2, 2, u.nz, u.vals)]
+    seen, _ = gram_products(monkeypatch)
+    assert all(x.is_unitary() for x in known)
+    assert seen == []
+    assert [x.is_unitary() for x in open_] == [False, False, True]
+    assert len(seen) == len(open_)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_diag_root_exponents_match_the_hashing_oracle(p):
+    """diag_root_exponents reads the field's kept zeta_p^k -> k map and
+    agrees with building that map on each call, on diagonals of p-th
+    roots (the empty one too) and on ones with an entry that is not a
+    p-th root, which give None."""
+    ctx = ctx_for(p)
+    rng = random.Random(p)
+    for n in range(6):
+        exps = [rng.randrange(p) for _ in range(n)]
+        d = Mat.diag(ctx, [ctx.zeta_p(e) for e in exps])
+        assert diag_root_exponents(d, p) == exps \
+            == diag_root_exponents_by_hashing(d, p)
+        if n:
+            vals = [ctx.zeta_p(e) for e in exps]
+            vals[rng.randrange(n)] = rng.choice([ctx.scalar(2), ctx.zero,
+                                                 ctx.root(1),
+                                                 ctx.zeta_p(1) * RAT(1, 2)])
+            bad = Mat.diag(ctx, vals)
+            assert diag_root_exponents(bad, p) is None \
+                is diag_root_exponents_by_hashing(bad, p)
 
 
 @settings(max_examples=100, deadline=None)

@@ -24,7 +24,7 @@ from afzp._rat import RAT
 from afzp.classify import (IntertwiningCertificate, Tower, TriangleRecord,
                            intertwine, ksearch, lift, verify_certificate)
 from afzp.crossed import crossed_product
-from afzp.cyclo import FieldContext
+from afzp.cyclo import FieldContext, Scalar
 from afzp.demos import identity_pairs, product_tower
 from afzp.errors import FormatError
 from afzp.kinv import KPair, invariant_of
@@ -34,7 +34,7 @@ from afzp.system import (Arrangement, EqHom, Slot, decompose, identity_hom)
 
 from conftest import (ProductCrossed, ctx_for, cycle_form, dump_format1,
                       dumps_format1, fixed_form, grid_mat, mixed_form,
-                      piece_specs)
+                      piece_specs, scalar_text_by_coefficients)
 
 KINDS = ["system", "canonical", "canonical-iso", "hom", "hom-null-src",
          "crossed", "kinvariant", "kpair", "tower", "certificate",
@@ -137,6 +137,36 @@ def test_dumps_matches_json_dumps_and_reloads(kind, data):
     else:
         # every loaded scalar renders to the text it was read from
         assert dumps(loads(text)) == text
+
+
+@st.composite
+def _text_scalars(draw):
+    """A scalar of a field with p in {2, 3, 5, 7}: zero, a rational
+    (negative ones too), or one with a few or with every coefficient
+    drawn, over denominators 1 and larger."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    ctx = ctx_for(p, draw(st.sampled_from([p, p * p, 4 * p * p])))
+    q = st.fractions(min_value=-9, max_value=9, max_denominator=
+                     draw(st.sampled_from([1, 6])))
+    shape = draw(st.sampled_from(["zero", "rational", "sparse", "dense"]))
+    if shape == "zero":
+        return ctx.zero
+    if shape == "rational":
+        return ctx.scalar(draw(q))
+    coeffs = [0] * ctx.degree
+    for j in (range(ctx.degree) if shape == "dense" else draw(
+            st.lists(st.integers(0, ctx.degree - 1), max_size=3))):
+        coeffs[j] = draw(q)
+    return Scalar(ctx, coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_text_scalars())
+def test_scalar_text_matches_the_coefficient_oracle(s):
+    """_scalar_text, which reads the kept nonzero terms and takes no gcd
+    over denominator 1, writes the text the walk over all d numerators
+    writes."""
+    assert serialize._scalar_text(s) == scalar_text_by_coefficients(s)
 
 
 _FORMAT1_REFUSED = "afzp_format 1 is not supported: only format 2 is read"
