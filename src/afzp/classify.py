@@ -30,7 +30,6 @@ from operator import mul
 from .errors import (CorrectionFailed, KDataMismatch, LiftFailed,
                      PackingInfeasible, PairCheckFailed, ReindexFailed,
                      UnitaryNotFoundInField, AfzpError)
-from .crossed import crossed_offsets
 from .kinv import (KPair, check_pair, compose_pairs, induced_map,
                    invariant_of, ivec_mul)
 from .matrix import Mat, blockdiag, unitary_conjugator
@@ -57,17 +56,15 @@ def _case_params(kp, srcC, tgtC):
     slices circulant, phi dualAct_A = dualAct_B phi makes FF slices
     circulant, and the embedding square ties their sums together."""
     p = srcC.p
-    srcK = crossed_offsets(srcC)
-    tgtK = crossed_offsets(tgtC)
     plans = {}
-    for ti, tp in enumerate(tgtC.pieces):
-        t = tgtC.piece_offsets[ti]
-        for si, sp in enumerate(srcC.pieces):
-            s = srcC.piece_offsets[si]
+    for ti, (tp, t, b) in enumerate(zip(tgtC.pieces, tgtC.piece_offsets,
+                                        tgtC.crossed_offsets)):
+        for si, (sp, s, a) in enumerate(zip(srcC.pieces, srcC.piece_offsets,
+                                            srcC.crossed_offsets)):
             tag = ("F" if sp.kind == "fixed" else "C") + \
                   ("F" if tp.kind == "fixed" else "C")
             if tag == "FF":
-                data = [kp.phi[tgtK[ti] + d][srcK[si]] for d in range(p)]
+                data = [kp.phi[b + d][a] for d in range(p)]
             elif tag == "CC":
                 data = [kp.F[t + d][s] for d in range(p)]
             else:

@@ -22,19 +22,25 @@ D read off the piece kinds; M and M^-1 are built once per presentation.
 The dual generator scales coefficient j by zeta_p^(-j); in identified
 coordinates it cyclically rotates the blocks of a fixed piece (block r
 receives block r+1) and acts on a cycle piece's single block by
-conjugation with diag(1, zeta_p, ..., zeta_p^(p-1)) x I_n.
+conjugation with diag(1, zeta_p, ..., zeta_p^(p-1)) x I_n (dual_system).
+
+The commands and the invariant read only the integer fields
+(block_sizes, dual_sigma, special, iota_matrix), identify_matrix and
+dual_system; which crossed blocks each piece owns is the source form's
+crossed_offsets. The element-level algebra that remains (CrossedElement,
+zero_element, mul, adjoint, identify, unidentify) stays only for the
+crossed-dense benchmark workload and the property tests, until that
+workload measures command-level operations (ROADMAP item 5a).
 """
 
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import NonIntegralMultiplicity, ShapeMismatch
+from .errors import ShapeMismatch
 from .matrix import Mat
 from .system import FdSystem, zero_tuple
-from ._rat import is_integer
 
-__all__ = ["CrossedElement", "CrossedPresentation", "crossed_product",
-           "crossed_offsets"]
+__all__ = ["CrossedElement", "CrossedPresentation", "crossed_product"]
 
 
 @dataclass
@@ -44,30 +50,19 @@ class CrossedElement:
     coeffs: list
 
 
-def crossed_offsets(c):
-    """Crossed blocks of each piece of c: piece i owns blocks
-    offs[i] <= b < offs[i + 1] (p per fixed piece, one per cycle piece),
-    and offs[-1] is the crossed block count."""
-    offs = [0]
-    for piece in c.pieces:
-        offs.append(offs[-1] + (c.p if piece.kind == "fixed" else 1))
-    return offs
-
-
 class CrossedPresentation:
     def __init__(self, source):
         self.source = source
         self.ctx = source.ctx
         self.p = source.p
         self.block_sizes = []
-        self.piece_first_block = crossed_offsets(source)[:-1]
         self.dual_sigma = []  # crossed block b receives dual_sigma[b]
         self.special = []
         self.iota_matrix = []
         self._ident = self._inv = None  # M and M^-1, built once
         p = self.p
         for piece, sb, cb, exps in zip(source.pieces, source.piece_offsets,
-                                       self.piece_first_block,
+                                       source.crossed_offsets,
                                        source.piece_exponents):
             if piece.kind == "fixed":
                 self.block_sizes.extend([piece.n] * p)
@@ -87,33 +82,18 @@ class CrossedPresentation:
     def m(self):
         return len(self.block_sizes)
 
-    # -- element-level algebra (for property checks) ----------------------
+    # -- element-level algebra (crossed-dense workload, property tests) ----
 
     def zero_element(self):
         return CrossedElement([zero_tuple(self.ctx, self.source.block_sizes)
                                for _ in range(self.p)])
-
-    def embed(self, x):
-        """iota(x): coefficient 0 is x, the rest vanish."""
-        if len(x) != self.source.m:
-            raise ShapeMismatch("tuple has %d blocks, algebra has %d"
-                                % (len(x), self.source.m))
-        ce = self.zero_element()
-        ce.coeffs[0] = list(x)
-        return ce
-
-    def canonical_unitary(self, j=1):
-        """U^j as a CrossedElement."""
-        ce = self.zero_element()
-        ce.coeffs[j % self.p] = [Mat.identity(self.ctx, n)
-                                 for n in self.source.block_sizes]
-        return ce
 
     def mul(self, x, y):
         """(sum a_j U^j)(sum b_k U^k) = sum a_j alpha^j(b_k) U^(j+k), with
         U b U* = alpha(b): one apply_action per nonzero a_j with j >= 1
         and each b_k; alpha^0 is never applied."""
         p, m = self.p, self.source.m
+        self._check_coeffs(x, y)
         out = self.zero_element()
         for j in range(p):
             a = x.coeffs[j]
@@ -129,19 +109,17 @@ class CrossedPresentation:
     def adjoint(self, x):
         """(sum a_j U^j)^* = sum_m alpha^m(a_(-m)^dagger) U^m: one
         apply_action per coefficient m >= 1."""
+        self._check_coeffs(x)
         out = self.zero_element()
         for m in range(self.p):
             a = [mat.dagger() for mat in x.coeffs[-m % self.p]]
             out.coeffs[m] = self.source.apply_action(a, m) if m else a
         return out
 
-    def dual_coeff(self, x):
-        """Dual generator on coefficients: a_j -> zeta_p^(-j) a_j."""
-        out = self.zero_element()
-        for j in range(self.p):
-            w = self.ctx.zeta_p(-j)
-            out.coeffs[j] = [mat * w for mat in x.coeffs[j]]
-        return out
+    def _check_coeffs(self, *xs):
+        if any(len(x.coeffs) != self.p for x in xs):
+            raise ShapeMismatch("an element does not have p = %d "
+                                "coefficients" % self.p)
 
     # -- identification ----------------------------------------------------
 
@@ -210,7 +188,7 @@ class CrossedPresentation:
         out = [{} for _ in range(starts[-1])]
         col = 0
         for j in range(p):
-            for piece, cb, e in zip(src.pieces, self.piece_first_block,
+            for piece, cb, e in zip(src.pieces, src.crossed_offsets,
                                     src.piece_exponents):
                 n = piece.n
                 if piece.kind == "fixed":
@@ -245,24 +223,6 @@ class CrossedPresentation:
 
     # -- canonical structure ----------------------------------------------
 
-    def averaging_projection(self):
-        """q = (1/p) sum_j U^j, its identified image and the per-block
-        ranks (which realize the special element)."""
-        ctx = self.ctx
-        inv_p = ctx.scalar(1) / ctx.scalar(self.p)
-        ce = self.zero_element()
-        for j in range(self.p):
-            ce.coeffs[j] = [Mat.identity(ctx, n) * inv_p
-                            for n in self.source.block_sizes]
-        mats = self.identify(ce)
-        ranks = []
-        for mtx in mats:
-            t = mtx.trace().rational_part()
-            if t is None or not is_integer(t):
-                raise NonIntegralMultiplicity("averaging projection rank")
-            ranks.append(int(t))
-        return ce, mats, ranks
-
     def dual_system(self):
         """The dual generator as a validated system on the crossed algebra."""
         ctx = self.ctx
@@ -278,10 +238,6 @@ class CrossedPresentation:
                 impl.append(Mat.diag(ctx, diag))
         return FdSystem(ctx, p, list(self.block_sizes),
                         tuple(self.dual_sigma), impl)
-
-    def dual_apply(self, mats):
-        sys = self.dual_system()
-        return sys.apply_action(mats)
 
 
 def crossed_product(c):

@@ -45,7 +45,6 @@ two gaps.
   for j = sigma(i), whose canonical block must be the one b reads from.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .cyclo import root_exponent
@@ -74,14 +73,6 @@ class FdSystem:
     @property
     def m(self):
         return len(self.block_sizes)
-
-    def apply_action(self, a):
-        """alpha(a) for a tuple of per-block matrices."""
-        out = []
-        for i in range(self.m):
-            u = self.impl[i]
-            out.append(u * a[self.sigma[i]] * u.dagger())
-        return out
 
 
 def zero_tuple(ctx, block_sizes):
@@ -202,6 +193,12 @@ class CanonicalForm:
         self.piece_offsets = []
         self.sigma = []       # block t reads from block sigma[t]
         self.piece_exponents = []   # IrredPiece.exponents per piece
+        # per block: its piece's exponents; () on a cycle block, whose
+        # zeros are not stored, n being unbounded by a document's size
+        self.block_exps = []
+        # piece i owns crossed blocks crossed_offsets[i] <= b <
+        # crossed_offsets[i + 1]: p per fixed piece, one per cycle piece
+        self.crossed_offsets = [0]
         self._kinv = None     # kinv.invariant_of's cache
         for idx, piece in enumerate(self.pieces):
             exps = piece.exponents(self.p)
@@ -215,31 +212,22 @@ class CanonicalForm:
             self.piece_offsets.append(off)
             self.block_sizes.extend([piece.n] * k)
             self.sigma.extend(off + (t - 1) % k for t in range(k))
+            self.block_exps.extend([exps] * k)
+            self.crossed_offsets.append(self.crossed_offsets[-1] + self.p // k)
 
     @property
     def m(self):
         return len(self.block_sizes)
 
-    def block_exponents(self, t):
-        """e with block t's implementing unitary diag(zeta_p^e): its
-        fixed piece's exponents, or zeros on a cycle block."""
-        i = bisect_right(self.piece_offsets, t) - 1
-        return self.piece_exponents[i] or [0] * self.block_sizes[t]
-
-    def system(self):
-        """The canonical form as an explicit FdSystem."""
-        impl = [Mat.identity(self.ctx, n) for n in self.block_sizes]
-        for piece, off in zip(self.pieces, self.piece_offsets):
-            if piece.kind == "fixed":
-                impl[off] = piece.v
-        return FdSystem(self.ctx, self.p, list(self.block_sizes),
-                        tuple(self.sigma), impl)
-
     def apply_action(self, a, j=1):
         """alpha^j(a), in one pass for any integer j. A fixed piece's
         block, V = diag(zeta_p^e), maps entrywise: alpha^j(a)[x][y] =
         zeta_p^(j (e_x - e_y)) a[x][y]. A cycle piece's blocks move j
-        places along the cycle."""
+        places along the cycle. A tuple of the wrong length or a block
+        of the wrong size raises ShapeMismatch."""
+        if len(a) != len(self.block_sizes):
+            raise ShapeMismatch("tuple has %d blocks, algebra has %d"
+                                % (len(a), len(self.block_sizes)))
         out = list(a)
         for piece, off, e in zip(self.pieces, self.piece_offsets,
                                  self.piece_exponents):
@@ -248,7 +236,10 @@ class CanonicalForm:
                                     [j * x for x in e], [-j * x for x in e])
             else:
                 for t in range(self.p):
-                    out[off + t] = a[off + (t - j) % self.p]
+                    b = out[off + t] = a[off + (t - j) % self.p]
+                    if (b.rows, b.cols) != (piece.n, piece.n):
+                        raise ShapeMismatch("%dx%d block in a piece of size "
+                                            "%d" % (b.rows, b.cols, piece.n))
         return out
 
     def same_shape(self, other):
@@ -410,8 +401,8 @@ def _iso_defect(s, c):
                 "of block %d" % (i, j)
         n = s.block_sizes[i]
         k = zs[j].dagger() * root_sum(s.ctx, n, zs[i] * s.impl[i],
-                                  [-e for e in c.block_exponents(b)],
-                                  [0] * n)
+                                      [-e for e in c.block_exps[b] or [0] * n],
+                                      [0] * n)
         bad = _pattern_defect(k, [(i, n)], [(i, n)])
         if bad is not None:
             return "unit (%d,%d) of block %d" % (bad[1], bad[2], i)
@@ -520,10 +511,12 @@ def _block_product(h, t, first):
             u.extend([0] * slot.size)
             cols.append((None, slot.size))
         else:
-            u.extend(src.block_exponents(slot.src))
+            u.extend(src.block_exps[slot.src] or [0] * slot.size)
             cols.append((src.sigma[slot.src], slot.size))
-    return first * root_sum(tgt.ctx, tgt.block_sizes[t], arr.conj,
-                            [-e for e in tgt.block_exponents(t)], u), cols
+    n = tgt.block_sizes[t]
+    return first * root_sum(tgt.ctx, n, arr.conj,
+                            [-e for e in tgt.block_exps[t] or [0] * n],
+                            u), cols
 
 
 def hom_compose(g, h):

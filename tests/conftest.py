@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -10,7 +11,7 @@ from afzp.classify import (IntertwiningCertificate, Tower,
                            UniquenessWitness, WitnessEntry, conjugate_hom,
                            ksearch, lift)
 from afzp.crossed import (CrossedElement, CrossedPresentation,
-                          crossed_offsets, crossed_product)
+                          crossed_product)
 from afzp.cyclo import FieldContext, _scalar
 from afzp.errors import (AfzpError, CorrectionFailed, KDataMismatch,
                          MultisetMismatch, NonDiagonalizableWithinField,
@@ -278,7 +279,7 @@ def generator_iso_defect(s, c):
             return "conjugator %d, which is not unitary" % i
     for i, r, q in _star_generators(s.block_sizes):
         a = unit_tuple(s.ctx, s.block_sizes, i, r, q)
-        if transport(s, c, s.apply_action(a)) != \
+        if transport(s, c, system_action(s, a)) != \
                 c.apply_action(transport(s, c, a)):
             return "unit (%d,%d) of block %d" % (r, q, i)
     return None
@@ -444,7 +445,7 @@ def invariant_oracle(c):
     block permutations of the form and of the dual system, special the
     ranks of the averaging projection, and iota[b][s] the rank in crossed
     block b of the embedded minimal projection E_00 of block s."""
-    cp = crossed_product(c)
+    cp = ElementCrossed(c)
     _, _, special = cp.averaging_projection()
     iota = [[0] * c.m for _ in range(cp.m)]
     for s in range(c.m):
@@ -519,9 +520,9 @@ def corner_inclusion(h, tgt):
     ctx, corner = tgt.ctx, h.target
     arrs = []
     for t, (arr, n) in enumerate(zip(h.arrangements, tgt.block_sizes)):
-        exps, free = tgt.block_exponents(t), set(range(n))
+        exps, free = tgt.block_exps[t] or [0] * n, set(range(n))
         images = []
-        for e in corner.block_exponents(t):
+        for e in corner.block_exps[t] or [0] * corner.block_sizes[t]:
             images.append(min(i for i in free if exps[i] == e))
             free.discard(images[-1])
         gap = n - len(images)
@@ -1226,13 +1227,106 @@ def dumps_format1(obj):
     return json.dumps(dump_format1(obj), indent=2, sort_keys=True)
 
 
+# -- the crossed layout and the element algebra --------------------------------
+# What the library computed or offered before each canonical form recorded
+# its crossed layout, and the element-level operations that no command
+# calls: the oracles for CanonicalForm.crossed_offsets and block_exps,
+# and for the special element, iota_matrix, dual_system and decompose.
+
+
+def crossed_offsets(c):
+    """Crossed blocks of each piece of c: piece i owns blocks
+    offs[i] <= b < offs[i + 1] (p per fixed piece, one per cycle piece),
+    and offs[-1] is the crossed block count."""
+    offs = [0]
+    for piece in c.pieces:
+        offs.append(offs[-1] + (c.p if piece.kind == "fixed" else 1))
+    return offs
+
+
+def block_exponents(c, t):
+    """e with block t of c implemented by diag(zeta_p^e): its fixed
+    piece's exponents, or zeros on a cycle block, the piece found by
+    bisecting the piece offsets."""
+    i = bisect_right(c.piece_offsets, t) - 1
+    return c.piece_exponents[i] or [0] * c.block_sizes[t]
+
+
+def form_system(c):
+    """The canonical form c as an explicit FdSystem."""
+    impl = [Mat.identity(c.ctx, n) for n in c.block_sizes]
+    for piece, off in zip(c.pieces, c.piece_offsets):
+        if piece.kind == "fixed":
+            impl[off] = piece.v
+    return FdSystem(c.ctx, c.p, list(c.block_sizes), tuple(c.sigma), impl)
+
+
+def system_action(s, a):
+    """alpha(a) for a tuple a of per-block matrices of the system s."""
+    return [s.impl[i] * a[s.sigma[i]] * s.impl[i].dagger()
+            for i in range(s.m)]
+
+
+class ElementCrossed(CrossedPresentation):
+    """A crossed presentation with the element-level operations no
+    command calls: the embedding, the canonical unitary, the dual
+    generator on coefficients and on identified blocks, and the
+    averaging projection."""
+
+    def embed(self, x):
+        """iota(x): coefficient 0 is x, the rest vanish."""
+        if len(x) != self.source.m:
+            raise ShapeMismatch("tuple has %d blocks, algebra has %d"
+                                % (len(x), self.source.m))
+        ce = self.zero_element()
+        ce.coeffs[0] = list(x)
+        return ce
+
+    def canonical_unitary(self, j=1):
+        """U^j as a CrossedElement."""
+        ce = self.zero_element()
+        ce.coeffs[j % self.p] = [Mat.identity(self.ctx, n)
+                                 for n in self.source.block_sizes]
+        return ce
+
+    def dual_coeff(self, x):
+        """Dual generator on coefficients: a_j -> zeta_p^(-j) a_j."""
+        out = self.zero_element()
+        for j in range(self.p):
+            w = self.ctx.zeta_p(-j)
+            out.coeffs[j] = [mat * w for mat in x.coeffs[j]]
+        return out
+
+    def dual_apply(self, mats):
+        """Dual generator on identified blocks."""
+        return system_action(self.dual_system(), mats)
+
+    def averaging_projection(self):
+        """q = (1/p) sum_j U^j, its identified image and the per-block
+        ranks (which realize the special element)."""
+        ctx = self.ctx
+        inv_p = ctx.scalar(1) / ctx.scalar(self.p)
+        ce = self.zero_element()
+        for j in range(self.p):
+            ce.coeffs[j] = [Mat.identity(ctx, n) * inv_p
+                            for n in self.source.block_sizes]
+        mats = self.identify(ce)
+        ranks = []
+        for mtx in mats:
+            t = mtx.trace().rational_part()
+            if t is None or not is_integer(t):
+                raise NonIntegralMultiplicity("averaging projection rank")
+            ranks.append(int(t))
+        return ce, mats, ranks
+
+
 # -- crossed-product oracles ---------------------------------------------------
 # identify, unidentify and CanonicalForm.apply_action as they were before
 # they read each fixed piece's exponents: dense products with the powers
 # of V, kept as the oracles for the entrywise versions.
 
 
-class ProductCrossed(CrossedPresentation):
+class ProductCrossed(ElementCrossed):
     """A crossed presentation whose identify and unidentify multiply by
     the cached powers V^j of each fixed piece's V."""
 
@@ -1287,8 +1381,9 @@ class ProductCrossed(CrossedPresentation):
         ctx = self.ctx
         inv_p = ctx.scalar(1) / ctx.scalar(p)
         ce = self.zero_element()
+        offs = crossed_offsets(self.source)
         for idx, piece in enumerate(self.source.pieces):
-            cb = self.piece_first_block[idx]
+            cb = offs[idx]
             sb = self.source.piece_offsets[idx]
             if piece.kind == "fixed":
                 for j in range(p):

@@ -21,8 +21,9 @@ from afzp.matrix import Mat
 from afzp.serialize import dumps, loads
 from afzp.system import decompose, equal_as_maps, hom_compose
 
-from conftest import (ctx_for, cycle_form, fixed_form, fixed_point_unitary,
-                      mixed_form, rand_tuple)
+from conftest import (ElementCrossed, ctx_for, cycle_form, fixed_form,
+                      fixed_point_unitary, form_system, mixed_form,
+                      rand_tuple)
 from test_classify import intertwiner_space_membership
 
 
@@ -58,7 +59,7 @@ def test_criterion_1_fixed_piece_identification_laws():
             n = rng.randint(1, 4)
             exps = sorted(rng.randrange(p) for _ in range(n))
             form = fixed_form(ctx, exps)
-            cp = crossed_product(form)
+            cp = ElementCrossed(form)
             one = cp.embed([Mat.identity(ctx, n)])
             assert cp.identify(one) == [Mat.identity(ctx, n)] * p
             for _ in range(13):
@@ -84,7 +85,7 @@ def test_criterion_2_cycle_piece_identification_laws():
         ctx = ctx_for(p, p)
         for n in (1, 2, 3):
             form = cycle_form(ctx, n)
-            cp = crossed_product(form)
+            cp = ElementCrossed(form)
             one = cp.embed([Mat.identity(ctx, n)] * p)
             assert cp.identify(one) == [Mat.identity(ctx, p * n)]
             reps = 13 if n < 3 else 12
@@ -121,7 +122,7 @@ def test_criterion_3_k_data_per_piece():
             expected_dual = tuple((r + 1) % p for r in range(p))
             assert inv.dualAct == expected_dual             # cyclic shift
             assert inv.act == (0,)                          # trivial
-            cp = crossed_product(form)
+            cp = ElementCrossed(form)
             _, mats, ranks = cp.averaging_projection()
             for q in mats:
                 assert q * q == q and q.dagger() == q
@@ -135,7 +136,7 @@ def test_criterion_3_k_data_per_piece():
             assert inv.dualAct == (0,)                      # trivial
             expected_act = tuple((r - 1) % p for r in range(p))
             assert inv.act == expected_act
-            cp = crossed_product(form)
+            cp = ElementCrossed(form)
             _, mats, ranks = cp.averaging_projection()
             assert mats[0] * mats[0] == mats[0]
             assert ranks == inv.special == [n]
@@ -376,7 +377,7 @@ def test_criterion_9_functoriality_and_serialization():
 
     # serialization: bit-exact round trips over every document kind
     ctx = ctx_for(2)
-    system = decompose(fixed_form(ctx, [0, 1]).system()).system()
+    system = form_system(decompose(form_system(fixed_form(ctx, [0, 1]))))
     canonical = decompose(system)
     hom = lift(KPair([[2]], [[1, 1], [1, 1]]), fixed_form(ctx, [0]),
                fixed_form(ctx, [0, 1]))

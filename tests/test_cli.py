@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,18 +138,18 @@ def test_intertwine_verify_and_corruption(workdir, capsys):
     assert main(["intertwine", "towerA.json", "towerB.json",
                  "--depth", "3", "--out", "cert.json"]) == 0
     assert main(["verify", "cert.json"]) == 0
-    new = json.load(open("cert.json"))
+    new = json.loads(Path("cert.json").read_text())
     # corrupting a single matrix entry must fail verification: the first
     # entry of the second forward hom's first conjugator
     conj = _at(new, ("forward", 1, "blocks", 0, "conj"))
     conj["entries"][0][2] = "0:7"
-    json.dump(new, open("cert.json", "w"))
+    Path("cert.json").write_text(json.dumps(new))
     assert main(["verify", "cert.json"]) == 1
 
 
 def test_output_files_reparse_bit_exact(workdir):
     assert main(["canon", "m2.json", "--out", "c2.json"]) == 0
-    first = open("c2.json").read()
+    first = Path("c2.json").read_text()
     obj = loads(first)
     assert dumps(obj) + "\n" == first
 
@@ -320,9 +321,9 @@ def test_afzp_order_in_the_environment_is_ignored(workdir):
 @pytest.mark.parametrize("corrupt", [_zero_denominator, _long_coefficients,
                                      _wrong_rows, _bare_scalar])
 def test_corrupted_system_exit_two_without_traceback(workdir, corrupt):
-    doc = json.load(open("m2.json"))
+    doc = json.loads(Path("m2.json").read_text())
     corrupt(doc["impl"][0])
-    json.dump(doc, open("bad.json", "w"))
+    Path("bad.json").write_text(json.dumps(doc))
     _assert_input_error("validate", "bad.json")
 
 
@@ -345,10 +346,10 @@ def test_system_blocks_and_sigma_must_be_integer_lists(workdir, capsys,
     used to end in a TypeError traceback, a boolean block size in exit 0
     with "n": true written, a boolean sigma was read as 1 and the string
     "2" as the list ["2"]."""
-    doc = json.load(open("m2.json"))
+    doc = json.loads(Path("m2.json").read_text())
     key, value = _BLOCKS_SIGMA_CORRUPTIONS[name]
     doc[key] = value
-    json.dump(doc, open("bad.json", "w"))
+    Path("bad.json").write_text(json.dumps(doc))
     capsys.readouterr()
     assert main([command, "bad.json"]) == 2
     err = capsys.readouterr().err
@@ -363,11 +364,11 @@ def test_block_size_below_one_is_named(workdir, capsys, command, blocks):
     the block. A 0 x 0 block used to be reported as an orbit whose
     product of unitaries is not scalar, and size -1 only by its impl
     shape."""
-    doc = json.load(open("m1.json"))
+    doc = json.loads(Path("m1.json").read_text())
     empty = {"rows": 0, "cols": 0, "entries": []}
     doc.update(blocks=blocks, sigma=list(range(1, len(blocks) + 1)),
                impl=[doc["impl"][0] if n == 1 else empty for n in blocks])
-    json.dump(doc, open("bad.json", "w"))
+    Path("bad.json").write_text(json.dumps(doc))
     capsys.readouterr()
     assert main([command, "bad.json"]) == 1
     out = capsys.readouterr()
@@ -426,15 +427,15 @@ def test_corrupted_canonical_or_hom_exit_two(workdir, command, corrupt):
     assert main(["lift", "pair.json", "m1.json", "m2.json",
                  "--out", "hom.json"]) == 0
     if command == "validate":
-        doc = json.load(open("hom.json"))
+        doc = json.loads(Path("hom.json").read_text())
         if corrupt in _V_CORRUPTIONS:
             corrupt(_at(doc, ("target", "pieces", 0, "v")))
         else:
             corrupt(doc)
     else:
-        doc = json.load(open("c2.json"))
+        doc = json.loads(Path("c2.json").read_text())
         corrupt(doc["pieces"][0]["v"])
-    json.dump(doc, open("bad.json", "w"))
+    Path("bad.json").write_text(json.dumps(doc))
     _assert_input_error(command, "bad.json")
 
 
@@ -447,9 +448,9 @@ def test_text_format_report(workdir, capsys):
 def test_empty_piece_in_tower_exit_two(workdir):
     assert main(["canon", "m2.json", "--out", "c2.json"]) == 0
     save_json("tower.json", Tower([load_json("c2.json")], []))
-    doc = json.load(open("tower.json"))
+    doc = json.loads(Path("tower.json").read_text())
     _at(doc, ("systems", 0, "pieces")).append({"kind": "cycle", "n": 0})
-    json.dump(doc, open("tower.json", "w"))
+    Path("tower.json").write_text(json.dumps(doc))
     assert main(["intertwine", "tower.json", "tower.json",
                  "--depth", "1"]) == 2
 
@@ -459,9 +460,9 @@ def test_tower_with_a_map_past_its_last_stage_exit_one(workdir):
     stage count check; validate_tower used to index past the last
     stage and end in an IndexError."""
     save_json("tower.json", product_tower(2, 2))
-    doc = json.load(open("tower.json"))
+    doc = json.loads(Path("tower.json").read_text())
     del doc["systems"][1:]
-    json.dump(doc, open("bad.json", "w"))
+    Path("bad.json").write_text(json.dumps(doc))
     err = _run_cli(1, "intertwine", "bad.json", "bad.json",
                    "--depth", "1").stderr
     assert "[FAIL] stage count" in err
@@ -487,9 +488,9 @@ _SLOT_CORRUPTIONS = [_slot_src_out_of_range, _slot_src_negative,
 def test_equiv_rejects_invalid_hom(workdir, corrupt):
     assert main(["lift", "pair.json", "m1.json", "m2.json",
                  "--out", "hom.json"]) == 0
-    doc = json.load(open("hom.json"))
+    doc = json.loads(Path("hom.json").read_text())
     corrupt(doc)
-    json.dump(doc, open("bad.json", "w"))
+    Path("bad.json").write_text(json.dumps(doc))
     for argv in (("bad.json", "hom.json"), ("hom.json", "bad.json")):
         out = _run_cli(1, "equiv", *argv, "--format", "text").stdout
         assert "[FAIL] slot into target block 0" in out
@@ -502,9 +503,9 @@ def test_equiv_rejects_invalid_hom(workdir, corrupt):
 def test_verify_reports_invalid_hom_without_traceback(workdir, path, line):
     assert main(["demo", "product-tower-p2", "--depth", "2",
                  "--out", "cert.json"]) == 0
-    doc = json.load(open("cert.json"))
+    doc = json.loads(Path("cert.json").read_text())
     _slot_src_out_of_range(_at(doc, path))
-    json.dump(doc, open("bad.json", "w"))
+    Path("bad.json").write_text(json.dumps(doc))
     out = _run_cli(1, "verify", "bad.json", "--format", "text").stdout
     assert line + "\n" in out
     assert ": not checked: " in out
@@ -621,9 +622,9 @@ def _b_stage_not_integer(doc):
 def test_certificate_lengths_and_stages_exit_two(workdir, corrupt):
     assert main(["demo", "product-tower-p2", "--depth", "2",
                  "--out", "cert.json"]) == 0
-    doc = json.load(open("cert.json"))
+    doc = json.loads(Path("cert.json").read_text())
     corrupt(doc)
-    json.dump(doc, open("bad.json", "w"))
+    Path("bad.json").write_text(json.dumps(doc))
     _assert_input_error("verify", "bad.json")
 
 
@@ -648,14 +649,14 @@ def test_corrupted_repeat_of_a_scalar_exit_two(workdir, corrupt):
     twice the order."""
     assert main(["demo", "product-tower-p2", "--depth", "2",
                  "--out", "cert.json"]) == 0
-    doc = json.load(open("cert.json"))
+    doc = json.loads(Path("cert.json").read_text())
     seen = set()
     for entry in _texts(doc):
         if entry[2] in seen:
             entry[2] = corrupt(entry[2])
             break
         seen.add(entry[2])
-    json.dump(doc, open("bad.json", "w"))
+    Path("bad.json").write_text(json.dumps(doc))
     _assert_input_error("verify", "bad.json")
 
 
@@ -671,9 +672,9 @@ def test_non_integer_p_or_order_exit_two(workdir, path, key, value):
     a value that compares equal to the document's (16.0 == 16)."""
     assert main(["demo", "product-tower-p2", "--depth", "2",
                  "--out", "cert.json"]) == 0
-    doc = json.load(open("cert.json"))
+    doc = json.loads(Path("cert.json").read_text())
     _at(doc, path)[key] = value
-    json.dump(doc, open("bad.json", "w"))
+    Path("bad.json").write_text(json.dumps(doc))
     _assert_input_error("verify", "bad.json")
 
 
@@ -825,10 +826,10 @@ def test_corrupted_format2_certificate_exit_two(workdir, capsys, name):
     main raises any other exception, so none ends in a traceback."""
     assert main(["demo", "product-tower-p2", "--depth", "2",
                  "--out", "cert.json"]) == 0
-    doc = json.load(open("cert.json"))
+    doc = json.loads(Path("cert.json").read_text())
     assert doc["afzp_format"] == 2
     _FORMAT2_CORRUPTIONS[name](doc)
-    json.dump(doc, open("bad.json", "w"))
+    Path("bad.json").write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["verify", "bad.json"]) == 2
     assert capsys.readouterr().err.startswith("input error:")
@@ -894,9 +895,9 @@ def test_huge_headers_in_a_certificate_exit_two(workdir, capsys, name):
     are read."""
     assert main(["demo", "product-tower-p2", "--depth", "2",
                  "--out", "cert.json"]) == 0
-    doc = json.load(open("cert.json"))
+    doc = json.loads(Path("cert.json").read_text())
     _HUGE_HEADERS[name](doc)
-    json.dump(doc, open("bad.json", "w"))
+    Path("bad.json").write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["verify", "bad.json"]) == 2
     assert ("and two of its stages" if name == "triangle-without-stage"
@@ -906,9 +907,8 @@ def test_huge_headers_in_a_certificate_exit_two(workdir, capsys, name):
 def test_a_short_listed_conj_is_an_input_error(workdir, capsys):
     """A 2x2 conj listing one entry cannot be invertible: the loader
     refuses it (exit 2), where validate used to report it (exit 1)."""
-    json.dump(_hom_with_conj({"rows": 2, "cols": 2,
-                              "entries": [[0, 0, "0:1"]]}),
-              open("bad.json", "w"))
+    Path("bad.json").write_text(json.dumps(_hom_with_conj(
+        {"rows": 2, "cols": 2, "entries": [[0, 0, "0:1"]]})))
     capsys.readouterr()
     assert main(["validate", "bad.json"]) == 2
     assert "lists 1 entries" in capsys.readouterr().err
@@ -919,8 +919,9 @@ def test_a_fully_listed_conj_larger_than_its_block_fails_validation(
     """A 3x3 identity conj in a 2x2 target block loads, since it lists
     three entries, and validate fails its shape (exit 1), where the
     loader used to refuse it (exit 2)."""
-    json.dump(_hom_with_conj({"rows": 3, "cols": 3, "entries": [
-        [i, i, "0:1"] for i in range(3)]}), open("bad.json", "w"))
+    Path("bad.json").write_text(json.dumps(_hom_with_conj(
+        {"rows": 3, "cols": 3,
+         "entries": [[i, i, "0:1"] for i in range(3)]})))
     capsys.readouterr()
     assert main(["validate", "bad.json"]) == 1
     failed = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]
@@ -931,18 +932,18 @@ def test_a_fully_listed_conj_larger_than_its_block_fails_validation(
 def test_huge_impl_or_iso_header_exits_two(workdir, capsys):
     """A system's impl and a canonical form's iso conjugators are
     refused when their header is larger than their listed entries."""
-    doc = json.load(open("m2.json"))
+    doc = json.loads(Path("m2.json").read_text())
     doc["impl"][0] = _HUGE
-    json.dump(doc, open("bad.json", "w"))
+    Path("bad.json").write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["validate", "bad.json"]) == 2
     assert _SHORT in capsys.readouterr().err
     assert main(["canon", "m2.json", "--out", "canon.json"]) == 0
-    doc = json.load(open("canon.json"))
+    doc = json.loads(Path("canon.json").read_text())
     iso = doc["iso"] if "iso" in doc else next(
         o for o in doc["objects"] if o["kind"] == "canonical")["iso"]
     iso["conjugators"][0] = _HUGE
-    json.dump(doc, open("bad.json", "w"))
+    Path("bad.json").write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["kinv", "bad.json"]) == 2
     assert _SHORT in capsys.readouterr().err
@@ -979,9 +980,9 @@ def test_an_iso_that_is_not_a_block_permutation_of_unitaries_exits_two(
     otherwise every command that reads the form refuses it. Earlier
     versions loaded such an iso unchecked and exited 0."""
     assert main(["canon", "m2.json", "--out", "c2.json"]) == 0
-    doc = json.load(open("c2.json"))
+    doc = json.loads(Path("c2.json").read_text())
     _ISO_CORRUPTIONS[name](doc["iso"])
-    json.dump(doc, open("bad.json", "w"))
+    Path("bad.json").write_text(json.dumps(doc))
     capsys.readouterr()
     argv = ["lift", "pair.json", "m1.json", "bad.json"] \
         if command == "lift" else [command, "bad.json"]
@@ -1008,9 +1009,9 @@ def test_a_ragged_pair_is_an_input_error(workdir, capsys, command, key,
     versions loaded it and exited 1 with "pair shapes do not match the
     invariants", a mathematical failure, which stays the verdict on a
     matrix of the wrong size."""
-    doc = json.load(open("pair.json"))
+    doc = json.loads(Path("pair.json").read_text())
     doc[key] = rows
-    json.dump(doc, open("bad.json", "w"))
+    Path("bad.json").write_text(json.dumps(doc))
     assert main(["kinv", "m1.json", "--out", "i1.json"]) == 0
     assert main(["kinv", "m2.json", "--out", "i2.json"]) == 0
     save_json("tower.json", product_tower(2, 2))
@@ -1032,9 +1033,9 @@ def _edited(argv, src, edit):
     """Run argv (which writes src), then write src's document, changed
     by edit, to bad.json."""
     assert main(argv) == 0
-    doc = json.load(open(src))
+    doc = json.loads(Path(src).read_text())
     edit(doc)
-    json.dump(doc, open("bad.json", "w"))
+    Path("bad.json").write_text(json.dumps(doc))
 
 
 def _system(blocks, sigma, impl_count):

@@ -9,10 +9,11 @@ from afzp.errors import ShapeMismatch
 from afzp.matrix import Mat
 from afzp.system import (Arrangement, EqHom, Slot, decompose, validate)
 
-from conftest import (NotEquivariant, ProductCrossed, conj_apply_action,
+from conftest import (ElementCrossed, NotEquivariant, ProductCrossed,
+                      block_exponents, conj_apply_action, crossed_offsets,
                       ctx_for, cycle_form, extend_hom, fixed_form, grid_mat,
-                      identify_matrix_by_units, mat_sub, mixed_form, rand_mat,
-                      rand_rat, rand_tuple)
+                      identify_matrix_by_units, mat_sub, mixed_form,
+                      rand_mat, rand_rat, rand_tuple)
 
 
 def rand_element(cp, rng):
@@ -38,7 +39,7 @@ def test_cycle_identification_display():
     # iota(a1, a2) lands as diag(a1, a2); U lands as the swap
     ctx = ctx_for(2)
     c = cycle_form(ctx, 1)
-    cp = crossed_product(c)
+    cp = ElementCrossed(c)
     assert cp.block_sizes == [2]
     ident = cp.identify(cp.embed([Mat.diag(ctx, [5]), Mat.diag(ctx, [7])]))
     assert ident[0] == Mat.diag(ctx, [5, 7])
@@ -52,7 +53,7 @@ def test_fixed_identification_is_star_isomorphism(p):
     ctx = ctx_for(p, p)
     exps = sorted(rng.randrange(p) for _ in range(rng.randint(1, 3)))
     c = fixed_form(ctx, exps)
-    cp = crossed_product(c)
+    cp = ElementCrossed(c)
     one = cp.embed([Mat.identity(ctx, len(exps))])
     assert cp.identify(one) == [Mat.identity(ctx, len(exps))] * p
     for _ in range(20):
@@ -85,7 +86,7 @@ def test_covariance(p):
     ctx = ctx_for(p)
     for form in (fixed_form(ctx, sorted(rng.randrange(p) for _ in range(2))),
                  cycle_form(ctx, 2)):
-        cp = crossed_product(form)
+        cp = ElementCrossed(form)
         u = cp.canonical_unitary()
         for _ in range(5):
             a = rand_tuple(form, rng)
@@ -97,7 +98,7 @@ def test_covariance(p):
 def test_embed_unit_is_crossed_unit():
     ctx = ctx_for(3)
     c = fixed_form(ctx, [0, 1])
-    cp = crossed_product(c)
+    cp = ElementCrossed(c)
     one = cp.embed([Mat.identity(ctx, 2)])
     assert cp.identify(one) == [Mat.identity(ctx, 2)] * 3
 
@@ -108,7 +109,7 @@ def test_dual_action_identified_vs_coefficients(p):
     ctx = ctx_for(p)
     for form in (fixed_form(ctx, sorted(rng.randrange(p) for _ in range(2))),
                  cycle_form(ctx, 1)):
-        cp = crossed_product(form)
+        cp = ElementCrossed(form)
         for _ in range(6):
             x = rand_element(cp, rng)
             assert cp.identify(cp.dual_coeff(x)) == \
@@ -118,7 +119,7 @@ def test_dual_action_identified_vs_coefficients(p):
 def test_dual_system_is_valid_and_order_p():
     ctx = ctx_for(3)
     for form in (fixed_form(ctx, [0, 1, 1]), cycle_form(ctx, 2)):
-        cp = crossed_product(form)
+        cp = ElementCrossed(form)
         dual = cp.dual_system()
         assert validate(dual).ok
         # dual applied p times is the identity automorphism
@@ -132,7 +133,7 @@ def test_dual_system_is_valid_and_order_p():
 def test_dual_permutation_direction_fixed_piece():
     # block r of the image reads block r+1: a one-hot tuple moves down
     ctx = ctx_for(3)
-    cp = crossed_product(fixed_form(ctx, [0]))
+    cp = ElementCrossed(fixed_form(ctx, [0]))
     mats = [Mat.zero(ctx, 1, 1) for _ in range(3)]
     mats[1] = Mat.identity(ctx, 1)
     moved = cp.dual_apply(mats)
@@ -142,7 +143,7 @@ def test_dual_permutation_direction_fixed_piece():
 
 def test_averaging_projection_examples():
     ctx = ctx_for(2)
-    cp = crossed_product(fixed_form(ctx, [0, 1]))
+    cp = ElementCrossed(fixed_form(ctx, [0, 1]))
     ce, mats, ranks = cp.averaging_projection()
     V = cp.source.pieces[0].v
     half = ctx.scalar(1) / ctx.scalar(2)
@@ -150,11 +151,11 @@ def test_averaging_projection_examples():
     assert mats[1] == mat_sub(Mat.identity(ctx, 2), V) * half
     assert ranks == [1, 1] == cp.special
 
-    cp4 = crossed_product(fixed_form(ctx, [0, 0, 0, 1]))
+    cp4 = ElementCrossed(fixed_form(ctx, [0, 0, 0, 1]))
     _, _, ranks4 = cp4.averaging_projection()
     assert ranks4 == [3, 1] == cp4.special
 
-    cpc = crossed_product(cycle_form(ctx, 1))
+    cpc = ElementCrossed(cycle_form(ctx, 1))
     _, matsc, ranksc = cpc.averaging_projection()
     assert ranksc == [1] == cpc.special
     q = matsc[0]
@@ -167,13 +168,13 @@ def test_averaging_projection_class_is_special_element(p):
     ctx = ctx_for(p, p)
     for _ in range(4):
         exps = sorted(rng.randrange(p) for _ in range(rng.randint(1, 4)))
-        cp = crossed_product(fixed_form(ctx, exps))
+        cp = ElementCrossed(fixed_form(ctx, exps))
         _, mats, ranks = cp.averaging_projection()
         assert ranks == cp.special
         assert cp.special == [exps.count(k) for k in range(p)]
         for q in mats:
             assert q * q == q and q.dagger() == q
-    cp = crossed_product(cycle_form(ctx, 2))
+    cp = ElementCrossed(cycle_form(ctx, 2))
     _, mats, ranks = cp.averaging_projection()
     assert ranks == cp.special == [2]
 
@@ -235,7 +236,7 @@ def test_extension_maps_averaging_projection_to_averaging_projection():
     tgt = fixed_form(ctx, [0, 1])
     h = EqHom(src, tgt, [Arrangement([Slot(0, 1, 0), Slot(0, 1, 1)],
                                      Mat.identity(ctx, 2))], unital=True)
-    cpa, cpb = crossed_product(src), crossed_product(tgt)
+    cpa, cpb = ElementCrossed(src), ElementCrossed(tgt)
     ext = extend_hom(h, cpa, cpb)
     _, qa, _ = cpa.averaging_projection()
     _, qb, _ = cpb.averaging_projection()
@@ -249,7 +250,7 @@ def test_extension_intertwines_duals():
     tgt = fixed_form(ctx, [0, 1])
     h = EqHom(src, tgt, [Arrangement([Slot(0, 1, 0), Slot(0, 1, 1)],
                                      Mat.identity(ctx, 2))], unital=True)
-    cpa, cpb = crossed_product(src), crossed_product(tgt)
+    cpa, cpb = ElementCrossed(src), ElementCrossed(tgt)
     ext = extend_hom(h, cpa, cpb)
     for _ in range(8):
         mats = cpa.identify(rand_element(cpa, rng))
@@ -319,7 +320,7 @@ def test_identify_matrix_is_built_once_per_presentation(monkeypatch):
     D^-1 M^dagger with one dagger, and later ones reuse it. Another
     presentation of the same form builds its own M and M^-1."""
     form = mixed_form(ctx_for(3), [("fixed", [0, 2]), ("cycle", 2)])
-    cp = crossed_product(form)
+    cp = ElementCrossed(form)
     x = rand_element(cp, random.Random(5))
     daggers, dagger = [], Mat.dagger
 
@@ -343,7 +344,7 @@ def test_identify_matrix_is_built_once_per_presentation(monkeypatch):
 def test_identifying_zero_does_no_scalar_multiplication(monkeypatch):
     """Zero blocks cost no arithmetic: once M and its inverse are built,
     identify and unidentify of zero multiply no Scalar."""
-    cp = crossed_product(mixed_form(ctx_for(5), [("fixed", [0, 1, 3]),
+    cp = ElementCrossed(mixed_form(ctx_for(5), [("fixed", [0, 1, 3]),
                                                  ("cycle", 2)]))
     cp.unidentify(cp.identify(cp.canonical_unitary()))
 
@@ -435,6 +436,26 @@ def test_identify_matrix_columns_are_orthogonal(case):
     assert M.dagger() * M == Mat.diag(ctx, want)
 
 
+@settings(max_examples=40, deadline=None)
+@example(mixed_form(ctx_for(3), []))
+@example(mixed_form(ctx_for(5), [("cycle", 2), ("fixed", [0, 4]),
+                                 ("cycle", 1), ("fixed", [2])]))
+@given(_identify_forms())
+def test_recorded_crossed_layout_matches_the_oracles(form):
+    """The crossed offsets and per-block exponents a form records equal
+    the offsets counted piece by piece and the exponents found by
+    bisecting the piece offsets (a cycle block records (), its zeros
+    unstored), and the averaging projection's ranks equal the special
+    element read from them."""
+    assert form.crossed_offsets == crossed_offsets(form)
+    assert len(form.block_exps) == form.m
+    for t, n in enumerate(form.block_sizes):
+        assert tuple(form.block_exps[t] or [0] * n) == \
+            tuple(block_exponents(form, t))
+    cp = ElementCrossed(form)
+    assert cp.averaging_projection()[2] == cp.special
+
+
 def test_form_with_no_pieces_identifies_to_no_blocks():
     cp = crossed_product(mixed_form(ctx_for(3), []))
     assert cp.block_sizes == [] and cp.identify(cp.zero_element()) == []
@@ -449,7 +470,10 @@ def test_misshaped_fixed_blocks_raise(case, data):
     (conjugating by V used to cut a smaller block silently). So does a
     missing or extra block or coefficient in identify and unidentify
     (a short tuple used to end in IndexError, an extra block was
-    ignored)."""
+    ignored), a missing or extra block or a cycle block not n x n in
+    apply_action (which used to end in IndexError, return the extra
+    block, or move the block), and a missing or extra coefficient in
+    mul and adjoint (which used to end in IndexError or be ignored)."""
     form, rng, _ = case
     ctx, p = form.ctx, form.p
     fixed = [i for i, piece in enumerate(form.pieces) if piece.kind == "fixed"]
@@ -468,18 +492,36 @@ def test_misshaped_fixed_blocks_raise(case, data):
     ce = cp.zero_element()
     ce.coeffs[data.draw(st.integers(0, p - 1))][sb] = bad
     mats = _blocks(ctx, rng, cp.block_sizes, [False])
-    mats[cp.piece_first_block[idx] + data.draw(st.integers(0, p - 1))] = bad
+    mats[form.crossed_offsets[idx] + data.draw(st.integers(0, p - 1))] = bad
     a = _blocks(ctx, rng, form.block_sizes, [False])
     a[sb] = bad
     j, z = data.draw(st.integers(0, p - 1)), cp.zero_element().coeffs
     miscounted = [z[:j] + [z[j][:-1]] + z[j + 1:],
                   z[:j] + [z[j] + z[j][:1]] + z[j + 1:], z[1:], z + z[:1]]
     good = _blocks(ctx, rng, cp.block_sizes, [False])
+    good_a = _blocks(ctx, rng, form.block_sizes, [False])
+    misshaped_cycles = []
+    for piece, off in zip(form.pieces, form.piece_offsets):
+        if piece.kind == "cycle":
+            b = list(good_a)
+            b[off + data.draw(st.integers(0, p - 1))] = \
+                Mat.zero(ctx, piece.n, piece.n + 1)
+            misshaped_cycles.append(b)
+    zero, short, long = (cp.zero_element(), CrossedElement(z[1:]),
+                         CrossedElement(z + z[:1]))
     for call, arg in ((cp.identify, ce), (oracle.identify, ce),
                       (cp.unidentify, mats), (oracle.unidentify, mats),
                       (form.apply_action, a), (cp.unidentify, good[1:]),
                       (cp.unidentify, good + good[:1]),
-                      *((cp.identify, CrossedElement(c)) for c in miscounted)):
+                      *((cp.identify, CrossedElement(c)) for c in miscounted),
+                      (form.apply_action, good_a[:-1]),
+                      (form.apply_action, good_a + good_a[:1]),
+                      *((form.apply_action, b) for b in misshaped_cycles),
+                      (lambda x: cp.mul(x, zero), short),
+                      (lambda x: cp.mul(x, zero), long),
+                      (lambda y: cp.mul(zero, y), short),
+                      (lambda y: cp.mul(zero, y), long),
+                      (cp.adjoint, short), (cp.adjoint, long)):
         with pytest.raises(ShapeMismatch):
             call(arg)
 
@@ -524,7 +566,7 @@ def test_crossed_algebra_applies_each_power_once(monkeypatch):
     and adjoint once per coefficient m >= 1."""
     p = 3
     form = mixed_form(ctx_for(p), [("fixed", [0, 2]), ("cycle", 1)])
-    cp, rng = crossed_product(form), random.Random(5)
+    cp, rng = ElementCrossed(form), random.Random(5)
     calls = _count_actions(monkeypatch, form)
     x, y = rand_element(cp, rng), rand_element(cp, rng)
     cp.mul(cp.embed(x.coeffs[0]), cp.embed(y.coeffs[0]))

@@ -25,6 +25,7 @@ import functools
 import io
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -41,7 +42,7 @@ from afzp.system import FdSystem, decompose, identity_hom
 
 from afzp.serialize import _OBJECT_KINDS, dumps, loads
 
-from conftest import ctx_for, ieye, mixed_form
+from conftest import ctx_for, form_system, ieye, mixed_form
 
 
 def _doc(value):
@@ -78,7 +79,7 @@ def _kind_docs():
     """One valid document of every kind."""
     ctx = ctx_for(2)
     form = mixed_form(ctx, [("fixed", [0, 1])])
-    values = [form, form.system(), identity_hom(form), invariant_of(form),
+    values = [form, form_system(form), identity_hom(form), invariant_of(form),
               KPair([[1]], [[1, 0], [0, 1]]), Tower([form], []),
               crossed_product(form), Report(), [Mat.identity(ctx, 2)]]
     docs = {doc["kind"]: doc for doc in map(_doc, values)}
@@ -275,7 +276,7 @@ def _exit_code(*argv):
 def fuzzdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz")
     for kind, doc in _base_docs().items():
-        json.dump(doc, open(path / ("%s.json" % kind), "w"))
+        (path / ("%s.json" % kind)).write_text(json.dumps(doc))
     return path
 
 
@@ -287,7 +288,7 @@ _SETTINGS = settings(max_examples=25, deadline=None,
 @given(doc=_mutated("hom"))
 def test_mutated_hom_exit_codes(fuzzdir, doc):
     good, bad = str(fuzzdir / "hom.json"), str(fuzzdir / "bad_hom.json")
-    json.dump(doc, open(bad, "w"))
+    Path(bad).write_text(json.dumps(doc))
     for argv in (("validate", bad), ("induced", bad),
                  ("equiv", bad, good), ("equiv", good, bad)):
         assert _exit_code(*argv) in (0, 1, 2), argv
@@ -297,7 +298,7 @@ def test_mutated_hom_exit_codes(fuzzdir, doc):
 @given(doc=_mutated("certificate"))
 def test_mutated_certificate_exit_codes(fuzzdir, doc):
     bad = str(fuzzdir / "bad_certificate.json")
-    json.dump(doc, open(bad, "w"))
+    Path(bad).write_text(json.dumps(doc))
     assert _exit_code("verify", bad) in (0, 1, 2)
     assert _exit_code("validate", bad) == 2
 
@@ -317,7 +318,7 @@ def test_mutations_reach_past_the_format_check(fuzzdir):
     doc = copy.deepcopy(_base_docs()["hom"])
     doc["blocks"][0]["slots"][0]["size"] += 1
     bad = str(fuzzdir / "overflow_hom.json")
-    json.dump(doc, open(bad, "w"))
+    Path(bad).write_text(json.dumps(doc))
     code, out = _run("validate", bad, "--format", "text")
     assert code == 1
     assert "[FAIL] slot into target block 0" in out
@@ -341,7 +342,7 @@ def test_unmutated_documents_pass(fuzzdir):
 @given(data=st.data())
 def test_mutated_top_level_document_exit_codes(fuzzdir, kind, data):
     bad = str(fuzzdir / ("bad_%s.json" % kind))
-    json.dump(data.draw(_mutated(kind)), open(bad, "w"))
+    Path(bad).write_text(json.dumps(data.draw(_mutated(kind))))
     for line in _TOP_COMMANDS[kind]:
         argv = _argv(fuzzdir, line, bad)
         assert _exit_code(*argv) in (0, 1, 2), argv
@@ -351,7 +352,7 @@ def test_mutated_top_level_document_exit_codes(fuzzdir, kind, data):
 @given(doc=_broken_structure())
 def test_broken_certificate_structure_exits_two(fuzzdir, doc):
     bad = str(fuzzdir / "broken_certificate.json")
-    json.dump(doc, open(bad, "w"))
+    Path(bad).write_text(json.dumps(doc))
     assert _exit_code("verify", bad) == 2
 
 
@@ -390,7 +391,7 @@ def test_nested_document_of_wrong_kind_exits_two(fuzzdir, data):
     value = data.draw(st.sampled_from(_wrong_values(doc, path, want)))
     _parent(doc, path)[path[-1]] = copy.deepcopy(value)
     bad = str(fuzzdir / "nested.json")
-    json.dump(doc, open(bad, "w"))
+    Path(bad).write_text(json.dumps(doc))
     for cmd, files in _COMMANDS[base]:
         assert _exit_code(cmd, *[bad] * files) == 2, (cmd, path, value)
 
@@ -424,7 +425,7 @@ def test_malformed_integer_documents_exit_two(fuzzdir, case):
     doc = copy.deepcopy(_base_docs()[kind])
     mutate(doc)
     bad = str(fuzzdir / "malformed.json")
-    json.dump(doc, open(bad, "w"))
+    Path(bad).write_text(json.dumps(doc))
     line = _TOP_COMMANDS[kind][0]
     assert _exit_code(*_argv(fuzzdir, line, bad)) == 2
 
@@ -441,7 +442,7 @@ def test_checkpair_refuses_an_act_that_is_no_permutation(tmp_path, capsys,
     pair = {"afzp_format": 2, "kind": "kpair", "F": ieye(m),
             "phi": ieye(m), "unital": True}
     for name, doc in (("inv", inv), ("pair", pair)):
-        json.dump(doc, open(tmp_path / ("%s.json" % name), "w"))
+        (tmp_path / ("%s.json" % name)).write_text(json.dumps(doc))
     inv_path = str(tmp_path / "inv.json")
     assert main(["checkpair", str(tmp_path / "pair.json"), inv_path,
                  inv_path]) == 2
@@ -462,7 +463,7 @@ def test_top_level_document_of_wrong_kind_exits_two(fuzzdir, line, want):
     bad = str(fuzzdir / "wrong_kind.json")
     for kind, doc in sorted(_kind_docs().items()):
         if kind != want:
-            json.dump(doc, open(bad, "w"))
+            Path(bad).write_text(json.dumps(doc))
             assert _exit_code(*_argv(fuzzdir, line, bad)) == 2, kind
 
 
@@ -499,7 +500,7 @@ def test_noncanonical_hom_exits_two(fuzzdir, case):
     with pytest.raises(FormatError):
         loads(json.dumps(doc))
     bad = str(fuzzdir / "noncanonical_hom.json")
-    json.dump(doc, open(bad, "w"))
+    Path(bad).write_text(json.dumps(doc))
     for cmd, files in _COMMANDS["hom"]:
         assert _exit_code(cmd, *[bad] * files) == 2, cmd
 
@@ -553,7 +554,7 @@ def test_crossed_special_element_is_checked(fuzzdir):
     with pytest.raises(FormatError, match="crossed special differs"):
         loads(json.dumps(doc))
     bad = str(fuzzdir / "crossed_special.json")
-    json.dump(doc, open(bad, "w"))
+    Path(bad).write_text(json.dumps(doc))
     for cmd, files in _COMMANDS["crossed"]:
         assert _exit_code(cmd, *[bad] * files) == 2, cmd
 
@@ -677,7 +678,7 @@ def test_a_triangle_record_names_a_tower_and_two_of_its_stages(
     with pytest.raises(FormatError, match="and two of its stages"):
         loads(json.dumps(doc))
     bad = fuzzdir / "bad_triangle.json"
-    json.dump(doc, open(bad, "w"))
+    bad.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["verify", str(bad)]) == 2
     err = capsys.readouterr().err

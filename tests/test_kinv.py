@@ -386,7 +386,12 @@ def test_nonunital_pair_fails_the_orbit_sum_alone():
     invA = invariant_of(fixed_form(ctx, [0]))
     invB = invariant_of(fixed_form(ctx, [0, 0]))
     eye = [[int(r == c) for c in range(3)] for r in range(3)]
-    assert check_pair(KPair([[1]], eye, unital=False), invA, invB).ok
+    rep = check_pair(KPair([[1]], eye, unital=False), invA, invB)
+    assert rep.ok
+    assert [item.name for item in rep.items] == [
+        "order preservation (F, phi nonnegative)",
+        "F intertwines the actions", "phi intertwines the dual actions",
+        *_DEFECT_ITEMS, "embedding square commutes"]
     rep = check_pair(KPair([[1]], [[0] * 3] * 3, unital=False), invA, invB)
     assert [item.name for item in rep.failures()] == \
         [_DEFECT_ITEMS[2], "embedding square commutes"]
@@ -395,14 +400,22 @@ def test_nonunital_pair_fails_the_orbit_sum_alone():
 def test_unital_check_pair_reports_keep_their_bytes():
     """Unital reports are unchanged by the non-unital items: the format-2
     text of a passing and two failing reports between M_1 and (M_2,
-    Ad diag(1, -1)) at p = 2, pinned before those items were added."""
+    Ad diag(1, -1)) at p = 2, pinned before those items were added and
+    re-pinned when the informational crossed-unit item, which was always
+    true, was dropped. The passing report has exactly the unital items."""
     ctx = ctx_for(2, 16)
     c1 = decompose(FdSystem(ctx, 2, [1], (0,), [Mat.identity(ctx, 1)]))
     c2 = decompose(FdSystem(ctx, 2, [2], (0,), [Mat.diag(ctx, [1, -1])]))
     i1, i2 = invariant_of(c1), invariant_of(c2)
-    text = "".join(dumps(check_pair(kp, a, b)) for kp, a, b in (
+    reports = [check_pair(kp, a, b) for kp, a, b in (
         (KPair([[2]], [[1, 1], [1, 1]]), i1, i2),
         (KPair([[2]], [[1, 1], [1, 1]]), i2, i1),
-        (KPair([[1]], [[1, 0], [0, 1]]), i1, i2)))
+        (KPair([[1]], [[1, 0], [0, 1]]), i1, i2))]
+    assert reports[0].ok and [item.name for item in reports[0].items] == [
+        "order preservation (F, phi nonnegative)",
+        "F intertwines the actions", "phi intertwines the dual actions",
+        "phi maps special element to special element",
+        "embedding square commutes", "F preserves the unit class"]
+    text = "".join(map(dumps, reports))
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "9f8ca055d7eb406d9a4610fa3a15d879e7ff7d96e45bb94df4cb24a1888dd2b1"
+        "8db26e339bc8c19ef515b4daf7595fc43cf5f5e4378a221c50ffb081b744f1f2"

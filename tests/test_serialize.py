@@ -33,8 +33,8 @@ from afzp.serialize import dump, dumps, loads
 from afzp.system import (Arrangement, EqHom, Slot, decompose, identity_hom)
 
 from conftest import (ProductCrossed, ctx_for, cycle_form, dump_format1,
-                      dumps_format1, fixed_form, grid_mat, mixed_form,
-                      piece_specs, scalar_text_by_coefficients)
+                      dumps_format1, fixed_form, form_system, grid_mat,
+                      mixed_form, piece_specs, scalar_text_by_coefficients)
 
 KINDS = ["system", "canonical", "canonical-iso", "hom", "hom-null-src",
          "crossed", "kinvariant", "kpair", "tower", "certificate",
@@ -77,11 +77,11 @@ def _value(draw, kind):
 
     kpair = KPair(int_rows(2), int_rows(4), unital=draw(st.booleans()))
     if kind == "system":
-        return form.system()
+        return form_system(form)
     if kind == "canonical":
         return form
     if kind == "canonical-iso":
-        return decompose(form.system())
+        return decompose(form_system(form))
     if kind == "hom":
         return identity_hom(form)
     if kind == "hom-null-src":

@@ -21,12 +21,14 @@ from afzp.system import (Arrangement, EqHom, FdSystem, IrredPiece, Slot,
 from conftest import (ORACLE_FIELDS, all_units_equal, all_units_equivariant,
                       ctx_for, cycle_form,
                       dense_diag_scaled, dense_pattern_defect, dense_support,
-                      fixed_form, fixed_point_unitary, generator_iso_defect,
-                      generators_equal, generators_equivariant,
+                      fixed_form, fixed_point_unitary, form_system,
+                      generator_iso_defect, generators_equal,
+                      generators_equivariant,
                       gram_products, grid_mat,
                       mixed_form, monomial_diagonalizer, oracle_matrix,
                       oracle_scalar, piece_specs, sigma_power_is_identity,
-                      sort_conjugator, transport, unit_tuple, zero_grid)
+                      sort_conjugator, system_action, transport, unit_tuple,
+                      zero_grid)
 
 
 def diag_system(ctx, values, p=None):
@@ -97,7 +99,7 @@ def test_decompose_absorbs_holonomy_twist():
     # direct multiplication: transported action is the exact swap
     for (i, j) in ((0, 0), (1, 1)):
         a = unit_tuple(ctx, s.block_sizes, i, 0, 0)
-        lhs = transport(s, c, s.apply_action(a))
+        lhs = transport(s, c, system_action(s, a))
         rhs = c.apply_action(transport(s, c, a))
         assert lhs == rhs
 
@@ -171,14 +173,14 @@ def test_decompose_takes_one_p_th_root_of_the_holonomy():
 def test_decompose_idempotent_on_canonical_systems():
     ctx = ctx_for(2)
     c = decompose(diag_system(ctx, [1, -1]))
-    again = decompose(c.system())
+    again = decompose(form_system(c))
     assert again.pieces == c.pieces
     assert all(z == Mat.identity(ctx, z.rows)
                for z in again.iso.conjugators)
 
     cyc = decompose(FdSystem(ctx, 2, [1, 1], (1, 0),
                              [Mat.identity(ctx, 1)] * 2))
-    again = decompose(cyc.system())
+    again = decompose(form_system(cyc))
     assert again.pieces == cyc.pieces
     assert all(z == Mat.identity(ctx, z.rows)
                for z in again.iso.conjugators)
@@ -329,7 +331,7 @@ def test_transport_roundtrip_random(rng):
         a = [Mat.from_rows(ctx, [[rng.randint(-2, 2) for _ in range(n)]
                                  for _ in range(n)])
              for n in s.block_sizes]
-        lhs = transport(s, c, s.apply_action(a))
+        lhs = transport(s, c, system_action(s, a))
         rhs = c.apply_action(transport(s, c, a))
         assert lhs == rhs
 
