@@ -4,4 +4,4 @@ intertwining certificates, all over Q(zeta_N)."""
 
 __version__ = "0.1.0"
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3

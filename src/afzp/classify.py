@@ -6,7 +6,7 @@ target piece) sub-block of the pair into one of four shapes (fixed->fixed
 circulant, fixed->cycle constant row, cycle->fixed constant column,
 cycle->cycle circulant), so its first column is the plan; eigenvalue
 budgets are packed deterministically: source pieces in canonical order,
-phases in increasing exponent, positions in increasing index.
+shifts in increasing exponent, positions in increasing index.
 
 equiv_unitary() produces, for two homs with the same induced invariant
 morphism, a unitary W in the fixed-point algebra of the target with
@@ -133,7 +133,7 @@ def _pack_fixed_target(ctx, p, plans, srcC, tgtC, ti):
             uexps = srcC.piece_exponents[si]
             for d in range(p):
                 for _ in range(data[d]):
-                    slots.append(Slot(sb, k, phase=d))
+                    slots.append(Slot(sb, k))
                     for i in range(k):
                         X[take((uexps[i] + d) % p)][col + i] = ctx.one
                     col += k

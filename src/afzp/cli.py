@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Every command reads JSON files against the documented schemas, runs one
-library operation, and writes its result as deterministic format-2 JSON,
+library operation, and writes its result as deterministic format-3 JSON,
 to stdout or atomically to the file given by --out. Each option lives on
 the commands that read it: --format text prints reports as text (validate,
 checkpair, verify, induced, equiv), and --depth sets the depth of

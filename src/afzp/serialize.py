@@ -1,7 +1,7 @@
 """JSON interchange.
 
 Every artifact is a UTF-8 JSON document with a top-level "afzp_format"
-and a "kind" discriminator. dump and dumps write format 2, whose text is
+and a "kind" discriminator. dump and dumps write format 3, whose text is
 exactly json.dumps(doc, sort_keys=True, separators=(",", ":")):
 
 - p and order appear once, on the top-level document;
@@ -12,17 +12,16 @@ exactly json.dumps(doc, sort_keys=True, separators=(",", ":")):
   row-major order;
 - each CanonicalForm, EqHom and Tower is written once into the
   top-level "objects" list and referred to by its index there; an
-  object refers only to objects before it.
+  object refers only to objects before it;
+- a fixed piece is its ascending exponents, and a permutation (sigma,
+  act, dualAct) the 0-based list of its images.
 
-load reads format 2 only; any other afzp_format, the older format 1
-included, is an input error, and so are the two kinds that are only
-written: "unitaries" (afzp equiv's result) and "report". It rejects
-text that is not canonical, so the bytes of a document are a function
-of its value, and it builds each object once, so what the file shares
-is shared in memory. Writes are atomic (temp file in the target
-directory, then rename).
-
-The full schema reference lives in docs/format.md.
+load reads format 3 only; any other afzp_format is an input error, and
+so are the kinds that are only written: "unitaries" and "report". It
+rejects non-canonical text and members that a kind does not have, so a
+document's bytes are a function of its value, and it builds each
+object once, so what the file shares is shared in memory. The schema
+reference is docs/format.md.
 """
 
 import json
@@ -35,7 +34,7 @@ from ._rat import rat_from_str
 from .classify import (IntertwiningCertificate, Tower, TriangleRecord)
 from .crossed import CrossedPresentation, crossed_product
 from .cyclo import FieldContext, Scalar
-from .errors import FormatError, NotOrderP
+from .errors import FormatError
 from .kinv import KInvariant, KPair
 from .matrix import Mat
 from .report import Report
@@ -44,8 +43,18 @@ from .system import (Arrangement, BlockIso, CanonicalForm, EqHom, FdSystem,
 
 __all__ = ["dump", "load", "save_json", "load_json", "dumps", "loads"]
 
-# the kinds a format-2 document keeps in "objects"
+# the kinds a document keeps in "objects"
 _OBJECT_KINDS = ("canonical", "hom", "tower")
+# the members of each document and piece kind; a top-level document adds
+# afzp_format and, where they are not empty, objects, p and order
+_MEMBERS = {k: frozenset(v.split()) for k, v in dict(
+    system="kind blocks sigma impl", canonical="kind pieces iso",
+    hom="kind source target unital blocks", tower="kind systems maps",
+    crossed="kind source blocks special iota dual identify",
+    kinvariant="kind unit act dualAct special iota", kpair="kind F phi unital",
+    certificate="kind towerA towerB a_stages b_stages pairs forward backward "
+    "triangles", fixed="kind n exponents", cycle="kind n").items()}
+_MAT, _SLOT = {"rows", "cols", "entries"}, {"src", "size"}
 
 
 def _is_int(x):
@@ -54,8 +63,7 @@ def _is_int(x):
 
 
 def _int_matrix(x, name, rows=None, cols=None):
-    """x, checked to be a list of `rows` lists of `cols` JSON integers;
-    without a shape, of rows as long as its first."""
+    """x, checked to be `rows` rows of `cols` JSON integers, or of one width."""
     if cols is None and isinstance(x, list) and x and isinstance(x[0], list):
         cols = len(x[0])
     if not (isinstance(x, list) and rows in (None, len(x))
@@ -74,25 +82,24 @@ def _flag(x):
     return x
 
 
-def _perm_rows(sigma):
-    """The 0/1 matrix of a block permutation: row t has its 1 at column
-    sigma[t], the block that t receives."""
-    return [[int(j == s) for j in range(len(sigma))] for s in sigma]
+def _members(d, allowed):
+    """d, checked to be a JSON object of no members outside allowed."""
+    if isinstance(d, dict) and d.keys() <= allowed:
+        return d
+    raise FormatError("members %s not in %s" % (sorted(d), sorted(allowed)))
 
 
-def _perm(x, name, n):
-    """The block permutation whose n x n 0/1 matrix is x."""
-    rows = _int_matrix(x, name, n, n)
-    sigma = tuple(r.index(1) if 1 in r else -1 for r in rows)
-    if sorted(sigma) != list(range(n)) or rows != _perm_rows(sigma):
-        raise FormatError("%s is not a permutation matrix" % name)
-    return sigma
+def _bijection(x, name, n):
+    """x, checked to list the images of a permutation of 0..n-1."""
+    if isinstance(x, list) and all(map(_is_int, x)) \
+            and sorted(x) == list(range(n)):
+        return tuple(x)
+    raise FormatError("%s is not a permutation of 0..%d" % (name, n - 1))
 
 
 def _scalar_text(s):
-    """The format-2 text of Scalar s: "e:c" for each nonzero coefficient
-    c of z^e, in lowest terms ("a" or "a/b"), by increasing e and joined
-    by single spaces; "" for zero."""
+    """The text of Scalar s: "e:c" for each nonzero coefficient c of z^e in
+    lowest terms ("a" or "a/b"), by increasing e, space-joined; "" for 0."""
     den = s.den
     if den == 1:
         return " ".join(["%d:%d" % t for t in s.terms])
@@ -105,7 +112,7 @@ def _scalar_text(s):
 
 
 def dump(obj):
-    """The format-2 document (a dict) of an in-memory value."""
+    """The format-3 document (a dict) of an in-memory value."""
     w = _Writer()
     doc = w.body(obj)
     if w.objects:
@@ -117,7 +124,7 @@ def dump(obj):
 
 
 def dumps(obj):
-    """The format-2 text of obj."""
+    """The format-3 text of obj."""
     return _text(dump(obj))
 
 
@@ -169,14 +176,14 @@ class _Writer:
         if isinstance(obj, FdSystem):
             self.field(obj.ctx)
             return {"kind": "system", "blocks": list(obj.block_sizes),
-                    "sigma": [i + 1 for i in obj.sigma],
+                    "sigma": list(obj.sigma),
                     "impl": [self.mat(u) for u in obj.impl]}
         if isinstance(obj, CanonicalForm):
             self.field(obj.ctx)
             doc = {"kind": "canonical", "pieces": [
                 {"kind": pc.kind, "n": pc.n,
-                 **({"v": self.mat(pc.v)} if pc.kind == "fixed" else {})}
-                for pc in obj.pieces]}
+                 **({"exponents": list(e)} if pc.kind == "fixed" else {})}
+                for pc, e in zip(obj.pieces, obj.piece_exponents)]}
             if obj.iso is not None:
                 doc["iso"] = {"block_map": list(obj.iso.block_map),
                               "conjugators": [self.mat(z) for z in
@@ -186,8 +193,8 @@ class _Writer:
             return {"kind": "hom", "source": self.ref(obj.source),
                     "target": self.ref(obj.target), "unital": obj.unital,
                     "blocks": [
-                        {"slots": [{"src": s.src, "size": s.size,
-                                    "phase": s.phase} for s in arr.slots],
+                        {"slots": [{"src": s.src, "size": s.size}
+                                   for s in arr.slots],
                          "conj": self.mat(arr.conj)}
                         for arr in obj.arrangements]}
         if isinstance(obj, CrossedPresentation):
@@ -199,9 +206,8 @@ class _Writer:
                     "identify": self.mat(obj.identify_matrix())}
         if isinstance(obj, KInvariant):
             # copies: invariant_of's result is shared through its cache
-            return {"kind": "kinvariant", "m": obj.m, "unit": list(obj.unit),
-                    "act": _perm_rows(obj.act), "mC": obj.mC,
-                    "dualAct": _perm_rows(obj.dualAct),
+            return {"kind": "kinvariant", "unit": list(obj.unit),
+                    "act": list(obj.act), "dualAct": list(obj.dualAct),
                     "special": list(obj.special),
                     "iota": [list(r) for r in obj.iota]}
         if isinstance(obj, KPair):
@@ -233,20 +239,19 @@ class _Writer:
 
 
 def load(doc):
-    """Rebuild the in-memory value of a format-2 document."""
+    """Rebuild the in-memory value of a format-3 document."""
     if not isinstance(doc, dict):
         raise FormatError("document is not a JSON object")
     version = doc.get("afzp_format")
     if not (_is_int(version) and version == FORMAT_VERSION):
         raise FormatError("afzp_format %r is not supported: only format %d "
                           "is read" % (version, FORMAT_VERSION))
-    return _Format2(doc).load()
+    return _Reader(doc).load()
 
 
 def _check_iso(c):
     """c.iso, checked to map the original blocks one to one onto c's
-    blocks, each with a unitary conjugator of its canonical block's
-    size."""
+    blocks, each with a unitary conjugator of its canonical block's size."""
     block_map, zs = c.iso.block_map, c.iso.conjugators
     if not (all(map(_is_int, block_map)) and len(zs) == len(block_map)
             and sorted(block_map) == list(range(c.m))):
@@ -271,11 +276,10 @@ def _stages(stages, tower, name):
     return list(stages)
 
 
-class _Format2:
-    """One load: the document, its field (read from the top-level p and
-    order when the first matrix or form needs it), the scalar of each
-    text decoded so far and the (kind, value) of each object built so
-    far."""
+class _Reader:
+    """One load: the document, its field (read when the first matrix or
+    form needs it), the scalar of each text decoded so far and the
+    (kind, value) of each object built so far."""
 
     def __init__(self, doc):
         self.doc = doc
@@ -284,16 +288,21 @@ class _Format2:
         self.objects = []
 
     def load(self):
-        objects = self.doc.get("objects", [])
-        if not isinstance(objects, list):
-            raise FormatError("objects is not a list")
+        objects = self.doc.get("objects", ())
+        if not (objects == () or isinstance(objects, list) and objects):
+            raise FormatError("objects is not a non-empty list")
         for i, obj in enumerate(objects):
-            kind = obj.get("kind") if isinstance(obj, dict) else None
-            if kind not in _OBJECT_KINDS:
+            i_kind = obj.get("kind") if isinstance(obj, dict) else None
+            if i_kind not in _OBJECT_KINDS:
                 raise FormatError("object %d is not a canonical, hom or "
                                   "tower object" % i)
-            self.objects.append((kind, self.inline(obj, kind)))
-        return self._build(self.doc.get("kind"), self.doc)
+            self.objects.append((i_kind, self.inline(obj, i_kind)))
+        kind = self.doc.get("kind")
+        value = self._build(kind, self.doc,
+                            {"afzp_format", "p", "order", "objects"})
+        if self.ctx is None and self.doc.keys() & {"p", "order"}:
+            raise FormatError("p or order on a fieldless %r document" % kind)
+        return value
 
     def field(self):
         """The field of the top-level document's integer p and order."""
@@ -317,19 +326,16 @@ class _Format2:
         return value
 
     def inline(self, doc, expect):
-        """A nested document: of kind `expect` and without afzp_format,
-        p or order, since it lives in the top-level document's field."""
+        """A nested document of kind `expect`, without header members."""
         if not isinstance(doc, dict) or doc.get("kind") != expect:
             raise FormatError("expected a nested %r object" % expect)
-        for key in ("afzp_format", "p", "order"):
-            if key in doc:
-                raise FormatError("a nested %r object carries %r" %
-                                  (expect, key))
         return self._build(expect, doc)
 
-    def _build(self, kind, doc):
-        """The value of a document of this kind."""
+    def _build(self, kind, doc, header=frozenset()):
+        """The value of a document of kind and header members only."""
         try:
+            if kind in _MEMBERS:
+                _members(doc, _MEMBERS[kind] | header)
             return self._value(kind, doc)
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError("malformed %r document: %s" % (kind, exc))
@@ -340,31 +346,36 @@ class _Format2:
             blocks, sigma = (_int_matrix([doc[k]], "blocks and sigma")[0]
                              for k in ("blocks", "sigma"))
             impl = [self.mat(u) for u in doc["impl"]]
-            return FdSystem(ctx, ctx.p, list(blocks),
-                            tuple(i - 1 for i in sigma), impl)
+            return FdSystem(ctx, ctx.p, list(blocks), tuple(sigma), impl)
         if kind == "canonical":
             ctx = self.field()
             pieces = []
             for pc in doc["pieces"]:
+                pk = pc["kind"]
+                if pk not in ("fixed", "cycle"):
+                    raise FormatError("unknown piece kind %r" % (pk,))
+                n = _members(pc, _MEMBERS[pk])["n"]
                 # an empty piece would leave the pair search unbounded
-                if not _is_int(pc["n"]) or pc["n"] < 1:
+                if not _is_int(n) or n < 1:
                     raise FormatError("piece size %r is not a positive "
-                                      "integer" % (pc["n"],))
-                if pc["kind"] == "fixed":
-                    pieces.append(IrredPiece("fixed", pc["n"],
-                                             self.mat(pc["v"])))
-                elif pc["kind"] == "cycle":
-                    pieces.append(IrredPiece("cycle", pc["n"]))
-                else:
-                    raise FormatError("unknown piece kind %r" % pc["kind"])
+                                      "integer" % (n,))
+                if pk == "cycle":
+                    pieces.append(IrredPiece("cycle", n))
+                    continue
+                e = pc["exponents"]
+                if not (isinstance(e, list) and len(e) == n
+                        and all(map(_is_int, e)) and e == sorted(e)
+                        and 0 <= e[0] and e[-1] < ctx.p):
+                    raise FormatError("fixed piece exponents are not %d "
+                                      "ascending integers in 0..p-1" % n)
+                pieces.append(IrredPiece("fixed", n, Mat.diag(
+                    ctx, [ctx.zeta_p(x) for x in e])))
             iso = None
             if "iso" in doc:
-                iso = BlockIso(list(doc["iso"]["block_map"]), [
-                    self.mat(z) for z in doc["iso"]["conjugators"]])
-            try:
-                c = CanonicalForm(ctx, ctx.p, pieces, iso)
-            except NotOrderP as exc:
-                raise FormatError(str(exc)) from None
+                iso = _members(doc["iso"], {"block_map", "conjugators"})
+                iso = BlockIso(list(iso["block_map"]),
+                               [self.mat(z) for z in iso["conjugators"]])
+            c = CanonicalForm(ctx, ctx.p, pieces, iso)
             if iso is not None:
                 _check_iso(c)
             return c
@@ -373,8 +384,8 @@ class _Format2:
             tgt = self.ref(doc["target"], "canonical")
             arrs = []
             for blk in doc["blocks"]:
-                slots = [Slot(s["src"], s["size"], s["phase"])
-                         for s in blk["slots"]]
+                slots = [Slot(_members(s, _SLOT)["src"], s["size"])
+                         for s in _members(blk, {"slots", "conj"})["slots"]]
                 for s in slots:
                     if not (s.src is None or _is_int(s.src)):
                         raise FormatError("slot src %r is neither null nor "
@@ -382,22 +393,15 @@ class _Format2:
                     if not _is_int(s.size) or s.size < 0:
                         raise FormatError("slot size %r is not a "
                                           "non-negative integer" % (s.size,))
-                    if not (_is_int(s.phase) and 0 <= s.phase < src.p):
-                        raise FormatError("slot phase %r is not an integer "
-                                          "in 0..%d" % (s.phase, src.p - 1))
                 arrs.append(Arrangement(slots, self.mat(blk["conj"])))
             return EqHom(src, tgt, arrs, unital=_flag(doc["unital"]))
         if kind == "kinvariant":
-            m, mC = doc["m"], doc["mC"]
-            if not (_is_int(m) and _is_int(mC) and m >= 0 and mC >= 0):
-                raise FormatError("m %r and mC %r are not class counts"
-                                  % (m, mC))
-            return KInvariant(
-                m, _int_matrix([doc["unit"]], "unit", 1, m)[0],
-                _perm(doc["act"], "act", m), mC,
-                _perm(doc["dualAct"], "dualAct", mC),
-                _int_matrix([doc["special"]], "special", 1, mC)[0],
-                _int_matrix(doc["iota"], "iota", mC, m))
+            unit, special = (_int_matrix([doc[k]], k)[0]
+                             for k in ("unit", "special"))
+            m, mC = len(unit), len(special)
+            return KInvariant(m, unit, _bijection(doc["act"], "act", m), mC,
+                              _bijection(doc["dualAct"], "dualAct", mC),
+                              special, _int_matrix(doc["iota"], "iota", mC, m))
         if kind == "kpair":
             return KPair(_int_matrix(doc["F"], "F"),
                          _int_matrix(doc["phi"], "phi"),
@@ -424,7 +428,9 @@ class _Format2:
                        len(backward)))
             triangles = []
             for t in doc["triangles"]:
-                side, left, right = t["kind"], t["left"], t["right"]
+                side, left, right = _members(t, {
+                    "kind", "left", "right", "correction"})["kind"], \
+                    t["left"], t["right"]
                 tower = towerA if side == "A" else \
                     towerB if side == "B" else None
                 if tower is None or not all(
@@ -441,10 +447,8 @@ class _Format2:
                                            b_stages, forward, backward,
                                            triangles, pairs)
         if kind == "crossed":
-            # derived data: rebuilt from the source form, which the
-            # document's copy must match as text. identify has p^2 n^2
-            # entries for a piece of size n, so its header and entry count
-            # are compared before the dual and identify are built
+            # derived data, rebuilt from the source: the copy must match as
+            # text, identify's header and entry count before it is built
             src = self.ref(doc["source"], "canonical")
             cp = crossed_product(src)
             ident, w = doc["identify"], _Writer()
@@ -468,13 +472,12 @@ class _Format2:
         raise FormatError("unknown document kind %r" % (kind,))
 
     def mat(self, obj):
-        """A sparse matrix object, listing at least as many entries as it
-        has rows or columns: every matrix a valid document holds is
-        invertible, so it has a nonzero in each row and column, and no
-        larger header is allocated. Its entries arrive in row-major
-        order, so they are the matrix's rows."""
+        """A sparse matrix object listing, as an invertible one does, at
+        least as many entries as it has rows or columns, so that no larger
+        header is allocated; its row-major entries are its rows."""
         ctx = self.field()
-        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+        rows, cols, entries = _members(obj, _MAT)["rows"], \
+            obj["cols"], obj["entries"]
         if not (_is_int(rows) and _is_int(cols) and rows >= 0 and cols >= 0
                 and isinstance(entries, list)):
             raise FormatError("bad matrix object: rows %r, cols %r and "

@@ -45,7 +45,7 @@ two gaps.
   for j = sigma(i), whose canonical block must be the one b reads from.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cyclo import root_exponent
 from .errors import (NonDiagonalizableWithinField, NotOrderP, ShapeMismatch,
@@ -415,13 +415,9 @@ def _iso_defect(s, c):
 @dataclass
 class Slot:
     """One source-block copy inside a target block. src None marks an
-    explicit zero gap of the given size. phase is engine bookkeeping for
-    fixed-to-fixed routings (exponent of the p-th root assigned to the
-    copy); it does not enter the hom's value and is excluded from
-    comparison."""
+    explicit zero gap of the given size."""
     src: object
     size: int
-    phase: int = field(default=0, compare=False)
 
 
 @dataclass

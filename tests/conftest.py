@@ -21,6 +21,7 @@ from afzp.kinv import (KInvariant, KPair, imat_mul, induced_map,
                        invariant_of, ivec_mul)
 from afzp.matrix import (Mat, blockdiag, diag_root_exponents, spectral,
                          unitary_conjugator)
+from afzp import serialize
 from afzp.report import Report
 from afzp.system import (Arrangement, CanonicalForm, EqHom, FdSystem,
                          IrredPiece, Slot, _pattern_defect, equal_as_maps,
@@ -1118,12 +1119,13 @@ def ieye(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-# -- the format-1 writer ------------------------------------------------------
-# The library reads and writes format 2 only. This is the old format-1
-# writer, without its memos: the byte oracle for the pinned format-1
-# digests, the comparer of loaded values that == cannot compare (a
-# crossed presentation), and the source of the format-1 files the tests
-# check are refused.
+# -- the format-1 and format-2 writers ----------------------------------------
+# The library reads and writes format 3 only. These are the old format-1
+# writer, without its memos, and the format-2 writer, both without the
+# slot phase that format 3 dropped: the byte oracles for the pinned
+# format-1 and format-2 digests, the comparer of loaded values that ==
+# cannot compare (a crossed presentation), and the source of the
+# format-1 and format-2 files the tests check are refused.
 
 
 def scalar_json(s):
@@ -1178,8 +1180,8 @@ def dump_format1(obj):
     elif isinstance(obj, EqHom):
         doc.update(kind="hom", source=dump_format1(obj.source),
                    target=dump_format1(obj.target), unital=obj.unital,
-                   blocks=[{"slots": [{"src": s.src, "size": s.size,
-                                       "phase": s.phase} for s in arr.slots],
+                   blocks=[{"slots": [{"src": s.src, "size": s.size}
+                                      for s in arr.slots],
                             "conj": mat_json(arr.conj)}
                            for arr in obj.arrangements])
     elif isinstance(obj, CrossedPresentation):
@@ -1225,6 +1227,71 @@ def dump_format1(obj):
 def dumps_format1(obj):
     """The format-1 text of obj, as the library wrote it up to format 2."""
     return json.dumps(dump_format1(obj), indent=2, sort_keys=True)
+
+
+class _Format2Writer(serialize._Writer):
+    """The format-2 bodies: a fixed piece's V as a matrix, sigma 1-based,
+    act and dualAct as 0/1 matrices with their sizes m and mC. Matrices,
+    scalars and objects are written as in format 3."""
+
+    def body(self, obj):
+        if isinstance(obj, FdSystem):
+            self.field(obj.ctx)
+            return {"kind": "system", "blocks": list(obj.block_sizes),
+                    "sigma": [i + 1 for i in obj.sigma],
+                    "impl": [self.mat(u) for u in obj.impl]}
+        if isinstance(obj, CanonicalForm):
+            doc = super().body(obj)
+            for pc, out in zip(obj.pieces, doc["pieces"]):
+                if out.pop("exponents", None) is not None:
+                    out["v"] = self.mat(pc.v)
+            return doc
+        if isinstance(obj, KInvariant):
+            return {"kind": "kinvariant", "m": obj.m, "unit": list(obj.unit),
+                    "act": _perm_matrix(obj.act), "mC": obj.mC,
+                    "dualAct": _perm_matrix(obj.dualAct),
+                    "special": list(obj.special),
+                    "iota": [list(r) for r in obj.iota]}
+        return super().body(obj)
+
+
+def dump_format2(obj):
+    """The format-2 document of obj, as the library wrote it up to format
+    3 but for the slot phase."""
+    w = _Format2Writer()
+    doc = w.body(obj)
+    if w.objects:
+        doc["objects"] = w.objects
+    if w.ctx is not None:
+        doc["p"], doc["order"] = w.ctx.p, w.ctx.order
+    doc["afzp_format"] = 2
+    return doc
+
+
+def dumps_format2(obj):
+    """The format-2 text of obj."""
+    return json.dumps(dump_format2(obj), sort_keys=True,
+                      separators=(",", ":"))
+
+
+def slot_shifts(h, t):
+    """Per slot of h's target block t, the eigenvalue shift d that routes
+    it: its first column lies in the target's eigenspace of exponent
+    e + d (mod p), e the source's first exponent, read at the column's
+    first nonzero row of the conjugator. 0 on a gap or where the source
+    or target block is a cycle block."""
+    src, tgt, arr = h.source, h.target, h.arrangements[t]
+    out, col = [], 0
+    for slot in arr.slots:
+        d = 0
+        if slot.src is not None and src.block_exps[slot.src] \
+                and tgt.block_exps[t]:
+            row = next(i for i, cols in enumerate(arr.conj.nz) if col in cols)
+            d = (tgt.block_exps[t][row] - src.block_exps[slot.src][0]) \
+                % src.p
+        out.append(d)
+        col += slot.size
+    return out
 
 
 # -- the crossed layout and the element algebra --------------------------------

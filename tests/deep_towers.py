@@ -27,10 +27,10 @@ import time
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 # (p, depth, searched, pinned sha256 prefix of the certificate)
-TOWERS = [(2, 9, False, "75f02c32af8c"), (2, 10, False, "8fb50c019f9f"),
-          (3, 6, False, "401d73004e99"), (5, 4, False, "88182e429492"),
-          (5, 5, False, "4f452e87d34b"), (7, 2, False, "d2133009f406"),
-          (7, 2, True, "7484246b9b72")]
+TOWERS = [(2, 9, False, "3c485ae7491e"), (2, 10, False, "713760ecdbdd"),
+          (3, 6, False, "893464147b0c"), (5, 4, False, "23f2d85fcce1"),
+          (5, 5, False, "8a001951962b"), (7, 2, False, "fb57acaf446d"),
+          (7, 2, True, "b8a496c6c37c")]
 
 
 def measure(p, depth, searched=False):

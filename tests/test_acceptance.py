@@ -179,7 +179,7 @@ def _existence_grid(p):
 
 # sha256 of the concatenated dumps of every criterion-5 lift, in grid order
 EXISTENCE_LIFTS_SHA256 = \
-    "9941dde40bf1a1d50402dc7694a786fb1fef7378936d32091b7e9add4488aec3"
+    "4ba913de443f1380db7d33c5ad1ecdbf7296efe92dffe7d3089435bc59d33bb8"
 
 
 def test_criterion_5_existence_exhaustive_grid():

@@ -29,13 +29,13 @@ def test_every_public_name_resolves():
 # bench/run.py's "digest ... (first round)" line at seed 101
 FIRST_ROUND_DIGESTS = {
     "towers":
-        "4d7da49b6a31dda67e95edb508ccfae94648551522d6efb44641b3f2657f28a7",
+        "ecd045b44ec3e9954bea8e8511d4e7cfd62ee263b0eccf76241b66445dbfdd11",
     "existence":
-        "22aa41ea1547c53af57e994879dd9dc74d23cacf91f87815b5a7f20225c235e4",
+        "dfe5ae5c54214bf9d0366c8de0cf65fe0ca151cdded563da695cd6b53b607ac4",
     "uniqueness":
-        "fb2b11731440a37cfe5e4628ec70eba5e5c1b08f6ac6a4991864eaf553e62dd8",
+        "32b619ec1df3868f8135f2773c8b8b90b0629757742b56ae44d90ad4150fcf6d",
     "crossed-dense":
-        "ee16103eba30b88f9e1ccb425b418201cd1ecadd32cbb03510be3a1e2e7981d0",
+        "0dd9d33f30b143e443a991385e95129e4a2795c47667e34cec4ee0775adfd9c7",
 }
 
 

@@ -32,7 +32,7 @@ from conftest import (CaseShapeViolation, apply_hom, checked_case_params,
                       mat_kron, mat_power, mat_sub, matrix_intertwining,
                       matrix_orbits, mixed_form,
                       ordered_ksearch_oracle, piece_specs,
-                      random_tower_pair, solve,
+                      random_tower_pair, slot_shifts, solve,
                       unit_tuple, unitary_conjugator_search, vec_row_major)
 
 
@@ -47,7 +47,7 @@ def test_lift_scalar_embedding_phases():
     assert hom_validate(h).ok
     assert induced_map(h) == kp
     # the two copies route to opposite eigenvalues of diag(1, -1)
-    assert sorted(s.phase for s in h.arrangements[0].slots) == [0, 1]
+    assert sorted(slot_shifts(h, 0)) == [0, 1]
 
 
 def test_lift_fixed_to_cycle():
@@ -416,7 +416,7 @@ def test_equiv_unitary_opposite_phase_routings():
     h1 = lift(kp, src, tgt)
     # the opposite routing: phases swapped, conjugator compensates
     h2 = EqHom(src, tgt,
-               [Arrangement([Slot(0, 1, 1), Slot(0, 1, 0)],
+               [Arrangement([Slot(0, 1), Slot(0, 1)],
                             Mat.permutation(ctx, [1, 0]))], unital=True)
     assert hom_validate(h2).ok and induced_map(h2) == kp
     W, wit = equiv_unitary(h1, h2)
@@ -686,14 +686,15 @@ def _commutant_twist(draw, h, t):
     the identity when no source block repeats. Z is the p x p Fourier
     matrix on p of them (when c >= p), the rotation [[3, -4], [4, 3]] / 5
     on two of them, or a cyclic shift of all of them times root-of-unity
-    phases. A monomial Z, or one mixing slots of one Slot.phase only,
-    leaves the commutant element diagonal. So a source block with slots
-    at two or more phases is drawn when there is one, it is not shifted,
-    and Fourier and rotation take one slot of each phase first."""
+    phases. A monomial Z, or one mixing slots of one eigenvalue shift
+    only (conftest.slot_shifts), leaves the commutant element diagonal.
+    So a source block with slots at two or more shifts is drawn when
+    there is one, it is not shifted, and Fourier and rotation take one
+    slot of each shift first."""
     ctx, p = h.source.ctx, h.source.p
     starts, pos = {}, 0
-    for slot in h.arrangements[t].slots:
-        starts.setdefault(slot.src, []).append((slot.phase, pos))
+    for slot, d in zip(h.arrangements[t].slots, slot_shifts(h, t)):
+        starts.setdefault(slot.src, []).append((d, pos))
         pos += slot.size
     n = h.target.block_sizes[t]
     twist = Mat.identity(ctx, n)

@@ -20,11 +20,11 @@ from afzp.matrix import Mat
 from afzp.serialize import dumps, load_json, loads, save_json
 from afzp.system import CanonicalForm, FdSystem, identity_hom, validate
 
-from conftest import dumps_format1, fixed_form
+from conftest import dumps_format1, dumps_format2, fixed_form
 
 
 def _at(doc, path):
-    """The value at path in a format-2 document, each reference on the
+    """The value at path in a document, each reference on the
     way, and at its end, replaced by the object it names."""
     node = doc
     for key in path:
@@ -300,7 +300,7 @@ def test_a_result_that_does_not_fit_in_memory_exits_two(workdir):
     seconds: an input error, where earlier versions ended in a
     MemoryError traceback with exit 1."""
     with open("big.json", "w") as fh:
-        json.dump({"afzp_format": 2, "kind": "canonical", "order": 16,
+        json.dump({"afzp_format": 3, "kind": "canonical", "order": 16,
                    "p": 2, "pieces": [{"kind": "cycle", "n": 10 ** 6}]}, fh)
 
     def cap():
@@ -308,6 +308,22 @@ def test_a_result_that_does_not_fit_in_memory_exits_two(workdir):
 
     assert _run_cli(2, "crossed", "big.json", preexec_fn=cap) \
         .stderr.startswith("input error:")
+
+
+def test_the_invariant_of_a_p1009_piece_is_linear_in_p(workdir):
+    """afzp kinv on the canonical document of one fixed piece
+    diag(1, zeta_p) at p = 1009, field order p, writes its invariant in
+    under 16 KB: act and dualAct are lists of p entries. Format 2 wrote
+    them as 0/1 matrices, 2,044,343 bytes from the 152-byte format-2
+    document of the same form."""
+    with open("big.json", "w") as fh:
+        json.dump({"afzp_format": 3, "kind": "canonical", "p": 1009,
+                   "order": 1009, "pieces": [
+                       {"kind": "fixed", "n": 2, "exponents": [0, 1]}]}, fh)
+    assert main(["kinv", "big.json", "--out", "inv.json"]) == 0
+    assert os.path.getsize("inv.json") < 16_000
+    inv = load_json("inv.json")
+    assert inv.dualAct == tuple((b + 1) % 1009 for b in range(1009))
 
 
 def test_afzp_order_in_the_environment_is_ignored(workdir):
@@ -366,7 +382,7 @@ def test_block_size_below_one_is_named(workdir, capsys, command, blocks):
     shape."""
     doc = json.loads(Path("m1.json").read_text())
     empty = {"rows": 0, "cols": 0, "entries": []}
-    doc.update(blocks=blocks, sigma=list(range(1, len(blocks) + 1)),
+    doc.update(blocks=blocks, sigma=list(range(len(blocks))),
                impl=[doc["impl"][0] if n == 1 else empty for n in blocks])
     Path("bad.json").write_text(json.dumps(doc))
     capsys.readouterr()
@@ -382,23 +398,25 @@ def test_block_size_below_one_is_named(workdir, capsys, command, blocks):
     assert "not scalar" not in out.out + out.err
 
 
-# corruptions of the fixed piece v = diag(1, -1) of an n=2 canonical form,
-# whose entries are [[0, 0, "0:1"], [1, 1, "0:-1"]]
-def _v_non_diagonal(v):
-    v["entries"].insert(1, [0, 1, "0:1"])
+# corruptions of the fixed piece of an n=2 canonical form at p = 2 whose
+# V is diag(1, -1): {"exponents": [0, 1], "kind": "fixed", "n": 2}. A
+# document gives V as its exponents e, V = diag(zeta_p^e), so each defect
+# of V is written as the defect of e that names it
+def _v_non_diagonal(piece):  # the format-2 matrix of a non-diagonal V
+    piece["v"] = {"rows": 2, "cols": 2, "entries": [
+        [0, 0, "0:1"], [0, 1, "0:1"], [1, 1, "0:-1"]]}
 
 
-def _v_non_unitary(v):       # diag(2, 1)
-    v["entries"][0][2], v["entries"][1][2] = "0:2", "0:1"
+def _v_non_unitary(piece):   # diag(1, zeta_p^2): no exponent below p
+    piece["exponents"] = [0, 2]
 
 
-def _v_unsorted(v):          # diag(-1, 1)
-    e = v["entries"]
-    e[0][2], e[1][2] = e[1][2], e[0][2]
+def _v_unsorted(piece):      # diag(-1, 1)
+    piece["exponents"] = [1, 0]
 
 
-def _v_wrong_size(v):        # 1x1 in an n=2 piece
-    v.update(rows=1, cols=1, entries=v["entries"][:1])
+def _v_wrong_size(piece):    # 1x1 in an n=2 piece
+    piece["exponents"] = [0]
 
 
 def _slot_src_string(doc):
@@ -429,12 +447,12 @@ def test_corrupted_canonical_or_hom_exit_two(workdir, command, corrupt):
     if command == "validate":
         doc = json.loads(Path("hom.json").read_text())
         if corrupt in _V_CORRUPTIONS:
-            corrupt(_at(doc, ("target", "pieces", 0, "v")))
+            corrupt(_at(doc, ("target", "pieces", 0)))
         else:
             corrupt(doc)
     else:
         doc = json.loads(Path("c2.json").read_text())
-        corrupt(doc["pieces"][0]["v"])
+        corrupt(doc["pieces"][0])
     Path("bad.json").write_text(json.dumps(doc))
     _assert_input_error(command, "bad.json")
 
@@ -629,8 +647,7 @@ def test_certificate_lengths_and_stages_exit_two(workdir, corrupt):
 
 
 def _texts(doc):
-    """Every [i, j, scalar text] entry of a format-2 document, in file
-    order."""
+    """Every [i, j, scalar text] entry of a document, in file order."""
     for mat in _matrices(doc):
         yield from mat["entries"]
 
@@ -679,18 +696,21 @@ def test_non_integer_p_or_order_exit_two(workdir, path, key, value):
 
 
 def test_format1_certificate_is_refused(workdir, capsys):
-    """Format 1 is no longer read: loads raises FormatError and verify
-    exits 2, naming the format."""
+    """Formats 1 and 2 are no longer read: loads raises FormatError and
+    verify exits 2, naming the format."""
     assert main(["demo", "product-tower-p2", "--depth", "2",
                  "--out", "cert.json"]) == 0
-    with open("old.json", "w") as fh:
-        fh.write(dumps_format1(load_json("cert.json")))
-    with pytest.raises(FormatError, match="afzp_format 1 is not supported"):
-        load_json("old.json")
-    capsys.readouterr()
-    assert main(["verify", "old.json"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("input error:") and "format 2" in err
+    cert = load_json("cert.json")
+    for version, write in ((1, dumps_format1), (2, dumps_format2)):
+        with open("old.json", "w") as fh:
+            fh.write(write(cert))
+        with pytest.raises(FormatError, match="afzp_format %d is not "
+                           "supported" % version):
+            load_json("old.json")
+        capsys.readouterr()
+        assert main(["verify", "old.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "format 3" in err
 
 
 def _deep_nesting(path):
@@ -698,7 +718,7 @@ def _deep_nesting(path):
 
 
 def _not_utf8(path):
-    path.write_bytes(b'{"afzp_format": 2, "kind": "report\xff"}')
+    path.write_bytes(b'{"afzp_format": 3, "kind": "report\xff"}')
 
 
 @pytest.mark.parametrize("make", [_deep_nesting, _not_utf8, os.mkdir],
@@ -711,11 +731,11 @@ def test_hostile_file_exits_two(workdir, make):
     _assert_input_error("validate", "hostile.json")
 
 
-# -- format-2 mutations -------------------------------------------------------
+# -- certificate mutations ---------------------------------------------------
 
 
 def _matrices(doc):
-    """Every format-2 matrix object in doc, in file order."""
+    """Every matrix object in doc, in file order."""
     if isinstance(doc, dict):
         if "entries" in doc:
             yield doc
@@ -810,7 +830,7 @@ _FORMAT2_CORRUPTIONS = {
     "no-order": lambda d: d.pop("order"),
     "nested-p": _object_field("canonical", "p", lambda d: 2),
     "nested-order": _object_field("hom", "order", lambda d: 16),
-    "nested-format": _object_field("tower", "afzp_format", lambda d: 2),
+    "nested-format": _object_field("tower", "afzp_format", lambda d: 3),
     "pair-with-p": lambda d: d["pairs"][0].update(p=2),
     "objects-not-a-list": _top("objects", {}),
 }
@@ -818,16 +838,17 @@ _FORMAT2_CORRUPTIONS = {
 
 @pytest.mark.parametrize("name", sorted(_FORMAT2_CORRUPTIONS))
 def test_corrupted_format2_certificate_exit_two(workdir, capsys, name):
-    """Every format-2 corruption of the p=2 depth-2 certificate is an
-    input error: a reference that dangles, is cyclic or names the wrong
-    kind; scalar text that is not canonical; an entry out of range,
-    repeated or out of row-major order; a p or order that is not an
-    integer on the top-level document, or that a nested object carries.
-    main raises any other exception, so none ends in a traceback."""
+    """Every corruption of the p=2 depth-2 certificate's text (the test is
+    named for format 2, where it began) is an input error: a reference
+    that dangles, is cyclic or names the wrong kind; scalar text that is
+    not canonical; an entry out of range, repeated or out of row-major
+    order; a p or order that is not an integer on the top-level
+    document, or that a nested object carries. main raises any other
+    exception, so none ends in a traceback."""
     assert main(["demo", "product-tower-p2", "--depth", "2",
                  "--out", "cert.json"]) == 0
     doc = json.loads(Path("cert.json").read_text())
-    assert doc["afzp_format"] == 2
+    assert doc["afzp_format"] == 3
     _FORMAT2_CORRUPTIONS[name](doc)
     Path("bad.json").write_text(json.dumps(doc))
     capsys.readouterr()
@@ -889,10 +910,11 @@ _HUGE_HEADERS = {
 
 @pytest.mark.parametrize("name", sorted(_HUGE_HEADERS))
 def test_huge_headers_in_a_certificate_exit_two(workdir, capsys, name):
-    """A 10^6 x 10^6 header without entries on a fixed piece's v, a hom's
-    conj or a triangle's correction is an input error; so is a triangle
-    whose right stage is out of range, refused before its corrections
-    are read."""
+    """A 10^6 x 10^6 header without entries on a hom's conj or a
+    triangle's correction is an input error; so is one as a fixed
+    piece's v, a member format 3 no longer has, refused unread, and a
+    triangle whose right stage is out of range, refused before its
+    corrections are read."""
     assert main(["demo", "product-tower-p2", "--depth", "2",
                  "--out", "cert.json"]) == 0
     doc = json.loads(Path("cert.json").read_text())
@@ -900,8 +922,9 @@ def test_huge_headers_in_a_certificate_exit_two(workdir, capsys, name):
     Path("bad.json").write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["verify", "bad.json"]) == 2
-    assert ("and two of its stages" if name == "triangle-without-stage"
-            else _SHORT) in capsys.readouterr().err
+    assert {"triangle-without-stage": "and two of its stages",
+            "piece-v": "not in"}.get(name, _SHORT) \
+        in capsys.readouterr().err
 
 
 def test_a_short_listed_conj_is_an_input_error(workdir, capsys):
@@ -1041,7 +1064,7 @@ def _edited(argv, src, edit):
 def _system(blocks, sigma, impl_count):
     unit = {"rows": 1, "cols": 1, "entries": [[0, 0, "0:1"]]}
     _write("bad.json", json.dumps({
-        "afzp_format": 2, "kind": "system", "p": 2, "order": 16,
+        "afzp_format": 3, "kind": "system", "p": 2, "order": 16,
         "blocks": blocks, "sigma": sigma, "impl": [unit] * impl_count}))
 
 
@@ -1067,7 +1090,7 @@ _INPUT_BRANCHES = {
         lambda: _write("bad.json", "[]"), ["validate", "bad.json"], 2,
         "document is not a JSON object"),
     "not-utf8": (
-        lambda: _write("bad.json", b'{"afzp_format": 2, "kind": "\xff"}'),
+        lambda: _write("bad.json", b'{"afzp_format": 3, "kind": "\xff"}'),
         ["validate", "bad.json"], 2, "is not UTF-8 text"),
     "deep-nesting": (
         lambda: _write("bad.json", "[" * 200_000 + "]" * 200_000),
@@ -1104,11 +1127,11 @@ _INPUT_BRANCHES = {
         None, ["demo", "product-tower-p2", "--depth", "0"], 2,
         "argument --depth: '0' is not a positive integer"),
     "impl-count-differs-from-blocks": (
-        lambda: _system([1], [1], 2),
+        lambda: _system([1], [0], 2),
         ["validate", "bad.json", "--format", "text"], 1,
         "[FAIL] block count: impl/sigma length vs 1 blocks"),
     "sigma-not-a-permutation": (
-        lambda: _system([1, 1], [1, 1], 2),
+        lambda: _system([1, 1], [0, 0], 2),
         ["validate", "bad.json", "--format", "text"], 1,
         "[FAIL] sigma is a permutation: images [0, 0]"),
 }

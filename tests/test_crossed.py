@@ -219,7 +219,7 @@ def test_extension_induced_classes():
     ctx = ctx_for(2)
     src = fixed_form(ctx, [0])
     tgt = fixed_form(ctx, [0, 1])
-    h = EqHom(src, tgt, [Arrangement([Slot(0, 1, 0), Slot(0, 1, 1)],
+    h = EqHom(src, tgt, [Arrangement([Slot(0, 1), Slot(0, 1)],
                                      Mat.identity(ctx, 2))], unital=True)
     cpa, cpb = crossed_product(src), crossed_product(tgt)
     ext = extend_hom(h, cpa, cpb)
@@ -234,7 +234,7 @@ def test_extension_maps_averaging_projection_to_averaging_projection():
     ctx = ctx_for(2)
     src = fixed_form(ctx, [0])
     tgt = fixed_form(ctx, [0, 1])
-    h = EqHom(src, tgt, [Arrangement([Slot(0, 1, 0), Slot(0, 1, 1)],
+    h = EqHom(src, tgt, [Arrangement([Slot(0, 1), Slot(0, 1)],
                                      Mat.identity(ctx, 2))], unital=True)
     cpa, cpb = ElementCrossed(src), ElementCrossed(tgt)
     ext = extend_hom(h, cpa, cpb)
@@ -248,7 +248,7 @@ def test_extension_intertwines_duals():
     ctx = ctx_for(2)
     src = fixed_form(ctx, [0])
     tgt = fixed_form(ctx, [0, 1])
-    h = EqHom(src, tgt, [Arrangement([Slot(0, 1, 0), Slot(0, 1, 1)],
+    h = EqHom(src, tgt, [Arrangement([Slot(0, 1), Slot(0, 1)],
                                      Mat.identity(ctx, 2))], unital=True)
     cpa, cpb = ElementCrossed(src), ElementCrossed(tgt)
     ext = extend_hom(h, cpa, cpb)

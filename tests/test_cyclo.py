@@ -215,16 +215,16 @@ def test_serialization_bit_exact(rng):
 
 
 def _decoded(ctx, text):
-    """The scalar whose format-2 text is text, read by serialize.loads as
-    the implementing unitary of a 1x1 system document."""
-    doc = {"afzp_format": 2, "kind": "system", "p": ctx.p,
-           "order": ctx.order, "blocks": [1], "sigma": [1],
+    """The scalar whose text is text, read by serialize.loads as the
+    implementing unitary of a 1x1 system document."""
+    doc = {"afzp_format": 3, "kind": "system", "p": ctx.p,
+           "order": ctx.order, "blocks": [1], "sigma": [0],
            "impl": [{"rows": 1, "cols": 1, "entries": [[0, 0, text]]}]}
     return loads(json.dumps(doc)).impl[0].entries[0][0]
 
 
 def _ref_text(ref):
-    """The format-2 text of a Fraction reference scalar: its nonzero
+    """The text of a Fraction reference scalar: its nonzero
     coefficients as "e:a/b", in Fraction's own rendering."""
     return " ".join("%d:%s" % (e, c) for e, c in enumerate(ref.coeffs) if c)
 
@@ -315,7 +315,7 @@ _CORRUPT = ["1/0", "x", "", "1/2/3", "1.5", "2/-4", " 7 ", "+1", "2/4",
 
 
 def _reference_decode(ref, text):
-    """The Fraction reference of the format-2 scalar decoder: the
+    """The Fraction reference of the scalar decoder: the
     coefficients of text when it is the reference's own text of a
     nonzero scalar, else FormatError."""
     coeffs = [Fraction(0)] * ref.degree
@@ -332,7 +332,7 @@ def _reference_decode(ref, text):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_scalar_decoding_errors_match_fraction_reference(data):
-    """Corrupted format-2 scalar texts are refused exactly when the
+    """Corrupted scalar texts are refused exactly when the
     Fraction reference refuses them, and the texts both accept decode to
     the same coefficients."""
     p, order = data.draw(st.sampled_from(_FIELDS))
@@ -457,7 +457,7 @@ def _kept_terms_sources(ctx, data):
             ("root product", ctx.root(k) * b),
             ("sum_rows", sum_rows(ctx, [ctx.root(k), a], [
                 ((0,), (ctx.root(1),)), ((0, 1), (b, b))])[1][-1]),
-            ("format-2 loader", _decoded(ctx, _scalar_text(a)))]
+            ("loader", _decoded(ctx, _scalar_text(a)))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -466,7 +466,7 @@ def test_kept_terms_are_the_nonzero_coefficients(data):
     """However a Scalar is made, its kept terms are the nonzero (j, c) of
     num, j ascending, built on the first read and kept; a fresh Scalar
     has none kept, and reading them changes neither ==, hash nor the
-    format-2 text."""
+    scalar text."""
     p, order = data.draw(st.sampled_from(_FIELDS))
     ctx = ctx_for(p, order)
     fresh = [Scalar(ctx, data.draw(_vectors(ctx))), ctx.root(1),

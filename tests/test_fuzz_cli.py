@@ -1,4 +1,4 @@
-"""Mutation fuzzing of format-2 documents through the CLI.
+"""Mutation fuzzing of format-3 documents through the CLI.
 
 Valid documents of every kind a command reads at top level (hom,
 certificate, system, canonical, tower, kpair, kinvariant), written by
@@ -12,10 +12,16 @@ error), never in an uncaught exception, and a run that exits 0 printing
 a document load reads must print it as dumps writes it back.
 Structural mutations of a certificate (list lengths, stage values),
 references to objects of the wrong kind and documents inlined where a
-reference belongs are input errors and must exit 2. A non-vacuity check keeps the suite from
-passing by stopping every document at the format check. Short hostile
-documents that name large matrices must be refused before those are
-built, by loads and by every command that reads files.
+reference belongs are input errors and must exit 2. So must a member
+that a document's kind or a nested object does not have, a format-2
+member left in a document (a fixed piece's v, a slot's phase, an
+invariant's m and mC), and a fixed piece's exponents or an invariant's
+act or dualAct that is not what the engine computes with: n ascending
+integers in 0..p-1, a permutation of the block indices. A non-vacuity
+check keeps the suite from passing by stopping every document at the
+format check. Short hostile documents that name large matrices must be
+refused before those are built, by loads and by every command that
+reads files.
 """
 
 import argparse
@@ -46,7 +52,7 @@ from conftest import ctx_for, form_system, ieye, mixed_form
 
 
 def _doc(value):
-    """The format-2 document of value as read from a file."""
+    """The document of value as read from a file."""
     return json.loads(dumps(value))
 
 
@@ -310,11 +316,11 @@ def _argv(fuzzdir, line, bad):
 
 
 def test_mutations_reach_past_the_format_check(fuzzdir):
-    """Every base document is format 2, the format load reads, and a
+    """Every base document is format 3, the format load reads, and a
     mutated hom whose slot overflows its target block passes the loader
     and fails hom_validate: the suite fuzzes the checks behind the
     format check, not the format check alone."""
-    assert {doc["afzp_format"] for doc in _base_docs().values()} == {2}
+    assert {doc["afzp_format"] for doc in _base_docs().values()} == {3}
     doc = copy.deepcopy(_base_docs()["hom"])
     doc["blocks"][0]["slots"][0]["size"] += 1
     bad = str(fuzzdir / "overflow_hom.json")
@@ -396,16 +402,19 @@ def test_nested_document_of_wrong_kind_exits_two(fuzzdir, data):
         assert _exit_code(cmd, *[bad] * files) == 2, (cmd, path, value)
 
 
+# the base invariant has act [0, 2, 1] and dualAct [1, 0, 2]; act and
+# dualAct were 0/1 matrices in format 2, whose row t had its 1 in column
+# act[t], and each mutation named after a matrix defect writes the list
+# defect that matches it
 _MALFORMED = {
-    "ragged act": ("kinvariant", lambda d: d["act"][1].pop()),
-    "act entry 2": ("kinvariant", lambda d: d["act"][0].__setitem__(0, 2)),
+    "ragged act": ("kinvariant", lambda d: d["act"].pop()),
+    "act entry 2": ("kinvariant", lambda d: d["act"].__setitem__(0, 2)),
     "act with a 2 beside its 1": (
-        "kinvariant", lambda d: d["act"][0].__setitem__(1, 2)),
+        "kinvariant", lambda d: d["act"].__setitem__(1, 3)),
     "act with two 1s in a row": (
-        "kinvariant", lambda d: d.update(act=[[1, 0, 0], [0, 1, 1],
-                                              [0, 0, 0]])),
+        "kinvariant", lambda d: d["act"].__setitem__(1, [1, 2])),
     "dualAct with two 1s in a column": (
-        "kinvariant", lambda d: d["dualAct"].__setitem__(2, [1, 0, 0])),
+        "kinvariant", lambda d: d["dualAct"].__setitem__(2, 1)),
     "short unit": ("kinvariant", lambda d: d["unit"].pop()),
     "fractional iota": ("kinvariant",
                         lambda d: d["iota"][0].__setitem__(0, 0.5)),
@@ -430,23 +439,24 @@ def test_malformed_integer_documents_exit_two(fuzzdir, case):
     assert _exit_code(*_argv(fuzzdir, line, bad)) == 2
 
 
-@pytest.mark.parametrize("act", [[[2]], [[1, 1], [0, 0]]])
+@pytest.mark.parametrize("act", [[1], [1, 1]])
 def test_checkpair_refuses_an_act_that_is_no_permutation(tmp_path, capsys,
                                                          act):
-    """Invariants whose act is not a permutation matrix, checked against
-    each other, used to pass every check_pair item."""
+    """Invariants whose act is not a permutation, checked against each
+    other, used to pass every check_pair item."""
     m = len(act)
-    inv = {"afzp_format": 2, "kind": "kinvariant", "m": m, "unit": [1] * m,
-           "act": act, "mC": m, "dualAct": ieye(m), "special": [1] * m,
+    inv = {"afzp_format": 3, "kind": "kinvariant", "unit": [1] * m,
+           "act": act, "dualAct": list(range(m)), "special": [1] * m,
            "iota": ieye(m)}
-    pair = {"afzp_format": 2, "kind": "kpair", "F": ieye(m),
+    pair = {"afzp_format": 3, "kind": "kpair", "F": ieye(m),
             "phi": ieye(m), "unital": True}
     for name, doc in (("inv", inv), ("pair", pair)):
         (tmp_path / ("%s.json" % name)).write_text(json.dumps(doc))
     inv_path = str(tmp_path / "inv.json")
     assert main(["checkpair", str(tmp_path / "pair.json"), inv_path,
                  inv_path]) == 2
-    assert "act is not a permutation matrix" in capsys.readouterr().err
+    assert "act is not a permutation of 0..%d" % (m - 1) \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line,want", [
@@ -475,6 +485,8 @@ def _set_phase(value):
     return lambda d: d["blocks"][0]["slots"][0].__setitem__("phase", value)
 
 
+# format 2 gave each slot a phase in 0..p-1 that no computation read;
+# format 3 has none, so a phase of any value is refused
 _NONCANONICAL_HOM = {
     "unital 1": _set_unital(1),
     "unital 0": _set_unital(0),
@@ -486,15 +498,14 @@ _NONCANONICAL_HOM = {
     "phase true": _set_phase(True),
     "phase string": _set_phase("0"),
     "phase 0.0": _set_phase(0.0),
-    "phase missing": lambda d: d["blocks"][0]["slots"][0].pop("phase"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_NONCANONICAL_HOM))
 def test_noncanonical_hom_exits_two(fuzzdir, case):
-    """A hom's unital flag is a JSON boolean and each slot's phase an
-    integer in 0..p-1. "unital": 1 and a phase {"x": [1]} used to load,
-    validate with exit 0 and dump to other bytes."""
+    """A hom's unital flag is a JSON boolean, and a slot has no phase.
+    "unital": 1 and a phase {"x": [1]} used to load, validate with exit
+    0 and dump to other bytes."""
     doc = copy.deepcopy(_base_docs()["hom"])
     _NONCANONICAL_HOM[case](doc)
     with pytest.raises(FormatError):
@@ -503,6 +514,142 @@ def test_noncanonical_hom_exits_two(fuzzdir, case):
     Path(bad).write_text(json.dumps(doc))
     for cmd, files in _COMMANDS["hom"]:
         assert _exit_code(cmd, *[bad] * files) == 2, cmd
+
+
+def _fixed_piece(doc):
+    """The base canonical form's fixed piece, diag(1, -1) at p = 2."""
+    return doc["pieces"][0]
+
+
+def _setter(get, key, value):
+    return lambda d: get(d).__setitem__(key, value)
+
+
+# (base document, mutation): the format-3 fields written as the integers
+# the engine holds, each broken in one way, and the format-2 members
+# that format 3 dropped, left in place
+_NEW_FIELDS = {
+    "exponents unsorted": ("canonical", _setter(
+        _fixed_piece, "exponents", [1, 0])),
+    "exponent p": ("canonical", _setter(_fixed_piece, "exponents", [0, 2])),
+    "exponent -1": ("canonical", _setter(_fixed_piece, "exponents", [-1, 0])),
+    "exponents short": ("canonical", _setter(_fixed_piece, "exponents", [0])),
+    "exponents long": ("canonical", _setter(
+        _fixed_piece, "exponents", [0, 1, 1])),
+    "exponent true": ("canonical", _setter(
+        _fixed_piece, "exponents", [0, True])),
+    "exponent 1.0": ("canonical", _setter(
+        _fixed_piece, "exponents", [0, 1.0])),
+    "exponents null": ("canonical", _setter(_fixed_piece, "exponents", None)),
+    "stale v": ("canonical", _setter(_fixed_piece, "v", {
+        "rows": 2, "cols": 2, "entries": [[0, 0, "0:1"], [1, 1, "0:-1"]]})),
+    "exponents on a cycle": ("canonical", lambda d: d["pieces"][1].update(
+        exponents=[0])),
+    "stale phase": ("hom", lambda d: d["blocks"][0]["slots"][0].update(
+        phase=0)),
+    "stale m": ("kinvariant", lambda d: d.update(m=3)),
+    "stale mC": ("kinvariant", lambda d: d.update(mC=3)),
+    **{"%s %s" % (key, what): ("kinvariant", change)
+       for key in ("act", "dualAct") for what, change in (
+           ("repeated", lambda d, k=key: d[k].__setitem__(0, d[k][1])),
+           ("out of range", lambda d, k=key: d[k].__setitem__(0, 3)),
+           ("negative", lambda d, k=key: d[k].__setitem__(0, -1)),
+           ("short", lambda d, k=key: d[k].pop()),
+           ("long", lambda d, k=key: d[k].append(3)),
+           ("boolean", lambda d, k=key: d.__setitem__(k, [False, True, 2])),
+           ("0/1 matrix", lambda d, k=key: d.__setitem__(k, [
+               [int(j == s) for j in range(3)] for s in d[k]])))},
+    "dual sigma 1-based": ("crossed", lambda d: d["dual"].__setitem__(
+        "sigma", [i + 1 for i in d["dual"]["sigma"]])),
+    "dual sigma boolean": ("crossed", lambda d: d["dual"]["sigma"].__setitem__(
+        0, bool(d["dual"]["sigma"][0]))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NEW_FIELDS))
+def test_new_fields_and_stale_members_exit_two(fuzzdir, case):
+    """A fixed piece's exponents are n ascending integers in 0..p-1, an
+    invariant's act and dualAct permutations of its block indices, and
+    a crossed document's dual has the 0-based sigma of the rebuilt
+    presentation; anything else, and a format-2 v, phase, m or mC left
+    in a document, is an input error under every command that reads
+    the document."""
+    kind, mutate = _NEW_FIELDS[case]
+    doc = copy.deepcopy(_base_docs()[kind])
+    mutate(doc)
+    with pytest.raises(FormatError):
+        loads(json.dumps(doc))
+    bad = str(fuzzdir / "new_field.json")
+    Path(bad).write_text(json.dumps(doc))
+    lines = _TOP_COMMANDS.get(kind) or [
+        (cmd, *[BAD] * files) for cmd, files in _COMMANDS[kind]]
+    for line in lines:
+        assert _exit_code(*_argv(fuzzdir, line, bad)) == 2, line
+
+
+@pytest.mark.parametrize("value,code", [
+    ([0, 2, True], 2), ([0, 2, 2], 1), ([0, 2, 3], 1), ([0, 2], 1),
+    ([1, 3, 2], 1)], ids=["boolean", "repeated", "out-of-range", "short",
+                          "1-based"])
+def test_a_system_sigma_is_a_list_of_integers_that_validate_checks(
+        fuzzdir, capsys, value, code):
+    """A system's sigma is its 0-based list of images. A value that is not
+    a list of JSON integers is an input error; whether the integers form
+    a permutation, of the right length, is validate's finding (exit 1),
+    as for any other system that is not valid. A 1-based sigma, as
+    format 2 wrote it, is one of those."""
+    doc = copy.deepcopy(_base_docs()["system"])
+    doc["sigma"] = value
+    bad = str(fuzzdir / "sigma.json")
+    Path(bad).write_text(json.dumps(doc))
+    assert _exit_code("validate", bad) == code
+
+
+def _extra_member(doc, at):
+    """doc with a member "extra" added to its at-th JSON object."""
+    doc = copy.deepcopy(doc)
+    list(_dicts(doc))[at]["extra"] = 0
+    return doc
+
+
+@pytest.mark.parametrize("kind", sorted(set(_TOP_COMMANDS) | set(_COMMANDS)))
+def test_a_member_that_its_object_does_not_have_exits_two(fuzzdir, kind):
+    """Every JSON object of a document (the document, each object in
+    "objects", a piece, an iso, a hom block, a slot, a matrix, a
+    triangle, an inline pair or dual) has only the members of its kind:
+    with one more, load refuses the document, which used to load and
+    dump to other text. Each command that reads the document exits 2 on
+    the extra member of the top level and of its first nested object."""
+    base = _base_docs()[kind]
+    count = len(list(_dicts(base)))
+    for at in range(count):
+        with pytest.raises(FormatError):
+            loads(json.dumps(_extra_member(base, at)))
+    lines = _TOP_COMMANDS.get(kind) or [
+        (cmd, *[BAD] * files) for cmd, files in _COMMANDS[kind]]
+    bad = str(fuzzdir / "extra_member.json")
+    for at in range(min(count, 2)):
+        Path(bad).write_text(json.dumps(_extra_member(base, at)))
+        for line in lines:
+            assert _exit_code(*_argv(fuzzdir, line, bad)) == 2, (at, line)
+
+
+@pytest.mark.parametrize("kind,key,value", [
+    ("kinvariant", "p", 2), ("kinvariant", "order", 16), ("kpair", "p", 2),
+    ("kpair", "order", 16), ("kinvariant", "objects", []),
+    ("tower", "p", 2)])
+def test_p_and_order_only_where_a_document_has_a_field(kind, key, value):
+    """p and order name the field of a document's matrices and forms; an
+    invariant, a pair or a tower without stages has none, and writes
+    neither, so a document of one that carries them is refused. So is
+    an empty objects list, which no document writes."""
+    doc = copy.deepcopy(_kind_docs()[kind])
+    if kind == "tower":
+        doc = {"afzp_format": 3, "kind": "tower", "systems": [], "maps": []}
+        assert loads(json.dumps(doc)) == Tower([], [])
+    doc[key] = value
+    with pytest.raises(FormatError):
+        loads(json.dumps(doc))
 
 
 _CROSSED_DERIVED = ["blocks", "special", "iota", "dual", "identify"]
@@ -582,7 +729,7 @@ def _crossed_cycle_document(rows=None, cols=None):
     header's."""
     n = 100
     return json.dumps({
-        "afzp_format": 2, "kind": "crossed", "p": 2, "order": 16,
+        "afzp_format": 3, "kind": "crossed", "p": 2, "order": 16,
         "objects": [{"kind": "canonical",
                      "pieces": [{"kind": "cycle", "n": n}]}],
         "source": 0, "blocks": [2 * n], "special": [n], "iota": [[1, 1]],
@@ -595,23 +742,23 @@ def _hom_onto_a_huge_cycle(n=10 ** 6):
     whose first conj is an n x n header without entries: a few hundred
     bytes naming an n-row matrix in a block of that size."""
     return json.dumps({
-        "afzp_format": 2, "kind": "hom", "p": 2, "order": 16,
+        "afzp_format": 3, "kind": "hom", "p": 2, "order": 16,
         "objects": [{"kind": "canonical",
                      "pieces": [{"kind": "cycle", "n": n}]}],
         "source": 0, "target": 0, "unital": True, "blocks": [
-            {"slots": [{"src": t, "size": n, "phase": 0}],
+            {"slots": [{"src": t, "size": n}],
              "conj": {"rows": n, "cols": n, "entries": []}}
             for t in range(2)]})
 
 
 _HOSTILE = {
-    "system": '{"afzp_format":2,"kind":"system","p":2,"order":16,'
-              '"blocks":[300000000],"sigma":[1],"impl":[{"rows":300000000,'
+    "system": '{"afzp_format":3,"kind":"system","p":2,"order":16,'
+              '"blocks":[300000000],"sigma":[0],"impl":[{"rows":300000000,'
               '"cols":300000000,"entries":[]}]}',
     "hom": _hom_onto_a_huge_cycle(),
-    "unitaries": '{"afzp_format":2,"kind":"unitaries","p":2,"order":16,'
+    "unitaries": '{"afzp_format":3,"kind":"unitaries","p":2,"order":16,'
                  '"W":[{"rows":1000000,"cols":1,"entries":[]}]}',
-    "report": '{"afzp_format":2,"kind":"report","ok":true,"checks":'
+    "report": '{"afzp_format":3,"kind":"report","ok":true,"checks":'
               '[{"detail":"","name":"stage count","ok":true}]}',
     "crossed": _crossed_cycle_document(),
 }

@@ -1,13 +1,17 @@
-"""The format-2 codec of serialize against its oracles.
+"""The format-3 codec of serialize against its oracles.
 
-dumps writes format 2: its text is json.dumps(dump(x), sort_keys=True,
+dumps writes format 3: its text is json.dumps(dump(x), sort_keys=True,
 separators=(",", ":")), and load reads it back to a value that dumps
 to the same text; the unitaries and report kinds are written only, and
-load refuses them. load reads format 2 only. The old format-1 writer
-lives in conftest (dumps_format1): it is the byte oracle of the pinned
-format-1 digests, it compares loaded values that == cannot (a crossed
-presentation), and the documents it writes must be refused. The reader
-builds each shared object once, which equal bytes cannot show, so the
+load refuses them. load reads format 3 only. The old format-1 and
+format-2 writers live in conftest (dumps_format1, dumps_format2), both
+without the slot phase that format 3 dropped: they are the byte oracles
+of the pinned format-1 and format-2 digests, which were taken from the
+documents the format-2 library wrote with every phase member deleted,
+so format 3 changed no value but the phase; the format-1 writer
+compares loaded values that == cannot (a crossed presentation); and
+the documents both write must be refused. The reader builds each
+shared object once, which equal bytes cannot show, so the
 constructions are counted.
 """
 
@@ -33,8 +37,9 @@ from afzp.serialize import dump, dumps, loads
 from afzp.system import (Arrangement, EqHom, Slot, decompose, identity_hom)
 
 from conftest import (ProductCrossed, ctx_for, cycle_form, dump_format1,
-                      dumps_format1, fixed_form, form_system, grid_mat,
-                      mixed_form, piece_specs, scalar_text_by_coefficients)
+                      dumps_format1, dumps_format2, fixed_form, form_system,
+                      grid_mat, mixed_form, piece_specs,
+                      scalar_text_by_coefficients)
 
 KINDS = ["system", "canonical", "canonical-iso", "hom", "hom-null-src",
          "crossed", "kinvariant", "kpair", "tower", "certificate",
@@ -169,18 +174,19 @@ def test_scalar_text_matches_the_coefficient_oracle(s):
     assert serialize._scalar_text(s) == scalar_text_by_coefficients(s)
 
 
-_FORMAT1_REFUSED = "afzp_format 1 is not supported: only format 2 is read"
+def _refused(version):
+    return "afzp_format %d is not supported: only format 3 is read" % version
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_format1_and_format2_load_to_equal_objects(kind, data):
-    """The format-2 text loads to the value that was written, as its
+    """The format-3 text loads to the value that was written, as its
     format-1 oracle document shows where == cannot (a crossed
     presentation), and a certificate replays to the same report; the
-    format-2 text of a written-only kind and the format-1 text of any
-    value are refused."""
+    format-3 text of a written-only kind and the format-1 and format-2
+    texts of any value are refused."""
     value = _value(data.draw, kind)
     if kind in WRITTEN_ONLY:
         with pytest.raises(FormatError, match="unknown document kind"):
@@ -192,8 +198,10 @@ def test_format1_and_format2_load_to_equal_objects(kind, data):
             assert new == value
         if kind == "certificate":
             assert verify_certificate(new) == verify_certificate(value)
-    with pytest.raises(FormatError, match=_FORMAT1_REFUSED):
+    with pytest.raises(FormatError, match=_refused(1)):
         loads(dumps_format1(value))
+    with pytest.raises(FormatError, match=_refused(2)):
+        loads(dumps_format2(value))
 
 
 def _pinned_certificate(p, depth, resorted):
@@ -213,84 +221,107 @@ _PINNED_IDS = ["p2-depth3", "p3-depth2", "p2-depth3-resorted"]
 
 @pytest.mark.parametrize("p,depth,resorted,digest", [
     (2, 3, False,
-     "92ea0b51a6deda5a32bea9e94715b327df2a1b4c97597b674299b3962dadf3d3"),
+     "32f8cac7f8c48b01ac314c775bc761377bec896dfdbe7bdac09662860faa59a0"),
     (3, 2, False,
-     "ba9f5352b3e1ce130fcd771632adfd33e6e8989f35b55711ff938e030e009015"),
+     "493337076a9dfe8a2127d8272eb8e88f21bbce9aec4694fe9db29ad309c78420"),
     (2, 3, True,
-     "47cc0329f2e56cde0c825f04840587db99fb68b1fc8a0cf97c074a450006a772"),
+     "75ab29f6a5d6406f81d208a281d7f3f7d22ea8b0514bedd470e1c251d0e4dc98"),
 ], ids=_PINNED_IDS)
 def test_self_intertwined_product_tower_bytes_are_pinned(p, depth, resorted,
                                                          digest):
     """The format-1 bytes stay those of the Fraction-coefficient scalar
-    layer, where the first two digests were taken; the resorted tower's,
-    taken before hom checks moved to conjugator products, pins bytes
-    made through equiv_unitary's corrections. Format 1 is now written by
-    the oracle writer only."""
+    layer, where the first two digests were first taken; the resorted
+    tower's, taken before hom checks moved to conjugator products, pins
+    bytes made through equiv_unitary's corrections. Format 1 is now
+    written by the oracle writer only, and the digests are those of the
+    format-1 documents of the last format-2 library with every slot
+    phase deleted."""
     cert = _pinned_certificate(p, depth, resorted)
     assert _digest(dumps_format1(cert)) == digest
 
 
 def test_searched_pair_certificate_bytes_are_pinned():
     """With no given pairs every hop takes the first ksearch
-    candidate closing its triangle; the digest was taken before the
-    forward and backward steps shared one code path."""
+    candidate closing its triangle; the digest, first taken before the
+    forward and backward steps shared one code path, is that of the
+    last format-2 library's format-1 document without slot phases."""
     cert = intertwine(product_tower(2, 3), product_tower(2, 3, resorted=True),
                       depth=3)
     assert _digest(dumps_format1(cert)) == \
-        "f75ea5cd14da1610f486623f854ff90d01adb29e052499b25719406c49b021eb"
+        "ae5db5265265741c9e9f8e9f60a990c48242951674e2da92a710716a4b190532"
+
+
+_CERTIFICATES = _PINNED + [(2, 3, None), (5, 3, False), (7, 2, False),
+                          (5, 3, None), (7, 2, None)]
+_CERTIFICATE_IDS = _PINNED_IDS + ["p2-depth3-searched", "p5-depth3",
+                                  "p7-depth2", "p5-depth3-searched",
+                                  "p7-depth2-searched"]
+
+
+def _certificate(p, depth, resorted):
+    """A pinned certificate, or, with resorted None, a searched-pair one:
+    the tower intertwined with its resorted presentation and no given
+    pairs."""
+    if resorted is None:
+        return intertwine(product_tower(p, depth),
+                          product_tower(p, depth, resorted=True), depth=depth)
+    return _pinned_certificate(p, depth, resorted)
 
 
 @pytest.mark.parametrize("p,depth,resorted,digest", [
-    (2, 3, False,
-     "da4087c979ecaf46f08499a07a03b49712486e6a4ee1516bfc44133327dae933"),
-    (3, 2, False,
-     "6819ab04ac85fa74d71d986f06d006688a419121e161848cd557ab423e16405c"),
-    (2, 3, True,
-     "2606b2738db835a95af7a0e6fdfea11376665c9a63355eb2caac7ddb275f3655"),
-    (2, 3, None,
-     "78700d0228db880207ce8a8cf33ec4de9956ac66848fbb05f4cdbffc5c40dcf8"),
-    (5, 3, False,
-     "d20f9f664e963aa9a8f8045c28308bc3292faa6ba304c747d06194ffb37ae8c1"),
-    (7, 2, False,
-     "d2133009f4065bb3a0cf9c829e6ce2d0e5398ca85593256fe569d27f3f2fbcf4"),
-    (5, 3, None,
-     "54525cbf8396d5f9c76c257628f06356cdd7f4deeaebb578162a9a814f1f459c"),
-    (7, 2, None,
-     "7484246b9b7272fff6958fc33d816eddaf3c3fdfecb8f9819fbefac8688a8587"),
-], ids=_PINNED_IDS + ["p2-depth3-searched", "p5-depth3", "p7-depth2",
-                      "p5-depth3-searched", "p7-depth2-searched"])
+    (*case, digest) for case, digest in zip(_CERTIFICATES, [
+        "87b8cefa9b6c9afe78326d8461708a8b436cb82d210661f45a546aad89b39676",
+        "80383633c59d59359972710c4c3c530f3ef5b733fd77e1315bef1ec3033bb866",
+        "b43049cc9e302c783fab8e4130e1022740289cb32f92c3c47cda397bcf39eedd",
+        "2cfd70b9871b20b02d72d46cfb6801e68fb46e04036d29848f427df76a1e58bb",
+        "43a2b0facb7cd53bccc65f0dc6965a9c78fa1f2346e183f64ca7aa4fcaac7b74",
+        "a05b46aedfb32636c20879d1d5ee55a690814cf36e1ce1de0d9efe22aedf15c7",
+        "9e9048bbc4faf00acc5436b036110c944b57222cd3bb8a9732b1224940c80bc8",
+        "30b8cbf2f9d8de4ad34399e5fe32e5e56ba50a7dd83aed074b002a1508ad4109"])],
+    ids=_CERTIFICATE_IDS)
 def test_format2_certificate_bytes_are_pinned(p, depth, resorted, digest):
-    """The format-2 bytes of the certificates pinned above in format 1,
-    and of searched-pair ones (resorted None): the tower intertwined
-    with its resorted presentation and no given pairs. The digests were
-    taken when format 2 was introduced, those of p = 5 and 7 before hom
-    checks scaled by exponents instead of by V's diagonal, and the
-    searched p = 5 and 7 ones before the pair search took its candidates
-    one at a time. A searched certificate replays after a round trip."""
-    if resorted is None:
-        cert = intertwine(product_tower(p, depth),
-                          product_tower(p, depth, resorted=True), depth=depth)
-    else:
-        cert = _pinned_certificate(p, depth, resorted)
-    text = dumps(cert)
+    """The format-2 oracle bytes of the certificates pinned above in
+    format 1, and of searched-pair ones (resorted None). The digests are
+    those of the text the last format-2 library wrote, with every slot
+    phase deleted: format 3 changed no other value."""
+    assert _digest(dumps_format2(_certificate(p, depth, resorted))) == digest
+
+
+@pytest.mark.parametrize("p,depth,resorted,digest", [
+    (*case, digest) for case, digest in zip(_CERTIFICATES, [
+        "f0fb3740f4924a511f892c1056cfcaba1e3303d396b7e3445ecd25a4758683c7",
+        "be9078c0967b6dea5ea809274b9a61aa298f699ed04dbd6cfbe614327cfb600d",
+        "56128f8dfdacf0e19ef6a7338bb807be0178bd857c9cea08d329759549b20a7e",
+        "cb253830f2bd87a6b027aff7bb88c40cb629d14779eda7ce374228e92b81e0e0",
+        "f5f5987acf229df1f1ea86b287da8eed59b32fded2cbcb52144bb2e853723bfe",
+        "fb57acaf446d8a35c5c42c5ef257a264a89e17d00dbb0cac13dc10b059487c2e",
+        "aee1b2b713bb5d2db3b6787bc4c6bdc44f6a51d0d5bba30ee640032303b10ab6",
+        "b8a496c6c37c2be9c805d450d735b17ead683339db267e255b9441f320fa0452"])],
+    ids=_CERTIFICATE_IDS)
+def test_format3_certificate_bytes_are_pinned(p, depth, resorted, digest):
+    """The format-3 bytes of the same certificates, taken when format 3
+    was introduced. Each replays after a round trip."""
+    text = dumps(_certificate(p, depth, resorted))
     assert _digest(text) == digest
-    if resorted is None:
-        rep = verify_certificate(loads(text))
-        assert rep.ok, rep.summary()
+    again = loads(text)
+    assert dumps(again) == text
+    rep = verify_certificate(again)
+    assert rep.ok, rep.summary()
 
 
 @pytest.mark.parametrize("target,digest", [
     ([0, 0, 1, 1, 2, 2, 3, 3, 4, 4],
-     "e076a868997974871c45bf986e3ddb80bd7396c25f94d3822efdd20856efafba"),
+     "6091fd0991123103054972ac2871594694fd4b059dd070bc9b34397551020ece"),
     (10,
-     "cecd564ea5888db4769c3bd0f0eca584c5229ffab40d2f755b1b3cb2c50d89df"),
+     "d696eb8cc1590c2a29d3c57b92b8e21130f5fe4807bc61dffd84a0d562d156e6"),
 ], ids=["fixed-to-fixed", "fixed-to-cycle"])
 def test_p5_lift_bytes_are_pinned(target, digest):
     """The concatenated dumps of the lift of every ksearch pair (entries
     <= 3) from the p=5 fixed piece diag(1, zeta, ..., zeta^4) into a
     fixed piece with every exponent twice (15 pairs), or into a cycle
     piece of size 10 (twisted by V^-r in block r). The digests were
-    taken while lift twisted by powers of V's adjoint."""
+    first taken while lift twisted by powers of V's adjoint, and re-pinned
+    when format 3 dropped the slot phase."""
     ctx = ctx_for(5)
     src = fixed_form(ctx, [0, 1, 2, 3, 4])
     tgt = cycle_form(ctx, target) if isinstance(target, int) \
@@ -304,17 +335,18 @@ def test_p5_lift_bytes_are_pinned(target, digest):
                          ids=["entrywise", "products"])
 @pytest.mark.parametrize("p,order,specs,digest", [
     (2, 16, [("fixed", [0, 1]), ("cycle", 2)],
-     "76ecdfb253c9f1409b4c095e123f3540cc8c3d7538e1472361963ee3ebc6e657"),
+     "c27e53069305dcfa37f3230d3091b0dd3a7e8858ddc3f97bb0ec9218f674057f"),
     (3, 36, [("fixed", [0, 1, 2]), ("cycle", 1)],
-     "1c3fdd767298c7fd5da5ee9f0d43534827f8e7c158d31361439b7465b93f619c"),
+     "e86b1bce6861775ad16f457f44ee7d34ae28d813a0cabd34f461c130d2ca90fc"),
     (5, 5, [("fixed", [0, 1, 2, 3, 4])],
-     "577349f1131666d8aa3a48951be492afad073e53909de6807c22d41613535dff"),
+     "a75c04b7da27f40be33b71bb4f1bbf5b6abdb184460335a738d2716decfad7c8"),
 ], ids=["p2-order16", "p3-order36", "p5-order5"])
 def test_crossed_document_bytes_are_pinned(p, order, specs, digest, build):
     """A crossed document holds identify_matrix, identify applied to
-    every matrix unit. The digests were taken while identify multiplied
-    by powers of V; the entrywise identify and that oracle both keep
-    them."""
+    every matrix unit. The digests were first taken while identify
+    multiplied by powers of V, and re-pinned when format 3 wrote the
+    source's exponents and the dual's 0-based sigma; the entrywise
+    identify and that oracle both keep them."""
     form = mixed_form(ctx_for(p, order), specs)
     assert _digest(dumps(build(form))) == digest
 
@@ -322,17 +354,19 @@ def test_crossed_document_bytes_are_pinned(p, order, specs, digest, build):
 @pytest.mark.parametrize("p,depth,resorted", _PINNED, ids=_PINNED_IDS)
 def test_format1_and_format2_certificates_replay_to_the_same_report(
         p, depth, resorted):
-    """A pinned certificate loaded from its format-2 text equals the one
+    """A pinned certificate loaded from its format-3 text equals the one
     in memory by its format-1 oracle document and replays to the same
-    passing report; its format-1 text is refused."""
+    passing report; its format-1 and format-2 texts are refused."""
     cert = _pinned_certificate(p, depth, resorted)
     new = loads(dumps(cert))
     assert dump_format1(new) == dump_format1(cert)
     report = verify_certificate(cert)
     assert report.ok
     assert verify_certificate(new) == report
-    with pytest.raises(FormatError, match=_FORMAT1_REFUSED):
+    with pytest.raises(FormatError, match=_refused(1)):
         loads(dumps_format1(cert))
+    with pytest.raises(FormatError, match=_refused(2)):
+        loads(dumps_format2(cert))
 
 
 def test_each_object_is_written_and_built_once(monkeypatch):

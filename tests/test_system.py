@@ -251,7 +251,7 @@ def test_hom_validate_unital_embedding():
     src = fixed_form(ctx, [0])
     tgt = fixed_form(ctx, [0, 1])
     h = EqHom(src, tgt,
-              [Arrangement([Slot(0, 1, 0), Slot(0, 1, 1)],
+              [Arrangement([Slot(0, 1), Slot(0, 1)],
                            Mat.identity(ctx, 2))], unital=True)
     rep = hom_validate(h)
     assert rep.ok
@@ -273,7 +273,7 @@ def test_hom_compose_identity_is_neutral():
     src = fixed_form(ctx, [0])
     tgt = fixed_form(ctx, [0, 1])
     h = EqHom(src, tgt,
-              [Arrangement([Slot(0, 1, 0), Slot(0, 1, 1)],
+              [Arrangement([Slot(0, 1), Slot(0, 1)],
                            Mat.identity(ctx, 2))], unital=True)
     assert hom_compose(identity_hom(tgt), h) == h
     assert hom_compose(h, identity_hom(src)) == h
@@ -299,7 +299,7 @@ def test_hom_compose_requires_matching_middle():
     src = fixed_form(ctx, [0])
     tgt = fixed_form(ctx, [0, 1])
     h = EqHom(src, tgt,
-              [Arrangement([Slot(0, 1, 0), Slot(0, 1, 1)],
+              [Arrangement([Slot(0, 1), Slot(0, 1)],
                            Mat.identity(ctx, 2))], unital=True)
     with pytest.raises(SystemMismatch):
         hom_compose(h, h)
