@@ -48,31 +48,6 @@ __all__ = ["lift", "equiv_unitary", "ksearch", "Tower", "intertwine",
 # ---------------------------------------------------------------------------
 
 
-def _case_params(kp, srcC, tgtC):
-    """Per (source piece, target piece) case tag and multiplicity data,
-    read from the first column of each sub-block. check_pair has already
-    forced every sub-block into the shape equivariance demands:
-    F act_A = act_B F makes FC columns and CF rows constant and CC
-    slices circulant, phi dualAct_A = dualAct_B phi makes FF slices
-    circulant, and the embedding square ties their sums together."""
-    p = srcC.p
-    plans = {}
-    for ti, (tp, t, b) in enumerate(zip(tgtC.pieces, tgtC.piece_offsets,
-                                        tgtC.crossed_offsets)):
-        for si, (sp, s, a) in enumerate(zip(srcC.pieces, srcC.piece_offsets,
-                                            srcC.crossed_offsets)):
-            tag = ("F" if sp.kind == "fixed" else "C") + \
-                  ("F" if tp.kind == "fixed" else "C")
-            if tag == "FF":
-                data = [kp.phi[b + d][a] for d in range(p)]
-            elif tag == "CC":
-                data = [kp.F[t + d][s] for d in range(p)]
-            else:
-                data = kp.F[t][s]
-            plans[(si, ti)] = (tag, data)
-    return plans
-
-
 def lift(kp, srcC, tgtC):
     """Explicit unital equivariant hom inducing the given pair exactly."""
     rep = check_pair(kp, invariant_of(srcC), invariant_of(tgtC))
@@ -84,19 +59,22 @@ def lift(kp, srcC, tgtC):
 
 
 def _lift(kp, srcC, tgtC):
-    """lift for a unital pair that passes check_pair."""
+    """lift for a unital pair that passes check_pair. The packers read
+    each (source piece, target piece) plan off the first column of its
+    sub-block of the pair: F act_A = act_B F makes fixed->cycle columns
+    and cycle->fixed rows of F constant and cycle->cycle slices
+    circulant, phi dualAct_A = dualAct_B phi makes fixed->fixed slices
+    of phi circulant, and the embedding square ties their sums
+    together."""
     ctx = srcC.ctx
     p = srcC.p
-    plans = _case_params(kp, srcC, tgtC)
     arrangements = [None] * tgtC.m
-    for ti, tp in enumerate(tgtC.pieces):
+    for ti, (tp, t) in enumerate(zip(tgtC.pieces, tgtC.piece_offsets)):
         if tp.kind == "fixed":
-            arrangements[tgtC.piece_offsets[ti]] = \
-                _pack_fixed_target(ctx, p, plans, srcC, tgtC, ti)
+            arrangements[t] = _pack_fixed_target(ctx, p, kp, srcC, tgtC, ti)
         else:
-            packed = _pack_cycle_target(ctx, p, plans, srcC, ti, tp)
-            for r in range(p):
-                arrangements[tgtC.piece_offsets[ti] + r] = packed[r]
+            arrangements[t:t + p] = _pack_cycle_target(ctx, p, kp, srcC, t,
+                                                       ti, tp)
     h = EqHom(srcC, tgtC, arrangements, unital=True)
     vrep = hom_validate(h)
     if not vrep.ok:
@@ -108,8 +86,9 @@ def _lift(kp, srcC, tgtC):
     return h
 
 
-def _pack_fixed_target(ctx, p, plans, srcC, tgtC, ti):
+def _pack_fixed_target(ctx, p, kp, srcC, tgtC, ti):
     n = tgtC.pieces[ti].n
+    t, b = tgtC.piece_offsets[ti], tgtC.crossed_offsets[ti]
     exps = tgtC.piece_exponents[ti]
     pools = {m: iter([i for i, e in enumerate(exps) if e == m])
              for m in range(p)}
@@ -125,24 +104,22 @@ def _pack_fixed_target(ctx, p, plans, srcC, tgtC, ti):
     slots = []
     X = [{} for _ in range(n)]
     col = 0
-    for si, sp in enumerate(srcC.pieces):
-        tag, data = plans[(si, ti)]
-        sb = srcC.piece_offsets[si]
+    for sp, s, a, uexps in zip(srcC.pieces, srcC.piece_offsets,
+                               srcC.crossed_offsets, srcC.piece_exponents):
         k = sp.n
-        if tag == "FF":
-            uexps = srcC.piece_exponents[si]
+        if sp.kind == "fixed":
             for d in range(p):
-                for _ in range(data[d]):
-                    slots.append(Slot(sb, k))
+                for _ in range(kp.phi[b + d][a]):
+                    slots.append(Slot(s, k))
                     for i in range(k):
                         X[take((uexps[i] + d) % p)][col + i] = ctx.one
                     col += k
-        else:  # CF bundles
+        else:  # bundles of the p blocks of a cycle piece
             ginv = ctx.sqrt_group_order().inv()
-            for _ in range(data):
+            for _ in range(kp.F[t][s]):
                 base = col
                 for j in range(p):
-                    slots.append(Slot(sb + j, k))
+                    slots.append(Slot(s + j, k))
                     col += k
                 for m in range(p):
                     for w in range(k):
@@ -155,29 +132,27 @@ def _pack_fixed_target(ctx, p, plans, srcC, tgtC, ti):
     return Arrangement(slots, Mat.from_dicts(ctx, n, X))
 
 
-def _pack_cycle_target(ctx, p, plans, srcC, ti, tp):
+def _pack_cycle_target(ctx, p, kp, srcC, t, ti, tp):
     n = tp.n
     out = []
     for r in range(p):
         slots = []
         twists = []
-        for si, sp in enumerate(srcC.pieces):
-            tag, data = plans[(si, ti)]
-            sb = srcC.piece_offsets[si]
+        for sp, s, uexps in zip(srcC.pieces, srcC.piece_offsets,
+                                srcC.piece_exponents):
             k = sp.n
-            if tag == "FC":
+            if sp.kind == "fixed":
                 # V^-r = diag(zeta_p^(-r e))
-                ud = Mat.diag(ctx, [ctx.zeta_p(-r * e)
-                                    for e in srcC.piece_exponents[si]])
-                for _ in range(data):
-                    slots.append(Slot(sb, k))
+                ud = Mat.diag(ctx, [ctx.zeta_p(-r * e) for e in uexps])
+                for _ in range(kp.F[t][s]):
+                    slots.append(Slot(s, k))
                     twists.append(ud)
-            else:  # CC
+            else:
                 for d in range(p):
-                    for _ in range(data[d]):
-                        slots.append(Slot(sb + (r - d) % p, k))
+                    for _ in range(kp.F[t + d][s]):
+                        slots.append(Slot(s + (r - d) % p, k))
                         twists.append(Mat.identity(ctx, k))
-        total = sum(s.size for s in slots)
+        total = sum(slot.size for slot in slots)
         if total != n:
             raise PackingInfeasible(
                 "cycle target piece %d block %d holds %d of %d"

@@ -24,19 +24,22 @@ coordinates it cyclically rotates the blocks of a fixed piece (block r
 receives block r+1) and acts on a cycle piece's single block by
 conjugation with diag(1, zeta_p, ..., zeta_p^(p-1)) x I_n (dual_system).
 
-The commands and the invariant read only the integer fields
-(block_sizes, dual_sigma, special, iota_matrix), identify_matrix and
-dual_system; which crossed blocks each piece owns is the source form's
-crossed_offsets. The element-level algebra that remains (CrossedElement,
-zero_element, mul, adjoint, identify, unidentify) stays only for the
-crossed-dense benchmark workload and the property tests, until that
-workload measures command-level operations (ROADMAP item 5a).
+afzp crossed writes block_sizes, identify_matrix, dual_system and the
+integer fields dual_sigma, special and iota_matrix, which are the
+dualAct, special and iota of invariant_of(source), shared and not
+copied: kinv reads them off the pieces. Which crossed blocks each piece
+owns is the source form's crossed_offsets. The element-level algebra
+that remains (CrossedElement, zero_element, mul, adjoint, identify,
+unidentify) stays only for the crossed-dense benchmark workload and the
+property tests, until that workload measures command-level operations
+(ROADMAP item 5a).
 """
 
 from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import ShapeMismatch
+from .kinv import invariant_of
 from .matrix import Mat
 from .system import FdSystem, zero_tuple
 
@@ -56,27 +59,17 @@ class CrossedPresentation:
         self.ctx = source.ctx
         self.p = source.p
         self.block_sizes = []
-        self.dual_sigma = []  # crossed block b receives dual_sigma[b]
-        self.special = []
-        self.iota_matrix = []
-        self._ident = self._inv = None  # M and M^-1, built once
-        p = self.p
-        for piece, sb, cb, exps in zip(source.pieces, source.piece_offsets,
-                                       source.crossed_offsets,
-                                       source.piece_exponents):
+        for piece in source.pieces:
             if piece.kind == "fixed":
-                self.block_sizes.extend([piece.n] * p)
-                self.dual_sigma.extend(cb + (r + 1) % p for r in range(p))
-                self.special.extend(exps.count(d) for d in range(p))
-                embedded = [range(sb, sb + 1)] * p
+                self.block_sizes.extend([piece.n] * self.p)
             else:
-                self.block_sizes.append(p * piece.n)
-                self.dual_sigma.append(cb)
-                self.special.append(piece.n)
-                embedded = [range(sb, sb + p)]
-            # iota: each crossed block holds one copy of its embedded blocks
-            self.iota_matrix.extend([int(s in blocks) for s in range(source.m)]
-                                    for blocks in embedded)
+                self.block_sizes.append(self.p * piece.n)
+        # the invariant's own lists, shared with invariant_of's cache
+        inv = invariant_of(source)
+        self.dual_sigma = inv.dualAct  # crossed block b receives dual_sigma[b]
+        self.special = inv.special
+        self.iota_matrix = inv.iota
+        self._ident = self._inv = None  # M and M^-1, built once
 
     @property
     def m(self):

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from .errors import NonIntegralMultiplicity, ShapeMismatch
 from .report import Report
-from .crossed import crossed_product
 from .system import _orbits, _slot_starts
 from ._rat import RAT, is_integer
 
@@ -36,13 +35,19 @@ def ivec_mul(a, v):
 
 @dataclass
 class KInvariant:
-    m: int
     unit: list
     act: tuple           # block t of the algebra receives block act[t]
-    mC: int
     dualAct: tuple       # crossed block b receives crossed block dualAct[b]
     special: list
     iota: list           # mC x m embedding matrix
+
+    @property
+    def m(self):
+        return len(self.unit)
+
+    @property
+    def mC(self):
+        return len(self.special)
 
 
 @dataclass
@@ -62,10 +67,28 @@ def invariant_of(c):
 
 
 def _assemble(c):
-    cp = crossed_product(c)
-    return KInvariant(c.m, list(c.block_sizes), tuple(c.sigma), cp.m,
-                      tuple(cp.dual_sigma), list(cp.special),
-                      [row[:] for row in cp.iota_matrix])
+    """The invariant read off c's pieces. A fixed piece gives p crossed
+    blocks that the dual action rotates (block r receives block r + 1),
+    its exponent counts as their special element, and each embeds the
+    piece's block once. A cycle piece gives one crossed block that the
+    dual action fixes, special element n, embedding each of the piece's
+    p blocks once."""
+    p = c.p
+    dual, special, iota = [], [], []
+    for piece, s, b, exps in zip(c.pieces, c.piece_offsets,
+                                 c.crossed_offsets, c.piece_exponents):
+        if piece.kind == "fixed":
+            dual.extend(b + (r + 1) % p for r in range(p))
+            special.extend(exps.count(d) for d in range(p))
+            embedded = [range(s, s + 1)] * p
+        else:
+            dual.append(b)
+            special.append(piece.n)
+            embedded = [range(s, s + p)]
+        iota.extend([int(t in blocks) for t in range(c.m)]
+                    for blocks in embedded)
+    return KInvariant(list(c.block_sizes), tuple(c.sigma), tuple(dual),
+                      special, iota)
 
 
 def _multiplicity(q, what):

@@ -17,11 +17,12 @@ exactly json.dumps(doc, sort_keys=True, separators=(",", ":")):
   act, dualAct) the 0-based list of its images.
 
 load reads format 3 only; any other afzp_format is an input error, and
-so are the kinds that are only written: "unitaries" and "report". It
-rejects non-canonical text and members that a kind does not have, so a
-document's bytes are a function of its value, and it builds each
-object once, so what the file shares is shared in memory. The schema
-reference is docs/format.md.
+so are the kinds that are only written: "crossed", "unitaries" and
+"report". It rejects non-canonical text, members that a kind does not
+have and an object list other than the writer's, so a document's bytes
+are a function of its value, and it builds each object once, so what
+the file shares is shared in memory. The schema reference is
+docs/format.md.
 """
 
 import json
@@ -32,7 +33,7 @@ import tempfile
 from . import FORMAT_VERSION
 from ._rat import rat_from_str
 from .classify import (IntertwiningCertificate, Tower, TriangleRecord)
-from .crossed import CrossedPresentation, crossed_product
+from .crossed import CrossedPresentation
 from .cyclo import FieldContext, Scalar
 from .errors import FormatError
 from .kinv import KInvariant, KPair
@@ -50,7 +51,6 @@ _OBJECT_KINDS = ("canonical", "hom", "tower")
 _MEMBERS = {k: frozenset(v.split()) for k, v in dict(
     system="kind blocks sigma impl", canonical="kind pieces iso",
     hom="kind source target unital blocks", tower="kind systems maps",
-    crossed="kind source blocks special iota dual identify",
     kinvariant="kind unit act dualAct special iota", kpair="kind F phi unital",
     certificate="kind towerA towerB a_stages b_stages pairs forward backward "
     "triangles", fixed="kind n exponents", cycle="kind n").items()}
@@ -125,11 +125,7 @@ def dump(obj):
 
 def dumps(obj):
     """The format-3 text of obj."""
-    return _text(dump(obj))
-
-
-def _text(doc):
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return json.dumps(dump(obj), sort_keys=True, separators=(",", ":"))
 
 
 class _Writer:
@@ -278,14 +274,16 @@ def _stages(stages, tower, name):
 
 class _Reader:
     """One load: the document, its field (read when the first matrix or
-    form needs it), the scalar of each text decoded so far and the
-    (kind, value) of each object built so far."""
+    form needs it), the scalar of each text decoded so far, the (kind,
+    value) of each object built so far and the references each object,
+    then the top-level document, makes in the order they are read."""
 
     def __init__(self, doc):
         self.doc = doc
         self.ctx = None
         self.scalars = {}
         self.objects = []
+        self.uses = []
 
     def load(self):
         objects = self.doc.get("objects", ())
@@ -296,13 +294,37 @@ class _Reader:
             if i_kind not in _OBJECT_KINDS:
                 raise FormatError("object %d is not a canonical, hom or "
                                   "tower object" % i)
+            self.uses.append([])
             self.objects.append((i_kind, self.inline(obj, i_kind)))
         kind = self.doc.get("kind")
+        self.uses.append([])
         value = self._build(kind, self.doc,
                             {"afzp_format", "p", "order", "objects"})
         if self.ctx is None and self.doc.keys() & {"p", "order"}:
             raise FormatError("p or order on a fieldless %r document" % kind)
+        self._check_order()
         return value
+
+    def _check_order(self):
+        """Every object referenced, and listed where the writer puts it:
+        each after the objects it refers to, in the order of first
+        reference from the top-level document down."""
+        order, seen = [], set()
+
+        def visit(i):
+            for j in self.uses[i]:
+                if j not in seen:
+                    seen.add(j)
+                    visit(j)
+                    order.append(j)
+
+        visit(len(self.objects))
+        unused = set(range(len(self.objects))) - seen
+        if unused:
+            raise FormatError("object %d is not referenced" % min(unused))
+        if order != sorted(order):
+            raise FormatError("objects are out of order: the writer lists "
+                              "them as %s" % order)
 
     def field(self):
         """The field of the top-level document's integer p and order."""
@@ -319,6 +341,7 @@ class _Reader:
             raise FormatError("%s reference %r is not the index of an "
                               "earlier object (dangling or cyclic)"
                               % (expect, x))
+        self.uses[-1].append(x)
         kind, value = self.objects[x]
         if kind != expect:
             raise FormatError("object %d is a %r, expected a %r"
@@ -399,7 +422,7 @@ class _Reader:
             unit, special = (_int_matrix([doc[k]], k)[0]
                              for k in ("unit", "special"))
             m, mC = len(unit), len(special)
-            return KInvariant(m, unit, _bijection(doc["act"], "act", m), mC,
+            return KInvariant(unit, _bijection(doc["act"], "act", m),
                               _bijection(doc["dualAct"], "dualAct", mC),
                               special, _int_matrix(doc["iota"], "iota", mC, m))
         if kind == "kpair":
@@ -446,29 +469,6 @@ class _Reader:
             return IntertwiningCertificate(towerA, towerB, a_stages,
                                            b_stages, forward, backward,
                                            triangles, pairs)
-        if kind == "crossed":
-            # derived data, rebuilt from the source: the copy must match as
-            # text, identify's header and entry count before it is built
-            src = self.ref(doc["source"], "canonical")
-            cp = crossed_product(src)
-            ident, w = doc["identify"], _Writer()
-            for key, got, want in (
-                    ("blocks", doc["blocks"], lambda: cp.block_sizes),
-                    ("special", doc["special"], lambda: cp.special),
-                    ("iota", doc["iota"], lambda: cp.iota_matrix),
-                    ("identify", [ident["rows"], ident["cols"],
-                                  len(ident["entries"])],
-                     lambda: [sum(b * b for b in cp.block_sizes),
-                              cp.p * sum(n * n for n in src.block_sizes),
-                              cp.p ** 2 * sum(pc.n ** 2
-                                              for pc in src.pieces)]),
-                    ("dual", doc["dual"], lambda: w.body(cp.dual_system())),
-                    ("identify", ident,
-                     lambda: w.mat(cp.identify_matrix()))):
-                if _text(got) != _text(want()):
-                    raise FormatError("crossed %s differs from the "
-                                      "presentation of its source" % key)
-            return cp
         raise FormatError("unknown document kind %r" % (kind,))
 
     def mat(self, obj):

@@ -442,9 +442,10 @@ def matrix_intertwining(kp, invA, invB):
 
 def invariant_oracle(c):
     """Oracle for kinv.invariant_of, assembled afresh on every call and
-    read off the crossed product's algebra: act and dualAct are the
-    block permutations of the form and of the dual system, special the
-    ranks of the averaging projection, and iota[b][s] the rank in crossed
+    read off the crossed product's algebra: act is the form's block
+    permutation, dualAct[b] the crossed block whose unit the dual
+    generator on coefficients carries into block b, special the ranks
+    of the averaging projection, and iota[b][s] the rank in crossed
     block b of the embedded minimal projection E_00 of block s."""
     cp = ElementCrossed(c)
     _, _, special = cp.averaging_projection()
@@ -454,8 +455,18 @@ def invariant_oracle(c):
                                                 0)))
         for b, mat in enumerate(image):
             iota[b][s] = _multiplicity(mat, "iota entry %d, %d" % (b, s))
-    return KInvariant(c.m, list(c.block_sizes), tuple(c.sigma), cp.m,
-                      tuple(cp.dual_system().sigma), special, iota)
+    dual = [None] * cp.m
+    for b, n in enumerate(cp.block_sizes):
+        unit = zero_tuple(c.ctx, cp.block_sizes)
+        unit[b] = Mat.identity(c.ctx, n)
+        image = cp.identify(cp.dual_coeff(cp.unidentify(unit)))
+        moved = [r for r, mat in enumerate(image) if not mat.is_zero()]
+        assert len(moved) == 1 and image[moved[0]] == unit[b], \
+            "the dual generator does not move crossed block %d's unit " \
+            "onto one block's unit" % b
+        dual[moved[0]] = b
+    return KInvariant(list(c.block_sizes), tuple(c.sigma), tuple(dual),
+                      special, iota)
 
 
 class NotEquivariant(AfzpError):
@@ -544,13 +555,13 @@ def _slice(mat, rows, cols):
 
 
 def checked_case_params(kp, srcC, tgtC):
-    """Oracle for classify._case_params, which reads each plan from the
-    first column of its sub-block: slices (F, phi) along piece boundaries
-    and checks the shape equivariance forces on every sub-block
-    (circulant fixed->fixed phi and cycle->cycle F, constant
-    fixed->cycle and cycle->fixed F lines with the matching phi lines,
-    and their sums) before reading the same plan. Raises
-    CaseShapeViolation naming the sub-block."""
+    """The plans classify.lift reads, each off the first column of its
+    sub-block of the pair, keyed by (source piece, target piece): slices
+    (F, phi) along piece boundaries and checks the shape equivariance
+    forces on every sub-block (circulant fixed->fixed phi and
+    cycle->cycle F, constant fixed->cycle and cycle->fixed F lines with
+    the matching phi lines, and their sums) before reading each plan.
+    Raises CaseShapeViolation naming the sub-block."""
     p = srcC.p
     srcK = crossed_offsets(srcC)
     tgtK = crossed_offsets(tgtC)

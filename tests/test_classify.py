@@ -8,8 +8,7 @@ from hypothesis import example, given, seed, settings, strategies as st
 from afzp import classify
 from afzp._rat import RAT
 from afzp.classify import (IntertwiningCertificate, Tower, _candidates,
-                           _case_params, _commutes_on_exponents,
-                           _entry_orbits, _plan,
+                           _commutes_on_exponents, _entry_orbits, _plan,
                            conjugate_hom, equiv_unitary, intertwine, ksearch,
                            lift, validate_tower, verify_certificate)
 from afzp.cli import main
@@ -1279,11 +1278,15 @@ def test_case_shape_oracle_and_lift_reject_a_non_circulant_pair():
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_case_params_reads_the_plans_the_checking_slicer_derives(p):
+def test_ksearch_pairs_have_the_checked_plans_and_lift_to_themselves(p):
+    """Every pair ksearch finds on the oracle grid has the sub-block
+    shapes the checking slicer demands, and lift, which reads each
+    plan off its sub-block's first column, packs a hom inducing that
+    same pair."""
     seen = 0
     for src, tgt in _oracle_grid(p):
         for kp in ksearch(invariant_of(src), invariant_of(tgt)):
-            assert _case_params(kp, src, tgt) == \
-                checked_case_params(kp, src, tgt)
+            checked_case_params(kp, src, tgt)
+            assert induced_map(lift(kp, src, tgt)) == kp
             seen += 1
     assert seen > 0

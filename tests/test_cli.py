@@ -105,7 +105,7 @@ def test_zero_algebra_lifts_and_checks(workdir, capsys):
     zero algebra) go through checkpair and lift; from it to M_1 no pair
     is unital."""
     save_json("zero.json", CanonicalForm(FieldContext(2, 16), 2, []))
-    save_json("i0.json", KInvariant(0, [], [], 0, [], [], []))
+    save_json("i0.json", KInvariant([], (), (), [], []))
     save_json("p00.json", KPair([], []))
     save_json("p01.json", KPair([[]], [[], []]))
     assert main(["checkpair", "p00.json", "i0.json", "i0.json"]) == 0

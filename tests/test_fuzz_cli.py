@@ -21,7 +21,10 @@ integers in 0..p-1, a permutation of the block indices. A non-vacuity
 check keeps the suite from passing by stopping every document at the
 format check. Short hostile documents that name large matrices must be
 refused before those are built, by loads and by every command that
-reads files.
+reads files; so must the kinds that are only written (crossed,
+unitaries, report). The object list holds each object once, referenced
+and in the order the writer emits, so an unreferenced or reordered
+object is an input error.
 """
 
 import argparse
@@ -98,7 +101,6 @@ def _kind_docs():
 # follows each reference on its way to the object it names
 _NESTED = {
     "hom": [(("source",), "canonical"), (("target",), "canonical")],
-    "crossed": [(("source",), "canonical")],
     "certificate": [
         (("towerA",), "tower"), (("towerB",), "tower"),
         (("towerA", "systems", 1), "canonical"),
@@ -110,7 +112,8 @@ _NESTED = {
 # the members that hold object references, one or a list of them
 _REF_KEYS = ("source", "target", "towerA", "towerB", "systems", "maps",
              "forward", "backward")
-# the commands that load each base document, with their file count
+# the commands that load each base document, with their file count; a
+# crossed document is written only, so every command refuses it (exit 2)
 _COMMANDS = {"hom": [("validate", 1), ("induced", 1), ("equiv", 2)],
              "crossed": [("validate", 1)], "certificate": [("verify", 1)]}
 # command lines that read a mutated top-level document in place of BAD;
@@ -268,12 +271,14 @@ def _run(*argv):
 
 def _exit_code(*argv):
     """The CLI's exit code on argv. A run that exits 0 and prints a
-    document of a kind load reads (not a report or unitaries) must print
-    it in its canonical bytes: dumps(loads(out)) == out."""
+    document of a kind load reads (not a crossed product, report or
+    unitaries) must print it in its canonical bytes: dumps(loads(out))
+    == out."""
     code, out = _run(*argv)
     if code == 0 and out.startswith("{"):
         text = out.rstrip("\n")
-        if json.loads(text)["kind"] not in ("report", "unitaries"):
+        if json.loads(text)["kind"] not in ("crossed", "report",
+                                            "unitaries"):
             assert dumps(loads(text)) == text, argv
     return code
 
@@ -559,21 +564,15 @@ _NEW_FIELDS = {
            ("boolean", lambda d, k=key: d.__setitem__(k, [False, True, 2])),
            ("0/1 matrix", lambda d, k=key: d.__setitem__(k, [
                [int(j == s) for j in range(3)] for s in d[k]])))},
-    "dual sigma 1-based": ("crossed", lambda d: d["dual"].__setitem__(
-        "sigma", [i + 1 for i in d["dual"]["sigma"]])),
-    "dual sigma boolean": ("crossed", lambda d: d["dual"]["sigma"].__setitem__(
-        0, bool(d["dual"]["sigma"][0]))),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_NEW_FIELDS))
 def test_new_fields_and_stale_members_exit_two(fuzzdir, case):
-    """A fixed piece's exponents are n ascending integers in 0..p-1, an
-    invariant's act and dualAct permutations of its block indices, and
-    a crossed document's dual has the 0-based sigma of the rebuilt
-    presentation; anything else, and a format-2 v, phase, m or mC left
-    in a document, is an input error under every command that reads
-    the document."""
+    """A fixed piece's exponents are n ascending integers in 0..p-1 and
+    an invariant's act and dualAct permutations of its block indices;
+    anything else, and a format-2 v, phase, m or mC left in a document,
+    is an input error under every command that reads the document."""
     kind, mutate = _NEW_FIELDS[case]
     doc = copy.deepcopy(_base_docs()[kind])
     mutate(doc)
@@ -652,56 +651,17 @@ def test_p_and_order_only_where_a_document_has_a_field(kind, key, value):
         loads(json.dumps(doc))
 
 
-_CROSSED_DERIVED = ["blocks", "special", "iota", "dual", "identify"]
-
-
-@st.composite
-def _changed_derived_field(draw):
-    """The crossed document with one of its derived fields changed: a
-    list item replaced, dropped or repeated, or the field replaced by
-    the same field of another crossed document."""
-    doc = copy.deepcopy(_base_docs()["crossed"])
-    key = draw(st.sampled_from(_CROSSED_DERIVED))
-    what = draw(st.sampled_from(["set", "drop", "repeat", "other"]))
-    lists = [x for x in _lists({key: doc[key]}) if x]
-    if what == "other" or not lists:
-        doc[key] = copy.deepcopy(_kind_docs()["crossed"][key])
-    else:
-        vec = draw(st.sampled_from(lists))
-        at = draw(st.integers(0, len(vec) - 1))
-        if what == "set":
-            vec[at] = draw(st.sampled_from(
-                [-1, 0, 1, 2, 99, True, 1.0, "0:1", "0:-1", None, []]))
-        elif what == "drop":
-            del vec[at]
-        else:
-            vec.insert(at, copy.deepcopy(vec[at]))
-    return key, doc
-
-
-@_SETTINGS
-@given(change=_changed_derived_field())
-def test_crossed_derived_fields_must_match_the_source(fuzzdir, change):
-    """blocks, special, iota, dual and identify are rebuilt from the
-    source form on load; a document whose copy differs is an input
-    error. They used to be ignored: special [99, 7] loaded as [1, 1]."""
-    key, doc = change
-    base = _base_docs()["crossed"]
-    if json.dumps(doc[key]) == json.dumps(base[key]):
-        loads(json.dumps(doc))      # an item set to its own value
-        return
-    with pytest.raises(FormatError, match="crossed %s differs" % key):
-        loads(json.dumps(doc))
-
-
-def test_crossed_special_element_is_checked(fuzzdir):
-    doc = copy.deepcopy(_kind_docs()["crossed"])
-    assert loads(json.dumps(doc)).special == [1, 1]
-    doc["special"] = [99, 7]
-    with pytest.raises(FormatError, match="crossed special differs"):
-        loads(json.dumps(doc))
-    bad = str(fuzzdir / "crossed_special.json")
-    Path(bad).write_text(json.dumps(doc))
+def test_a_crossed_document_is_written_only(fuzzdir):
+    """afzp crossed writes a crossed document, and no command reads one:
+    loads refuses a written one as an unknown kind, where it used to
+    rebuild the presentation and compare each derived member as text,
+    and a command given it exits 2 (the hostile documents below run
+    every command on one)."""
+    for doc in (_base_docs()["crossed"], _kind_docs()["crossed"]):
+        with pytest.raises(FormatError,
+                           match="unknown document kind 'crossed'"):
+            loads(json.dumps(doc))
+    bad = str(fuzzdir / "crossed.json")
     for cmd, files in _COMMANDS["crossed"]:
         assert _exit_code(cmd, *[bad] * files) == 2, cmd
 
@@ -721,20 +681,19 @@ def _load_peak(text):
     return refused, peak
 
 
-def _crossed_cycle_document(rows=None, cols=None):
+def _crossed_cycle_document():
     """A crossed document whose source is one cycle piece of size n = 100
     at p = 2, with the blocks, special element, iota and identify header
     of that source, and an identify without entries: a few hundred bytes
-    that name a p^2 n^2-entry matrix. rows and cols replace the
-    header's."""
+    that name a p^2 n^2-entry matrix."""
     n = 100
     return json.dumps({
         "afzp_format": 3, "kind": "crossed", "p": 2, "order": 16,
         "objects": [{"kind": "canonical",
                      "pieces": [{"kind": "cycle", "n": n}]}],
         "source": 0, "blocks": [2 * n], "special": [n], "iota": [[1, 1]],
-        "dual": {}, "identify": {"rows": rows or 4 * n * n,
-                                 "cols": cols or 4 * n * n, "entries": []}})
+        "dual": {}, "identify": {"rows": 4 * n * n, "cols": 4 * n * n,
+                                 "entries": []}})
 
 
 def _hom_onto_a_huge_cycle(n=10 ** 6):
@@ -766,7 +725,7 @@ _REFUSED = {"system": "lists 0 entries",
             "hom": "lists 0 entries",
             "unitaries": "unknown document kind 'unitaries'",
             "report": "unknown document kind 'report'",
-            "crossed": "crossed identify differs"}
+            "crossed": "unknown document kind 'crossed'"}
 
 
 def _file_commands():
@@ -785,14 +744,14 @@ def test_hostile_documents_are_refused_before_allocation(tmp_path, capsys,
     """A 141-byte system document whose impl is a 3*10^8-row header in a
     block it declares of that size, a hom onto a cycle piece of size
     10^6 with an empty 10^6-row conj, a unitaries document declaring a
-    10^6-row matrix, a report (both kinds are written, never read) and
-    a crossed document naming a 160,000-entry identify are refused by
-    loads in under 2 MiB, and by every command that reads files, in the
-    first file position, with an input error. The system document used
-    to end in a MemoryError and the hom to allocate its empty rows
-    (48 MiB); the unitaries and report documents used to load; the
-    crossed document used to build its whole presentation (15 MiB)
-    before comparing."""
+    10^6-row matrix, a report and a crossed document naming a
+    160,000-entry identify (the three kinds are written, never read)
+    are refused by loads in under 2 MiB, and by every command that
+    reads files, in the first file position, with an input error. The
+    system document used to end in a MemoryError and the hom to
+    allocate its empty rows (48 MiB); the unitaries and report
+    documents used to load; the crossed document used to build its
+    whole presentation (15 MiB) before comparing it as text."""
     text = _HOSTILE[kind]
     if kind == "system":
         assert len(text) == 141
@@ -832,15 +791,49 @@ def test_a_triangle_record_names_a_tower_and_two_of_its_stages(
     assert err.startswith("input error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("rows,cols", [(1, None), (None, 1)])
-def test_crossed_identify_is_sized_before_it_is_built(rows, cols):
-    """A crossed document whose source is a cycle piece of size 100, with
-    the right blocks, special element and iota, is refused for its
-    identify header before the dual or identify is built: rows = sum of
-    b^2 over the crossed blocks and cols = p * sum of n^2 over the source
-    blocks (the entry count is checked with them; see the hostile
-    documents above). The whole presentation used to be built first
-    (15 MiB here); a piece of size 3000 ran out of memory."""
-    refused, peak = _load_peak(_crossed_cycle_document(rows, cols))
-    assert peak < 2 * 2 ** 20, peak
-    assert refused.startswith("crossed identify differs")
+def _unreferenced_tower(doc):
+    """One more object: a copy of the top-level tower that nothing
+    references."""
+    doc["objects"].append({"kind": "tower", "systems": doc["systems"],
+                           "maps": doc["maps"]})
+
+
+def _swapped_forms(doc):
+    """The two canonical objects swapped, every reference to them
+    following: the same value, listed out of the written order."""
+    objects, swap = doc["objects"], {0: 1, 1: 0}
+    objects[0], objects[1] = objects[1], objects[0]
+    doc["systems"] = [swap.get(i, i) for i in doc["systems"]]
+    for holder, key in _refs(objects):
+        holder[key] = swap.get(holder[key], holder[key])
+
+
+# product_tower(2, 2)'s 653-byte document changed in its object list:
+# (change, size of the changed text, the loader's message)
+_OBJECT_LISTS = {
+    "unreferenced tower": (_unreferenced_tower, 697,
+                           "object 3 is not referenced"),
+    "swapped forms": (_swapped_forms, 653,
+                      r"out of order: the writer lists them as \[1, 0, 2\]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OBJECT_LISTS))
+def test_an_object_list_the_writer_would_not_write_exits_two(fuzzdir, case):
+    """Every object is referenced, and the objects stand in the order
+    the writer emits them: each after those it refers to, in the order
+    of first reference. Both documents used to load; the first dumped
+    back to 653 bytes and the second to the original text, so bytes
+    were not a function of value."""
+    change, size, message = _OBJECT_LISTS[case]
+    doc = copy.deepcopy(_base_docs()["tower"])
+    assert len(json.dumps(doc, sort_keys=True, separators=(",", ":"))) == 653
+    change(doc)
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert len(text) == size
+    with pytest.raises(FormatError, match=message):
+        loads(text)
+    bad = fuzzdir / "object_list.json"
+    bad.write_text(text)
+    assert _exit_code("intertwine", str(bad), str(fuzzdir / "tower.json"),
+                      "--depth", "2") == 2

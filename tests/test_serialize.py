@@ -2,15 +2,15 @@
 
 dumps writes format 3: its text is json.dumps(dump(x), sort_keys=True,
 separators=(",", ":")), and load reads it back to a value that dumps
-to the same text; the unitaries and report kinds are written only, and
-load refuses them. load reads format 3 only. The old format-1 and
+to the same text; the crossed, unitaries and report kinds are written
+only, and load refuses them. load reads format 3 only. The old format-1 and
 format-2 writers live in conftest (dumps_format1, dumps_format2), both
 without the slot phase that format 3 dropped: they are the byte oracles
 of the pinned format-1 and format-2 digests, which were taken from the
 documents the format-2 library wrote with every phase member deleted,
 so format 3 changed no value but the phase; the format-1 writer
-compares loaded values that == cannot (a crossed presentation); and
-the documents both write must be refused. The reader builds each
+compares loaded values a second way, besides ==; and the documents
+both write must be refused. The reader builds each
 shared object once, which equal bytes cannot show, so the
 constructions are counted.
 """
@@ -45,7 +45,7 @@ KINDS = ["system", "canonical", "canonical-iso", "hom", "hom-null-src",
          "crossed", "kinvariant", "kpair", "tower", "certificate",
          "unitaries", "report"]
 # kinds that dumps writes and loads refuses: no command reads them
-WRITTEN_ONLY = ("unitaries", "report")
+WRITTEN_ONLY = ("crossed", "unitaries", "report")
 
 
 def _field(draw):
@@ -182,11 +182,10 @@ def _refused(version):
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_format1_and_format2_load_to_equal_objects(kind, data):
-    """The format-3 text loads to the value that was written, as its
-    format-1 oracle document shows where == cannot (a crossed
-    presentation), and a certificate replays to the same report; the
-    format-3 text of a written-only kind and the format-1 and format-2
-    texts of any value are refused."""
+    """The format-3 text loads to the value that was written, by == and
+    by its format-1 oracle document, and a certificate replays to the
+    same report; the format-3 text of a written-only kind and the
+    format-1 and format-2 texts of any value are refused."""
     value = _value(data.draw, kind)
     if kind in WRITTEN_ONLY:
         with pytest.raises(FormatError, match="unknown document kind"):
@@ -194,8 +193,7 @@ def test_format1_and_format2_load_to_equal_objects(kind, data):
     else:
         new = loads(dumps(value))
         assert dump_format1(new) == dump_format1(value)
-        if kind != "crossed":
-            assert new == value
+        assert new == value
         if kind == "certificate":
             assert verify_certificate(new) == verify_certificate(value)
     with pytest.raises(FormatError, match=_refused(1)):
