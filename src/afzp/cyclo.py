@@ -13,6 +13,10 @@ read (Scalar.terms): products, conjugates and sum_rows, the kernel of
 matrix products, convolve and walk those terms, not all d coefficients,
 and fold mod Phi_N only when a term reached past z^(d-1). sum_rows adds
 a row's products unreduced and pays that fold and gcd once per entry.
+Each FieldContext shares its N-th roots of unity (FieldContext.root),
+and a shared root is marked with its exponent k; the product of two
+marked roots is the shared root of the summed exponents and the
+conjugate of one the root of -k, with no convolution, fold or gcd.
 Field elements are built from ints, Fractions and Scalars only; no
 floating point is used anywhere.
 """
@@ -71,7 +75,7 @@ class FieldContext:
 
     __slots__ = ("p", "order", "degree", "_low", "_half", "_fold", "_conj",
                  "_zeros", "zero", "one", "p_roots", "p_root_exponents",
-                 "_gauss")
+                 "_gauss", "_roots")
 
     def __init__(self, p, order=None):
         if not _is_prime(p):
@@ -96,6 +100,7 @@ class FieldContext:
         self._fold = [self.x_power(e) for e in range(d, 2 * d - 1)]
         self._conj = [self.x_power(-j) for j in range(d)]
         self._zeros = (0,) * d
+        self._roots = {}
         self.zero = _scalar(self, self._zeros, 1)
         self.one = self.root(0)
         # p_roots[k] = zeta_p^k, and p_root_exponents[zeta_p^k] = k
@@ -139,11 +144,20 @@ class FieldContext:
         return [(j + shift, -sign * c) for j, c in self._low]
 
     def root(self, k):
-        """zeta_N^k, k taken modulo N."""
-        num = [0] * self.degree
-        for j, c in self.x_power(k):
-            num[j] = c
-        return _scalar(self, tuple(num), 1)
+        """zeta_N^k, k taken modulo N. Every call with the same k mod N
+        returns one shared Scalar, built on first use and kept, so the
+        table holds at most N roots; that Scalar, and only it, is marked
+        with its exponent k (Scalar._exponent), which products and
+        conjugates of two marked roots read instead of the terms."""
+        k %= self.order
+        r = self._roots.get(k)
+        if r is None:
+            num = [0] * self.degree
+            for j, c in self.x_power(k):
+                num[j] = c
+            r = self._roots[k] = _scalar(self, tuple(num), 1)
+            r._exponent = k
+        return r
 
     def zeta_p(self, k=1):
         """Primitive p-th root of unity to the k-th power."""
@@ -191,6 +205,7 @@ def _scalar(ctx, num, den):
     s.den = den
     s._nonzero = num != ctx._zeros
     s._terms = None
+    s._exponent = None
     return s
 
 
@@ -210,9 +225,11 @@ class Scalar:
 
     Scalar(ctx, coeffs) builds sum_j coeffs[j] z^j from d rationals
     (ints or Fractions; TypeError for anything else); `num` and `den`
-    hold the lowest-terms form."""
+    hold the lowest-terms form. _exponent is k when this is the shared
+    root zeta_N^k of FieldContext.root, else None, also for a Scalar
+    that merely equals a root."""
 
-    __slots__ = ("ctx", "num", "den", "_nonzero", "_terms")
+    __slots__ = ("ctx", "num", "den", "_nonzero", "_terms", "_exponent")
 
     def __init__(self, ctx, coeffs):
         coeffs = [_rational(c) for c in coeffs]
@@ -226,6 +243,7 @@ class Scalar:
         self.den = den
         self._nonzero = self.num != ctx._zeros
         self._terms = None
+        self._exponent = None
 
     @property
     def terms(self):
@@ -290,6 +308,11 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         ctx = self.ctx
+        ka = self._exponent
+        if ka is not None:
+            kb = other._exponent
+            if kb is not None:
+                return ctx.root(ka + kb)
         if not self._nonzero or not other._nonzero:
             return ctx.zero
         ta, tb = self.terms, other.terms
@@ -349,6 +372,12 @@ class Scalar:
                 and (self.ctx is other.ctx or self.ctx == other.ctx))
 
     def __hash__(self):
+        """A rational hashes as its int or Fraction value, which it
+        equals; any other value by its field order and lowest terms."""
+        t = self.terms
+        if not t or t[-1][0] == 0:
+            x = self.num[0]
+            return hash(x if self.den == 1 else RAT(x, self.den))
         return hash((self.ctx.order, self.num, self.den))
 
     def __repr__(self):
@@ -367,7 +396,10 @@ class Scalar:
     def conj(self):
         """Complex conjugation: zeta_N -> zeta_N^(N-1). It maps the
         numerators by an integer matrix that is its own inverse, so the
-        result stays in lowest terms over the same denominator."""
+        result stays in lowest terms over the same denominator. A marked
+        root zeta_N^k goes to the shared root zeta_N^(-k)."""
+        if self._exponent is not None:
+            return self.ctx.root(-self._exponent)
         t = self.terms
         if not t or t[-1][0] == 0:
             return self          # rational, hence real

@@ -21,7 +21,9 @@ so are the kinds that are only written: "crossed", "unitaries" and
 "report". It rejects non-canonical text, members that a kind does not
 have and an object list other than the writer's, so a document's bytes
 are a function of its value, and it builds each object once, so what
-the file shares is shared in memory. The schema reference is
+the file shares is shared in memory. A scalar that is a root of unity
+zeta_N^k is read as the field's shared root ctx.root(k), whose products
+and conjugates go by exponent (see cyclo). The schema reference is
 docs/format.md.
 """
 
@@ -34,7 +36,7 @@ from . import FORMAT_VERSION
 from ._rat import rat_from_str
 from .classify import (IntertwiningCertificate, Tower, TriangleRecord)
 from .crossed import CrossedPresentation
-from .cyclo import FieldContext, Scalar
+from .cyclo import FieldContext, Scalar, root_exponent
 from .errors import FormatError
 from .kinv import KInvariant, KPair
 from .matrix import Mat
@@ -511,7 +513,8 @@ class _Reader:
         return Mat(ctx, rows, cols, tuple(nz), tuple(vals))
 
     def scalar(self, text):
-        """The nonzero Scalar of canonical text (see _scalar_text)."""
+        """The nonzero Scalar of canonical text (see _scalar_text); a root
+        of unity zeta_N^k is the field's shared, marked ctx.root(k)."""
         ctx = self.field()
         coeffs = [0] * ctx.degree
         try:
@@ -528,6 +531,9 @@ class _Reader:
             raise FormatError("scalar %r is not a canonical nonzero scalar "
                               "text (that would be %r)"
                               % (text, _scalar_text(got)))
+        k = root_exponent(got)
+        if k is not None:
+            got = ctx.root(k)
         self.scalars[text] = got
         return got
 

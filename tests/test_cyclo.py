@@ -466,11 +466,12 @@ def test_kept_terms_are_the_nonzero_coefficients(data):
     """However a Scalar is made, its kept terms are the nonzero (j, c) of
     num, j ascending, built on the first read and kept; a fresh Scalar
     has none kept, and reading them changes neither ==, hash nor the
-    scalar text."""
+    scalar text. ctx.root(k) is shared, so its terms may have been read
+    before; an unmarked twin of zeta_N stands for a fresh root."""
     p, order = data.draw(st.sampled_from(_FIELDS))
     ctx = ctx_for(p, order)
-    fresh = [Scalar(ctx, data.draw(_vectors(ctx))), ctx.root(1),
-             ctx.scalar(2)]
+    fresh = [Scalar(ctx, data.draw(_vectors(ctx))),
+             _scalar(ctx, ctx.root(1).num, 1), ctx.scalar(2)]
     assert all(s._terms is None for s in fresh)
     for name, s in _kept_terms_sources(ctx, data):
         twin = _scalar(ctx, s.num, s.den)
@@ -482,6 +483,97 @@ def test_kept_terms_are_the_nonzero_coefficients(data):
         assert s == twin and twin == s and twin._terms is None, name
         assert hash(s) == h == hash(twin), name
         assert _scalar_text(s) == text == _scalar_text(twin), name
+
+
+# -- shared, marked roots ------------------------------------------------------
+
+def _twin(s):
+    """s's value as a fresh, unmarked Scalar: the general path's operand."""
+    return _scalar(s.ctx, s.num, s.den)
+
+
+def _same_as_general(got, want):
+    """got, from a shortcut, is want, from the general path, in form,
+    text and hash."""
+    assert (got.num, got.den) == (want.num, want.den)
+    assert _scalar_text(got) == _scalar_text(want)
+    assert hash(got) == hash(want)
+
+
+def _marks_are_roots(*scalars):
+    """A mark k sits only on the shared root zeta_N^k, whose terms are
+    x_power(k)."""
+    for s in scalars:
+        k = s._exponent
+        if k is not None:
+            assert s.terms == tuple(s.ctx.x_power(k))
+            assert s is s.ctx.root(k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_root_shortcuts_match_the_general_path(data):
+    """Products of two marked roots and conjugates of one, which go by
+    exponent, equal the general path on unmarked twins, for p up to 7
+    at orders p, p^2 and 4p^2; so do products of a root with a
+    non-root, a rational and a value that equals a root but is unmarked
+    (built from coefficients, or a sum). Only the shared roots carry a
+    mark, and each mark is the root's exponent."""
+    p, order = data.draw(st.sampled_from(_TERM_FIELDS))
+    ctx = ctx_for(p, order)
+    N = ctx.order
+    ka, kb = (data.draw(st.integers(-2 * N, 2 * N)) for _ in range(2))
+    a, b = ctx.root(ka), ctx.root(kb)
+    assert a._exponent == ka % N and a is ctx.root(ka + N)
+    got = a * b
+    assert got is ctx.root(ka + kb)
+    _same_as_general(got, _twin(a) * _twin(b))
+    _same_as_general(a.conj(), _twin(a).conj())
+    assert a.conj() is ctx.root(-ka)
+    other = Scalar(ctx, data.draw(_vectors(ctx, dense=ctx.degree <= 42)))
+    q = ctx.scalar(data.draw(st.builds(RAT, st.integers(-6, 6),
+                                       st.integers(1, 6))))
+    unmarked = [Scalar(ctx, b.coeffs), (a + b) - a, b + b - b]
+    for x in [other, q] + unmarked:
+        assert x._exponent is None
+        _same_as_general(a * x, _twin(a) * _twin(x))
+        _same_as_general(x * a, _twin(x) * _twin(a))
+        _same_as_general(x.conj(), _twin(x).conj())
+        _marks_are_roots(a * x, x * a, x.conj())
+    for x in unmarked:
+        assert x == b and hash(x) == hash(b)
+    _marks_are_roots(a, b, got, a.conj(), a ** 3, -a, a + b, q, other)
+
+
+def test_roots_are_built_once_and_bounded():
+    """The table fills on demand, up to N shared roots; one and p_roots
+    are its entries."""
+    ctx = FieldContext(3, 9)
+    assert ctx.one is ctx.root(0) and ctx.one._exponent == 0
+    assert all(r is ctx.root(9 // 3 * k) for k, r in enumerate(ctx.p_roots))
+    for k in range(-20, 20):
+        ctx.root(k)
+    assert len(ctx._roots) == 9
+    assert sorted(ctx._roots) == list(range(9))
+    assert ctx.zero._exponent is None
+
+
+@pytest.mark.parametrize("p,order", [(2, 4), (3, 9), (5, 100)])
+def test_rational_scalars_hash_as_their_value(p, order):
+    """A rational scalar equals its int or Fraction, so it hashes like
+    it: sets and dicts that mix them find each other."""
+    ctx = ctx_for(p, order)
+    values = [0, 1, -1, 2, 7, RAT(1, 2), RAT(-3, 4), RAT(6, 4)]
+    for q in values:
+        assert ctx.scalar(q) == q and hash(ctx.scalar(q)) == hash(q)
+    assert 1 in {ctx.one} and ctx.one in {1} and 0 in {ctx.zero}
+    mixed = {ctx.scalar(2), 2, RAT(2), RAT(1, 2), ctx.scalar(RAT(1, 2)),
+             ctx.root(1)}
+    assert len(mixed) == 3
+    table = {q: i for i, q in enumerate(values)}
+    assert all(table[ctx.scalar(q)] == i for i, q in enumerate(values))
+    table = {ctx.scalar(q): i for i, q in enumerate(values)}
+    assert all(table[q] == i for i, q in enumerate(values))
 
 
 @pytest.mark.parametrize("make", [

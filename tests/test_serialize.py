@@ -28,7 +28,7 @@ from afzp._rat import RAT
 from afzp.classify import (IntertwiningCertificate, Tower, TriangleRecord,
                            intertwine, ksearch, lift, verify_certificate)
 from afzp.crossed import crossed_product
-from afzp.cyclo import FieldContext, Scalar
+from afzp.cyclo import FieldContext, Scalar, root_exponent
 from afzp.demos import identity_pairs, product_tower
 from afzp.errors import FormatError
 from afzp.kinv import KPair, invariant_of
@@ -405,6 +405,55 @@ def test_each_object_is_written_and_built_once(monkeypatch):
     assert again.towerA is again.towerB
     assert again.forward[0].source is again.towerA.systems[0]
     assert dumps(again) == text
+
+
+@pytest.mark.parametrize("p,depth,resorted", _PINNED, ids=_PINNED_IDS)
+def test_loaded_roots_are_the_fields_shared_roots(monkeypatch, p, depth,
+                                                  resorted):
+    """Every matrix entry of a loaded pinned certificate that is a root
+    of unity zeta_N^k is the field's shared ctx.root(k), marked k (in
+    these towers every entry is one). The certificate still writes its
+    own bytes."""
+    text = dumps(_pinned_certificate(p, depth, resorted))
+    mats, fields = [], []
+    read, field = serialize._Reader.mat, serialize.FieldContext
+
+    def mat(reader, obj):
+        mats.append(read(reader, obj))
+        return mats[-1]
+
+    def new_field(*key):
+        fields.append(field(*key))
+        return fields[-1]
+    monkeypatch.setattr(serialize._Reader, "mat", mat)
+    monkeypatch.setattr(serialize, "FieldContext", new_field)
+    again = loads(text)
+    monkeypatch.undo()
+    assert dumps(again) == text
+    [ctx] = fields
+    entries = [e for m in mats for row in m.vals for e in row]
+    roots = [e for e in entries if root_exponent(e) is not None]
+    assert roots
+    for e in entries:
+        k = root_exponent(e)
+        assert e._exponent == k
+        assert k is None or e is ctx.root(k)
+
+
+def test_a_loaded_non_root_stays_unmarked():
+    """Texts of values that are no root of unity, such as 1/2, 2 or
+    1 + zeta_N, load unmarked; 1 and zeta_N load as the shared roots."""
+    for text, root in [("0:1/2", None), ("0:2", None), ("0:1 1:1", None),
+                       ("0:1", 0), ("1:1", 1)]:
+        doc = {"afzp_format": 3, "kind": "system", "p": 3, "order": 36,
+               "blocks": [1], "sigma": [0],
+               "impl": [{"rows": 1, "cols": 1, "entries": [[0, 0, text]]}]}
+        got = loads(json.dumps(doc))
+        e = got.impl[0].entry(0, 0)
+        assert e._exponent == root
+        assert serialize._scalar_text(e) == text
+        if root is not None:
+            assert e is got.ctx.root(root)
 
 
 def test_p5_depth3_certificate_is_small_and_replays():
