@@ -189,7 +189,7 @@ class CrossedPresentation:
                         for y in range(n):
                             for r in range(p):
                                 out[starts[cb + r] + x * n + y][col] = \
-                                    ctx.p_roots[j * (e[y] - r) % p]
+                                    ctx.zeta_p(j * (e[y] - r))
                             col += 1
                     continue
                 for t in range(p):

@@ -13,10 +13,10 @@ read (Scalar.terms): products, conjugates and sum_rows, the kernel of
 matrix products, convolve and walk those terms, not all d coefficients,
 and fold mod Phi_N only when a term reached past z^(d-1). sum_rows adds
 a row's products unreduced and pays that fold and gcd once per entry.
-Each FieldContext shares its N-th roots of unity (FieldContext.root),
-and a shared root is marked with its exponent k; the product of two
-marked roots is the shared root of the summed exponents and the
-conjugate of one the root of -k, with no convolution, fold or gcd.
+Each FieldContext keeps one table of N-th roots of unity, zeta_p^k
+among them (FieldContext.root), each marked with its exponent k; the
+product of two marked roots is the root of the summed exponents and
+the conjugate of one the root of -k, with no convolution, fold or gcd.
 Field elements are built from ints, Fractions and Scalars only; no
 floating point is used anywhere.
 """
@@ -74,8 +74,7 @@ class FieldContext:
     """
 
     __slots__ = ("p", "order", "degree", "_low", "_half", "_fold", "_conj",
-                 "_zeros", "zero", "one", "p_roots", "p_root_exponents",
-                 "_gauss", "_roots")
+                 "_zeros", "zero", "one", "_gauss", "_roots")
 
     def __init__(self, p, order=None):
         if not _is_prime(p):
@@ -103,9 +102,6 @@ class FieldContext:
         self._roots = {}
         self.zero = _scalar(self, self._zeros, 1)
         self.one = self.root(0)
-        # p_roots[k] = zeta_p^k, and p_root_exponents[zeta_p^k] = k
-        self.p_roots = tuple(self.root(order // p * k) for k in range(p))
-        self.p_root_exponents = {r: k for k, r in enumerate(self.p_roots)}
         self._gauss = None
 
     def __eq__(self, other):
@@ -144,11 +140,11 @@ class FieldContext:
         return [(j + shift, -sign * c) for j, c in self._low]
 
     def root(self, k):
-        """zeta_N^k, k taken modulo N. Every call with the same k mod N
-        returns one shared Scalar, built on first use and kept, so the
-        table holds at most N roots; that Scalar, and only it, is marked
-        with its exponent k (Scalar._exponent), which products and
-        conjugates of two marked roots read instead of the terms."""
+        """zeta_N^k, k mod N, from the field's one table of roots: one
+        shared Scalar per k mod N, built on first use and kept, so the
+        table holds only the roots asked for, at most N. It alone is
+        marked with its exponent k (Scalar._exponent), which products,
+        conjugates and root_exponent read instead of the terms."""
         k %= self.order
         r = self._roots.get(k)
         if r is None:
@@ -160,8 +156,8 @@ class FieldContext:
         return r
 
     def zeta_p(self, k=1):
-        """Primitive p-th root of unity to the k-th power."""
-        return self.p_roots[k % self.p]
+        """zeta_p^k, the shared root zeta_N^(N/p k)."""
+        return self.root(self.order // self.p * k)
 
     def sqrt_group_order(self):
         """An element g with conj(g) * g = p (quadratic Gauss sum).
@@ -517,9 +513,12 @@ def sum_rows(ctx, weights, rows):
 
 
 def root_exponent(a):
-    """Exponent k in [0, N) with a == zeta_N^k, or None. x^k is +-x^e,
-    or +-x^(e - d) times Phi_N's low terms, whose lowest is 1 (see
-    FieldContext.x_power), so a's lowest power j leaves four k."""
+    """Exponent k in [0, N) with a == zeta_N^k, or None. A shared root
+    is marked with k. Otherwise x^k is +-x^e, or +-x^(e - d) times Phi_N's
+    low terms, whose lowest is 1 (FieldContext.x_power), so a's lowest
+    power j leaves four k."""
+    if a._exponent is not None:
+        return a._exponent
     ctx = a.ctx
     terms = list(a.terms)
     if a.den != 1 or not terms:

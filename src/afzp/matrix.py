@@ -28,7 +28,7 @@ a pattern.
 import math
 from bisect import bisect_left
 
-from .cyclo import Scalar, sum_rows
+from .cyclo import Scalar, root_exponent, sum_rows
 from .errors import (MultisetMismatch, NotOrderP, ShapeMismatch,
                      TwistRootOutsideField, UnitaryNotFoundInField)
 from ._rat import RAT, is_integer
@@ -302,16 +302,13 @@ def spectral(V, p):
 
 def diag_root_exponents(D, p):
     """Exponents e_i with D = diag(zeta_p^{e_i}), or None if some entry
-    is not a p-th root of unity; p is the field's, whose root -> exponent
-    map is read."""
-    roots = D.ctx.p_root_exponents
-    out = []
-    for i in range(D.rows):
-        e = roots.get(D.entry(i, i))
-        if e is None:
-            return None
-        out.append(e)
-    return out
+    is not a p-th root of unity; p is the field's. Entry i is zeta_N^k,
+    k = root_exponent(entry), and zeta_p^e when k = N/p e."""
+    s = D.ctx.order // p
+    ks = [root_exponent(D.entry(i, i)) for i in range(D.rows)]
+    if any(k is None or k % s for k in ks):
+        return None
+    return [k // s for k in ks]
 
 
 def unitary_conjugator(L1, L2, p):

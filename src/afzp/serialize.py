@@ -546,6 +546,8 @@ def loads(text):
                           % (exc.lineno, exc.colno, exc.msg))
     except RecursionError:
         raise FormatError("JSON nested too deeply to read") from None
+    except ValueError as exc:   # an integer past Python's digit limit
+        raise FormatError("JSON number too long to read: %s" % exc) from None
     return load(doc)
 
 

@@ -251,14 +251,15 @@ class CanonicalForm:
 
 def root_sum(ctx, n, a, ex, ey):
     """The n x n matrix whose (x, y) entry is zeta_p^(ex[x] + ey[y]) *
-    a[x][y]: one multiply per nonzero entry, on a's rows, the roots
-    being nonzero. An a that is not n x n raises ShapeMismatch."""
+    a[x][y], on a's rows, kept where the exponents sum to 0 mod p. An a
+    that is not n x n raises ShapeMismatch."""
     if a.rows != n or a.cols != n:
         raise ShapeMismatch("%dx%d block in a piece of size %d"
                             % (a.rows, a.cols, n))
-    roots, k = ctx.p_roots, ctx.p
+    root, p, s = ctx.root, ctx.p, ctx.order // ctx.p
     return Mat(ctx, n, n, a.nz, tuple([
-        tuple([v * roots[(rx + ey[y]) % k] for y, v in zip(cols, vals)])
+        tuple([v * root(s * k) if (k := (rx + ey[y]) % p) else v
+               for y, v in zip(cols, vals)])
         for cols, vals, rx in zip(a.nz, a.vals, ex)]))
 
 

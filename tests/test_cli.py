@@ -1083,6 +1083,14 @@ def _pair_kind(doc):
     doc["pairs"][0]["kind"] = "hom"
 
 
+def _long_pair():
+    """pair.json with a 5,000-digit entry of F: past the 4,300 digits
+    that Python converts from text to an int."""
+    text = Path("pair.json").read_text()
+    assert '"F":[[2]]' in text
+    _write("bad.json", text.replace('"F":[[2]]', '"F":[[%s]]' % ("9" * 5000)))
+
+
 # id -> (setup or None, argv, exit code, text on stderr, or on stdout
 # for a report)
 _INPUT_BRANCHES = {
@@ -1095,6 +1103,9 @@ _INPUT_BRANCHES = {
     "deep-nesting": (
         lambda: _write("bad.json", "[" * 200_000 + "]" * 200_000),
         ["validate", "bad.json"], 2, "JSON nested too deeply to read"),
+    "integer-past-the-digit-limit": (
+        _long_pair, ["validate", "bad.json"], 2,
+        "JSON number too long to read"),
     "unknown-piece-kind": (
         lambda: _edited(["canon", "m2.json", "--out", "c2.json"], "c2.json",
                         _piece_kind),

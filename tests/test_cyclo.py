@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -116,15 +117,17 @@ def test_x_power_matches_the_shift_and_fold_rows(p, order):
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS)
 def test_root_exponent_matches_the_search_over_every_root(field):
-    """root_exponent, which reads four candidates off a's lowest power,
-    agrees with the search over zeta_N^k for k < N: on every root, and
-    on values that are not roots of this field."""
+    """root_exponent, which reads a shared root's mark and four
+    candidates off an unmarked scalar's lowest power, agrees with the
+    search over zeta_N^k for k < N: on every shared root, on its unmarked
+    twin, and on values that are not roots of this field."""
     ctx = ctx_for(*field)
     roots = [ctx.root(k) for k in range(ctx.order)]
+    twins = [_scalar(ctx, r.num, 1) for r in roots]
     others = [ctx.zero, ctx.scalar(2), ctx.scalar(RAT(1, 2)),
               ctx.scalar(-1), ctx.one + ctx.root(1), -ctx.root(1),
               ctx.root(1) * 2]
-    for a in roots + others:
+    for a in roots + twins + others:
         want = next((k for k, r in enumerate(roots) if r == a), None)
         assert root_exponent(a) == want
 
@@ -546,16 +549,34 @@ def test_root_shortcuts_match_the_general_path(data):
 
 
 def test_roots_are_built_once_and_bounded():
-    """The table fills on demand, up to N shared roots; one and p_roots
-    are its entries."""
+    """The table fills on demand, up to N shared roots; one and every
+    zeta_p^k are its entries."""
     ctx = FieldContext(3, 9)
     assert ctx.one is ctx.root(0) and ctx.one._exponent == 0
-    assert all(r is ctx.root(9 // 3 * k) for k, r in enumerate(ctx.p_roots))
+    assert all(ctx.zeta_p(k) is ctx.root(9 // 3 * k) for k in range(-4, 4))
     for k in range(-20, 20):
         ctx.root(k)
     assert len(ctx._roots) == 9
     assert sorted(ctx._roots) == list(range(9))
     assert ctx.zero._exponent is None
+
+
+def test_a_large_prime_field_builds_only_the_roots_asked_for():
+    """At field order p the degree is p - 1, so a table of all p p-th
+    roots would hold p^2 integers (32.7 MiB at p = 2003). The field
+    builds only the roots asked for: FieldContext(2003, 2003) peaks
+    under 4 MiB, and its table holds the roots built so far."""
+    tracemalloc.start()
+    try:
+        ctx = FieldContext(2003, 2003)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    assert list(ctx._roots) == [0]
+    ctx.zeta_p(5)
+    ctx.root(-1)
+    assert sorted(ctx._roots) == [0, 5, 2002]
 
 
 @pytest.mark.parametrize("p,order", [(2, 4), (3, 9), (5, 100)])

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from afzp._rat import RAT
 from afzp.classify import conjugate_hom, equiv_unitary, ksearch, lift
 from afzp.crossed import CrossedElement, crossed_product
+from afzp.cyclo import _scalar
 from afzp.errors import (MultisetMismatch, NotOrderP, ShapeMismatch,
                          TwistRootOutsideField, UnitaryNotFoundInField)
 from afzp.kinv import invariant_of
@@ -589,25 +590,31 @@ def test_unitarity_known_or_inherited_forms_no_product(monkeypatch):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_diag_root_exponents_match_the_hashing_oracle(p):
-    """diag_root_exponents reads the field's kept zeta_p^k -> k map and
-    agrees with building that map on each call, on diagonals of p-th
-    roots (the empty one too) and on ones with an entry that is not a
-    p-th root, which give None."""
-    ctx = ctx_for(p)
-    rng = random.Random(p)
-    for n in range(6):
-        exps = [rng.randrange(p) for _ in range(n)]
-        d = Mat.diag(ctx, [ctx.zeta_p(e) for e in exps])
-        assert diag_root_exponents(d, p) == exps \
-            == diag_root_exponents_by_hashing(d, p)
-        if n:
-            vals = [ctx.zeta_p(e) for e in exps]
-            vals[rng.randrange(n)] = rng.choice([ctx.scalar(2), ctx.zero,
-                                                 ctx.root(1),
-                                                 ctx.zeta_p(1) * RAT(1, 2)])
-            bad = Mat.diag(ctx, vals)
-            assert diag_root_exponents(bad, p) is None \
-                is diag_root_exponents_by_hashing(bad, p)
+    """diag_root_exponents reads each entry's exponent off the field's
+    one table of roots (a shared root's mark, or root_exponent's search
+    on an unmarked scalar) and agrees with building the map
+    zeta_p^k -> k on each call, at field orders 4p^2, p and p^2: on
+    diagonals of p-th roots (the empty one too), shared or unmarked
+    twins, and on ones with an entry that is not a p-th root, which give
+    None."""
+    for ctx in (ctx_for(p), ctx_for(p, p), ctx_for(p, p * p)):
+        rng = random.Random(p)
+        others = [ctx.scalar(2), ctx.zero, ctx.zeta_p(1) * RAT(1, 2)]
+        if ctx.order > p:               # zeta_N is no p-th root
+            others += [ctx.root(1), _scalar(ctx, ctx.root(1).num, 1)]
+        for n in range(6):
+            exps = [rng.randrange(p) for _ in range(n)]
+            shared = [ctx.zeta_p(e) for e in exps]
+            for vals in (shared, [_scalar(ctx, r.num, 1) for r in shared]):
+                d = Mat.diag(ctx, vals)
+                assert diag_root_exponents(d, p) == exps \
+                    == diag_root_exponents_by_hashing(d, p)
+                if n:
+                    vals = list(vals)
+                    vals[rng.randrange(n)] = rng.choice(others)
+                    bad = Mat.diag(ctx, vals)
+                    assert diag_root_exponents(bad, p) is None \
+                        is diag_root_exponents_by_hashing(bad, p)
 
 
 @settings(max_examples=100, deadline=None)
