@@ -115,7 +115,8 @@ def _pack_fixed_target(ctx, p, kp, srcC, tgtC, ti):
                         X[take((uexps[i] + d) % p)][col + i] = ctx.one
                     col += k
         else:  # bundles of the p blocks of a cycle piece
-            ginv = ctx.sqrt_group_order().inv()
+            # conj(g) g = p, so g^-1 = conj(g)/p
+            ginv = ctx.sqrt_group_order().conj() / p
             for _ in range(kp.F[t][s]):
                 base = col
                 for j in range(p):

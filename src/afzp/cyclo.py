@@ -5,14 +5,16 @@ power basis reduced modulo the N-th cyclotomic polynomial Phi_N, with d
 integer numerators over one positive integer denominator in lowest
 terms, gcd(den, *num) == 1: the layout of Antic's nf_elem and FLINT's
 fmpq_poly. Every value has exactly one such form, so equality and
-hashing compare (num, den). Phi_N is monic, so z^e reduces to an integer
-row, read off Phi_N's own coefficients (FieldContext.x_power), and
-products need integer arithmetic and one gcd only. A Scalar never
-changes, so it keeps its nonzero terms (j, num[j]) once they are first
-read (Scalar.terms): products, conjugates and sum_rows, the kernel of
-matrix products, convolve and walk those terms, not all d coefficients,
-and fold mod Phi_N only when a term reached past z^(d-1). sum_rows adds
-a row's products unreduced and pays that fold and gcd once per entry.
+hashing compare (num, den). Phi_N = Phi_r(x^(N/r)), r the radical of N,
+is read off p and N, and a field keeps its p - 1 low terms and no table
+of reductions: Phi_N is monic, so z^e reduces to at most p - 1 integer
+terms (FieldContext.x_power), and products need integer arithmetic and
+one gcd only. A Scalar never changes, so it keeps its nonzero terms
+(j, num[j]) once they are first read (Scalar.terms): products,
+conjugates and sum_rows, the kernel of matrix products, convolve and
+walk those terms, not all d coefficients, and fold mod Phi_N only when
+a term reached past z^(d-1). sum_rows adds a row's products unreduced
+and pays that fold and gcd once per entry.
 Each FieldContext keeps one table of N-th roots of unity, zeta_p^k
 among them (FieldContext.root), each marked with its exponent k; the
 product of two marked roots is the root of the summed exponents and
@@ -27,9 +29,7 @@ from operator import add, sub
 from ._rat import RAT
 from .errors import ContextMismatch, DivisionByZero, TwistRootOutsideField
 
-__all__ = [
-    "FieldContext", "Scalar", "cyclotomic_poly", "sum_rows",
-]
+__all__ = ["FieldContext", "Scalar", "sum_rows"]
 
 
 def _is_prime(n):
@@ -43,28 +43,6 @@ def _is_prime(n):
     return True
 
 
-def cyclotomic_poly(n):
-    """Integer coefficient list (ascending) of the n-th cyclotomic
-    polynomial, for n whose radical r is a prime q or 2q, as every field
-    order p, p^2 and 4p^2 is: Phi_n(x) = Phi_r(x^(n/r)), where
-    Phi_q = 1 + x + ... + x^(q-1) and Phi_2q(x) = Phi_q(-x)."""
-    primes, m = [], n
-    for d in range(2, n + 1):
-        if m % d == 0:
-            primes.append(d)
-            while m % d == 0:
-                m //= d
-    q = primes[-1] if primes else 0
-    if primes not in ([q], [2, q]):
-        raise ValueError("the radical of %d is neither a prime q nor 2q"
-                         % (n,))
-    step, sign = n // math.prod(primes), -1 if len(primes) == 2 else 1
-    poly = [0] * ((q - 1) * step + 1)
-    for i in range(q):
-        poly[i * step] = sign ** i
-    return poly
-
-
 class FieldContext:
     """Field data for Q(zeta_N) tied to a prime group order p.
 
@@ -73,8 +51,8 @@ class FieldContext:
     Fourier-type conjugators).
     """
 
-    __slots__ = ("p", "order", "degree", "_low", "_half", "_fold", "_conj",
-                 "_zeros", "zero", "one", "_gauss", "_roots")
+    __slots__ = ("p", "order", "degree", "_low", "_half", "_zeros", "zero",
+                 "one", "_gauss", "_roots")
 
     def __init__(self, p, order=None):
         if not _is_prime(p):
@@ -87,17 +65,17 @@ class FieldContext:
                 % (order, p, [p, p * p, 4 * p * p]))
         self.p = p
         self.order = order
-        phi = cyclotomic_poly(order)
-        self.degree = d = len(phi) - 1
-        assert phi[d] == 1
+        # Phi_N(x) = Phi_r(x^s) for the radical r of N and s = N/r, where
+        # Phi_p = 1 + x + ... + x^(p-1) and Phi_2p(x) = Phi_p(-x): r = 2p
+        # at N = 4p^2 for odd p, else r = p
+        twice = order == 4 * p * p and p > 2
+        s = order // (2 * p if twice else p)
+        self.degree = d = (p - 1) * s
+        sign = -1 if twice else 1
         # Phi_N = x^d + low: the nonzero (j, c) of low, j ascending
-        self._low = [(j, c) for j, c in enumerate(phi[:d]) if c]
-        # x^(N/2) = -1 when Phi_N has a -1 coefficient (radical 2q)
-        self._half = order // 2 if -1 in phi else order
-        # _fold[e - d]: the nonzero (j, c) of x^e for e in [d, 2d-2];
-        # _conj[j]: those of conj(x^j) = x^(N-j)
-        self._fold = [self.x_power(e) for e in range(d, 2 * d - 1)]
-        self._conj = [self.x_power(-j) for j in range(d)]
+        self._low = [(i * s, sign ** i) for i in range(p - 1)]
+        # x^(N/2) = -1 when Phi_N has a -1 coefficient (radical 2p)
+        self._half = order // 2 if twice else order
         self._zeros = (0,) * d
         self._roots = {}
         self.zero = _scalar(self, self._zeros, 1)
@@ -126,7 +104,7 @@ class FieldContext:
 
     def x_power(self, e):
         """The nonzero (j, c) of x^e mod Phi_N, j ascending, for any
-        integer e. Phi_N(x) = Phi_r(x^s) (see cyclotomic_poly) puts low
+        integer e. Phi_N(x) = Phi_r(x^s) (see FieldContext) puts low
         below x^(d - s), so for d <= e < d + s, x^e = -x^(e - d) low
         needs no further fold. Every other e reaches [0, d + s) by
         x^N = 1 and, when Phi_N has a -1 coefficient, x^(N/2) = -1."""
@@ -390,20 +368,29 @@ class Scalar:
         return " + ".join(terms) if terms else "0"
 
     def conj(self):
-        """Complex conjugation: zeta_N -> zeta_N^(N-1). It maps the
-        numerators by an integer matrix that is its own inverse, so the
-        result stays in lowest terms over the same denominator. A marked
-        root zeta_N^k goes to the shared root zeta_N^(-k)."""
+        """Complex conjugation: zeta_N -> zeta_N^(N-1), so each kept term
+        z^j goes to x_power(-j). It maps the numerators by an integer
+        matrix that is its own inverse, so the result stays in lowest
+        terms over the same denominator. A marked root zeta_N^k goes to
+        the shared root zeta_N^(-k)."""
         if self._exponent is not None:
             return self.ctx.root(-self._exponent)
         t = self.terms
         if not t or t[-1][0] == 0:
             return self          # rational, hence real
         ctx = self.ctx
-        out = [0] * ctx.degree
+        n, h, d = ctx.order, ctx._half, ctx.degree
+        out = [0] * d
         for j, x in t:
-            for k, r in ctx._conj[j]:
-                out[k] += x * r
+            # x_power(-j), read inline with no list per term
+            e = -j % n
+            if e >= h:
+                e, x = e - h, -x
+            if e < d:
+                out[e] += x
+            else:
+                for k, r in ctx._low:
+                    out[k + e - d] -= x * r
         return _scalar(ctx, tuple(out), self.den)
 
     def inv(self):
@@ -451,11 +438,19 @@ def _combine(a, b, op):
 
 def _fold_high(ctx, raw, out):
     """Add the raw numerators at z^d .. z^(2d-2), reduced mod Phi_N,
-    into out, the numerators below z^d."""
-    for c, row in zip(raw[ctx.degree:], ctx._fold):
+    into out, the numerators below z^d, by the two facts x_power reads:
+    x^e = -x^(e - d) low for d <= e < h = _half, and x^e = -+x^(e - h)
+    below z^d for e >= h (x^(N/2) = -1 when h = N/2, x^N = 1 when
+    h = N)."""
+    d, h, low = ctx.degree, ctx._half, ctx._low
+    for s, c in enumerate(raw[d:h]):
         if c:
-            for j, r in row:
-                out[j] += c * r
+            for j, r in low:
+                out[j + s] -= c * r
+    sign = -1 if h < ctx.order else 1
+    for j, c in enumerate(raw[h:]):
+        if c:
+            out[j] += sign * c
 
 
 def sum_rows(ctx, weights, rows):

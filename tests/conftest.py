@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -42,7 +43,7 @@ def cyclotomic_poly_by_division(n):
     """Integer coefficient list (ascending) of the n-th cyclotomic
     polynomial for any n >= 1: x^n - 1 divided exactly by Phi_d for
     every proper divisor d of n, each found the same way. The oracle of
-    cyclo.cyclotomic_poly's closed form."""
+    the Phi_N that cyclo.FieldContext reads off p and N."""
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
@@ -60,6 +61,25 @@ def cyclotomic_poly_by_division(n):
             assert not any(poly), "non-exact cyclotomic division"
             poly = out
     return poly
+
+
+@functools.lru_cache(maxsize=None)
+def x_power_rows_by_division(n):
+    """The nonzero (j, c) of x^e mod Phi_n for every e < max(2d - 1, n),
+    d = deg Phi_n, j ascending: x^(e-1) shifted up one place and its
+    leading term folded by Phi_n from cyclotomic_poly_by_division. The
+    oracle rows of FieldContext.x_power and of its product fold."""
+    phi = cyclotomic_poly_by_division(n)
+    d = len(phi) - 1
+    cur = [1] + [0] * (d - 1)
+    rows = []
+    for _ in range(max(2 * d - 1, n)):
+        rows.append(tuple([(j, c) for j, c in enumerate(cur) if c]))
+        top = cur[d - 1]
+        cur = [0] + cur[:d - 1]
+        for j in range(d):
+            cur[j] -= top * phi[j]
+    return rows
 
 
 def fixed_form(ctx, exps):
@@ -1636,7 +1656,8 @@ def mul_by_coefficients(a, b):
                 for j, y in nz_b:
                     raw[i + j] += x * y
         out = raw[:d]
-        for c, row in zip(raw[d:], ctx._fold):
+        fold = x_power_rows_by_division(ctx.order)[d:]
+        for c, row in zip(raw[d:], fold):
             if c:
                 for j, r in row:
                     out[j] += c * r
@@ -1651,10 +1672,12 @@ def conj_by_coefficients(a):
     num = a.num
     if not any(num[1:]):
         return a
+    n = a.ctx.order
+    rows = x_power_rows_by_division(n)
     out = [0] * a.ctx.degree
-    for x, row in zip(num, a.ctx._conj):
+    for j, x in enumerate(num):
         if x:
-            for k, r in row:
+            for k, r in rows[-j % n]:
                 out[k] += x * r
     return _scalar(a.ctx, tuple(out), a.den)
 
@@ -1691,11 +1714,12 @@ def sum_rows_by_coefficients(ctx, weights, rows):
                 for k, y in enumerate(bn, i):
                     if y:
                         raw[k] += x * y
+    fold = x_power_rows_by_division(ctx.order)[d:]
     out_cols, out_vals = [], []
     for j in sorted(acc):
         raw, den = acc[j]
         out = raw[:d]
-        for c, row in zip(raw[d:], ctx._fold):
+        for c, row in zip(raw[d:], fold):
             if c:
                 for k, r in row:
                     out[k] += c * r

@@ -8,8 +8,9 @@ the same format-1 JSON rendering, and the same error classes.
 
 from fractions import Fraction
 
-from afzp.cyclo import cyclotomic_poly
 from afzp.errors import DivisionByZero
+
+from conftest import cyclotomic_poly_by_division
 
 R0 = Fraction(0)
 R1 = Fraction(1)
@@ -26,7 +27,7 @@ class FracField:
 
     def __init__(self, p, order):
         self.order = order
-        phi = cyclotomic_poly(order)
+        phi = cyclotomic_poly_by_division(order)
         self.degree = d = len(phi) - 1
         neg_phi = [Fraction(-c) for c in phi[:d]]
         cur = [R1] + [R0] * (d - 1)
@@ -123,7 +124,8 @@ class FracScalar:
         """Extended Euclid mod Phi_N over the rationals."""
         if not self._nonzero:
             raise DivisionByZero("inverse of zero")
-        phi = [Fraction(c) for c in cyclotomic_poly(self.ctx.order)]
+        phi = [Fraction(c)
+               for c in cyclotomic_poly_by_division(self.ctx.order)]
         inv_poly = _poly_ext_inverse(list(self.coeffs), phi)
         return FracScalar(self.ctx, self.ctx._reduce(inv_poly))
 

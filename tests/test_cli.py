@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import resource
@@ -248,12 +249,13 @@ def _bare_scalar(unit):
 def _run_cli(code, *argv, preexec_fn=None, **env):
     """Run the CLI in a fresh interpreter, with env added to the
     environment and preexec_fn run in the child before it starts; it
-    must exit with `code` without a traceback. Returns the process."""
+    must exit with `code` without a traceback, within 60 s (a hung
+    child fails the test). Returns the process."""
     env = dict(os.environ, **env,
                PYTHONPATH=os.path.dirname(os.path.dirname(afzp.__file__)))
     proc = subprocess.run([sys.executable, "-m", "afzp.cli", *argv],
                           capture_output=True, text=True, env=env,
-                          preexec_fn=preexec_fn)
+                          preexec_fn=preexec_fn, timeout=60)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     return proc
@@ -310,6 +312,25 @@ def test_a_result_that_does_not_fit_in_memory_exits_two(workdir):
         .stderr.startswith("input error:")
 
 
+def test_a_field_of_order_4p2_at_a_large_prime_exits_two(workdir):
+    """A 116-byte canonical document with p = 1000003 at field order
+    4p^2, in a process whose address space is capped at 256 MiB: the
+    field is read off p and N, so building it runs out of memory at once
+    (degree 2p(p - 1)), an input error. Earlier versions factored N by
+    trial division up to N and did not exit within 40 s."""
+    p = 1000003
+    with open("big.json", "w") as fh:
+        json.dump({"afzp_format": 3, "kind": "canonical", "p": p,
+                   "order": 4 * p * p,
+                   "pieces": [{"kind": "cycle", "n": 1}]}, fh)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    assert _run_cli(2, "kinv", "big.json", preexec_fn=cap) \
+        .stderr.startswith("input error:")
+
+
 def test_the_invariant_of_a_p1009_piece_is_linear_in_p(workdir):
     """afzp kinv on the canonical document of one fixed piece
     diag(1, zeta_p) at p = 1009, field order p, writes its invariant in
@@ -324,6 +345,22 @@ def test_the_invariant_of_a_p1009_piece_is_linear_in_p(workdir):
     assert os.path.getsize("inv.json") < 16_000
     inv = load_json("inv.json")
     assert inv.dualAct == tuple((b + 1) % 1009 for b in range(1009))
+
+
+def test_the_invariant_of_a_p211_piece_at_order_4p2_is_pinned(workdir):
+    """afzp kinv on one fixed piece diag(1, zeta_p) at p = 211, default
+    field order 4p^2 = 178084, writes the same 2,092 bytes as the
+    versions that stored Phi_N and its fold and conjugate tables."""
+    with open("f.json", "w") as fh:
+        json.dump({"afzp_format": 3, "kind": "canonical", "p": 211,
+                   "order": 178084, "pieces": [
+                       {"kind": "fixed", "n": 2, "exponents": [0, 1]}]}, fh)
+    assert main(["kinv", "f.json", "--out", "inv.json"]) == 0
+    with open("inv.json", "rb") as fh:
+        data = fh.read()
+    assert len(data) == 2092
+    assert hashlib.sha256(data).hexdigest() == (
+        "0991f825e2357898f6269792a1054f0d82bb1f68154210656ea535b26f8ad751")
 
 
 def test_afzp_order_in_the_environment_is_ignored(workdir):

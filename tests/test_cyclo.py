@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from afzp._rat import RAT
-from afzp.cyclo import (FieldContext, Scalar, _scalar, cyclotomic_poly,
-                        root_exponent, sum_rows)
-from afzp.errors import ContextMismatch, DivisionByZero, FormatError
+from afzp.cyclo import FieldContext, Scalar, _scalar, root_exponent, sum_rows
+from afzp.errors import (ContextMismatch, DivisionByZero, FormatError,
+                         TwistRootOutsideField)
 from afzp.matrix import Mat
 from afzp.serialize import _scalar_text, loads
 
@@ -76,23 +76,22 @@ def test_unsupported_field_shapes_rejected():
         FieldContext(3, 12)
 
 
-_PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+_PRIMES_BELOW_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
-@pytest.mark.parametrize("q", _PRIMES_TO_31)
+@pytest.mark.parametrize("q", _PRIMES_BELOW_50)
 def test_cyclotomic_closed_form_matches_division(q):
-    """Phi_n(x) = Phi_r(x^(n/r)) for the radical r of n agrees with the
-    general division of x^n - 1 at every field order q, q^2 and 4q^2."""
+    """FieldContext reads Phi_N off p and N alone, as Phi_r(x^(N/r)) for
+    the radical r of N. Its degree, its low terms and its half turn
+    agree with Phi_N from the general division of x^N - 1 at every field
+    order q, q^2 and 4q^2."""
     for n in (q, q * q, 4 * q * q):
-        assert cyclotomic_poly(n) == cyclotomic_poly_by_division(n), n
-
-
-@pytest.mark.parametrize("n", [1, 15, 60])
-def test_cyclotomic_poly_refuses_other_radicals(n):
-    """An n whose radical is neither a prime q nor 2q has no closed form
-    here; no field order is such an n."""
-    with pytest.raises(ValueError, match="radical of %d" % n):
-        cyclotomic_poly(n)
+        phi = cyclotomic_poly_by_division(n)
+        d = len(phi) - 1
+        ctx = FieldContext(q, n)
+        assert (ctx.degree, phi[d]) == (d, 1), n
+        assert ctx._low == [(j, c) for j, c in enumerate(phi[:d]) if c], n
+        assert ctx._half == (n // 2 if -1 in phi else n), n
 
 
 @pytest.mark.parametrize("order", ["p", "p^2", "4p^2"])
@@ -579,6 +578,21 @@ def test_a_large_prime_field_builds_only_the_roots_asked_for():
     assert sorted(ctx._roots) == [0, 5, 2002]
 
 
+def test_a_field_of_order_4p2_reads_phi_off_p_and_n():
+    """At the default order 4p^2 the degree is d = 2p(p - 1), and Phi_N
+    has p - 1 terms, read off p and N. The field keeps no row per power
+    of x for the product fold or the conjugate (tables of d rows held
+    46 MiB at p = 211): FieldContext(211) peaks under 4 MiB."""
+    tracemalloc.start()
+    try:
+        ctx = FieldContext(211)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    assert (ctx.degree, len(ctx._low)) == (2 * 211 * 210, 210)
+
+
 @pytest.mark.parametrize("p,order", [(2, 4), (3, 9), (5, 100)])
 def test_rational_scalars_hash_as_their_value(p, order):
     """A rational scalar equals its int or Fraction, so it hashes like
@@ -610,3 +624,17 @@ def test_field_elements_are_ints_fractions_or_scalars(make):
     or a bare ValueError."""
     with pytest.raises(TypeError, match="an int, a Fraction or a Scalar"):
         make(ctx_for(3, 3))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_the_gauss_sum_inverse_is_its_conjugate_over_p(p):
+    """conj(g) g = p for the Gauss sum g, so conj(g)/p, which lifts read
+    as g^-1, is the inverse that the product of g's other Galois
+    conjugates gives, at every field order that holds g."""
+    for order in (p, p * p, 4 * p * p):
+        if p == 2 and order % 8:
+            with pytest.raises(TwistRootOutsideField):
+                FieldContext(p, order).sqrt_group_order()
+            continue
+        g = FieldContext(p, order).sqrt_group_order()
+        assert g.conj() / p == g.inv()
